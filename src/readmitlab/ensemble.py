@@ -16,7 +16,8 @@ import numpy as np
 
 from .data import Dataset, FoldPlan, stratified_kfold
 from .errors import DataError
-from .evaluate import ConfusionMatrix, CvResult, MetricsReport, cross_validate, metrics
+from .evaluate import (ConfusionMatrix, CvResult, MetricsReport, cross_validate, cv_result,
+                       metrics)
 from .models import NetworkClassifier
 from .nn import load_network_params, save_network
 from .resample import ResamplePlan, apply_plan
@@ -164,22 +165,27 @@ def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
     """Per-fold evaluation of stage 1 alone, stage 2 alone (outer subset), and
     the full cascade, on identical folds.
 
+    Each fold fits its network once, inside the cascade; stage 1 alone is
+    that same fitted network scored on the held-out fold.
     Returns (network_result, cascade_result, booster_result).
     """
-
-    def build_network_model(fold: int):
-        return NetworkClassifier(seed=seed + fold, **network_config)
+    cascades: list[CascadeClassifier | None] = [None] * folds.k
 
     def build_cascade(fold: int):
-        return CascadeClassifier(
+        cascades[fold] = CascadeClassifier(
             NetworkClassifier(seed=seed + fold, **network_config),
             GradientBoostedClassifier(**booster_config),
         )
+        return cascades[fold]
 
-    network_result = cross_validate(data, folds, build_network_model,
-                                    resample_plan=resample_plan, workers=workers)
     cascade_result = cross_validate(data, folds, build_cascade,
                                     resample_plan=resample_plan, workers=workers)
+    class_ids = tuple(int(c) for c in data.classes())
+    tests = (data.take(folds.test_indices(fold)) for fold in range(folds.k))
+    network_result = cv_result(tuple(
+        ConfusionMatrix.from_labels(test.labels, cascade.network.predict(test.features),
+                                    class_ids)
+        for test, cascade in zip(tests, cascades)))
 
     outer_mask = np.isin(data.labels, OUTER_CLASSES)
     outer_data = data.take(np.flatnonzero(outer_mask))

@@ -206,6 +206,12 @@ def cross_validate(data: Dataset, folds: FoldPlan,
     else:
         matrices = tuple(run_fold(i) for i in indices)
 
+    return cv_result(matrices)
+
+
+def cv_result(matrices: tuple[ConfusionMatrix, ...]) -> CvResult:
+    """Per-fold metrics, their mean, and the pooled matrix of per-fold
+    confusion matrices given in fold order."""
     fold_metrics = tuple(metrics(m) for m in matrices)
     pooled = matrices[0]
     for m in matrices[1:]:

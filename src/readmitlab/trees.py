@@ -1,10 +1,17 @@
 """Decision trees grown by exhaustive scan, plus boosted and bagged ensembles.
 
+Both tree kinds share one split search, which minimizes the summed squared
+error (SSE) of a target matrix. A regression tree's target is its single
+residual column. A classification tree's targets are the one-hot class
+columns, whose summed SSE is n times the Gini impurity, so the same search
+grows Gini CART (Breiman et al., 1984).
+
 Split search is deterministic: candidate thresholds are midpoints between
-consecutive distinct sorted feature values, the best split maximizes impurity
+consecutive distinct sorted feature values, the best split maximizes the SSE
 reduction, and ties resolve to the lower feature index, then the lower
-threshold. Regression trees take a pluggable leaf-value function so the
-boosting stage can install Newton-step leaf values.
+threshold. A split is taken only when its reduction exceeds MIN_GAIN (1e-12)
+for either kind of tree. Regression trees take a pluggable leaf-value
+function so the boosting stage can install Newton-step leaf values.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+
+MIN_GAIN = 1e-12  # smallest SSE reduction a split must beat
 
 
 @dataclass
@@ -45,65 +54,59 @@ def _route(node: _Node, X: np.ndarray, out: np.ndarray, rows: np.ndarray) -> Non
     _route(node.right, X, out, rows[~go_left])
 
 
-def _best_regression_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
-                           features: np.ndarray, min_leaf: int):
-    """(reduction, feature, threshold, left_rows, right_rows) or None."""
+def _best_split(X: np.ndarray, Y: np.ndarray, rows: np.ndarray,
+                features: np.ndarray, min_leaf: int):
+    """(reduction, feature, threshold, left_rows, right_rows) or None.
+
+    Y is the (m, n_rows) target matrix, one row per output. Each side's SSE
+    is sum(Y**2) - sum_j csum_j**2 / size, summed over the outputs before the
+    subtraction, so one-hot targets keep every count an exact integer.
+    """
     n = rows.size
-    y_node = y[rows]
-    sse_node = float(((y_node - y_node.mean()) ** 2).sum())
-    best = None
+    y_node = Y[:, rows]
+    sse_node = float(((y_node - y_node.mean(axis=1, keepdims=True)) ** 2).sum())
+    sq = (y_node**2).sum(axis=0)
+    k = np.arange(1, n)  # left sizes
+    best, best_gain = None, MIN_GAIN
     for f in features:
         order = np.argsort(X[rows, f], kind="stable")
         xs = X[rows[order], f]
-        ys = y_node[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys**2)
-        k = np.arange(1, n)  # left sizes
-        sse_left = csq[:-1] - csum[:-1] ** 2 / k
-        sse_right = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - k)
-        reduction = sse_node - (sse_left + sse_right)
         valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
         if not valid.any():
             continue
-        reduction = np.where(valid, reduction, -np.inf)
+        csum = np.cumsum(y_node[:, order], axis=1)
+        csq = np.cumsum(sq[order])
+        sse_left = csq[:-1] - (csum[:, :-1] ** 2).sum(axis=0) / k
+        sse_right = ((csq[-1] - csq[:-1])
+                     - ((csum[:, -1:] - csum[:, :-1]) ** 2).sum(axis=0) / (n - k))
+        reduction = np.where(valid, sse_node - (sse_left + sse_right), -np.inf)
         pos = int(np.argmax(reduction))
-        if reduction[pos] <= 0.0:
-            continue
-        if best is None or reduction[pos] > best[0]:
+        if reduction[pos] > best_gain:
+            best_gain = float(reduction[pos])
             thr = _midpoint(float(xs[pos]), float(xs[pos + 1]))
-            best = (float(reduction[pos]), int(f), thr,
-                    rows[order[: pos + 1]], rows[order[pos + 1 :]])
+            best = (best_gain, int(f), thr, rows[order[: pos + 1]], rows[order[pos + 1 :]])
     return best
 
 
-def _best_gini_split(X: np.ndarray, onehot: np.ndarray, rows: np.ndarray,
-                     features: np.ndarray, min_leaf: int):
-    n = rows.size
-    node_counts = onehot[rows].sum(axis=0)
-    gini_node = float(n - (node_counts**2).sum() / n)  # n * gini impurity
-    best = None
-    for f in features:
-        order = np.argsort(X[rows, f], kind="stable")
-        xs = X[rows[order], f]
-        counts = np.cumsum(onehot[rows[order]], axis=0)
-        k = np.arange(1, n)
-        left = counts[:-1]
-        right = node_counts[None, :] - left
-        score_left = k - (left**2).sum(axis=1) / k
-        score_right = (n - k) - (right**2).sum(axis=1) / (n - k)
-        reduction = gini_node - (score_left + score_right)
-        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
-        if not valid.any():
-            continue
-        reduction = np.where(valid, reduction, -np.inf)
-        pos = int(np.argmax(reduction))
-        if reduction[pos] <= 1e-12:
-            continue
-        if best is None or reduction[pos] > best[0]:
-            thr = _midpoint(float(xs[pos]), float(xs[pos + 1]))
-            best = (float(reduction[pos]), int(f), thr,
-                    rows[order[: pos + 1]], rows[order[pos + 1 :]])
-    return best
+def _grow(X: np.ndarray, Y: np.ndarray, leaf_value, max_depth: float,
+          min_leaf: int, pick_features) -> _Node:
+    """Grow depth first, left subtree first. leaf_value(rows) gives a leaf's
+    value; pick_features() gives the features scanned at each split node."""
+
+    def grow(rows: np.ndarray, depth: int) -> _Node:
+        y_node = Y[:, rows]
+        if (depth >= max_depth or rows.size < 2 * min_leaf
+                or np.all(y_node == y_node[:, :1])):
+            return _Node(value=leaf_value(rows))
+        split = _best_split(X, Y, rows, pick_features(), min_leaf)
+        if split is None:
+            return _Node(value=leaf_value(rows))
+        _, f, thr, left_rows, right_rows = split
+        return _Node(feature=f, threshold=thr,
+                     left=grow(left_rows, depth + 1),
+                     right=grow(right_rows, depth + 1))
+
+    return grow(np.arange(X.shape[0]), 0)
 
 
 class RegressionTree:
@@ -123,21 +126,8 @@ class RegressionTree:
         if X.shape[0] == 0:
             raise DataError("cannot fit a tree on zero rows")
         all_features = np.arange(X.shape[1])
-
-        def grow(rows: np.ndarray, depth: int) -> _Node:
-            y_node = y[rows]
-            if (depth >= self.max_depth or rows.size < 2 * self.min_samples_leaf
-                    or np.all(y_node == y_node[0])):
-                return _Node(value=self.leaf_value_fn(y_node))
-            split = _best_regression_split(X, y, rows, all_features, self.min_samples_leaf)
-            if split is None:
-                return _Node(value=self.leaf_value_fn(y_node))
-            _, f, thr, left_rows, right_rows = split
-            return _Node(feature=f, threshold=thr,
-                         left=grow(left_rows, depth + 1),
-                         right=grow(right_rows, depth + 1))
-
-        self.root = grow(np.arange(X.shape[0]), 0)
+        self.root = _grow(X, y[None, :], lambda rows: self.leaf_value_fn(y[rows]),
+                          self.max_depth, self.min_samples_leaf, lambda: all_features)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -182,7 +172,7 @@ class ClassificationTree:
             raise DataError("cannot fit a tree on zero rows")
         self.classes_ = np.unique(y)
         codes = np.searchsorted(self.classes_, y)
-        onehot = np.eye(len(self.classes_), dtype=np.float64)[codes]
+        onehot = (np.arange(len(self.classes_))[:, None] == codes).astype(np.float64)
         p = X.shape[1]
         m = self._n_candidates(p)
         if m < p and self.rng is None:
@@ -194,23 +184,10 @@ class ClassificationTree:
             return np.sort(self.rng.choice(p, size=m, replace=False))
 
         def majority(rows: np.ndarray) -> int:
-            counts = onehot[rows].sum(axis=0)
-            return int(np.argmax(counts))  # first max = lowest class id
+            return int(np.argmax(onehot[:, rows].sum(axis=1)))  # first max = lowest id
 
-        def grow(rows: np.ndarray, depth: int) -> _Node:
-            y_node = codes[rows]
-            if (depth >= self.max_depth or rows.size < 2 * self.min_samples_leaf
-                    or np.all(y_node == y_node[0])):
-                return _Node(value=majority(rows))
-            split = _best_gini_split(X, onehot, rows, pick_features(), self.min_samples_leaf)
-            if split is None:
-                return _Node(value=majority(rows))
-            _, f, thr, left_rows, right_rows = split
-            return _Node(feature=f, threshold=thr,
-                         left=grow(left_rows, depth + 1),
-                         right=grow(right_rows, depth + 1))
-
-        self.root = grow(np.arange(X.shape[0]), 0)
+        self.root = _grow(X, onehot, majority, self.max_depth, self.min_samples_leaf,
+                          pick_features)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -260,12 +237,10 @@ class RandomForest:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros((np.asarray(X).shape[0], len(self.classes_)))
-        lookup = {c: i for i, c in enumerate(self.classes_)}
+        n = np.asarray(X).shape[0]
+        votes = np.zeros((n, len(self.classes_)))
         for tree in self.trees_:
-            pred = tree.predict(X)
-            cols = np.array([lookup[c] for c in pred])
-            votes[np.arange(len(cols)), cols] += 1.0
+            votes[np.arange(n), np.searchsorted(self.classes_, tree.predict(X))] += 1.0
         return votes / len(self.trees_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -306,13 +281,16 @@ def _newton_leaf_factory(n_classes: int):
 
 
 class GradientBoostedClassifier:
-    """Stagewise additive trees on the multinomial (or binomial) deviance.
+    """Stagewise additive trees on the multinomial deviance.
 
-    Scores start at the log class priors; each round fits one regression tree
-    per class to the softmax residuals and adds learning_rate times its
-    Newton-valued predictions. Two-class problems collapse to a single
-    logistic score per round. train_deviance_ records the mean training
-    deviance after every round.
+    The model keeps S score columns: S = 1 for two classes, where the single
+    column is the logit of the second class (binomial deviance), and S = K
+    for K > 2 classes. Class probabilities are the sigmoid of the logit when
+    S = 1 and the softmax of the K scores otherwise. Scores start at the log
+    prior odds (S = 1) or the log class priors; each round fits one
+    regression tree per score column to the residual (one-hot label minus
+    probability) and adds learning_rate times its Newton-valued predictions.
+    train_deviance_ records the mean training deviance after every round.
     """
 
     def __init__(self, n_rounds: int = 100, learning_rate: float = 0.1,
@@ -326,7 +304,11 @@ class GradientBoostedClassifier:
         self.trees_: list[list[RegressionTree]] = []
         self.train_deviance_: list[float] = []
 
-    def _softmax(self, scores: np.ndarray) -> np.ndarray:
+    def _probabilities(self, scores: np.ndarray) -> np.ndarray:
+        """Class probabilities from the score columns."""
+        if len(self.classes_) == 2:
+            p = 1.0 / (1.0 + np.exp(-scores[:, 0]))
+            return np.column_stack([1.0 - p, p])
         shifted = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
@@ -338,84 +320,51 @@ class GradientBoostedClassifier:
         n_classes = len(self.classes_)
         if n_classes == 0:
             raise DataError("cannot fit boosting on zero rows")
+        self.trees_ = []
+        self.train_deviance_ = []
         if n_classes == 1:
             # Degenerate but legal: every prediction is the lone class.
             self.base_scores_ = np.zeros(1)
-            self.trees_ = []
-            self.train_deviance_ = []
             return self
         codes = np.searchsorted(self.classes_, y)
         n = X.shape[0]
-
-        if n_classes == 2:
-            return self._fit_binary(X, codes)
-
         onehot = np.eye(n_classes)[codes]
         priors = onehot.mean(axis=0)
-        self.base_scores_ = np.log(priors)
+        if n_classes == 2:
+            self.base_scores_ = np.log(priors[1:] / (1.0 - priors[1:]))
+        else:
+            self.base_scores_ = np.log(priors)
+        first = n_classes - len(self.base_scores_)  # class of score column 0
         scores = np.tile(self.base_scores_, (n, 1))
         leaf_fn = _newton_leaf_factory(n_classes)
-        self.trees_ = []
-        self.train_deviance_ = []
+        eps = np.finfo(float).tiny
         for _ in range(self.n_rounds):
-            probs = self._softmax(scores)
+            probs = self._probabilities(scores)
             round_trees = []
-            for k in range(n_classes):
-                residual = onehot[:, k] - probs[:, k]
+            for k in range(scores.shape[1]):
+                residual = onehot[:, first + k] - probs[:, first + k]
                 tree = RegressionTree(self.max_depth, self.min_samples_leaf, leaf_fn)
                 tree.fit(X, residual)
                 scores[:, k] += self.learning_rate * tree.predict(X)
                 round_trees.append(tree)
             self.trees_.append(round_trees)
-            probs = self._softmax(scores)
-            eps = np.finfo(float).tiny
+            probs = self._probabilities(scores)
             self.train_deviance_.append(
                 float(-np.log(probs[np.arange(n), codes] + eps).mean())
             )
         return self
 
-    def _fit_binary(self, X: np.ndarray, codes: np.ndarray) -> "GradientBoostedClassifier":
-        n = X.shape[0]
-        pos_rate = codes.mean()
-        self.base_scores_ = np.array([float(np.log(pos_rate / (1.0 - pos_rate)))]) \
-            if 0.0 < pos_rate < 1.0 else np.array([0.0])
-        score = np.full(n, self.base_scores_[0])
-        leaf_fn = _newton_leaf_factory(2)
-        self.trees_ = []
-        self.train_deviance_ = []
-        for _ in range(self.n_rounds):
-            p = 1.0 / (1.0 + np.exp(-score))
-            residual = codes - p
-            tree = RegressionTree(self.max_depth, self.min_samples_leaf, leaf_fn)
-            tree.fit(X, residual)
-            score += self.learning_rate * tree.predict(X)
-            self.trees_.append([tree])
-            p = 1.0 / (1.0 + np.exp(-score))
-            eps = np.finfo(float).tiny
-            like = np.where(codes == 1, p, 1.0 - p)
-            self.train_deviance_.append(float(-np.log(like + eps).mean()))
-        return self
-
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
+        """The (n, S) score columns."""
         X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        if len(self.classes_) == 2:
-            score = np.full(n, self.base_scores_[0])
-            for (tree,) in self.trees_:
-                score += self.learning_rate * tree.predict(X)
-            return score[:, None]
-        scores = np.tile(self.base_scores_, (n, 1))
+        scores = np.tile(self.base_scores_, (X.shape[0], 1))
         for round_trees in self.trees_:
             for k, tree in enumerate(round_trees):
                 scores[:, k] += self.learning_rate * tree.predict(X)
         return scores
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        scores = self.decision_scores(X)
-        if len(self.classes_) == 2:
-            p = 1.0 / (1.0 + np.exp(-scores[:, 0]))
-            return np.column_stack([1.0 - p, p])
-        return self._softmax(scores)
+        return self._probabilities(self.decision_scores(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -1,5 +1,7 @@
 """Two-stage cascade: routing semantics, table merging, and the binary study."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from readmitlab.ensemble import (
     save_cascade,
 )
 from readmitlab.errors import DataError
-from readmitlab.evaluate import ConfusionMatrix
+from readmitlab.evaluate import ConfusionMatrix, cross_validate
+from readmitlab.models import make_builder
+from readmitlab.resample import ResamplePlan
 
 from helpers import blob_dataset, make_dataset
 
@@ -229,6 +233,29 @@ class TestCrossValidateCascade:
         # the booster is scored on the outer-class subset only
         assert boost_res.pooled_matrix.total == 30
         assert boost_res.pooled_matrix.class_ids == (0, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_network_result_equals_a_standalone_network_cv(self, workers):
+        rng = np.random.default_rng(33)
+        data = blob_dataset(rng, {0: 18, 1: 9, 2: 12},
+                            {0: [-1, 0], 1: [1, 0], 2: [0, 1.5]}, spread=1.0)
+        ds = make_dataset(np.hstack([data.features, rng.random((data.n_instances, 6))]),
+                          data.labels)
+        folds = stratified_kfold(ds.labels, 3, seed=34)
+        network_config = dict(arch="vanilla", epochs=2, learning_rate=1e-3, batch_size=8)
+        plan = ResamplePlan(method="random_over", seed=35)
+        net_res, _, _ = cross_validate_cascade(
+            ds, folds, network_config, dict(n_rounds=2, max_depth=2),
+            resample_plan=plan, seed=36, workers=workers)
+        alone = cross_validate(ds, folds, make_builder("network", 36, **network_config),
+                               resample_plan=plan, workers=1)
+        for got, want in zip(net_res.fold_matrices + (net_res.pooled_matrix,),
+                             alone.fold_matrices + (alone.pooled_matrix,)):
+            assert got.class_ids == want.class_ids
+            assert np.array_equal(got.counts, want.counts)
+        for got, want in zip(net_res.fold_metrics + (net_res.mean_metrics,),
+                             alone.fold_metrics + (alone.mean_metrics,)):
+            assert replace(got, source=None) == replace(want, source=None)
 
 
 class TestBinaryOuterStudy:
