@@ -2,12 +2,21 @@
 
 Subcommands: ingest, stats, select, resample, train, sweep, cascade,
 binary-study, report. Options come from a JSON config file (--config) with
-command-line flags overriding individual fields. Every run needs a seed
-(--seed flag, config "seed", or the READMIT_SEED environment variable) and an
-output directory, and writes three files there: config.json (the resolved
-config echo), report.tsv, and report.txt. Reports embed the input CSV's
-content hash and never embed timestamps or the output path, so identical
-configs produce byte-identical reports.
+command-line flags overriding individual fields; _FLAGS maps each flag to its
+field. Every run needs an output directory; every command but report also
+needs a seed (--seed flag, config "seed", or the READMIT_SEED environment
+variable) and an input CSV (--data or config "dataset"). A run writes three
+files: config.json (the resolved config echo), report.tsv, and report.txt.
+Reports embed the input CSV's content hash and never embed timestamps or the
+output path, so identical configs produce byte-identical reports.
+
+Config-file sections and their fields, with defaults, are _SECTIONS (select,
+resample, network, booster, grid) and _MODEL_DEFAULTS (model, per kind); any
+other field is a config error. sweep runs the grid (the paper's, PAPER_GRID,
+unless a "grid" section narrows it), so its model section has no epochs,
+learning_rate or batch_size. cascade rejects a model kind: its model flags feed
+the stage-1 network, except --n-rounds and --max-depth, which feed the
+booster; the booster's learning rate is set only by the "booster" section.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 """
@@ -47,6 +56,43 @@ _MODEL_DEFAULTS = {
             "min_samples_leaf": 1},
     "forest": {"n_trees": 100, "max_depth": None, "min_samples_leaf": 1,
                "features_per_split": "sqrt"},
+}
+
+# Each config section's fields and their defaults. A select or resample
+# section must name its method, and a select section its k; the select
+# command alone defaults them (chi2, every feature).
+_SECTIONS = {
+    "select": {"method": None, "k": None, "paper_exclusion": False},
+    "resample": {"method": None, "k_neighbors": 5, "target_counts": None,
+                 "nearmiss_version": 1, "n_ref": 3},
+    "network": _MODEL_DEFAULTS["network"],
+    "booster": _MODEL_DEFAULTS["gbm"],
+    "grid": PAPER_GRID,
+}
+
+# sweep's grid sets the epochs, learning rate and batch size of every cell, so
+# its network takes only the other fields
+_SWEEP_MODELS = {**_MODEL_DEFAULTS, "network": {
+    **{k: v for k, v in _MODEL_DEFAULTS["network"].items() if k not in PAPER_GRID},
+    "arch": "vanilla"}}
+
+_TOP_DEFAULTS = {"normalize": True, "fraction": None, "workers": os.cpu_count() or 1,
+                 "folds": 10, "paper_mode": False}
+
+# argparse dest -> config path; any other dest sets the top-level field of
+# its own name.
+_FLAGS = {
+    "data": ("dataset",),
+    "select_method": ("select", "method"),
+    "select_k": ("select", "k"),
+    "paper_exclusion": ("select", "paper_exclusion"),
+    "resample_method": ("resample", "method"),
+    "k_neighbors": ("resample", "k_neighbors"),
+    "nearmiss_version": ("resample", "nearmiss_version"),
+    "model": ("model", "kind"),
+    **{dest: ("model", dest) for dest in
+       ("arch", "epochs", "learning_rate", "batch_size", "optimizer", "kernel_size",
+        "dropout", "n_rounds", "max_depth", "n_trees")},
 }
 
 
@@ -173,6 +219,8 @@ def _load_config_file(path: str | None) -> dict:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
@@ -186,75 +234,21 @@ _TOP_KEYS = {"command", "dataset", "normalize", "fraction", "seed", "workers",
              "save_model", "compare_ks", "runs", "out"}
 
 
-def _check_keys(cfg: dict) -> None:
+def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
+    """Merge defaults <- config file <- flags into one resolved config dict."""
+    cfg = _load_config_file(args.config)
     for key in cfg:
         if key not in _TOP_KEYS:
             raise ConfigError(f"invalid config field {key!r}")
 
-
-def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
-    """Merge defaults <- config file <- flags into one resolved config dict."""
-    cfg = _load_config_file(args.config)
-    _check_keys(cfg)
-
-    def override(key: str, value):
-        if value is not None:
-            cfg[key] = value
-
-    override("dataset", getattr(args, "data", None))
-    override("normalize", getattr(args, "normalize", None))
-    override("fraction", getattr(args, "fraction", None))
-    override("seed", args.seed)
-    override("workers", args.workers)
-    override("folds", getattr(args, "folds", None))
-    override("paper_mode", getattr(args, "paper_mode", None))
-    override("features", getattr(args, "features", None))
-    override("write_csv", getattr(args, "write_csv", None))
-    override("save_model", getattr(args, "save_model", None))
-    override("runs", getattr(args, "runs", None))
-    if getattr(args, "regimes", None) is not None:
-        cfg["regimes"] = [r.strip() for r in args.regimes.split(",") if r.strip()]
-
-    if getattr(args, "select_method", None) is not None or getattr(args, "select_k", None) is not None:
-        section = dict(cfg.get("select") or {})
-        if args.select_method is not None:
-            section["method"] = args.select_method
-        if args.select_k is not None:
-            section["k"] = args.select_k
-        cfg["select"] = section
-    if getattr(args, "paper_exclusion", None):
-        section = dict(cfg.get("select") or {})
-        section["paper_exclusion"] = True
-        cfg["select"] = section
-
-    if getattr(args, "resample_method", None) is not None:
-        section = dict(cfg.get("resample") or {})
-        section["method"] = args.resample_method
-        cfg["resample"] = section
-    for flag, field in (("k_neighbors", "k_neighbors"), ("nearmiss_version", "nearmiss_version")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            section = dict(cfg.get("resample") or {})
-            section[field] = value
-            cfg["resample"] = section
-
-    model_flags = {"kind": getattr(args, "model", None),
-                   "arch": getattr(args, "arch", None),
-                   "epochs": getattr(args, "epochs", None),
-                   "learning_rate": getattr(args, "learning_rate", None),
-                   "batch_size": getattr(args, "batch_size", None),
-                   "optimizer": getattr(args, "optimizer", None),
-                   "kernel_size": getattr(args, "kernel_size", None),
-                   "dropout": getattr(args, "dropout", None),
-                   "n_rounds": getattr(args, "n_rounds", None),
-                   "max_depth": getattr(args, "max_depth", None),
-                   "n_trees": getattr(args, "n_trees", None)}
-    if any(v is not None for v in model_flags.values()):
-        section = dict(cfg.get("model") or {})
-        for field, value in model_flags.items():
-            if value is not None:
-                section[field] = value
-        cfg["model"] = section
+    for dest, value in vars(args).items():
+        if value is None or dest in ("command", "config", "out"):
+            continue
+        *section, field = _FLAGS.get(dest, (dest,))
+        target = cfg
+        if section:
+            target = cfg[section[0]] = dict(cfg.get(section[0]) or {})
+        target[field] = value
 
     if command == "report":
         if not cfg.get("runs"):
@@ -269,67 +263,92 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
             except ValueError:
                 raise ConfigError(f"READMIT_SEED must be an integer, got {env!r}")
         cfg["seed"] = int(cfg["seed"])
-        if command != "report" and not cfg.get("dataset"):
+        if not cfg.get("dataset"):
             raise ConfigError("an input CSV is required: --data or config 'dataset'")
 
-    cfg.setdefault("normalize", True)
-    cfg.setdefault("fraction", None)
+    cfg = {**_TOP_DEFAULTS, **cfg, "command": command}
     if cfg["fraction"] is not None:
         fraction = float(cfg["fraction"])
         if not 0.0 < fraction <= 1.0:
             raise ConfigError(f"invalid config field 'fraction': {fraction} outside (0, 1]")
         cfg["fraction"] = fraction
-    cfg.setdefault("workers", os.cpu_count() or 1)
     cfg["workers"] = max(1, int(cfg["workers"]))
-    cfg.setdefault("folds", 10)
     cfg["folds"] = int(cfg["folds"])
-    cfg.setdefault("paper_mode", False)
-    cfg["command"] = command
 
     out = cfg.pop("out", None)
-    out = getattr(args, "out", None) or out
+    out = args.out or out
     if out is None:
         raise ConfigError("an output directory is required: --out or config 'out'")
     return cfg, Path(out)
 
 
-def _model_section(cfg: dict, default_kind: str = "network",
-                   arch_default: str | None = None) -> dict:
+def _merge(name: str, given, defaults: dict) -> dict:
+    """Config section `given` (None for absent) over `defaults`; a field that
+    `defaults` lacks is a config error."""
+    given = dict(given or {})
+    for field in sorted(given):
+        if field not in defaults:
+            raise ConfigError(f"invalid config field '{name}.{field}'")
+    return {**defaults, **given}
+
+
+def _names(value):
+    """A comma-separated flag value as a list of names; a list passes through."""
+    if isinstance(value, str):
+        return [name.strip() for name in value.split(",") if name.strip()]
+    return value
+
+
+def _model(cfg: dict, kind: str, table: dict = _MODEL_DEFAULTS) -> tuple[str, dict]:
+    """The model section's kind (default `kind`) and parameters."""
     section = dict(cfg.get("model") or {})
-    kind = section.pop("kind", default_kind)
+    kind = section.pop("kind", kind)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"invalid config field 'model.kind': {kind!r}")
-    defaults = dict(_MODEL_DEFAULTS[kind])
-    if kind == "network" and arch_default is not None:
-        defaults["arch"] = arch_default
-    unknown = set(section) - set(defaults)
-    if unknown:
-        raise ConfigError(f"invalid config field 'model.{sorted(unknown)[0]}'")
-    defaults.update(section)
-    cfg["model"] = {"kind": kind, **defaults}
-    return dict(defaults)
+    params = _merge("model", section, table[kind])
+    cfg["model"] = {"kind": kind, **params}
+    return kind, params
 
 
 def _resample_plan(cfg: dict) -> ResamplePlan | None:
-    section = cfg.get("resample")
-    if not section:
+    if not cfg.get("resample"):
         cfg["resample"] = None
         return None
-    section = dict(section)
-    method = section.pop("method", None)
-    if method is None:
+    section = _merge("resample", cfg["resample"], _SECTIONS["resample"])
+    if section["method"] is None:
         raise ConfigError("invalid config field 'resample': missing 'method'")
-    known = {"k_neighbors", "target_counts", "nearmiss_version", "n_ref"}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"invalid config field 'resample.{sorted(unknown)[0]}'")
     try:
-        plan = ResamplePlan(method=method, seed=cfg["seed"], **section)
+        plan = ResamplePlan(seed=cfg["seed"], **section)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config field 'resample': {exc}")
-    cfg["resample"] = plan.to_dict()
-    cfg["resample"].pop("seed")  # derived from the run seed
+    # the plan's seed is the run seed, echoed once at the top level
+    cfg["resample"] = {k: v for k, v in plan.to_dict().items() if k != "seed"}
     return plan
+
+
+def _scores(cfg: dict, data: Dataset, **defaults):
+    """Resolve the select section and score every feature by its method."""
+    section = _merge("select", cfg.get("select"), {**_SECTIONS["select"], **defaults})
+    method, k = section["method"], section["k"]
+    if method not in SCORERS:
+        raise ConfigError(f"invalid config field 'select.method': {method!r}")
+    if k is None:
+        raise ConfigError("invalid config field 'select': missing 'k'")
+    section = cfg["select"] = {"method": method, "k": int(k),
+                               "paper_exclusion": bool(section["paper_exclusion"])}
+    if method == "pearson":
+        return section, SCORERS[method](data, paper_exclusion=section["paper_exclusion"])
+    return section, SCORERS[method](data)
+
+
+def _folds(cfg: dict, data: Dataset, plan: ResamplePlan | None, report: RunReport):
+    """(data, per-fold plan, folds) for a CV command. Paper mode resamples the
+    whole dataset before splitting, so the folds then resample nothing."""
+    if cfg["paper_mode"] and plan is not None:
+        data = apply_plan(data, plan)
+        plan = None
+        report.add_line("paper mode: whole dataset resampled before fold splitting")
+    return data, plan, stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
 
 
 def _load_data(cfg: dict, report: RunReport) -> Dataset:
@@ -347,32 +366,6 @@ def _load_data(cfg: dict, report: RunReport) -> Dataset:
             report.add_line("constant features scaled to zero: "
                             + ", ".join(scaling.degenerate_columns))
     return data
-
-
-def _apply_selection(cfg: dict, data: Dataset, report: RunReport) -> Dataset:
-    section = cfg.get("select")
-    if not section:
-        cfg["select"] = None
-        return data
-    section = dict(section)
-    method = section.pop("method", None)
-    k = section.pop("k", None)
-    paper_exclusion = bool(section.pop("paper_exclusion", False))
-    if section:
-        raise ConfigError(f"invalid config field 'select.{sorted(section)[0]}'")
-    if method not in SCORERS:
-        raise ConfigError(f"invalid config field 'select.method': {method!r}")
-    if k is None:
-        raise ConfigError("invalid config field 'select': missing 'k'")
-    cfg["select"] = {"method": method, "k": int(k), "paper_exclusion": paper_exclusion}
-    if method == "pearson":
-        table = SCORERS[method](data, paper_exclusion=paper_exclusion)
-    else:
-        table = SCORERS[method](data)
-    keep = select_k_best(table, int(k))
-    kept_names = [data.feature_names[i] for i in keep]
-    report.add_line(f"selected {len(keep)} features by {method}: " + ", ".join(kept_names))
-    return data.select_features(keep)
 
 
 def _class_counts_rows(data: Dataset) -> list[list[str]]:
@@ -395,26 +388,16 @@ def _add_cv_sections(report: RunReport, result, title: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills the report that main() writes
 
 
-def _cmd_ingest(cfg: dict, out: Path) -> int:
-    report = RunReport("ingest", cfg)
-    data = _load_data(cfg, report)
+def _cmd_ingest(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     report.add_table("class balance", ["class", "name", "count", "share_pct"],
                      _class_counts_rows(data))
-    report.write(out)
-    print(report.render_text())
-    return 0
 
 
-def _cmd_stats(cfg: dict, out: Path) -> int:
-    report = RunReport("stats", cfg)
-    data = _load_data(cfg, report)
-    wanted = cfg.get("features")
-    if isinstance(wanted, str):
-        wanted = [name.strip() for name in wanted.split(",") if name.strip()]
-    cfg["features"] = wanted
+def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+    wanted = cfg["features"] = _names(cfg.get("features"))
     if wanted:
         missing = [name for name in wanted if name not in data.feature_names]
         if missing:
@@ -426,26 +409,11 @@ def _cmd_stats(cfg: dict, out: Path) -> int:
     header, rows = class_stats_section(stats.feature_names, stats.classes,
                                        stats.means, stats.variances)
     report.add_table("per-class feature statistics", header, rows)
-    report.write(out)
-    print(report.render_text())
-    return 0
 
 
-def _cmd_select(cfg: dict, out: Path) -> int:
-    report = RunReport("select", cfg)
-    data = _load_data(cfg, report)
-    section = dict(cfg.get("select") or {})
-    method = section.get("method", "chi2")
-    k = int(section.get("k", data.n_features))
-    paper_exclusion = bool(section.get("paper_exclusion", False))
-    cfg["select"] = {"method": method, "k": k, "paper_exclusion": paper_exclusion}
-    if method not in SCORERS:
-        raise ConfigError(f"invalid config field 'select.method': {method!r}")
-    if method == "pearson":
-        table = SCORERS[method](data, paper_exclusion=paper_exclusion)
-    else:
-        table = SCORERS[method](data)
-
+def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+    section, table = _scores(cfg, data, method="chi2", k=data.n_features)
+    method, k = section["method"], section["k"]
     rows = []
     for i, name in enumerate(table.feature_names):
         if i in table.excluded:
@@ -458,32 +426,24 @@ def _cmd_select(cfg: dict, out: Path) -> int:
                     + ", ".join(data.feature_names[i] for i in keep))
 
     compare_ks = cfg.get("compare_ks")
-    if compare_ks:
-        cfg["compare_ks"] = [int(v) for v in compare_ks]
-        model_params = _model_section(cfg, default_kind="gbm")
-        kind = cfg["model"]["kind"]
-        folds_all = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
-        comparison = []
-        for kk in cfg["compare_ks"]:
-            subset = data.select_features(select_k_best(table, kk))
-            result = cross_validate(subset, folds_all,
-                                    make_builder(kind, cfg["seed"], **model_params),
-                                    workers=cfg["workers"])
-            comparison.append([str(kk), format_percent(result.mean_metrics.accuracy),
-                               format_percent(result.mean_metrics.macro_f)])
-        report.add_table(f"{kind} accuracy by feature count",
-                         ["k", "mean_accuracy", "mean_macro_f"], comparison)
-    else:
+    if not compare_ks:
         cfg["compare_ks"] = None
+        return
+    cfg["compare_ks"] = [int(v) for v in compare_ks]
+    kind, params = _model(cfg, "gbm")
+    folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
+    comparison = []
+    for kk in cfg["compare_ks"]:
+        subset = data.select_features(select_k_best(table, kk))
+        result = cross_validate(subset, folds, make_builder(kind, cfg["seed"], **params),
+                                workers=cfg["workers"])
+        comparison.append([str(kk), format_percent(result.mean_metrics.accuracy),
+                           format_percent(result.mean_metrics.macro_f)])
+    report.add_table(f"{kind} accuracy by feature count",
+                     ["k", "mean_accuracy", "mean_macro_f"], comparison)
 
-    report.write(out)
-    print(report.render_text())
-    return 0
 
-
-def _cmd_resample(cfg: dict, out: Path) -> int:
-    report = RunReport("resample", cfg)
-    data = _load_data(cfg, report)
+def _cmd_resample(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
     if plan is None:
         raise ConfigError("resample needs a plan: --resample-method or config 'resample'")
@@ -492,71 +452,45 @@ def _cmd_resample(cfg: dict, out: Path) -> int:
     resampled = apply_plan(data, plan)
     report.add_table("class balance after", ["class", "name", "count", "share_pct"],
                      _class_counts_rows(resampled))
-    write_csv = bool(cfg.get("write_csv"))
-    cfg["write_csv"] = write_csv
-    report.write(out)
-    if write_csv:
+    cfg["write_csv"] = bool(cfg.get("write_csv"))
+    if cfg["write_csv"]:
+        out.mkdir(parents=True, exist_ok=True)
         save_dataset_csv(resampled, out / "resampled.csv")
-    print(report.render_text())
-    return 0
 
 
-def _cmd_train(cfg: dict, out: Path) -> int:
-    report = RunReport("train", cfg)
-    data = _load_data(cfg, report)
-    data = _apply_selection(cfg, data, report)
+def _cmd_train(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+    if cfg.get("select"):
+        section, table = _scores(cfg, data)
+        keep = select_k_best(table, section["k"])
+        report.add_line(f"selected {len(keep)} features by {section['method']}: "
+                        + ", ".join(data.feature_names[i] for i in keep))
+        data = data.select_features(keep)
+    else:
+        cfg["select"] = None
     plan = _resample_plan(cfg)
-    model_params = _model_section(cfg)
-    kind = cfg["model"]["kind"]
-
-    if cfg["paper_mode"] and plan is not None:
-        data = apply_plan(data, plan)
-        plan = None
-        report.add_line("paper mode: whole dataset resampled before fold splitting")
-
-    folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
-    result = cross_validate(data, folds, make_builder(kind, cfg["seed"], **model_params),
+    kind, params = _model(cfg, "network")
+    data, plan, folds = _folds(cfg, data, plan, report)
+    result = cross_validate(data, folds, make_builder(kind, cfg["seed"], **params),
                             resample_plan=plan, workers=cfg["workers"])
     _add_cv_sections(report, result, f"{kind} cross-validation")
-    report.write(out)
-    print(report.render_text())
-    return 0
 
 
-def _cmd_sweep(cfg: dict, out: Path) -> int:
-    report = RunReport("sweep", cfg)
-    data = _load_data(cfg, report)
+def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
-    model_params = _model_section(cfg, arch_default="vanilla")
-    if cfg["model"]["kind"] != "network":
+    kind, fixed = _model(cfg, "network", _SWEEP_MODELS)
+    if kind != "network":
         raise ConfigError("sweep drives network training; model.kind must be 'network'")
-
-    grid = dict(cfg.get("grid") or {})
-    unknown = set(grid) - set(PAPER_GRID)
-    if unknown:
-        raise ConfigError(f"invalid config field 'grid.{sorted(unknown)[0]}'")
-    resolved_grid = {axis: list(grid.get(axis, PAPER_GRID[axis])) for axis in PAPER_GRID}
-    cfg["grid"] = resolved_grid
-
-    if cfg["paper_mode"] and plan is not None:
-        data = apply_plan(data, plan)
-        plan = None
-        report.add_line("paper mode: whole dataset resampled before fold splitting")
-
-    folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
-    fixed = {key: model_params[key] for key in
-             ("arch", "optimizer", "kernel_size", "dropout")}
+    grid = cfg["grid"] = {axis: list(values) for axis, values in
+                          _merge("grid", cfg.get("grid"), _SECTIONS["grid"]).items()}
+    data, plan, folds = _folds(cfg, data, plan, report)
 
     def build(fold: int, epochs: int, lr: float, batch: int) -> NetworkClassifier:
         return NetworkClassifier(seed=cfg["seed"] + fold, epochs=epochs,
                                  learning_rate=lr, batch_size=batch, **fixed)
 
-    rows = grid_sweep(data, folds, build,
-                      tuple(resolved_grid["epochs"]),
-                      tuple(resolved_grid["learning_rate"]),
-                      tuple(resolved_grid["batch_size"]),
+    rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
+                      tuple(grid["learning_rate"]), tuple(grid["batch_size"]),
                       resample_plan=plan, workers=cfg["workers"])
-
     table = []
     for i, row in enumerate(rows):
         table.append([
@@ -573,54 +507,25 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     report.add_line(f"best combination: epochs={best.epochs} "
                     f"learning_rate={best.learning_rate!r} batch_size={best.batch_size} "
                     f"mean accuracy {format_percent(best.accuracy)}")
-    report.write(out)
-    print(report.render_text())
-    return 0
 
 
-def _cmd_cascade(cfg: dict, out: Path) -> int:
-    report = RunReport("cascade", cfg)
-    data = _load_data(cfg, report)
+def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
-
-    # model flags feed the stage-1 network, except the boosting-only knobs
-    # (n_rounds, max_depth), which feed stage 2; the booster's own learning
-    # rate is set through the config file's "booster" section.
-    network_section = dict(cfg.get("network") or {})
-    booster_section = dict(cfg.get("booster") or {})
-    model_section = dict(cfg.get("model") or {})
-    model_section.pop("kind", None)
-    for key, value in model_section.items():
-        if key in _MODEL_DEFAULTS["network"]:
-            network_section.setdefault(key, value)
-        elif key in _MODEL_DEFAULTS["gbm"]:
-            booster_section.setdefault(key, value)
+    # model fields the network takes feed it, the other booster fields feed the
+    # booster; a field set in the network or booster section itself wins
+    network, booster = dict(cfg.get("network") or {}), dict(cfg.get("booster") or {})
+    for field, value in dict(cfg.pop("model", None) or {}).items():
+        if field in _SECTIONS["network"]:
+            network.setdefault(field, value)
+        elif field in _SECTIONS["booster"]:
+            booster.setdefault(field, value)
         else:
-            raise ConfigError(f"invalid config field 'model.{key}'")
-    cfg.pop("model", None)
-
-    net_defaults = dict(_MODEL_DEFAULTS["network"])
-    unknown = set(network_section) - set(net_defaults)
-    if unknown:
-        raise ConfigError(f"invalid config field 'network.{sorted(unknown)[0]}'")
-    net_defaults.update(network_section)
-    cfg["network"] = net_defaults
-
-    gbm_defaults = dict(_MODEL_DEFAULTS["gbm"])
-    unknown = set(booster_section) - set(gbm_defaults)
-    if unknown:
-        raise ConfigError(f"invalid config field 'booster.{sorted(unknown)[0]}'")
-    gbm_defaults.update(booster_section)
-    cfg["booster"] = gbm_defaults
-
-    if cfg["paper_mode"] and plan is not None:
-        data = apply_plan(data, plan)
-        plan = None
-        report.add_line("paper mode: whole dataset resampled before fold splitting")
-
-    folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
+            raise ConfigError(f"invalid config field 'model.{field}'")
+    network = cfg["network"] = _merge("network", network, _SECTIONS["network"])
+    booster = cfg["booster"] = _merge("booster", booster, _SECTIONS["booster"])
+    data, plan, folds = _folds(cfg, data, plan, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
-        data, folds, net_defaults, gbm_defaults,
+        data, folds, network, booster,
         resample_plan=plan, seed=cfg["seed"], workers=cfg["workers"])
 
     _add_cv_sections(report, network_result, "stage 1 network")
@@ -639,38 +544,22 @@ def _cmd_cascade(cfg: dict, out: Path) -> int:
                     f"vs stage-1 network alone: "
                     f"{format_percent(network_result.mean_metrics.accuracy)}")
 
-    if cfg.get("save_model"):
-        cfg["save_model"] = True
-        model = cascade_fit(data, net_defaults, gbm_defaults,
-                            resample_plan=plan, seed=cfg["seed"])
+    cfg["save_model"] = bool(cfg.get("save_model"))
+    if cfg["save_model"]:
+        model = cascade_fit(data, network, booster, resample_plan=plan, seed=cfg["seed"])
         save_cascade(model, out / "cascade_model")
         report.add_line("fitted cascade saved under cascade_model/")
-    else:
-        cfg["save_model"] = False
-
-    report.write(out)
-    print(report.render_text())
-    return 0
 
 
-def _cmd_binary_study(cfg: dict, out: Path) -> int:
-    report = RunReport("binary-study", cfg)
-    data = _load_data(cfg, report)
-    regimes = tuple(cfg.get("regimes") or BINARY_REGIMES)
+def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+    regimes = tuple(_names(cfg.get("regimes")) or BINARY_REGIMES)
     for regime in regimes:
         if regime not in BINARY_REGIMES:
             raise ConfigError(f"invalid config field 'regimes': {regime!r}")
     cfg["regimes"] = list(regimes)
-    booster_section = dict(cfg.get("booster") or {})
-    gbm_defaults = dict(_MODEL_DEFAULTS["gbm"])
-    unknown = set(booster_section) - set(gbm_defaults)
-    if unknown:
-        raise ConfigError(f"invalid config field 'booster.{sorted(unknown)[0]}'")
-    gbm_defaults.update(booster_section)
-    cfg["booster"] = gbm_defaults
-
+    booster = cfg["booster"] = _merge("booster", cfg.get("booster"), _SECTIONS["booster"])
     results = binary_outer_study(data, seed=cfg["seed"], k_folds=cfg["folds"],
-                                 regimes=regimes, booster_config=gbm_defaults,
+                                 regimes=regimes, booster_config=booster,
                                  workers=cfg["workers"])
     summary = [[regime,
                 format_percent(results[regime].mean_metrics.accuracy),
@@ -680,26 +569,24 @@ def _cmd_binary_study(cfg: dict, out: Path) -> int:
                      summary)
     for regime in regimes:
         report.add_confusion(f"{regime}: pooled confusion", results[regime].pooled_matrix)
-    report.write(out)
-    print(report.render_text())
-    return 0
 
 
-def _cmd_report(cfg: dict, out: Path) -> int:
-    report = RunReport("report", cfg)
+def _cmd_report(cfg: dict, data: None, report: RunReport, out: Path) -> None:
     for run_dir in cfg["runs"]:
         run_path = Path(run_dir)
         config_path = run_path / "config.json"
         text_path = run_path / "report.txt"
         if not config_path.exists() or not text_path.exists():
             raise DataError(f"{run_dir}: not a run directory (config.json/report.txt missing)")
-        run_cfg = json.loads(config_path.read_text())
+        try:
+            run_cfg = json.loads(config_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{config_path} is not valid JSON: {exc}")
+        if not isinstance(run_cfg, dict):
+            raise DataError(f"{config_path} must contain a JSON object")
         report.add_line(f"--- run {run_dir} (command: {run_cfg.get('command', '?')}) ---")
         for line in text_path.read_text().splitlines():
             report.add_line(line)
-    report.write(out)
-    print(report.render_text())
-    return 0
 
 
 _COMMANDS = {
@@ -722,7 +609,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             raise ConfigError("a subcommand is required; see --help")
         cfg, out = _resolve(args, args.command)
-        return _COMMANDS[args.command](cfg, out)
+        report = RunReport(args.command, cfg)
+        data = None if args.command == "report" else _load_data(cfg, report)
+        _COMMANDS[args.command](cfg, data, report, out)
+        report.write(out)
+        print(report.render_text())
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -168,6 +168,8 @@ SCORERS = {
 
 def select_k_best(scores: FeatureScoreTable, k: int) -> list[int]:
     """Indices of the k highest-scoring features, in original column order."""
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     available = [i for i in range(len(scores.feature_names)) if i not in scores.excluded]
     if k > len(available):
         raise ValueError(

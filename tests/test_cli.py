@@ -1,12 +1,21 @@
 """End-to-end command-line runs against small synthetic CSV files."""
 
+import dataclasses
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from readmitlab.cli import main
+from readmitlab.cli import _COMMANDS, _MODEL_DEFAULTS, _SECTIONS, main
 from readmitlab.data import load_dataset, save_dataset_csv
+from readmitlab.models import NetworkClassifier
+from readmitlab.resample import ResamplePlan
+from readmitlab.trees import GradientBoostedClassifier, RandomForest
 
 from helpers import blob_dataset, make_dataset
 
@@ -97,6 +106,12 @@ class TestArgumentHandling:
         config.write_text("[1, 2]")
         assert main(["ingest", "--data", str(csv), "--config", str(config),
                      "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys):
+        csv = write_csv(tmp_path)
+        assert main(["ingest", "--data", str(csv), "--config", str(tmp_path),
+                     "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+        assert "cannot be read" in capsys.readouterr().err
 
     def test_missing_data_file_is_a_data_error(self, tmp_path, capsys):
         assert main(["ingest", "--data", str(tmp_path / "nope.csv"),
@@ -267,6 +282,14 @@ class TestTrain:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_select_k_below_one_is_a_config_error(self, tmp_path, capsys, k):
+        csv = write_csv(tmp_path)
+        assert main(["train", "--data", str(csv), "--seed", "1", "--folds", "2",
+                     "--model", "gbm", "--n-rounds", "2", "--select-method", "chi2",
+                     "--select-k", k, "--out", str(tmp_path / "o")]) == 1
+        assert "at least 1" in capsys.readouterr().err
+
     def test_divergent_network_training_is_a_numeric_failure(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
         with np.errstate(all="ignore"):
@@ -381,3 +404,161 @@ class TestReportCommand:
         empty.mkdir()
         assert main(["report", "--runs", str(empty),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_malformed_run_config_is_a_data_error(self, tmp_path, capsys, text):
+        csv = write_csv(tmp_path)
+        run = tmp_path / "r"
+        assert main(["ingest", "--data", str(csv), "--seed", "1", "--out", str(run)]) == 0
+        (run / "config.json").write_text(text)
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "o")]) == 2
+        assert "data error" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+TINY_GRID = {"epochs": [1], "learning_rate": [1e-3], "batch_size": [16]}
+NETWORK = {"arch": "vanilla", "epochs": 1, "learning_rate": 1e-3, "batch_size": 16,
+           "optimizer": "adam", "kernel_size": None, "dropout": 0.2}
+BOOSTER = {"n_rounds": 2, "learning_rate": 0.1, "max_depth": 3, "min_samples_leaf": 1}
+
+# command, extra flags, config file (or None), resolved fields beyond the
+# top-level defaults
+ECHOES = [
+    ("ingest", [], None, {}),
+    ("stats", ["--features", "f00,f03"], None, {"features": ["f00", "f03"]}),
+    ("select", [], None,
+     {"select": {"method": "chi2", "k": 8, "paper_exclusion": False}, "compare_ks": None}),
+    ("resample", ["--resample-method", "nearmiss"], None,
+     {"resample": {"method": "nearmiss", "k_neighbors": 5, "target_counts": None,
+                   "nearmiss_version": 1, "n_ref": 3}, "write_csv": False}),
+    ("train", ["--folds", "2", "--model", "gbm", "--n-rounds", "2"], None,
+     {"folds": 2, "select": None, "resample": None, "model": {"kind": "gbm", **BOOSTER}}),
+    ("sweep", ["--folds", "2"], {"grid": TINY_GRID},
+     {"folds": 2, "resample": None, "grid": TINY_GRID,
+      "model": {"kind": "network", "arch": "vanilla", "optimizer": "adam",
+                "kernel_size": None, "dropout": 0.2}}),
+    ("cascade", ["--folds", "2", "--arch", "vanilla", "--epochs", "1",
+                 "--learning-rate", "1e-3", "--batch-size", "16", "--n-rounds", "2"], None,
+     {"folds": 2, "resample": None, "network": NETWORK, "booster": BOOSTER,
+      "save_model": False}),
+    ("binary-study", ["--folds", "2", "--regimes", "full"], {"booster": {"n_rounds": 2}},
+     {"folds": 2, "regimes": ["full"], "booster": BOOSTER}),
+]
+
+# command, shared flags, the values as flags, then as config-file sections
+SAME_BY_FLAGS_OR_CONFIG = [
+    ("select", [], ["--select-method", "pearson", "--select-k", "3", "--paper-exclusion"],
+     [{"select": {"method": "pearson", "k": 3, "paper_exclusion": True}}]),
+    ("train", ["--folds", "2", "--model", "gbm", "--n-rounds", "2"],
+     ["--select-method", "anova_f", "--select-k", "4", "--resample-method", "smote",
+      "--k-neighbors", "2"],
+     [{"select": {"method": "anova_f", "k": 4},
+       "resample": {"method": "smote", "k_neighbors": 2}}]),
+    ("resample", [], ["--resample-method", "nearmiss", "--nearmiss-version", "3",
+                      "--k-neighbors", "4"],
+     [{"resample": {"method": "nearmiss", "nearmiss_version": 3, "k_neighbors": 4}}]),
+    ("train", ["--folds", "2"], ["--model", "gbm", "--n-rounds", "3", "--max-depth", "2"],
+     [{"model": {"kind": "gbm", "n_rounds": 3, "max_depth": 2}}]),
+    ("train", ["--folds", "2"], ["--model", "forest", "--n-trees", "5", "--max-depth", "3"],
+     [{"model": {"kind": "forest", "n_trees": 5, "max_depth": 3}}]),
+    ("train", ["--folds", "2"],
+     ["--model", "network", "--arch", "vanilla", "--epochs", "1", "--learning-rate", "1e-2",
+      "--batch-size", "16", "--optimizer", "sgd", "--dropout", "0.1"],
+     [{"model": {"kind": "network", "arch": "vanilla", "epochs": 1, "learning_rate": 1e-2,
+                 "batch_size": 16, "optimizer": "sgd", "dropout": 0.1}}]),
+    ("cascade", ["--folds", "2"],
+     ["--arch", "vanilla", "--epochs", "1", "--batch-size", "16", "--n-rounds", "2",
+      "--max-depth", "2"],
+     [{"network": {"arch": "vanilla", "epochs": 1, "batch_size": 16},
+       "booster": {"n_rounds": 2, "max_depth": 2}},
+      {"model": {"arch": "vanilla", "epochs": 1, "batch_size": 16, "n_rounds": 2,
+                 "max_depth": 2}}]),
+]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command, flags, config, fields", ECHOES,
+                             ids=[case[0] for case in ECHOES])
+    def test_resolved_config_echo(self, tmp_path, command, flags, config, fields):
+        csv = write_csv(tmp_path)
+        argv = [command, "--data", str(csv), "--seed", "1", "--workers", "1", *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text()) == {
+            "command": command, "dataset": str(csv), "seed": 1, "workers": 1,
+            "normalize": True, "fraction": None, "folds": 10, "paper_mode": False,
+            **fields}
+
+    def test_resolved_report_echo(self, tmp_path):
+        csv = write_csv(tmp_path)
+        run = tmp_path / "r"
+        assert main(["ingest", "--data", str(csv), "--seed", "1", "--out", str(run)]) == 0
+        out = tmp_path / "o"
+        assert main(["report", "--runs", str(run), "--workers", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text()) == {
+            "command": "report", "runs": [str(run)], "workers": 1, "normalize": True,
+            "fraction": None, "folds": 10, "paper_mode": False}
+
+    @pytest.mark.parametrize("command, shared, flags, configs", SAME_BY_FLAGS_OR_CONFIG,
+                             ids=["select", "train-select-resample", "resample-nearmiss3",
+                                  "train-gbm", "train-forest", "train-network", "cascade"])
+    def test_flags_and_config_file_give_identical_outputs(self, tmp_path, command, shared,
+                                                          flags, configs):
+        csv = write_csv(tmp_path, counts={0: 18, 1: 15, 2: 6})
+        argv = [command, "--data", str(csv), "--seed", "1", "--workers", "1", *shared]
+        assert main(argv + flags + ["--out", str(tmp_path / "flags")]) == 0
+        for i, config in enumerate(configs):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"config{i}"
+            assert main(argv + ["--config", str(path), "--out", str(out)]) == 0
+            for name in ("config.json", "report.tsv", "report.txt"):
+                assert (out / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, flags, config, field", [
+        ("sweep", ["--epochs", "7"], None, "model.epochs"),
+        ("sweep", ["--learning-rate", "0.1"], None, "model.learning_rate"),
+        ("sweep", [], {"model": {"batch_size": 8}}, "model.batch_size"),
+        ("cascade", ["--model", "forest"], None, "model.kind"),
+        ("cascade", ["--n-trees", "3"], None, "model.n_trees"),
+        ("cascade", [], {"network": {"layers": 3}}, "network.layers"),
+        ("select", [], {"select": {"top": 3}}, "select.top"),
+        ("train", ["--model", "gbm"], {"model": {"depth": 2}}, "model.depth"),
+        ("resample", [], {"resample": {"method": "smote", "ratio": 1}}, "resample.ratio"),
+        ("binary-study", [], {"booster": {"depth": 2}}, "booster.depth"),
+    ])
+    def test_field_a_command_does_not_use_is_named(self, tmp_path, capsys, command, flags,
+                                                   config, field):
+        csv = write_csv(tmp_path)
+        argv = [command, "--data", str(csv), "--seed", "1", *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert f"invalid config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, cls", [("network", NetworkClassifier),
+                                           ("gbm", GradientBoostedClassifier),
+                                           ("forest", RandomForest)])
+    def test_model_defaults_match_the_constructors(self, kind, cls):
+        params = inspect.signature(cls).parameters
+        assert {name: params[name].default for name in _MODEL_DEFAULTS[kind]} == \
+            _MODEL_DEFAULTS[kind]
+
+    def test_resample_defaults_match_the_plan(self):
+        plan_defaults = {f.name: f.default for f in dataclasses.fields(ResamplePlan)
+                         if f.name not in ("method", "seed")}
+        assert {"method": None, **plan_defaults} == _SECTIONS["resample"]
+
+    @pytest.mark.parametrize("command", [[], *([name] for name in _COMMANDS)],
+                             ids=lambda argv: " ".join(argv) or "top")
+    def test_help_exits_zero(self, command):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "readmitlab", *command, "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: readmitlab")

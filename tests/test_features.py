@@ -196,6 +196,12 @@ class TestSelectKBest:
         with pytest.raises(ValueError):
             select_k_best(table, 2)
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_k_below_one_rejected(self, k):
+        table = chi_square_scores(balanced_nine_instance_toy())
+        with pytest.raises(ValueError, match="at least 1"):
+            select_k_best(table, k)
+
 
 class TestPerClassStats:
     def test_matches_numpy_mean_and_population_variance(self):
