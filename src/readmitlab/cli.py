@@ -11,8 +11,9 @@ Reports embed the input CSV's content hash and never embed timestamps or the
 output path, so identical configs produce byte-identical reports.
 
 Config-file sections and their fields, with defaults, are _SECTIONS (select,
-resample, network, booster, grid) and _MODEL_DEFAULTS (model, per kind); any
-other field is a config error. sweep runs the grid (the paper's, PAPER_GRID,
+resample, network, booster, grid) and _MODEL_DEFAULTS (model, per kind); _READS
+lists the sections and command fields each command takes; any other field is a
+config error. sweep runs the grid (the paper's, PAPER_GRID,
 unless a "grid" section narrows it), so its model section has no epochs,
 learning_rate or batch_size. cascade rejects a model kind: its model flags feed
 the stage-1 network, except --n-rounds and --max-depth, which feed the
@@ -78,6 +79,21 @@ _SWEEP_MODELS = {**_MODEL_DEFAULTS, "network": {
 
 _TOP_DEFAULTS = {"normalize": True, "fraction": None, "workers": os.cpu_count() or 1,
                  "folds": 10, "paper_mode": False}
+
+# Every command takes these top-level fields, plus the sections and command
+# fields it reads, listed in _READS; any other top-level field is a config error.
+_RUN_FIELDS = {"command", "dataset", "seed", "out", *_TOP_DEFAULTS}
+_READS = {
+    "ingest": (),
+    "stats": ("features",),
+    "select": ("select", "model", "compare_ks"),
+    "resample": ("resample", "write_csv"),
+    "train": ("select", "resample", "model"),
+    "sweep": ("resample", "model", "grid"),
+    "cascade": ("resample", "model", "network", "booster", "save_model"),
+    "binary-study": ("booster", "regimes"),
+    "report": ("runs",),
+}
 
 # argparse dest -> config path; any other dest sets the top-level field of
 # its own name.
@@ -228,17 +244,11 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-_TOP_KEYS = {"command", "dataset", "normalize", "fraction", "seed", "workers",
-             "folds", "paper_mode", "select", "resample", "model", "network",
-             "booster", "grid", "features", "regimes", "write_csv",
-             "save_model", "compare_ks", "runs", "out"}
-
-
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
     """Merge defaults <- config file <- flags into one resolved config dict."""
     cfg = _load_config_file(args.config)
     for key in cfg:
-        if key not in _TOP_KEYS:
+        if key not in _RUN_FIELDS and key not in _READS[command]:
             raise ConfigError(f"invalid config field {key!r}")
 
     for dest, value in vars(args).items():

@@ -9,8 +9,12 @@ macro precision and macro recall (not the mean of per-class F scores). Any
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
@@ -174,6 +178,56 @@ def _mean_metrics(reports: tuple[MetricsReport, ...],
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or
+    None when it cannot be found (another BLAS, or no /proc/self/maps)."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    libs = sorted({line.split()[-1] for line in maps.splitlines()
+                   if "openblas" in line.lower() and ".so" in line})
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its count.
+
+    Folds running in a thread pool would otherwise each hand their matrix
+    products to BLAS's own threads, which spin-wait for one another on CPUs
+    the folds already fill: on two CPUs, two concurrent vanilla-network
+    trainings at batch 64 took 24.7 s of CPU against 9.2 s on one BLAS
+    thread, and how much of that spinning a run does varies with what else
+    the machine runs. Thread count does not change BLAS results.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def cross_validate(data: Dataset, folds: FoldPlan,
                    build_model: Callable[[int], Model],
                    resample_plan: ResamplePlan | None = None,
@@ -183,8 +237,9 @@ def cross_validate(data: Dataset, folds: FoldPlan,
 
     Resampling, when requested, touches the training split only; the fold index
     is added to the plan seed so folds stay independent but reproducible.
-    Folds run in a thread pool when workers > 1; results are ordered by fold,
-    so the worker count never changes the outcome.
+    Folds run in a thread pool when workers > 1, with BLAS on one thread;
+    results are ordered by fold, so the worker count never changes the
+    outcome.
     """
     class_ids = tuple(int(c) for c in data.classes())
 
@@ -201,7 +256,7 @@ def cross_validate(data: Dataset, folds: FoldPlan,
 
     indices = range(folds.k)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             matrices = tuple(pool.map(run_fold, indices))
     else:
         matrices = tuple(run_fold(i) for i in indices)

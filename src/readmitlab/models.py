@@ -31,12 +31,18 @@ class NetworkClassifier:
         self.n_features_: int | None = None
         self.history_: list[float] = []
 
-    def build(self, n_features: int) -> "NetworkClassifier":
-        """Construct the untrained network (fit() does this automatically)."""
+    def _build(self, n_features: int) -> np.random.Generator:
+        """Construct the untrained network; returns the seeded generator,
+        which training continues after the initialization draws."""
         rng = np.random.default_rng(self.seed)
         self.net = build_network(self.arch, n_features, rng=rng,
                                  kernel_size=self.kernel_size, dropout=self.dropout)
         self.n_features_ = n_features
+        return rng
+
+    def build(self, n_features: int) -> "NetworkClassifier":
+        """Construct the untrained network (fit() does this automatically)."""
+        self._build(n_features)
         return self
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "NetworkClassifier":
@@ -44,10 +50,7 @@ class NetworkClassifier:
         y = np.asarray(y, dtype=np.int64)
         if y.min() < 0 or y.max() > 2:
             raise ValueError("network heads are three-way; labels must be 0, 1, or 2")
-        rng = np.random.default_rng(self.seed)
-        self.net = build_network(self.arch, X.shape[1], rng=rng,
-                                 kernel_size=self.kernel_size, dropout=self.dropout)
-        self.n_features_ = X.shape[1]
+        rng = self._build(X.shape[1])
         self.history_ = train_network(self.net, X, y, self.train_config, rng)
         return self
 

@@ -2,18 +2,23 @@
 
 Everything is float64 numpy, batch-first. Layers cache what their backward
 pass needs during forward; backward() must follow a forward() on the same
-batch. Convolutions are valid-only (no padding). Dropout is inverted, active
-only when forward() is called with train=True and an rng to draw masks from.
+batch. Convolutions are valid-only (no padding). Conv1d and MaxPool1d both
+read one sliding-window view of their input, (batch, channels, windows,
+taps): the convolution is a tensordot of that view with its weights, pooling
+a max over its last axis. Dropout is inverted, active only when forward() is
+called with train=True and an rng to draw masks from.
 
 Architectures are built by name through build_network(); see ARCHITECTURES.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericError
 from .optim import make_optimizer
@@ -29,6 +34,25 @@ def kaiming_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generato
 
 # ---------------------------------------------------------------------------
 # layers
+
+
+def _window_view(x: np.ndarray, width: int, stride: int) -> np.ndarray:
+    """(batch, channels, n_out, width) view of x's windows along its length
+    axis; window l starts at position stride * l."""
+    return sliding_window_view(x, width, axis=2)[:, :, ::stride]
+
+
+def _add_window_grads(d_windows: np.ndarray, shape: tuple[int, ...], stride: int) -> np.ndarray:
+    """The adjoint of _window_view: each window's gradient summed back into an
+    input of `shape`, one strided slice-add per window offset. Offsets run
+    last to first, so every input position sums its windows' terms in
+    window order."""
+    dx = np.zeros(shape)
+    n_out, width = d_windows.shape[2:]
+    span = stride * (n_out - 1) + 1
+    for offset in reversed(range(width)):
+        dx[:, :, offset : offset + span : stride] += d_windows[:, :, :, offset]
+    return dx
 
 
 class Layer:
@@ -92,26 +116,18 @@ class Conv1d(Layer):
         return (length - self.kernel) // self.stride + 1
 
     def forward(self, x, *, train=False, rng=None):
+        self.out_length(x.shape[2])
         self._x = x
-        n_out = self.out_length(x.shape[2])
-        out = np.empty((x.shape[0], self.c_out, n_out))
-        out[:] = self.b[None, :, None]
-        for tap in range(self.kernel):
-            seg = x[:, :, tap : tap + self.stride * n_out : self.stride]
-            out += np.einsum("bcl,oc->bol", seg, self.w[:, :, tap])
-        return out
+        out = np.tensordot(_window_view(x, self.kernel, self.stride), self.w, axes=([1, 3], [1, 2]))
+        return out.transpose(0, 2, 1) + self.b[:, None]
 
     def backward(self, d_out):
         x = self._x
-        n_out = d_out.shape[2]
-        dx = np.zeros_like(x)
         self.db = d_out.sum(axis=(0, 2))
-        self.dw = np.empty_like(self.w)
-        for tap in range(self.kernel):
-            sl = slice(tap, tap + self.stride * n_out, self.stride)
-            self.dw[:, :, tap] = np.einsum("bol,bcl->oc", d_out, x[:, :, sl])
-            dx[:, :, sl] += np.einsum("bol,oc->bcl", d_out, self.w[:, :, tap])
-        return dx
+        self.dw = np.tensordot(d_out, _window_view(x, self.kernel, self.stride),
+                               axes=([0, 2], [0, 2]))
+        d_windows = np.tensordot(d_out, self.w, axes=([1], [0])).transpose(0, 2, 1, 3)
+        return _add_window_grads(d_windows, x.shape, self.stride)
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -146,26 +162,19 @@ class MaxPool1d(Layer):
             raise DataError(f"input length {length} shorter than pool window {self.window}")
         return (length - self.window) // self.stride + 1
 
-    def _windows(self, x: np.ndarray) -> np.ndarray:
-        n_out = self.out_length(x.shape[2])
-        idx = self.stride * np.arange(n_out)[:, None] + np.arange(self.window)[None, :]
-        return x[:, :, idx]  # (batch, channels, n_out, window)
-
     def forward(self, x, *, train=False, rng=None):
-        wins = self._windows(x)
+        self.out_length(x.shape[2])
+        windows = _window_view(x, self.window, self.stride)
         self._shape = x.shape
-        self._argmax = wins.argmax(axis=3)
-        return wins.max(axis=3)
+        self._argmax = windows.argmax(axis=3)
+        # the same values as windows.max(axis=3), which reduces the view's
+        # short, strided last axis element by element and is many times slower
+        return functools.reduce(np.maximum, np.moveaxis(windows, 3, 0))
 
     def backward(self, d_out):
-        b, c, n_out = d_out.shape
-        dx = np.zeros(self._shape)
-        positions = self.stride * np.arange(n_out)[None, None, :] + self._argmax
-        bi, ci = np.ogrid[:b, :c]
-        np.add.at(dx, (np.broadcast_to(bi[..., None], positions.shape),
-                       np.broadcast_to(ci[..., None], positions.shape),
-                       positions), d_out)
-        return dx
+        taps = np.arange(self.window)
+        d_windows = np.where(self._argmax[..., None] == taps, d_out[..., None], 0.0)
+        return _add_window_grads(d_windows, self._shape, self.stride)
 
 
 class Flatten(Layer):
@@ -293,6 +302,12 @@ class LastStep(Layer):
         return dx
 
 
+def _prefixed(prefix: str, parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Merge per-part dicts, keying part i's entry `name` as '{prefix}{i}.{name}'."""
+    return {f"{prefix}{i}.{name}": value
+            for i, part in enumerate(parts) for name, value in part.items()}
+
+
 class Network(Layer):
     """Sequential stack; parameter keys are 'l{i}.{name}' per owning layer."""
 
@@ -310,18 +325,10 @@ class Network(Layer):
         return d_out
 
     def params(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, value in layer.params().items():
-                out[f"l{i}.{name}"] = value
-        return out
+        return _prefixed("l", [layer.params() for layer in self.layers])
 
     def grads(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, value in layer.grads().items():
-                out[f"l{i}.{name}"] = value
-        return out
+        return _prefixed("l", [layer.grads() for layer in self.layers])
 
     def count_params(self) -> int:
         return sum(v.size for v in self.params().values())
@@ -373,18 +380,10 @@ class Parallel(Layer):
         return dx
 
     def params(self):
-        out = {}
-        for i, branch in enumerate(self.branches):
-            for name, value in branch.params().items():
-                out[f"b{i}.{name}"] = value
-        return out
+        return _prefixed("b", [branch.params() for branch in self.branches])
 
     def grads(self):
-        out = {}
-        for i, branch in enumerate(self.branches):
-            for name, value in branch.grads().items():
-                out[f"b{i}.{name}"] = value
-        return out
+        return _prefixed("b", [branch.grads() for branch in self.branches])
 
 
 # ---------------------------------------------------------------------------
@@ -435,77 +434,60 @@ def _conv_head(flat: int, rng, *, dropout: float, wide: bool) -> list[Layer]:
     return layers
 
 
+def _stem_width(arch: str, n_features: int, stem: list[Layer]) -> int:
+    """Width of the stem's flattened output, found by passing one zero row
+    through it, so each layer's out_length stays the only length rule."""
+    try:
+        return Network(stem).forward(np.zeros((1, n_features))).size
+    except DataError as exc:
+        raise DataError(f"{arch}: input of {n_features} features is too short: {exc}") from None
+
+
 def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
                   kernel_size: int | None = None,
                   dropout: float = DEFAULT_DROPOUT) -> Network:
     """Construct a named architecture for rows of n_features values.
 
-    kernel_size applies to the cnn2 family (default 4); dropout applies to
-    every architecture that has dropout layers.
+    kernel_size applies to vanilla (default 2) and the cnn2 family (default
+    4); dropout applies to every architecture that has dropout layers. A
+    conv architecture's stem (convolutions and pooling) is built first; its
+    flattened width, found by a zero-row pass, sizes the dense head. Rows too
+    short for the stem raise DataError naming the architecture.
     """
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
 
+    if arch in ("rnn_simple", "rnn_deep"):
+        depth = 1 if arch == "rnn_simple" else 4
+        layers = [AsSequence()]
+        n_in = 1
+        for _ in range(depth):
+            layers.append(RecurrentTanh(n_in, RNN_HIDDEN, rng))
+            n_in = RNN_HIDDEN
+        layers += [LastStep(), Dense(RNN_HIDDEN, 3, rng)]
+        return Network(layers)
+
     if arch == "vanilla":
         k = 2 if kernel_size is None else kernel_size
-        length = n_features - 2 * (k - 1)
-        pooled = (length - 2) // 2 + 1
-        if pooled < 1:
-            raise DataError(
-                f"{arch}: input of {n_features} features is too short "
-                f"for kernel size {k}"
-            )
-        layers = [AsChannels(),
-                  Conv1d(1, 8, k, rng), Relu(),
-                  Conv1d(8, 16, k, rng), Relu(),
-                  MaxPool1d(2),
-                  Flatten(),
-                  Dense(16 * pooled, 128, rng), Relu(),
-                  Dense(128, 64, rng), Relu(),
-                  Dense(64, 3, rng)]
-        return Network(layers)
-
-    if arch in ("cnn2", "cnn2_wide"):
+        stem = [AsChannels(),
+                Conv1d(1, 8, k, rng), Relu(),
+                Conv1d(8, 16, k, rng), Relu(),
+                MaxPool1d(2)]
+        dropout = 0.0  # the vanilla head has no dropout layers
+    elif arch == "cnn2_multibranch":
+        branches = [Network([Conv1d(1, 8, k, rng), Relu(), Conv1d(8, 16, k, rng), Relu()])
+                    for k in (3, 5)]
+        stem = [AsChannels(), Parallel(branches), MaxPool1d(2)]
+    else:
         k = 4 if kernel_size is None else kernel_size
-        length = n_features - 3 * (k - 1)
-        pooled = (length - 2) // 2 + 1
-        if pooled < 1:
-            raise DataError(
-                f"{arch}: input of {n_features} features is too short "
-                f"for kernel size {k}"
-            )
-        layers = [AsChannels(),
-                  Conv1d(1, 8, k, rng), Relu(),
-                  Conv1d(8, 16, k, rng), Relu(),
-                  Conv1d(16, 32, k, rng), Relu(),
-                  MaxPool1d(2)]
-        layers += _conv_head(32 * pooled, rng, dropout=dropout, wide=(arch == "cnn2_wide"))
-        return Network(layers)
-
-    if arch == "cnn2_multibranch":
-        branches = []
-        for k in (3, 5):
-            branches.append(Network([Conv1d(1, 8, k, rng), Relu(),
-                                     Conv1d(8, 16, k, rng), Relu()]))
-        shortest = n_features - 2 * (5 - 1)
-        pooled = (shortest - 2) // 2 + 1
-        if pooled < 1:
-            raise DataError(
-                f"{arch}: input of {n_features} features is too short "
-                "for its kernel sizes (3 and 5)"
-            )
-        layers: list[Layer] = [AsChannels(), Parallel(branches), MaxPool1d(2)]
-        layers += _conv_head(32 * pooled, rng, dropout=dropout, wide=False)
-        return Network(layers)
-
-    depth = 1 if arch == "rnn_simple" else 4
-    layers = [AsSequence()]
-    n_in = 1
-    for _ in range(depth):
-        layers.append(RecurrentTanh(n_in, RNN_HIDDEN, rng))
-        n_in = RNN_HIDDEN
-    layers += [LastStep(), Dense(RNN_HIDDEN, 3, rng)]
-    return Network(layers)
+        stem = [AsChannels(),
+                Conv1d(1, 8, k, rng), Relu(),
+                Conv1d(8, 16, k, rng), Relu(),
+                Conv1d(16, 32, k, rng), Relu(),
+                MaxPool1d(2)]
+    head = _conv_head(_stem_width(arch, n_features, stem), rng, dropout=dropout,
+                      wide=(arch == "cnn2_wide"))
+    return Network(stem + head)
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,11 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 
 def _interpolate(x_min: np.ndarray, bases: np.ndarray, nn_min: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """SMOTE step: x + u * (neighbor - x) with u ~ U[0, 1]."""
+                 rng: np.random.Generator, direction: np.ndarray | float = 1.0) -> np.ndarray:
+    """SMOTE step: x + direction * u * (neighbor - x) with u ~ U[0, 1]; a row
+    with direction -1 extrapolates away from its neighbor instead."""
     picks = rng.integers(0, nn_min.shape[1], size=len(bases))
-    u = rng.random(len(bases))
+    u = direction * rng.random(len(bases))
     anchors = x_min[bases]
     neighbors = x_min[nn_min[bases, picks]]
     return anchors + u[:, None] * (neighbors - anchors)
@@ -242,14 +243,9 @@ def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
         if support.size == 0:
             support = np.arange(n_min)
         bases = support[rng.integers(0, support.size, size=need)]
-        picks = rng.integers(0, k, size=need)
-        u = rng.random(need)
-        anchors = x_min[bases]
-        neighbors = x_min[nn_min[bases, picks]]
         # crowded support vectors interpolate inward, safe ones extrapolate outward
-        inward = other_frac[bases] >= 0.5
-        direction = np.where(inward[:, None], neighbors - anchors, anchors - neighbors)
-        return anchors + u[:, None] * direction
+        direction = np.where(other_frac[bases] >= 0.5, 1.0, -1.0)
+        return _interpolate(x_min, bases, nn_min, rng, direction)
 
     raise ValueError(f"not an oversampler: {plan.method!r}")
 

@@ -529,6 +529,13 @@ class TestConfigTable:
         ("train", ["--model", "gbm"], {"model": {"depth": 2}}, "model.depth"),
         ("resample", [], {"resample": {"method": "smote", "ratio": 1}}, "resample.ratio"),
         ("binary-study", [], {"booster": {"depth": 2}}, "booster.depth"),
+        ("train", ["--model", "gbm"], {"network": {"epochs": 99}}, "network"),
+        ("train", ["--model", "gbm"], {"grid": {"epochs": [3]}}, "grid"),
+        ("ingest", [], {"select": {"method": "chi2", "k": 2}}, "select"),
+        ("stats", [], {"resample": {"method": "smote"}}, "resample"),
+        ("binary-study", [], {"model": {"kind": "gbm"}}, "model"),
+        ("sweep", [], {"booster": {"n_rounds": 5}}, "booster"),
+        ("resample", ["--resample-method", "smote"], {"regimes": ["full"]}, "regimes"),
     ])
     def test_field_a_command_does_not_use_is_named(self, tmp_path, capsys, command, flags,
                                                    config, field):

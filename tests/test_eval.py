@@ -237,6 +237,28 @@ class TestCrossValidate:
         assert serial.mean_metrics.macro_f == threaded.mean_metrics.macro_f
         assert serial.mean_metrics.per_class_recall == threaded.mean_metrics.per_class_recall
 
+    def test_parallel_folds_run_with_one_blas_thread(self):
+        from readmitlab.evaluate import _openblas_threads
+
+        threads = _openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with a readable thread count")
+        get_threads, _ = threads
+        before = get_threads()
+        data = self.make_data(seed=10, counts=(25, 20, 15))
+        folds = stratified_kfold(data.labels, 4, seed=11)
+        seen = []
+
+        class RecordingModel(NearestCentroid):
+            def fit(self, X, y):
+                seen.append(get_threads())
+                return super().fit(X, y)
+
+        cross_validate(data, folds, lambda i: RecordingModel(), workers=1)
+        cross_validate(data, folds, lambda i: RecordingModel(), workers=2)
+        assert seen == [before] * 4 + [1] * 4
+        assert get_threads() == before
+
     def test_resampling_touches_training_split_only(self):
         from readmitlab.resample import ResamplePlan
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readmitlab.errors import DataError, NumericError
 from readmitlab.nn import (
@@ -95,6 +97,109 @@ class TestMaxPool:
         pool.forward(single_channel([5, 5, 2, 7]))
         grad = pool.backward(single_channel([1.0, 1.0]))
         assert grad.reshape(-1).tolist() == [1.0, 0.0, 0.0, 1.0]
+
+
+# plain-loop references for the window layers: one output position at a time
+
+
+def conv_reference(x, w, b, stride, d_out):
+    """(y, dw, db, dx) of a valid strided cross-correlation, by direct loops."""
+    batch, c_in, _ = x.shape
+    c_out, _, kernel = w.shape
+    n_out = d_out.shape[2]
+    y = np.zeros((batch, c_out, n_out))
+    dw, db, dx = np.zeros_like(w), np.zeros_like(b), np.zeros_like(x)
+    for i in range(batch):
+        for o in range(c_out):
+            for l in range(n_out):
+                db[o] += d_out[i, o, l]
+                y[i, o, l] = b[o]
+                for c in range(c_in):
+                    for t in range(kernel):
+                        pos = stride * l + t
+                        y[i, o, l] += w[o, c, t] * x[i, c, pos]
+                        dw[o, c, t] += d_out[i, o, l] * x[i, c, pos]
+                        dx[i, c, pos] += d_out[i, o, l] * w[o, c, t]
+    return y, dw, db, dx
+
+
+def pool_reference(x, window, stride, d_out):
+    """(y, dx) of valid max pooling; a tie goes to the window's first maximum."""
+    batch, channels, _ = x.shape
+    n_out = d_out.shape[2]
+    y = np.zeros((batch, channels, n_out))
+    dx = np.zeros_like(x)
+    for i in range(batch):
+        for c in range(channels):
+            for l in range(n_out):
+                best = stride * l
+                for pos in range(stride * l, stride * l + window):
+                    if x[i, c, pos] > x[i, c, best]:
+                        best = pos
+                y[i, c, l] = x[i, c, best]
+                dx[i, c, best] += d_out[i, c, l]
+    return y, dx
+
+
+def assert_close(got, want, tol=1e-12):
+    """Max abs difference within tol of the larger array's largest magnitude."""
+    assert got.shape == want.shape
+    scale = max(np.abs(want).max(initial=0.0), np.abs(got).max(initial=0.0), 1.0)
+    assert np.abs(got - want).max(initial=0.0) <= tol * scale
+
+
+def float_arrays(draw, shape, ties):
+    """Normal-range floats, or small integers so that equal values are common."""
+    n = int(np.prod(shape))
+    if ties:
+        values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=n, max_size=n))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@st.composite
+def window_problems(draw):
+    """(x, width, stride, output channels, seed) with x at least one window long."""
+    width = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 3))
+    channels = draw(st.integers(1, 4))
+    length = draw(st.integers(width, width + 3 * stride + 4))
+    x = float_arrays(draw, (batch, channels, length), ties=draw(st.booleans()))
+    return x, width, stride, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+
+
+class TestWindowLayersAgainstLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(window_problems())
+    def test_conv_matches_the_loop_reference(self, problem):
+        x, kernel, stride, c_out, seed = problem
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(x.shape[1], c_out, kernel, rng, stride=stride)
+        conv.b[:] = rng.normal(size=c_out)
+        y = conv.forward(x)
+        d_out = rng.normal(size=y.shape)
+        dx = conv.backward(d_out)
+        want_y, want_dw, want_db, want_dx = conv_reference(x, conv.w, conv.b, stride, d_out)
+        assert y.shape[2] == conv.out_length(x.shape[2])
+        assert_close(y, want_y)
+        assert_close(conv.dw, want_dw)
+        assert_close(conv.db, want_db)
+        assert_close(dx, want_dx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_problems())
+    def test_pool_matches_the_loop_reference(self, problem):
+        # stride below the window overlaps pools; integer inputs plant ties
+        x, window, stride, _, seed = problem
+        pool = MaxPool1d(window, stride)
+        y = pool.forward(x)
+        d_out = np.random.default_rng(seed).normal(size=y.shape)
+        dx = pool.backward(d_out)
+        want_y, want_dx = pool_reference(x, window, stride, d_out)
+        assert np.array_equal(y, want_y)
+        assert_close(dx, want_dx)
 
 
 class TestCrossEntropy:
@@ -273,6 +378,23 @@ class TestBuildNetwork:
     def test_input_too_short_rejected(self):
         with pytest.raises(DataError):
             build_network("cnn2", 3, rng=np.random.default_rng(6))
+
+    # the shortest row each conv stem takes: vanilla's two convs leave n - 2(k - 1)
+    # values and cnn2's three leave n - 3(k - 1); the size-2 pool needs 2 of them.
+    # cnn2_multibranch's longer branch (kernel 5) leaves n - 8.
+    @pytest.mark.parametrize("arch, kernel, shortest", [
+        *(("vanilla", k, 2 * k) for k in range(1, 6)),
+        *(("cnn2", k, 3 * k - 1) for k in range(1, 6)),
+        *(("cnn2_wide", k, 3 * k - 1) for k in range(1, 6)),
+        ("cnn2_multibranch", None, 10),
+    ])
+    def test_shortest_valid_row_builds_and_one_fewer_is_rejected(self, arch, kernel,
+                                                                 shortest):
+        net = build_network(arch, shortest, rng=np.random.default_rng(0), kernel_size=kernel)
+        assert net.forward(np.zeros((2, shortest))).shape == (2, 3)
+        with pytest.raises(DataError, match=f"^{arch}: input of {shortest - 1} features"):
+            build_network(arch, shortest - 1, rng=np.random.default_rng(0),
+                          kernel_size=kernel)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
