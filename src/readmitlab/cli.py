@@ -17,7 +17,8 @@ config error. sweep runs the grid (the paper's, PAPER_GRID,
 unless a "grid" section narrows it), so its model section has no epochs,
 learning_rate or batch_size. cascade rejects a model kind: its model flags feed
 the stage-1 network, except --n-rounds and --max-depth, which feed the
-booster; the booster's learning rate is set only by the "booster" section.
+booster, and they win over the "network" and "booster" sections too; the
+booster's learning rate is set only by the "booster" section.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 """
@@ -255,6 +256,8 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
         if value is None or dest in ("command", "config", "out"):
             continue
         *section, field = _FLAGS.get(dest, (dest,))
+        if command == "cascade" and section == ["model"]:
+            section = [_stage(field)]
         target = cfg
         if section:
             target = cfg[section[0]] = dict(cfg.get(section[0]) or {})
@@ -300,6 +303,15 @@ def _merge(name: str, given, defaults: dict) -> dict:
         if field not in defaults:
             raise ConfigError(f"invalid config field '{name}.{field}'")
     return {**defaults, **given}
+
+
+def _stage(field: str) -> str:
+    """The cascade section a model field feeds: the network's own fields feed
+    the network, the booster's other fields the booster; others stay "model"."""
+    for name in ("network", "booster"):
+        if field in _SECTIONS[name]:
+            return name
+    return "model"
 
 
 def _names(value):
@@ -521,18 +533,17 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
-    # model fields the network takes feed it, the other booster fields feed the
-    # booster; a field set in the network or booster section itself wins
-    network, booster = dict(cfg.get("network") or {}), dict(cfg.get("booster") or {})
+    # the model flags were routed to their stage's section in _resolve, so they
+    # win; a config-file model section is routed the same way, but a field
+    # set in the network or booster section itself wins over it
+    stages = {name: dict(cfg.get(name) or {}) for name in ("network", "booster")}
     for field, value in dict(cfg.pop("model", None) or {}).items():
-        if field in _SECTIONS["network"]:
-            network.setdefault(field, value)
-        elif field in _SECTIONS["booster"]:
-            booster.setdefault(field, value)
-        else:
+        stage = _stage(field)
+        if stage == "model":
             raise ConfigError(f"invalid config field 'model.{field}'")
-    network = cfg["network"] = _merge("network", network, _SECTIONS["network"])
-    booster = cfg["booster"] = _merge("booster", booster, _SECTIONS["booster"])
+        stages[stage].setdefault(field, value)
+    network = cfg["network"] = _merge("network", stages["network"], _SECTIONS["network"])
+    booster = cfg["booster"] = _merge("booster", stages["booster"], _SECTIONS["booster"])
     data, plan, folds = _folds(cfg, data, plan, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
         data, folds, network, booster,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ class Dataset:
     """Immutable feature matrix (rows = instances) plus integer class labels.
 
     Labels must already be encoded as 0/1/2; the readmission-day names are
-    carried as metadata only.
+    carried as metadata only. Every feature value must be finite.
     """
 
     features: np.ndarray
@@ -51,6 +52,11 @@ class Dataset:
             raise DataError(
                 f"{len(names)} feature names for {feats.shape[1]} feature columns"
             )
+        bad = _first_non_finite(feats)
+        if bad is not None:
+            row, col = bad
+            raise DataError(f"non-finite feature value {float(feats[row, col])} "
+                            f"at row {row + 1}, column {names[col]!r}")
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise DataError(f"duplicate feature names: {', '.join(dupes)}")
@@ -191,7 +197,31 @@ def load_dataset(path, label_column: str = "readmitted") -> Dataset:
             labels.append(label)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64), np.array(labels), names)
+    features = np.array(rows, dtype=np.float64)
+    del rows  # the parsed cells outweigh the array several times over
+    bad = _first_non_finite(features)
+    if bad is not None:
+        row, col = bad
+        raise DataError(f"{path} line {_data_line(path, row)}: non-finite cell "
+                        f"{str(features[row, col])!r} in column {names[col]!r}")
+    return Dataset(features, np.array(labels), names)
+
+
+def _data_line(path, index: int) -> int:
+    """File line number of the CSV's index-th data row (blank lines skipped)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = (line_no for line_no, row in enumerate(csv.reader(fh), start=1)
+                 if row and line_no > 1)
+        return next(itertools.islice(lines, index, None))
+
+
+def _first_non_finite(features: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first nan or infinite value, or None."""
+    bad = ~np.isfinite(features)
+    if not bad.any():
+        return None
+    row, col = np.argwhere(bad)[0]
+    return int(row), int(col)
 
 
 def _is_float(cell: str) -> bool:

@@ -186,15 +186,9 @@ def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
         ConfusionMatrix.from_labels(test.labels, cascade.network.predict(test.features),
                                     class_ids)
         for test, cascade in zip(tests, cascades)))
-
-    outer_mask = np.isin(data.labels, OUTER_CLASSES)
-    outer_data = data.take(np.flatnonzero(outer_mask))
-    outer_folds = stratified_kfold(outer_data.labels, folds.k, folds.seed)
-    booster_result = cross_validate(
-        outer_data, outer_folds,
-        lambda fold: GradientBoostedClassifier(**booster_config),
-        workers=workers,
-    )
+    booster_result = binary_outer_study(data, seed=folds.seed, k_folds=folds.k,
+                                        regimes=("full",), booster_config=booster_config,
+                                        workers=workers)["full"]
     return network_result, cascade_result, booster_result
 
 

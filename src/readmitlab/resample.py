@@ -1,9 +1,17 @@
-"""Class-balance correction over a shared exact k-nearest-neighbor backend.
+"""Class-balance correction over one shared exact nearest-neighbour search.
 
 Oversamplers: smote, borderline_smote, svm_smote, adasyn, random_over.
 Undersampler: nearmiss (versions 1-3). All methods are pure given
 (data, plan): the same plan and seed always reproduce the same rows, and the
 first n output rows are the input rows bitwise.
+
+Every neighbour table, NearMiss's included, comes from _nearest. It
+shortlists candidates by the norm expansion |q|^2 + |p|^2 - 2 q.p, keeping
+every pool row within a provable rounding bound of each query's k-th value,
+then re-ranks the shortlist on exact sums of squared differences, ties going
+to the lower pool index. Its working memory per block is capped by
+_BLOCK_BUDGET, whatever the input size, and its results do not depend on
+that cap, on the input size or on BLAS threading.
 """
 
 from __future__ import annotations
@@ -19,9 +27,9 @@ OVERSAMPLERS = ("smote", "borderline_smote", "svm_smote", "adasyn", "random_over
 UNDERSAMPLERS = ("nearmiss", "random_under")
 METHODS = OVERSAMPLERS + UNDERSAMPLERS
 
-# direct pairwise differences are materialized only below this element budget;
-# larger problems fall back to the norm-expansion formula with row blocking
-_DIRECT_BUDGET = 1 << 24
+# most distances one block of _nearest holds at once (one query row's worth when
+# the pool is larger), so its memory does not grow with the number of queries
+_BLOCK_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,8 @@ class ResamplePlan:
             raise ValueError("k_neighbors must be >= 1")
         if self.nearmiss_version not in (1, 2, 3):
             raise ValueError("nearmiss_version must be 1, 2, or 3")
+        if self.n_ref < 1:
+            raise ValueError("n_ref must be >= 1")
 
     def resolved_targets(self, counts: dict[int, int]) -> dict[int, int]:
         if self.target_counts is not None:
@@ -92,39 +102,56 @@ class ResamplePlan:
         )
 
 
-def _sq_dists(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, queries x pool."""
-    if queries.shape[0] * pool.shape[0] * pool.shape[1] <= _DIRECT_BUDGET:
-        diff = queries[:, None, :] - pool[None, :, :]
-        return (diff**2).sum(axis=2)
-    q_norms = (queries**2).sum(axis=1)
-    p_norms = (pool**2).sum(axis=1)
-    d2 = q_norms[:, None] + p_norms[None, :] - 2.0 * (queries @ pool.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
+             self_indices: np.ndarray | None = None,
+             farthest: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest pool rows of each query (the k farthest with `farthest`),
+    as (indices, squared distances), both shaped (n_queries, k).
 
-
-def _neighbor_table(queries: np.ndarray, pool: np.ndarray, k: int,
-                    self_indices: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the k nearest pool rows per query, ties broken by lower index.
-
-    self_indices[i] gives the pool row that IS query i and must be skipped.
-    Rows are processed in memory-bounded blocks.
+    Distances are exact sums of squared differences, and equal distances order
+    by lower pool index. self_indices[i] is the pool row that IS query i; it is
+    skipped. Query rows go in blocks of at most _BLOCK_BUDGET distances. Each
+    block computes the norm expansion |q|^2 + |p|^2 - 2 q.p and shortlists
+    every pool row whose value is within twice the expansion's worst-case
+    error of the row's k-th value; only the shortlist is re-ranked exactly.
     """
-    if k > pool.shape[0] - (0 if self_indices is None else 1):
-        raise ValueError(f"k={k} exceeds usable pool size {pool.shape[0]}")
-    n_q = queries.shape[0]
-    out = np.empty((n_q, k), dtype=np.int64)
-    block = max(1, _DIRECT_BUDGET // max(1, pool.shape[0] * pool.shape[1]))
-    for start in range(0, n_q, block):
-        stop = min(start + block, n_q)
-        d2 = _sq_dists(queries[start:stop], pool)
+    n_pool, width = pool.shape
+    usable = n_pool - (self_indices is not None)
+    if k > usable:
+        raise ValueError(f"k={k} exceeds usable pool size {usable}")
+    sign = -1.0 if farthest else 1.0
+    pool_sq = (pool**2).sum(axis=1)
+    norms = (queries**2).sum(axis=1).max(initial=0.0) + pool_sq.max(initial=0.0)
+    if not np.isfinite(4.0 * norms):
+        raise DataError("feature values too large: squared distances overflow float64")
+    scaled_pool_t, signed_pool_sq = -2.0 * sign * pool.T, sign * pool_sq
+    # |norm expansion - exact sum| <= 4 (p + 4) eps (|q|^2 + |p|^2), so every row
+    # of the exact top k lies within twice that of the k-th expansion value
+    slack = 8 * (width + 4) * np.finfo(np.float64).eps
+    index = np.empty((len(queries), k), dtype=np.int64)
+    dist = np.empty((len(queries), k))
+    step = max(1, _BLOCK_BUDGET // max(1, n_pool))
+    chunk = max(1, _BLOCK_BUDGET // max(1, width))
+    for start in range(0, len(queries), step):
+        q = queries[start:start + step]
+        q_sq = (q**2).sum(axis=1)
+        approx = q @ scaled_pool_t
+        approx += sign * q_sq[:, None]
+        approx += signed_pool_sq
         if self_indices is not None:
-            rows = np.arange(start, stop)
-            d2[rows - start, self_indices[start:stop]] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop] = order[:, :k]
-    return out
+            approx[np.arange(len(q)), self_indices[start:start + step]] = np.inf
+        bound = np.partition(approx, k - 1, axis=1)[:, k - 1] + slack * norms
+        rows, cols = np.nonzero(approx <= bound[:, None])
+        del approx
+        exact = np.empty(len(rows))
+        for lo in range(0, len(rows), chunk):
+            diff = q[rows[lo:lo + chunk]] - pool[cols[lo:lo + chunk]]
+            exact[lo:lo + chunk] = (diff**2).sum(axis=1)
+        order = np.lexsort((cols, sign * exact, rows))
+        picked = order[np.searchsorted(rows, np.arange(len(q)))[:, None] + np.arange(k)]
+        index[start:start + len(q)] = cols[picked]
+        dist[start:start + len(q)] = exact[picked]
+    return index, dist
 
 
 def knn(query, pool, k: int) -> list[int]:
@@ -132,9 +159,7 @@ def knn(query, pool, k: int) -> list[int]:
     distance, distance ties broken by lower index."""
     pool = np.asarray(pool, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    if k > pool.shape[0]:
-        raise ValueError(f"k={k} exceeds pool size {pool.shape[0]}")
-    return [int(i) for i in _neighbor_table(query, pool, k)[0]]
+    return [int(i) for i in _nearest(query, pool, k)[0][0]]
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -200,18 +225,18 @@ def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
         raise DataError(
             f"class {cls} has {n_min} members; needs more than k_neighbors={k}"
         )
-    nn_min = _neighbor_table(x_min, x_min, k, self_indices=np.arange(n_min))
+    nn_min, _ = _nearest(x_min, x_min, k, self_indices=np.arange(n_min))
 
     if plan.method == "smote":
         bases = rng.integers(0, n_min, size=need)
         return _interpolate(x_min, bases, nn_min, rng)
 
     # remaining methods inspect each minority point's neighborhood in the full set
-    nn_full = _neighbor_table(x_min, X, k, self_indices=min_idx)
-    other_frac = (y[nn_full] != cls).mean(axis=1)
+    nn_full, _ = _nearest(x_min, X, k, self_indices=min_idx)
+    other_count = (y[nn_full] != cls).sum(axis=1)
+    other_frac = other_count / k
 
     if plan.method == "borderline_smote":
-        other_count = (y[nn_full] != cls).sum(axis=1)
         danger = np.flatnonzero((2 * other_count >= k) & (other_count < k))
         if danger.size == 0:
             raise DataError(
@@ -286,63 +311,54 @@ def nearmiss_undersample(data: Dataset, majority_class: int, target_count: int,
     majority instances, then keeps those with the largest average distance.
     The reference class defaults to the smallest other class.
     """
+    maj_idx = _members(data, majority_class, target_count)
     counts = data.class_counts()
-    if majority_class not in counts:
-        raise DataError(f"class {majority_class} not present")
-    if target_count > counts[majority_class]:
-        raise DataError(
-            f"target_count {target_count} exceeds class {majority_class} size {counts[majority_class]}"
-        )
     if reference_class is None:
         others = {c: n for c, n in counts.items() if c != majority_class}
         if not others:
             raise DataError("nearmiss needs at least two classes")
         reference_class = min(sorted(others), key=lambda c: (others[c], c))
-    maj_idx = np.flatnonzero(data.labels == majority_class)
     ref_idx = np.flatnonzero(data.labels == reference_class)
     if ref_idx.size == 0:
         raise DataError(f"reference class {reference_class} not present")
     n_use = min(n_ref, ref_idx.size)
     X_maj = data.features[maj_idx]
     X_ref = data.features[ref_idx]
-    dists = np.sqrt(_sq_dists(X_maj, X_ref))
-
-    if version in (1, 2):
-        part = np.sort(dists, axis=1)
-        scores = part[:, :n_use].mean(axis=1) if version == 1 else part[:, -n_use:].mean(axis=1)
-        order = np.argsort(scores, kind="stable")
-        kept_local = np.sort(order[:target_count])
-    else:
-        near = np.argsort(dists.T, axis=1, kind="stable")[:, :n_use]  # per-reference nearest majority
+    candidates = np.arange(maj_idx.size)
+    if version == 3:
+        # each reference point's nearest majority rows
+        near, _ = _nearest(X_ref, X_maj, min(n_use, maj_idx.size))
         candidates = np.unique(near)
         if candidates.size < target_count:
             raise DataError(
                 f"nearmiss-3 candidate set of {candidates.size} is smaller than target {target_count}"
             )
-        avg_close = np.sort(dists[candidates], axis=1)[:, :n_use].mean(axis=1)
-        order = candidates[np.argsort(-avg_close, kind="stable")]
-        kept_local = np.sort(order[:target_count])
-
-    keep_mask = np.zeros(data.n_instances, dtype=bool)
-    keep_mask[data.labels != majority_class] = True
-    keep_mask[maj_idx[kept_local]] = True
-    return data.take(np.flatnonzero(keep_mask))
+    _, picked = _nearest(X_maj[candidates], X_ref, n_use, farthest=version == 2)
+    scores = np.sort(np.sqrt(picked), axis=1).mean(axis=1)
+    order = candidates[np.argsort(-scores if version == 3 else scores, kind="stable")]
+    return _keep(data, majority_class, maj_idx[order[:target_count]])
 
 
 def random_undersample(data: Dataset, class_id: int, target_count: int,
                        rng: np.random.Generator) -> Dataset:
     """Keep a uniform random subset of one class, original row order preserved."""
+    cls_idx = _members(data, class_id, target_count)
+    return _keep(data, class_id, rng.choice(cls_idx, size=target_count, replace=False))
+
+
+def _members(data: Dataset, cls: int, target_count: int) -> np.ndarray:
+    """Row indices of class `cls`, which must have at least target_count rows."""
     counts = data.class_counts()
-    if class_id not in counts:
-        raise DataError(f"class {class_id} not present")
-    if target_count > counts[class_id]:
-        raise DataError(
-            f"target_count {target_count} exceeds class {class_id} size {counts[class_id]}"
-        )
-    cls_idx = np.flatnonzero(data.labels == class_id)
-    kept = rng.choice(cls_idx, size=target_count, replace=False)
-    keep_mask = np.zeros(data.n_instances, dtype=bool)
-    keep_mask[data.labels != class_id] = True
+    if cls not in counts:
+        raise DataError(f"class {cls} not present")
+    if target_count > counts[cls]:
+        raise DataError(f"target_count {target_count} exceeds class {cls} size {counts[cls]}")
+    return np.flatnonzero(data.labels == cls)
+
+
+def _keep(data: Dataset, cls: int, kept: np.ndarray) -> Dataset:
+    """`data` without the rows of class `cls` outside `kept`, in row order."""
+    keep_mask = data.labels != cls
     keep_mask[kept] = True
     return data.take(np.flatnonzero(keep_mask))
 

@@ -353,6 +353,27 @@ class TestCascade:
         assert (model_dir / "booster.json").is_file()
         assert (model_dir / "cascade.json").is_file()
 
+    def test_flags_win_over_the_network_and_booster_sections(self, tmp_path):
+        csv = write_csv(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "network": {"arch": "vanilla", "epochs": 1, "batch_size": 16},
+            "booster": {"n_rounds": 4, "max_depth": 2},
+            # a model section is routed to the stages, below their own sections
+            "model": {"epochs": 3, "max_depth": 1, "dropout": 0.1}}))
+        out = tmp_path / "run"
+        assert main(["cascade", "--data", str(csv), "--seed", "1", "--folds", "2",
+                     "--epochs", "2", "--n-rounds", "3", "--config", str(config),
+                     "--save-model", "--out", str(out)]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert "model" not in echo
+        assert (echo["network"]["epochs"], echo["network"]["dropout"]) == (2, 0.1)
+        assert (echo["booster"]["n_rounds"], echo["booster"]["max_depth"]) == (3, 2)
+        saved = json.loads((out / "cascade_model" / "cascade.json").read_text())
+        assert saved["train_config"]["epochs"] == 2
+        booster = json.loads((out / "cascade_model" / "booster.json").read_text())
+        assert (len(booster["trees"]), booster["max_depth"]) == (3, 2)
+
     def test_unknown_booster_field_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
         config = tmp_path / "cfg.json"
@@ -360,6 +381,24 @@ class TestCascade:
         assert main(["cascade", "--data", str(csv), "--seed", "1",
                      "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "booster.n_estimators" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_a_data_error(self, tmp_path, capsys, cell):
+        csv = write_csv(tmp_path, n_features=3)
+        lines = csv.read_text().splitlines()
+        row = lines[5].split(",")
+        row[1] = cell
+        lines[5] = ",".join(row)
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(csv), "--seed", "1", "--folds", "2",
+                     "--model", "gbm", "--n-rounds", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert f"line 6: non-finite cell '{cell}' in column 'f01'" in err
+        assert not out.exists()
 
 
 class TestBinaryStudy:

@@ -51,6 +51,14 @@ class TestDataset:
             Dataset(np.zeros((2, 2)), np.zeros(2, dtype=int), ("a", "a"))
         assert "duplicate" in str(err.value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        features = np.zeros((3, 2))
+        features[2, 1] = value
+        with pytest.raises(DataError) as err:
+            Dataset(features, np.zeros(3, dtype=int), ("a", "b"))
+        assert f"non-finite feature value {value} at row 3, column 'b'" in str(err.value)
+
     def test_features_are_read_only(self):
         data = make_dataset([[1.0], [2.0]], [0, 1])
         with pytest.raises(ValueError):
@@ -106,6 +114,15 @@ class TestLoadDataset:
         message = str(err.value)
         assert "line 2" in message
         assert "oops" in message
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_cell_named(self, tmp_path, cell):
+        # the blank line still counts, so the bad cell is on file line 4
+        path = write_csv(tmp_path / "cell.csv", f"a,b,readmitted\n1,2,0\n\n3,{cell},1\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        value = str(float(cell))
+        assert f"line 4: non-finite cell '{value}' in column 'b'" in str(err.value)
 
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path / "nolabel.csv", "a,b\n1,2\n")
