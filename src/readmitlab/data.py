@@ -1,5 +1,10 @@
 """Dataset ingestion, min-max scaling, and stratified fold planning.
 
+`load_dataset` checks the CSV header with `csv` and parses the body in one C
+pass with `np.loadtxt`; the table is then checked as a whole (cell count,
+labels in {0, 1, 2}, finite features). Only on a failure does it scan the
+file line by line, to name the first bad line in file order.
+
 All arrays are numpy float64 / int64. Datasets are immutable once built and
 safe to share across parallel fold workers.
 """
@@ -8,10 +13,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
+import math
 import os
+import re
+import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -20,6 +28,12 @@ from .errors import DataError
 VALID_LABELS = (0, 1, 2)
 
 DEFAULT_CLASS_NAMES = {0: "0 days", 1: "<30 days", 2: ">30 days"}
+
+# One numeric cell as np.loadtxt's C parser reads it once surrounding
+# whitespace is stripped: Python's float grammar without digit-group
+# underscores and without non-ASCII digits.
+_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)",
+                     re.ASCII | re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -147,14 +161,15 @@ class FoldPlan:
 def load_dataset(path, label_column: str = "readmitted") -> Dataset:
     """Read a numeric CSV (header row, one 0/1/2 label column) into a Dataset.
 
-    Errors name the offending file line so bad cells can be found quickly.
+    The body is parsed in one C pass by `np.loadtxt`. Only when that parse or
+    a check on its table fails is the file scanned line by line, so that the
+    error names the first offending file line.
     """
     if not os.path.isfile(path):
         raise DataError(f"dataset file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -165,54 +180,56 @@ def load_dataset(path, label_column: str = "readmitted") -> Dataset:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise DataError(f"{path}: duplicate feature names: {', '.join(dupes)}")
-        rows, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
+        try:
+            with warnings.catch_warnings():
+                # a body without rows is reported by the scan as "no data rows"
+                warnings.simplefilter("ignore", UserWarning)
+                # comments=None: by default a '#' would silently drop the rest of its line
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            _raise_first_bad_line(path, header, label_idx)
+    if (table.shape[1] != len(header) or table.shape[0] == 0
+            or not np.isin(table[:, label_idx], VALID_LABELS).all()):
+        _raise_first_bad_line(path, header, label_idx)
+    labels = table[:, label_idx].astype(np.int64)
+    features = np.delete(table, label_idx, axis=1)
+    del table
+    if _first_non_finite(features) is not None:
+        _raise_first_bad_line(path, header, label_idx)
+    return Dataset(features, labels, names)
+
+
+def _raise_first_bad_line(path, header: list[str], label_idx: int) -> NoReturn:
+    """Raise the DataError for the first bad data line of the CSV at path.
+
+    Line numbers count CSV records, header included; blank lines count but
+    are skipped. Cells are tested against `_NUMBER`, the grammar of the C
+    parse, so the scan fails exactly the lines `np.loadtxt` rejects.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for line_no, row in enumerate(rows, start=2):
             if not row:
                 continue
+            where = f"{path} line {line_no}"
             if len(row) != len(header):
-                raise DataError(
-                    f"{path} line {line_no}: {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                values = [float(c) for i, c in enumerate(row) if i != label_idx]
-            except ValueError:
-                bad = next(
-                    c for i, c in enumerate(row) if i != label_idx and not _is_float(c)
-                )
-                raise DataError(
-                    f"{path} line {line_no}: non-numeric cell {bad!r}"
-                ) from None
+                raise DataError(f"{where}: {len(row)} cells, expected {len(header)}")
+            cells = [(header[i], c) for i, c in enumerate(row) if i != label_idx]
+            bad = next((c for _, c in cells if not _NUMBER.fullmatch(c.strip())), None)
+            if bad is not None:
+                raise DataError(f"{where}: non-numeric cell {bad!r}")
             raw_label = row[label_idx].strip()
-            try:
-                label = int(float(raw_label))
-            except ValueError:
-                raise DataError(
-                    f"{path} line {line_no}: non-numeric label {raw_label!r}"
-                ) from None
-            if label not in VALID_LABELS or float(raw_label) != label:
-                raise DataError(
-                    f"{path} line {line_no}: label {raw_label} outside {{0,1,2}}"
-                )
-            rows.append(values)
-            labels.append(label)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    features = np.array(rows, dtype=np.float64)
-    del rows  # the parsed cells outweigh the array several times over
-    bad = _first_non_finite(features)
-    if bad is not None:
-        row, col = bad
-        raise DataError(f"{path} line {_data_line(path, row)}: non-finite cell "
-                        f"{str(features[row, col])!r} in column {names[col]!r}")
-    return Dataset(features, np.array(labels), names)
-
-
-def _data_line(path, index: int) -> int:
-    """File line number of the CSV's index-th data row (blank lines skipped)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = (line_no for line_no, row in enumerate(csv.reader(fh), start=1)
-                 if row and line_no > 1)
-        return next(itertools.islice(lines, index, None))
+            label = float(raw_label) if _NUMBER.fullmatch(raw_label) else math.nan
+            if math.isnan(label):
+                raise DataError(f"{where}: non-numeric label {raw_label!r}")
+            if label not in VALID_LABELS:
+                raise DataError(f"{where}: label {raw_label} outside {{0,1,2}}")
+            for name, cell in cells:
+                if not math.isfinite(float(cell)):
+                    raise DataError(f"{where}: non-finite cell {str(float(cell))!r} "
+                                    f"in column {name!r}")
+    raise DataError(f"{path}: no data rows")
 
 
 def _first_non_finite(features: np.ndarray) -> tuple[int, int] | None:
@@ -222,14 +239,6 @@ def _first_non_finite(features: np.ndarray) -> tuple[int, int] | None:
         return None
     row, col = np.argwhere(bad)[0]
     return int(row), int(col)
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def save_dataset_csv(data: Dataset, path, label_column: str = "readmitted") -> None:

@@ -331,7 +331,9 @@ def nearmiss_undersample(data: Dataset, majority_class: int, target_count: int,
         candidates = np.unique(near)
         if candidates.size < target_count:
             raise DataError(
-                f"nearmiss-3 candidate set of {candidates.size} is smaller than target {target_count}"
+                f"nearmiss-3 candidate set of {candidates.size} is smaller than target "
+                f"{target_count}; raise resample.n_ref (now {n_ref}) or set "
+                "resample.target_counts"
             )
     _, picked = _nearest(X_maj[candidates], X_ref, n_use, farthest=version == 2)
     scores = np.sort(np.sqrt(picked), axis=1).mean(axis=1)

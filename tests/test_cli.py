@@ -400,6 +400,18 @@ class TestNonFiniteInput:
         assert f"line 6: non-finite cell '{cell}' in column 'f01'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["inf", "1e400"])
+    def test_infinite_label_is_a_data_error(self, tmp_path, capsys, label):
+        csv = write_csv(tmp_path, n_features=3)
+        lines = csv.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + label
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--data", str(csv), "--seed", "1",
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert f"line 6: label {label} outside {{0,1,2}}" in err
+
 
 class TestBinaryStudy:
     def test_requested_regimes_are_reported(self, tmp_path):

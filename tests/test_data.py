@@ -1,11 +1,16 @@
 """Dataset loading, min-max normalization, stratified folds, subsampling."""
 
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readmitlab.data import (
+    VALID_LABELS,
     Dataset,
     ScalingSpec,
     dataset_sha256,
@@ -124,6 +129,52 @@ class TestLoadDataset:
         value = str(float(cell))
         assert f"line 4: non-finite cell '{value}' in column 'b'" in str(err.value)
 
+    @pytest.mark.parametrize("label, message", [
+        ("inf", "label inf outside {0,1,2}"),
+        ("1e400", "label 1e400 outside {0,1,2}"),
+        ("nan", "non-numeric label 'nan'"),
+    ])
+    def test_non_finite_label_named(self, tmp_path, label, message):
+        path = write_csv(tmp_path / "label.csv", f"a,readmitted\n1,0\n2,{label}\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert f"line 3: {message}" in str(err.value)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1_0,0", "non-numeric cell '1_0'"),
+        ("\u0661,0", "non-numeric cell '\u0661'"),
+        ("2#x,0", "non-numeric cell '2#x'"),
+        ("#1,0", "non-numeric cell '#1'"),
+        (",0", "non-numeric cell ''"),
+    ])
+    def test_cell_outside_the_number_grammar_named(self, tmp_path, line, message):
+        # float() accepts digit-group underscores and non-ASCII digits; the
+        # loader does not, and a '#' starts no comment
+        path = write_csv(tmp_path / "cell.csv", f"a,readmitted\n1,0\n{line}\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert f"line 3: {message}" in str(err.value)
+
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path):
+        path = write_csv(tmp_path / "two.csv", "a,b,readmitted\n1,nan,0\n1,oops,0\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert "line 2: non-finite cell 'nan' in column 'b'" in str(err.value)
+
+    def test_peak_memory_within_four_feature_arrays(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = make_dataset(rng.normal(size=(20_000, 45)), rng.integers(0, 3, size=20_000))
+        path = tmp_path / "big.csv"
+        save_dataset_csv(data, path)
+        tracemalloc.start()
+        try:
+            back = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.features, data.features)
+        assert peak <= 4 * data.features.nbytes
+
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path / "nolabel.csv", "a,b\n1,2\n")
         with pytest.raises(DataError) as err:
@@ -150,6 +201,85 @@ class TestLoadDataset:
         path = write_csv(tmp_path / "h.csv", "a,readmitted\n1,0\n")
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert dataset_sha256(path) == expected
+
+
+def oracle_float(cell):
+    """Python's float without the digit-group underscores and non-ASCII
+    digits that the loader rejects; None for a non-numeric cell."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def oracle_load(text, n_cols, label_idx):
+    """Plain per-line reading of a generated CSV: the file line of the first
+    bad line, or the (features, labels) arrays."""
+    rows, labels = [], []
+    for line_no, line in enumerate(text.split("\n")[1:], start=2):
+        if not line:
+            continue
+        cells = [c[1:-1] if len(c) > 1 and c[0] == c[-1] == '"' else c
+                 for c in line.split(",")]
+        if len(cells) != n_cols:
+            return line_no
+        values = [oracle_float(c) for i, c in enumerate(cells) if i != label_idx]
+        label = oracle_float(cells[label_idx])
+        if (None in values or label not in VALID_LABELS
+                or not all(math.isfinite(v) for v in values)):
+            return line_no
+        rows.append(values)
+        labels.append(int(label))
+    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+REPR = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+NUMBER = st.one_of(REPR, REPR.map(lambda c: f" {c}\t"), REPR.map(lambda c: f'"{c}"'),
+                   REPR.map(lambda c: f'" {c} "'))
+LABEL = st.sampled_from(["0", "1", "2", "2.0", " 1 ", '"0"', "1e0"])
+BAD_CELL = st.sampled_from(["oops", "1_0", "\u0661", "2#x", "", "nan", "-inf", "1e400"])
+BAD_LABEL = st.sampled_from(["1.5", "3", "nan", "inf"])
+FAULT = st.sampled_from([None, None, None, "cell", "label", "comment", "count"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=st.data())
+def test_loader_matches_a_per_line_oracle(tmp_path_factory, draw):
+    n_features = draw.draw(st.integers(1, 3))
+    label_idx = draw.draw(st.integers(0, n_features))
+    header = [f"f{i}" for i in range(n_features)]
+    header.insert(label_idx, "readmitted")
+    lines = [",".join(header)]
+    for _ in range(draw.draw(st.integers(1, 6))):
+        cells = draw.draw(st.lists(NUMBER, min_size=n_features, max_size=n_features))
+        cells.insert(label_idx, draw.draw(LABEL))
+        fault = draw.draw(FAULT)
+        if fault == "cell":
+            column = draw.draw(st.sampled_from([i for i in range(len(cells)) if i != label_idx]))
+            cells[column] = draw.draw(BAD_CELL)
+        elif fault == "label":
+            cells[label_idx] = draw.draw(BAD_LABEL)
+        elif fault == "count":
+            cells = cells[:-1] if draw.draw(st.booleans()) else cells + ["0"]
+        if draw.draw(st.booleans()):
+            lines.append("")
+        lines.append(("#" if fault == "comment" else "") + ",".join(cells))
+    text = "\n".join(lines) + "\n"
+    path = tmp_path_factory.mktemp("oracle") / "cohort.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = oracle_load(text, n_features + 1, label_idx)
+    try:
+        got = load_dataset(path)
+    except DataError as err:
+        assert isinstance(expected, int), (text, str(err))
+        assert f" line {expected}: " in str(err), (text, str(err))
+        return
+    assert not isinstance(expected, int), text
+    assert np.array_equal(got.features.view(np.int64), expected[0].view(np.int64)), text
+    assert np.array_equal(got.labels, expected[1]), text
 
 
 class TestNormalize:

@@ -206,6 +206,15 @@ class TestNearMiss:
                 expected = nearmiss_oracle(maj_rows, ref_rows, keep, version, 3)
                 assert np.array_equal(kept_rows, maj_rows[expected]), (version, trial)
 
+    def test_version_3_short_candidate_set_names_the_fields_to_set(self):
+        # one reference point with n_ref 1 nominates a single majority row
+        data = make_dataset([[0.0], [1.0], [2.0], [10.0], [0.4]], [0, 0, 0, 0, 1])
+        with pytest.raises(DataError) as err:
+            nearmiss_undersample(data, 0, 3, version=3, n_ref=1)
+        assert str(err.value) == (
+            "nearmiss-3 candidate set of 1 is smaller than target 3; raise "
+            "resample.n_ref (now 1) or set resample.target_counts")
+
     def test_non_majority_rows_untouched(self):
         rng = np.random.default_rng(13)
         data = blob_dataset(rng, {0: 30, 1: 10, 2: 8},
