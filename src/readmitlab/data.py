@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -168,11 +169,10 @@ def load_dataset(path, label_column: str = "readmitted") -> Dataset:
     if not os.path.isfile(path):
         raise DataError(f"dataset file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        first = next(_records(path, fh), None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        header = [h.strip() for h in first[1]]
         if label_column not in header:
             raise DataError(f"{path}: no column named {label_column!r} in header")
         label_idx = header.index(label_column)
@@ -186,7 +186,7 @@ def load_dataset(path, label_column: str = "readmitted") -> Dataset:
                 warnings.simplefilter("ignore", UserWarning)
                 # comments=None: by default a '#' would silently drop the rest of its line
                 table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError:
+        except ValueError:  # UnicodeDecodeError included
             _raise_first_bad_line(path, header, label_idx)
     if (table.shape[1] != len(header) or table.shape[0] == 0
             or not np.isin(table[:, label_idx], VALID_LABELS).all()):
@@ -207,9 +207,9 @@ def _raise_first_bad_line(path, header: list[str], label_idx: int) -> NoReturn:
     parse, so the scan fails exactly the lines `np.loadtxt` rejects.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        for line_no, row in enumerate(rows, start=2):
+        records = _records(path, fh)
+        next(records)  # the header, already checked
+        for line_no, row in records:
             if not row:
                 continue
             where = f"{path} line {line_no}"
@@ -230,6 +230,24 @@ def _raise_first_bad_line(path, header: list[str], label_idx: int) -> NoReturn:
                     raise DataError(f"{where}: non-finite cell {str(float(cell))!r} "
                                     f"in column {name!r}")
     raise DataError(f"{path}: no data rows")
+
+
+def _records(path, fh) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each CSV record read from fh, counting records
+    from 1. A record csv rejects, such as one with a cell over its field size
+    limit, and bytes that are not UTF-8 raise DataError naming the path."""
+    rows = csv.reader(fh)
+    for line_no in itertools.count(1):
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{path} line {line_no}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: byte "
+                            f"0x{exc.object[exc.start]:02x} {exc.reason}") from None
+        yield line_no, row
 
 
 def _first_non_finite(features: np.ndarray) -> tuple[int, int] | None:

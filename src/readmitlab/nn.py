@@ -2,23 +2,23 @@
 
 Everything is float64 numpy, batch-first. Layers cache what their backward
 pass needs during forward; backward() must follow a forward() on the same
-batch. Convolutions are valid-only (no padding). Conv1d and MaxPool1d both
-read one sliding-window view of their input, (batch, channels, windows,
-taps): the convolution is a tensordot of that view with its weights, pooling
-a max over its last axis. Dropout is inverted, active only when forward() is
-called with train=True and an rng to draw masks from.
+batch. Every sequence layer takes and returns (batch, length, channels): an
+input row of n features enters as (batch, n, 1). Conv1d is a valid, stride-1
+cross-correlation computed as one matmul of its im2col columns. MaxPool1d
+takes non-overlapping windows by reshaping the length axis. Flatten emits
+channel-major rows, so the first Dense layer's weights keep one row order.
+Dropout is inverted, active only when forward() is called with train=True and
+an rng to draw masks from.
 
 Architectures are built by name through build_network(); see ARCHITECTURES.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericError
 from .optim import make_optimizer
@@ -34,25 +34,6 @@ def kaiming_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generato
 
 # ---------------------------------------------------------------------------
 # layers
-
-
-def _window_view(x: np.ndarray, width: int, stride: int) -> np.ndarray:
-    """(batch, channels, n_out, width) view of x's windows along its length
-    axis; window l starts at position stride * l."""
-    return sliding_window_view(x, width, axis=2)[:, :, ::stride]
-
-
-def _add_window_grads(d_windows: np.ndarray, shape: tuple[int, ...], stride: int) -> np.ndarray:
-    """The adjoint of _window_view: each window's gradient summed back into an
-    input of `shape`, one strided slice-add per window offset. Offsets run
-    last to first, so every input position sums its windows' terms in
-    window order."""
-    dx = np.zeros(shape)
-    n_out, width = d_windows.shape[2:]
-    span = stride * (n_out - 1) + 1
-    for offset in reversed(range(width)):
-        dx[:, :, offset : offset + span : stride] += d_windows[:, :, :, offset]
-    return dx
 
 
 class Layer:
@@ -97,13 +78,17 @@ class Dense(Layer):
 
 
 class Conv1d(Layer):
-    """Valid cross-correlation over (batch, channels, length) inputs."""
+    """Valid stride-1 cross-correlation over (batch, length, channels) inputs.
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
-                 stride: int = 1):
-        if kernel < 1 or stride < 1:
-            raise ValueError("kernel and stride must be >= 1")
-        self.c_in, self.c_out, self.kernel, self.stride = c_in, c_out, kernel, stride
+    Weights are (c_out, c_in, kernel). Forward is one matmul of the im2col
+    columns, (batch * n_out, c_in * kernel), with the weights flattened to
+    (c_in * kernel, c_out).
+    """
+
+    def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
+        if kernel < 1:
+            raise ValueError("kernel must be >= 1")
+        self.c_out, self.kernel = c_out, kernel
         self.w = kaiming_uniform((c_out, c_in, kernel), c_in * kernel, rng)
         self.b = np.zeros(c_out)
         self._x = None
@@ -113,21 +98,33 @@ class Conv1d(Layer):
     def out_length(self, length: int) -> int:
         if length < self.kernel:
             raise DataError(f"input length {length} shorter than kernel {self.kernel}")
-        return (length - self.kernel) // self.stride + 1
+        return length - self.kernel + 1
+
+    def _columns(self, x: np.ndarray) -> np.ndarray:
+        """im2col of x: row (i, l) holds window l of row i, channel by channel.
+        Forward and backward each build it, so no layer keeps the copy, which
+        is kernel times the size of its input."""
+        n_out = self.out_length(x.shape[1])
+        windows = [x[:, offset : offset + n_out] for offset in range(self.kernel)]
+        return np.stack(windows, axis=3).reshape(-1, x.shape[2] * self.kernel)
 
     def forward(self, x, *, train=False, rng=None):
-        self.out_length(x.shape[2])
         self._x = x
-        out = np.tensordot(_window_view(x, self.kernel, self.stride), self.w, axes=([1, 3], [1, 2]))
-        return out.transpose(0, 2, 1) + self.b[:, None]
+        out = self._columns(x) @ self.w.reshape(self.c_out, -1).T + self.b
+        return out.reshape(x.shape[0], -1, self.c_out)
 
     def backward(self, d_out):
-        x = self._x
-        self.db = d_out.sum(axis=(0, 2))
-        self.dw = np.tensordot(d_out, _window_view(x, self.kernel, self.stride),
-                               axes=([0, 2], [0, 2]))
-        d_windows = np.tensordot(d_out, self.w, axes=([1], [0])).transpose(0, 2, 1, 3)
-        return _add_window_grads(d_windows, x.shape, self.stride)
+        batch, n_out, _ = d_out.shape
+        d_rows = d_out.reshape(batch * n_out, self.c_out)
+        self.db = d_rows.sum(axis=0)
+        self.dw = (d_rows.T @ self._columns(self._x)).reshape(self.w.shape)
+        d_cols = (d_rows @ self.w.reshape(self.c_out, -1)).reshape(batch, n_out, -1, self.kernel)
+        dx = np.zeros(self._x.shape)
+        # offsets run last to first, so every input position sums its
+        # windows' terms in window order
+        for offset in reversed(range(self.kernel)):
+            dx[:, offset : offset + n_out] += d_cols[..., offset]
+        return dx
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -149,64 +146,76 @@ class Relu(Layer):
 
 
 class MaxPool1d(Layer):
-    """Valid max pooling over the length axis; ties keep the first position."""
+    """Max over non-overlapping windows of the length axis; a tail shorter
+    than one window is dropped. The gradient goes to each window's first
+    maximum, or to its first NaN, the position np.argmax picks."""
 
-    def __init__(self, window: int, stride: int | None = None):
+    def __init__(self, window: int):
         self.window = window
-        self.stride = window if stride is None else stride
         self._shape = None
-        self._argmax = None
+        self._first = None
 
     def out_length(self, length: int) -> int:
         if length < self.window:
             raise DataError(f"input length {length} shorter than pool window {self.window}")
-        return (length - self.window) // self.stride + 1
+        return length // self.window
+
+    def _split(self, x: np.ndarray) -> np.ndarray:
+        """(batch, n_out, window, channels) view of x's whole windows;
+        splitting the length axis needs no copy."""
+        n_out = self.out_length(x.shape[1])
+        return x[:, : n_out * self.window].reshape(x.shape[0], n_out, self.window, -1)
 
     def forward(self, x, *, train=False, rng=None):
-        self.out_length(x.shape[2])
-        windows = _window_view(x, self.window, self.stride)
-        self._shape = x.shape
-        self._argmax = windows.argmax(axis=3)
-        # the same values as windows.max(axis=3), which reduces the view's
-        # short, strided last axis element by element and is many times slower
-        return functools.reduce(np.maximum, np.moveaxis(windows, 3, 0))
+        windows = self._split(x)
+        out = windows[:, :, 0]
+        for offset in range(1, self.window):
+            out = np.maximum(out, windows[:, :, offset])
+        # `first` counts the taps before each window's gradient tap: those
+        # that are numbers other than the window's maximum
+        first = np.zeros(out.shape, dtype=np.intp)
+        before = np.ones(out.shape, dtype=bool)
+        for offset in range(self.window - 1):
+            tap = windows[:, :, offset]
+            before &= (tap != out) & (tap == tap)
+            first += before
+        self._shape, self._first = x.shape, first
+        return out
 
     def backward(self, d_out):
-        taps = np.arange(self.window)
-        d_windows = np.where(self._argmax[..., None] == taps, d_out[..., None], 0.0)
-        return _add_window_grads(d_windows, self._shape, self.stride)
+        dx = np.zeros(self._shape)
+        # + 0.0 stores what a sum into zeros would: a -0.0 gradient lands as 0.0
+        np.put_along_axis(self._split(dx), self._first[:, :, None], d_out[:, :, None] + 0.0, axis=2)
+        return dx
 
 
 class Flatten(Layer):
+    """(batch, length, channels) -> (batch, channels * length), channel-major."""
+
     def __init__(self):
         self._shape = None
 
     def forward(self, x, *, train=False, rng=None):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.transpose(0, 2, 1).reshape(x.shape[0], -1)
 
     def backward(self, d_out):
-        return d_out.reshape(self._shape)
-
-
-class AsChannels(Layer):
-    """(batch, features) -> (batch, 1, features) so conv layers can consume rows."""
-
-    def forward(self, x, *, train=False, rng=None):
-        return x[:, None, :]
-
-    def backward(self, d_out):
-        return d_out[:, 0, :]
+        batch, length, channels = self._shape
+        return d_out.reshape(batch, channels, length).transpose(0, 2, 1)
 
 
 class AsSequence(Layer):
-    """(batch, features) -> (batch, features, 1): one scalar per time step."""
+    """(batch, features) -> (batch, features, 1): one channel, one feature per
+    position, the input of every conv and recurrent stem."""
 
     def forward(self, x, *, train=False, rng=None):
         return x[:, :, None]
 
     def backward(self, d_out):
         return d_out[:, :, 0]
+
+
+AsChannels = AsSequence  # a public name that bench/spans.py traces
 
 
 class Dropout(Layer):
@@ -357,24 +366,22 @@ class Parallel(Layer):
 
     def __init__(self, branches: list[Network]):
         self.branches = list(branches)
-        self._lengths = None
-        self._channels = None
+        self._shapes = None
 
     def forward(self, x, *, train=False, rng=None):
         outs = [branch.forward(x, train=train, rng=rng) for branch in self.branches]
-        self._lengths = [o.shape[2] for o in outs]
-        self._channels = [o.shape[1] for o in outs]
-        keep = min(self._lengths)
-        return np.concatenate([o[:, :, :keep] for o in outs], axis=1)
+        self._shapes = [o.shape for o in outs]
+        keep = min(shape[1] for shape in self._shapes)
+        return np.concatenate([o[:, :keep] for o in outs], axis=2)
 
     def backward(self, d_out):
-        keep = d_out.shape[2]
+        keep = d_out.shape[1]
         dx = None
         offset = 0
-        for branch, c, length in zip(self.branches, self._channels, self._lengths):
-            d_branch = np.zeros((d_out.shape[0], c, length))
-            d_branch[:, :, :keep] = d_out[:, offset : offset + c]
-            offset += c
+        for branch, shape in zip(self.branches, self._shapes):
+            d_branch = np.zeros(shape)
+            d_branch[:, :keep] = d_out[:, :, offset : offset + shape[2]]
+            offset += shape[2]
             piece = branch.backward(d_branch)
             dx = piece if dx is None else dx + piece
         return dx
@@ -469,7 +476,7 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
 
     if arch == "vanilla":
         k = 2 if kernel_size is None else kernel_size
-        stem = [AsChannels(),
+        stem = [AsSequence(),
                 Conv1d(1, 8, k, rng), Relu(),
                 Conv1d(8, 16, k, rng), Relu(),
                 MaxPool1d(2)]
@@ -477,10 +484,10 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
     elif arch == "cnn2_multibranch":
         branches = [Network([Conv1d(1, 8, k, rng), Relu(), Conv1d(8, 16, k, rng), Relu()])
                     for k in (3, 5)]
-        stem = [AsChannels(), Parallel(branches), MaxPool1d(2)]
+        stem = [AsSequence(), Parallel(branches), MaxPool1d(2)]
     else:
         k = 4 if kernel_size is None else kernel_size
-        stem = [AsChannels(),
+        stem = [AsSequence(),
                 Conv1d(1, 8, k, rng), Relu(),
                 Conv1d(8, 16, k, rng), Relu(),
                 Conv1d(16, 32, k, rng), Relu(),

@@ -79,10 +79,9 @@ def gradient_check_suite(h=1e-5):
     Seeds are fixed: they keep ReLU inputs and pooling near-ties away from the
     h-neighborhood of their kinks, where central differences are invalid.
     """
-    from readmitlab.nn import (ARCHITECTURES, AsChannels, AsSequence, Conv1d,
-                               Dense, Dropout, Flatten, LastStep, MaxPool1d,
-                               Network, Parallel, RecurrentTanh, Relu,
-                               build_network)
+    from readmitlab.nn import (ARCHITECTURES, AsSequence, Conv1d, Dense, Dropout,
+                               Flatten, LastStep, MaxPool1d, Network, Parallel,
+                               RecurrentTanh, Relu, build_network)
 
     results = []
 
@@ -100,29 +99,29 @@ def gradient_check_suite(h=1e-5):
         labels = rng.integers(0, 3, size=3)
         check(f"dense seed={seed}", net, x, labels)
 
-    for seed, stride in ((21, 1), (22, 1), (23, 2), (24, 2)):
+    for seed, kernels in ((21, (1, 4)), (22, (1, 4)), (23, (4, 6)), (24, (4, 6))):
         rng = np.random.default_rng(seed)
         c_in = int(rng.integers(1, 4))
         c_out = int(rng.integers(2, 5))
-        kernel = int(rng.integers(1, 4))
+        kernel = int(rng.integers(*kernels))
         length = int(rng.integers(8, 12))
-        conv = Conv1d(c_in, c_out, kernel, rng, stride=stride)
+        conv = Conv1d(c_in, c_out, kernel, rng)
         flat = c_out * conv.out_length(length)
         net = Network([conv, Flatten(), Dense(flat, 3, rng)])
-        x = rng.normal(size=(2, c_in, length))
+        x = rng.normal(size=(2, length, c_in))
         labels = rng.integers(0, 3, size=2)
-        check(f"conv1d seed={seed} stride={stride}", net, x, labels)
+        check(f"conv1d seed={seed} kernel={kernel}", net, x, labels)
 
-    for seed, (window, stride) in ((31, (2, 2)), (32, (3, 3)), (33, (2, 1))):
+    for seed, window in ((31, 2), (32, 3), (33, 4)):
         rng = np.random.default_rng(seed)
         length = 10
         conv = Conv1d(1, 3, 2, rng)
-        pool = MaxPool1d(window, stride)
+        pool = MaxPool1d(window)
         flat = 3 * pool.out_length(conv.out_length(length))
-        net = Network([AsChannels(), conv, Relu(), pool, Flatten(), Dense(flat, 3, rng)])
+        net = Network([AsSequence(), conv, Relu(), pool, Flatten(), Dense(flat, 3, rng)])
         x = rng.normal(size=(2, length))
         labels = rng.integers(0, 3, size=2)
-        check(f"maxpool seed={seed} window={window} stride={stride}", net, x, labels)
+        check(f"maxpool seed={seed} window={window}", net, x, labels)
 
     for seed in (41, 42):
         rng = np.random.default_rng(seed)
@@ -145,8 +144,8 @@ def gradient_check_suite(h=1e-5):
         check(f"rnn seed={seed} stacked={stacked}", net, x, labels)
 
     rng = np.random.default_rng(61)
-    branch_a = Network([AsChannels(), Conv1d(1, 2, 2, rng), Relu()])
-    branch_b = Network([AsChannels(), Conv1d(1, 2, 3, rng), Relu()])
+    branch_a = Network([AsSequence(), Conv1d(1, 2, 2, rng), Relu()])
+    branch_b = Network([AsSequence(), Conv1d(1, 2, 3, rng), Relu()])
     net = Network([Parallel([branch_a, branch_b]), Flatten(), Dense(4 * 5, 3, rng)])
     x = rng.normal(size=(2, 7))
     labels = rng.integers(0, 3, size=2)

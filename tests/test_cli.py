@@ -118,6 +118,13 @@ class TestArgumentHandling:
                      "--seed", "1", "--out", str(tmp_path / "o")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_data_file_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"a,readmitted\ncaf\xe9,0\n")
+        assert main(["ingest", "--data", str(data),
+                     "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_invalid_fraction_is_a_config_error(self, tmp_path):
         csv = write_csv(tmp_path)
         assert main(["ingest", "--data", str(csv), "--seed", "1",

@@ -175,6 +175,27 @@ class TestLoadDataset:
         assert np.array_equal(back.features, data.features)
         assert peak <= 4 * data.features.nbytes
 
+    @pytest.mark.parametrize("rows_before", [0, 5_000])
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, tmp_path, rows_before):
+        # 0 rows: the header read meets the byte; 5 000 rows (past the first
+        # read-ahead chunk): the C parse meets it, and the line scan reports it
+        body = "1,0\n" * rows_before
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(f"a,readmitted\n{body}".encode() + b"caf\xe9,0\n")
+        with pytest.raises(DataError, match="not UTF-8 text: byte 0xe9") as err:
+            load_dataset(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,readmitted\n1,0\n{cell},1\n", 3),
+        ("a{cell},readmitted\n1,0\n", 1),
+    ])
+    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, text, line):
+        # a 200 000-character cell is past csv's 131 072-character field limit
+        path = write_csv(tmp_path / "long.csv", text.format(cell="1" * 199_999 + "x"))
+        with pytest.raises(DataError, match=f"line {line}: field larger than field limit"):
+            load_dataset(path)
+
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path / "nolabel.csv", "a,b\n1,2\n")
         with pytest.raises(DataError) as err:

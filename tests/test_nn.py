@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from readmitlab.errors import DataError, NumericError
 from readmitlab.nn import (
     ARCHITECTURES,
-    AsChannels,
     AsSequence,
     Conv1d,
     Dense,
@@ -36,7 +35,8 @@ from helpers import fd_max_rel_err, gradient_check_suite
 
 
 def single_channel(values):
-    return np.asarray(values, dtype=np.float64).reshape(1, 1, -1)
+    """One row of values as a (batch 1, length, channels 1) sequence."""
+    return np.asarray(values, dtype=np.float64).reshape(1, -1, 1)
 
 
 class TestConv1d:
@@ -62,16 +62,8 @@ class TestConv1d:
         conv.w[:] = np.array([[[1.0]], [[0.0]]])
         conv.b[:] = np.array([10.0, -1.0])
         out = conv.forward(single_channel([2, 3]))
-        assert out[0, 0].tolist() == [12.0, 13.0]
-        assert out[0, 1].tolist() == [-1.0, -1.0]
-
-    def test_stride_two(self):
-        rng = np.random.default_rng(0)
-        conv = Conv1d(1, 1, 2, rng, stride=2)
-        conv.w[:] = np.array([[[1.0, 1.0]]])
-        conv.b[:] = 0.0
-        out = conv.forward(single_channel([1, 2, 3, 4, 5]))
-        assert out.reshape(-1).tolist() == [3.0, 7.0]
+        assert out[0, :, 0].tolist() == [12.0, 13.0]
+        assert out[0, :, 1].tolist() == [-1.0, -1.0]
 
     def test_input_shorter_than_kernel_rejected(self):
         rng = np.random.default_rng(0)
@@ -99,45 +91,51 @@ class TestMaxPool:
         assert grad.reshape(-1).tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
-# plain-loop references for the window layers: one output position at a time
+# plain-loop references for the window layers: one output position at a time,
+# on (batch, length, channels) inputs
 
 
-def conv_reference(x, w, b, stride, d_out):
-    """(y, dw, db, dx) of a valid strided cross-correlation, by direct loops."""
-    batch, c_in, _ = x.shape
+def conv_reference(x, w, b, d_out):
+    """(y, dw, db, dx) of a valid stride-1 cross-correlation, by direct loops."""
+    batch, _, c_in = x.shape
     c_out, _, kernel = w.shape
-    n_out = d_out.shape[2]
-    y = np.zeros((batch, c_out, n_out))
+    n_out = d_out.shape[1]
+    y = np.zeros((batch, n_out, c_out))
     dw, db, dx = np.zeros_like(w), np.zeros_like(b), np.zeros_like(x)
     for i in range(batch):
         for o in range(c_out):
             for l in range(n_out):
-                db[o] += d_out[i, o, l]
-                y[i, o, l] = b[o]
+                db[o] += d_out[i, l, o]
+                y[i, l, o] = b[o]
                 for c in range(c_in):
                     for t in range(kernel):
-                        pos = stride * l + t
-                        y[i, o, l] += w[o, c, t] * x[i, c, pos]
-                        dw[o, c, t] += d_out[i, o, l] * x[i, c, pos]
-                        dx[i, c, pos] += d_out[i, o, l] * w[o, c, t]
+                        y[i, l, o] += w[o, c, t] * x[i, l + t, c]
+                        dw[o, c, t] += d_out[i, l, o] * x[i, l + t, c]
+                        dx[i, l + t, c] += d_out[i, l, o] * w[o, c, t]
     return y, dw, db, dx
 
 
-def pool_reference(x, window, stride, d_out):
-    """(y, dx) of valid max pooling; a tie goes to the window's first maximum."""
-    batch, channels, _ = x.shape
-    n_out = d_out.shape[2]
-    y = np.zeros((batch, channels, n_out))
+def pool_reference(x, window, d_out):
+    """(y, dx) of max pooling over non-overlapping windows. y folds np.maximum
+    over each window in order; the gradient goes to the position np.argmax
+    picks: the first NaN if there is one, else the first maximum."""
+    batch, _, channels = x.shape
+    n_out = d_out.shape[1]
+    y = np.zeros((batch, n_out, channels))
     dx = np.zeros_like(x)
     for i in range(batch):
         for c in range(channels):
             for l in range(n_out):
-                best = stride * l
-                for pos in range(stride * l, stride * l + window):
-                    if x[i, c, pos] > x[i, c, best]:
+                start = window * l
+                best, value = start, x[i, start, c]
+                for pos in range(start + 1, start + window):
+                    value = np.maximum(value, x[i, pos, c])
+                    if np.isnan(x[i, best, c]):
+                        continue
+                    if np.isnan(x[i, pos, c]) or x[i, pos, c] > x[i, best, c]:
                         best = pos
-                y[i, c, l] = x[i, c, best]
-                dx[i, c, best] += d_out[i, c, l]
+                y[i, l, c] = value
+                dx[i, best, c] += d_out[i, l, c]
     return y, dx
 
 
@@ -148,58 +146,119 @@ def assert_close(got, want, tol=1e-12):
     assert np.abs(got - want).max(initial=0.0) <= tol * scale
 
 
-def float_arrays(draw, shape, ties):
-    """Normal-range floats, or small integers so that equal values are common."""
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+
+
+def float_arrays(draw, shape, kind):
+    """Normal-range floats; small integers, so that equal values are common;
+    or small integers mixed with NaN, +-inf and +-0."""
     n = int(np.prod(shape))
-    if ties:
+    if kind == "ties":
         values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    elif kind == "special":
+        values = draw(st.lists(st.integers(-2, 2) | st.sampled_from(SPECIAL_VALUES),
+                               min_size=n, max_size=n))
     else:
         values = draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=n, max_size=n))
     return np.array(values, dtype=np.float64).reshape(shape)
 
 
 @st.composite
-def window_problems(draw):
-    """(x, width, stride, output channels, seed) with x at least one window long."""
+def window_problems(draw, kinds=("floats", "ties")):
+    """(x, width, output channels, seed) with x of shape (batch, length,
+    channels) at least one window long."""
     width = draw(st.integers(1, 5))
-    stride = draw(st.integers(1, 3))
     batch = draw(st.integers(1, 3))
     channels = draw(st.integers(1, 4))
-    length = draw(st.integers(width, width + 3 * stride + 4))
-    x = float_arrays(draw, (batch, channels, length), ties=draw(st.booleans()))
-    return x, width, stride, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+    length = draw(st.integers(width, 3 * width + 4))
+    x = float_arrays(draw, (batch, length, channels), draw(st.sampled_from(kinds)))
+    return x, width, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
 
 
 class TestWindowLayersAgainstLoops:
     @settings(max_examples=200, deadline=None)
     @given(window_problems())
     def test_conv_matches_the_loop_reference(self, problem):
-        x, kernel, stride, c_out, seed = problem
+        x, kernel, c_out, seed = problem
         rng = np.random.default_rng(seed)
-        conv = Conv1d(x.shape[1], c_out, kernel, rng, stride=stride)
+        conv = Conv1d(x.shape[2], c_out, kernel, rng)
         conv.b[:] = rng.normal(size=c_out)
         y = conv.forward(x)
         d_out = rng.normal(size=y.shape)
         dx = conv.backward(d_out)
-        want_y, want_dw, want_db, want_dx = conv_reference(x, conv.w, conv.b, stride, d_out)
-        assert y.shape[2] == conv.out_length(x.shape[2])
+        want_y, want_dw, want_db, want_dx = conv_reference(x, conv.w, conv.b, d_out)
+        assert y.shape[1] == conv.out_length(x.shape[1])
         assert_close(y, want_y)
         assert_close(conv.dw, want_dw)
         assert_close(conv.db, want_db)
         assert_close(dx, want_dx)
 
-    @settings(max_examples=200, deadline=None)
-    @given(window_problems())
+    @settings(max_examples=300, deadline=None)
+    @given(window_problems(kinds=("floats", "ties", "special")))
     def test_pool_matches_the_loop_reference(self, problem):
-        # stride below the window overlaps pools; integer inputs plant ties
-        x, window, stride, _, seed = problem
-        pool = MaxPool1d(window, stride)
+        # integer inputs plant ties; special ones NaN, +-inf and +-0, whose
+        # bytes (a zero's sign, which NaN) the forward must keep
+        x, window, _, seed = problem
+        pool = MaxPool1d(window)
         y = pool.forward(x)
         d_out = np.random.default_rng(seed).normal(size=y.shape)
         dx = pool.backward(d_out)
-        want_y, want_dx = pool_reference(x, window, stride, d_out)
-        assert np.array_equal(y, want_y)
-        assert_close(dx, want_dx)
+        want_y, want_dx = pool_reference(x, window, d_out)
+        assert y.shape[1] == x.shape[1] // window
+        assert y.tobytes() == want_y.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
+
+def channel_major_logits(arch, net, rows):
+    """Inference logits of a cnn2 or cnn2_multibranch network, recomputed from
+    net.params() by plain loops on one (channels, length) row at a time and
+    flattened channel-major, the order of saved network files."""
+    params = net.params()
+
+    def conv(h, w, b):
+        c_out, _, kernel = w.shape
+        n_out = h.shape[1] - kernel + 1
+        out = np.empty((c_out, n_out))
+        for o in range(c_out):
+            for l in range(n_out):
+                out[o, l] = b[o] + np.sum(w[o] * h[:, l : l + kernel])
+        return np.maximum(out, 0.0)
+
+    def convs(h, keys):
+        for key in keys:
+            h = conv(h, params[f"{key}.w"], params[f"{key}.b"])
+        return h
+
+    if arch == "cnn2":
+        stem, head = (lambda h: convs(h, ("l1", "l3", "l5"))), ("l9", "l12", "l15")
+    else:
+        def stem(h):
+            branches = [convs(h, (f"l1.b{j}.l0", f"l1.b{j}.l2")) for j in (0, 1)]
+            keep = min(branch.shape[1] for branch in branches)
+            return np.concatenate([branch[:, :keep] for branch in branches])
+        head = ("l4", "l7", "l10")
+    logits = []
+    for row in rows:
+        h = stem(row[None, :])
+        n_out = h.shape[1] // 2
+        pooled = np.array([[max(h[c, 2 * l], h[c, 2 * l + 1]) for l in range(n_out)]
+                           for c in range(h.shape[0])])
+        z = pooled.reshape(-1)
+        for i, dense in enumerate(head):
+            z = z @ params[f"{dense}.w"] + params[f"{dense}.b"]
+            if i < len(head) - 1:
+                z = np.maximum(z, 0.0)
+        logits.append(z)
+    return np.array(logits)
+
+
+class TestWholeNetworkAgainstLoops:
+    @pytest.mark.parametrize("arch", ["cnn2", "cnn2_multibranch"])
+    @pytest.mark.parametrize("n_features", [13, 30])
+    def test_channel_major_reference_gives_the_same_logits(self, arch, n_features):
+        net = build_network(arch, n_features, rng=np.random.default_rng(n_features))
+        rows = np.random.default_rng(1).normal(size=(5, n_features))
+        assert_close(predict_logits(net, rows), channel_major_logits(arch, net, rows))
 
 
 class TestCrossEntropy:
