@@ -386,7 +386,8 @@ def _load_data(cfg: dict, report: RunReport) -> Dataset:
         data, scaling = min_max_normalize(data)
         if scaling.degenerate_columns:
             report.add_line("constant features scaled to zero: "
-                            + ", ".join(scaling.degenerate_columns))
+                            + ", ".join(data.feature_names[i]
+                                        for i in scaling.degenerate_columns))
     return data
 
 
@@ -457,8 +458,8 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     comparison = []
     for kk in cfg["compare_ks"]:
         subset = data.select_features(select_k_best(table, kk))
-        result = cross_validate(subset, folds, make_builder(kind, cfg["seed"], **params),
-                                workers=cfg["workers"])
+        (result,) = cross_validate(subset, folds, make_builder(kind, cfg["seed"], **params),
+                                   workers=cfg["workers"])
         comparison.append([str(kk), format_percent(result.mean_metrics.accuracy),
                            format_percent(result.mean_metrics.macro_f)])
     report.add_table(f"{kind} accuracy by feature count",
@@ -492,8 +493,8 @@ def _cmd_train(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
     kind, params = _model(cfg, "network")
     data, plan, folds = _folds(cfg, data, plan, report)
-    result = cross_validate(data, folds, make_builder(kind, cfg["seed"], **params),
-                            resample_plan=plan, workers=cfg["workers"])
+    (result,) = cross_validate(data, folds, make_builder(kind, cfg["seed"], **params),
+                               resample_plan=plan, workers=cfg["workers"])
     _add_cv_sections(report, result, f"{kind} cross-validation")
 
 
@@ -631,8 +632,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("a subcommand is required; see --help")
         cfg, out = _resolve(args, args.command)
         report = RunReport(args.command, cfg)
-        data = None if args.command == "report" else _load_data(cfg, report)
-        _COMMANDS[args.command](cfg, data, report, out)
+        # the command gets the only reference to the dataset, so a copy it
+        # narrows (train's selected features) frees the full matrix
+        _COMMANDS[args.command](cfg, None if args.command == "report"
+                                else _load_data(cfg, report), report, out)
         report.write(out)
         print(report.render_text())
         return 0

@@ -2,8 +2,12 @@
 predictions stand, and a binary gradient-boosting model re-decides the rest
 between the two outer classes.
 
-Also hosts the standalone binary 0-vs-2 study with its three sampling
-regimes (nearmiss, random_under, full).
+cross_validate_cascade runs the cascade's folds through one
+evaluate.cross_validate call: each fold fits one cascade and scores both the
+stage-1 network and the full cascade from a single pass over its held-out
+rows. Stage 2 alone is scored by the outer-class booster CV of the standalone
+binary 0-vs-2 study, also hosted here with its three sampling regimes
+(nearmiss, random_under, full).
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ import numpy as np
 
 from .data import Dataset, FoldPlan, stratified_kfold
 from .errors import DataError
-from .evaluate import (ConfusionMatrix, CvResult, MetricsReport, cross_validate, cv_result,
-                       metrics)
-from .models import NetworkClassifier
+from .evaluate import ConfusionMatrix, CvResult, MetricsReport, cross_validate, metrics
+from .models import NetworkClassifier, make_builder
 from .nn import load_network_params, save_network
 from .resample import ResamplePlan, apply_plan
 from .trees import GradientBoostedClassifier
@@ -54,13 +57,18 @@ class CascadeClassifier:
         self.booster.fit(np.asarray(X, dtype=np.float64)[outer_mask], y[outer_mask])
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict_stages(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(stage-1 network labels, final cascade labels) of every row."""
         X = np.asarray(X, dtype=np.float64)
-        out = self.network.predict(X)
-        rerun = out != self.accept_class
+        stage1 = self.network.predict(X)
+        final = stage1.copy()
+        rerun = final != self.accept_class
         if rerun.any():
-            out[rerun] = self.booster.predict(X[rerun])
-        return out
+            final[rerun] = self.booster.predict(X[rerun])
+        return stage1, final
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.predict_stages(X)[1]
 
 
 def cascade_fit(train: Dataset, network_config: dict, booster_config: dict,
@@ -165,27 +173,17 @@ def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
     """Per-fold evaluation of stage 1 alone, stage 2 alone (outer subset), and
     the full cascade, on identical folds.
 
-    Each fold fits its network once, inside the cascade; stage 1 alone is
-    that same fitted network scored on the held-out fold.
-    Returns (network_result, cascade_result, booster_result).
+    Each fold fits one cascade (network seed: seed + fold) and runs its
+    held-out rows through it once; stage 1 alone is that pass's network
+    labels. Returns (network_result, cascade_result, booster_result).
     """
-    cascades: list[CascadeClassifier | None] = [None] * folds.k
+    def fit_predict(fold: int, train: Dataset, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        return (cascade_fit(train, network_config, booster_config, seed=seed + fold)
+                .predict_stages(test.features))
 
-    def build_cascade(fold: int):
-        cascades[fold] = CascadeClassifier(
-            NetworkClassifier(seed=seed + fold, **network_config),
-            GradientBoostedClassifier(**booster_config),
-        )
-        return cascades[fold]
-
-    cascade_result = cross_validate(data, folds, build_cascade,
-                                    resample_plan=resample_plan, workers=workers)
-    class_ids = tuple(int(c) for c in data.classes())
-    tests = (data.take(folds.test_indices(fold)) for fold in range(folds.k))
-    network_result = cv_result(tuple(
-        ConfusionMatrix.from_labels(test.labels, cascade.network.predict(test.features),
-                                    class_ids)
-        for test, cascade in zip(tests, cascades)))
+    network_result, cascade_result = cross_validate(data, folds, fit_predict,
+                                                    resample_plan=resample_plan,
+                                                    workers=workers)
     booster_result = binary_outer_study(data, seed=folds.seed, k_folds=folds.k,
                                         regimes=("full",), booster_config=booster_config,
                                         workers=workers)["full"]
@@ -202,21 +200,19 @@ def binary_outer_study(data: Dataset, *, seed: int, k_folds: int = 10,
     """Cross-validate the outer-class binary problem under three balance
     regimes: NearMiss undersampling, random undersampling, and the full
     (imbalanced) subset. Resampling touches training folds only."""
-    booster_config = booster_config or {}
+    for regime in regimes:
+        if regime not in BINARY_REGIMES:
+            raise ValueError(f"unknown regime {regime!r}; expected one of {BINARY_REGIMES}")
     outer_data = data.take(np.flatnonzero(np.isin(data.labels, OUTER_CLASSES)))
     if len(outer_data.class_counts()) < 2:
         raise DataError("binary study needs both outer classes present")
     folds = stratified_kfold(outer_data.labels, k_folds, seed)
+    fit_predict = make_builder("gbm", seed, **(booster_config or {}))
     results = {}
     for regime in regimes:
-        if regime not in BINARY_REGIMES:
-            raise ValueError(f"unknown regime {regime!r}; expected one of {BINARY_REGIMES}")
         plan = None if regime == "full" else ResamplePlan(method=regime, seed=seed)
-        results[regime] = cross_validate(
-            outer_data, folds,
-            lambda fold: GradientBoostedClassifier(**booster_config),
-            resample_plan=plan, workers=workers,
-        )
+        (results[regime],) = cross_validate(outer_data, folds, fit_predict,
+                                            resample_plan=plan, workers=workers)
     return results
 
 

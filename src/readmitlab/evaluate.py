@@ -5,6 +5,11 @@ classes. Per-class recall therefore divides the diagonal by its column sum
 and precision by its row sum. The macro F score is the harmonic mean of the
 macro precision and macro recall (not the mean of per-class F scores). Any
 0/0 ratio is defined as 0.0.
+
+cross_validate is the one fold loop: it prepares each fold's training split
+once and scores every output its caller fits on it. A single model per fold
+(one_model), the grid sweep's cells (grid_sweep) and the cascade's two
+stages (ensemble.cross_validate_cascade) all run through it.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -146,7 +152,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 
 class Model(Protocol):
-    def fit(self, X: np.ndarray, y: np.ndarray): ...
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "Model": ...
 
     def predict(self, X: np.ndarray) -> np.ndarray: ...
 
@@ -157,6 +163,10 @@ class CvResult:
     fold_metrics: tuple[MetricsReport, ...]
     mean_metrics: MetricsReport
     pooled_matrix: ConfusionMatrix
+
+
+# fit_predict(fold, train, test) -> one predicted-label array per output
+FitPredict = Callable[[int, Dataset, Dataset], tuple[np.ndarray, ...]]
 
 
 def _mean_metrics(reports: tuple[MetricsReport, ...],
@@ -213,7 +223,9 @@ def _one_blas_thread():
     the folds already fill: on two CPUs, two concurrent vanilla-network
     trainings at batch 64 took 24.7 s of CPU against 9.2 s on one BLAS
     thread, and how much of that spinning a run does varies with what else
-    the machine runs. Thread count does not change BLAS results.
+    the machine runs. A single fold thread gains no wall time from BLAS
+    threads on the small products of these models either, only CPU time.
+    Thread count does not change BLAS results.
     """
     threads = _openblas_threads()
     if threads is None:
@@ -228,43 +240,44 @@ def _one_blas_thread():
         set_(before)
 
 
-def cross_validate(data: Dataset, folds: FoldPlan,
-                   build_model: Callable[[int], Model],
-                   resample_plan: ResamplePlan | None = None,
-                   workers: int = 1) -> CvResult:
-    """Fit build_model(fold_index) on each training split, score on the held-out
-    fold, and average the per-fold metrics.
+def one_model(build_model: Callable[[int], Model]) -> FitPredict:
+    """The fit_predict of one model per fold: build_model(fold), fitted on the
+    training split, predicts the held-out rows."""
+    def fit_predict(fold: int, train: Dataset, test: Dataset) -> tuple[np.ndarray]:
+        return (build_model(fold).fit(train.features, train.labels).predict(test.features),)
 
-    Resampling, when requested, touches the training split only; the fold index
-    is added to the plan seed so folds stay independent but reproducible.
-    Folds run in a thread pool when workers > 1, with BLAS on one thread;
-    results are ordered by fold, so the worker count never changes the
-    outcome.
+    return fit_predict
+
+
+def cross_validate(data: Dataset, folds: FoldPlan, fit_predict: FitPredict,
+                   resample_plan: ResamplePlan | None = None,
+                   workers: int = 1) -> tuple[CvResult, ...]:
+    """Prepare each fold once and score every output fitted on it.
+
+    A fold takes its training split and, when a plan is given, resamples it
+    with the plan seed plus the fold index, so folds stay independent but
+    reproducible; the held-out fold is never resampled. fit_predict(fold,
+    train, test) returns one predicted-label array per output for the held-out
+    rows, and the result is one CvResult per output, in that order. Folds run
+    in a pool of `workers` threads with BLAS on one thread; results are
+    ordered by fold, so the worker count never changes the outcome.
     """
     class_ids = tuple(int(c) for c in data.classes())
 
-    def run_fold(i: int) -> ConfusionMatrix:
-        train_ds = data.take(folds.train_indices(i))
+    def run_fold(i: int) -> list[ConfusionMatrix]:
+        train = data.take(folds.train_indices(i))
         if resample_plan is not None:
-            fold_plan = replace(resample_plan, seed=resample_plan.seed + i)
-            train_ds = apply_plan(train_ds, fold_plan)
-        test_ds = data.take(folds.test_indices(i))
-        model = build_model(i)
-        model.fit(train_ds.features, train_ds.labels)
-        predicted = model.predict(test_ds.features)
-        return ConfusionMatrix.from_labels(test_ds.labels, predicted, class_ids)
+            train = apply_plan(train, replace(resample_plan, seed=resample_plan.seed + i))
+        test = data.take(folds.test_indices(i))
+        return [ConfusionMatrix.from_labels(test.labels, predicted, class_ids)
+                for predicted in fit_predict(i, train, test)]
 
-    indices = range(folds.k)
-    if workers > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            matrices = tuple(pool.map(run_fold, indices))
-    else:
-        matrices = tuple(run_fold(i) for i in indices)
-
-    return cv_result(matrices)
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        per_fold = list(pool.map(run_fold, range(folds.k)))
+    return tuple(_cv_result(matrices) for matrices in zip(*per_fold))
 
 
-def cv_result(matrices: tuple[ConfusionMatrix, ...]) -> CvResult:
+def _cv_result(matrices: tuple[ConfusionMatrix, ...]) -> CvResult:
     """Per-fold metrics, their mean, and the pooled matrix of per-fold
     confusion matrices given in fold order."""
     fold_metrics = tuple(metrics(m) for m in matrices)
@@ -302,24 +315,24 @@ def grid_sweep(data: Dataset, folds: FoldPlan,
                annotate: dict[tuple[int, float, int], str] | None = None) -> list[SweepRow]:
     """Cross-validate every (epochs, lr, batch) combination and rank the rows.
 
-    build_model(fold, epochs, lr, batch) must return a fresh model. The
-    returned rows are sorted by mean accuracy descending (stable, so grid
-    order breaks ties); the first row is the winner. `annotate` attaches a
-    note string to specific combinations.
+    Each fold is prepared once; every cell is then fitted on it in grid order.
+    build_model(fold, epochs, lr, batch) must return a fresh model, which is
+    dropped once it has predicted. The returned rows are sorted by mean
+    accuracy descending (stable, so grid order breaks ties); the first row is
+    the winner. `annotate` attaches a note string to specific combinations.
     """
     if not (epochs_grid and lr_grid and batch_grid):
         raise ValueError("grid axes must be nonempty")
     annotate = annotate or {}
-    rows = []
-    for epochs in epochs_grid:
-        for lr in lr_grid:
-            for batch in batch_grid:
-                result = cross_validate(
-                    data, folds,
-                    lambda fold, e=epochs, r=lr, b=batch: build_model(fold, e, r, b),
-                    resample_plan=resample_plan, workers=workers,
-                )
-                rows.append(SweepRow(epochs, lr, batch, result,
-                                     annotate.get((epochs, lr, batch), "")))
+    cells = list(itertools.product(epochs_grid, lr_grid, batch_grid))
+
+    def fit_predict(fold: int, train: Dataset, test: Dataset) -> tuple[np.ndarray, ...]:
+        return tuple(build_model(fold, *cell).fit(train.features, train.labels)
+                     .predict(test.features) for cell in cells)
+
+    results = cross_validate(data, folds, fit_predict,
+                             resample_plan=resample_plan, workers=workers)
+    rows = [SweepRow(*cell, result, annotate.get(cell, ""))
+            for cell, result in zip(cells, results)]
     rows.sort(key=lambda row: -row.accuracy)
     return rows

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .evaluate import FitPredict, one_model
 from .nn import (TrainConfig, build_network, predict_classes, predict_logits,
                  softmax, train_network)
 from .trees import GradientBoostedClassifier, RandomForest
@@ -70,13 +71,13 @@ class NetworkClassifier:
 MODEL_KINDS = ("network", "gbm", "forest")
 
 
-def make_builder(kind: str, seed: int, **kwargs):
-    """Return build_model(fold) for cross_validate: a fresh model per fold,
-    seeded with seed + fold where the model is stochastic."""
+def make_builder(kind: str, seed: int, **kwargs) -> FitPredict:
+    """Return the fit_predict of cross_validate for one model kind: a fresh
+    model per fold, seeded with seed + fold where the model is stochastic."""
     if kind == "network":
-        return lambda fold: NetworkClassifier(seed=seed + fold, **kwargs)
+        return one_model(lambda fold: NetworkClassifier(seed=seed + fold, **kwargs))
     if kind == "gbm":
-        return lambda fold: GradientBoostedClassifier(**kwargs)
+        return one_model(lambda fold: GradientBoostedClassifier(**kwargs))
     if kind == "forest":
-        return lambda fold: RandomForest(seed=seed + fold, **kwargs)
+        return one_model(lambda fold: RandomForest(seed=seed + fold, **kwargs))
     raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

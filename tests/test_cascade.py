@@ -17,8 +17,9 @@ from readmitlab.ensemble import (
 )
 from readmitlab.errors import DataError
 from readmitlab.evaluate import ConfusionMatrix, cross_validate
-from readmitlab.models import make_builder
+from readmitlab.models import NetworkClassifier, make_builder
 from readmitlab.resample import ResamplePlan
+from readmitlab.trees import GradientBoostedClassifier
 
 from helpers import blob_dataset, make_dataset
 
@@ -162,6 +163,9 @@ class TestCascadeClassifier:
         out = model.predict(X)
         # first two rows: stage 1 says 1, accepted; last two: booster says 2
         assert list(out) == [1, 1, 2, 2]
+        stage1, final = model.predict_stages(X)
+        assert list(stage1) == [1, 1, 0, 0]
+        assert np.array_equal(final, out)
 
     def test_booster_fit_sees_only_outer_class_rows(self):
         X = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-3.0, 2.0], [5.0, 5.0]])
@@ -235,7 +239,7 @@ class TestCrossValidateCascade:
         assert boost_res.pooled_matrix.class_ids == (0, 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_network_result_equals_a_standalone_network_cv(self, workers):
+    def test_network_result_equals_a_standalone_network_cv(self, workers, monkeypatch):
         rng = np.random.default_rng(33)
         data = blob_dataset(rng, {0: 18, 1: 9, 2: 12},
                             {0: [-1, 0], 1: [1, 0], 2: [0, 1.5]}, spread=1.0)
@@ -244,11 +248,21 @@ class TestCrossValidateCascade:
         folds = stratified_kfold(ds.labels, 3, seed=34)
         network_config = dict(arch="vanilla", epochs=2, learning_rate=1e-3, batch_size=8)
         plan = ResamplePlan(method="random_over", seed=35)
+        predicted = []
+        predict = NetworkClassifier.predict
+
+        def counting_predict(self, X):
+            predicted.append(len(X))
+            return predict(self, X)
+
+        monkeypatch.setattr(NetworkClassifier, "predict", counting_predict)
         net_res, _, _ = cross_validate_cascade(
             ds, folds, network_config, dict(n_rounds=2, max_depth=2),
             resample_plan=plan, seed=36, workers=workers)
-        alone = cross_validate(ds, folds, make_builder("network", 36, **network_config),
-                               resample_plan=plan, workers=1)
+        # one network pass per held-out fold serves both stage 1 and the cascade
+        assert sorted(predicted) == sorted(len(folds.test_indices(i)) for i in range(3))
+        (alone,) = cross_validate(ds, folds, make_builder("network", 36, **network_config),
+                                  resample_plan=plan, workers=1)
         for got, want in zip(net_res.fold_matrices + (net_res.pooled_matrix,),
                              alone.fold_matrices + (alone.pooled_matrix,)):
             assert got.class_ids == want.class_ids
@@ -280,6 +294,20 @@ class TestBinaryOuterStudy:
         with pytest.raises(ValueError):
             binary_outer_study(self.make_data(), seed=43, k_folds=4,
                                regimes=("bootstrap",))
+
+    def test_regimes_are_checked_before_any_booster_is_fitted(self, monkeypatch):
+        fits = []
+        fit = GradientBoostedClassifier.fit
+
+        def counting_fit(self, X, y):
+            fits.append(len(y))
+            return fit(self, X, y)
+
+        monkeypatch.setattr(GradientBoostedClassifier, "fit", counting_fit)
+        with pytest.raises(ValueError, match="bootstrap"):
+            binary_outer_study(self.make_data(), seed=43, k_folds=4,
+                               regimes=("full", "bootstrap"))
+        assert fits == []
 
     def test_missing_outer_class_rejected(self):
         rng = np.random.default_rng(44)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,24 @@ class TestIngest:
                      "--out", str(tmp_path / "o")]) == 0
         assert csv.read_bytes() == before
 
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", []),
+        ("train", ["--folds", "3", "--model", "gbm", "--n-rounds", "3"]),
+    ])
+    def test_constant_feature_is_named_in_the_report(self, tmp_path, command, flags):
+        rng = np.random.default_rng(3)
+        data = blob_dataset(rng, {0: 24, 1: 18, 2: 18},
+                            {0: [0, 0], 1: [2.5, 0], 2: [0, 2.5]}, spread=0.8)
+        features = np.column_stack([data.features[:, 0], np.ones(data.n_instances),
+                                    data.features[:, 1]])
+        csv = tmp_path / "data.csv"
+        save_dataset_csv(make_dataset(features, data.labels, ("a", "b", "c")), csv)
+        out = tmp_path / "run"
+        assert main([command, "--data", str(csv), "--seed", "1", *flags,
+                     "--out", str(out)]) == 0
+        for name in ("report.tsv", "report.txt"):
+            assert "constant features scaled to zero: b\n" in (out / name).read_text()
+
 
 class TestStats:
     def test_reports_requested_features_only(self, tmp_path):
@@ -289,6 +308,30 @@ class TestTrain:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_selection_frees_the_loaded_dataset_before_the_folds(self, tmp_path,
+                                                                  monkeypatch):
+        from readmitlab import cli
+
+        loaded, alive = [], []
+        load_data, cross_validate = cli._load_data, cli.cross_validate
+
+        def recording_load_data(cfg, report):
+            data = load_data(cfg, report)
+            loaded.append(weakref.ref(data))
+            return data
+
+        def checking_cross_validate(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return cross_validate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_data", recording_load_data)
+        monkeypatch.setattr(cli, "cross_validate", checking_cross_validate)
+        csv = write_csv(tmp_path)
+        assert main(["train", "--data", str(csv), "--seed", "1", "--folds", "3",
+                     "--model", "gbm", "--n-rounds", "3", "--select-method", "chi2",
+                     "--select-k", "4", "--out", str(tmp_path / "o")]) == 0
+        assert alive == [False]
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_select_k_below_one_is_a_config_error(self, tmp_path, capsys, k):
         csv = write_csv(tmp_path)
@@ -388,6 +431,30 @@ class TestCascade:
         assert main(["cascade", "--data", str(csv), "--seed", "1",
                      "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "booster.n_estimators" in capsys.readouterr().err
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("command, flags, grid", [
+        ("train", ["--model", "network", "--arch", "vanilla", "--epochs", "1",
+                   "--batch-size", "16", "--select-method", "chi2", "--select-k", "5",
+                   "--resample-method", "adasyn"], None),
+        ("sweep", ["--arch", "vanilla", "--resample-method", "smote"],
+         {"epochs": [1], "learning_rate": [1e-2], "batch_size": [16, 64]}),
+        ("cascade", ["--arch", "vanilla", "--epochs", "1", "--batch-size", "16",
+                     "--n-rounds", "3"], None),
+    ])
+    def test_reports_are_identical_at_one_and_two_workers(self, tmp_path, command, flags,
+                                                          grid):
+        csv = write_csv(tmp_path)
+        argv = [command, "--data", str(csv), "--seed", "1", "--folds", "3", *flags]
+        if grid is not None:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"grid": grid}))
+            argv += ["--config", str(config)]
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        for name in ("report.tsv", "report.txt"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 class TestNonFiniteInput:

@@ -1,10 +1,13 @@
 """Confusion-matrix layout, macro metrics, and cross-validation plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from readmitlab.data import stratified_kfold
 from readmitlab.errors import DataError
+from readmitlab.resample import apply_plan
 from readmitlab.evaluate import (
     ConfusionMatrix,
     CvResult,
@@ -12,9 +15,10 @@ from readmitlab.evaluate import (
     harmonic_mean,
     metrics,
     cross_validate,
+    one_model,
 )
 
-from helpers import blob_dataset
+from helpers import blob_dataset, make_dataset
 
 
 class ConstantModel:
@@ -185,7 +189,7 @@ class TestCrossValidate:
     def test_fold_matrices_partition_the_dataset(self):
         data = self.make_data()
         folds = stratified_kfold(data.labels, 5, seed=1)
-        result = cross_validate(data, folds, lambda i: NearestCentroid())
+        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()))
         assert isinstance(result, CvResult)
         assert len(result.fold_matrices) == 5
         assert sum(m.total for m in result.fold_matrices) == data.n_instances
@@ -194,7 +198,7 @@ class TestCrossValidate:
     def test_pooled_matrix_is_sum_of_folds(self):
         data = self.make_data(seed=2)
         folds = stratified_kfold(data.labels, 3, seed=3)
-        result = cross_validate(data, folds, lambda i: NearestCentroid())
+        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()))
         acc = np.zeros_like(result.pooled_matrix.counts)
         for m in result.fold_matrices:
             acc = acc + m.counts
@@ -203,7 +207,7 @@ class TestCrossValidate:
     def test_mean_metrics_average_fold_metrics(self):
         data = self.make_data(seed=4)
         folds = stratified_kfold(data.labels, 4, seed=5)
-        result = cross_validate(data, folds, lambda i: NearestCentroid())
+        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()))
         mean_acc = np.mean([r.accuracy for r in result.fold_metrics])
         assert result.mean_metrics.accuracy == pytest.approx(mean_acc, abs=1e-15)
         mean_f = np.mean([r.macro_f for r in result.fold_metrics])
@@ -214,14 +218,14 @@ class TestCrossValidate:
         # accuracy and the unweighted mean coincide
         data = self.make_data(seed=6)
         folds = stratified_kfold(data.labels, 5, seed=7)
-        result = cross_validate(data, folds, lambda i: NearestCentroid())
+        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()))
         assert result.mean_metrics.accuracy == pytest.approx(
             result.pooled_matrix.accuracy, abs=1e-12)
 
     def test_constant_predictor_scores_a_third_on_balanced_data(self):
         data = self.make_data(seed=8)
         folds = stratified_kfold(data.labels, 5, seed=9)
-        result = cross_validate(data, folds, lambda i: ConstantModel(0))
+        (result,) = cross_validate(data, folds, one_model(lambda i: ConstantModel(0)))
         assert result.mean_metrics.accuracy == pytest.approx(1 / 3, abs=1e-12)
         assert result.mean_metrics.per_class_recall[0] == pytest.approx(1.0)
         assert result.mean_metrics.per_class_recall[1] == 0.0
@@ -229,8 +233,9 @@ class TestCrossValidate:
     def test_worker_count_never_changes_the_outcome(self):
         data = self.make_data(seed=10, counts=(25, 20, 15))
         folds = stratified_kfold(data.labels, 5, seed=11)
-        serial = cross_validate(data, folds, lambda i: NearestCentroid(), workers=1)
-        threaded = cross_validate(data, folds, lambda i: NearestCentroid(), workers=4)
+        build = one_model(lambda i: NearestCentroid())
+        (serial,) = cross_validate(data, folds, build, workers=1)
+        (threaded,) = cross_validate(data, folds, build, workers=4)
         assert np.array_equal(serial.pooled_matrix.counts,
                               threaded.pooled_matrix.counts)
         assert serial.mean_metrics.accuracy == threaded.mean_metrics.accuracy
@@ -254,9 +259,10 @@ class TestCrossValidate:
                 seen.append(get_threads())
                 return super().fit(X, y)
 
-        cross_validate(data, folds, lambda i: RecordingModel(), workers=1)
-        cross_validate(data, folds, lambda i: RecordingModel(), workers=2)
-        assert seen == [before] * 4 + [1] * 4
+        cross_validate(data, folds, one_model(lambda i: RecordingModel()), workers=1)
+        cross_validate(data, folds, one_model(lambda i: RecordingModel()), workers=2)
+        # folds run in the pool at every worker count, one worker included
+        assert seen == [1] * 8
         assert get_threads() == before
 
     def test_resampling_touches_training_split_only(self):
@@ -272,7 +278,7 @@ class TestCrossValidate:
                 return super().fit(X, y)
 
         plan = ResamplePlan("random_over", seed=0)
-        result = cross_validate(data, folds, lambda i: RecordingModel(),
+        (result,) = cross_validate(data, folds, one_model(lambda i: RecordingModel()),
                                 resample_plan=plan)
         # training splits were inflated to 3 x majority count
         assert all(size > 64 for size in seen_sizes)
@@ -326,6 +332,47 @@ class TestGridSweep:
         grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(0.5,),
                    batch_grid=(8,))
         assert calls == [(0, 1, 0.5, 8), (1, 1, 0.5, 8), (2, 1, 0.5, 8)]
+
+    def test_each_fold_is_prepared_once_for_every_cell(self, monkeypatch):
+        from readmitlab import evaluate
+        from readmitlab.models import NetworkClassifier
+        from readmitlab.resample import ResamplePlan
+
+        rng = np.random.default_rng(22)
+        data = blob_dataset(rng, {0: 24, 1: 12, 2: 18},
+                            {0: [0, 0], 1: [2, 0], 2: [0, 2]}, spread=0.9)
+        data = make_dataset(np.hstack([data.features, rng.random((data.n_instances, 6))]),
+                            data.labels)
+        folds = stratified_kfold(data.labels, 3, seed=23)
+        plan = ResamplePlan("smote", seed=24)
+
+        def build(fold, epochs, lr, batch):
+            return NetworkClassifier("vanilla", epochs=epochs, learning_rate=lr,
+                                     batch_size=batch, seed=25 + fold)
+
+        cells = [(1, 1e-2, 16), (1, 1e-2, 64)]
+        per_cell = {cell: cross_validate(data, folds,
+                                         one_model(lambda f, c=cell: build(f, *c)),
+                                         resample_plan=plan)[0]
+                    for cell in cells}
+        plans = []
+
+        def counting_apply_plan(train, fold_plan):
+            plans.append(fold_plan.seed)
+            return apply_plan(train, fold_plan)
+
+        monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
+        rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
+                          batch_grid=(16, 64), resample_plan=plan, workers=2)
+        assert sorted(plans) == [24, 25, 26]
+        assert len(rows) == 2
+        for row in rows:
+            want = per_cell[(row.epochs, row.learning_rate, row.batch_size)]
+            for got_m, want_m in zip(row.result.fold_matrices, want.fold_matrices):
+                assert np.array_equal(got_m.counts, want_m.counts)
+            for got, want_r in zip(row.result.fold_metrics + (row.result.mean_metrics,),
+                                   want.fold_metrics + (want.mean_metrics,)):
+                assert replace(got, source=None) == replace(want_r, source=None)
 
     def test_empty_grid_rejected(self):
         data, folds = self.setup_data()
