@@ -2,23 +2,26 @@
 
 Subcommands: ingest, stats, select, resample, train, sweep, cascade,
 binary-study, report. Options come from a JSON config file (--config) with
-command-line flags overriding individual fields; _FLAGS maps each flag to its
-field. Every run needs an output directory; every command but report also
-needs a seed (--seed flag, config "seed", or the READMIT_SEED environment
-variable) and an input CSV (--data or config "dataset"). A run writes three
-files: config.json (the resolved config echo), report.tsv, and report.txt.
-Reports embed the input CSV's content hash and never embed timestamps or the
-output path, so identical configs produce byte-identical reports.
+command-line flags overriding individual fields. One option table, _COMMANDS,
+gives each command its option groups; each entry names a flag (or none, for a
+config-only field), the config field it sets, and a top-level field's
+default. From it come the parser, the flag-to-field routing, the defaults and
+the config-field check: a command offers only the flags it reads, and any
+other config field is a config error. Every run needs an output directory;
+every command but report also needs a seed (--seed flag, config "seed", or
+the READMIT_SEED environment variable) and an input CSV (--data or config
+"dataset"). A run writes three files: config.json (the resolved config echo),
+report.tsv, and report.txt. Reports embed the input CSV's content hash and
+never embed timestamps or the output path, so identical configs produce
+byte-identical reports.
 
-Config-file sections and their fields, with defaults, are _SECTIONS (select,
-resample, network, booster, grid) and _MODEL_DEFAULTS (model, per kind); _READS
-lists the sections and command fields each command takes; any other field is a
-config error. sweep runs the grid (the paper's, PAPER_GRID,
-unless a "grid" section narrows it), so its model section has no epochs,
-learning_rate or batch_size. cascade rejects a model kind: its model flags feed
-the stage-1 network, except --n-rounds and --max-depth, which feed the
-booster, and they win over the "network" and "booster" sections too; the
-booster's learning rate is set only by the "booster" section.
+Config sections' fields and defaults are _SECTIONS (select, resample,
+network, booster, grid) and _MODEL_DEFAULTS (model, per kind). sweep runs
+the grid (the paper's, PAPER_GRID, unless a "grid" section narrows it), so
+its model section has no epochs, learning_rate or batch_size. cascade has no
+model section: its network flags set the "network" section and --n-rounds
+and --max-depth the "booster" section; the booster's learning rate is set
+only by the "booster" section.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 """
@@ -78,39 +81,67 @@ _SWEEP_MODELS = {**_MODEL_DEFAULTS, "network": {
     **{k: v for k, v in _MODEL_DEFAULTS["network"].items() if k not in PAPER_GRID},
     "arch": "vanilla"}}
 
-_TOP_DEFAULTS = {"normalize": True, "fraction": None, "workers": os.cpu_count() or 1,
-                 "folds": 10, "paper_mode": False}
 
-# Every command takes these top-level fields, plus the sections and command
-# fields it reads, listed in _READS; any other top-level field is a config error.
-_RUN_FIELDS = {"command", "dataset", "seed", "out", *_TOP_DEFAULTS}
-_READS = {
-    "ingest": (),
-    "stats": ("features",),
-    "select": ("select", "model", "compare_ks"),
-    "resample": ("resample", "write_csv"),
-    "train": ("select", "resample", "model"),
-    "sweep": ("resample", "model", "grid"),
-    "cascade": ("resample", "model", "network", "booster", "save_model"),
-    "binary-study": ("booster", "regimes"),
-    "report": ("runs",),
+def _opt(flag: str | None, path: str, default=None, **kwargs) -> tuple:
+    """One option-table entry: (flag or None for a config-only field, config
+    path, argparse keywords, default). The dotted path names a top-level field
+    ("fraction"), a section field ("model.epochs") or a whole config-only
+    section ("grid.*"); only a top-level field takes the default."""
+    return flag, tuple(path.split(".")), kwargs, default
+
+
+# argparse keywords of the model flags, by field; each flag is its field's
+# name with dashes
+_MODEL_FLAGS = {
+    "arch": {"choices": ARCHITECTURES, "help": "network architecture"},
+    "epochs": {"type": int},
+    "learning_rate": {"type": float},
+    "batch_size": {"type": int},
+    "optimizer": {"choices": ("sgd", "adam", "adabelief")},
+    "kernel_size": {"type": int, "help": "cnn2-family filter width"},
+    "dropout": {"type": float},
+    "n_rounds": {"type": int, "help": "boosting rounds"},
+    "max_depth": {"type": int, "help": "tree depth limit"},
+    "n_trees": {"type": int, "help": "forest size"},
 }
 
-# argparse dest -> config path; any other dest sets the top-level field of
-# its own name.
-_FLAGS = {
-    "data": ("dataset",),
-    "select_method": ("select", "method"),
-    "select_k": ("select", "k"),
-    "paper_exclusion": ("select", "paper_exclusion"),
-    "resample_method": ("resample", "method"),
-    "k_neighbors": ("resample", "k_neighbors"),
-    "nearmiss_version": ("resample", "nearmiss_version"),
-    "model": ("model", "kind"),
-    **{dest: ("model", dest) for dest in
-       ("arch", "epochs", "learning_rate", "batch_size", "optimizer", "kernel_size",
-        "dropout", "n_rounds", "max_depth", "n_trees")},
-}
+
+def _model_opts(section: str, fields) -> tuple:
+    """The model flags of `fields`, each setting `<section>.<field>`."""
+    return tuple(_opt("--" + field.replace("_", "-"), f"{section}.{field}",
+                      **_MODEL_FLAGS[field]) for field in fields)
+
+
+# option groups; a command's table entry lists the groups it reads
+_RUN = (_opt(None, "command"),
+        _opt("--out", "out", help="output directory for this run's reports"))
+_DATA = (
+    _opt("--seed", "seed", type=int, help="master seed (or READMIT_SEED env)"),
+    _opt("--data", "dataset", help="input CSV path"),
+    _opt("--normalize", "normalize", True, action=argparse.BooleanOptionalAction,
+         help="min-max scale features to [0,1] (default on)"),
+    _opt("--fraction", "fraction", type=float, help="stratified subsample fraction in (0,1]"),
+)
+_FOLDS = (
+    _opt("--workers", "workers", os.cpu_count() or 1, type=int,
+         help="fold-level parallelism (default: available cores)"),
+    _opt("--folds", "folds", 10, type=int, help="cross-validation folds (default 10)"),
+)
+_CV = (*_FOLDS,
+       _opt("--paper-mode", "paper_mode", False, action="store_true",
+            help="resample the whole dataset before fold splitting "
+                 "instead of per training fold"))
+_RESAMPLE = (
+    _opt("--resample-method", "resample.method", choices=RESAMPLE_METHODS),
+    _opt("--k-neighbors", "resample.k_neighbors", type=int),
+    _opt("--nearmiss-version", "resample.nearmiss_version", type=int, choices=(1, 2, 3)),
+)
+_SELECT = (
+    _opt("--select-method", "select.method", choices=sorted(SCORERS)),
+    _opt("--select-k", "select.k", type=int),
+    _opt("--paper-exclusion", "select.paper_exclusion", action="store_true",
+         help="also exclude zero-mean features from pearson scoring"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,108 +151,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: _Parser, *, needs_data: bool = True) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--out", help="output directory for this run's reports")
-    parser.add_argument("--seed", type=int, help="master seed (or READMIT_SEED env)")
-    parser.add_argument("--workers", type=int,
-                        help="fold-level parallelism (default: available cores)")
-    if needs_data:
-        parser.add_argument("--data", help="input CSV path")
-        parser.add_argument("--normalize", action=argparse.BooleanOptionalAction,
-                            help="min-max scale features to [0,1] (default on)")
-        parser.add_argument("--fraction", type=float,
-                            help="stratified subsample fraction in (0,1]")
-
-
-def _add_cv(parser: _Parser) -> None:
-    parser.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
-    parser.add_argument("--paper-mode", action="store_true", default=None,
-                        help="resample the whole dataset before fold splitting "
-                             "instead of per training fold")
-
-
-def _add_model(parser: _Parser) -> None:
-    parser.add_argument("--model", choices=MODEL_KINDS, help="model kind")
-    parser.add_argument("--arch", choices=ARCHITECTURES, help="network architecture")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--optimizer", choices=("sgd", "adam", "adabelief"))
-    parser.add_argument("--kernel-size", type=int, help="cnn2-family filter width")
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--n-rounds", type=int, help="boosting rounds")
-    parser.add_argument("--max-depth", type=int, help="tree depth limit")
-    parser.add_argument("--n-trees", type=int, help="forest size")
-
-
-def _add_resample(parser: _Parser) -> None:
-    parser.add_argument("--resample-method", choices=RESAMPLE_METHODS)
-    parser.add_argument("--k-neighbors", type=int)
-    parser.add_argument("--nearmiss-version", type=int, choices=(1, 2, 3))
-
-
-def _add_select(parser: _Parser) -> None:
-    parser.add_argument("--select-method", choices=sorted(SCORERS))
-    parser.add_argument("--select-k", type=int)
-    parser.add_argument("--paper-exclusion", action="store_true", default=None,
-                        help="also exclude zero-mean features from pearson scoring")
+def _options(command: str) -> tuple:
+    """Every entry of the option table that `command` reads."""
+    return tuple(entry for group in (_RUN, *_COMMANDS[command][2]) for entry in group)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="readmitlab",
                      description="Readmission-style tabular classification experiments.")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-
-    p = sub.add_parser("ingest", help="load a CSV and report its shape and class balance")
-    _add_common(p)
-
-    p = sub.add_parser("stats", help="per-class feature means and variances")
-    _add_common(p)
-    p.add_argument("--features", help="comma-separated feature names (default: all)")
-
-    p = sub.add_parser("select", help="univariate feature scores and top-k selection")
-    _add_common(p)
-    _add_select(p)
-    _add_cv(p)
-
-    p = sub.add_parser("resample", help="rebalance classes and report the counts")
-    _add_common(p)
-    _add_resample(p)
-    p.add_argument("--write-csv", action="store_true", default=None,
-                   help="write the resampled rows as resampled.csv in the output dir")
-
-    p = sub.add_parser("train", help="cross-validate one model configuration")
-    _add_common(p)
-    _add_cv(p)
-    _add_model(p)
-    _add_resample(p)
-    _add_select(p)
-
-    p = sub.add_parser("sweep", help="grid-search epochs x learning rate x batch size")
-    _add_common(p)
-    _add_cv(p)
-    _add_model(p)
-    _add_resample(p)
-
-    p = sub.add_parser("cascade", help="network + binary booster two-stage pipeline")
-    _add_common(p)
-    _add_cv(p)
-    _add_model(p)
-    _add_resample(p)
-    p.add_argument("--save-model", action="store_true", default=None,
-                   help="persist the cascade fitted on the full dataset")
-
-    p = sub.add_parser("binary-study",
-                       help="outer-class binary problem under three balance regimes")
-    _add_common(p)
-    _add_cv(p)
-    p.add_argument("--regimes", help="comma-separated subset of " + ",".join(BINARY_REGIMES))
-
-    p = sub.add_parser("report", help="collate the reports of previous runs")
-    _add_common(p, needs_data=False)
-    p.add_argument("--runs", nargs="+", help="run directories to collate")
-
+    for command, (_, help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        for flag, _, kwargs, _ in _options(command):
+            if flag:
+                # an unset flag is None, so it leaves the config file's field alone
+                p.add_argument(flag, default=None, **kwargs)
     return parser
 
 
@@ -247,26 +192,27 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
     """Merge defaults <- config file <- flags into one resolved config dict."""
+    options = _options(command)
+    fields = {path[0] for _, path, _, _ in options}
     cfg = _load_config_file(args.config)
     for key in cfg:
-        if key not in _RUN_FIELDS and key not in _READS[command]:
+        if key not in fields:
             raise ConfigError(f"invalid config field {key!r}")
 
-    for dest, value in vars(args).items():
-        if value is None or dest in ("command", "config", "out"):
+    for flag, path, _, _ in options:
+        # argparse keeps a flag's value under its name, dashes as underscores
+        value = getattr(args, flag[2:].replace("-", "_")) if flag else None
+        if value is None:
             continue
-        *section, field = _FLAGS.get(dest, (dest,))
-        if command == "cascade" and section == ["model"]:
-            section = [_stage(field)]
+        *section, field = path
         target = cfg
         if section:
             target = cfg[section[0]] = dict(cfg.get(section[0]) or {})
         target[field] = value
 
-    if command == "report":
-        if not cfg.get("runs"):
-            raise ConfigError("report needs --runs (or config field 'runs')")
-    else:
+    if "runs" in fields and not cfg.get("runs"):
+        raise ConfigError("report needs --runs (or config field 'runs')")
+    if "seed" in fields:
         if "seed" not in cfg:
             env = os.environ.get("READMIT_SEED")
             if env is None:
@@ -276,21 +222,27 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
             except ValueError:
                 raise ConfigError(f"READMIT_SEED must be an integer, got {env!r}")
         cfg["seed"] = int(cfg["seed"])
-        if not cfg.get("dataset"):
-            raise ConfigError("an input CSV is required: --data or config 'dataset'")
+    if "dataset" in fields and not cfg.get("dataset"):
+        raise ConfigError("an input CSV is required: --data or config 'dataset'")
 
-    cfg = {**_TOP_DEFAULTS, **cfg, "command": command}
-    if cfg["fraction"] is not None:
+    for _, path, _, default in options:
+        if len(path) == 1:
+            cfg.setdefault(path[0], default)
+    cfg["command"] = command
+    if cfg.get("fraction") is not None:
         fraction = float(cfg["fraction"])
         if not 0.0 < fraction <= 1.0:
             raise ConfigError(f"invalid config field 'fraction': {fraction} outside (0, 1]")
         cfg["fraction"] = fraction
-    cfg["workers"] = max(1, int(cfg["workers"]))
-    cfg["folds"] = int(cfg["folds"])
+    if "workers" in cfg:
+        cfg["workers"] = int(cfg["workers"])
+        if cfg["workers"] < 1:
+            raise ConfigError(f"invalid config field 'workers': {cfg['workers']} below 1")
+    if "folds" in cfg:
+        cfg["folds"] = int(cfg["folds"])
 
-    out = cfg.pop("out", None)
-    out = args.out or out
-    if out is None:
+    out = cfg.pop("out")
+    if not out:
         raise ConfigError("an output directory is required: --out or config 'out'")
     return cfg, Path(out)
 
@@ -303,15 +255,6 @@ def _merge(name: str, given, defaults: dict) -> dict:
         if field not in defaults:
             raise ConfigError(f"invalid config field '{name}.{field}'")
     return {**defaults, **given}
-
-
-def _stage(field: str) -> str:
-    """The cascade section a model field feeds: the network's own fields feed
-    the network, the booster's other fields the booster; others stay "model"."""
-    for name in ("network", "booster"):
-        if field in _SECTIONS[name]:
-            return name
-    return "model"
 
 
 def _names(value):
@@ -534,17 +477,8 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
-    # the model flags were routed to their stage's section in _resolve, so they
-    # win; a config-file model section is routed the same way, but a field
-    # set in the network or booster section itself wins over it
-    stages = {name: dict(cfg.get(name) or {}) for name in ("network", "booster")}
-    for field, value in dict(cfg.pop("model", None) or {}).items():
-        stage = _stage(field)
-        if stage == "model":
-            raise ConfigError(f"invalid config field 'model.{field}'")
-        stages[stage].setdefault(field, value)
-    network = cfg["network"] = _merge("network", stages["network"], _SECTIONS["network"])
-    booster = cfg["booster"] = _merge("booster", stages["booster"], _SECTIONS["booster"])
+    network = cfg["network"] = _merge("network", cfg.get("network"), _SECTIONS["network"])
+    booster = cfg["booster"] = _merge("booster", cfg.get("booster"), _SECTIONS["booster"])
     data, plan, folds = _folds(cfg, data, plan, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
         data, folds, network, booster,
@@ -611,16 +545,46 @@ def _cmd_report(cfg: dict, data: None, report: RunReport, out: Path) -> None:
             report.add_line(line)
 
 
+# Each command's function, help text and option groups. A command offers the
+# flags of _RUN and of its groups, and a config file may set their fields and
+# nothing else: these are all the options it reads.
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "stats": _cmd_stats,
-    "select": _cmd_select,
-    "resample": _cmd_resample,
-    "train": _cmd_train,
-    "sweep": _cmd_sweep,
-    "cascade": _cmd_cascade,
-    "binary-study": _cmd_binary_study,
-    "report": _cmd_report,
+    "ingest": (_cmd_ingest, "load a CSV and report its shape and class balance", (_DATA,)),
+    "stats": (_cmd_stats, "per-class feature means and variances", (_DATA, (
+        _opt("--features", "features", help="comma-separated feature names (default: all)"),
+    ))),
+    "select": (_cmd_select, "univariate feature scores and top-k selection", (
+        _DATA, _SELECT, _FOLDS, (_opt(None, "compare_ks"), _opt(None, "model.*")),
+    )),
+    "resample": (_cmd_resample, "rebalance classes and report the counts", (
+        _DATA, _RESAMPLE,
+        (_opt("--write-csv", "write_csv", action="store_true",
+              help="write the resampled rows as resampled.csv in the output dir"),),
+    )),
+    "train": (_cmd_train, "cross-validate one model configuration", (
+        _DATA, _CV, (_opt("--model", "model.kind", choices=MODEL_KINDS, help="model kind"),),
+        _model_opts("model", _MODEL_FLAGS), _RESAMPLE, _SELECT,
+    )),
+    "sweep": (_cmd_sweep, "grid-search epochs x learning rate x batch size", (
+        _DATA, _CV, _model_opts("model", _SWEEP_MODELS["network"]), _RESAMPLE,
+        (_opt(None, "grid.*"),),
+    )),
+    "cascade": (_cmd_cascade, "network + binary booster two-stage pipeline", (
+        _DATA, _CV, _model_opts("network", _SECTIONS["network"]),
+        _model_opts("booster", ("n_rounds", "max_depth")), _RESAMPLE,
+        (_opt("--save-model", "save_model", action="store_true",
+              help="persist the cascade fitted on the full dataset"),),
+    )),
+    "binary-study": (_cmd_binary_study,
+                     "outer-class binary problem under three balance regimes", (
+        _DATA, _FOLDS,
+        (_opt("--regimes", "regimes",
+              help="comma-separated subset of " + ",".join(BINARY_REGIMES)),
+         _opt(None, "booster.*")),
+    )),
+    "report": (_cmd_report, "collate the reports of previous runs", (
+        (_opt("--runs", "runs", nargs="+", help="run directories to collate"),),
+    )),
 }
 
 
@@ -634,8 +598,8 @@ def main(argv: list[str] | None = None) -> int:
         report = RunReport(args.command, cfg)
         # the command gets the only reference to the dataset, so a copy it
         # narrows (train's selected features) frees the full matrix
-        _COMMANDS[args.command](cfg, None if args.command == "report"
-                                else _load_data(cfg, report), report, out)
+        _COMMANDS[args.command][0](cfg, _load_data(cfg, report) if "dataset" in cfg
+                                   else None, report, out)
         report.write(out)
         print(report.render_text())
         return 0

@@ -15,6 +15,7 @@ stages (ensemble.cross_validate_cascade) all run through it.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import itertools
@@ -259,8 +260,9 @@ def cross_validate(data: Dataset, folds: FoldPlan, fit_predict: FitPredict,
     reproducible; the held-out fold is never resampled. fit_predict(fold,
     train, test) returns one predicted-label array per output for the held-out
     rows, and the result is one CvResult per output, in that order. Folds run
-    in a pool of `workers` threads with BLAS on one thread; results are
-    ordered by fold, so the worker count never changes the outcome.
+    in a pool of `workers` threads with BLAS on one thread, each under the
+    caller's np.errstate; results are ordered by fold, so the worker count
+    never changes the outcome.
     """
     class_ids = tuple(int(c) for c in data.classes())
 
@@ -272,8 +274,12 @@ def cross_validate(data: Dataset, folds: FoldPlan, fit_predict: FitPredict,
         return [ConfusionMatrix.from_labels(test.labels, predicted, class_ids)
                 for predicted in fit_predict(i, train, test)]
 
+    # a thread starts with an empty context, so each fold runs in a copy of the
+    # caller's, which carries its np.errstate; a context enters one thread at a
+    # time, hence one copy per fold
+    contexts = [contextvars.copy_context() for _ in range(folds.k)]
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        per_fold = list(pool.map(run_fold, range(folds.k)))
+        per_fold = list(pool.map(lambda i: contexts[i].run(run_fold, i), range(folds.k)))
     return tuple(_cv_result(matrices) for matrices in zip(*per_fold))
 
 

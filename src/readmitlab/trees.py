@@ -109,12 +109,22 @@ def _grow(X: np.ndarray, Y: np.ndarray, leaf_value, max_depth: float,
     return grow(np.arange(X.shape[0]), 0)
 
 
+def _check_tree_limits(max_depth: int | None, min_samples_leaf: int) -> None:
+    """A depth limit below 0 or a leaf size below 1 is a ValueError; None
+    leaves the depth unlimited."""
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if min_samples_leaf < 1:
+        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+
+
 class RegressionTree:
     """Squared-error CART. leaf_value_fn maps the targets that reach a leaf to
     the leaf's value (default: their mean)."""
 
     def __init__(self, max_depth: int = 3, min_samples_leaf: int = 1,
                  leaf_value_fn=None):
+        _check_tree_limits(max_depth, min_samples_leaf)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.leaf_value_fn = leaf_value_fn or (lambda t: float(t.mean()))
@@ -148,6 +158,7 @@ class ClassificationTree:
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1,
                  features_per_split: int | str = "all",
                  rng: np.random.Generator | None = None):
+        _check_tree_limits(max_depth, min_samples_leaf)
         self.max_depth = math.inf if max_depth is None else max_depth
         self.min_samples_leaf = min_samples_leaf
         self.features_per_split = features_per_split
@@ -207,6 +218,9 @@ class RandomForest:
     def __init__(self, n_trees: int = 100, max_depth: int | None = None,
                  min_samples_leaf: int = 1, features_per_split: int | str = "sqrt",
                  seed: int = 0, bootstrap: bool = True):
+        if n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+        _check_tree_limits(max_depth, min_samples_leaf)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -295,6 +309,11 @@ class GradientBoostedClassifier:
 
     def __init__(self, n_rounds: int = 100, learning_rate: float = 0.1,
                  max_depth: int = 3, min_samples_leaf: int = 1):
+        if n_rounds < 0:
+            raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
+        if not learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        _check_tree_limits(max_depth, min_samples_leaf)
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
         self.max_depth = max_depth

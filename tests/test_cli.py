@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -130,6 +131,14 @@ class TestArgumentHandling:
         csv = write_csv(tmp_path)
         assert main(["ingest", "--data", str(csv), "--seed", "1",
                      "--fraction", "1.5", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_is_a_config_error(self, tmp_path, capsys, workers):
+        csv = write_csv(tmp_path)
+        assert main(["train", "--data", str(csv), "--seed", "1", "--model", "gbm",
+                     "--workers", workers, "--out", str(tmp_path / "o")]) == 1
+        assert f"invalid config field 'workers': {workers} below 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestIngest:
@@ -268,6 +277,13 @@ class TestTrain:
                      "--out", str(out)]) == 0
         assert "forest cross-validation" in (out / "report.tsv").read_text()
 
+    def test_empty_forest_is_a_config_error(self, tmp_path, capsys):
+        csv = write_csv(tmp_path)
+        assert main(["train", "--data", str(csv), "--seed", "1", "--folds", "2",
+                     "--model", "forest", "--n-trees", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "n_trees" in capsys.readouterr().err
+
     def test_network_kind_runs(self, tmp_path):
         csv = write_csv(tmp_path)
         out = tmp_path / "run"
@@ -366,10 +382,13 @@ class TestSweep:
         assert "grid results, best first" in tsv
         assert "best combination: epochs=1" in tsv
 
-    def test_non_network_model_is_a_config_error(self, tmp_path):
+    def test_non_network_model_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": {"kind": "gbm"}}))
         assert main(["sweep", "--data", str(csv), "--seed", "1",
-                     "--model", "gbm", "--out", str(tmp_path / "o")]) == 1
+                     "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "model.kind must be 'network'" in capsys.readouterr().err
 
     def test_unknown_grid_axis_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
@@ -407,10 +426,8 @@ class TestCascade:
         csv = write_csv(tmp_path)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
-            "network": {"arch": "vanilla", "epochs": 1, "batch_size": 16},
-            "booster": {"n_rounds": 4, "max_depth": 2},
-            # a model section is routed to the stages, below their own sections
-            "model": {"epochs": 3, "max_depth": 1, "dropout": 0.1}}))
+            "network": {"arch": "vanilla", "epochs": 1, "batch_size": 16, "dropout": 0.1},
+            "booster": {"n_rounds": 4, "max_depth": 2}}))
         out = tmp_path / "run"
         assert main(["cascade", "--data", str(csv), "--seed", "1", "--folds", "2",
                      "--epochs", "2", "--n-rounds", "3", "--config", str(config),
@@ -546,35 +563,40 @@ NETWORK = {"arch": "vanilla", "epochs": 1, "learning_rate": 1e-3, "batch_size": 
            "optimizer": "adam", "kernel_size": None, "dropout": 0.2}
 BOOSTER = {"n_rounds": 2, "learning_rate": 0.1, "max_depth": 3, "min_samples_leaf": 1}
 
+# the fold fields of a CV command run with --workers 1 --folds 2
+FOLDS = {"workers": 1, "folds": 2}
+CV = {**FOLDS, "paper_mode": False}
+
 # command, extra flags, config file (or None), resolved fields beyond the
-# top-level defaults
+# command, dataset, seed, normalize and fraction every data command echoes
 ECHOES = [
     ("ingest", [], None, {}),
     ("stats", ["--features", "f00,f03"], None, {"features": ["f00", "f03"]}),
-    ("select", [], None,
-     {"select": {"method": "chi2", "k": 8, "paper_exclusion": False}, "compare_ks": None}),
+    ("select", ["--workers", "1"], None,
+     {"workers": 1, "folds": 10,
+      "select": {"method": "chi2", "k": 8, "paper_exclusion": False}, "compare_ks": None}),
     ("resample", ["--resample-method", "nearmiss"], None,
      {"resample": {"method": "nearmiss", "k_neighbors": 5, "target_counts": None,
                    "nearmiss_version": 1, "n_ref": 3}, "write_csv": False}),
-    ("train", ["--folds", "2", "--model", "gbm", "--n-rounds", "2"], None,
-     {"folds": 2, "select": None, "resample": None, "model": {"kind": "gbm", **BOOSTER}}),
-    ("sweep", ["--folds", "2"], {"grid": TINY_GRID},
-     {"folds": 2, "resample": None, "grid": TINY_GRID,
+    ("train", ["--workers", "1", "--folds", "2", "--model", "gbm", "--n-rounds", "2"], None,
+     {**CV, "select": None, "resample": None, "model": {"kind": "gbm", **BOOSTER}}),
+    ("sweep", ["--workers", "1", "--folds", "2"], {"grid": TINY_GRID},
+     {**CV, "resample": None, "grid": TINY_GRID,
       "model": {"kind": "network", "arch": "vanilla", "optimizer": "adam",
                 "kernel_size": None, "dropout": 0.2}}),
-    ("cascade", ["--folds", "2", "--arch", "vanilla", "--epochs", "1",
+    ("cascade", ["--workers", "1", "--folds", "2", "--arch", "vanilla", "--epochs", "1",
                  "--learning-rate", "1e-3", "--batch-size", "16", "--n-rounds", "2"], None,
-     {"folds": 2, "resample": None, "network": NETWORK, "booster": BOOSTER,
-      "save_model": False}),
-    ("binary-study", ["--folds", "2", "--regimes", "full"], {"booster": {"n_rounds": 2}},
-     {"folds": 2, "regimes": ["full"], "booster": BOOSTER}),
+     {**CV, "resample": None, "network": NETWORK, "booster": BOOSTER, "save_model": False}),
+    ("binary-study", ["--workers", "1", "--folds", "2", "--regimes", "full"],
+     {"booster": {"n_rounds": 2}}, {**FOLDS, "regimes": ["full"], "booster": BOOSTER}),
 ]
 
 # command, shared flags, the values as flags, then as config-file sections
 SAME_BY_FLAGS_OR_CONFIG = [
-    ("select", [], ["--select-method", "pearson", "--select-k", "3", "--paper-exclusion"],
+    ("select", ["--workers", "1"],
+     ["--select-method", "pearson", "--select-k", "3", "--paper-exclusion"],
      [{"select": {"method": "pearson", "k": 3, "paper_exclusion": True}}]),
-    ("train", ["--folds", "2", "--model", "gbm", "--n-rounds", "2"],
+    ("train", ["--workers", "1", "--folds", "2", "--model", "gbm", "--n-rounds", "2"],
      ["--select-method", "anova_f", "--select-k", "4", "--resample-method", "smote",
       "--k-neighbors", "2"],
      [{"select": {"method": "anova_f", "k": 4},
@@ -582,22 +604,57 @@ SAME_BY_FLAGS_OR_CONFIG = [
     ("resample", [], ["--resample-method", "nearmiss", "--nearmiss-version", "3",
                       "--k-neighbors", "4"],
      [{"resample": {"method": "nearmiss", "nearmiss_version": 3, "k_neighbors": 4}}]),
-    ("train", ["--folds", "2"], ["--model", "gbm", "--n-rounds", "3", "--max-depth", "2"],
+    ("train", ["--workers", "1", "--folds", "2"],
+     ["--model", "gbm", "--n-rounds", "3", "--max-depth", "2"],
      [{"model": {"kind": "gbm", "n_rounds": 3, "max_depth": 2}}]),
-    ("train", ["--folds", "2"], ["--model", "forest", "--n-trees", "5", "--max-depth", "3"],
+    ("train", ["--workers", "1", "--folds", "2"],
+     ["--model", "forest", "--n-trees", "5", "--max-depth", "3"],
      [{"model": {"kind": "forest", "n_trees": 5, "max_depth": 3}}]),
-    ("train", ["--folds", "2"],
+    ("train", ["--workers", "1", "--folds", "2"],
      ["--model", "network", "--arch", "vanilla", "--epochs", "1", "--learning-rate", "1e-2",
       "--batch-size", "16", "--optimizer", "sgd", "--dropout", "0.1"],
      [{"model": {"kind": "network", "arch": "vanilla", "epochs": 1, "learning_rate": 1e-2,
                  "batch_size": 16, "optimizer": "sgd", "dropout": 0.1}}]),
-    ("cascade", ["--folds", "2"],
+    ("cascade", ["--workers", "1", "--folds", "2"],
      ["--arch", "vanilla", "--epochs", "1", "--batch-size", "16", "--n-rounds", "2",
       "--max-depth", "2"],
      [{"network": {"arch": "vanilla", "epochs": 1, "batch_size": 16},
-       "booster": {"n_rounds": 2, "max_depth": 2}},
-      {"model": {"arch": "vanilla", "epochs": 1, "batch_size": 16, "n_rounds": 2,
-                 "max_depth": 2}}]),
+       "booster": {"n_rounds": 2, "max_depth": 2}}]),
+]
+
+# command, and a flag with its value, that the command does not read
+UNREAD_FLAGS = [
+    *(("sweep", flag, value) for flag, value in [
+        ("--model", "network"), ("--epochs", "1"), ("--learning-rate", "0.1"),
+        ("--batch-size", "16"), ("--n-rounds", "3"), ("--max-depth", "2"),
+        ("--n-trees", "3")]),
+    ("cascade", "--model", "network"),
+    ("cascade", "--n-trees", "3"),
+    ("ingest", "--workers", "1"),
+    ("stats", "--workers", "1"),
+    ("resample", "--workers", "1"),
+    ("select", "--paper-mode", None),
+    ("binary-study", "--paper-mode", None),
+    ("report", "--seed", "1"),
+    ("report", "--workers", "1"),
+]
+
+# command, and flags for a small run of it; report collates an ingest run
+RERUNS = [
+    ("ingest", []),
+    ("stats", ["--features", "f00,f03", "--no-normalize"]),
+    ("select", ["--select-method", "pearson", "--select-k", "3", "--workers", "1",
+                "--folds", "2"]),
+    ("resample", ["--resample-method", "smote", "--k-neighbors", "3", "--fraction", "0.8"]),
+    ("train", ["--workers", "1", "--folds", "2", "--model", "gbm", "--n-rounds", "2",
+               "--select-method", "chi2", "--select-k", "4",
+               "--resample-method", "random_over", "--paper-mode"]),
+    ("sweep", ["--workers", "1", "--folds", "2", "--arch", "vanilla",
+               "--resample-method", "random_over"]),
+    ("cascade", ["--workers", "1", "--folds", "2", "--arch", "vanilla", "--epochs", "1",
+                 "--batch-size", "16", "--n-rounds", "2"]),
+    ("binary-study", ["--workers", "1", "--folds", "2", "--regimes", "full,random_under"]),
+    ("report", []),
 ]
 
 
@@ -606,26 +663,62 @@ class TestConfigTable:
                              ids=[case[0] for case in ECHOES])
     def test_resolved_config_echo(self, tmp_path, command, flags, config, fields):
         csv = write_csv(tmp_path)
-        argv = [command, "--data", str(csv), "--seed", "1", "--workers", "1", *flags]
+        argv = [command, "--data", str(csv), "--seed", "1", *flags]
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             argv += ["--config", str(tmp_path / "cfg.json")]
         out = tmp_path / "run"
         assert main(argv + ["--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text()) == {
-            "command": command, "dataset": str(csv), "seed": 1, "workers": 1,
-            "normalize": True, "fraction": None, "folds": 10, "paper_mode": False,
-            **fields}
+            "command": command, "dataset": str(csv), "seed": 1,
+            "normalize": True, "fraction": None, **fields}
 
     def test_resolved_report_echo(self, tmp_path):
         csv = write_csv(tmp_path)
         run = tmp_path / "r"
         assert main(["ingest", "--data", str(csv), "--seed", "1", "--out", str(run)]) == 0
         out = tmp_path / "o"
-        assert main(["report", "--runs", str(run), "--workers", "1", "--out", str(out)]) == 0
+        assert main(["report", "--runs", str(run), "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text()) == {
-            "command": "report", "runs": [str(run)], "workers": 1, "normalize": True,
-            "fraction": None, "folds": 10, "paper_mode": False}
+            "command": "report", "runs": [str(run)]}
+
+    @pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS,
+                             ids=[command + flag for command, flag, _ in UNREAD_FLAGS])
+    def test_flag_a_command_does_not_read_is_not_offered(self, tmp_path, capsys, command,
+                                                         flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert not re.search(rf"(?<![\w-]){flag}(?![\w-])", capsys.readouterr().out)
+
+        if command == "report":
+            argv = [command, "--runs", str(tmp_path)]
+        else:
+            argv = [command, "--data", str(write_csv(tmp_path)), "--seed", "1"]
+        argv += [flag] + ([value] if value is not None else [])
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flags", RERUNS, ids=[case[0] for case in RERUNS])
+    def test_config_echo_reruns_the_run(self, tmp_path, command, flags):
+        csv = write_csv(tmp_path)
+        if command == "report":
+            assert main(["ingest", "--data", str(csv), "--seed", "1",
+                         "--out", str(tmp_path / "ingest")]) == 0
+            argv = ["report", "--runs", str(tmp_path / "ingest")]
+        else:
+            argv = [command, "--data", str(csv), "--seed", "1", *flags]
+        if command == "sweep":
+            (tmp_path / "grid.json").write_text(json.dumps({"grid": TINY_GRID}))
+            argv += ["--config", str(tmp_path / "grid.json")]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(argv + ["--out", str(first)]) == 0
+        assert main([command, "--config", str(first / "config.json"),
+                     "--out", str(second)]) == 0
+        for name in ("config.json", "report.tsv", "report.txt"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     @pytest.mark.parametrize("command, shared, flags, configs", SAME_BY_FLAGS_OR_CONFIG,
                              ids=["select", "train-select-resample", "resample-nearmiss3",
@@ -633,7 +726,7 @@ class TestConfigTable:
     def test_flags_and_config_file_give_identical_outputs(self, tmp_path, command, shared,
                                                           flags, configs):
         csv = write_csv(tmp_path, counts={0: 18, 1: 15, 2: 6})
-        argv = [command, "--data", str(csv), "--seed", "1", "--workers", "1", *shared]
+        argv = [command, "--data", str(csv), "--seed", "1", *shared]
         assert main(argv + flags + ["--out", str(tmp_path / "flags")]) == 0
         for i, config in enumerate(configs):
             path = tmp_path / f"cfg{i}.json"
@@ -644,11 +737,11 @@ class TestConfigTable:
                 assert (out / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
     @pytest.mark.parametrize("command, flags, config, field", [
-        ("sweep", ["--epochs", "7"], None, "model.epochs"),
-        ("sweep", ["--learning-rate", "0.1"], None, "model.learning_rate"),
+        ("ingest", [], {"workers": 2}, "workers"),
+        ("stats", [], {"workers": 2}, "workers"),
         ("sweep", [], {"model": {"batch_size": 8}}, "model.batch_size"),
-        ("cascade", ["--model", "forest"], None, "model.kind"),
-        ("cascade", ["--n-trees", "3"], None, "model.n_trees"),
+        ("cascade", [], {"model": {"epochs": 3}}, "model"),
+        ("resample", ["--resample-method", "smote"], {"workers": 2}, "workers"),
         ("cascade", [], {"network": {"layers": 3}}, "network.layers"),
         ("select", [], {"select": {"top": 3}}, "select.top"),
         ("train", ["--model", "gbm"], {"model": {"depth": 2}}, "model.depth"),
@@ -661,11 +754,18 @@ class TestConfigTable:
         ("binary-study", [], {"model": {"kind": "gbm"}}, "model"),
         ("sweep", [], {"booster": {"n_rounds": 5}}, "booster"),
         ("resample", ["--resample-method", "smote"], {"regimes": ["full"]}, "regimes"),
+        ("select", [], {"paper_mode": True}, "paper_mode"),
+        ("binary-study", [], {"paper_mode": True}, "paper_mode"),
+        ("report", [], {"seed": 1}, "seed"),
+        ("report", [], {"dataset": "data.csv"}, "dataset"),
+        ("report", [], {"workers": 1}, "workers"),
     ])
     def test_field_a_command_does_not_use_is_named(self, tmp_path, capsys, command, flags,
                                                    config, field):
-        csv = write_csv(tmp_path)
-        argv = [command, "--data", str(csv), "--seed", "1", *flags]
+        if command == "report":
+            argv = [command, "--runs", str(tmp_path)]
+        else:
+            argv = [command, "--data", str(write_csv(tmp_path)), "--seed", "1", *flags]
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             argv += ["--config", str(tmp_path / "cfg.json")]

@@ -1,5 +1,6 @@
 """Confusion-matrix layout, macro metrics, and cross-validation plumbing."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +242,21 @@ class TestCrossValidate:
         assert serial.mean_metrics.accuracy == threaded.mean_metrics.accuracy
         assert serial.mean_metrics.macro_f == threaded.mean_metrics.macro_f
         assert serial.mean_metrics.per_class_recall == threaded.mean_metrics.per_class_recall
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_folds_run_under_the_callers_errstate(self, workers):
+        data = self.make_data(seed=12)
+        folds = stratified_kfold(data.labels, 3, seed=13)
+
+        def dividing(fold, train, test):
+            np.ones(1) / np.zeros(1)
+            return (np.zeros(test.n_instances, dtype=np.int64),)
+
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            cross_validate(data, folds, dividing, workers=workers)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cross_validate(data, folds, dividing, workers=workers)
 
     def test_parallel_folds_run_with_one_blas_thread(self):
         from readmitlab.evaluate import _openblas_threads

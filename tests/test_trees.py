@@ -244,3 +244,31 @@ class TestGradientBoosting:
                               clone.predict(data.features))
         assert np.allclose(model.predict_proba(data.features),
                            clone.predict_proba(data.features), atol=1e-15)
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("build, field", [
+        (lambda: RandomForest(n_trees=0), "n_trees"),
+        (lambda: RandomForest(max_depth=-1), "max_depth"),
+        (lambda: RandomForest(min_samples_leaf=0), "min_samples_leaf"),
+        (lambda: GradientBoostedClassifier(n_rounds=-1), "n_rounds"),
+        (lambda: GradientBoostedClassifier(learning_rate=0.0), "learning_rate"),
+        (lambda: GradientBoostedClassifier(learning_rate=-1.0), "learning_rate"),
+        (lambda: GradientBoostedClassifier(max_depth=-2), "max_depth"),
+        (lambda: GradientBoostedClassifier(min_samples_leaf=0), "min_samples_leaf"),
+        (lambda: RegressionTree(max_depth=-1), "max_depth"),
+        (lambda: RegressionTree(min_samples_leaf=0), "min_samples_leaf"),
+        (lambda: ClassificationTree(max_depth=-1), "max_depth"),
+        (lambda: ClassificationTree(min_samples_leaf=-3), "min_samples_leaf"),
+    ])
+    def test_out_of_range_parameter_is_a_value_error(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_zero_rounds_zero_depth_and_unlimited_depth_stay_legal(self):
+        GradientBoostedClassifier(n_rounds=0, max_depth=0)
+        RegressionTree(max_depth=0)
+        ClassificationTree(max_depth=None)
+        RandomForest(n_trees=1, max_depth=None)
+        single = GradientBoostedClassifier(n_rounds=3).fit(np.zeros((4, 1)), np.ones(4))
+        assert GradientBoostedClassifier.from_dict(single.to_dict()).n_rounds == 0
