@@ -1,10 +1,11 @@
 """The two-stage cascade: a network keeps its class-1 calls, a binary
 booster re-decides everything else as 0-vs-2.
 
-The first section evaluates the cascade on synthetic clusters against the
-network alone. The second recomputes the combined accuracy from two frozen
-holdout count tables and shows how the evaluator flags bookkeeping
-inconsistencies instead of hiding them.
+The first section cross-validates the cascade on synthetic clusters: one
+pass per fold scores the network alone, the cascade's own booster on the
+held-out 0-vs-2 rows, and the full cascade. The second recomputes the
+combined accuracy from two frozen holdout count tables and shows how the
+evaluator flags bookkeeping inconsistencies instead of hiding them.
 
 Run:  python demos/08_cascade.py
 """

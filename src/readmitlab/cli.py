@@ -258,7 +258,8 @@ def _merge(name: str, given, defaults: dict) -> dict:
 
 
 def _names(value):
-    """A comma-separated flag value as a list of names; a list passes through."""
+    """A comma-separated string, from a flag or a config file, as a list of
+    names; a list passes through."""
     if isinstance(value, str):
         return [name.strip() for name in value.split(",") if name.strip()]
     return value
@@ -378,6 +379,10 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 
 def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+    compare_ks = [int(k) for k in _names(cfg.get("compare_ks")) or ()]
+    cfg["compare_ks"] = compare_ks or None
+    if not compare_ks and "model" in cfg:
+        raise ConfigError("select reads a 'model' section only with 'compare_ks'")
     section, table = _scores(cfg, data, method="chi2", k=data.n_features)
     method, k = section["method"], section["k"]
     rows = []
@@ -391,15 +396,12 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     report.add_line(f"top {k} by {method}: "
                     + ", ".join(data.feature_names[i] for i in keep))
 
-    compare_ks = cfg.get("compare_ks")
     if not compare_ks:
-        cfg["compare_ks"] = None
         return
-    cfg["compare_ks"] = [int(v) for v in compare_ks]
     kind, params = _model(cfg, "gbm")
     folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
     comparison = []
-    for kk in cfg["compare_ks"]:
+    for kk in compare_ks:
         subset = data.select_features(select_k_best(table, kk))
         (result,) = cross_validate(subset, folds, make_builder(kind, cfg["seed"], **params),
                                    workers=cfg["workers"])
@@ -528,6 +530,7 @@ def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) ->
 
 
 def _cmd_report(cfg: dict, data: None, report: RunReport, out: Path) -> None:
+    cfg["runs"] = _names(cfg["runs"])
     for run_dir in cfg["runs"]:
         run_path = Path(run_dir)
         config_path = run_path / "config.json"

@@ -3,11 +3,12 @@ predictions stand, and a binary gradient-boosting model re-decides the rest
 between the two outer classes.
 
 cross_validate_cascade runs the cascade's folds through one
-evaluate.cross_validate call: each fold fits one cascade and scores both the
-stage-1 network and the full cascade from a single pass over its held-out
-rows. Stage 2 alone is scored by the outer-class booster CV of the standalone
-binary 0-vs-2 study, also hosted here with its three sampling regimes
-(nearmiss, random_under, full).
+evaluate.cross_validate call: each fold fits one cascade, one network and one
+booster, and scores the stage-1 network, the stage-2 booster and the full
+cascade from a single pass over its held-out rows. Stage 2 is thus the
+cascade's own booster on the cascade's folds, scored on the outer-class rows.
+The standalone binary 0-vs-2 study, with its own outer-class folds and three
+sampling regimes (nearmiss, random_under, full), is also hosted here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from .data import Dataset, FoldPlan, stratified_kfold
 from .errors import DataError
-from .evaluate import ConfusionMatrix, CvResult, MetricsReport, cross_validate, metrics
+from .evaluate import (ConfusionMatrix, CvResult, MetricsReport, _cv_result, cross_validate,
+                       metrics)
 from .models import NetworkClassifier, make_builder
 from .nn import load_network_params, save_network
 from .resample import ResamplePlan, apply_plan
@@ -57,18 +59,18 @@ class CascadeClassifier:
         self.booster.fit(np.asarray(X, dtype=np.float64)[outer_mask], y[outer_mask])
         return self
 
-    def predict_stages(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(stage-1 network labels, final cascade labels) of every row."""
+    def predict_stages(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stage-1 network labels, stage-2 booster labels, final cascade
+        labels) of every row. The booster labels the accepted rows too; the
+        final label is the stage-1 label where that is the accepted class and
+        the booster's elsewhere."""
         X = np.asarray(X, dtype=np.float64)
         stage1 = self.network.predict(X)
-        final = stage1.copy()
-        rerun = final != self.accept_class
-        if rerun.any():
-            final[rerun] = self.booster.predict(X[rerun])
-        return stage1, final
+        stage2 = self.booster.predict(X)
+        return stage1, stage2, np.where(stage1 == self.accept_class, stage1, stage2)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_stages(X)[1]
+        return self.predict_stages(X)[2]
 
 
 def cascade_fit(train: Dataset, network_config: dict, booster_config: dict,
@@ -170,23 +172,27 @@ def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
                            resample_plan: ResamplePlan | None = None,
                            seed: int = 0, workers: int = 1,
                            ) -> tuple[CvResult, CvResult, CvResult]:
-    """Per-fold evaluation of stage 1 alone, stage 2 alone (outer subset), and
-    the full cascade, on identical folds.
+    """Per-fold evaluation of stage 1 alone, stage 2 alone and the full
+    cascade, from one pass over identical folds.
 
-    Each fold fits one cascade (network seed: seed + fold) and runs its
-    held-out rows through it once; stage 1 alone is that pass's network
-    labels. Returns (network_result, cascade_result, booster_result).
+    Each fold fits one cascade (network seed: seed + fold) on its training
+    split, resampled when a plan is given, and runs its held-out rows through
+    it once. Stage 1 alone is that pass's network labels. Stage 2 alone is its
+    booster's labels scored on the held-out outer-class rows: the fold's
+    matrix restricted to the outer classes' rows and columns, as the booster
+    never predicts the accepted class. Returns (network_result,
+    cascade_result, booster_result).
     """
-    def fit_predict(fold: int, train: Dataset, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    def fit_predict(fold: int, train: Dataset, test: Dataset) -> tuple[np.ndarray, ...]:
         return (cascade_fit(train, network_config, booster_config, seed=seed + fold)
                 .predict_stages(test.features))
 
-    network_result, cascade_result = cross_validate(data, folds, fit_predict,
-                                                    resample_plan=resample_plan,
-                                                    workers=workers)
-    booster_result = binary_outer_study(data, seed=folds.seed, k_folds=folds.k,
-                                        regimes=("full",), booster_config=booster_config,
-                                        workers=workers)["full"]
+    network_result, stage2_result, cascade_result = cross_validate(
+        data, folds, fit_predict, resample_plan=resample_plan, workers=workers)
+    outer = [stage2_result.pooled_matrix.class_ids.index(c) for c in OUTER_CLASSES]
+    booster_result = _cv_result(tuple(
+        ConfusionMatrix(m.counts[np.ix_(outer, outer)], OUTER_CLASSES)
+        for m in stage2_result.fold_matrices))
     return network_result, cascade_result, booster_result
 
 

@@ -8,8 +8,10 @@ macro precision and macro recall (not the mean of per-class F scores). Any
 
 cross_validate is the one fold loop: it prepares each fold's training split
 once and scores every output its caller fits on it. A single model per fold
-(one_model), the grid sweep's cells (grid_sweep) and the cascade's two
-stages (ensemble.cross_validate_cascade) all run through it.
+(one_model), the grid sweep's cells (grid_sweep) and the cascade's stage-1
+network, its own stage-2 booster and the cascade itself
+(ensemble.cross_validate_cascade) all run through it, so the cascade's stages
+are scored on the cascade's folds.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readmitlab.data import stratified_kfold
 from readmitlab.ensemble import (
@@ -18,7 +20,7 @@ from readmitlab.ensemble import (
 from readmitlab.errors import DataError
 from readmitlab.evaluate import ConfusionMatrix, cross_validate
 from readmitlab.models import NetworkClassifier, make_builder
-from readmitlab.resample import ResamplePlan
+from readmitlab.resample import ResamplePlan, apply_plan
 from readmitlab.trees import GradientBoostedClassifier
 
 from helpers import blob_dataset, make_dataset
@@ -163,8 +165,9 @@ class TestCascadeClassifier:
         out = model.predict(X)
         # first two rows: stage 1 says 1, accepted; last two: booster says 2
         assert list(out) == [1, 1, 2, 2]
-        stage1, final = model.predict_stages(X)
+        stage1, stage2, final = model.predict_stages(X)
         assert list(stage1) == [1, 1, 0, 0]
+        assert list(stage2) == [2, 2, 2, 2]
         assert np.array_equal(final, out)
 
     def test_booster_fit_sees_only_outer_class_rows(self):
@@ -215,6 +218,39 @@ class TestCascadeClassifier:
     def test_load_from_non_cascade_directory_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_cascade(tmp_path)
+
+
+class RowLabels:
+    """Predicts labels[i] for a row whose first feature is i."""
+
+    def __init__(self, labels):
+        self.labels = np.asarray(labels, dtype=np.int64)
+
+    def fit(self, X, y):
+        return self
+
+    def predict(self, X):
+        return self.labels[np.asarray(X)[:, 0].astype(np.int64)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=st.data())
+def test_predict_equals_the_routed_rule(draw):
+    n = draw.draw(st.integers(1, 30))
+    stage1 = draw.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+    stage2 = draw.draw(st.lists(st.sampled_from([0, 2]), min_size=n, max_size=n))
+    X = np.arange(n, dtype=np.float64)[:, None]
+    model = CascadeClassifier(RowLabels(stage1), RowLabels(stage2))
+    # the rule predict_stages replaced: keep the accepted class, send only the
+    # other rows through the booster
+    routed = np.array(stage1)
+    rerun = routed != model.accept_class
+    if rerun.any():
+        routed[rerun] = model.booster.predict(X[rerun])
+    got1, got2, final = model.predict_stages(X)
+    assert np.array_equal(model.predict(X), routed)
+    assert np.array_equal(final, routed)
+    assert list(got1) == stage1 and list(got2) == stage2
 
 
 class TestCrossValidateCascade:
@@ -270,6 +306,50 @@ class TestCrossValidateCascade:
         for got, want in zip(net_res.fold_metrics + (net_res.mean_metrics,),
                              alone.fold_metrics + (alone.mean_metrics,)):
             assert replace(got, source=None) == replace(want, source=None)
+
+    def small_study(self):
+        rng = np.random.default_rng(37)
+        data = blob_dataset(rng, {0: 15, 1: 9, 2: 12},
+                            {0: [-2, 0], 1: [2, 0], 2: [0, 2]}, spread=1.0)
+        ds = make_dataset(np.hstack([data.features, rng.random((data.n_instances, 6))]),
+                          data.labels)
+        network_config = dict(arch="vanilla", epochs=1, learning_rate=1e-3, batch_size=8)
+        return ds, stratified_kfold(ds.labels, 3, seed=38), network_config
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_booster_fit_per_fold(self, workers, monkeypatch):
+        ds, folds, network_config = self.small_study()
+        fits = []
+        fit = GradientBoostedClassifier.fit
+
+        def counting_fit(self, X, y):
+            fits.append(len(y))
+            return fit(self, X, y)
+
+        monkeypatch.setattr(GradientBoostedClassifier, "fit", counting_fit)
+        cross_validate_cascade(ds, folds, network_config, dict(n_rounds=2, max_depth=2),
+                               seed=39, workers=workers)
+        assert len(fits) == folds.k
+
+    def test_stage2_is_the_cascade_booster_on_the_outer_test_rows(self):
+        ds, folds, network_config = self.small_study()
+        booster_config = dict(n_rounds=3, max_depth=2)
+        plan = ResamplePlan(method="random_over", seed=40)
+        _, _, boost_res = cross_validate_cascade(ds, folds, network_config, booster_config,
+                                                 resample_plan=plan, seed=41)
+        for fold in range(folds.k):
+            train = apply_plan(ds.take(folds.train_indices(fold)),
+                               replace(plan, seed=plan.seed + fold))
+            booster = cascade_fit(train, network_config, booster_config,
+                                  seed=41 + fold).booster
+            test = ds.take(folds.test_indices(fold))
+            outer = np.isin(test.labels, (0, 2))
+            want = ConfusionMatrix.from_labels(test.labels[outer],
+                                               booster.predict(test.features[outer]), (0, 2))
+            got = boost_res.fold_matrices[fold]
+            assert got.class_ids == want.class_ids
+            assert np.array_equal(got.counts, want.counts)
+        assert boost_res.pooled_matrix.total == int(np.isin(ds.labels, (0, 2)).sum())
 
 
 class TestBinaryOuterStudy:

@@ -230,6 +230,29 @@ class TestSelect:
                      "--select-method", "mutualinfo",
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_model_section_without_compare_ks_is_a_config_error(self, tmp_path, capsys):
+        csv = write_csv(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": {"kind": "forest", "n_trees": 0, "bogus": 1}}))
+        out = tmp_path / "run"
+        assert main(["select", "--data", str(csv), "--seed", "1",
+                     "--config", str(config), "--out", str(out)]) == 1
+        assert "compare_ks" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_ks_given_as_a_string_is_a_list_of_ks(self, tmp_path):
+        csv = write_csv(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"compare_ks": "2,5",
+                                      "model": {"kind": "gbm", "n_rounds": 2}}))
+        out = tmp_path / "run"
+        assert main(["select", "--data", str(csv), "--seed", "1", "--folds", "2",
+                     "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["compare_ks"] == [2, 5]
+        tsv = (out / "report.tsv").read_text()
+        table = tsv.split("gbm accuracy by feature count")[1].strip().splitlines()
+        assert [row.split("\t")[0] for row in table[1:3]] == ["2", "5"]
+
 
 class TestResample:
     def test_counts_before_and_after(self, tmp_path):
@@ -537,6 +560,17 @@ class TestReportCommand:
         text = (out / "report.txt").read_text()
         assert f"--- run {run1} (command: ingest) ---" in text
         assert f"--- run {run2} (command: stats) ---" in text
+
+    def test_runs_given_as_a_string_is_one_run_directory(self, tmp_path):
+        csv = write_csv(tmp_path)
+        run = tmp_path / "r1"
+        assert main(["ingest", "--data", str(csv), "--seed", "1", "--out", str(run)]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"runs": str(run)}))
+        out = tmp_path / "collated"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        assert f"--- run {run} (command: ingest) ---" in (out / "report.txt").read_text()
+        assert json.loads((out / "config.json").read_text())["runs"] == [str(run)]
 
     def test_report_without_runs_is_a_config_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o")]) == 1
