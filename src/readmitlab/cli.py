@@ -36,8 +36,8 @@ from pathlib import Path
 
 from .data import (Dataset, dataset_sha256, load_dataset, min_max_normalize,
                    save_dataset_csv, stratified_kfold, stratified_subsample)
-from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_evaluate,
-                       cascade_fit, cross_validate_cascade, save_cascade)
+from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
+                       cross_validate_cascade, save_cascade)
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import cross_validate, grid_sweep, metrics
 from .features import SCORERS, per_class_stats, select_k_best
@@ -127,6 +127,9 @@ _FOLDS = (
          help="fold-level parallelism (default: available cores)"),
     _opt("--folds", "folds", 10, type=int, help="cross-validation folds (default 10)"),
 )
+# select reads the fold fields only with compare_ks, so they default to None
+# (not given) there, and _cmd_select gives them _FOLDS's defaults when it reads them
+_SELECT_FOLDS = tuple((flag, path, kwargs, None) for flag, path, kwargs, _ in _FOLDS)
 _CV = (*_FOLDS,
        _opt("--paper-mode", "paper_mode", False, action="store_true",
             help="resample the whole dataset before fold splitting "
@@ -234,11 +237,11 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
         if not 0.0 < fraction <= 1.0:
             raise ConfigError(f"invalid config field 'fraction': {fraction} outside (0, 1]")
         cfg["fraction"] = fraction
-    if "workers" in cfg:
+    if cfg.get("workers") is not None:
         cfg["workers"] = int(cfg["workers"])
         if cfg["workers"] < 1:
             raise ConfigError(f"invalid config field 'workers': {cfg['workers']} below 1")
-    if "folds" in cfg:
+    if cfg.get("folds") is not None:
         cfg["folds"] = int(cfg["folds"])
 
     out = cfg.pop("out")
@@ -381,8 +384,11 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     compare_ks = [int(k) for k in _names(cfg.get("compare_ks")) or ()]
     cfg["compare_ks"] = compare_ks or None
-    if not compare_ks and "model" in cfg:
-        raise ConfigError("select reads a 'model' section only with 'compare_ks'")
+    if not compare_ks:
+        for field in ("model", "workers", "folds"):
+            if cfg.pop(field, None) is not None:
+                raise ConfigError(f"invalid config field '{field}': "
+                                  "select reads it only with 'compare_ks'")
     section, table = _scores(cfg, data, method="chi2", k=data.n_features)
     method, k = section["method"], section["k"]
     rows = []
@@ -398,6 +404,9 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
     if not compare_ks:
         return
+    for _, (field,), _, default in _FOLDS:
+        if cfg[field] is None:
+            cfg[field] = default
     kind, params = _model(cfg, "gbm")
     folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
     comparison = []
@@ -490,13 +499,6 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
     _add_cv_sections(report, booster_result, "stage 2 booster (outer classes)")
     _add_cv_sections(report, cascade_result, "cascade")
 
-    combined = cascade_evaluate(network_result.pooled_matrix,
-                                booster_result.pooled_matrix)
-    report.add_confusion("stage-composition combined confusion", combined.combined)
-    report.add_line("stage-composition accuracy (stage-1 accepted hits + stage-2 hits): "
-                    f"{format_percent(combined.accuracy)}")
-    for warning in combined.warnings:
-        report.add_line(f"warning: {warning}")
     report.add_line("cascade cross-validated accuracy: "
                     f"{format_percent(cascade_result.mean_metrics.accuracy)} "
                     f"vs stage-1 network alone: "
@@ -557,7 +559,7 @@ _COMMANDS = {
         _opt("--features", "features", help="comma-separated feature names (default: all)"),
     ))),
     "select": (_cmd_select, "univariate feature scores and top-k selection", (
-        _DATA, _SELECT, _FOLDS, (_opt(None, "compare_ks"), _opt(None, "model.*")),
+        _DATA, _SELECT, _SELECT_FOLDS, (_opt(None, "compare_ks"), _opt(None, "model.*")),
     )),
     "resample": (_cmd_resample, "rebalance classes and report the counts", (
         _DATA, _RESAMPLE,

@@ -1,10 +1,19 @@
-"""Decision trees grown by exhaustive scan, plus boosted and bagged ensembles.
+"""Decision trees grown by a presorted split search, plus boosted and bagged
+ensembles.
 
 Both tree kinds share one split search, which minimizes the summed squared
 error (SSE) of a target matrix. A regression tree's target is its single
 residual column. A classification tree's targets are the one-hot class
 columns, whose summed SSE is n times the Gini impurity, so the same search
 grows Gini CART (Breiman et al., 1984).
+
+The search presorts and partitions instead of sorting at every node (SLIQ;
+Mehta, Agrawal & Rissanen, EDBT 1996). A fit sorts each feature column once;
+a boosted model does so once for all its rounds, as X is the same in every
+round. Each split node holds its rows in every feature's order and scans all
+candidate features from those, and a stable partition of that order gives
+its children theirs. A forest's bootstrap duplicates are copied rows, so
+they are simply tied values.
 
 Split search is deterministic: candidate thresholds are midpoints between
 consecutive distinct sorted feature values, the best split maximizes the SSE
@@ -24,6 +33,9 @@ import numpy as np
 from .errors import DataError
 
 MIN_GAIN = 1e-12  # smallest SSE reduction a split must beat
+# (feature, position) cells a split search scans per pass, so that its
+# temporaries stay in cache on large nodes
+_BLOCK = 1 << 18
 
 
 @dataclass
@@ -54,59 +66,127 @@ def _route(node: _Node, X: np.ndarray, out: np.ndarray, rows: np.ndarray) -> Non
     _route(node.right, X, out, rows[~go_left])
 
 
-def _best_split(X: np.ndarray, Y: np.ndarray, rows: np.ndarray,
-                features: np.ndarray, min_leaf: int):
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's rows in ascending order of its values, ties in row
+    order: (p, n) row indices S and the (p, n) sorted values V."""
+    S = np.argsort(X.T, axis=1, kind="stable")
+    return S, np.take_along_axis(X.T, S, axis=1)
+
+
+def _sq_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a**2 over the leading (output) axis."""
+    return np.einsum("m...,m...->...", a, a)
+
+
+def _reductions(Y: np.ndarray, S: np.ndarray, V: np.ndarray, sse_node: float,
+                min_leaf: int) -> np.ndarray:
+    """SSE reduction of every (feature, position) split of S's rows, -inf
+    where the split falls between equal values or leaves a side too small.
+
+    Each side's SSE is sum(Y**2) - sum_j csum_j**2 / size, summed over the
+    outputs before the subtraction, so one-hot targets keep every count an
+    exact integer. Computed in place, to keep the temporaries few.
+    """
+    n = S.shape[1]
+    k = np.arange(1, n)  # left sizes
+    csum = np.take(Y, S, axis=1)
+    csq = _sq_sum(csum)
+    np.cumsum(csq, axis=1, out=csq)
+    np.cumsum(csum, axis=2, out=csum)
+    sse_left = _sq_sum(csum[..., :-1])
+    sse_left /= k
+    np.subtract(csq[:, :-1], sse_left, out=sse_left)
+    sse_right = _sq_sum(csum[..., -1:] - csum[..., :-1])
+    sse_right /= n - k
+    np.subtract(csq[:, -1:] - csq[:, :-1], sse_right, out=sse_right)
+    sse_left += sse_right
+    reduction = np.subtract(sse_node, sse_left, out=sse_left)
+    reduction[~((V[:, 1:] > V[:, :-1]) & (k >= min_leaf) & (n - k >= min_leaf))] = -np.inf
+    return reduction
+
+
+def _best_split(X: np.ndarray, Y: np.ndarray, rows: np.ndarray, S: np.ndarray,
+                V: np.ndarray, features: np.ndarray, min_leaf: int):
     """(reduction, feature, threshold, left_rows, right_rows) or None.
 
-    Y is the (m, n_rows) target matrix, one row per output. Each side's SSE
-    is sum(Y**2) - sum_j csum_j**2 / size, summed over the outputs before the
-    subtraction, so one-hot targets keep every count an exact integer.
+    Y is the (m, n_rows) target matrix, one row per output. S and V are the
+    node's rows sorted by each feature and their sorted values (see
+    _presort). Candidate features are scanned in blocks of about _BLOCK
+    (feature, position) cells; the first maximum wins, so ties go to the
+    lower feature, then the lower threshold. The child row lists keep the
+    order of `rows` within ties, as a stable sort on the winning feature.
     """
     n = rows.size
     y_node = Y[:, rows]
     sse_node = float(((y_node - y_node.mean(axis=1, keepdims=True)) ** 2).sum())
-    sq = (y_node**2).sum(axis=0)
-    k = np.arange(1, n)  # left sizes
+    step = max(1, _BLOCK // n)
     best, best_gain = None, MIN_GAIN
-    for f in features:
-        order = np.argsort(X[rows, f], kind="stable")
-        xs = X[rows[order], f]
-        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
-        if not valid.any():
-            continue
-        csum = np.cumsum(y_node[:, order], axis=1)
-        csq = np.cumsum(sq[order])
-        sse_left = csq[:-1] - (csum[:, :-1] ** 2).sum(axis=0) / k
-        sse_right = ((csq[-1] - csq[:-1])
-                     - ((csum[:, -1:] - csum[:, :-1]) ** 2).sum(axis=0) / (n - k))
-        reduction = np.where(valid, sse_node - (sse_left + sse_right), -np.inf)
-        pos = int(np.argmax(reduction))
-        if reduction[pos] > best_gain:
-            best_gain = float(reduction[pos])
-            thr = _midpoint(float(xs[pos]), float(xs[pos + 1]))
-            best = (best_gain, int(f), thr, rows[order[: pos + 1]], rows[order[pos + 1 :]])
-    return best
+    for start in range(0, features.size, step):
+        block = features[start : start + step]
+        reduction = _reductions(Y, S[block], V[block], sse_node, min_leaf)
+        i, pos = divmod(int(np.argmax(reduction)), n - 1)
+        if reduction[i, pos] > best_gain:
+            best_gain = float(reduction[i, pos])
+            f = int(block[i])
+            best = (f, pos, _midpoint(float(V[f, pos]), float(V[f, pos + 1])))
+    if best is None:
+        return None
+    f, pos, thr = best
+    by_f = rows[np.argsort(X[rows, f], kind="stable")]
+    return best_gain, f, thr, by_f[: pos + 1], by_f[pos + 1 :]
 
 
-def _grow(X: np.ndarray, Y: np.ndarray, leaf_value, max_depth: float,
-          min_leaf: int, pick_features) -> _Node:
-    """Grow depth first, left subtree first. leaf_value(rows) gives a leaf's
-    value; pick_features() gives the features scanned at each split node."""
+def _grow(X: np.ndarray, presorted: tuple[np.ndarray, np.ndarray], Y: np.ndarray,
+          leaf_value, max_depth: float, min_leaf: int, pick_features) -> _Node:
+    """Grow depth first, left subtree first, from presorted = _presort(X).
+    leaf_value(rows) gives a leaf's value; pick_features() gives the features
+    scanned at each split node.
 
-    def grow(rows: np.ndarray, depth: int) -> _Node:
+    A child's S and V are a stable partition of its parent's, so no node
+    sorts its candidate features. They are taken only for a child that can
+    split, and a node lets its own go once its children's are taken. Pending
+    nodes hold disjoint rows, so besides the presort the partitions alive at
+    any time hold each row at most twice, however deep the tree.
+    """
+    p = X.shape[1]
+    in_left = np.zeros(X.shape[0], dtype=bool)
+
+    def can_split(rows: np.ndarray, depth: int) -> bool:
         y_node = Y[:, rows]
-        if (depth >= max_depth or rows.size < 2 * min_leaf
-                or np.all(y_node == y_node[:, :1])):
-            return _Node(value=leaf_value(rows))
-        split = _best_split(X, Y, rows, pick_features(), min_leaf)
-        if split is None:
-            return _Node(value=leaf_value(rows))
-        _, f, thr, left_rows, right_rows = split
-        return _Node(feature=f, threshold=thr,
-                     left=grow(left_rows, depth + 1),
-                     right=grow(right_rows, depth + 1))
+        return not (depth >= max_depth or rows.size < 2 * min_leaf
+                    or np.all(y_node == y_node[:, :1]))
 
-    return grow(np.arange(X.shape[0]), 0)
+    def children(node: _Node, depth: int, S: np.ndarray, V: np.ndarray,
+                 left_rows: np.ndarray, right_rows: np.ndarray) -> list[tuple]:
+        """Pending entries for node's children, right first, so that the
+        left one is grown first."""
+        in_left[left_rows] = True
+        goes_left = in_left[S].ravel()
+        in_left[left_rows] = False
+        node.left, node.right = _Node(), _Node()
+        entries = []
+        for child, rows, keep in ((node.right, right_rows, ~goes_left),
+                                  (node.left, left_rows, goes_left)):
+            sorted_rows = None
+            if can_split(rows, depth + 1):
+                sorted_rows = (np.compress(keep, S).reshape(p, -1),
+                               np.compress(keep, V).reshape(p, -1))
+            entries.append((child, rows, depth + 1, sorted_rows))
+        return entries
+
+    root, rows = _Node(), np.arange(X.shape[0])
+    pending = [(root, rows, 0, presorted if can_split(rows, 0) else None)]
+    while pending:
+        node, rows, depth, sorted_rows = pending.pop()
+        split = None
+        if sorted_rows is not None:
+            split = _best_split(X, Y, rows, *sorted_rows, pick_features(), min_leaf)
+        if split is None:
+            node.value = leaf_value(rows)
+            continue
+        _, node.feature, node.threshold, left_rows, right_rows = split
+        pending += children(node, depth, *sorted_rows, left_rows, right_rows)
+    return root
 
 
 def _check_tree_limits(max_depth: int | None, min_samples_leaf: int) -> None:
@@ -130,13 +210,18 @@ class RegressionTree:
         self.leaf_value_fn = leaf_value_fn or (lambda t: float(t.mean()))
         self.root: _Node | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
+    def fit(self, X: np.ndarray, y: np.ndarray, _presorted: tuple | None = None
+            ) -> "RegressionTree":
+        """_presorted is _presort(X), passed by a caller that fits many trees
+        on the same X."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:
             raise DataError("cannot fit a tree on zero rows")
         all_features = np.arange(X.shape[1])
-        self.root = _grow(X, y[None, :], lambda rows: self.leaf_value_fn(y[rows]),
+        presorted = _presort(X) if _presorted is None else _presorted
+        self.root = _grow(X, presorted, y[None, :],
+                          lambda rows: self.leaf_value_fn(y[rows]),
                           self.max_depth, self.min_samples_leaf, lambda: all_features)
         return self
 
@@ -197,8 +282,8 @@ class ClassificationTree:
         def majority(rows: np.ndarray) -> int:
             return int(np.argmax(onehot[:, rows].sum(axis=1)))  # first max = lowest id
 
-        self.root = _grow(X, onehot, majority, self.max_depth, self.min_samples_leaf,
-                          pick_features)
+        self.root = _grow(X, _presort(X), onehot, majority, self.max_depth,
+                          self.min_samples_leaf, pick_features)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -357,13 +442,14 @@ class GradientBoostedClassifier:
         scores = np.tile(self.base_scores_, (n, 1))
         leaf_fn = _newton_leaf_factory(n_classes)
         eps = np.finfo(float).tiny
+        presorted = _presort(X)  # X is the same in every round
         for _ in range(self.n_rounds):
             probs = self._probabilities(scores)
             round_trees = []
             for k in range(scores.shape[1]):
                 residual = onehot[:, first + k] - probs[:, first + k]
                 tree = RegressionTree(self.max_depth, self.min_samples_leaf, leaf_fn)
-                tree.fit(X, residual)
+                tree.fit(X, residual, _presorted=presorted)
                 scores[:, k] += self.learning_rate * tree.predict(X)
                 round_trees.append(tree)
             self.trees_.append(round_trees)

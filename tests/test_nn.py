@@ -342,6 +342,51 @@ class TestBackwardIdentities:
         assert worst <= 1e-5, f"{worst_name}: rel err {worst:.3e}"
 
 
+def relu_reference(x, d_out):
+    """Relu's forward and backward, element by element: x and d_out pass
+    where x > 0 and are +0.0 elsewhere. So NaN, -inf and -0.0 inputs give
+    +0.0, +inf passes, and a gradient passes with its own bits (a NaN's
+    payload, a zero's sign)."""
+    keep = [v > 0 for v in x.ravel().tolist()]
+    forward = [v if k else 0.0 for v, k in zip(x.ravel().tolist(), keep)]
+    backward = [d if k else 0.0 for d, k in zip(d_out.ravel().tolist(), keep)]
+    return (np.array(forward, dtype=np.float64).reshape(x.shape),
+            np.array(backward, dtype=np.float64).reshape(x.shape))
+
+
+@st.composite
+def relu_problems(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    n = int(np.prod(shape))
+    values = st.floats(width=64) | st.sampled_from(SPECIAL_VALUES)
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    d_out = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    return x.reshape(shape), d_out.reshape(shape)
+
+
+class TestRelu:
+    """Pins the bytes of today's np.where rule, so that a faster rule must
+    give the same bytes for NaN, +-inf and +-0."""
+
+    def test_special_values(self):
+        layer = Relu()
+        x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 2.5, -1.0])
+        d_out = np.array([-0.0, np.nan, 3.0, 4.0, 5.0, -0.0, 7.0])
+        assert layer.forward(x).tobytes() == np.array(
+            [0.0, np.inf, 0.0, 0.0, 0.0, 2.5, 0.0]).tobytes()
+        assert layer.backward(d_out).tobytes() == np.array(
+            [0.0, np.nan, 0.0, 0.0, 0.0, -0.0, 0.0]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(relu_problems())
+    def test_bytes_match_the_elementwise_rule(self, problem):
+        x, d_out = problem
+        layer = Relu()
+        want_y, want_dx = relu_reference(x, d_out)
+        assert layer.forward(x).tobytes() == want_y.tobytes()
+        assert layer.backward(d_out).tobytes() == want_dx.tobytes()
+
+
 class TestDropout:
     def test_inference_is_identity(self):
         layer = Dropout(0.5)

@@ -4,18 +4,28 @@ The oracle scores every midpoint threshold directly. Targets are integer
 multiples of 27720 = lcm(1..12), optionally scaled by 2**-35, on at most 12
 rows: every sum, square and division by a side size in the search is then
 exact in float64, so the search must agree with the oracle exactly, ties
-included.
+included. The search scans its candidate features in blocks of _BLOCK
+(feature, position) cells; a block of 1 scans one feature at a time, so a tie
+between features also crosses blocks.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readmitlab.trees import MIN_GAIN, ClassificationTree, _best_split, _midpoint
+from readmitlab import trees
+from readmitlab.trees import MIN_GAIN, ClassificationTree, _midpoint
 
 UNIT = 27720  # divisible by every side size up to 12 rows
+
+
+def best_split(X, Y, features, min_leaf):
+    """The split search at a root node holding every row of X."""
+    return trees._best_split(X, Y, np.arange(X.shape[0]), *trees._presort(X),
+                             features, min_leaf)
 
 
 def sse(block: np.ndarray) -> Fraction:
@@ -66,15 +76,17 @@ def split_problems(draw):
     Y = np.array(codes, dtype=np.float64).reshape(m, n) * UNIT * scale
     features = np.array(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1))))
     min_leaf = draw(st.integers(1, 4))
-    return X, Y, features, min_leaf
+    block = draw(st.sampled_from([1, 12, trees._BLOCK]))
+    return X, Y, features, min_leaf, block
 
 
 @settings(max_examples=300, deadline=None)
 @given(split_problems())
 def test_split_search_matches_the_brute_force_oracle(problem):
-    X, Y, features, min_leaf = problem
+    X, Y, features, min_leaf, block = problem
     rows = np.arange(X.shape[0])
-    got = _best_split(X, Y, rows, features, min_leaf)
+    with mock.patch.object(trees, "_BLOCK", block):
+        got = best_split(X, Y, features, min_leaf)
     candidates = oracle(X, Y, features, min_leaf)
     best = max((c[0] for c in candidates), default=None)
     if best is None or best <= Fraction(MIN_GAIN):
@@ -96,8 +108,8 @@ def test_a_gain_at_the_floor_is_not_split():
     X = np.array([[0.0], [1.0]])
     # a two-row split gains (a - b)**2 / 2 over targets a, b
     at_floor = np.array([[0.0, np.sqrt(2 * MIN_GAIN)]])
-    assert _best_split(X, at_floor * (1 - 1e-9), np.arange(2), np.array([0]), 1) is None
-    assert _best_split(X, at_floor * 2, np.arange(2), np.array([0]), 1) is not None
+    assert best_split(X, at_floor * (1 - 1e-9), np.array([0]), 1) is None
+    assert best_split(X, at_floor * 2, np.array([0]), 1) is not None
 
 
 @settings(max_examples=200, deadline=None)
