@@ -10,6 +10,13 @@ channel-major rows, so the first Dense layer's weights keep one row order.
 Dropout is inverted, active only when forward() is called with train=True and
 an rng to draw masks from.
 
+A Network owns the weights of every layer it holds, those inside Parallel
+branches too: one parameter vector, theta, and one gradient vector, grad. A
+weighted layer only names its weights in PARAMS; each weight `w` is a
+reshaped view into theta and its gradient `dw` one into grad, which backward
+overwrites in place. An optimizer step on theta therefore moves every layer,
+and params()/grads() key the same views for parameter files.
+
 Architectures are built by name through build_network(); see ARCHITECTURES.
 """
 
@@ -37,7 +44,10 @@ def kaiming_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generato
 
 
 class Layer:
-    """Forward/backward protocol. Subclasses with weights override params/grads."""
+    """Forward/backward protocol. A layer with weights names them in PARAMS;
+    the Network holding it stores weight `w` and its gradient `dw`."""
+
+    PARAMS: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray, *, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -46,35 +56,23 @@ class Layer:
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {}
-
 
 class Dense(Layer):
+    PARAMS = ("w", "b")
+
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.w = kaiming_uniform((n_in, n_out), n_in, rng)
         self.b = np.zeros(n_out)
         self._x = None
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
 
     def forward(self, x, *, train=False, rng=None):
         self._x = x
         return x @ self.w + self.b
 
     def backward(self, d_out):
-        self.dw = self._x.T @ d_out
-        self.db = d_out.sum(axis=0)
+        np.matmul(self._x.T, d_out, out=self.dw)
+        self.db[...] = d_out.sum(axis=0)
         return d_out @ self.w.T
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.dw, "b": self.db}
 
 
 class Conv1d(Layer):
@@ -85,6 +83,8 @@ class Conv1d(Layer):
     (c_in * kernel, c_out).
     """
 
+    PARAMS = ("w", "b")
+
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
         if kernel < 1:
             raise ValueError("kernel must be >= 1")
@@ -92,8 +92,6 @@ class Conv1d(Layer):
         self.w = kaiming_uniform((c_out, c_in, kernel), c_in * kernel, rng)
         self.b = np.zeros(c_out)
         self._x = None
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
 
     def out_length(self, length: int) -> int:
         if length < self.kernel:
@@ -116,8 +114,8 @@ class Conv1d(Layer):
     def backward(self, d_out):
         batch, n_out, _ = d_out.shape
         d_rows = d_out.reshape(batch * n_out, self.c_out)
-        self.db = d_rows.sum(axis=0)
-        self.dw = (d_rows.T @ self._columns(self._x)).reshape(self.w.shape)
+        self.db[...] = d_rows.sum(axis=0)
+        np.matmul(d_rows.T, self._columns(self._x), out=self.dw.reshape(self.c_out, -1))
         d_cols = (d_rows @ self.w.reshape(self.c_out, -1)).reshape(batch, n_out, -1, self.kernel)
         dx = np.zeros(self._x.shape)
         # offsets run last to first, so every input position sums its
@@ -125,12 +123,6 @@ class Conv1d(Layer):
         for offset in reversed(range(self.kernel)):
             dx[:, offset : offset + n_out] += d_cols[..., offset]
         return dx
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.dw, "b": self.db}
 
 
 class Relu(Layer):
@@ -250,15 +242,14 @@ class RecurrentTanh(Layer):
     backpropagation through time.
     """
 
+    PARAMS = ("wx", "wh", "b")
+
     def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator):
         self.wx = kaiming_uniform((n_in, n_hidden), n_in, rng)
         self.wh = kaiming_uniform((n_hidden, n_hidden), n_hidden, rng)
         self.b = np.zeros(n_hidden)
         self._x = None
         self._h = None
-        self.dwx = np.zeros_like(self.wx)
-        self.dwh = np.zeros_like(self.wh)
-        self.db = np.zeros_like(self.b)
 
     def forward(self, x, *, train=False, rng=None):
         batch, steps, _ = x.shape
@@ -273,9 +264,8 @@ class RecurrentTanh(Layer):
     def backward(self, d_out):
         x, h = self._x, self._h
         batch, steps, _ = x.shape
-        self.dwx = np.zeros_like(self.wx)
-        self.dwh = np.zeros_like(self.wh)
-        self.db = np.zeros_like(self.b)
+        for grad in (self.dwx, self.dwh, self.db):
+            grad[...] = 0.0
         dx = np.empty_like(x)
         carry = np.zeros((batch, self.b.size))
         for t in range(steps - 1, -1, -1):
@@ -287,12 +277,6 @@ class RecurrentTanh(Layer):
             carry = da @ self.wh.T
             dx[:, t] = da @ self.wx.T
         return dx
-
-    def params(self):
-        return {"wx": self.wx, "wh": self.wh, "b": self.b}
-
-    def grads(self):
-        return {"wx": self.dwx, "wh": self.dwh, "b": self.db}
 
 
 class LastStep(Layer):
@@ -311,36 +295,65 @@ class LastStep(Layer):
         return dx
 
 
-def _prefixed(prefix: str, parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Merge per-part dicts, keying part i's entry `name` as '{prefix}{i}.{name}'."""
-    return {f"{prefix}{i}.{name}": value
-            for i, part in enumerate(parts) for name, value in part.items()}
+def _forward(layers: list[Layer], x, train, rng):
+    for layer in layers:
+        x = layer.forward(x, train=train, rng=rng)
+    return x
 
 
-class Network(Layer):
-    """Sequential stack; parameter keys are 'l{i}.{name}' per owning layer."""
+def _backward(layers: list[Layer], d_out):
+    for layer in reversed(layers):
+        d_out = layer.backward(d_out)
+    return d_out
+
+
+def _slots(layers: list[Layer], prefix: str = "l"):
+    """(key, layer, name) for every weight of a layer list, in theta's order:
+    'l{i}.{name}' for layer i, 'l{i}.b{j}.l{k}.{name}' for layer k of branch
+    j of a Parallel layer i."""
+    for i, layer in enumerate(layers):
+        for name in layer.PARAMS:
+            yield f"{prefix}{i}.{name}", layer, name
+        if isinstance(layer, Parallel):
+            for j, branch in enumerate(layer.branches):
+                yield from _slots(branch, f"{prefix}{i}.b{j}.l")
+
+
+class Network:
+    """Sequential stack and the owner of its layers' weights.
+
+    theta holds every weight and grad every gradient, in _slots order; the
+    layers' weights and gradients are views into them. A layer taken into a
+    Network stores its weights there from then on.
+    """
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
+        slots = [(layer, name, getattr(layer, name)) for _, layer, name in _slots(self.layers)]
+        self.theta = np.concatenate([np.zeros(0)] + [value.ravel() for *_, value in slots])
+        self.grad = np.zeros_like(self.theta)
+        end = 0
+        for layer, name, value in slots:
+            start, end = end, end + value.size
+            setattr(layer, name, self.theta[start:end].reshape(value.shape))
+            setattr(layer, "d" + name, self.grad[start:end].reshape(value.shape))
 
     def forward(self, x, *, train=False, rng=None):
-        for layer in self.layers:
-            x = layer.forward(x, train=train, rng=rng)
-        return x
+        return _forward(self.layers, x, train, rng)
 
     def backward(self, d_out):
-        for layer in reversed(self.layers):
-            d_out = layer.backward(d_out)
-        return d_out
+        return _backward(self.layers, d_out)
 
-    def params(self):
-        return _prefixed("l", [layer.params() for layer in self.layers])
+    def params(self) -> dict[str, np.ndarray]:
+        """Every weight by key, as a view into theta."""
+        return {key: getattr(layer, name) for key, layer, name in _slots(self.layers)}
 
-    def grads(self):
-        return _prefixed("l", [layer.grads() for layer in self.layers])
+    def grads(self) -> dict[str, np.ndarray]:
+        """Every gradient by its weight's key, as a view into grad."""
+        return {key: getattr(layer, "d" + name) for key, layer, name in _slots(self.layers)}
 
     def count_params(self) -> int:
-        return sum(v.size for v in self.params().values())
+        return self.theta.size
 
     def load_params(self, values: dict[str, np.ndarray]) -> None:
         current = self.params()
@@ -357,19 +370,20 @@ class Network(Layer):
 
 
 class Parallel(Layer):
-    """Run branches on the same input and concatenate their channel axes.
+    """Run branches, each a list of layers, on the same input and concatenate
+    their channel axes.
 
     Branch outputs may differ in length (different kernel sizes); all are
     truncated to the shortest before concatenation, and the backward pass
     routes zero gradient into the truncated tail.
     """
 
-    def __init__(self, branches: list[Network]):
-        self.branches = list(branches)
+    def __init__(self, branches: list[list[Layer]]):
+        self.branches = [list(branch) for branch in branches]
         self._shapes = None
 
     def forward(self, x, *, train=False, rng=None):
-        outs = [branch.forward(x, train=train, rng=rng) for branch in self.branches]
+        outs = [_forward(branch, x, train, rng) for branch in self.branches]
         self._shapes = [o.shape for o in outs]
         keep = min(shape[1] for shape in self._shapes)
         return np.concatenate([o[:, :keep] for o in outs], axis=2)
@@ -382,15 +396,9 @@ class Parallel(Layer):
             d_branch = np.zeros(shape)
             d_branch[:, :keep] = d_out[:, :, offset : offset + shape[2]]
             offset += shape[2]
-            piece = branch.backward(d_branch)
+            piece = _backward(branch, d_branch)
             dx = piece if dx is None else dx + piece
         return dx
-
-    def params(self):
-        return _prefixed("b", [branch.params() for branch in self.branches])
-
-    def grads(self):
-        return _prefixed("b", [branch.grads() for branch in self.branches])
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +453,7 @@ def _stem_width(arch: str, n_features: int, stem: list[Layer]) -> int:
     """Width of the stem's flattened output, found by passing one zero row
     through it, so each layer's out_length stays the only length rule."""
     try:
-        return Network(stem).forward(np.zeros((1, n_features))).size
+        return _forward(stem, np.zeros((1, n_features)), False, None).size
     except DataError as exc:
         raise DataError(f"{arch}: input of {n_features} features is too short: {exc}") from None
 
@@ -482,7 +490,7 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
                 MaxPool1d(2)]
         dropout = 0.0  # the vanilla head has no dropout layers
     elif arch == "cnn2_multibranch":
-        branches = [Network([Conv1d(1, 8, k, rng), Relu(), Conv1d(8, 16, k, rng), Relu()])
+        branches = [[Conv1d(1, 8, k, rng), Relu(), Conv1d(8, 16, k, rng), Relu()]
                     for k in (3, 5)]
         stem = [AsSequence(), Parallel(branches), MaxPool1d(2)]
     else:
@@ -523,6 +531,7 @@ def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
     A non-finite loss aborts with NumericError rather than training on.
     """
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
+    params, grads = {"theta": net.theta}, {"theta": net.grad}
     n = features.shape[0]
     history = []
     for epoch in range(config.epochs):
@@ -538,7 +547,7 @@ def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
                     "reduce the learning rate"
                 )
             net.backward(d_logits)
-            optimizer.step(net.params(), net.grads())
+            optimizer.step(params, grads)
             total += loss * take.size
             seen += take.size
         history.append(total / seen)
@@ -596,7 +605,12 @@ def load_network_params(path) -> dict[str, np.ndarray]:
     out = {}
     for _ in range(count):
         (key_len,) = struct.unpack("<H", take(2))
-        key = bytes(take(key_len)).decode("utf-8")
+        try:
+            key = bytes(take(key_len)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: parameter key is not UTF-8") from None
+        if key in out:
+            raise DataError(f"{path}: parameter {key} stored twice")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         size = int(np.prod(shape)) if shape else 1

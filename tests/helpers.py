@@ -144,8 +144,8 @@ def gradient_check_suite(h=1e-5):
         check(f"rnn seed={seed} stacked={stacked}", net, x, labels)
 
     rng = np.random.default_rng(61)
-    branch_a = Network([AsSequence(), Conv1d(1, 2, 2, rng), Relu()])
-    branch_b = Network([AsSequence(), Conv1d(1, 2, 3, rng), Relu()])
+    branch_a = [AsSequence(), Conv1d(1, 2, 2, rng), Relu()]
+    branch_b = [AsSequence(), Conv1d(1, 2, 3, rng), Relu()]
     net = Network([Parallel([branch_a, branch_b]), Flatten(), Dense(4 * 5, 3, rng)])
     x = rng.normal(size=(2, 7))
     labels = rng.integers(0, 3, size=2)

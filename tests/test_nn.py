@@ -1,6 +1,7 @@
 """Network layers, hand-derived backpropagation, training loop, serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -182,10 +183,11 @@ class TestWindowLayersAgainstLoops:
         x, kernel, c_out, seed = problem
         rng = np.random.default_rng(seed)
         conv = Conv1d(x.shape[2], c_out, kernel, rng)
+        net = Network([conv])  # the network stores the gradients
         conv.b[:] = rng.normal(size=c_out)
-        y = conv.forward(x)
+        y = net.forward(x)
         d_out = rng.normal(size=y.shape)
-        dx = conv.backward(d_out)
+        dx = net.backward(d_out)
         want_y, want_dw, want_db, want_dx = conv_reference(x, conv.w, conv.b, d_out)
         assert y.shape[1] == conv.out_length(x.shape[1])
         assert_close(y, want_y)
@@ -321,13 +323,13 @@ class TestBackwardIdentities:
 
     def test_single_dense_gradient_closed_form(self):
         rng = np.random.default_rng(7)
-        dense = Dense(4, 3, rng)
+        net = Network([Dense(4, 3, rng)])
         x = rng.normal(size=(5, 4))
-        dense.forward(x)
+        net.forward(x)
         d_out = rng.normal(size=(5, 3))
-        dense.backward(d_out)
-        assert np.array_equal(dense.grads()["w"], x.T @ d_out)
-        assert np.array_equal(dense.grads()["b"], d_out.sum(axis=0))
+        net.backward(d_out)
+        assert np.array_equal(net.grads()["l0.w"], x.T @ d_out)
+        assert np.array_equal(net.grads()["l0.b"], d_out.sum(axis=0))
 
     def test_spot_finite_difference_dense_relu(self):
         rng = np.random.default_rng(8)
@@ -580,6 +582,40 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
 
 
+class TestParameterVector:
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_views_tile_the_vectors(self, arch):
+        net = build_network(arch, 16, rng=np.random.default_rng(0))
+        for views, vector in ((net.params(), net.theta), (net.grads(), net.grad)):
+            assert all(np.shares_memory(view, vector) for view in views.values())
+            # each element of the vector is read by exactly one view
+            vector[...] = np.arange(vector.size)
+            seen = np.concatenate([view.ravel() for view in views.values()])
+            assert np.array_equal(np.sort(seen), np.arange(vector.size))
+        assert net.count_params() == net.theta.size
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_writing_theta_moves_every_layer(self, arch):
+        net = build_network(arch, 16, rng=np.random.default_rng(1))
+        x = np.random.default_rng(2).normal(size=(4, 16))
+        before = predict_logits(net, x)
+        net.theta[...] = 0.0
+        assert all(not value.any() for value in net.params().values())
+        assert not np.array_equal(predict_logits(net, x), before)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_backward_overwrites_the_gradient(self, arch):
+        rng = np.random.default_rng(3)
+        net = build_network(arch, 16, rng=rng)
+        x = rng.normal(size=(4, 16))
+        _, d_logits = softmax_cross_entropy(net.forward(x), rng.integers(0, 3, size=4))
+        net.backward(d_logits)
+        first = net.grad.copy()
+        net.backward(d_logits)
+        assert first.any()
+        assert np.array_equal(net.grad, first)
+
+
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -615,3 +651,43 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"JUNK")
         with pytest.raises(DataError):
             load_network_params(path)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_save_load_save_is_byte_identical(self, arch, tmp_path):
+        first, second = tmp_path / "first.params", tmp_path / "second.params"
+        save_network(build_network(arch, 16, rng=np.random.default_rng(25)), first)
+        clone = build_network(arch, 16, rng=np.random.default_rng(26))
+        clone.load_params(load_network_params(first))
+        save_network(clone, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_branch_weights_keep_their_keys(self):
+        net = build_network("cnn2_multibranch", 16, rng=np.random.default_rng(27))
+        assert sorted(net.params()) == [
+            "l1.b0.l0.b", "l1.b0.l0.w", "l1.b0.l2.b", "l1.b0.l2.w",
+            "l1.b1.l0.b", "l1.b1.l0.w", "l1.b1.l2.b", "l1.b1.l2.w",
+            "l10.b", "l10.w", "l4.b", "l4.w", "l7.b", "l7.w",
+        ]
+
+    def test_key_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "net.params"
+        save_network(Network([Dense(4, 3, np.random.default_rng(28))]), path)
+        blob = bytearray(path.read_bytes())
+        blob[5 + 4 + 2] = 0xFF  # first byte of the first key, after magic, count, length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            load_network_params(path)
+        assert str(path) in str(err.value)
+
+    def test_key_stored_twice_rejected(self, tmp_path):
+        first, second = tmp_path / "first.params", tmp_path / "second.params"
+        save_network(Network([Dense(4, 3, np.random.default_rng(29))]), first)
+        save_network(Network([Dense(4, 3, np.random.default_rng(30))]), second)
+        # records follow the 5-byte magic and the count; "l0.b" comes first:
+        # key length, 4-byte key, ndim, one dimension and 3 values
+        w_record = second.read_bytes()[9 + 2 + 4 + 1 + 4 + 3 * 8:]
+        path = tmp_path / "twice.params"
+        path.write_bytes(b"RLNN1" + struct.pack("<I", 3) + first.read_bytes()[9:] + w_record)
+        with pytest.raises(DataError, match="l0.w stored twice") as err:
+            load_network_params(path)
+        assert str(path) in str(err.value)
