@@ -16,12 +16,18 @@ never embed timestamps or the output path, so identical configs produce
 byte-identical reports.
 
 Config sections' fields and defaults are _SECTIONS (select, resample,
-network, booster, grid) and _MODEL_DEFAULTS (model, per kind). sweep runs
-the grid (the paper's, PAPER_GRID, unless a "grid" section narrows it), so
-its model section has no epochs, learning_rate or batch_size. cascade has no
-model section: its network flags set the "network" section and --n-rounds
-and --max-depth the "booster" section; the booster's learning rate is set
-only by the "booster" section.
+network, booster, grid) and _MODEL_DEFAULTS (model, per kind). A model,
+network, booster or resample section's fields and defaults are the
+constructor keywords of its class (NetworkClassifier,
+GradientBoostedClassifier, RandomForest, ResamplePlan), read by _defaults;
+none is restated here. A model section is resolved by building its model
+once, and sweep builds each grid cell once, so a bad setting is a config
+error before any fold work. sweep runs the grid (the paper's, PAPER_GRID,
+unless a "grid" section narrows it), so its model section has no epochs,
+learning_rate or batch_size. cascade has no model section: its network
+flags set the "network" section and --n-rounds and --max-depth the
+"booster" section; the booster's learning rate is set only by the
+"booster" section.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 """
@@ -29,20 +35,24 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
 
-from .data import (Dataset, dataset_sha256, load_dataset, min_max_normalize,
-                   save_dataset_csv, stratified_kfold, stratified_subsample)
+from .data import (DEFAULT_CLASS_NAMES, Dataset, dataset_sha256, load_dataset,
+                   min_max_normalize, save_dataset_csv, stratified_kfold,
+                   stratified_subsample)
 from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import cross_validate, grid_sweep, metrics
 from .features import SCORERS, per_class_stats, select_k_best
-from .models import MODEL_KINDS, NetworkClassifier, make_builder
+from .models import MODEL_KINDS, MODELS, NetworkClassifier, make_builder
 from .nn import ARCHITECTURES
+from .optim import OPTIMIZERS
 from .report import RunReport, class_stats_section, format_percent
 from .resample import METHODS as RESAMPLE_METHODS
 from .resample import ResamplePlan, apply_plan
@@ -53,23 +63,24 @@ PAPER_GRID = {
     "batch_size": [16, 32, 64],
 }
 
-_MODEL_DEFAULTS = {
-    "network": {"arch": "cnn2", "epochs": 10, "learning_rate": 1e-4,
-                "batch_size": 64, "optimizer": "adam", "kernel_size": None,
-                "dropout": 0.2},
-    "gbm": {"n_rounds": 100, "learning_rate": 0.1, "max_depth": 3,
-            "min_samples_leaf": 1},
-    "forest": {"n_trees": 100, "max_depth": None, "min_samples_leaf": 1,
-               "features_per_split": "sqrt"},
-}
+
+def _defaults(cls, *unset: str) -> dict:
+    """cls's constructor keywords and their defaults (None for a required
+    one), in signature order, without `unset`."""
+    return {name: None if param.default is param.empty else param.default
+            for name, param in inspect.signature(cls).parameters.items()
+            if name not in unset}
+
+
+# the run seed seeds every model, and a forest always bootstraps
+_MODEL_DEFAULTS = {kind: _defaults(cls, "seed", "bootstrap") for kind, cls in MODELS.items()}
 
 # Each config section's fields and their defaults. A select or resample
 # section must name its method, and a select section its k; the select
 # command alone defaults them (chi2, every feature).
 _SECTIONS = {
     "select": {"method": None, "k": None, "paper_exclusion": False},
-    "resample": {"method": None, "k_neighbors": 5, "target_counts": None,
-                 "nearmiss_version": 1, "n_ref": 3},
+    "resample": _defaults(ResamplePlan, "seed"),
     "network": _MODEL_DEFAULTS["network"],
     "booster": _MODEL_DEFAULTS["gbm"],
     "grid": PAPER_GRID,
@@ -97,7 +108,7 @@ _MODEL_FLAGS = {
     "epochs": {"type": int},
     "learning_rate": {"type": float},
     "batch_size": {"type": int},
-    "optimizer": {"choices": ("sgd", "adam", "adabelief")},
+    "optimizer": {"choices": tuple(OPTIMIZERS)},
     "kernel_size": {"type": int, "help": "cnn2-family filter width"},
     "dropout": {"type": float},
     "n_rounds": {"type": int, "help": "boosting rounds"},
@@ -122,8 +133,11 @@ _DATA = (
          help="min-max scale features to [0,1] (default on)"),
     _opt("--fraction", "fraction", type=float, help="stratified subsample fraction in (0,1]"),
 )
+
+# the CPUs this process may run on: its affinity mask, where the platform has one
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _FOLDS = (
-    _opt("--workers", "workers", os.cpu_count() or 1, type=int,
+    _opt("--workers", "workers", _CPUS, type=int,
          help="fold-level parallelism (default: available cores)"),
     _opt("--folds", "folds", 10, type=int, help="cross-validation folds (default 10)"),
 )
@@ -250,14 +264,18 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
     return cfg, Path(out)
 
 
-def _merge(name: str, given, defaults: dict) -> dict:
+def _merge(name: str, given, defaults: dict, model=None) -> dict:
     """Config section `given` (None for absent) over `defaults`; a field that
-    `defaults` lacks is a config error."""
+    `defaults` lacks is a config error. A model section also builds its
+    `model` class once, so a bad setting fails before any fold work."""
     given = dict(given or {})
     for field in sorted(given):
         if field not in defaults:
             raise ConfigError(f"invalid config field '{name}.{field}'")
-    return {**defaults, **given}
+    section = {**defaults, **given}
+    if model is not None:
+        model(**section)
+    return section
 
 
 def _names(value):
@@ -272,11 +290,17 @@ def _model(cfg: dict, kind: str, table: dict = _MODEL_DEFAULTS) -> tuple[str, di
     """The model section's kind (default `kind`) and parameters."""
     section = dict(cfg.get("model") or {})
     kind = section.pop("kind", kind)
-    if kind not in MODEL_KINDS:
+    if kind not in MODELS:
         raise ConfigError(f"invalid config field 'model.kind': {kind!r}")
-    params = _merge("model", section, table[kind])
+    params = _merge("model", section, table[kind], MODELS[kind])
     cfg["model"] = {"kind": kind, **params}
     return kind, params
+
+
+def _model_section(cfg: dict, name: str, model) -> dict:
+    """Resolve the `name` section (network or booster) of a `model`."""
+    cfg[name] = _merge(name, cfg.get(name), _SECTIONS[name], model)
+    return cfg[name]
 
 
 def _resample_plan(cfg: dict) -> ResamplePlan | None:
@@ -341,7 +365,7 @@ def _load_data(cfg: dict, report: RunReport) -> Dataset:
 def _class_counts_rows(data: Dataset) -> list[list[str]]:
     counts = data.class_counts()
     total = data.n_instances
-    return [[str(c), data.class_names.get(c, str(c)), str(n),
+    return [[str(c), DEFAULT_CLASS_NAMES.get(c, str(c)), str(n),
              format_percent(n / total)]
             for c, n in sorted(counts.items())]
 
@@ -459,12 +483,15 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
         raise ConfigError("sweep drives network training; model.kind must be 'network'")
     grid = cfg["grid"] = {axis: list(values) for axis, values in
                           _merge("grid", cfg.get("grid"), _SECTIONS["grid"]).items()}
-    data, plan, folds = _folds(cfg, data, plan, report)
 
     def build(fold: int, epochs: int, lr: float, batch: int) -> NetworkClassifier:
         return NetworkClassifier(seed=cfg["seed"] + fold, epochs=epochs,
                                  learning_rate=lr, batch_size=batch, **fixed)
 
+    # every cell builds once here, so a bad one fails before any fold work
+    for cell in itertools.product(grid["epochs"], grid["learning_rate"], grid["batch_size"]):
+        build(0, *cell)
+    data, plan, folds = _folds(cfg, data, plan, report)
     rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
                       tuple(grid["learning_rate"]), tuple(grid["batch_size"]),
                       resample_plan=plan, workers=cfg["workers"])
@@ -488,8 +515,8 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
-    network = cfg["network"] = _merge("network", cfg.get("network"), _SECTIONS["network"])
-    booster = cfg["booster"] = _merge("booster", cfg.get("booster"), _SECTIONS["booster"])
+    network = _model_section(cfg, "network", MODELS["network"])
+    booster = _model_section(cfg, "booster", MODELS["gbm"])
     data, plan, folds = _folds(cfg, data, plan, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
         data, folds, network, booster,
@@ -517,7 +544,7 @@ def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) ->
         if regime not in BINARY_REGIMES:
             raise ConfigError(f"invalid config field 'regimes': {regime!r}")
     cfg["regimes"] = list(regimes)
-    booster = cfg["booster"] = _merge("booster", cfg.get("booster"), _SECTIONS["booster"])
+    booster = _model_section(cfg, "booster", MODELS["gbm"])
     results = binary_outer_study(data, seed=cfg["seed"], k_folds=cfg["folds"],
                                  regimes=regimes, booster_config=booster,
                                  workers=cfg["workers"])

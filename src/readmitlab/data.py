@@ -19,7 +19,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NoReturn
 
 import numpy as np
@@ -41,14 +41,13 @@ _NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|n
 class Dataset:
     """Immutable feature matrix (rows = instances) plus integer class labels.
 
-    Labels must already be encoded as 0/1/2; the readmission-day names are
-    carried as metadata only. Every feature value must be finite.
+    Labels must already be encoded as 0/1/2; reports name them by
+    DEFAULT_CLASS_NAMES. Every feature value must be finite.
     """
 
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
-    class_names: dict[int, str] = field(default_factory=lambda: dict(DEFAULT_CLASS_NAMES))
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -99,17 +98,13 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """New Dataset restricted to the given row indices (order preserved)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.feature_names, dict(self.class_names))
+        return Dataset(self.features[idx], self.labels[idx], self.feature_names)
 
     def select_features(self, columns) -> "Dataset":
         """New Dataset restricted to the given feature columns (order preserved)."""
         cols = list(columns)
-        return Dataset(
-            self.features[:, cols],
-            self.labels,
-            tuple(self.feature_names[c] for c in cols),
-            dict(self.class_names),
-        )
+        return Dataset(self.features[:, cols], self.labels,
+                       tuple(self.feature_names[c] for c in cols))
 
 
 @dataclass(frozen=True)
@@ -296,7 +291,7 @@ def min_max_normalize(data: Dataset, spec: ScalingSpec | None = None) -> tuple[D
     safe_span = np.where(span == 0.0, 1.0, span)
     scaled = (data.features - spec.minima) / safe_span
     scaled[:, span == 0.0] = 0.0
-    return Dataset(scaled, data.labels, data.feature_names, dict(data.class_names)), spec
+    return Dataset(scaled, data.labels, data.feature_names), spec
 
 
 def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
@@ -309,7 +304,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(labels.size, dtype=np.int64)
     offset = 0
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
@@ -317,12 +312,11 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
             raise DataError(
                 f"class {int(cls)} has {members.size} members, fewer than k={k}"
             )
-        shuffled = rng.permutation(members)
-        # rotate the dealing start per class so overall fold sizes stay within 1
-        for j, idx in enumerate(shuffled):
-            buckets[(offset + j) % k].append(int(idx))
+        # the j-th shuffled member goes to fold (offset + j) % k; rotating the
+        # dealing start per class keeps overall fold sizes within 1
+        fold_of[rng.permutation(members)] = (offset + np.arange(members.size)) % k
         offset = (offset + members.size) % k
-    folds = tuple(np.array(sorted(b), dtype=np.int64) for b in buckets)
+    folds = tuple(np.flatnonzero(fold_of == f) for f in range(k))
     for f in folds:
         f.setflags(write=False)
     return FoldPlan(k=k, folds=folds, seed=seed)

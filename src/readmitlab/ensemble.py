@@ -14,7 +14,7 @@ sampling regimes (nearmiss, random_under, full), is also hosted here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -239,12 +239,7 @@ def save_cascade(model: CascadeClassifier, directory) -> None:
         "accept_class": model.accept_class,
         "outer_classes": list(model.outer_classes),
         "network": model.network.architecture_config(),
-        "train_config": {
-            "epochs": model.network.train_config.epochs,
-            "learning_rate": model.network.train_config.learning_rate,
-            "batch_size": model.network.train_config.batch_size,
-            "optimizer": model.network.train_config.optimizer,
-        },
+        "train_config": asdict(model.network.train_config),
     }
     (directory / "cascade.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n"
@@ -258,13 +253,10 @@ def load_cascade(directory) -> CascadeClassifier:
         booster_payload = json.loads((directory / "booster.json").read_text())
     except FileNotFoundError as exc:
         raise DataError(f"{directory}: not a cascade directory ({exc.filename} missing)")
-    net_cfg = meta["network"]
-    network = NetworkClassifier(
-        arch=net_cfg["arch"], kernel_size=net_cfg["kernel_size"],
-        dropout=net_cfg["dropout"], seed=net_cfg["seed"],
-        **meta.get("train_config", {}),
-    )
-    network.build(int(net_cfg["n_features"]))
+    net_cfg = dict(meta["network"])
+    n_features = int(net_cfg.pop("n_features"))
+    network = NetworkClassifier(**net_cfg, **meta.get("train_config", {}))
+    network.build(n_features)
     network.net.load_params(load_network_params(directory / "network.params"))
     booster = GradientBoostedClassifier.from_dict(booster_payload)
     return CascadeClassifier(network, booster,

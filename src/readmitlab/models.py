@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluate import FitPredict, one_model
-from .nn import (TrainConfig, build_network, predict_classes, predict_logits,
-                 softmax, train_network)
+from .nn import (DEFAULT_DROPOUT, TrainConfig, build_network, check_architecture,
+                 predict_classes, predict_logits, softmax, train_network)
 from .trees import GradientBoostedClassifier, RandomForest
 
 
@@ -15,13 +15,16 @@ class NetworkClassifier:
 
     The three-class label encoding (0, 1, 2) is assumed, matching the output
     width of every architecture. The seed fixes both initialization and the
-    shuffling/dropout stream, so fit() is fully reproducible.
+    shuffling/dropout stream, so fit() is fully reproducible. An unknown
+    architecture or optimizer fails here, before any training.
     """
 
-    def __init__(self, arch: str = "cnn2", *, epochs: int = 10,
-                 learning_rate: float = 1e-4, batch_size: int = 64,
-                 optimizer: str = "adam", kernel_size: int | None = None,
-                 dropout: float = 0.2, seed: int = 0):
+    def __init__(self, arch: str = "cnn2", *, epochs: int = TrainConfig.epochs,
+                 learning_rate: float = TrainConfig.learning_rate,
+                 batch_size: int = TrainConfig.batch_size,
+                 optimizer: str = TrainConfig.optimizer, kernel_size: int | None = None,
+                 dropout: float = DEFAULT_DROPOUT, seed: int = 0):
+        check_architecture(arch)
         self.arch = arch
         self.train_config = TrainConfig(epochs=epochs, learning_rate=learning_rate,
                                         batch_size=batch_size, optimizer=optimizer)
@@ -68,7 +71,10 @@ class NetworkClassifier:
                 "seed": self.seed}
 
 
-MODEL_KINDS = ("network", "gbm", "forest")
+# each model kind's class; its constructor's keywords are the kind's settings
+MODELS = {"network": NetworkClassifier, "gbm": GradientBoostedClassifier,
+          "forest": RandomForest}
+MODEL_KINDS = tuple(MODELS)
 
 
 def make_builder(kind: str, seed: int, **kwargs) -> FitPredict:

@@ -458,6 +458,11 @@ def _stem_width(arch: str, n_features: int, stem: list[Layer]) -> int:
         raise DataError(f"{arch}: input of {n_features} features is too short: {exc}") from None
 
 
+def check_architecture(arch: str) -> None:
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+
+
 def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
                   kernel_size: int | None = None,
                   dropout: float = DEFAULT_DROPOUT) -> Network:
@@ -469,8 +474,7 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
     flattened width, found by a zero-row pass, sizes the dense head. Rows too
     short for the stem raise DataError naming the architecture.
     """
-    if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+    check_architecture(arch)
 
     if arch in ("rnn_simple", "rnn_deep"):
         depth = 1 if arch == "rnn_simple" else 4
@@ -521,6 +525,7 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
+        make_optimizer(self.optimizer, self.learning_rate)  # an unknown name fails here
 
 
 def train_network(net: Network, features: np.ndarray, labels: np.ndarray,

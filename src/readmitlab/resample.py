@@ -16,7 +16,7 @@ that cap, on the input size or on BLAS threading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,20 +86,6 @@ class ResamplePlan:
             out["nearmiss_version"] = self.nearmiss_version
             out["n_ref"] = self.n_ref
         return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ResamplePlan":
-        targets = payload.get("target_counts")
-        if targets is not None:
-            targets = {int(c): int(n) for c, n in targets.items()}
-        return cls(
-            method=payload["method"],
-            seed=int(payload["seed"]),
-            k_neighbors=int(payload.get("k_neighbors", 5)),
-            target_counts=targets,
-            nearmiss_version=int(payload.get("nearmiss_version", 1)),
-            n_ref=int(payload.get("n_ref", 3)),
-        )
 
 
 def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
@@ -296,11 +282,12 @@ def oversample(data: Dataset, plan: ResamplePlan) -> Dataset:
         return data
     new_X = np.vstack([X] + synth_rows)
     new_y = np.concatenate([y] + synth_labels)
-    return Dataset(new_X, new_y, data.feature_names, dict(data.class_names))
+    return Dataset(new_X, new_y, data.feature_names)
 
 
 def nearmiss_undersample(data: Dataset, majority_class: int, target_count: int,
-                         version: int = 1, n_ref: int = 3,
+                         version: int = ResamplePlan.nearmiss_version,
+                         n_ref: int = ResamplePlan.n_ref,
                          reference_class: int | None = None) -> Dataset:
     """Keep the target_count majority instances selected by the NearMiss rule;
     all non-majority rows pass through unchanged.

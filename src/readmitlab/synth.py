@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DEFAULT_CLASS_NAMES, Dataset
+from .data import Dataset
 
 
 def synthetic_cohort(n_rows: int = 600, n_features: int = 12, seed: int = 0,
@@ -47,4 +47,4 @@ def synthetic_cohort(n_rows: int = 600, n_features: int = 12, seed: int = 0,
         features = np.column_stack([features, np.zeros(n_rows)])
 
     names = tuple(f"f{i:02d}" for i in range(features.shape[1]))
-    return Dataset(features, label_arr, names, dict(DEFAULT_CLASS_NAMES))
+    return Dataset(features, label_arr, names)

@@ -262,7 +262,9 @@ class TestSelect:
         assert main(["select", "--data", str(csv), "--seed", "1",
                      "--config", str(config), "--out", str(out)]) == 0
         echo = json.loads((out / "config.json").read_text())
-        assert (echo["folds"], echo["workers"]) == (2, os.cpu_count() or 1)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        assert (echo["folds"], echo["workers"]) == (2, cpus)
 
 
 class TestResample:
@@ -506,6 +508,56 @@ class TestWorkerCount:
             assert main(argv + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
         for name in ("report.tsv", "report.txt"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_workers_default_to_the_cpus_this_process_may_use(self, tmp_path):
+        # a process whose affinity mask allows one CPU, however many the machine has
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(write_csv(tmp_path)), "--seed", "1", "--folds", "2",
+                "--model", "gbm", "--n-rounds", "1", "--out", str(out)]
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0}\n"
+                  "from readmitlab.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "config.json").read_text())["workers"] == 1
+
+
+class TestModelSettingsCheckedUpFront:
+    @pytest.mark.parametrize("command, config, message", [
+        ("train", {"model": {"arch": "vanilla", "optimizer": "bogus"}},
+         "unknown optimizer 'bogus'"),
+        ("train", {"model": {"arch": "bogus"}}, "unknown architecture 'bogus'"),
+        ("train", {"model": {"kind": "gbm", "n_rounds": -1}}, "n_rounds must be >= 0, got -1"),
+        ("cascade", {"network": {"arch": "bogus"}}, "unknown architecture 'bogus'"),
+        ("cascade", {"booster": {"max_depth": -1}}, "max_depth must be >= 0, got -1"),
+        ("sweep", {"grid": {"epochs": [1], "learning_rate": [1e-2, 0.0], "batch_size": [16]}},
+         "learning_rate must be positive"),
+        ("binary-study", {"booster": {"n_rounds": -1}}, "n_rounds must be >= 0, got -1"),
+    ])
+    def test_a_bad_setting_fails_before_any_fold_is_resampled(
+            self, tmp_path, capsys, monkeypatch, command, config, message):
+        from readmitlab import evaluate
+
+        calls = []
+        apply_plan = evaluate.apply_plan
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return apply_plan(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "apply_plan", spy)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [command, "--data", str(write_csv(tmp_path)), "--seed", "1", "--folds", "3",
+                "--workers", "1", "--config", str(tmp_path / "cfg.json")]
+        if command != "binary-study":  # whose nearmiss regime resamples its folds
+            argv += ["--resample-method", "smote"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
 
 class TestNonFiniteInput:

@@ -407,6 +407,27 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError):
             stratified_kfold(np.array([0, 1, 2]), k=1, seed=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=3),
+           k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), shuffle=st.integers(0, 99))
+    def test_matches_the_per_row_dealing_loop(self, counts, k, seed, shuffle):
+        labels = np.repeat(np.arange(len(counts)), counts)
+        labels = np.random.default_rng(shuffle).permutation(labels)
+        if labels.size == 0 or min(np.bincount(labels)[np.unique(labels)]) < k:
+            return
+        rng = np.random.default_rng(seed)
+        buckets = [[] for _ in range(k)]
+        offset = 0
+        for cls in np.unique(labels):
+            members = np.flatnonzero(labels == cls)
+            for j, idx in enumerate(rng.permutation(members)):
+                buckets[(offset + j) % k].append(int(idx))
+            offset = (offset + members.size) % k
+        plan = stratified_kfold(labels, k, seed)
+        for got, bucket in zip(plan.folds, buckets, strict=True):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.array(sorted(bucket), dtype=np.int64))
+
 
 class TestStratifiedSubsample:
     def test_per_class_rounding(self):

@@ -57,12 +57,6 @@ class TestResamplePlan:
         with pytest.raises(ValueError):
             ResamplePlan("mixup", seed=0)
 
-    def test_dict_round_trip(self):
-        plan = ResamplePlan("nearmiss", seed=3, k_neighbors=4,
-                            target_counts={0: 9, 2: 9}, nearmiss_version=3, n_ref=2)
-        back = ResamplePlan.from_dict(plan.to_dict())
-        assert back == plan
-
 
 class TestOversamplers:
     def test_two_point_minority_synthesizes_on_the_diagonal(self):
