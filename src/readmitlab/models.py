@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluate import FitPredict, one_model
-from .nn import (DEFAULT_DROPOUT, TrainConfig, build_network, check_architecture,
-                 predict_classes, predict_logits, softmax, train_network)
+from .nn import (DEFAULT_DROPOUT, Conv1d, Dropout, TrainConfig, build_network,
+                 check_architecture, predict_classes, predict_logits, softmax,
+                 train_network)
 from .trees import GradientBoostedClassifier, RandomForest
 
 
@@ -16,7 +17,8 @@ class NetworkClassifier:
     The three-class label encoding (0, 1, 2) is assumed, matching the output
     width of every architecture. The seed fixes both initialization and the
     shuffling/dropout stream, so fit() is fully reproducible. An unknown
-    architecture or optimizer fails here, before any training.
+    architecture or optimizer, a kernel_size below 1 or a dropout rate
+    outside [0, 1) fails here, before any training, with its layer's check.
     """
 
     def __init__(self, arch: str = "cnn2", *, epochs: int = TrainConfig.epochs,
@@ -25,6 +27,9 @@ class NetworkClassifier:
                  optimizer: str = TrainConfig.optimizer, kernel_size: int | None = None,
                  dropout: float = DEFAULT_DROPOUT, seed: int = 0):
         check_architecture(arch)
+        if kernel_size is not None:
+            Conv1d.check_kernel(kernel_size)
+        Dropout.check_rate(dropout)
         self.arch = arch
         self.train_config = TrainConfig(epochs=epochs, learning_rate=learning_rate,
                                         batch_size=batch_size, optimizer=optimizer)

@@ -86,12 +86,16 @@ class Conv1d(Layer):
     PARAMS = ("w", "b")
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
-        if kernel < 1:
-            raise ValueError("kernel must be >= 1")
+        self.check_kernel(kernel)
         self.c_out, self.kernel = c_out, kernel
         self.w = kaiming_uniform((c_out, c_in, kernel), c_in * kernel, rng)
         self.b = np.zeros(c_out)
         self._x = None
+
+    @staticmethod
+    def check_kernel(kernel: int) -> None:
+        if kernel < 1:
+            raise ValueError("kernel must be >= 1")
 
     def out_length(self, length: int) -> int:
         if length < self.kernel:
@@ -214,10 +218,14 @@ class Dropout(Layer):
     """Inverted dropout; identity outside training."""
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
+        self.check_rate(rate)
         self.rate = rate
         self._scale_mask = None
+
+    @staticmethod
+    def check_rate(rate: float) -> None:
+        if not 0.0 <= rate < 1.0:
+            raise ValueError("dropout rate must be in [0, 1)")
 
     def forward(self, x, *, train=False, rng=None):
         if not train or self.rate == 0.0:

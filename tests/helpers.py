@@ -1,5 +1,11 @@
-"""Shared test utilities: toy dataset builders and a finite-difference
-gradient oracle for the hand-derived backward passes."""
+"""Shared test utilities: toy dataset builders, a record that forked fold
+workers can write to, and a finite-difference gradient oracle for the
+hand-derived backward passes."""
+
+import json
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +33,33 @@ def blob_dataset(rng, counts, centers, spread=0.6):
     y = np.array(labels, dtype=np.int64)
     order = rng.permutation(len(y))
     return make_dataset(X[order], y[order])
+
+
+class ProcessLog:
+    """An append-only list kept in a file, so that spies running in forked
+    fold workers record where the test can read them. Each value is one JSON
+    line written by a single O_APPEND write, so concurrent writers never
+    interleave."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.path.write_text("")
+
+    def append(self, value) -> None:
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(value) + "\n")
+
+    def read(self) -> list:
+        return [json.loads(line) for line in self.path.read_text().splitlines()]
+
+    def wait_for_other_process(self, timeout: float = 10.0) -> None:
+        """Block until a process other than this one has appended its pid
+        (values recorded as {"pid": ...}), or until `timeout` seconds pass."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if any(v.get("pid") != os.getpid() for v in self.read() if isinstance(v, dict)):
+                return
+            time.sleep(0.01)
 
 
 def _loss(net, x, labels, rng_factory):

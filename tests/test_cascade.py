@@ -23,7 +23,7 @@ from readmitlab.models import NetworkClassifier, make_builder
 from readmitlab.resample import ResamplePlan, apply_plan
 from readmitlab.trees import GradientBoostedClassifier
 
-from helpers import blob_dataset, make_dataset
+from helpers import ProcessLog, blob_dataset, make_dataset
 
 # Frozen reference tables from the companion holdout study. Layout: rows are
 # predicted classes, columns are actual classes. The three-way table covers
@@ -275,7 +275,8 @@ class TestCrossValidateCascade:
         assert boost_res.pooled_matrix.class_ids == (0, 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_network_result_equals_a_standalone_network_cv(self, workers, monkeypatch):
+    def test_network_result_equals_a_standalone_network_cv(self, workers, monkeypatch,
+                                                           tmp_path):
         rng = np.random.default_rng(33)
         data = blob_dataset(rng, {0: 18, 1: 9, 2: 12},
                             {0: [-1, 0], 1: [1, 0], 2: [0, 1.5]}, spread=1.0)
@@ -284,7 +285,7 @@ class TestCrossValidateCascade:
         folds = stratified_kfold(ds.labels, 3, seed=34)
         network_config = dict(arch="vanilla", epochs=2, learning_rate=1e-3, batch_size=8)
         plan = ResamplePlan(method="random_over", seed=35)
-        predicted = []
+        predicted = ProcessLog(tmp_path / "predicted")  # folds run in forked workers too
         predict = NetworkClassifier.predict
 
         def counting_predict(self, X):
@@ -296,7 +297,7 @@ class TestCrossValidateCascade:
             ds, folds, network_config, dict(n_rounds=2, max_depth=2),
             resample_plan=plan, seed=36, workers=workers)
         # one network pass per held-out fold serves both stage 1 and the cascade
-        assert sorted(predicted) == sorted(len(folds.test_indices(i)) for i in range(3))
+        assert sorted(predicted.read()) == sorted(len(folds.test_indices(i)) for i in range(3))
         (alone,) = cross_validate(ds, folds, make_builder("network", 36, **network_config),
                                   resample_plan=plan, workers=1)
         for got, want in zip(net_res.fold_matrices + (net_res.pooled_matrix,),
@@ -317,9 +318,9 @@ class TestCrossValidateCascade:
         return ds, stratified_kfold(ds.labels, 3, seed=38), network_config
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_booster_fit_per_fold(self, workers, monkeypatch):
+    def test_one_booster_fit_per_fold(self, workers, monkeypatch, tmp_path):
         ds, folds, network_config = self.small_study()
-        fits = []
+        fits = ProcessLog(tmp_path / "fits")  # folds run in forked workers too
         fit = GradientBoostedClassifier.fit
 
         def counting_fit(self, X, y):
@@ -329,7 +330,7 @@ class TestCrossValidateCascade:
         monkeypatch.setattr(GradientBoostedClassifier, "fit", counting_fit)
         cross_validate_cascade(ds, folds, network_config, dict(n_rounds=2, max_depth=2),
                                seed=39, workers=workers)
-        assert len(fits) == folds.k
+        assert len(fits.read()) == folds.k
 
     def test_stage2_is_the_cascade_booster_on_the_outer_test_rows(self):
         ds, folds, network_config = self.small_study()

@@ -15,11 +15,12 @@ import pytest
 
 from readmitlab.cli import _COMMANDS, _MODEL_DEFAULTS, _SECTIONS, main
 from readmitlab.data import load_dataset, save_dataset_csv
+from readmitlab.errors import DataError, NumericError
 from readmitlab.models import NetworkClassifier
 from readmitlab.resample import ResamplePlan
 from readmitlab.trees import GradientBoostedClassifier, RandomForest
 
-from helpers import blob_dataset, make_dataset
+from helpers import ProcessLog, blob_dataset, make_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -403,6 +404,36 @@ class TestTrain:
         assert "numeric failure" in capsys.readouterr().err
 
 
+class TestWorkerFailures:
+    @pytest.mark.parametrize("error, code, kind", [(DataError, 2, "data error"),
+                                                   (NumericError, 3, "numeric failure")])
+    def test_a_failure_in_a_worker_process_reaches_main_as_at_one_worker(
+            self, tmp_path, capsys, monkeypatch, error, code, kind):
+        csv = write_csv(tmp_path)
+        pids = ProcessLog(tmp_path / "pids")
+        caller = os.getpid()
+        run = {"workers": "1"}
+
+        def failing_fit(self, X, y):
+            pids.append({"pid": os.getpid()})
+            if run["workers"] == "2" and self.seed == 1 and os.getpid() == caller:
+                pids.wait_for_other_process()  # fold 0 fails after a worker's fold
+            raise error(f"network with seed {self.seed} failed")
+
+        monkeypatch.setattr(NetworkClassifier, "fit", failing_fit)
+        outcomes = {}
+        for workers in ("1", "2"):
+            run["workers"] = workers
+            out = tmp_path / f"o{workers}"
+            code_seen = main(["train", "--data", str(csv), "--seed", "1", "--folds", "3",
+                              "--model", "network", "--arch", "vanilla",
+                              "--workers", workers, "--out", str(out)])
+            outcomes[workers] = (code_seen, capsys.readouterr().err)
+            assert not out.exists()
+        assert outcomes["1"] == outcomes["2"] == (code, f"{kind}: network with seed 1 failed\n")
+        assert {v["pid"] for v in pids.read()} - {caller}
+
+
 class TestSweep:
     def test_single_cell_grid_reports_a_winner(self, tmp_path):
         csv = write_csv(tmp_path)
@@ -536,6 +567,9 @@ class TestModelSettingsCheckedUpFront:
         ("sweep", {"grid": {"epochs": [1], "learning_rate": [1e-2, 0.0], "batch_size": [16]}},
          "learning_rate must be positive"),
         ("binary-study", {"booster": {"n_rounds": -1}}, "n_rounds must be >= 0, got -1"),
+        ("train", {"model": {"arch": "vanilla", "kernel_size": 0}}, "kernel must be >= 1"),
+        ("train", {"model": {"arch": "cnn2", "dropout": 1.5}},
+         "dropout rate must be in [0, 1)"),
     ])
     def test_a_bad_setting_fails_before_any_fold_is_resampled(
             self, tmp_path, capsys, monkeypatch, command, config, message):

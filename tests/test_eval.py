@@ -1,5 +1,7 @@
 """Confusion-matrix layout, macro metrics, and cross-validation plumbing."""
 
+import concurrent.futures
+import os
 import warnings
 from dataclasses import replace
 
@@ -19,7 +21,7 @@ from readmitlab.evaluate import (
     one_model,
 )
 
-from helpers import blob_dataset, make_dataset
+from helpers import ProcessLog, blob_dataset, make_dataset
 
 
 class ConstantModel:
@@ -258,7 +260,7 @@ class TestCrossValidate:
             warnings.simplefilter("error")
             cross_validate(data, folds, dividing, workers=workers)
 
-    def test_parallel_folds_run_with_one_blas_thread(self):
+    def test_parallel_folds_run_with_one_blas_thread(self, tmp_path):
         from readmitlab.evaluate import _openblas_threads
 
         threads = _openblas_threads()
@@ -268,7 +270,7 @@ class TestCrossValidate:
         before = get_threads()
         data = self.make_data(seed=10, counts=(25, 20, 15))
         folds = stratified_kfold(data.labels, 4, seed=11)
-        seen = []
+        seen = ProcessLog(tmp_path / "seen")  # fits run in forked workers too
 
         class RecordingModel(NearestCentroid):
             def fit(self, X, y):
@@ -277,8 +279,8 @@ class TestCrossValidate:
 
         cross_validate(data, folds, one_model(lambda i: RecordingModel()), workers=1)
         cross_validate(data, folds, one_model(lambda i: RecordingModel()), workers=2)
-        # folds run in the pool at every worker count, one worker included
-        assert seen == [1] * 8
+        # folds run on one BLAS thread at every worker count, one worker included
+        assert seen.read() == [1] * 8
         assert get_threads() == before
 
     def test_resampling_touches_training_split_only(self):
@@ -302,6 +304,99 @@ class TestCrossValidate:
         assert result.pooled_matrix.total == data.n_instances
         col_totals = result.pooled_matrix.counts.sum(axis=0)
         assert list(col_totals) == [40, 25, 15]
+
+
+class TestWorkerProcesses:
+    def setup_data(self):
+        data = TestCrossValidate().make_data(seed=14, counts=(25, 20, 15))
+        return data, stratified_kfold(data.labels, 3, seed=15)
+
+    def test_fold_work_runs_in_another_process(self, tmp_path):
+        data, folds = self.setup_data()
+        pids = ProcessLog(tmp_path / "pids")
+        caller = os.getpid()
+
+        class RecordingModel(NearestCentroid):
+            def fit(self, X, y):
+                pids.append({"pid": os.getpid()})
+                if os.getpid() == caller:
+                    pids.wait_for_other_process()  # leave a fold for a worker
+                return super().fit(X, y)
+
+        (result,) = cross_validate(data, folds, one_model(lambda i: RecordingModel()),
+                                   workers=2)
+        assert len(pids.read()) == folds.k
+        assert {v["pid"] for v in pids.read()} - {caller}
+        assert result.pooled_matrix.total == data.n_instances
+
+    def test_a_sweep_runs_one_task_per_fold_and_cell(self, tmp_path, monkeypatch):
+        from readmitlab import evaluate
+        from readmitlab.resample import ResamplePlan
+
+        data, folds = self.setup_data()
+        dispatched = []
+        run_tasks = evaluate._run_tasks
+
+        def counting_run_tasks(task, n, workers):
+            dispatched.append(n)
+            return run_tasks(task, n, workers)
+
+        prepared = ProcessLog(tmp_path / "prepared")
+
+        def counting_apply_plan(train, fold_plan):
+            prepared.append(fold_plan.seed)
+            return apply_plan(train, fold_plan)
+
+        fitted = ProcessLog(tmp_path / "fitted")
+
+        def build(fold, epochs, lr, batch):
+            fitted.append([fold, batch])
+            return NearestCentroid()
+
+        monkeypatch.setattr(evaluate, "_run_tasks", counting_run_tasks)
+        monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
+        rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(0.5,),
+                          batch_grid=(8, 16), resample_plan=ResamplePlan("random_over", seed=30),
+                          workers=2)
+        assert dispatched == [3, 6]  # the folds' preparations, then (fold, cell) tasks
+        assert sorted(prepared.read()) == [30, 31, 32]
+        assert sorted(fitted.read()) == [[f, b] for f in range(3) for b in (8, 16)]
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 2)])
+    def test_a_pool_is_forked_only_for_more_than_one_worker(self, monkeypatch, workers,
+                                                            pools):
+        from readmitlab.resample import ResamplePlan
+
+        data, folds = self.setup_data()
+        contexts = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, mp_context=None, **kwargs):
+                contexts.append(mp_context.get_start_method())
+                super().__init__(*args, mp_context=mp_context, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+                                   resample_plan=ResamplePlan("random_over", seed=0),
+                                   workers=workers)
+        # preparing the folds and fitting them fork one pool each
+        assert contexts == ["fork"] * pools
+        assert result.pooled_matrix.total == data.n_instances
+
+    def test_more_workers_than_cores_run_every_task_exactly_once(self, tmp_path):
+        from readmitlab.evaluate import _run_tasks
+
+        ran = ProcessLog(tmp_path / "ran")
+
+        def task(i):
+            ran.append(i)
+            return i * i
+
+        # a lost update of the shared next-index counter would run an index twice;
+        # six workers oversubscribe a small host's cores
+        assert _run_tasks(task, 300, workers=6) == [i * i for i in range(300)]
+        assert sorted(ran.read()) == list(range(300))
 
 
 class TestGridSweep:
@@ -349,7 +444,7 @@ class TestGridSweep:
                    batch_grid=(8,))
         assert calls == [(0, 1, 0.5, 8), (1, 1, 0.5, 8), (2, 1, 0.5, 8)]
 
-    def test_each_fold_is_prepared_once_for_every_cell(self, monkeypatch):
+    def test_each_fold_is_prepared_once_for_every_cell(self, monkeypatch, tmp_path):
         from readmitlab import evaluate
         from readmitlab.models import NetworkClassifier
         from readmitlab.resample import ResamplePlan
@@ -371,7 +466,7 @@ class TestGridSweep:
                                          one_model(lambda f, c=cell: build(f, *c)),
                                          resample_plan=plan)[0]
                     for cell in cells}
-        plans = []
+        plans = ProcessLog(tmp_path / "plans")  # folds are prepared in forked workers too
 
         def counting_apply_plan(train, fold_plan):
             plans.append(fold_plan.seed)
@@ -380,7 +475,7 @@ class TestGridSweep:
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
         rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
                           batch_grid=(16, 64), resample_plan=plan, workers=2)
-        assert sorted(plans) == [24, 25, 26]
+        assert sorted(plans.read()) == [24, 25, 26]
         assert len(rows) == 2
         for row in rows:
             want = per_cell[(row.epochs, row.learning_rate, row.batch_size)]
