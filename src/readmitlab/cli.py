@@ -151,7 +151,7 @@ _CV = (*_FOLDS,
 _RESAMPLE = (
     _opt("--resample-method", "resample.method", choices=RESAMPLE_METHODS),
     _opt("--k-neighbors", "resample.k_neighbors", type=int),
-    _opt("--nearmiss-version", "resample.nearmiss_version", type=int, choices=(1, 2, 3)),
+    _opt("--nearmiss-version", "resample.nearmiss_version", type=int),
 )
 _SELECT = (
     _opt("--select-method", "select.method", choices=sorted(SCORERS)),
@@ -346,8 +346,9 @@ def _folds(cfg: dict, data: Dataset, plan: ResamplePlan | None, report: RunRepor
 
 def _load_data(cfg: dict, report: RunReport) -> Dataset:
     path = cfg["dataset"]
-    data = load_dataset(path)
-    report.add_line(f"dataset sha256: {dataset_sha256(path)}")
+    digest = dataset_sha256(path)
+    data = load_dataset(path, sha256=digest)
+    report.add_line(f"dataset sha256: {digest}")
     report.add_line(f"dataset rows: {data.n_instances}, features: {data.n_features}")
     if cfg["fraction"] is not None:
         data = stratified_subsample(data, cfg["fraction"], cfg["seed"])

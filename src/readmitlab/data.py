@@ -5,20 +5,37 @@ pass with `np.loadtxt`; the table is then checked as a whole (cell count,
 labels in {0, 1, 2}, finite features). Only on a failure does it scan the
 file line by line, to name the first bad line in file order.
 
+A parse is kept in a sidecar, `<csv>.readmitlab.npz`, written beside the
+CSV (as Python keeps bytecode in `__pycache__`). It holds the parsed arrays,
+the feature names, the label column, a format version and the SHA-256 of the
+bytes they were parsed from. A later load uses it only when that digest, the
+label column and the version all match the CSV as it is now; the Dataset is
+then built from the stored arrays and checked as a parsed one is. Anything
+else (a missing, stale, truncated or unreadable sidecar) means a parse, after
+which the sidecar is written atomically, or not at all if the directory is
+not writable. The sidecar is a cache: deleting it only costs the next load
+its parse.
+
 All arrays are numpy float64 / int64. Datasets are immutable once built and
 safe to share across parallel fold workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import re
+import stat
+import tempfile
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Iterator, NoReturn
 
@@ -29,6 +46,10 @@ from .errors import DataError
 VALID_LABELS = (0, 1, 2)
 
 DEFAULT_CLASS_NAMES = {0: "0 days", 1: "<30 days", 2: ">30 days"}
+
+SIDECAR_SUFFIX = ".readmitlab.npz"
+# bump when the sidecar's keys or their meaning change
+_SIDECAR_VERSION = 1
 
 # One numeric cell as np.loadtxt's C parser reads it once surrounding
 # whitespace is stripped: Python's float grammar without digit-group
@@ -154,35 +175,51 @@ class FoldPlan:
         return np.concatenate([self.folds[f] for f in range(self.k) if f != fold])
 
 
-def load_dataset(path, label_column: str = "readmitted") -> Dataset:
+def load_dataset(path, label_column: str = "readmitted", *,
+                 sha256: str | None = None) -> Dataset:
     """Read a numeric CSV (header row, one 0/1/2 label column) into a Dataset.
 
-    The body is parsed in one C pass by `np.loadtxt`. Only when that parse or
-    a check on its table fails is the file scanned line by line, so that the
-    error names the first offending file line.
+    `sha256` is the file's `dataset_sha256`, for a caller that has already
+    taken it; it picks the sidecar that may stand in for the parse. Without
+    a sidecar for it, the body is parsed in one C pass by `np.loadtxt`. Only
+    when that parse or a check on its table fails is the file scanned line by
+    line, so that the error names the first offending file line.
     """
-    if not os.path.isfile(path):
-        raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        first = next(_records(path, fh), None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in first[1]]
-        if label_column not in header:
-            raise DataError(f"{path}: no column named {label_column!r} in header")
-        label_idx = header.index(label_column)
-        names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise DataError(f"{path}: duplicate feature names: {', '.join(dupes)}")
-        try:
-            with warnings.catch_warnings():
-                # a body without rows is reported by the scan as "no data rows"
-                warnings.simplefilter("ignore", UserWarning)
-                # comments=None: by default a '#' would silently drop the rest of its line
-                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError:  # UnicodeDecodeError included
-            _raise_first_bad_line(path, header, label_idx)
+    if sha256 is None:
+        sha256 = dataset_sha256(path)
+    sidecar = os.fspath(path) + SIDECAR_SUFFIX
+    data = _read_sidecar(sidecar, sha256, label_column)
+    if data is None:
+        data, parsed_sha256 = _parse_csv(path, label_column)
+        _write_sidecar(sidecar, path, data, parsed_sha256, label_column)
+    return data
+
+
+def _parse_csv(path, label_column: str) -> tuple[Dataset, str]:
+    """The CSV at path as a Dataset, and the SHA-256 of the bytes parsed."""
+    with open(path, "rb") as raw:
+        hashed = _HashingReader(raw)
+        with io.TextIOWrapper(io.BufferedReader(hashed, 1 << 20),
+                              encoding="utf-8", newline="") as fh:
+            first = next(_records(path, fh), None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in first[1]]
+            if label_column not in header:
+                raise DataError(f"{path}: no column named {label_column!r} in header")
+            label_idx = header.index(label_column)
+            names = tuple(h for i, h in enumerate(header) if i != label_idx)
+            if len(set(names)) != len(names):
+                dupes = sorted({n for n in names if names.count(n) > 1})
+                raise DataError(f"{path}: duplicate feature names: {', '.join(dupes)}")
+            try:
+                with warnings.catch_warnings():
+                    # a body without rows is reported by the scan as "no data rows"
+                    warnings.simplefilter("ignore", UserWarning)
+                    # comments=None: by default a '#' would silently drop the rest of its line
+                    table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            except ValueError:  # UnicodeDecodeError included
+                _raise_first_bad_line(path, header, label_idx)
     if (table.shape[1] != len(header) or table.shape[0] == 0
             or not np.isin(table[:, label_idx], VALID_LABELS).all()):
         _raise_first_bad_line(path, header, label_idx)
@@ -191,7 +228,73 @@ def load_dataset(path, label_column: str = "readmitted") -> Dataset:
     del table
     if _first_non_finite(features) is not None:
         _raise_first_bad_line(path, header, label_idx)
-    return Dataset(features, labels, names)
+    return Dataset(features, labels, names), hashed.sha256.hexdigest()
+
+
+class _HashingReader(io.RawIOBase):
+    """Raw reader passing a binary file's bytes through a SHA-256, so that a
+    sidecar is keyed by the very bytes that were parsed, however the file
+    changes around the load."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+
+# what np.load raises on a sidecar that is truncated, garbage or not an npz
+_UNREADABLE = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error)
+
+
+def _read_sidecar(sidecar: str, sha256: str, label_column: str) -> Dataset | None:
+    """The Dataset a sidecar holds for this digest and label column, or None."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as stored:
+            version, digest, column, names = (
+                stored[k].tolist() for k in ("version", "sha256", "label_column", "feature_names"))
+            if (version, digest, column) != (_SIDECAR_VERSION, sha256, label_column):
+                return None
+            features, labels = stored["features"], stored["labels"]
+        names = json.loads(names) if isinstance(names, str) else None
+    except _UNREADABLE:
+        return None
+    if (features.dtype != np.float64 or labels.dtype != np.int64
+            or not isinstance(names, list) or not all(isinstance(n, str) for n in names)):
+        return None
+    try:
+        return Dataset(features, labels, tuple(names))
+    except DataError:
+        return None
+
+
+def _write_sidecar(sidecar: str, path, data: Dataset, sha256: str, label_column: str) -> None:
+    """Write the sidecar through a temporary file and a rename, so readers see
+    a whole file or none; it takes the permission bits of the CSV at path. A
+    directory that cannot take it (read-only, full) means no sidecar, and no
+    error."""
+    directory, name = os.path.split(sidecar)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, version=np.int64(_SIDECAR_VERSION), sha256=np.str_(sha256),
+                     label_column=np.str_(label_column),
+                     feature_names=np.str_(json.dumps(list(data.feature_names))),
+                     features=data.features, labels=data.labels)
+        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _raise_first_bad_line(path, header: list[str], label_idx: int) -> NoReturn:
@@ -264,7 +367,10 @@ def save_dataset_csv(data: Dataset, path, label_column: str = "readmitted") -> N
 
 
 def dataset_sha256(path) -> str:
-    """Content hash of the input CSV, recorded in every report."""
+    """Content hash of the input CSV, recorded in every report and keying
+    its sidecar."""
+    if not os.path.isfile(path):
+        raise DataError(f"dataset file not found: {path}")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -129,16 +129,29 @@ class Conv1d(Layer):
         return dx
 
 
+def _keep_bits(condition: np.ndarray) -> np.ndarray:
+    """int64 -1 where condition holds, else 0. ANDed with a float64 array's
+    bits it gives np.where(condition, values, 0.0)'s bytes without a branch:
+    a value's own bits (a NaN's payload, a zero's sign) or +0.0."""
+    return np.subtract(0, condition, dtype=np.int64)
+
+
+def _and_bits(values: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the float64 `values` into `out` with only the bits `keep` sets."""
+    np.bitwise_and(values.view(np.int64), keep, out=out.view(np.int64))
+    return out
+
+
 class Relu(Layer):
     def __init__(self):
-        self._mask = None
+        self._keep = None
 
     def forward(self, x, *, train=False, rng=None):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._keep = _keep_bits(x > 0)
+        return _and_bits(x, self._keep, np.empty(x.shape))
 
     def backward(self, d_out):
-        return np.where(self._mask, d_out, 0.0)
+        return _and_bits(d_out, self._keep, np.empty(d_out.shape))
 
 
 class MaxPool1d(Layer):
@@ -180,8 +193,11 @@ class MaxPool1d(Layer):
 
     def backward(self, d_out):
         dx = np.zeros(self._shape)
+        windows = self._split(dx)
         # + 0.0 stores what a sum into zeros would: a -0.0 gradient lands as 0.0
-        np.put_along_axis(self._split(dx), self._first[:, :, None], d_out[:, :, None] + 0.0, axis=2)
+        grad = d_out + 0.0
+        for offset in range(self.window):
+            _and_bits(grad, _keep_bits(self._first == offset), out=windows[:, :, offset])
         return dx
 
 

@@ -28,7 +28,13 @@ class Sgd:
 
 
 class _AdaptiveMoment:
-    """Bias-corrected first/second moment update, estimand pluggable."""
+    """Bias-corrected first/second moment update, estimand pluggable.
+
+    The moments and the update are computed in place, in two scratch arrays
+    kept per parameter, with the same operations in the same order as
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) e(g, m);
+    p -= lr (m / c1) / (sqrt(v / c2) + eps),
+    so the bytes equal that formula's. Only the estimand allocates."""
 
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -42,6 +48,7 @@ class _AdaptiveMoment:
         self._t = 0
         self._m: _PARAMS = {}
         self._v: _PARAMS = {}
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def second_moment_estimand(self, grad: np.ndarray, mean: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -54,11 +61,18 @@ class _AdaptiveMoment:
             g = grads[key]
             m = self._m.setdefault(key, np.zeros_like(p))
             v = self._v.setdefault(key, np.zeros_like(p))
+            a, b = self._scratch.setdefault(key, (np.empty_like(p), np.empty_like(p)))
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * self.second_moment_estimand(g, m)
-            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += np.multiply(self.second_moment_estimand(g, m), 1.0 - self.beta2, out=a)
+            np.divide(m, c1, out=a)
+            a *= self.learning_rate
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 class Adam(_AdaptiveMoment):
@@ -74,7 +88,9 @@ class AdaBelief(_AdaptiveMoment):
 
     def second_moment_estimand(self, grad, mean):
         diff = grad - mean
-        return diff * diff + self.eps / (1.0 - self.beta2)
+        diff *= diff
+        diff += self.eps / (1.0 - self.beta2)
+        return diff
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam, "adabelief": AdaBelief}

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from readmitlab.cli import _COMMANDS, _MODEL_DEFAULTS, _SECTIONS, main
-from readmitlab.data import load_dataset, save_dataset_csv
+from readmitlab import cli
+from readmitlab import data as data_module
+from readmitlab.data import SIDECAR_SUFFIX, load_dataset, save_dataset_csv
 from readmitlab.errors import DataError, NumericError
 from readmitlab.models import NetworkClassifier
 from readmitlab.resample import ResamplePlan
@@ -197,6 +199,38 @@ class TestIngest:
             assert "constant features scaled to zero: b\n" in (out / name).read_text()
 
 
+class TestParsedTableSidecar:
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", []),
+        ("train", ["--folds", "3", "--model", "gbm", "--n-rounds", "3",
+                   "--resample-method", "smote"]),
+    ])
+    def test_reports_are_identical_cold_and_warm(self, tmp_path, monkeypatch, command, flags):
+        csv = write_csv(tmp_path)
+        hashed = []
+
+        def counting_sha256(path):
+            hashed.append(path)
+            return sha256(path)
+
+        sha256 = data_module.dataset_sha256
+        monkeypatch.setattr(cli, "dataset_sha256", counting_sha256)
+        monkeypatch.setattr(data_module, "dataset_sha256", counting_sha256)
+        argv = [command, "--data", str(csv), "--seed", "1", *flags]
+        assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+        assert Path(f"{csv}{SIDECAR_SUFFIX}").is_file()
+
+        def parse(*args, **kwargs):
+            raise AssertionError("the warm run parsed the CSV")
+
+        monkeypatch.setattr(np, "loadtxt", parse)
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        assert hashed == [str(csv), str(csv)]  # once per run
+        for name in ("report.tsv", "report.txt"):
+            assert (tmp_path / "cold" / name).read_bytes() == \
+                (tmp_path / "warm" / name).read_bytes()
+
+
 class TestStats:
     def test_reports_requested_features_only(self, tmp_path):
         csv = write_csv(tmp_path)
@@ -293,6 +327,14 @@ class TestResample:
         assert main(["resample", "--data", str(csv), "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 1
         assert "resample" in capsys.readouterr().err
+
+    def test_nearmiss_version_is_checked_by_the_plan(self, tmp_path, capsys):
+        csv = write_csv(tmp_path)
+        assert main(["resample", "--data", str(csv), "--seed", "1",
+                     "--resample-method", "nearmiss", "--nearmiss-version", "4",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ("config error: invalid config field 'resample': "
+                                           "nearmiss_version must be 1, 2, or 3\n")
 
 
 class TestTrain:

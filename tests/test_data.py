@@ -1,8 +1,12 @@
 """Dataset loading, min-max normalization, stratified folds, subsampling."""
 
+import errno
 import hashlib
 import math
+import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readmitlab.data import (
+    SIDECAR_SUFFIX,
     VALID_LABELS,
     Dataset,
     ScalingSpec,
@@ -28,6 +33,19 @@ from helpers import make_dataset
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def sidecar_of(path) -> Path:
+    return Path(f"{path}{SIDECAR_SUFFIX}")
+
+
+def load_error(path) -> str:
+    """The DataError message load_dataset raises for the CSV at path, which
+    must leave no sidecar behind."""
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert not sidecar_of(path).exists()
+    return str(err.value)
 
 
 class TestDataset:
@@ -95,17 +113,13 @@ class TestLoadDataset:
 
     def test_bad_label_names_offending_line(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", "a,b,readmitted\n1,2,0\n3,4,5\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
-        message = str(err.value)
+        message = load_error(path)
         assert "line 3" in message
         assert "5" in message
 
     def test_fractional_label_rejected(self, tmp_path):
         path = write_csv(tmp_path / "frac.csv", "a,readmitted\n1,0\n2,1.5\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
-        assert "line 3" in str(err.value)
+        assert "line 3" in load_error(path)
 
     def test_float_encoded_integer_label_accepted(self, tmp_path):
         path = write_csv(tmp_path / "ok.csv", "a,readmitted\n1,2.0\n2,0\n")
@@ -114,9 +128,7 @@ class TestLoadDataset:
 
     def test_non_numeric_cell_named(self, tmp_path):
         path = write_csv(tmp_path / "cell.csv", "a,b,readmitted\n1,oops,0\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
-        message = str(err.value)
+        message = load_error(path)
         assert "line 2" in message
         assert "oops" in message
 
@@ -124,10 +136,8 @@ class TestLoadDataset:
     def test_non_finite_cell_named(self, tmp_path, cell):
         # the blank line still counts, so the bad cell is on file line 4
         path = write_csv(tmp_path / "cell.csv", f"a,b,readmitted\n1,2,0\n\n3,{cell},1\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
         value = str(float(cell))
-        assert f"line 4: non-finite cell '{value}' in column 'b'" in str(err.value)
+        assert f"line 4: non-finite cell '{value}' in column 'b'" in load_error(path)
 
     @pytest.mark.parametrize("label, message", [
         ("inf", "label inf outside {0,1,2}"),
@@ -136,9 +146,7 @@ class TestLoadDataset:
     ])
     def test_non_finite_label_named(self, tmp_path, label, message):
         path = write_csv(tmp_path / "label.csv", f"a,readmitted\n1,0\n2,{label}\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
-        assert f"line 3: {message}" in str(err.value)
+        assert f"line 3: {message}" in load_error(path)
 
     @pytest.mark.parametrize("line, message", [
         ("1_0,0", "non-numeric cell '1_0'"),
@@ -151,15 +159,11 @@ class TestLoadDataset:
         # float() accepts digit-group underscores and non-ASCII digits; the
         # loader does not, and a '#' starts no comment
         path = write_csv(tmp_path / "cell.csv", f"a,readmitted\n1,0\n{line}\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
-        assert f"line 3: {message}" in str(err.value)
+        assert f"line 3: {message}" in load_error(path)
 
     def test_first_bad_line_in_file_order_is_named(self, tmp_path):
         path = write_csv(tmp_path / "two.csv", "a,b,readmitted\n1,nan,0\n1,oops,0\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
-        assert "line 2: non-finite cell 'nan' in column 'b'" in str(err.value)
+        assert "line 2: non-finite cell 'nan' in column 'b'" in load_error(path)
 
     def test_peak_memory_within_four_feature_arrays(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -182,9 +186,8 @@ class TestLoadDataset:
         body = "1,0\n" * rows_before
         path = tmp_path / "latin1.csv"
         path.write_bytes(f"a,readmitted\n{body}".encode() + b"caf\xe9,0\n")
-        with pytest.raises(DataError, match="not UTF-8 text: byte 0xe9") as err:
-            load_dataset(path)
-        assert str(path) in str(err.value)
+        message = load_error(path)
+        assert "not UTF-8 text: byte 0xe9" in message and str(path) in message
 
     @pytest.mark.parametrize("text, line", [
         ("a,readmitted\n1,0\n{cell},1\n", 3),
@@ -193,35 +196,165 @@ class TestLoadDataset:
     def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, text, line):
         # a 200 000-character cell is past csv's 131 072-character field limit
         path = write_csv(tmp_path / "long.csv", text.format(cell="1" * 199_999 + "x"))
-        with pytest.raises(DataError, match=f"line {line}: field larger than field limit"):
-            load_dataset(path)
+        assert f"line {line}: field larger than field limit" in load_error(path)
 
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path / "nolabel.csv", "a,b\n1,2\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
-        assert "readmitted" in str(err.value)
+        assert "readmitted" in load_error(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = write_csv(tmp_path / "ragged.csv", "a,b,readmitted\n1,2,0\n1,0\n")
-        with pytest.raises(DataError) as err:
-            load_dataset(path)
-        assert "line 3" in str(err.value)
+        assert "line 3" in load_error(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            load_dataset(tmp_path / "absent.csv")
+        load_error(tmp_path / "absent.csv")
 
     def test_empty_and_header_only_files(self, tmp_path):
-        with pytest.raises(DataError):
-            load_dataset(write_csv(tmp_path / "empty.csv", ""))
-        with pytest.raises(DataError):
-            load_dataset(write_csv(tmp_path / "header.csv", "a,readmitted\n"))
+        load_error(write_csv(tmp_path / "empty.csv", ""))
+        load_error(write_csv(tmp_path / "header.csv", "a,readmitted\n"))
 
     def test_sha256_matches_file_bytes(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", "a,readmitted\n1,0\n")
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert dataset_sha256(path) == expected
+
+
+def forbid_parsing(monkeypatch):
+    """From here on a load can only come from a sidecar."""
+    def parse(*args, **kwargs):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(np, "loadtxt", parse)
+
+
+def assert_same_bytes(got: Dataset, want: Dataset):
+    assert got.feature_names == want.feature_names
+    assert got.features.dtype == want.features.dtype and got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.dtype == want.labels.dtype and got.labels.tobytes() == want.labels.tobytes()
+
+
+class TestSidecar:
+    """The parsed table kept beside the CSV stands in for a parse only of the
+    bytes it was parsed from."""
+
+    @staticmethod
+    def cohort(tmp_path, seed=0):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3))
+        features[0] = [-0.0, 5e-324, np.finfo(np.float64).max]
+        data = make_dataset(features, rng.integers(0, 3, size=40), ("a", "b", "c"))
+        path = tmp_path / "cohort.csv"
+        save_dataset_csv(data, path)
+        return path, data
+
+    def test_a_hit_gives_the_parsed_bytes_without_parsing(self, tmp_path, monkeypatch):
+        path, data = self.cohort(tmp_path)
+        parsed = load_dataset(path)
+        assert_same_bytes(parsed, data)
+        assert sidecar_of(path).is_file()
+        forbid_parsing(monkeypatch)
+        for warm in (load_dataset(path), load_dataset(path, sha256=dataset_sha256(path))):
+            assert_same_bytes(warm, parsed)
+            assert not warm.features.flags.writeable and not warm.labels.flags.writeable
+
+    def test_a_rewritten_csv_is_parsed_again_and_its_sidecar_replaced(self, tmp_path,
+                                                                       monkeypatch):
+        path, _ = self.cohort(tmp_path, seed=0)
+        load_dataset(path)
+        _, rewritten = self.cohort(tmp_path, seed=1)
+        assert_same_bytes(load_dataset(path), rewritten)
+        forbid_parsing(monkeypatch)
+        assert_same_bytes(load_dataset(path), rewritten)
+
+    def test_a_csv_changed_after_it_was_hashed_keys_the_sidecar_by_the_bytes_parsed(
+            self, tmp_path):
+        path, first = self.cohort(tmp_path, seed=0)
+        stale_digest = dataset_sha256(path)
+        _, second = self.cohort(tmp_path, seed=1)
+        assert_same_bytes(load_dataset(path, sha256=stale_digest), second)
+        self.cohort(tmp_path, seed=0)  # the bytes stale_digest was taken from
+        assert_same_bytes(load_dataset(path), first)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "bit flip"])
+    def test_an_unreadable_sidecar_is_parsed_again(self, tmp_path, monkeypatch, damage):
+        path, data = self.cohort(tmp_path)
+        load_dataset(path)
+        sidecar = sidecar_of(path)
+        stored = bytearray(sidecar.read_bytes())
+        if damage == "truncated":
+            stored = stored[: len(stored) // 2]
+        elif damage == "garbage":
+            stored = bytearray(b"not a sidecar\n" * 50)
+        elif damage == "empty":
+            stored = bytearray()
+        else:
+            stored[stored.index(b"features.npy") + 400] ^= 0x10
+        sidecar.write_bytes(bytes(stored))
+        assert_same_bytes(load_dataset(path), data)
+        forbid_parsing(monkeypatch)  # the damaged sidecar was replaced
+        assert_same_bytes(load_dataset(path), data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("version", np.int64(0)),
+        ("sha256", np.str_("0" * 64)),
+        ("features", "nan"),
+        ("features", "float32"),
+        ("labels", "7"),
+        ("feature_names", np.str_('["a", "b"]')),
+        ("feature_names", np.str_('["a", "b", "b"]')),
+        ("feature_names", np.str_("{}")),
+    ])
+    def test_a_sidecar_that_does_not_match_or_fails_the_checks_is_not_used(
+            self, tmp_path, field, value):
+        path, data = self.cohort(tmp_path)
+        load_dataset(path)
+        sidecar = sidecar_of(path)
+        with np.load(sidecar) as stored:
+            members = dict(stored)
+        if value == "nan":
+            value = members["features"].copy()
+            value[3, 1] = np.nan
+        elif value == "float32":
+            value = np.zeros(members["features"].shape, np.float32)
+        elif value == "7":
+            value = members["labels"].copy()
+            value[5] = 7
+        members[field] = value
+        np.savez(sidecar, **members)
+        assert_same_bytes(load_dataset(path), data)
+
+    def test_a_sidecar_for_another_label_column_is_not_used(self, tmp_path):
+        path = write_csv(tmp_path / "two.csv", "a,readmitted,other\n1.5,0,2\n2.5,1,0\n3.5,2,1\n")
+        by_readmitted = load_dataset(path)
+        by_other = load_dataset(path, label_column="other")
+        assert by_readmitted.feature_names == ("a", "other")
+        assert by_readmitted.labels.tolist() == [0, 1, 2]
+        assert by_other.feature_names == ("a", "readmitted")
+        assert by_other.features.tolist() == [[1.5, 0.0], [2.5, 1.0], [3.5, 2.0]]
+        assert by_other.labels.tolist() == [2, 0, 1]
+        assert_same_bytes(load_dataset(path), by_readmitted)
+
+    @pytest.mark.parametrize("failure", ["read-only directory", "full disk"])
+    def test_a_directory_that_cannot_take_the_sidecar_still_loads(self, tmp_path,
+                                                                   monkeypatch, failure):
+        path, data = self.cohort(tmp_path)
+
+        def fail(*args, **kwargs):
+            if failure == "read-only directory":
+                raise PermissionError(errno.EACCES, "Permission denied")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(*((tempfile, "mkstemp") if failure == "read-only directory"
+                              else (np, "savez")), fail)
+        assert_same_bytes(load_dataset(path), data)
+        assert os.listdir(tmp_path) == ["cohort.csv"]  # no sidecar, no temporary file
+
+    def test_the_sidecar_takes_the_csv_permission_bits(self, tmp_path):
+        path, _ = self.cohort(tmp_path)
+        path.chmod(0o640)
+        load_dataset(path)
+        assert sidecar_of(path).stat().st_mode & 0o777 == 0o640
 
 
 def oracle_float(cell):
@@ -297,6 +430,7 @@ def test_loader_matches_a_per_line_oracle(tmp_path_factory, draw):
     except DataError as err:
         assert isinstance(expected, int), (text, str(err))
         assert f" line {expected}: " in str(err), (text, str(err))
+        assert not sidecar_of(path).exists()
         return
     assert not isinstance(expected, int), text
     assert np.array_equal(got.features.view(np.int64), expected[0].view(np.int64)), text

@@ -115,6 +115,35 @@ class TestAdaBelief:
         assert p["w"][0] == -4.0
 
 
+class TestInPlaceStep:
+    @staticmethod
+    def formula_steps(estimand, grads, p, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        """The adaptive-moment update written out with a temporary per operation."""
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        for t, g in enumerate(grads, start=1):
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * estimand(g, m)
+            p = p - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+        return p
+
+    @pytest.mark.parametrize("name", ["adam", "adabelief"])
+    def test_bytes_equal_the_formula_after_20_steps(self, name):
+        rng = np.random.default_rng(12)
+        start = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=7)}
+        grads = [{k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-4, 3)
+                  for k, v in start.items()} for _ in range(20)]
+        opt = make_optimizer(name, 3e-3)
+        params = {k: v.copy() for k, v in start.items()}
+        for g in grads:
+            opt.step(params, g)
+        eps_term = 1e-8 / (1.0 - 0.999)
+        estimand = {"adam": lambda g, m: g * g,
+                    "adabelief": lambda g, m: (g - m) * (g - m) + eps_term}[name]
+        for key, p in start.items():
+            want = self.formula_steps(estimand, [g[key] for g in grads], p, 3e-3)
+            assert params[key].tobytes() == want.tobytes()
+
+
 class TestFactory:
     def test_known_names(self):
         assert set(OPTIMIZERS) == {"sgd", "adam", "adabelief"}
