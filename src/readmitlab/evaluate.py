@@ -6,8 +6,9 @@ and precision by its row sum. The macro F score is the harmonic mean of the
 macro precision and macro recall (not the mean of per-class F scores). Any
 0/0 ratio is defined as 0.0.
 
-cross_validate is the one fold loop: it prepares each fold's training split
-once and scores every output its caller's jobs fit on it. A single model per
+cross_validate is the one fold loop: each (fold, job) task prepares its
+fold's training split, which its process keeps until it moves on to another
+fold, and scores every output the job fits on it. A single model per
 fold (one_model), the grid sweep's cells (grid_sweep, one job per cell) and
 the cascade's stage-1 network, its own stage-2 booster and the cascade itself
 (ensemble.cross_validate_cascade, one job with three outputs) all run through
@@ -339,7 +340,7 @@ def _run_tasks(task: Callable[[int], T], n: int, workers: int) -> list[T]:
 def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
                    resample_plan: ResamplePlan | None = None,
                    workers: int = 1) -> tuple[CvResult, ...]:
-    """Prepare each fold once and score every output fitted on it.
+    """Score every output the jobs fit on each fold's training split.
 
     A fold takes its training split and, when a plan is given, resamples it
     with the plan seed plus the fold index, so folds stay independent but
@@ -348,17 +349,23 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
     output for the held-out rows; the result is one CvResult per output, the
     jobs' outputs in job order.
 
-    Every fold is prepared first, then every (fold, job) pair is one task.
-    Both stages run on `workers` processes (see _run_tasks), with BLAS on one
-    thread: the calling process and forked workers, which inherit the
-    prepared splits and the caller's np.errstate. Without a plan a split is
-    only two row gathers, so folds are then prepared inline. Results are put
-    back in (fold, job) order, so the worker count never changes the outcome.
+    Every (fold, job) pair is one task, run on `workers` processes (see
+    _run_tasks) with BLAS on one thread: the calling process and forked
+    workers, which inherit the caller's np.errstate. A task prepares its
+    fold's split itself, and a process keeps only the split it prepared last,
+    so between tasks it holds at most one. A process claims tasks in
+    increasing order, so it prepares a fold at most once: with one job each
+    fold is prepared exactly once, and a fold whose jobs run in different
+    processes is prepared once in each, to the same bytes. A failure raised
+    is the lowest-index task's, whether preparing or fitting failed. Results
+    are put back in (fold, job) order, so the worker count never changes the
+    outcome.
     """
     if not jobs:
         raise ValueError("cross_validate needs at least one job")
     class_ids = tuple(int(c) for c in data.classes())
 
+    @functools.lru_cache(maxsize=1)
     def prepare(fold: int) -> tuple[Dataset, Dataset]:
         train = data.take(folds.train_indices(fold))
         if resample_plan is not None:
@@ -367,15 +374,14 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
 
     def fit(task: int) -> tuple[np.ndarray, ...]:
         fold, job = divmod(task, len(jobs))
-        return jobs[job](fold, *splits[fold])
+        return jobs[job](fold, *prepare(fold))
 
     with _one_blas_thread():
-        splits = _run_tasks(prepare, folds.k, workers if resample_plan is not None else 1)
         outputs = _run_tasks(fit, folds.k * len(jobs), workers)
-    per_fold = [[ConfusionMatrix.from_labels(test.labels, predicted, class_ids)
+    per_fold = [[ConfusionMatrix.from_labels(data.labels[test], predicted, class_ids)
                  for task in range(fold * len(jobs), (fold + 1) * len(jobs))
                  for predicted in outputs[task]]
-                for fold, (_, test) in enumerate(splits)]
+                for fold, test in enumerate(folds.folds)]
     return tuple(_cv_result(matrices) for matrices in zip(*per_fold))
 
 
@@ -417,8 +423,9 @@ def grid_sweep(data: Dataset, folds: FoldPlan,
                annotate: dict[tuple[int, float, int], str] | None = None) -> list[SweepRow]:
     """Cross-validate every (epochs, lr, batch) combination and rank the rows.
 
-    Each fold is prepared once, and every cell is one cross_validate job, so
-    each (fold, cell) pair is a task of its own for the workers.
+    Every cell is one cross_validate job, so each (fold, cell) pair is a task
+    of its own for the workers, and a process prepares each fold at most once
+    for all the cells it runs.
     build_model(fold, epochs, lr, batch) must return a fresh model, which is
     dropped once it has predicted. The returned rows are sorted by mean
     accuracy descending (stable, so grid order breaks ties); the first row is

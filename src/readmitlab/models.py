@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .evaluate import FitPredict, one_model
@@ -84,11 +86,11 @@ MODEL_KINDS = tuple(MODELS)
 
 def make_builder(kind: str, seed: int, **kwargs) -> FitPredict:
     """Return the fit_predict of cross_validate for one model kind: a fresh
-    model per fold, seeded with seed + fold where the model is stochastic."""
-    if kind == "network":
-        return one_model(lambda fold: NetworkClassifier(seed=seed + fold, **kwargs))
-    if kind == "gbm":
-        return one_model(lambda fold: GradientBoostedClassifier(**kwargs))
-    if kind == "forest":
-        return one_model(lambda fold: RandomForest(seed=seed + fold, **kwargs))
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    model per fold, given seed + fold when its class's constructor takes a
+    seed."""
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    cls = MODELS[kind]
+    if "seed" in inspect.signature(cls).parameters:
+        return one_model(lambda fold: cls(seed=seed + fold, **kwargs))
+    return one_model(lambda fold: cls(**kwargs))

@@ -475,6 +475,41 @@ class TestWorkerFailures:
         assert outcomes["1"] == outcomes["2"] == (code, f"{kind}: network with seed 1 failed\n")
         assert {v["pid"] for v in pids.read()} - {caller}
 
+    @pytest.mark.parametrize("fold_0_fit_fails, code, err", [
+        (False, 2, "data error: fold 1 could not be resampled\n"),
+        (True, 3, "numeric failure: network with seed 1 failed\n"),
+    ], ids=["preparing", "fitting-an-earlier-fold"])
+    def test_the_lowest_fold_fails_first_whether_preparing_or_fitting(
+            self, tmp_path, capsys, monkeypatch, fold_0_fit_fails, code, err):
+        from readmitlab import evaluate
+
+        csv = write_csv(tmp_path)
+        resample = evaluate.apply_plan
+        fit = NetworkClassifier.fit
+
+        def failing_apply_plan(train, plan):
+            if plan.seed == 2:  # run seed 1 plus fold 1
+                raise DataError("fold 1 could not be resampled")
+            return resample(train, plan)
+
+        def failing_fit(self, X, y):
+            if fold_0_fit_fails and self.seed == 1:
+                raise NumericError(f"network with seed {self.seed} failed")
+            return fit(self, X, y)
+
+        monkeypatch.setattr(evaluate, "apply_plan", failing_apply_plan)
+        monkeypatch.setattr(NetworkClassifier, "fit", failing_fit)
+        outcomes = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"o{workers}"
+            code_seen = main(["train", "--data", str(csv), "--seed", "1", "--folds", "3",
+                              "--model", "network", "--arch", "vanilla", "--epochs", "1",
+                              "--resample-method", "random_over",
+                              "--workers", workers, "--out", str(out)])
+            outcomes[workers] = (code_seen, capsys.readouterr().err)
+            assert not out.exists()
+        assert outcomes["1"] == outcomes["2"] == (code, err)
+
 
 class TestSweep:
     def test_single_cell_grid_reports_a_winner(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -22,6 +23,12 @@ from readmitlab.evaluate import (
 )
 
 from helpers import ProcessLog, blob_dataset, make_dataset
+
+
+def assert_each_process_prepared_each_fold_once(prepared, seeds):
+    """prepared holds an apply_plan spy's [pid, fold plan seed] records."""
+    assert sorted({seed for _, seed in prepared}) == seeds  # every fold is prepared
+    assert len({tuple(record) for record in prepared}) == len(prepared)  # once per process
 
 
 class ConstantModel:
@@ -344,7 +351,7 @@ class TestWorkerProcesses:
         prepared = ProcessLog(tmp_path / "prepared")
 
         def counting_apply_plan(train, fold_plan):
-            prepared.append(fold_plan.seed)
+            prepared.append([os.getpid(), fold_plan.seed])
             return apply_plan(train, fold_plan)
 
         fitted = ProcessLog(tmp_path / "fitted")
@@ -358,12 +365,12 @@ class TestWorkerProcesses:
         rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(0.5,),
                           batch_grid=(8, 16), resample_plan=ResamplePlan("random_over", seed=30),
                           workers=2)
-        assert dispatched == [3, 6]  # the folds' preparations, then (fold, cell) tasks
-        assert sorted(prepared.read()) == [30, 31, 32]
+        assert dispatched == [6]  # one task per (fold, cell), which prepares its fold
+        assert_each_process_prepared_each_fold_once(prepared.read(), [30, 31, 32])
         assert sorted(fitted.read()) == [[f, b] for f in range(3) for b in (8, 16)]
         assert len(rows) == 2
 
-    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 2)])
+    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
     def test_a_pool_is_forked_only_for_more_than_one_worker(self, monkeypatch, workers,
                                                             pools):
         from readmitlab.resample import ResamplePlan
@@ -380,9 +387,51 @@ class TestWorkerProcesses:
         (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
                                    resample_plan=ResamplePlan("random_over", seed=0),
                                    workers=workers)
-        # preparing the folds and fitting them fork one pool each
+        # the tasks prepare their folds and fit them in one pool
         assert contexts == ["fork"] * pools
         assert result.pooled_matrix.total == data.n_instances
+
+    def test_one_job_prepares_each_fold_exactly_once(self, tmp_path, monkeypatch):
+        from readmitlab import evaluate
+        from readmitlab.resample import ResamplePlan
+
+        data, folds = self.setup_data()
+        prepared = ProcessLog(tmp_path / "prepared")
+        caller = os.getpid()
+
+        def counting_apply_plan(train, fold_plan):
+            prepared.append({"pid": os.getpid(), "seed": fold_plan.seed})
+            if os.getpid() == caller:
+                prepared.wait_for_other_process()  # leave a fold for a worker
+            return apply_plan(train, fold_plan)
+
+        monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
+        cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+                       resample_plan=ResamplePlan("random_over", seed=40), workers=2)
+        assert sorted(v["seed"] for v in prepared.read()) == [40, 41, 42]
+        assert {v["pid"] for v in prepared.read()} - {caller}
+
+    def test_a_process_holds_one_prepared_split_at_a_time(self):
+        from readmitlab.resample import ResamplePlan
+        from readmitlab.synth import synthetic_cohort
+
+        data = synthetic_cohort(20000, 20, seed=3)
+        folds = stratified_kfold(data.labels, 10, seed=3)
+        plan = ResamplePlan("random_over", seed=3)
+        split = (apply_plan(data.take(folds.train_indices(0)), plan),
+                 data.take(folds.test_indices(0)))
+        split_bytes = sum(part.features.nbytes + part.labels.nbytes for part in split)
+        del split
+        tracemalloc.start()
+        try:
+            cross_validate(data, folds, one_model(lambda i: ConstantModel(0)),
+                           resample_plan=plan, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the split in use, the next one being resampled and its temporaries;
+        # holding all ten folds' splits at once would take ten
+        assert peak < 4 * split_bytes
 
     def test_more_workers_than_cores_run_every_task_exactly_once(self, tmp_path):
         from readmitlab.evaluate import _run_tasks
@@ -397,6 +446,29 @@ class TestWorkerProcesses:
         # six workers oversubscribe a small host's cores
         assert _run_tasks(task, 300, workers=6) == [i * i for i in range(300)]
         assert sorted(ran.read()) == list(range(300))
+
+
+class TestMakeBuilder:
+    @pytest.mark.parametrize("kind, params, seeds", [
+        ("network", {"arch": "vanilla", "epochs": 1}, [7, 8, 9]),
+        ("forest", {"n_trees": 2}, [7, 8, 9]),
+        ("gbm", {"n_rounds": 1}, [None, None, None]),
+    ])
+    def test_a_model_is_given_seed_plus_fold_when_its_constructor_takes_one(
+            self, monkeypatch, kind, params, seeds):
+        from readmitlab import models
+
+        monkeypatch.setattr(models, "one_model", lambda build_model: build_model)
+        built = [models.make_builder(kind, 7, **params)(fold) for fold in range(3)]
+        assert all(type(model) is models.MODELS[kind] for model in built)
+        assert [getattr(model, "seed", None) for model in built] == seeds
+
+    def test_an_unknown_kind_is_rejected(self):
+        from readmitlab.models import make_builder
+
+        with pytest.raises(ValueError, match=r"unknown model kind 'svm'; expected one of "
+                                             r"\('network', 'gbm', 'forest'\)"):
+            make_builder("svm", 0)
 
 
 class TestGridSweep:
@@ -469,15 +541,18 @@ class TestGridSweep:
         plans = ProcessLog(tmp_path / "plans")  # folds are prepared in forked workers too
 
         def counting_apply_plan(train, fold_plan):
-            plans.append(fold_plan.seed)
+            plans.append([os.getpid(), fold_plan.seed])
             return apply_plan(train, fold_plan)
 
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
+        serial = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
+                            batch_grid=(16, 64), resample_plan=plan, workers=1)
+        assert [seed for _, seed in plans.read()] == [24, 25, 26]
         rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
                           batch_grid=(16, 64), resample_plan=plan, workers=2)
-        assert sorted(plans.read()) == [24, 25, 26]
+        assert_each_process_prepared_each_fold_once(plans.read()[3:], [24, 25, 26])
         assert len(rows) == 2
-        for row in rows:
+        for row in serial + rows:
             want = per_cell[(row.epochs, row.learning_rate, row.batch_size)]
             for got_m, want_m in zip(row.result.fold_matrices, want.fold_matrices):
                 assert np.array_equal(got_m.counts, want_m.counts)
