@@ -353,7 +353,8 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
     _run_tasks) with BLAS on one thread: the calling process and forked
     workers, which inherit the caller's np.errstate. A task prepares its
     fold's split itself, and a process keeps only the split it prepared last,
-    so between tasks it holds at most one. A process claims tasks in
+    dropping it before it prepares another, so it holds at most one split at
+    any time besides the one being built. A process claims tasks in
     increasing order, so it prepares a fold at most once: with one job each
     fold is prepared exactly once, and a fold whose jobs run in different
     processes is prepared once in each, to the same bytes. A failure raised
@@ -365,12 +366,16 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
         raise ValueError("cross_validate needs at least one job")
     class_ids = tuple(int(c) for c in data.classes())
 
-    @functools.lru_cache(maxsize=1)
+    held: dict[int, tuple[Dataset, Dataset]] = {}  # this process's latest split
+
     def prepare(fold: int) -> tuple[Dataset, Dataset]:
-        train = data.take(folds.train_indices(fold))
-        if resample_plan is not None:
-            train = apply_plan(train, replace(resample_plan, seed=resample_plan.seed + fold))
-        return train, data.take(folds.test_indices(fold))
+        if fold not in held:
+            held.clear()  # free the old split before building the next
+            train = data.take(folds.train_indices(fold))
+            if resample_plan is not None:
+                train = apply_plan(train, replace(resample_plan, seed=resample_plan.seed + fold))
+            held[fold] = train, data.take(folds.test_indices(fold))
+        return held[fold]
 
     def fit(task: int) -> tuple[np.ndarray, ...]:
         fold, job = divmod(task, len(jobs))

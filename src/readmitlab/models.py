@@ -12,15 +12,22 @@ from .nn import (DEFAULT_DROPOUT, Conv1d, Dropout, TrainConfig, build_network,
                  train_network)
 from .trees import GradientBoostedClassifier, RandomForest
 
+# the dtype NetworkClassifier builds, trains and predicts in; nn's float64
+# path is the reference its gradient checks and layer oracles run on
+NETWORK_DTYPE = np.float32
+
 
 class NetworkClassifier:
     """Builds, trains, and applies one named network architecture.
 
     The three-class label encoding (0, 1, 2) is assumed, matching the output
     width of every architecture. The seed fixes both initialization and the
-    shuffling/dropout stream, so fit() is fully reproducible. An unknown
-    architecture or optimizer, a kernel_size below 1 or a dropout rate
-    outside [0, 1) fails here, before any training, with its layer's check.
+    shuffling/dropout stream, so fit() is fully reproducible. The network
+    computes in NETWORK_DTYPE; a parameter file holds float64, which a
+    float32 network widens to exactly on save and rounds from on load. An
+    unknown architecture or optimizer, a kernel_size below 1 or a dropout
+    rate outside [0, 1) fails here, before any training, with its layer's
+    check.
     """
 
     def __init__(self, arch: str = "cnn2", *, epochs: int = TrainConfig.epochs,
@@ -47,7 +54,8 @@ class NetworkClassifier:
         which training continues after the initialization draws."""
         rng = np.random.default_rng(self.seed)
         self.net = build_network(self.arch, n_features, rng=rng,
-                                 kernel_size=self.kernel_size, dropout=self.dropout)
+                                 kernel_size=self.kernel_size, dropout=self.dropout,
+                                 dtype=NETWORK_DTYPE)
         self.n_features_ = n_features
         return rng
 

@@ -1,12 +1,17 @@
 """Small feed-forward networks with hand-written backpropagation.
 
-Everything is float64 numpy, batch-first. Layers cache what their backward
-pass needs during forward; backward() must follow a forward() on the same
-batch. Every sequence layer takes and returns (batch, length, channels): an
-input row of n features enters as (batch, n, 1). Conv1d is a valid, stride-1
-cross-correlation computed as one matmul of its im2col columns. MaxPool1d
-takes non-overlapping windows by reshaping the length axis. Flatten emits
-channel-major rows, so the first Dense layer's weights keep one row order.
+Everything is numpy, batch-first, in one float dtype per network: that of
+its parameter vector, float64 unless build_network is asked for another.
+Every layer computes in its input's dtype, so a float32 network stays
+float32 from its input to its gradient, and float64 is the reference path of
+the gradient checks. Layers cache what their backward pass needs during
+forward; backward() must follow a forward() on the same batch. Every sequence
+layer takes and returns (batch, length, channels): an input row of n
+features enters as (batch, n, 1). Conv1d is a valid, stride-1
+cross-correlation computed as one matmul of its im2col columns, which a
+training forward keeps for backward. MaxPool1d takes non-overlapping windows
+by reshaping the length axis. Flatten emits channel-major rows, so the first
+Dense layer's weights keep one row order.
 Dropout is inverted, active only when forward() is called with train=True and
 an rng to draw masks from.
 
@@ -67,7 +72,9 @@ class Dense(Layer):
 
     def forward(self, x, *, train=False, rng=None):
         self._x = x
-        return x @ self.w + self.b
+        out = x @ self.w
+        out += self.b
+        return out
 
     def backward(self, d_out):
         np.matmul(self._x.T, d_out, out=self.dw)
@@ -91,6 +98,7 @@ class Conv1d(Layer):
         self.w = kaiming_uniform((c_out, c_in, kernel), c_in * kernel, rng)
         self.b = np.zeros(c_out)
         self._x = None
+        self._cols = None
 
     @staticmethod
     def check_kernel(kernel: int) -> None:
@@ -104,24 +112,30 @@ class Conv1d(Layer):
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
         """im2col of x: row (i, l) holds window l of row i, channel by channel.
-        Forward and backward each build it, so no layer keeps the copy, which
-        is kernel times the size of its input."""
+        A training forward keeps it for backward, which would otherwise build
+        it again; an inference forward keeps no copy, which is kernel times
+        the size of its input."""
         n_out = self.out_length(x.shape[1])
         windows = [x[:, offset : offset + n_out] for offset in range(self.kernel)]
         return np.stack(windows, axis=3).reshape(-1, x.shape[2] * self.kernel)
 
     def forward(self, x, *, train=False, rng=None):
-        self._x = x
-        out = self._columns(x) @ self.w.reshape(self.c_out, -1).T + self.b
+        cols = self._columns(x)
+        self._x, self._cols = x, (cols if train else None)
+        out = cols @ self.w.reshape(self.c_out, -1).T
+        out += self.b
         return out.reshape(x.shape[0], -1, self.c_out)
 
     def backward(self, d_out):
         batch, n_out, _ = d_out.shape
         d_rows = d_out.reshape(batch * n_out, self.c_out)
-        self.db[...] = d_rows.sum(axis=0)
-        np.matmul(d_rows.T, self._columns(self._x), out=self.dw.reshape(self.c_out, -1))
+        # adds the rows in order, as d_rows.sum(axis=0) does for two or more
+        # channels, without its per-row overhead on the batch * n_out rows
+        np.einsum("ij->j", d_rows, out=self.db)
+        cols = self._columns(self._x) if self._cols is None else self._cols
+        np.matmul(d_rows.T, cols, out=self.dw.reshape(self.c_out, -1))
         d_cols = (d_rows @ self.w.reshape(self.c_out, -1)).reshape(batch, n_out, -1, self.kernel)
-        dx = np.zeros(self._x.shape)
+        dx = np.zeros(self._x.shape, dtype=d_cols.dtype)
         # offsets run last to first, so every input position sums its
         # windows' terms in window order
         for offset in reversed(range(self.kernel)):
@@ -129,16 +143,18 @@ class Conv1d(Layer):
         return dx
 
 
-def _keep_bits(condition: np.ndarray) -> np.ndarray:
-    """int64 -1 where condition holds, else 0. ANDed with a float64 array's
-    bits it gives np.where(condition, values, 0.0)'s bytes without a branch:
-    a value's own bits (a NaN's payload, a zero's sign) or +0.0."""
-    return np.subtract(0, condition, dtype=np.int64)
+def _keep_bits(condition: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """-1 where condition holds, else 0, as the signed integer as wide as the
+    float `dtype` (int64 for float64, int32 for float32). ANDed with an array
+    of that dtype's bits it gives np.where(condition, values, 0.0)'s bytes
+    without a branch: a value's own bits (a NaN's payload, a zero's sign) or
+    +0.0."""
+    return np.subtract(0, condition, dtype=f"i{np.dtype(dtype).itemsize}")
 
 
 def _and_bits(values: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the float64 `values` into `out` with only the bits `keep` sets."""
-    np.bitwise_and(values.view(np.int64), keep, out=out.view(np.int64))
+    """Write the float `values` into `out` with only the bits `keep` sets."""
+    np.bitwise_and(values.view(keep.dtype), keep, out=out.view(keep.dtype))
     return out
 
 
@@ -147,11 +163,11 @@ class Relu(Layer):
         self._keep = None
 
     def forward(self, x, *, train=False, rng=None):
-        self._keep = _keep_bits(x > 0)
-        return _and_bits(x, self._keep, np.empty(x.shape))
+        self._keep = _keep_bits(x > 0, x.dtype)
+        return _and_bits(x, self._keep, np.empty(x.shape, dtype=x.dtype))
 
     def backward(self, d_out):
-        return _and_bits(d_out, self._keep, np.empty(d_out.shape))
+        return _and_bits(d_out, self._keep, np.empty(d_out.shape, dtype=d_out.dtype))
 
 
 class MaxPool1d(Layer):
@@ -192,12 +208,13 @@ class MaxPool1d(Layer):
         return out
 
     def backward(self, d_out):
-        dx = np.zeros(self._shape)
+        dx = np.zeros(self._shape, dtype=d_out.dtype)
         windows = self._split(dx)
         # + 0.0 stores what a sum into zeros would: a -0.0 gradient lands as 0.0
         grad = d_out + 0.0
         for offset in range(self.window):
-            _and_bits(grad, _keep_bits(self._first == offset), out=windows[:, :, offset])
+            _and_bits(grad, _keep_bits(self._first == offset, dx.dtype),
+                      out=windows[:, :, offset])
         return dx
 
 
@@ -250,7 +267,7 @@ class Dropout(Layer):
         if rng is None:
             raise ValueError("training forward through Dropout needs an rng")
         keep = rng.random(x.shape) >= self.rate
-        self._scale_mask = keep / (1.0 - self.rate)
+        self._scale_mask = np.divide(keep, 1.0 - self.rate, dtype=x.dtype)
         return x * self._scale_mask
 
     def backward(self, d_out):
@@ -277,8 +294,8 @@ class RecurrentTanh(Layer):
 
     def forward(self, x, *, train=False, rng=None):
         batch, steps, _ = x.shape
-        h = np.zeros((batch, steps, self.b.size))
-        prev = np.zeros((batch, self.b.size))
+        h = np.zeros((batch, steps, self.b.size), dtype=x.dtype)
+        prev = np.zeros((batch, self.b.size), dtype=x.dtype)
         for t in range(steps):
             prev = np.tanh(x[:, t] @ self.wx + prev @ self.wh + self.b)
             h[:, t] = prev
@@ -291,7 +308,7 @@ class RecurrentTanh(Layer):
         for grad in (self.dwx, self.dwh, self.db):
             grad[...] = 0.0
         dx = np.empty_like(x)
-        carry = np.zeros((batch, self.b.size))
+        carry = np.zeros((batch, self.b.size), dtype=d_out.dtype)
         for t in range(steps - 1, -1, -1):
             da = (d_out[:, t] + carry) * (1.0 - h[:, t] ** 2)
             self.dwx += x[:, t].T @ da
@@ -314,7 +331,7 @@ class LastStep(Layer):
         return x[:, -1]
 
     def backward(self, d_out):
-        dx = np.zeros(self._shape)
+        dx = np.zeros(self._shape, dtype=d_out.dtype)
         dx[:, -1] = d_out
         return dx
 
@@ -348,13 +365,15 @@ class Network:
 
     theta holds every weight and grad every gradient, in _slots order; the
     layers' weights and gradients are views into them. A layer taken into a
-    Network stores its weights there from then on.
+    Network stores its weights there from then on, rounded to `dtype`, the
+    dtype the network computes in.
     """
 
-    def __init__(self, layers: list[Layer]):
+    def __init__(self, layers: list[Layer], dtype=np.float64):
         self.layers = list(layers)
         slots = [(layer, name, getattr(layer, name)) for _, layer, name in _slots(self.layers)]
-        self.theta = np.concatenate([np.zeros(0)] + [value.ravel() for *_, value in slots])
+        self.theta = np.concatenate([np.zeros(0)] + [value.ravel() for *_, value in slots],
+                                    dtype=dtype)
         self.grad = np.zeros_like(self.theta)
         end = 0
         for layer, name, value in slots:
@@ -380,6 +399,7 @@ class Network:
         return self.theta.size
 
     def load_params(self, values: dict[str, np.ndarray]) -> None:
+        """Copy every weight in, cast to the network's dtype."""
         current = self.params()
         if set(values) != set(current):
             missing = sorted(set(current) - set(values))
@@ -417,7 +437,7 @@ class Parallel(Layer):
         dx = None
         offset = 0
         for branch, shape in zip(self.branches, self._shapes):
-            d_branch = np.zeros(shape)
+            d_branch = np.zeros(shape, dtype=d_out.dtype)
             d_branch[:, :keep] = d_out[:, :, offset : offset + shape[2]]
             offset += shape[2]
             piece = _backward(branch, d_branch)
@@ -489,14 +509,16 @@ def check_architecture(arch: str) -> None:
 
 def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
                   kernel_size: int | None = None,
-                  dropout: float = DEFAULT_DROPOUT) -> Network:
+                  dropout: float = DEFAULT_DROPOUT, dtype=np.float64) -> Network:
     """Construct a named architecture for rows of n_features values.
 
     kernel_size applies to vanilla (default 2) and the cnn2 family (default
     4); dropout applies to every architecture that has dropout layers. A
     conv architecture's stem (convolutions and pooling) is built first; its
     flattened width, found by a zero-row pass, sizes the dense head. Rows too
-    short for the stem raise DataError naming the architecture.
+    short for the stem raise DataError naming the architecture. The weights
+    are drawn in float64 and rounded to `dtype`, the network's dtype, so
+    every dtype draws the same numbers from rng.
     """
     check_architecture(arch)
 
@@ -508,7 +530,7 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
             layers.append(RecurrentTanh(n_in, RNN_HIDDEN, rng))
             n_in = RNN_HIDDEN
         layers += [LastStep(), Dense(RNN_HIDDEN, 3, rng)]
-        return Network(layers)
+        return Network(layers, dtype)
 
     if arch == "vanilla":
         k = 2 if kernel_size is None else kernel_size
@@ -530,7 +552,7 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
                 MaxPool1d(2)]
     head = _conv_head(_stem_width(arch, n_features, stem), rng, dropout=dropout,
                       wide=(arch == "cnn2_wide"))
-    return Network(stem + head)
+    return Network(stem + head, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +576,13 @@ class TrainConfig:
 
 def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
                   config: TrainConfig, rng: np.random.Generator) -> list[float]:
-    """Mini-batch training; returns the mean training loss per epoch.
+    """Mini-batch training in the network's dtype; returns the mean training
+    loss per epoch.
 
     Rows are reshuffled every epoch; a short final batch is still trained.
     A non-finite loss aborts with NumericError rather than training on.
     """
+    features = np.asarray(features, dtype=net.theta.dtype)
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
     params, grads = {"theta": net.theta}, {"theta": net.grad}
     n = features.shape[0]
@@ -584,6 +608,8 @@ def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
 
 
 def predict_logits(net: Network, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
+    """Inference logits, computed in the network's dtype."""
+    features = np.asarray(features, dtype=net.theta.dtype)
     pieces = [net.forward(features[s : s + batch_size])
               for s in range(0, features.shape[0], batch_size)]
     return np.vstack(pieces)
@@ -601,7 +627,8 @@ _MAGIC = b"RLNN1"
 
 
 def save_network(net: Network, path) -> None:
-    """Write all parameters as little-endian float64 with shape headers."""
+    """Write all parameters as little-endian float64 with shape headers; a
+    float32 network widens to it exactly, and load_params rounds back."""
     params = net.params()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

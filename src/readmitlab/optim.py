@@ -3,7 +3,9 @@
 Adam and AdaBelief share one update path and differ only in the quantity fed
 to the second-moment accumulator: Adam tracks the squared gradient, AdaBelief
 tracks the squared deviation of the gradient from its running mean (plus a
-small constant folded into the accumulator). Parameters are updated in place.
+small constant folded into the accumulator). Parameters are updated in place,
+in their own dtype: the hyperparameters are Python floats, which NumPy never
+lets widen a float32 array.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ class Sgd:
     """w <- w - lr * g."""
 
     def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
+        self.learning_rate = float(learning_rate)
 
     def reset(self) -> None:
         pass
@@ -38,10 +40,10 @@ class _AdaptiveMoment:
 
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.learning_rate = float(learning_rate)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
         self.reset()
 
     def reset(self) -> None:

@@ -210,18 +210,26 @@ class RegressionTree:
         self.leaf_value_fn = leaf_value_fn or (lambda t: float(t.mean()))
         self.root: _Node | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, _presorted: tuple | None = None
-            ) -> "RegressionTree":
+    def fit(self, X: np.ndarray, y: np.ndarray, _presorted: tuple | None = None,
+            _fitted: np.ndarray | None = None) -> "RegressionTree":
         """_presorted is _presort(X), passed by a caller that fits many trees
-        on the same X."""
+        on the same X. _fitted, when given, receives each training row's leaf
+        value: what predict(X) would return, as every row of a leaf lies on
+        its side of each threshold above it."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:
             raise DataError("cannot fit a tree on zero rows")
         all_features = np.arange(X.shape[1])
         presorted = _presort(X) if _presorted is None else _presorted
-        self.root = _grow(X, presorted, y[None, :],
-                          lambda rows: self.leaf_value_fn(y[rows]),
+
+        def leaf_value(rows: np.ndarray) -> float:
+            value = self.leaf_value_fn(y[rows])
+            if _fitted is not None:
+                _fitted[rows] = value
+            return value
+
+        self.root = _grow(X, presorted, y[None, :], leaf_value,
                           self.max_depth, self.min_samples_leaf, lambda: all_features)
         return self
 
@@ -443,14 +451,15 @@ class GradientBoostedClassifier:
         leaf_fn = _newton_leaf_factory(n_classes)
         eps = np.finfo(float).tiny
         presorted = _presort(X)  # X is the same in every round
+        fitted = np.empty(n)  # a round's tree's value of each training row
         for _ in range(self.n_rounds):
             probs = self._probabilities(scores)
             round_trees = []
             for k in range(scores.shape[1]):
                 residual = onehot[:, first + k] - probs[:, first + k]
                 tree = RegressionTree(self.max_depth, self.min_samples_leaf, leaf_fn)
-                tree.fit(X, residual, _presorted=presorted)
-                scores[:, k] += self.learning_rate * tree.predict(X)
+                tree.fit(X, residual, _presorted=presorted, _fitted=fitted)
+                scores[:, k] += self.learning_rate * fitted
                 round_trees.append(tree)
             self.trees_.append(round_trees)
             probs = self._probabilities(scores)

@@ -211,7 +211,13 @@ class TestCascadeClassifier:
         )
         save_cascade(model, tmp_path / "cascade")
         clone = load_cascade(tmp_path / "cascade")
-        assert np.array_equal(model.predict(padded), clone.predict(padded))
+        # the float32 network widens to the file's float64 and back exactly
+        assert model.network.net.theta.dtype == clone.network.net.theta.dtype == np.float32
+        assert clone.network.net.theta.tobytes() == model.network.net.theta.tobytes()
+        assert (clone.network.predict_proba(padded).tobytes()
+                == model.network.predict_proba(padded).tobytes())
+        for got, want in zip(clone.predict_stages(padded), model.predict_stages(padded)):
+            assert got.tobytes() == want.tobytes()
         assert clone.accept_class == model.accept_class
         assert clone.outer_classes == model.outer_classes
 

@@ -981,6 +981,30 @@ class TestConfigTable:
         assert f"invalid config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, fields", [
+        ("train", [("--model", "model.kind"), ("--arch", "model.arch"),
+                   ("--epochs", "model.epochs"), ("--learning-rate", "model.learning_rate"),
+                   ("--batch-size", "model.batch_size"), ("--optimizer", "model.optimizer"),
+                   ("--kernel-size", "model.kernel_size"), ("--dropout", "model.dropout"),
+                   ("--n-rounds", "model.n_rounds"), ("--max-depth", "model.max_depth"),
+                   ("--n-trees", "model.n_trees")]),
+        ("sweep", [("--arch", "model.arch"), ("--optimizer", "model.optimizer"),
+                   ("--kernel-size", "model.kernel_size"), ("--dropout", "model.dropout")]),
+        ("cascade", [("--arch", "network.arch"), ("--epochs", "network.epochs"),
+                     ("--learning-rate", "network.learning_rate"),
+                     ("--batch-size", "network.batch_size"),
+                     ("--optimizer", "network.optimizer"),
+                     ("--kernel-size", "network.kernel_size"),
+                     ("--dropout", "network.dropout")]),
+    ])
+    def test_the_network_fields_are_unchanged(self, command, fields):
+        # the network's dtype is fixed in NetworkClassifier, not a setting
+        options = [entry for group in _COMMANDS[command][2] for entry in group]
+        assert [(flag, ".".join(path)) for flag, path, *_ in options
+                if path[0] in ("model", "network")] == fields
+        assert list(_SECTIONS["network"]) == ["arch", "epochs", "learning_rate", "batch_size",
+                                              "optimizer", "kernel_size", "dropout"]
+
     @pytest.mark.parametrize("kind, cls", [("network", NetworkClassifier),
                                            ("gbm", GradientBoostedClassifier),
                                            ("forest", RandomForest)])

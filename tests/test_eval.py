@@ -429,9 +429,10 @@ class TestWorkerProcesses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the split in use, the next one being resampled and its temporaries;
-        # holding all ten folds' splits at once would take ten
-        assert peak < 4 * split_bytes
+        # the split being resampled and its temporaries: the old split is
+        # dropped first (keeping it measured 3.0 splits); holding all ten
+        # folds' splits at once would take ten
+        assert peak < 2.5 * split_bytes
 
     def test_more_workers_than_cores_run_every_task_exactly_once(self, tmp_path):
         from readmitlab.evaluate import _run_tasks

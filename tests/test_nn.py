@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readmitlab.errors import DataError, NumericError
+from readmitlab.optim import Adam
 from readmitlab.nn import (
     ARCHITECTURES,
     AsSequence,
@@ -19,6 +20,7 @@ from readmitlab.nn import (
     LastStep,
     MaxPool1d,
     Network,
+    Parallel,
     RecurrentTanh,
     Relu,
     TrainConfig,
@@ -122,7 +124,7 @@ def pool_reference(x, window, d_out):
     picks: the first NaN if there is one, else the first maximum."""
     batch, _, channels = x.shape
     n_out = d_out.shape[1]
-    y = np.zeros((batch, n_out, channels))
+    y = np.zeros((batch, n_out, channels), dtype=x.dtype)
     dx = np.zeros_like(x)
     for i in range(batch):
         for c in range(channels):
@@ -198,15 +200,26 @@ class TestWindowLayersAgainstLoops:
     @settings(max_examples=300, deadline=None)
     @given(window_problems(kinds=("floats", "ties", "special")))
     def test_pool_matches_the_loop_reference(self, problem):
+        self.check_pool(problem, np.float64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(window_problems(kinds=("floats", "ties", "special")))
+    def test_pool_matches_the_loop_reference_at_float32(self, problem):
+        self.check_pool(problem, np.float32)
+
+    @staticmethod
+    def check_pool(problem, dtype):
         # integer inputs plant ties; special ones NaN, +-inf and +-0, whose
         # bytes (a zero's sign, which NaN) the forward must keep
         x, window, _, seed = problem
+        x = x.astype(dtype)
         pool = MaxPool1d(window)
         y = pool.forward(x)
-        d_out = np.random.default_rng(seed).normal(size=y.shape)
+        d_out = np.random.default_rng(seed).normal(size=y.shape).astype(dtype)
         dx = pool.backward(d_out)
         want_y, want_dx = pool_reference(x, window, d_out)
         assert y.shape[1] == x.shape[1] // window
+        assert y.dtype == dx.dtype == dtype
         assert y.tobytes() == want_y.tobytes()
         assert dx.tobytes() == want_dx.tobytes()
 
@@ -348,21 +361,22 @@ def relu_reference(x, d_out):
     """Relu's forward and backward, element by element: x and d_out pass
     where x > 0 and are +0.0 elsewhere. So NaN, -inf and -0.0 inputs give
     +0.0, +inf passes, and a gradient passes with its own bits (a NaN's
-    payload, a zero's sign)."""
-    keep = [v > 0 for v in x.ravel().tolist()]
-    forward = [v if k else 0.0 for v, k in zip(x.ravel().tolist(), keep)]
-    backward = [d if k else 0.0 for d, k in zip(d_out.ravel().tolist(), keep)]
-    return (np.array(forward, dtype=np.float64).reshape(x.shape),
-            np.array(backward, dtype=np.float64).reshape(x.shape))
+    payload, a zero's sign). Elements are taken as numpy scalars of x's
+    dtype, so no bits change on the way."""
+    keep = [v > 0 for v in x.ravel()]
+    forward = [v if k else 0.0 for v, k in zip(x.ravel(), keep)]
+    backward = [d if k else 0.0 for d, k in zip(d_out.ravel(), keep)]
+    return (np.array(forward, dtype=x.dtype).reshape(x.shape),
+            np.array(backward, dtype=x.dtype).reshape(x.shape))
 
 
 @st.composite
-def relu_problems(draw):
+def relu_problems(draw, dtype=np.float64):
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
     n = int(np.prod(shape))
-    values = st.floats(width=64) | st.sampled_from(SPECIAL_VALUES)
-    x = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
-    d_out = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    values = st.floats(width=8 * np.dtype(dtype).itemsize) | st.sampled_from(SPECIAL_VALUES)
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+    d_out = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
     return x.reshape(shape), d_out.reshape(shape)
 
 
@@ -382,11 +396,21 @@ class TestRelu:
     @settings(max_examples=300, deadline=None)
     @given(relu_problems())
     def test_bytes_match_the_elementwise_rule(self, problem):
-        x, d_out = problem
+        self.check_bytes(*problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(relu_problems(np.float32))
+    def test_bytes_match_the_elementwise_rule_at_float32(self, problem):
+        self.check_bytes(*problem)
+
+    @staticmethod
+    def check_bytes(x, d_out):
         layer = Relu()
         want_y, want_dx = relu_reference(x, d_out)
-        assert layer.forward(x).tobytes() == want_y.tobytes()
-        assert layer.backward(d_out).tobytes() == want_dx.tobytes()
+        y, dx = layer.forward(x), layer.backward(d_out)
+        assert y.dtype == dx.dtype == x.dtype
+        assert y.tobytes() == want_y.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
 
 
 class TestDropout:
@@ -691,3 +715,123 @@ class TestSerialization:
         with pytest.raises(DataError, match="l0.w stored twice") as err:
             load_network_params(path)
         assert str(path) in str(err.value)
+
+
+def _layers(layers):
+    """Every layer of a layer list, those inside Parallel branches too."""
+    for layer in layers:
+        yield layer
+        if isinstance(layer, Parallel):
+            for branch in layer.branches:
+                yield from _layers(branch)
+
+
+class TestFloat32:
+    """A network built in float32 computes in float32 from its input to its
+    optimizer state; float64 stays the reference path."""
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_every_layer_and_the_optimizer_stay_float32(self, arch):
+        rng = np.random.default_rng(31)
+        net = build_network(arch, 16, rng=rng, dtype=np.float32)
+        h = rng.normal(size=(6, 16)).astype(np.float32)
+        for layer in net.layers:
+            h = layer.forward(h, train=True, rng=rng)
+            assert h.dtype == np.float32, f"{type(layer).__name__} forward"
+        _, d = softmax_cross_entropy(h, rng.integers(0, 3, size=6))
+        assert d.dtype == np.float32
+        for layer in reversed(net.layers):
+            d = layer.backward(d)
+            assert d.dtype == np.float32, f"{type(layer).__name__} backward"
+        assert net.theta.dtype == net.grad.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in net.grads().values())
+        optimizer = Adam(np.float64(1e-3))  # a float64 scalar must not widen the step
+        optimizer.step({"theta": net.theta}, {"theta": net.grad})
+        assert net.theta.dtype == np.float32
+        assert [m.dtype for m in (*optimizer._m.values(), *optimizer._v.values())] == \
+            [np.float32, np.float32]
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_training_on_float64_rows_keeps_the_network_float32(self, arch):
+        rng = np.random.default_rng(32)
+        X, y = rng.normal(size=(20, 16)), rng.integers(0, 3, size=20)
+        net = build_network(arch, 16, rng=rng, dtype=np.float32)
+        history = train_network(net, X, y, TrainConfig(epochs=2, learning_rate=1e-2,
+                                                       batch_size=8), rng)
+        assert np.isfinite(history).all()
+        assert net.theta.dtype == np.float32
+        assert predict_logits(net, X).dtype == np.float32
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_float32_logits_agree_with_float64(self, arch):
+        x = np.random.default_rng(33).normal(size=(50, 30))
+        reference = build_network(arch, 30, rng=np.random.default_rng(34))
+        net = build_network(arch, 30, rng=np.random.default_rng(34), dtype=np.float32)
+        # both dtypes draw the same weights, rounded once
+        assert net.theta.tobytes() == reference.theta.astype(np.float32).tobytes()
+        # float32 rounds the weights, the input and every sum (unit roundoff
+        # 6e-8); the measured worst case is about 1e-6 of the largest logit
+        assert_close(predict_logits(net, x).astype(np.float64), predict_logits(reference, x),
+                     tol=1e-5)
+
+    def test_a_float32_network_round_trips_its_float64_file_exactly(self, tmp_path):
+        net = build_network("cnn2", 16, rng=np.random.default_rng(35), dtype=np.float32)
+        path = tmp_path / "net.params"
+        save_network(net, path)
+        stored = load_network_params(path)
+        assert all(stored[key].tobytes() == value.astype(np.float64).tobytes()
+                   for key, value in net.params().items())
+        clone = build_network("cnn2", 16, rng=np.random.default_rng(36), dtype=np.float32)
+        clone.load_params(stored)
+        assert clone.theta.tobytes() == net.theta.tobytes()
+
+    def test_a_float64_file_loads_rounded_into_a_float32_network(self, tmp_path):
+        path = tmp_path / "net.params"
+        reference = build_network("cnn2", 16, rng=np.random.default_rng(37))
+        save_network(reference, path)
+        net = build_network("cnn2", 16, rng=np.random.default_rng(38), dtype=np.float32)
+        net.load_params(load_network_params(path))
+        assert net.theta.tobytes() == reference.theta.astype(np.float32).tobytes()
+
+
+def rebuilding_backward(self, d_out):
+    """Conv1d.backward as it was before a training forward kept its columns:
+    it builds the im2col matrix again from the layer's input."""
+    batch, n_out, _ = d_out.shape
+    d_rows = d_out.reshape(batch * n_out, self.c_out)
+    self.db[...] = d_rows.sum(axis=0)
+    np.matmul(d_rows.T, self._columns(self._x), out=self.dw.reshape(self.c_out, -1))
+    d_cols = (d_rows @ self.w.reshape(self.c_out, -1)).reshape(batch, n_out, -1, self.kernel)
+    dx = np.zeros(self._x.shape)
+    for offset in reversed(range(self.kernel)):
+        dx[:, offset : offset + n_out] += d_cols[..., offset]
+    return dx
+
+
+class TestConvColumns:
+    @pytest.mark.parametrize("arch", ["cnn2", "cnn2_multibranch"])
+    def test_kept_columns_train_to_the_bytes_of_rebuilt_ones(self, arch, monkeypatch):
+        rng = np.random.default_rng(39)
+        X, y = rng.normal(size=(150, 30)), rng.integers(0, 3, size=150)
+        config = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=64)
+
+        def train():
+            build_rng = np.random.default_rng(40)
+            net = build_network(arch, 30, rng=build_rng)
+            history = train_network(net, X, y, config, build_rng)
+            return net.theta.tobytes(), history
+
+        kept = train()
+        monkeypatch.setattr(Conv1d, "backward", rebuilding_backward)
+        assert train() == kept
+
+    @pytest.mark.parametrize("arch", ["vanilla", "cnn2", "cnn2_multibranch"])
+    def test_only_a_training_forward_keeps_columns(self, arch):
+        rng = np.random.default_rng(41)
+        net = build_network(arch, 16, rng=rng, dtype=np.float32)
+        convs = [layer for layer in _layers(net.layers) if isinstance(layer, Conv1d)]
+        x = rng.normal(size=(8, 16))
+        net.forward(x.astype(np.float32), train=True, rng=rng)
+        assert convs and all(conv._cols is not None for conv in convs)
+        predict_logits(net, x)
+        assert all(conv._cols is None for conv in convs)

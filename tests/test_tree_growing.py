@@ -176,6 +176,42 @@ def test_boosting_on_tie_free_columns_matches_the_reference_bitwise(table, data,
     assert got.to_dict() == want.to_dict()
 
 
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.data())
+def test_a_regression_fit_gives_each_training_row_the_leaf_predict_routes_it_to(table, data):
+    X, n = table
+    y = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+    tree = RegressionTree(max_depth=data.draw(DEPTHS.filter(lambda d: d is not None)),
+                          min_samples_leaf=data.draw(st.integers(1, 3)))
+    fitted = np.full(n, np.nan)
+    tree.fit(X, y, _fitted=fitted)
+    assert fitted.tobytes() == tree.predict(X).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(max_rows=40), st.data())
+def test_boosting_on_the_fit_leaf_values_matches_routing_x_again(table, data):
+    """Columns with tied values and duplicate rows: the booster that adds
+    each round from the fit's own leaf values equals the one that routes the
+    training rows through tree.predict, deviance and all."""
+    X, n = table
+    y = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    params = dict(n_rounds=data.draw(st.integers(1, 4)),
+                  max_depth=data.draw(st.integers(1, 3)),
+                  min_samples_leaf=data.draw(st.integers(1, 3)))
+    fit = RegressionTree.fit
+
+    def routed_fit(self, X, y, _presorted=None, _fitted=None):
+        fit(self, X, y, _presorted)
+        _fitted[...] = self.predict(X)
+        return self
+
+    got = GradientBoostedClassifier(**params).fit(X, y).to_dict()
+    with mock.patch.object(RegressionTree, "fit", routed_fit):
+        want = GradientBoostedClassifier(**params).fit(X, y).to_dict()
+    assert got == want
+
+
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("n_rounds", [1, 4, 9])
 def test_a_booster_fit_presorts_x_once(n_classes, n_rounds):
