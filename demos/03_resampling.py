@@ -3,7 +3,8 @@
 Oversamplers synthesize new minority rows until every class matches the
 majority count; undersamplers discard majority rows until every class matches
 the minority. Originals are never modified — oversamplers append, the
-undersamplers select.
+undersamplers select. A plan holds the method and its settings; the seed is
+passed with the rows, so one plan serves every fold of a cross-validation.
 
 Run:  python demos/03_resampling.py
 """
@@ -29,7 +30,7 @@ print("before:", data.class_counts())
 
 print("\noversamplers (target = majority count):")
 for method in OVERSAMPLERS:
-    out = oversample(data, ResamplePlan(method, seed=5))
+    out = oversample(data, ResamplePlan(method), 5)
     synth = out.n_instances - data.n_instances
     print(f"  {method:17s} -> {out.class_counts()}   (+{synth} synthetic rows)")
 
@@ -41,7 +42,7 @@ island = rng.normal(loc=(40.0, 40.0), scale=0.5, size=(8, 2))
 crowd = rng.normal(loc=(0.0, 0.0), scale=0.5, size=(30, 2))
 ab = Dataset(np.vstack([crowd, contested, island]),
              np.array([0] * 30 + [1] * 16), ("x", "y"))
-out = oversample(ab, ResamplePlan("adasyn", seed=5))
+out = oversample(ab, ResamplePlan("adasyn"), 5)
 synth = out.features[ab.n_instances:]
 near_island = int(np.sum(np.linalg.norm(synth - [40.0, 40.0], axis=1) < 20))
 print(f"\nadasyn adaptivity: {len(synth)} synthetics, "

@@ -1,7 +1,8 @@
 """Cross-validated hyperparameter sweep with a ranked results table.
 
 Every (epochs, learning rate, batch size) combination is scored with the
-same stratified folds, then ranked by mean accuracy. Watch the largest
+same stratified folds, then ranked by mean accuracy. Each fold's network is
+seeded with the fold's seed: the folds' seed plus the fold index. Watch the largest
 learning rate collapse to one-third accuracy — the constant-predictor
 signature on a three-class balanced problem.
 
@@ -26,9 +27,9 @@ data = Dataset(X, np.array(labels), tuple(f"f{i}" for i in range(12)))
 folds = stratified_kfold(data.labels, k=3, seed=0)
 
 
-def build(fold, epochs, lr, batch):
+def build(seed, epochs, lr, batch):
     return NetworkClassifier("vanilla", epochs=epochs, learning_rate=lr,
-                             batch_size=batch, optimizer="adam", seed=fold)
+                             batch_size=batch, optimizer="adam", seed=seed)
 
 
 sweep = grid_sweep(data, folds, build,

@@ -3,7 +3,8 @@ booster re-decides everything else as 0-vs-2.
 
 The first section cross-validates the cascade on synthetic clusters: one
 pass per fold scores the network alone, the cascade's own booster on the
-held-out 0-vs-2 rows, and the full cascade. The second recomputes the
+held-out 0-vs-2 rows, and the full cascade; each fold's network is seeded
+with the folds' seed plus the fold index. The second recomputes the
 combined accuracy from two frozen holdout count tables and shows how the
 evaluator flags bookkeeping inconsistencies instead of hiding them.
 
@@ -31,7 +32,7 @@ network_config = dict(arch="vanilla", epochs=30, learning_rate=1e-3,
                       batch_size=16, optimizer="adam")
 booster_config = dict(n_rounds=30, learning_rate=0.1, max_depth=2)
 network, cascade, booster = cross_validate_cascade(
-    data, folds, network_config, booster_config, seed=0)
+    data, folds, network_config, booster_config)
 
 print("3-fold pooled accuracy")
 print(f"  network alone      : {format_percent(network.pooled_matrix.accuracy)}%")

@@ -72,7 +72,7 @@ def _defaults(cls, *unset: str) -> dict:
             if name not in unset}
 
 
-# the run seed seeds every model, and a forest always bootstraps
+# cross_validate seeds every model, and a forest always bootstraps
 _MODEL_DEFAULTS = {kind: _defaults(cls, "seed", "bootstrap") for kind, cls in MODELS.items()}
 
 # Each config section's fields and their defaults. A select or resample
@@ -80,7 +80,7 @@ _MODEL_DEFAULTS = {kind: _defaults(cls, "seed", "bootstrap") for kind, cls in MO
 # command alone defaults them (chi2, every feature).
 _SECTIONS = {
     "select": {"method": None, "k": None, "paper_exclusion": False},
-    "resample": _defaults(ResamplePlan, "seed"),
+    "resample": _defaults(ResamplePlan),
     "network": _MODEL_DEFAULTS["network"],
     "booster": _MODEL_DEFAULTS["gbm"],
     "grid": PAPER_GRID,
@@ -311,11 +311,10 @@ def _resample_plan(cfg: dict) -> ResamplePlan | None:
     if section["method"] is None:
         raise ConfigError("invalid config field 'resample': missing 'method'")
     try:
-        plan = ResamplePlan(seed=cfg["seed"], **section)
+        plan = ResamplePlan(**section)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config field 'resample': {exc}")
-    # the plan's seed is the run seed, echoed once at the top level
-    cfg["resample"] = {k: v for k, v in plan.to_dict().items() if k != "seed"}
+    cfg["resample"] = plan.to_dict()
     return plan
 
 
@@ -336,9 +335,10 @@ def _scores(cfg: dict, data: Dataset, **defaults):
 
 def _folds(cfg: dict, data: Dataset, plan: ResamplePlan | None, report: RunReport):
     """(data, per-fold plan, folds) for a CV command. Paper mode resamples the
-    whole dataset before splitting, so the folds then resample nothing."""
+    whole dataset, with the run seed, before splitting, so the folds then
+    resample nothing."""
     if cfg["paper_mode"] and plan is not None:
-        data = apply_plan(data, plan)
+        data = apply_plan(data, plan, cfg["seed"])
         plan = None
         report.add_line("paper mode: whole dataset resampled before fold splitting")
     return data, plan, stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
@@ -437,7 +437,7 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     comparison = []
     for kk in compare_ks:
         subset = data.select_features(select_k_best(table, kk))
-        (result,) = cross_validate(subset, folds, make_builder(kind, cfg["seed"], **params),
+        (result,) = cross_validate(subset, folds, make_builder(kind, **params),
                                    workers=cfg["workers"])
         comparison.append([str(kk), format_percent(result.mean_metrics.accuracy),
                            format_percent(result.mean_metrics.macro_f)])
@@ -451,7 +451,7 @@ def _cmd_resample(cfg: dict, data: Dataset, report: RunReport, out: Path) -> Non
         raise ConfigError("resample needs a plan: --resample-method or config 'resample'")
     report.add_table("class balance before", ["class", "name", "count", "share_pct"],
                      _class_counts_rows(data))
-    resampled = apply_plan(data, plan)
+    resampled = apply_plan(data, plan, cfg["seed"])
     report.add_table("class balance after", ["class", "name", "count", "share_pct"],
                      _class_counts_rows(resampled))
     cfg["write_csv"] = bool(cfg.get("write_csv"))
@@ -472,7 +472,7 @@ def _cmd_train(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
     kind, params = _model(cfg, "network")
     data, plan, folds = _folds(cfg, data, plan, report)
-    (result,) = cross_validate(data, folds, make_builder(kind, cfg["seed"], **params),
+    (result,) = cross_validate(data, folds, make_builder(kind, **params),
                                resample_plan=plan, workers=cfg["workers"])
     _add_cv_sections(report, result, f"{kind} cross-validation")
 
@@ -485,13 +485,13 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     grid = cfg["grid"] = {axis: list(values) for axis, values in
                           _merge("grid", cfg.get("grid"), _SECTIONS["grid"]).items()}
 
-    def build(fold: int, epochs: int, lr: float, batch: int) -> NetworkClassifier:
-        return NetworkClassifier(seed=cfg["seed"] + fold, epochs=epochs,
-                                 learning_rate=lr, batch_size=batch, **fixed)
+    def build(seed: int, epochs: int, lr: float, batch: int) -> NetworkClassifier:
+        return NetworkClassifier(seed=seed, epochs=epochs, learning_rate=lr,
+                                 batch_size=batch, **fixed)
 
     # every cell builds once here, so a bad one fails before any fold work
     for cell in itertools.product(grid["epochs"], grid["learning_rate"], grid["batch_size"]):
-        build(0, *cell)
+        build(cfg["seed"], *cell)
     data, plan, folds = _folds(cfg, data, plan, report)
     rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
                       tuple(grid["learning_rate"]), tuple(grid["batch_size"]),
@@ -520,8 +520,7 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
     booster = _model_section(cfg, "booster", MODELS["gbm"])
     data, plan, folds = _folds(cfg, data, plan, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
-        data, folds, network, booster,
-        resample_plan=plan, seed=cfg["seed"], workers=cfg["workers"])
+        data, folds, network, booster, resample_plan=plan, workers=cfg["workers"])
 
     _add_cv_sections(report, network_result, "stage 1 network")
     _add_cv_sections(report, booster_result, "stage 2 booster (outer classes)")

@@ -76,13 +76,14 @@ class CascadeClassifier:
 def cascade_fit(train: Dataset, network_config: dict, booster_config: dict,
                 resample_plan: ResamplePlan | None = None,
                 seed: int = 0) -> CascadeClassifier:
-    """Fit both stages on a training set, optionally resampled first.
+    """Fit both stages on a training set, optionally resampled first; `seed`
+    seeds the resampling and the network.
 
     The booster sees the outer-class subset of the same (resampled) training
     rows, with their true labels.
     """
     if resample_plan is not None:
-        train = apply_plan(train, resample_plan)
+        train = apply_plan(train, resample_plan, seed)
     model = CascadeClassifier(
         NetworkClassifier(seed=seed, **network_config),
         GradientBoostedClassifier(**booster_config),
@@ -170,12 +171,11 @@ def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix,
 def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
                            booster_config: dict,
                            resample_plan: ResamplePlan | None = None,
-                           seed: int = 0, workers: int = 1,
-                           ) -> tuple[CvResult, CvResult, CvResult]:
+                           workers: int = 1) -> tuple[CvResult, CvResult, CvResult]:
     """Per-fold evaluation of stage 1 alone, stage 2 alone and the full
     cascade, from one pass over identical folds.
 
-    Each fold fits one cascade (network seed: seed + fold) on its training
+    Each fold fits one cascade, seeded with the fold's seed, on its training
     split, resampled when a plan is given, and runs its held-out rows through
     it once. Stage 1 alone is that pass's network labels. Stage 2 alone is its
     booster's labels scored on the held-out outer-class rows: the fold's
@@ -183,8 +183,8 @@ def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
     never predicts the accepted class. Returns (network_result,
     cascade_result, booster_result).
     """
-    def fit_predict(fold: int, train: Dataset, test: Dataset) -> tuple[np.ndarray, ...]:
-        return (cascade_fit(train, network_config, booster_config, seed=seed + fold)
+    def fit_predict(seed: int, train: Dataset, test: Dataset) -> tuple[np.ndarray, ...]:
+        return (cascade_fit(train, network_config, booster_config, seed=seed)
                 .predict_stages(test.features))
 
     network_result, stage2_result, cascade_result = cross_validate(
@@ -213,10 +213,10 @@ def binary_outer_study(data: Dataset, *, seed: int, k_folds: int = 10,
     if len(outer_data.class_counts()) < 2:
         raise DataError("binary study needs both outer classes present")
     folds = stratified_kfold(outer_data.labels, k_folds, seed)
-    fit_predict = make_builder("gbm", seed, **(booster_config or {}))
+    fit_predict = make_builder("gbm", **(booster_config or {}))
     results = {}
     for regime in regimes:
-        plan = None if regime == "full" else ResamplePlan(method=regime, seed=seed)
+        plan = None if regime == "full" else ResamplePlan(regime)
         (results[regime],) = cross_validate(outer_data, folds, fit_predict,
                                             resample_plan=plan, workers=workers)
     return results

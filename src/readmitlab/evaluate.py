@@ -8,11 +8,13 @@ macro precision and macro recall (not the mean of per-class F scores). Any
 
 cross_validate is the one fold loop: each (fold, job) task prepares its
 fold's training split, which its process keeps until it moves on to another
-fold, and scores every output the job fits on it. A single model per
-fold (one_model), the grid sweep's cells (grid_sweep, one job per cell) and
-the cascade's stage-1 network, its own stage-2 booster and the cascade itself
-(ensemble.cross_validate_cascade, one job with three outputs) all run through
-it, so the cascade's stages are scored on the cascade's folds.
+fold, and scores every output the job fits on it. Fold f of folds drawn
+with seed s resamples, and seeds its models, with s + f: the one seed rule,
+applied there alone. A single model per fold (one_model), the grid sweep's
+cells (grid_sweep, one job per cell) and the cascade's stage-1 network, its
+own stage-2 booster and the cascade itself (ensemble.cross_validate_cascade,
+one job with three outputs) all run through it, so the cascade's stages are
+scored on the cascade's folds.
 
 Its parallel work runs in forked worker processes, not threads: a network
 step is a string of microsecond NumPy calls, so fold threads would mostly
@@ -27,7 +29,7 @@ import contextlib
 import ctypes
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Protocol, TypeVar
 
@@ -129,7 +131,6 @@ class MetricsReport:
     macro_f: float
     per_class_recall: dict[int, float]
     per_class_precision: dict[int, float]
-    source: ConfusionMatrix | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -154,7 +155,6 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
         macro_f=harmonic_mean(macro_p, macro_r),
         per_class_recall=recalls,
         per_class_precision=precisions,
-        source=cm,
         notes=tuple(notes),
     )
 
@@ -173,12 +173,11 @@ class CvResult:
     pooled_matrix: ConfusionMatrix
 
 
-# fit_predict(fold, train, test) -> one predicted-label array per output
+# fit_predict(seed, train, test) -> one predicted-label array per output
 FitPredict = Callable[[int, Dataset, Dataset], tuple[np.ndarray, ...]]
 
 
-def _mean_metrics(reports: tuple[MetricsReport, ...],
-                  pooled: ConfusionMatrix) -> MetricsReport:
+def _mean_metrics(reports: tuple[MetricsReport, ...]) -> MetricsReport:
     classes = reports[0].class_ids
     notes = tuple(dict.fromkeys(n for r in reports for n in r.notes))
     return MetricsReport(
@@ -191,7 +190,6 @@ def _mean_metrics(reports: tuple[MetricsReport, ...],
                           for c in classes},
         per_class_precision={c: float(np.mean([r.per_class_precision[c] for r in reports]))
                              for c in classes},
-        source=pooled,
         notes=notes,
     )
 
@@ -250,10 +248,10 @@ def _one_blas_thread():
 
 
 def one_model(build_model: Callable[[int], Model]) -> FitPredict:
-    """The fit_predict of one model per fold: build_model(fold), fitted on the
+    """The fit_predict of one model per fold: build_model(seed), fitted on the
     training split, predicts the held-out rows."""
-    def fit_predict(fold: int, train: Dataset, test: Dataset) -> tuple[np.ndarray]:
-        return (build_model(fold).fit(train.features, train.labels).predict(test.features),)
+    def fit_predict(seed: int, train: Dataset, test: Dataset) -> tuple[np.ndarray]:
+        return (build_model(seed).fit(train.features, train.labels).predict(test.features),)
 
     return fit_predict
 
@@ -342,12 +340,13 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
                    workers: int = 1) -> tuple[CvResult, ...]:
     """Score every output the jobs fit on each fold's training split.
 
-    A fold takes its training split and, when a plan is given, resamples it
-    with the plan seed plus the fold index, so folds stay independent but
-    reproducible; the held-out fold is never resampled. Each job is a
-    fit_predict(fold, train, test) returning one predicted-label array per
-    output for the held-out rows; the result is one CvResult per output, the
-    jobs' outputs in job order.
+    Fold f's seed is folds.seed + f, derived here and nowhere else: the
+    fold's training split is resampled with it when a plan is given, and
+    every job fits with it, so folds stay independent but reproducible; the
+    held-out fold is never resampled. Each job is a fit_predict(seed, train,
+    test) returning one predicted-label array per output for the held-out
+    rows; the result is one CvResult per output, the jobs' outputs in job
+    order.
 
     Every (fold, job) pair is one task, run on `workers` processes (see
     _run_tasks) with BLAS on one thread: the calling process and forked
@@ -368,18 +367,19 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
 
     held: dict[int, tuple[Dataset, Dataset]] = {}  # this process's latest split
 
-    def prepare(fold: int) -> tuple[Dataset, Dataset]:
+    def prepare(fold: int, seed: int) -> tuple[Dataset, Dataset]:
         if fold not in held:
             held.clear()  # free the old split before building the next
             train = data.take(folds.train_indices(fold))
             if resample_plan is not None:
-                train = apply_plan(train, replace(resample_plan, seed=resample_plan.seed + fold))
+                train = apply_plan(train, resample_plan, seed)
             held[fold] = train, data.take(folds.test_indices(fold))
         return held[fold]
 
     def fit(task: int) -> tuple[np.ndarray, ...]:
         fold, job = divmod(task, len(jobs))
-        return jobs[job](fold, *prepare(fold))
+        seed = folds.seed + fold
+        return jobs[job](seed, *prepare(fold, seed))
 
     with _one_blas_thread():
         outputs = _run_tasks(fit, folds.k * len(jobs), workers)
@@ -394,10 +394,8 @@ def _cv_result(matrices: tuple[ConfusionMatrix, ...]) -> CvResult:
     """Per-fold metrics, their mean, and the pooled matrix of per-fold
     confusion matrices given in fold order."""
     fold_metrics = tuple(metrics(m) for m in matrices)
-    pooled = matrices[0]
-    for m in matrices[1:]:
-        pooled = pooled + m
-    return CvResult(matrices, fold_metrics, _mean_metrics(fold_metrics, pooled), pooled)
+    pooled = sum(matrices[1:], matrices[0])
+    return CvResult(matrices, fold_metrics, _mean_metrics(fold_metrics), pooled)
 
 
 @dataclass(frozen=True)
@@ -431,17 +429,17 @@ def grid_sweep(data: Dataset, folds: FoldPlan,
     Every cell is one cross_validate job, so each (fold, cell) pair is a task
     of its own for the workers, and a process prepares each fold at most once
     for all the cells it runs.
-    build_model(fold, epochs, lr, batch) must return a fresh model, which is
-    dropped once it has predicted. The returned rows are sorted by mean
-    accuracy descending (stable, so grid order breaks ties); the first row is
-    the winner. `annotate` attaches a note string to specific combinations.
+    build_model(seed, epochs, lr, batch) must return a fresh model seeded
+    with the fold's seed, which is dropped once it has predicted. The rows
+    are sorted by mean accuracy descending (stable, so grid order breaks
+    ties); the first row is the winner. `annotate` attaches a note string to specific combinations.
     """
     if not (epochs_grid and lr_grid and batch_grid):
         raise ValueError("grid axes must be nonempty")
     annotate = annotate or {}
     cells = list(itertools.product(epochs_grid, lr_grid, batch_grid))
 
-    jobs = [one_model(lambda fold, cell=cell: build_model(fold, *cell)) for cell in cells]
+    jobs = [one_model(lambda seed, cell=cell: build_model(seed, *cell)) for cell in cells]
     results = cross_validate(data, folds, *jobs, resample_plan=resample_plan, workers=workers)
     rows = [SweepRow(*cell, result, annotate.get(cell, ""))
             for cell, result in zip(cells, results)]

@@ -167,16 +167,16 @@ SCORERS = {
 
 
 def select_k_best(scores: FeatureScoreTable, k: int) -> list[int]:
-    """Indices of the k highest-scoring features, in original column order."""
+    """Indices of the k highest-scoring features, in original column order:
+    those ranked 1..k (an excluded feature's rank is 0)."""
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
-    available = [i for i in range(len(scores.feature_names)) if i not in scores.excluded]
-    if k > len(available):
+    available = np.count_nonzero(scores.ranks)
+    if k > available:
         raise ValueError(
-            f"k={k} exceeds the {len(available)} non-excluded features"
+            f"k={k} exceeds the {available} non-excluded features"
         )
-    best = sorted(available, key=lambda i: (-scores.scores[i], i))[:k]
-    return sorted(best)
+    return np.flatnonzero((scores.ranks > 0) & (scores.ranks <= k)).tolist()
 
 
 def per_class_stats(data: Dataset, features=None) -> ClassStatsTable:

@@ -92,13 +92,13 @@ MODELS = {"network": NetworkClassifier, "gbm": GradientBoostedClassifier,
 MODEL_KINDS = tuple(MODELS)
 
 
-def make_builder(kind: str, seed: int, **kwargs) -> FitPredict:
+def make_builder(kind: str, **settings) -> FitPredict:
     """Return the fit_predict of cross_validate for one model kind: a fresh
-    model per fold, given seed + fold when its class's constructor takes a
-    seed."""
+    model per fold, given the fold's seed when its class's constructor takes
+    a seed."""
     if kind not in MODELS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     cls = MODELS[kind]
     if "seed" in inspect.signature(cls).parameters:
-        return one_model(lambda fold: cls(seed=seed + fold, **kwargs))
-    return one_model(lambda fold: cls(**kwargs))
+        return one_model(lambda seed: cls(seed=seed, **settings))
+    return one_model(lambda seed: cls(**settings))

@@ -177,8 +177,8 @@ class MaxPool1d(Layer):
 
     def __init__(self, window: int):
         self.window = window
-        self._shape = None
-        self._first = None
+        self._x = None
+        self._out = None
 
     def out_length(self, length: int) -> int:
         if length < self.window:
@@ -196,6 +196,11 @@ class MaxPool1d(Layer):
         out = windows[:, :, 0]
         for offset in range(1, self.window):
             out = np.maximum(out, windows[:, :, offset])
+        self._x, self._out = x, out
+        return out
+
+    def backward(self, d_out):
+        windows, out = self._split(self._x), self._out
         # `first` counts the taps before each window's gradient tap: those
         # that are numbers other than the window's maximum
         first = np.zeros(out.shape, dtype=np.intp)
@@ -204,17 +209,13 @@ class MaxPool1d(Layer):
             tap = windows[:, :, offset]
             before &= (tap != out) & (tap == tap)
             first += before
-        self._shape, self._first = x.shape, first
-        return out
-
-    def backward(self, d_out):
-        dx = np.zeros(self._shape, dtype=d_out.dtype)
-        windows = self._split(dx)
+        dx = np.zeros(self._x.shape, dtype=d_out.dtype)
+        dx_windows = self._split(dx)
         # + 0.0 stores what a sum into zeros would: a -0.0 gradient lands as 0.0
         grad = d_out + 0.0
         for offset in range(self.window):
-            _and_bits(grad, _keep_bits(self._first == offset, dx.dtype),
-                      out=windows[:, :, offset])
+            _and_bits(grad, _keep_bits(first == offset, dx.dtype),
+                      out=dx_windows[:, :, offset])
         return dx
 
 

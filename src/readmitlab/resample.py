@@ -1,9 +1,11 @@
 """Class-balance correction over one shared exact nearest-neighbour search.
 
 Oversamplers: smote, borderline_smote, svm_smote, adasyn, random_over.
-Undersampler: nearmiss (versions 1-3). All methods are pure given
-(data, plan): the same plan and seed always reproduce the same rows, and the
-first n output rows are the input rows bitwise.
+Undersampler: nearmiss (versions 1-3). All methods are pure given (data,
+plan, seed), the seed passed apart from the plan (a fold's, from
+evaluate.cross_validate, or the run's): the same plan and seed always
+reproduce the same rows, and the first n output rows are the input rows
+bitwise.
 
 Every neighbour table, NearMiss's included, comes from _nearest. It
 shortlists candidates by the norm expansion |q|^2 + |p|^2 - 2 q.p, keeping
@@ -16,7 +18,7 @@ that cap, on the input size or on BLAS threading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -34,14 +36,14 @@ _BLOCK_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """Method, neighbor count, seed, and target per-class counts.
+    """Method, neighbor count, and target per-class counts.
 
     target_counts=None means: equalize every class up to the majority count
-    (oversamplers) or down to the minority count (nearmiss).
-    """
+    (oversamplers) or down to the minority count (nearmiss). The fields
+    after the method are keyword-only."""
 
     method: str
-    seed: int
+    _: KW_ONLY
     k_neighbors: int = 5
     target_counts: dict[int, int] | None = None
     nearmiss_version: int = 1
@@ -76,7 +78,6 @@ class ResamplePlan:
     def to_dict(self) -> dict:
         out = {
             "method": self.method,
-            "seed": self.seed,
             "k_neighbors": self.k_neighbors,
             "target_counts": None
             if self.target_counts is None
@@ -261,14 +262,14 @@ def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
     raise ValueError(f"not an oversampler: {plan.method!r}")
 
 
-def oversample(data: Dataset, plan: ResamplePlan) -> Dataset:
+def oversample(data: Dataset, plan: ResamplePlan, seed: int) -> Dataset:
     """Original rows (order preserved) followed by synthetic rows, per-class
     counts equal to the plan's resolved targets."""
     if plan.method not in OVERSAMPLERS:
         raise ValueError(f"oversample() got undersampling method {plan.method!r}")
     counts = data.class_counts()
     targets = plan.resolved_targets(counts)
-    rng = np.random.default_rng(plan.seed)
+    rng = np.random.default_rng(seed)
     X, y = data.features, data.labels
     synth_rows, synth_labels = [], []
     for cls in sorted(counts):
@@ -352,15 +353,15 @@ def _keep(data: Dataset, cls: int, kept: np.ndarray) -> Dataset:
     return data.take(np.flatnonzero(keep_mask))
 
 
-def apply_plan(data: Dataset, plan: ResamplePlan) -> Dataset:
-    """Dispatch a plan: oversamplers add rows, undersamplers remove them
-    class by class."""
+def apply_plan(data: Dataset, plan: ResamplePlan, seed: int) -> Dataset:
+    """Dispatch a plan, seeded with `seed`: oversamplers add rows,
+    undersamplers remove them class by class."""
     if plan.method in OVERSAMPLERS:
-        return oversample(data, plan)
+        return oversample(data, plan, seed)
     counts = data.class_counts()
     targets = plan.resolved_targets(counts)
     smallest = min(sorted(counts), key=lambda c: (counts[c], c))
-    rng = np.random.default_rng(plan.seed)
+    rng = np.random.default_rng(seed)
     out = data
     for cls in sorted(counts):
         if targets.get(cls, counts[cls]) >= counts[cls]:

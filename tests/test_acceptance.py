@@ -175,7 +175,7 @@ def test_criterion_05_resampler_properties(capfd):
                                 spread=1.2)
             for method in ("smote", "borderline_smote", "svm_smote",
                            "adasyn", "random_over"):
-                out = oversample(data, ResamplePlan(method, seed=seed))
+                out = oversample(data, ResamplePlan(method), seed)
                 assert out.class_counts() == {0: 60, 1: 60, 2: 60}, method
 
         # (b) every SMOTE-family synthetic lies on a segment between a
@@ -190,8 +190,7 @@ def test_criterion_05_resampler_properties(capfd):
             x_min = data.features[data.labels == 1]
             neighbor_sets = minority_neighbor_sets(x_min, k)
             for method in ("smote", "borderline_smote", "adasyn", "svm_smote"):
-                out = oversample(data, ResamplePlan(method, seed=seed,
-                                                    k_neighbors=k))
+                out = oversample(data, ResamplePlan(method, k_neighbors=k), seed)
                 synth = out.features[data.n_instances:]
                 assert len(synth) == 50 - 18, method
                 mirrored = method == "svm_smote"
@@ -208,7 +207,7 @@ def test_criterion_05_resampler_properties(capfd):
         b_minority = rng.normal(loc=[40.0, 40.0], scale=0.5, size=(8, 2))
         data = make_dataset(np.vstack([a_minority, majority, b_minority]),
                             [1] * 8 + [0] * 30 + [1] * 8)
-        out = oversample(data, ResamplePlan("adasyn", seed=9))
+        out = oversample(data, ResamplePlan("adasyn"), 9)
         synth = out.features[data.n_instances:]
         assert len(synth) == 30 - 16
         assert np.all(np.linalg.norm(synth, axis=1) < 20.0)
@@ -310,7 +309,7 @@ def test_criterion_08_end_to_end_window(capfd):
         booster_config = dict(n_rounds=100, learning_rate=0.1, max_depth=3)
         network_result, cascade_result, _ = cross_validate_cascade(
             data, folds, network_config, booster_config,
-            resample_plan=ResamplePlan("adasyn", seed=0), seed=0,
+            resample_plan=ResamplePlan("adasyn"),
             workers=os.cpu_count() or 1,
         )
         network_pct = 100.0 * network_result.pooled_matrix.accuracy

@@ -487,10 +487,10 @@ class TestWorkerFailures:
         resample = evaluate.apply_plan
         fit = NetworkClassifier.fit
 
-        def failing_apply_plan(train, plan):
-            if plan.seed == 2:  # run seed 1 plus fold 1
+        def failing_apply_plan(train, plan, seed):
+            if seed == 2:  # run seed 1 plus fold 1
                 raise DataError("fold 1 could not be resampled")
-            return resample(train, plan)
+            return resample(train, plan, seed)
 
         def failing_fit(self, X, y):
             if fold_0_fit_fails and self.seed == 1:
@@ -595,23 +595,26 @@ class TestCascade:
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("command, flags, grid", [
+    @pytest.mark.parametrize("command, flags, config", [
         ("train", ["--model", "network", "--arch", "vanilla", "--epochs", "1",
                    "--batch-size", "16", "--select-method", "chi2", "--select-k", "5",
                    "--resample-method", "adasyn"], None),
         ("sweep", ["--arch", "vanilla", "--resample-method", "smote"],
-         {"epochs": [1], "learning_rate": [1e-2], "batch_size": [16, 64]}),
+         {"grid": {"epochs": [1], "learning_rate": [1e-2], "batch_size": [16, 64]}}),
         ("cascade", ["--arch", "vanilla", "--epochs", "1", "--batch-size", "16",
                      "--n-rounds", "3"], None),
+        ("binary-study", [], {"booster": {"n_rounds": 3}}),
+        ("select", ["--select-method", "anova_f"],
+         {"compare_ks": [6, 8], "model": {"kind": "network", "arch": "vanilla",
+                                          "epochs": 1, "batch_size": 16}}),
     ])
     def test_reports_are_identical_at_one_and_two_workers(self, tmp_path, command, flags,
-                                                          grid):
+                                                          config):
         csv = write_csv(tmp_path)
         argv = [command, "--data", str(csv), "--seed", "1", "--folds", "3", *flags]
-        if grid is not None:
-            config = tmp_path / "cfg.json"
-            config.write_text(json.dumps({"grid": grid}))
-            argv += ["--config", str(config)]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
         for workers in ("1", "2"):
             assert main(argv + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
         for name in ("report.tsv", "report.txt"):
@@ -1015,7 +1018,7 @@ class TestConfigTable:
 
     def test_resample_defaults_match_the_plan(self):
         plan_defaults = {f.name: f.default for f in dataclasses.fields(ResamplePlan)
-                         if f.name not in ("method", "seed")}
+                         if f.name != "method"}
         assert {"method": None, **plan_defaults} == _SECTIONS["resample"]
 
     @pytest.mark.parametrize("command", [[], *([name] for name in _COMMANDS)],

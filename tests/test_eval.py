@@ -4,7 +4,6 @@ import concurrent.futures
 import os
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from helpers import ProcessLog, blob_dataset, make_dataset
 
 
 def assert_each_process_prepared_each_fold_once(prepared, seeds):
-    """prepared holds an apply_plan spy's [pid, fold plan seed] records."""
+    """prepared holds an apply_plan spy's [pid, fold seed] records."""
     assert sorted({seed for _, seed in prepared}) == seeds  # every fold is prepared
     assert len({tuple(record) for record in prepared}) == len(prepared)  # once per process
 
@@ -302,7 +301,7 @@ class TestCrossValidate:
                 seen_sizes.append(len(y))
                 return super().fit(X, y)
 
-        plan = ResamplePlan("random_over", seed=0)
+        plan = ResamplePlan("random_over")
         (result,) = cross_validate(data, folds, one_model(lambda i: RecordingModel()),
                                 resample_plan=plan)
         # training splits were inflated to 3 x majority count
@@ -350,24 +349,24 @@ class TestWorkerProcesses:
 
         prepared = ProcessLog(tmp_path / "prepared")
 
-        def counting_apply_plan(train, fold_plan):
-            prepared.append([os.getpid(), fold_plan.seed])
-            return apply_plan(train, fold_plan)
+        def counting_apply_plan(train, plan, seed):
+            prepared.append([os.getpid(), seed])
+            return apply_plan(train, plan, seed)
 
         fitted = ProcessLog(tmp_path / "fitted")
 
-        def build(fold, epochs, lr, batch):
-            fitted.append([fold, batch])
+        def build(seed, epochs, lr, batch):
+            fitted.append([seed, batch])
             return NearestCentroid()
 
         monkeypatch.setattr(evaluate, "_run_tasks", counting_run_tasks)
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
         rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(0.5,),
-                          batch_grid=(8, 16), resample_plan=ResamplePlan("random_over", seed=30),
+                          batch_grid=(8, 16), resample_plan=ResamplePlan("random_over"),
                           workers=2)
         assert dispatched == [6]  # one task per (fold, cell), which prepares its fold
-        assert_each_process_prepared_each_fold_once(prepared.read(), [30, 31, 32])
-        assert sorted(fitted.read()) == [[f, b] for f in range(3) for b in (8, 16)]
+        assert_each_process_prepared_each_fold_once(prepared.read(), [15, 16, 17])
+        assert sorted(fitted.read()) == [[15 + f, b] for f in range(3) for b in (8, 16)]
         assert len(rows) == 2
 
     @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
@@ -385,7 +384,7 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
-                                   resample_plan=ResamplePlan("random_over", seed=0),
+                                   resample_plan=ResamplePlan("random_over"),
                                    workers=workers)
         # the tasks prepare their folds and fit them in one pool
         assert contexts == ["fork"] * pools
@@ -399,17 +398,52 @@ class TestWorkerProcesses:
         prepared = ProcessLog(tmp_path / "prepared")
         caller = os.getpid()
 
-        def counting_apply_plan(train, fold_plan):
-            prepared.append({"pid": os.getpid(), "seed": fold_plan.seed})
+        def counting_apply_plan(train, plan, seed):
+            prepared.append({"pid": os.getpid(), "seed": seed})
             if os.getpid() == caller:
                 prepared.wait_for_other_process()  # leave a fold for a worker
-            return apply_plan(train, fold_plan)
+            return apply_plan(train, plan, seed)
 
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
         cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
-                       resample_plan=ResamplePlan("random_over", seed=40), workers=2)
-        assert sorted(v["seed"] for v in prepared.read()) == [40, 41, 42]
+                       resample_plan=ResamplePlan("random_over"), workers=2)
+        assert sorted(v["seed"] for v in prepared.read()) == [15, 16, 17]
         assert {v["pid"] for v in prepared.read()} - {caller}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_task_of_fold_f_sees_the_folds_seed_plus_f(self, tmp_path, monkeypatch,
+                                                             workers):
+        from readmitlab import evaluate
+        from readmitlab.resample import ResamplePlan
+
+        data, folds = self.setup_data()
+        # a last column of row numbers tells which fold a split belongs to
+        data = make_dataset(np.hstack([data.features, np.arange(data.n_instances)[:, None]]),
+                            data.labels)
+        fold_of_row = np.empty(data.n_instances, dtype=np.int64)
+        for fold in range(folds.k):
+            fold_of_row[folds.test_indices(fold)] = fold
+        seen = ProcessLog(tmp_path / "seen")  # tasks run in forked workers too
+
+        def spying_apply_plan(train, plan, seed):
+            (fold,) = set(range(folds.k)) - set(fold_of_row[train.features[:, -1].astype(int)])
+            seen.append(["resample", int(fold), seed])
+            return apply_plan(train, plan, seed)
+
+        def job(name):
+            def fit_predict(seed, train, test):
+                seen.append([name, int(fold_of_row[int(test.features[0, -1])]), seed])
+                return (np.zeros(test.n_instances, dtype=np.int64),)
+            return fit_predict
+
+        monkeypatch.setattr(evaluate, "apply_plan", spying_apply_plan)
+        cross_validate(data, folds, job("a"), job("b"),
+                       resample_plan=ResamplePlan("random_over"), workers=workers)
+        records = seen.read()
+        assert {(name, fold) for name, fold, _ in records} == {
+            (name, fold) for name in ("resample", "a", "b") for fold in range(folds.k)}
+        assert [seed for _, fold, seed in records] == [folds.seed + fold
+                                                       for _, fold, _ in records]
 
     def test_a_process_holds_one_prepared_split_at_a_time(self):
         from readmitlab.resample import ResamplePlan
@@ -417,8 +451,8 @@ class TestWorkerProcesses:
 
         data = synthetic_cohort(20000, 20, seed=3)
         folds = stratified_kfold(data.labels, 10, seed=3)
-        plan = ResamplePlan("random_over", seed=3)
-        split = (apply_plan(data.take(folds.train_indices(0)), plan),
+        plan = ResamplePlan("random_over")
+        split = (apply_plan(data.take(folds.train_indices(0)), plan, 3),
                  data.take(folds.test_indices(0)))
         split_bytes = sum(part.features.nbytes + part.labels.nbytes for part in split)
         del split
@@ -455,12 +489,12 @@ class TestMakeBuilder:
         ("forest", {"n_trees": 2}, [7, 8, 9]),
         ("gbm", {"n_rounds": 1}, [None, None, None]),
     ])
-    def test_a_model_is_given_seed_plus_fold_when_its_constructor_takes_one(
+    def test_a_model_is_given_the_fold_seed_when_its_constructor_takes_one(
             self, monkeypatch, kind, params, seeds):
         from readmitlab import models
 
         monkeypatch.setattr(models, "one_model", lambda build_model: build_model)
-        built = [models.make_builder(kind, 7, **params)(fold) for fold in range(3)]
+        built = [models.make_builder(kind, **params)(seed) for seed in (7, 8, 9)]
         assert all(type(model) is models.MODELS[kind] for model in built)
         assert [getattr(model, "seed", None) for model in built] == seeds
 
@@ -469,7 +503,7 @@ class TestMakeBuilder:
 
         with pytest.raises(ValueError, match=r"unknown model kind 'svm'; expected one of "
                                              r"\('network', 'gbm', 'forest'\)"):
-            make_builder("svm", 0)
+            make_builder("svm")
 
 
 class TestGridSweep:
@@ -509,13 +543,13 @@ class TestGridSweep:
         data, folds = self.setup_data()
         calls = []
 
-        def build(fold, epochs, lr, batch):
-            calls.append((fold, epochs, lr, batch))
+        def build(seed, epochs, lr, batch):
+            calls.append((seed, epochs, lr, batch))
             return ConstantModel(0)
 
         grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(0.5,),
                    batch_grid=(8,))
-        assert calls == [(0, 1, 0.5, 8), (1, 1, 0.5, 8), (2, 1, 0.5, 8)]
+        assert calls == [(21, 1, 0.5, 8), (22, 1, 0.5, 8), (23, 1, 0.5, 8)]
 
     def test_each_fold_is_prepared_once_for_every_cell(self, monkeypatch, tmp_path):
         from readmitlab import evaluate
@@ -528,30 +562,30 @@ class TestGridSweep:
         data = make_dataset(np.hstack([data.features, rng.random((data.n_instances, 6))]),
                             data.labels)
         folds = stratified_kfold(data.labels, 3, seed=23)
-        plan = ResamplePlan("smote", seed=24)
+        plan = ResamplePlan("smote")
 
-        def build(fold, epochs, lr, batch):
+        def build(seed, epochs, lr, batch):
             return NetworkClassifier("vanilla", epochs=epochs, learning_rate=lr,
-                                     batch_size=batch, seed=25 + fold)
+                                     batch_size=batch, seed=seed)
 
         cells = [(1, 1e-2, 16), (1, 1e-2, 64)]
         per_cell = {cell: cross_validate(data, folds,
-                                         one_model(lambda f, c=cell: build(f, *c)),
+                                         one_model(lambda s, c=cell: build(s, *c)),
                                          resample_plan=plan)[0]
                     for cell in cells}
         plans = ProcessLog(tmp_path / "plans")  # folds are prepared in forked workers too
 
-        def counting_apply_plan(train, fold_plan):
-            plans.append([os.getpid(), fold_plan.seed])
-            return apply_plan(train, fold_plan)
+        def counting_apply_plan(train, plan, seed):
+            plans.append([os.getpid(), seed])
+            return apply_plan(train, plan, seed)
 
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
         serial = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
                             batch_grid=(16, 64), resample_plan=plan, workers=1)
-        assert [seed for _, seed in plans.read()] == [24, 25, 26]
+        assert [seed for _, seed in plans.read()] == [23, 24, 25]
         rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
                           batch_grid=(16, 64), resample_plan=plan, workers=2)
-        assert_each_process_prepared_each_fold_once(plans.read()[3:], [24, 25, 26])
+        assert_each_process_prepared_each_fold_once(plans.read()[3:], [23, 24, 25])
         assert len(rows) == 2
         for row in serial + rows:
             want = per_cell[(row.epochs, row.learning_rate, row.batch_size)]
@@ -559,7 +593,7 @@ class TestGridSweep:
                 assert np.array_equal(got_m.counts, want_m.counts)
             for got, want_r in zip(row.result.fold_metrics + (row.result.mean_metrics,),
                                    want.fold_metrics + (want.mean_metrics,)):
-                assert replace(got, source=None) == replace(want_r, source=None)
+                assert got == want_r
 
     def test_empty_grid_rejected(self):
         data, folds = self.setup_data()

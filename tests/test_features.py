@@ -190,6 +190,23 @@ class TestSelectKBest:
                 for k in range(1, 7):
                     assert set(select_k_best(table, k)) <= set(select_k_best(table, k + 1))
 
+    def test_ties_go_to_the_lower_column_and_excluded_features_are_never_picked(self):
+        # columns 1 and 3 copy column 0, and columns 2 and 5 are all zero
+        rng = np.random.default_rng(13)
+        y = np.repeat([0, 1, 2], 6)
+        base, other = y + rng.random(18), rng.random(18)
+        X = np.column_stack([base, base, np.zeros(18), base, other, np.zeros(18)])
+        data = make_dataset(X, y)
+        for scorer in SCORERS.values():
+            table = scorer(data)
+            available = [i for i in range(6) if i not in table.excluded]
+            assert set(table.excluded) >= {2, 5}
+            for k in range(1, len(available) + 1):
+                # the (-score, column) order that _rank_table ranks by
+                want = sorted(available, key=lambda i: (-table.scores[i], i))[:k]
+                assert select_k_best(table, k) == sorted(want)
+            assert select_k_best(table, 2) == [0, 1]
+
     def test_k_beyond_available_rejected(self):
         data = make_dataset([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]], [0, 1, 2])
         table = chi_square_scores(data)  # column 0 excluded (zero sum)

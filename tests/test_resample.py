@@ -40,22 +40,22 @@ class TestKnn:
 class TestResamplePlan:
     def test_equalize_targets(self):
         counts = {0: 50, 1: 30, 2: 10}
-        up = ResamplePlan("smote", seed=0).resolved_targets(counts)
+        up = ResamplePlan("smote").resolved_targets(counts)
         assert up == {0: 50, 1: 50, 2: 50}
-        down = ResamplePlan("nearmiss", seed=0).resolved_targets(counts)
+        down = ResamplePlan("nearmiss").resolved_targets(counts)
         assert down == {0: 10, 1: 10, 2: 10}
 
     def test_explicit_targets_validated(self):
         with pytest.raises(ValueError):
-            ResamplePlan("smote", seed=0,
+            ResamplePlan("smote",
                          target_counts={0: 5}).resolved_targets({0: 10, 1: 3})
         with pytest.raises(ValueError):
-            ResamplePlan("nearmiss", seed=0,
+            ResamplePlan("nearmiss",
                          target_counts={0: 20}).resolved_targets({0: 10, 1: 3})
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            ResamplePlan("mixup", seed=0)
+            ResamplePlan("mixup")
 
 
 class TestOversamplers:
@@ -65,7 +65,7 @@ class TestOversamplers:
                        np.array([[8.0, 9.0]]) + np.arange(6)[:, None]])
         y = np.array([1, 1, 0, 0, 0, 0, 0, 0])
         data = make_dataset(X, y)
-        out = oversample(data, ResamplePlan("smote", seed=5, k_neighbors=1))
+        out = oversample(data, ResamplePlan("smote", k_neighbors=1), 5)
         synth = out.features[len(y):][out.labels[len(y):] == 1]
         assert len(synth) == 4
         assert np.allclose(synth[:, 0], synth[:, 1], atol=1e-12)
@@ -77,14 +77,13 @@ class TestOversamplers:
             # clusters overlap so border-aware methods find danger points
             data = blob_dataset(rng, {0: 60, 1: 25, 2: 12},
                                 {0: [0, 0], 1: [1.5, 0], 2: [-1.5, 0]}, spread=1.2)
-            plan = ResamplePlan(method, seed=trial, k_neighbors=5)
-            out = oversample(data, plan)
+            out = oversample(data, ResamplePlan(method, k_neighbors=5), trial)
             assert out.class_counts() == {0: 60, 1: 60, 2: 60}, method
 
     def test_original_rows_preserved_in_order(self):
         rng = np.random.default_rng(2)
         data = blob_dataset(rng, {0: 30, 1: 10}, {0: [0, 0], 1: [5, 5]})
-        out = oversample(data, ResamplePlan("smote", seed=0))
+        out = oversample(data, ResamplePlan("smote"), 0)
         n = data.n_instances
         assert np.array_equal(out.features[:n], data.features)
         assert np.array_equal(out.labels[:n], data.labels)
@@ -96,7 +95,7 @@ class TestOversamplers:
         for method in ("smote", "borderline_smote", "adasyn"):
             data = blob_dataset(rng, {0: 50, 1: 18}, {0: [0, 0], 1: [2.5, 2.5]},
                                 spread=1.0)
-            out = oversample(data, ResamplePlan(method, seed=7, k_neighbors=k))
+            out = oversample(data, ResamplePlan(method, k_neighbors=k), 7)
             x_min = data.features[data.labels == 1]
             neighbor_sets = minority_neighbor_sets(x_min, k)
             synth = out.features[data.n_instances:]
@@ -108,7 +107,7 @@ class TestOversamplers:
         k = 4
         data = blob_dataset(rng, {0: 50, 1: 18}, {0: [0, 0], 1: [2.5, 2.5]},
                             spread=1.0)
-        out = oversample(data, ResamplePlan("svm_smote", seed=11, k_neighbors=k))
+        out = oversample(data, ResamplePlan("svm_smote", k_neighbors=k), 11)
         x_min = data.features[data.labels == 1]
         neighbor_sets = minority_neighbor_sets(x_min, k)
         synth = out.features[data.n_instances:]
@@ -126,7 +125,7 @@ class TestOversamplers:
         X = np.vstack([a_minority, majority, b_minority])
         y = np.array([1] * 8 + [0] * 30 + [1] * 8)
         data = make_dataset(X, y)
-        out = oversample(data, ResamplePlan("adasyn", seed=9, k_neighbors=5))
+        out = oversample(data, ResamplePlan("adasyn", k_neighbors=5), 9)
         synth = out.features[data.n_instances:]
         assert len(synth) == 30 - 16
         dist_to_a = np.linalg.norm(synth - np.array([0.0, 0.0]), axis=1)
@@ -138,7 +137,7 @@ class TestOversamplers:
         rng = np.random.default_rng(7)
         data = blob_dataset(rng, {0: 40, 1: 15}, {0: [0, 0], 1: [50, 50]},
                             spread=0.5)
-        out = oversample(data, ResamplePlan("adasyn", seed=3, k_neighbors=5))
+        out = oversample(data, ResamplePlan("adasyn", k_neighbors=5), 3)
         assert out.class_counts() == {0: 40, 1: 40}
 
     def test_borderline_without_danger_points_is_an_error(self):
@@ -146,18 +145,18 @@ class TestOversamplers:
         data = blob_dataset(rng, {0: 40, 1: 15}, {0: [0, 0], 1: [50, 50]},
                             spread=0.5)
         with pytest.raises(DataError):
-            oversample(data, ResamplePlan("borderline_smote", seed=0, k_neighbors=5))
+            oversample(data, ResamplePlan("borderline_smote", k_neighbors=5), 0)
 
     def test_minority_smaller_than_k_rejected(self):
         rng = np.random.default_rng(9)
         data = blob_dataset(rng, {0: 30, 1: 4}, {0: [0, 0], 1: [5, 5]})
         with pytest.raises(DataError):
-            oversample(data, ResamplePlan("smote", seed=0, k_neighbors=5))
+            oversample(data, ResamplePlan("smote", k_neighbors=5), 0)
 
     def test_random_over_duplicates_existing_rows(self):
         rng = np.random.default_rng(10)
         data = blob_dataset(rng, {0: 25, 1: 10}, {0: [0, 0], 1: [5, 5]})
-        out = oversample(data, ResamplePlan("random_over", seed=1))
+        out = oversample(data, ResamplePlan("random_over"), 1)
         originals = {tuple(row) for row in data.features[data.labels == 1]}
         for row in out.features[data.n_instances:]:
             assert tuple(row) in originals
@@ -165,9 +164,9 @@ class TestOversamplers:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(11)
         data = blob_dataset(rng, {0: 30, 1: 12}, {0: [0, 0], 1: [3, 3]})
-        a = oversample(data, ResamplePlan("smote", seed=42))
-        b = oversample(data, ResamplePlan("smote", seed=42))
-        c = oversample(data, ResamplePlan("smote", seed=43))
+        a = oversample(data, ResamplePlan("smote"), 42)
+        b = oversample(data, ResamplePlan("smote"), 42)
+        c = oversample(data, ResamplePlan("smote"), 43)
         assert np.array_equal(a.features, b.features)
         assert not np.array_equal(a.features, c.features)
 
@@ -261,16 +260,15 @@ class TestApplyPlan:
         data = blob_dataset(rng, {0: 50, 1: 30, 2: 14},
                             {0: [0, 0], 1: [1.5, 0], 2: [-1.5, 0]}, spread=1.2)
         for method in sorted(OVERSAMPLERS):
-            out = apply_plan(data, ResamplePlan(method, seed=1))
+            out = apply_plan(data, ResamplePlan(method), 1)
             assert out.class_counts() == {0: 50, 1: 50, 2: 50}, method
         for method in sorted(UNDERSAMPLERS):
-            out = apply_plan(data, ResamplePlan(method, seed=1))
+            out = apply_plan(data, ResamplePlan(method), 1)
             assert out.class_counts() == {0: 14, 1: 14, 2: 14}, method
 
     def test_partial_targets_leave_other_classes_alone(self):
         rng = np.random.default_rng(16)
         data = blob_dataset(rng, {0: 50, 1: 30, 2: 14},
                             {0: [0, 0], 1: [4, 4], 2: [-4, 4]})
-        plan = ResamplePlan("smote", seed=2, target_counts={2: 30})
-        out = apply_plan(data, plan)
+        out = apply_plan(data, ResamplePlan("smote", target_counts={2: 30}), 2)
         assert out.class_counts() == {0: 50, 1: 30, 2: 30}
