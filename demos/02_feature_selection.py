@@ -3,7 +3,8 @@
 One feature separates the classes cleanly, one weakly, the rest are noise —
 so every scorer should rank f0 first and the noise columns last. The
 chi-square scorer reads features as nonnegative frequencies, which is why the
-table is min-max normalized first (the CLI does the same by default).
+table is min-max normalized first (the CLI does the same by default). The
+tables print through readmitlab.report, as `select` and `stats` lay them out.
 
 Run:  python demos/02_feature_selection.py
 """
@@ -14,6 +15,8 @@ from readmitlab.data import Dataset, min_max_normalize
 from readmitlab.features import (anova_f_scores, chi_square_scores,
                                  pearson_scores, per_class_stats,
                                  select_k_best)
+from readmitlab.report import (aligned_table, class_stats_section,
+                               feature_scores_section)
 
 rng = np.random.default_rng(1)
 n_per_class = 60
@@ -29,7 +32,7 @@ scaled, _ = min_max_normalize(data)
 for table in (anova_f_scores(scaled), chi_square_scores(scaled),
               pearson_scores(scaled)):
     print(f"--- {table.method} ---")
-    print(table.to_tsv())
+    print(aligned_table(*feature_scores_section(table)))
 
 # keep the top 2 by ANOVA F and shrink the dataset to those columns
 anova = anova_f_scores(scaled)
@@ -40,4 +43,4 @@ print("top 2 by anova_f:", kept.feature_names)
 # per-class means and variances show *why* f0 scores well: the class means
 # are far apart relative to the within-class variance
 print()
-print(per_class_stats(scaled, features=[0, 2]).to_tsv())
+print(aligned_table(*class_stats_section(per_class_stats(scaled, features=[0, 2]))))

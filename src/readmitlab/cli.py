@@ -22,12 +22,14 @@ constructor keywords of its class (NetworkClassifier,
 GradientBoostedClassifier, RandomForest, ResamplePlan), read by _defaults;
 none is restated here. A model section is resolved by building its model
 once, and sweep builds each grid cell once, so a bad setting is a config
-error before any fold work. sweep runs the grid (the paper's, PAPER_GRID,
-unless a "grid" section narrows it), so its model section has no epochs,
-learning_rate or batch_size. cascade has no model section: its network
-flags set the "network" section and --n-rounds and --max-depth the
-"booster" section; the booster's learning rate is set only by the
-"booster" section.
+error before any fold work. A network is also built once at each feature
+count it will see (select builds one for every k of compare_ks), so an input
+too short for its architecture is a data error before any fold work. sweep
+runs the grid (the paper's, PAPER_GRID, unless a "grid" section narrows it),
+so its model section has no epochs, learning_rate or batch_size. cascade
+has no model section: its network flags set the "network" section and
+--n-rounds and --max-depth the "booster" section; the booster's learning
+rate is set only by the "booster" section.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 """
@@ -53,7 +55,7 @@ from .features import SCORERS, per_class_stats, select_k_best
 from .models import MODEL_KINDS, MODELS, NetworkClassifier, make_builder
 from .nn import ARCHITECTURES
 from .optim import OPTIMIZERS
-from .report import RunReport, class_stats_section, format_percent
+from .report import RunReport, class_stats_section, feature_scores_section, format_percent
 from .resample import METHODS as RESAMPLE_METHODS
 from .resample import ResamplePlan, apply_plan
 
@@ -297,6 +299,13 @@ def _model(cfg: dict, kind: str, table: dict = _MODEL_DEFAULTS) -> tuple[str, di
     return kind, params
 
 
+def _check_width(kind: str, params: dict, n_features: int) -> None:
+    """Build a network model for rows of n_features values, so an input too
+    short for its architecture is a data error before any fold work."""
+    if kind == "network":
+        NetworkClassifier(**params).build(n_features)
+
+
 def _model_section(cfg: dict, name: str, model) -> dict:
     """Resolve the `name` section (network or booster) of a `model`."""
     cfg[name] = _merge(name, cfg.get(name), _SECTIONS[name], model)
@@ -400,10 +409,8 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
         columns = [data.feature_names.index(name) for name in wanted]
     else:
         columns = None
-    stats = per_class_stats(data, features=columns)
-    header, rows = class_stats_section(stats.feature_names, stats.classes,
-                                       stats.means, stats.variances)
-    report.add_table("per-class feature statistics", header, rows)
+    report.add_table("per-class feature statistics",
+                     *class_stats_section(per_class_stats(data, features=columns)))
 
 
 def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
@@ -416,13 +423,7 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
                                   "select reads it only with 'compare_ks'")
     section, table = _scores(cfg, data, method="chi2", k=data.n_features)
     method, k = section["method"], section["k"]
-    rows = []
-    for i, name in enumerate(table.feature_names):
-        if i in table.excluded:
-            rows.append([name, "excluded", "-", table.excluded[i]])
-        else:
-            rows.append([name, repr(float(table.scores[i])), str(int(table.ranks[i])), ""])
-    report.add_table(f"{method} scores", ["feature", "score", "rank", "note"], rows)
+    report.add_table(f"{method} scores", *feature_scores_section(table))
     keep = select_k_best(table, k)
     report.add_line(f"top {k} by {method}: "
                     + ", ".join(data.feature_names[i] for i in keep))
@@ -434,11 +435,14 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
             cfg[field] = default
     kind, params = _model(cfg, "gbm")
     folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
+    subsets = []
+    for kk in compare_ks:  # every k is checked before the first cross-validation
+        subsets.append(select_k_best(table, kk))
+        _check_width(kind, params, kk)
     comparison = []
-    for kk in compare_ks:
-        subset = data.select_features(select_k_best(table, kk))
-        (result,) = cross_validate(subset, folds, make_builder(kind, **params),
-                                   workers=cfg["workers"])
+    for kk, columns in zip(compare_ks, subsets):
+        (result,) = cross_validate(data.select_features(columns), folds,
+                                   make_builder(kind, **params), workers=cfg["workers"])
         comparison.append([str(kk), format_percent(result.mean_metrics.accuracy),
                            format_percent(result.mean_metrics.macro_f)])
     report.add_table(f"{kind} accuracy by feature count",
@@ -471,6 +475,7 @@ def _cmd_train(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
         cfg["select"] = None
     plan = _resample_plan(cfg)
     kind, params = _model(cfg, "network")
+    _check_width(kind, params, data.n_features)
     data, plan, folds = _folds(cfg, data, plan, report)
     (result,) = cross_validate(data, folds, make_builder(kind, **params),
                                resample_plan=plan, workers=cfg["workers"])
@@ -492,6 +497,7 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     # every cell builds once here, so a bad one fails before any fold work
     for cell in itertools.product(grid["epochs"], grid["learning_rate"], grid["batch_size"]):
         build(cfg["seed"], *cell)
+    _check_width(kind, fixed, data.n_features)
     data, plan, folds = _folds(cfg, data, plan, report)
     rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
                       tuple(grid["learning_rate"]), tuple(grid["batch_size"]),
@@ -518,6 +524,7 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
     plan = _resample_plan(cfg)
     network = _model_section(cfg, "network", MODELS["network"])
     booster = _model_section(cfg, "booster", MODELS["gbm"])
+    _check_width("network", network, data.n_features)
     data, plan, folds = _folds(cfg, data, plan, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
         data, folds, network, booster, resample_plan=plan, workers=cfg["workers"])
@@ -533,7 +540,8 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
 
     cfg["save_model"] = bool(cfg.get("save_model"))
     if cfg["save_model"]:
-        model = cascade_fit(data, network, booster, resample_plan=plan, seed=cfg["seed"])
+        train = data if plan is None else apply_plan(data, plan, cfg["seed"])
+        model = cascade_fit(train, network, booster, seed=cfg["seed"])
         save_cascade(model, out / "cascade_model")
         report.add_line("fitted cascade saved under cascade_model/")
 
@@ -635,10 +643,7 @@ def main(argv: list[str] | None = None) -> int:
         report.write(out)
         print(report.render_text())
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

@@ -144,21 +144,6 @@ class ScalingSpec:
     def degenerate_columns(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.maxima == self.minima))
 
-    def to_json(self) -> str:
-        payload = {
-            name: {"min": float(lo), "max": float(hi)}
-            for name, lo, hi in zip(self.feature_names, self.minima, self.maxima)
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalingSpec":
-        payload = json.loads(text)
-        names = tuple(payload)
-        lo = np.array([payload[n]["min"] for n in names], dtype=np.float64)
-        hi = np.array([payload[n]["max"] for n in names], dtype=np.float64)
-        return cls(names, lo, hi)
-
 
 @dataclass(frozen=True)
 class FoldPlan:

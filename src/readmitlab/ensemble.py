@@ -25,7 +25,7 @@ from .evaluate import (ConfusionMatrix, CvResult, MetricsReport, _cv_result, cro
                        metrics)
 from .models import NetworkClassifier, make_builder
 from .nn import load_network_params, save_network
-from .resample import ResamplePlan, apply_plan
+from .resample import ResamplePlan
 from .trees import GradientBoostedClassifier
 
 ACCEPT_CLASS = 1
@@ -74,16 +74,12 @@ class CascadeClassifier:
 
 
 def cascade_fit(train: Dataset, network_config: dict, booster_config: dict,
-                resample_plan: ResamplePlan | None = None,
                 seed: int = 0) -> CascadeClassifier:
-    """Fit both stages on a training set, optionally resampled first; `seed`
-    seeds the resampling and the network.
+    """Fit both stages on a training set; `seed` seeds the network.
 
-    The booster sees the outer-class subset of the same (resampled) training
-    rows, with their true labels.
+    The booster sees the outer-class subset of the same training rows, with
+    their true labels.
     """
-    if resample_plan is not None:
-        train = apply_plan(train, resample_plan, seed)
     model = CascadeClassifier(
         NetworkClassifier(seed=seed, **network_config),
         GradientBoostedClassifier(**booster_config),

@@ -32,15 +32,6 @@ class FeatureScoreTable:
     excluded: dict[int, str]
     ranks: np.ndarray
 
-    def to_tsv(self) -> str:
-        lines = ["feature\tscore\trank\texcluded"]
-        for i, name in enumerate(self.feature_names):
-            if i in self.excluded:
-                lines.append(f"{name}\t-\t-\t{self.excluded[i]}")
-            else:
-                lines.append(f"{name}\t{self.scores[i]:.6g}\t{self.ranks[i]}\t")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class ClassStatsTable:
@@ -50,18 +41,6 @@ class ClassStatsTable:
     classes: tuple[int, ...]
     means: np.ndarray   # features x classes
     variances: np.ndarray
-
-    def to_tsv(self) -> str:
-        header = "feature" + "".join(
-            f"\tclass_{c}_mean\tclass_{c}_var" for c in self.classes
-        )
-        lines = [header]
-        for i, name in enumerate(self.feature_names):
-            cells = []
-            for j in range(len(self.classes)):
-                cells.append(f"{self.means[i, j]:.6f}\t{self.variances[i, j]:.6f}")
-            lines.append(f"{name}\t" + "\t".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def _rank_table(method: str, data: Dataset, scores: np.ndarray, excluded: dict[int, str]) -> FeatureScoreTable:

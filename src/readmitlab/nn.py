@@ -396,9 +396,6 @@ class Network:
         """Every gradient by its weight's key, as a view into grad."""
         return {key: getattr(layer, "d" + name) for key, layer, name in _slots(self.layers)}
 
-    def count_params(self) -> int:
-        return self.theta.size
-
     def load_params(self, values: dict[str, np.ndarray]) -> None:
         """Copy every weight in, cast to the network's dtype."""
         current = self.params()
@@ -459,15 +456,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
 
-    Computed through log-sum-exp so large logits cannot overflow.
+    Computed through log-sum-exp so large logits cannot overflow; the
+    gradient, softmax minus the one-hot labels, reuses the same exponentials.
     """
     batch = logits.shape[0]
+    rows = np.arange(batch)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float((log_z - shifted[np.arange(batch), labels]).mean())
-    d_logits = softmax(logits)
-    d_logits[np.arange(batch), labels] -= 1.0
-    return loss, d_logits / batch
+    e = np.exp(shifted)
+    z = e.sum(axis=1)
+    loss = float((np.log(z) - shifted[rows, labels]).mean())
+    e /= z[:, None]
+    e[rows, labels] -= 1.0
+    e /= batch
+    return loss, e
 
 
 # ---------------------------------------------------------------------------
@@ -608,17 +609,21 @@ def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
     return history
 
 
-def predict_logits(net: Network, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
-    """Inference logits, computed in the network's dtype."""
+PREDICT_BATCH = 512  # rows per inference forward
+
+
+def predict_logits(net: Network, features: np.ndarray) -> np.ndarray:
+    """Inference logits, computed in the network's dtype, PREDICT_BATCH rows
+    at a time."""
     features = np.asarray(features, dtype=net.theta.dtype)
-    pieces = [net.forward(features[s : s + batch_size])
-              for s in range(0, features.shape[0], batch_size)]
+    pieces = [net.forward(features[s : s + PREDICT_BATCH])
+              for s in range(0, features.shape[0], PREDICT_BATCH)]
     return np.vstack(pieces)
 
 
-def predict_classes(net: Network, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
+def predict_classes(net: Network, features: np.ndarray) -> np.ndarray:
     """Argmax class per row; logit ties resolve to the lower class id."""
-    return predict_logits(net, features, batch_size).argmax(axis=1)
+    return predict_logits(net, features).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

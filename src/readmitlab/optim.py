@@ -21,9 +21,6 @@ class Sgd:
     def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
 
-    def reset(self) -> None:
-        pass
-
     def step(self, params: _PARAMS, grads: _PARAMS) -> None:
         for key, p in params.items():
             p -= self.learning_rate * grads[key]
@@ -32,11 +29,13 @@ class Sgd:
 class _AdaptiveMoment:
     """Bias-corrected first/second moment update, estimand pluggable.
 
-    The moments and the update are computed in place, in two scratch arrays
-    kept per parameter, with the same operations in the same order as
+    Each parameter key keeps one state record (m, v, a, b), made on its first
+    step: the two moments and two scratch arrays. The estimand is written
+    into b, and the moments and the update are computed in place, with the
+    same operations in the same order as
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) e(g, m);
     p -= lr (m / c1) / (sqrt(v / c2) + eps),
-    so the bytes equal that formula's. Only the estimand allocates."""
+    so the bytes equal that formula's. A step allocates nothing."""
 
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -44,15 +43,12 @@ class _AdaptiveMoment:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.reset()
-
-    def reset(self) -> None:
         self._t = 0
-        self._m: _PARAMS = {}
-        self._v: _PARAMS = {}
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._state: dict[str, tuple[np.ndarray, ...]] = {}
 
-    def second_moment_estimand(self, grad: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    def second_moment_estimand(self, grad: np.ndarray, mean: np.ndarray,
+                               out: np.ndarray) -> np.ndarray:
+        """e(g, m); `out`, a scratch array shaped like g, may hold it."""
         raise NotImplementedError
 
     def step(self, params: _PARAMS, grads: _PARAMS) -> None:
@@ -61,13 +57,13 @@ class _AdaptiveMoment:
         c2 = 1.0 - self.beta2**self._t
         for key, p in params.items():
             g = grads[key]
-            m = self._m.setdefault(key, np.zeros_like(p))
-            v = self._v.setdefault(key, np.zeros_like(p))
-            a, b = self._scratch.setdefault(key, (np.empty_like(p), np.empty_like(p)))
+            if key not in self._state:
+                self._state[key] = tuple(np.zeros_like(p) for _ in range(4))
+            m, v, a, b = self._state[key]
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += np.multiply(self.second_moment_estimand(g, m), 1.0 - self.beta2, out=a)
+            v += np.multiply(self.second_moment_estimand(g, m, b), 1.0 - self.beta2, out=a)
             np.divide(m, c1, out=a)
             a *= self.learning_rate
             np.divide(v, c2, out=b)
@@ -80,16 +76,16 @@ class _AdaptiveMoment:
 class Adam(_AdaptiveMoment):
     """Second moment accumulates g**2."""
 
-    def second_moment_estimand(self, grad, mean):
-        return grad * grad
+    def second_moment_estimand(self, grad, mean, out):
+        return np.multiply(grad, grad, out=out)
 
 
 class AdaBelief(_AdaptiveMoment):
     """Second moment accumulates (g - m)**2, with eps added each step so the
     accumulator never collapses to zero faster than the gradient variance."""
 
-    def second_moment_estimand(self, grad, mean):
-        diff = grad - mean
+    def second_moment_estimand(self, grad, mean, out):
+        diff = np.subtract(grad, mean, out=out)
         diff *= diff
         diff += self.eps / (1.0 - self.beta2)
         return diff
@@ -98,7 +94,7 @@ class AdaBelief(_AdaptiveMoment):
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam, "adabelief": AdaBelief}
 
 
-def make_optimizer(name: str, learning_rate: float, **kwargs):
+def make_optimizer(name: str, learning_rate: float):
     if name not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {name!r}; expected one of {sorted(OPTIMIZERS)}")
-    return OPTIMIZERS[name](learning_rate, **kwargs)
+    return OPTIMIZERS[name](learning_rate)

@@ -1,5 +1,6 @@
 """Deterministic report rendering: percent formatting with half-up rounding,
-TSV tables, aligned text tables, and the files a CLI run writes.
+TSV tables, aligned text tables, the rows of every table a run reports, and
+the files a CLI run writes.
 
 Reports never embed timestamps or absolute paths, so re-running an identical
 config produces byte-identical files.
@@ -11,9 +12,8 @@ import decimal
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .evaluate import ConfusionMatrix, MetricsReport
+from .features import ClassStatsTable, FeatureScoreTable
 
 
 def format_percent(fraction: float, decimals: int = 2) -> str:
@@ -124,16 +124,23 @@ class RunReport:
         return out
 
 
-def class_stats_section(feature_names, classes, means: np.ndarray,
-                        variances: np.ndarray) -> tuple[list[str], list[list[str]]]:
-    """Per-feature rows of class means then class variances, 6 decimals."""
-    header = ["feature"]
-    header += [f"mean_{c}" for c in classes]
-    header += [f"var_{c}" for c in classes]
+def feature_scores_section(table: FeatureScoreTable) -> tuple[list[str], list[list[str]]]:
+    """One row per feature: its score in full (repr) and its rank, or
+    "excluded" and the reason."""
     rows = []
-    for i, name in enumerate(feature_names):
-        row = [name]
-        row += [format_number(means[i, j]) for j in range(len(classes))]
-        row += [format_number(variances[i, j]) for j in range(len(classes))]
-        rows.append(row)
+    for i, name in enumerate(table.feature_names):
+        if i in table.excluded:
+            rows.append([name, "excluded", "-", table.excluded[i]])
+        else:
+            rows.append([name, repr(float(table.scores[i])), str(int(table.ranks[i])), ""])
+    return ["feature", "score", "rank", "note"], rows
+
+
+def class_stats_section(stats: ClassStatsTable) -> tuple[list[str], list[list[str]]]:
+    """Per-feature rows of class means then class variances, 6 decimals."""
+    header = (["feature"] + [f"mean_{c}" for c in stats.classes]
+              + [f"var_{c}" for c in stats.classes])
+    rows = [[name, *map(format_number, means), *map(format_number, variances)]
+            for name, means, variances in zip(stats.feature_names, stats.means,
+                                              stats.variances)]
     return header, rows

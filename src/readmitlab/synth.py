@@ -1,6 +1,7 @@
 """Seeded synthetic cohorts: three imbalanced classes of nonnegative numeric
-features, shaped like an encoded encounter table. Used by the demo scripts
-and anywhere a small reproducible dataset is needed."""
+features, shaped like an encoded encounter table. The tests draw their
+small reproducible datasets from it, and bench/test_bench.py checks the
+bench cohort against it; the demos build their own data."""
 
 from __future__ import annotations
 

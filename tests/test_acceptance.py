@@ -376,7 +376,7 @@ def test_criterion_10_optimizer_unit_checks(capfd):
         # documented floor) into the squared-gradient accumulator must
         # reproduce the deviation-tracking optimizer bit for bit
         class SwappedAdam(Adam):
-            def second_moment_estimand(self, grad, mean):
+            def second_moment_estimand(self, grad, mean, out):
                 diff = grad - mean
                 return diff * diff + self.eps / (1.0 - self.beta2)
 

@@ -674,6 +674,56 @@ class TestModelSettingsCheckedUpFront:
         assert not (tmp_path / "o").exists()
 
 
+class TestInputWidthCheckedUpFront:
+    """An input too short for the network, or a k beyond the features, fails
+    before any resampling or cross-validation, with the code and message the
+    failing fold used to give."""
+
+    @pytest.mark.parametrize("argv, config, code, message", [
+        (["train", "--arch", "cnn2", "--select-method", "chi2", "--select-k", "3",
+          "--resample-method", "adasyn"], {},
+         2, "data error: cnn2: input of 3 features is too short"),
+        (["train", "--arch", "cnn2", "--select-method", "chi2", "--select-k", "3",
+          "--resample-method", "random_over", "--paper-mode"], {},
+         2, "data error: cnn2: input of 3 features is too short"),
+        (["sweep", "--arch", "cnn2", "--resample-method", "smote"],
+         {"grid": {"epochs": [1], "learning_rate": [1e-3], "batch_size": [16]}},
+         2, "data error: cnn2: input of 8 features is too short"),
+        (["cascade", "--arch", "cnn2", "--resample-method", "random_over", "--paper-mode"], {},
+         2, "data error: cnn2: input of 8 features is too short"),
+        (["select"], {"compare_ks": [8, 3], "model": {"kind": "network", "arch": "vanilla"}},
+         2, "data error: vanilla: input of 3 features is too short"),
+        (["select"], {"compare_ks": [3, 999], "model": {"kind": "gbm", "n_rounds": 2}},
+         1, "config error: k=999 exceeds the 8 non-excluded features"),
+    ], ids=["train", "train-paper-mode", "sweep", "cascade-paper-mode", "select-network",
+            "select-k-beyond-the-features"])
+    def test_fails_before_any_fold_work(self, tmp_path, capsys, monkeypatch, argv, config,
+                                        code, message):
+        from readmitlab import ensemble, evaluate
+
+        calls = []
+
+        def spy(name, fn):
+            def recording(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return recording
+
+        for module in (cli, evaluate):
+            monkeypatch.setattr(module, "apply_plan", spy("apply_plan", module.apply_plan))
+        for module in (cli, ensemble, evaluate):
+            monkeypatch.setattr(module, "cross_validate",
+                                spy("cross_validate", module.cross_validate))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(argv + ["--data", str(write_csv(tmp_path)), "--seed", "1",
+                            "--folds", "3", "--workers", "1", "--config",
+                            str(tmp_path / "cfg.json"), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert calls == []
+        assert not out.exists()
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_is_a_data_error(self, tmp_path, capsys, cell):

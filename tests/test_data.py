@@ -471,13 +471,6 @@ class TestNormalize:
         with pytest.raises(DataError):
             min_max_normalize(other, spec)
 
-    def test_spec_json_round_trip(self):
-        spec = ScalingSpec(("a", "b"), np.array([0.0, -1.0]), np.array([2.0, 3.0]))
-        back = ScalingSpec.from_json(spec.to_json())
-        assert back.feature_names == spec.feature_names
-        assert np.array_equal(back.minima, spec.minima)
-        assert np.array_equal(back.maxima, spec.maxima)
-
     def test_spec_rejects_inverted_range(self):
         with pytest.raises(DataError):
             ScalingSpec(("a",), np.array([1.0]), np.array([0.0]))

@@ -241,10 +241,3 @@ class TestPerClassStats:
         stats = per_class_stats(data, features=[3, 1])
         assert stats.feature_names == (data.feature_names[3], data.feature_names[1])
         assert stats.means.shape == (2, 3)
-
-    def test_tsv_has_mean_var_pairs_per_class(self):
-        rng = np.random.default_rng(15)
-        data = make_dataset(rng.random((9, 2)), np.repeat([0, 1, 2], 3))
-        text = per_class_stats(data).to_tsv()
-        header = text.splitlines()[0]
-        assert header.split("\t")[1:3] == ["class_0_mean", "class_0_var"]

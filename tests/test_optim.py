@@ -55,15 +55,10 @@ class TestAdam:
         for g in grads:
             opt_a.step(p_a, {"w": g["w"].copy()})
             opt_b.step(p_b, {"w": g["w"].copy()})
-        assert np.array_equal(opt_a._m["w"], opt_b._m["w"])
-        assert np.array_equal(opt_a._v["w"], opt_b._v["w"])
-
-    def test_reset_clears_state(self):
-        opt = Adam(1e-3)
-        p = param(1.0)
-        opt.step(p, param(0.5))
-        opt.reset()
-        assert opt._t == 0 and opt._m == {} and opt._v == {}
+        m_a, v_a = opt_a._state["w"][:2]
+        m_b, v_b = opt_b._state["w"][:2]
+        assert np.array_equal(m_a, m_b)
+        assert np.array_equal(v_a, v_b)
 
 
 class TestAdaBelief:
@@ -142,6 +137,21 @@ class TestInPlaceStep:
         for key, p in start.items():
             want = self.formula_steps(estimand, [g[key] for g in grads], p, 3e-3)
             assert params[key].tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("cls", [Adam, AdaBelief])
+    def test_each_key_keeps_one_state_record(self, cls):
+        rng = np.random.default_rng(13)
+        params = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=7)}
+        opt = cls(1e-3)
+        opt.step(params, {k: rng.normal(size=v.shape) for k, v in params.items()})
+        first = {key: tuple(state) for key, state in opt._state.items()}
+        assert sorted(first) == ["a", "b"]
+        assert all(len(state) == 4 for state in first.values())
+        for _ in range(19):
+            opt.step(params, {k: rng.normal(size=v.shape) for k, v in params.items()})
+        for key, state in opt._state.items():
+            assert all(now is then for now, then in zip(state, first[key], strict=True))
 
 
 class TestFactory:

@@ -5,16 +5,21 @@ import json
 import numpy as np
 
 from readmitlab.evaluate import ConfusionMatrix, metrics
+from readmitlab.features import (EXCLUDE_ZERO_VARIANCE, ClassStatsTable, FeatureScoreTable,
+                                 per_class_stats)
 from readmitlab.report import (
     RunReport,
     aligned_table,
     class_stats_section,
     confusion_rows,
+    feature_scores_section,
     format_number,
     format_percent,
     metrics_rows,
     tsv_table,
 )
+
+from helpers import make_dataset
 
 
 class TestFormatPercent:
@@ -145,10 +150,32 @@ class TestClassStatsSection:
         variances = np.array([[0.5, 0.25, 0.125],
                               [1.0, 1.0, 1.0]])
         header, rows = class_stats_section(
-            ["number_inpatient", "age"], (0, 1, 2), means, variances)
+            ClassStatsTable(("number_inpatient", "age"), (0, 1, 2), means, variances))
         assert header == ["feature", "mean_0", "mean_1", "mean_2",
                           "var_0", "var_1", "var_2"]
         assert rows[0][0] == "number_inpatient"
         assert rows[0][1] == "0.392046"
         assert rows[0][2] == "1.091505"
         assert rows[1][4] == "1.000000"
+
+    def test_a_per_class_stats_table_renders_means_then_variances(self):
+        rng = np.random.default_rng(15)
+        data = make_dataset(rng.random((9, 2)), np.repeat([0, 1, 2], 3))
+        stats = per_class_stats(data)
+        text = tsv_table(*class_stats_section(stats))
+        header, first = (line.split("\t") for line in text.splitlines()[:2])
+        assert header == ["feature", "mean_0", "mean_1", "mean_2", "var_0", "var_1", "var_2"]
+        assert first == [data.feature_names[0],
+                         *(format_number(v) for v in stats.means[0]),
+                         *(format_number(v) for v in stats.variances[0])]
+
+
+class TestFeatureScoresSection:
+    def test_scores_in_full_and_excluded_features_with_their_reason(self):
+        table = FeatureScoreTable("chi2", ("a", "b", "c"), np.array([0.1, np.nan, 2.0 / 3.0]),
+                                  {1: EXCLUDE_ZERO_VARIANCE}, np.array([2, 0, 1]))
+        header, rows = feature_scores_section(table)
+        assert header == ["feature", "score", "rank", "note"]
+        assert rows == [["a", "0.1", "2", ""],
+                        ["b", "excluded", "-", EXCLUDE_ZERO_VARIANCE],
+                        ["c", "0.6666666666666666", "1", ""]]
