@@ -7,13 +7,16 @@ gives each command its option groups; each entry names a flag (or none, for a
 config-only field), the config field it sets, and a top-level field's
 default. From it come the parser, the flag-to-field routing, the defaults and
 the config-field check: a command offers only the flags it reads, and any
-other config field is a config error. Every run needs an output directory;
-every command but report also needs a seed (--seed flag, config "seed", or
-the READMIT_SEED environment variable) and an input CSV (--data or config
-"dataset"). A run writes three files: config.json (the resolved config echo),
-report.tsv, and report.txt. Reports embed the input CSV's content hash and
-never embed timestamps or the output path, so identical configs produce
-byte-identical reports.
+other config field is a config error. So is a field that the chosen method
+never reads: select.paper_exclusion set true for a scorer other than
+pearson, and resample.nearmiss_version or resample.n_ref set for a method
+other than nearmiss. Every run needs an output directory; every command but
+report also needs a seed (--seed flag, config "seed", or the READMIT_SEED
+environment variable) and an input CSV (--data or config "dataset"). A run
+writes three files: config.json (the resolved config echo), report.tsv, and
+report.txt. Reports embed the input CSV's content hash and never embed
+timestamps or the output path, so identical configs produce byte-identical
+reports.
 
 Config sections' fields and defaults are _SECTIONS (select, resample,
 network, booster, grid) and _MODEL_DEFAULTS (model, per kind). A model,
@@ -25,11 +28,12 @@ once, and sweep builds each grid cell once, so a bad setting is a config
 error before any fold work. A network is also built once at each feature
 count it will see (select builds one for every k of compare_ks), so an input
 too short for its architecture is a data error before any fold work. sweep
-runs the grid (the paper's, PAPER_GRID, unless a "grid" section narrows it),
-so its model section has no epochs, learning_rate or batch_size. cascade
-has no model section: its network flags set the "network" section and
---n-rounds and --max-depth the "booster" section; the booster's learning
-rate is set only by the "booster" section.
+runs the grid (the paper's, PAPER_GRID, unless a "grid" section narrows it;
+each axis a nonempty list), so its model section has no epochs,
+learning_rate or batch_size. cascade has no model section: its network
+flags set the "network" section and --n-rounds and --max-depth the
+"booster" section; the booster's learning rate is set only by the "booster"
+section.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 """
@@ -313,12 +317,18 @@ def _model_section(cfg: dict, name: str, model) -> dict:
 
 
 def _resample_plan(cfg: dict) -> ResamplePlan | None:
+    """The resample section's plan. Only nearmiss reads nearmiss_version and
+    n_ref, so setting either for another method is a config error."""
     if not cfg.get("resample"):
         cfg["resample"] = None
         return None
     section = _merge("resample", cfg["resample"], _SECTIONS["resample"])
     if section["method"] is None:
         raise ConfigError("invalid config field 'resample': missing 'method'")
+    for field in ("nearmiss_version", "n_ref"):  # as given, before the defaults
+        if field in cfg["resample"] and section["method"] != "nearmiss":
+            raise ConfigError(f"invalid config field 'resample.{field}': "
+                              "only method 'nearmiss' reads it")
     try:
         plan = ResamplePlan(**section)
     except (ValueError, TypeError) as exc:
@@ -335,6 +345,9 @@ def _scores(cfg: dict, data: Dataset, **defaults):
         raise ConfigError(f"invalid config field 'select.method': {method!r}")
     if k is None:
         raise ConfigError("invalid config field 'select': missing 'k'")
+    if section["paper_exclusion"] and method != "pearson":
+        raise ConfigError("invalid config field 'select.paper_exclusion': "
+                          "only method 'pearson' reads it")
     section = cfg["select"] = {"method": method, "k": int(k),
                                "paper_exclusion": bool(section["paper_exclusion"])}
     if method == "pearson":
@@ -487,8 +500,11 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     kind, fixed = _model(cfg, "network", _SWEEP_MODELS)
     if kind != "network":
         raise ConfigError("sweep drives network training; model.kind must be 'network'")
-    grid = cfg["grid"] = {axis: list(values) for axis, values in
-                          _merge("grid", cfg.get("grid"), _SECTIONS["grid"]).items()}
+    grid = cfg["grid"] = _merge("grid", cfg.get("grid"), _SECTIONS["grid"])
+    for axis, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"invalid config field 'grid.{axis}': "
+                              f"{json.dumps(values)} is not a nonempty list")
 
     def build(seed: int, epochs: int, lr: float, batch: int) -> NetworkClassifier:
         return NetworkClassifier(seed=seed, epochs=epochs, learning_rate=lr,
@@ -502,18 +518,12 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
                       tuple(grid["learning_rate"]), tuple(grid["batch_size"]),
                       resample_plan=plan, workers=cfg["workers"])
-    table = []
-    for i, row in enumerate(rows):
-        table.append([
-            "*" if i == 0 else "",
-            str(row.epochs), repr(row.learning_rate), str(row.batch_size),
-            format_percent(row.accuracy),
-            format_percent(row.result.mean_metrics.macro_f),
-            row.note,
-        ])
+    table = [["*" if i == 0 else "", str(row.epochs), repr(row.learning_rate),
+              str(row.batch_size), format_percent(row.accuracy), format_percent(row.macro_f)]
+             for i, row in enumerate(rows)]
     report.add_table("grid results, best first",
                      ["best", "epochs", "learning_rate", "batch_size",
-                      "mean_accuracy", "mean_macro_f", "note"], table)
+                      "mean_accuracy", "mean_macro_f"], table)
     best = rows[0]
     report.add_line(f"best combination: epochs={best.epochs} "
                     f"learning_rate={best.learning_rate!r} batch_size={best.batch_size} "

@@ -45,6 +45,9 @@ from .errors import DataError
 
 VALID_LABELS = (0, 1, 2)
 
+# the label column of every CSV read or written; a sidecar records it
+LABEL_COLUMN = "readmitted"
+
 DEFAULT_CLASS_NAMES = {0: "0 days", 1: "<30 days", 2: ">30 days"}
 
 SIDECAR_SUFFIX = ".readmitlab.npz"
@@ -160,9 +163,8 @@ class FoldPlan:
         return np.concatenate([self.folds[f] for f in range(self.k) if f != fold])
 
 
-def load_dataset(path, label_column: str = "readmitted", *,
-                 sha256: str | None = None) -> Dataset:
-    """Read a numeric CSV (header row, one 0/1/2 label column) into a Dataset.
+def load_dataset(path, *, sha256: str | None = None) -> Dataset:
+    """Read a numeric CSV (header row, a 0/1/2 LABEL_COLUMN) into a Dataset.
 
     `sha256` is the file's `dataset_sha256`, for a caller that has already
     taken it; it picks the sidecar that may stand in for the parse. Without
@@ -173,14 +175,14 @@ def load_dataset(path, label_column: str = "readmitted", *,
     if sha256 is None:
         sha256 = dataset_sha256(path)
     sidecar = os.fspath(path) + SIDECAR_SUFFIX
-    data = _read_sidecar(sidecar, sha256, label_column)
+    data = _read_sidecar(sidecar, sha256)
     if data is None:
-        data, parsed_sha256 = _parse_csv(path, label_column)
-        _write_sidecar(sidecar, path, data, parsed_sha256, label_column)
+        data, parsed_sha256 = _parse_csv(path)
+        _write_sidecar(sidecar, path, data, parsed_sha256)
     return data
 
 
-def _parse_csv(path, label_column: str) -> tuple[Dataset, str]:
+def _parse_csv(path) -> tuple[Dataset, str]:
     """The CSV at path as a Dataset, and the SHA-256 of the bytes parsed."""
     with open(path, "rb") as raw:
         hashed = _HashingReader(raw)
@@ -190,9 +192,9 @@ def _parse_csv(path, label_column: str) -> tuple[Dataset, str]:
             if first is None:
                 raise DataError(f"{path}: empty file")
             header = [h.strip() for h in first[1]]
-            if label_column not in header:
-                raise DataError(f"{path}: no column named {label_column!r} in header")
-            label_idx = header.index(label_column)
+            if LABEL_COLUMN not in header:
+                raise DataError(f"{path}: no column named {LABEL_COLUMN!r} in header")
+            label_idx = header.index(LABEL_COLUMN)
             names = tuple(h for i, h in enumerate(header) if i != label_idx)
             if len(set(names)) != len(names):
                 dupes = sorted({n for n in names if names.count(n) > 1})
@@ -238,13 +240,13 @@ class _HashingReader(io.RawIOBase):
 _UNREADABLE = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error)
 
 
-def _read_sidecar(sidecar: str, sha256: str, label_column: str) -> Dataset | None:
-    """The Dataset a sidecar holds for this digest and label column, or None."""
+def _read_sidecar(sidecar: str, sha256: str) -> Dataset | None:
+    """The Dataset a sidecar holds for this digest and LABEL_COLUMN, or None."""
     try:
         with np.load(sidecar, allow_pickle=False) as stored:
             version, digest, column, names = (
                 stored[k].tolist() for k in ("version", "sha256", "label_column", "feature_names"))
-            if (version, digest, column) != (_SIDECAR_VERSION, sha256, label_column):
+            if (version, digest, column) != (_SIDECAR_VERSION, sha256, LABEL_COLUMN):
                 return None
             features, labels = stored["features"], stored["labels"]
         names = json.loads(names) if isinstance(names, str) else None
@@ -259,7 +261,7 @@ def _read_sidecar(sidecar: str, sha256: str, label_column: str) -> Dataset | Non
         return None
 
 
-def _write_sidecar(sidecar: str, path, data: Dataset, sha256: str, label_column: str) -> None:
+def _write_sidecar(sidecar: str, path, data: Dataset, sha256: str) -> None:
     """Write the sidecar through a temporary file and a rename, so readers see
     a whole file or none; it takes the permission bits of the CSV at path. A
     directory that cannot take it (read-only, full) means no sidecar, and no
@@ -272,7 +274,7 @@ def _write_sidecar(sidecar: str, path, data: Dataset, sha256: str, label_column:
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, version=np.int64(_SIDECAR_VERSION), sha256=np.str_(sha256),
-                     label_column=np.str_(label_column),
+                     label_column=np.str_(LABEL_COLUMN),
                      feature_names=np.str_(json.dumps(list(data.feature_names))),
                      features=data.features, labels=data.labels)
         os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
@@ -342,11 +344,11 @@ def _first_non_finite(features: np.ndarray) -> tuple[int, int] | None:
     return int(row), int(col)
 
 
-def save_dataset_csv(data: Dataset, path, label_column: str = "readmitted") -> None:
+def save_dataset_csv(data: Dataset, path) -> None:
     """Write a Dataset back out in the same CSV dialect load_dataset reads."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(data.feature_names) + [label_column])
+        writer.writerow(list(data.feature_names) + [LABEL_COLUMN])
         for row, label in zip(data.features, data.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 

@@ -108,33 +108,34 @@ class CascadeReport:
 
 def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix,
                      total: int | None = None,
-                     claimed_accuracy_pct: float | None = None,
-                     accept_class: int = ACCEPT_CLASS) -> CascadeReport:
-    """Combine the confusion matrices of the two stages.
+                     claimed_accuracy_pct: float | None = None) -> CascadeReport:
+    """Combine the confusion matrices of the two stages: stage 1 over every
+    class, stage 2 over the classes other than ACCEPT_CLASS.
 
     total overrides the denominator when the source tables disagree about the
     instance count (the disagreement is then reported in warnings).
     claimed_accuracy_pct, when given, is compared against the computed value
     and annotated if it differs.
     """
-    if accept_class not in stage1.class_ids:
-        raise ValueError(f"accept class {accept_class} missing from stage-1 classes")
-    outer = tuple(c for c in stage1.class_ids if c != accept_class)
+    if ACCEPT_CLASS not in stage1.class_ids:
+        raise ValueError(f"accept class {ACCEPT_CLASS} missing from stage-1 classes")
+    outer = tuple(c for c in stage1.class_ids if c != ACCEPT_CLASS)
     if set(stage2.class_ids) != set(outer):
         raise ValueError(
             f"stage-2 classes {stage2.class_ids} must be the outer classes {outer}"
         )
     pos1 = {c: i for i, c in enumerate(stage1.class_ids)}
-    accept_row = stage1.counts[pos1[accept_class]]
+    accept = pos1[ACCEPT_CLASS]
+    accept_row = stage1.counts[accept]
 
     combined = np.zeros_like(stage1.counts)
-    combined[pos1[accept_class]] = accept_row
+    combined[accept] = accept_row
     for i, ci in enumerate(stage2.class_ids):
         for j, cj in enumerate(stage2.class_ids):
             combined[pos1[ci], pos1[cj]] = stage2.counts[i, j]
     combined_cm = ConfusionMatrix(combined, stage1.class_ids)
 
-    correct = int(accept_row[pos1[accept_class]]) + stage2.correct
+    correct = int(accept_row[accept]) + stage2.correct
     resolved_total = stage1.total if total is None else int(total)
     accuracy = correct / resolved_total if resolved_total else 0.0
 
@@ -143,7 +144,7 @@ def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix,
     if stage2.total != routed:
         warnings.append(
             f"stage-2 total {stage2.total} differs from the {routed} rows "
-            f"stage 1 routed past class {accept_class}"
+            f"stage 1 routed past class {ACCEPT_CLASS}"
         )
     if total is not None and total != combined_cm.total:
         warnings.append(

@@ -70,13 +70,13 @@ class ConfusionMatrix:
 
     @classmethod
     def from_labels(cls, actual: np.ndarray, predicted: np.ndarray,
-                    class_ids: tuple[int, ...] | None = None) -> "ConfusionMatrix":
+                    class_ids: tuple[int, ...]) -> "ConfusionMatrix":
+        """The matrix of these labels, rows and columns in class_ids' given
+        order; a label outside class_ids is a DataError."""
         actual = np.asarray(actual)
         predicted = np.asarray(predicted)
         if actual.shape != predicted.shape:
             raise ValueError("actual and predicted must have the same length")
-        if class_ids is None:
-            class_ids = tuple(int(c) for c in np.unique(np.concatenate([actual, predicted])))
         ids = np.asarray(class_ids)
         order = np.argsort(ids)
 
@@ -406,7 +406,6 @@ class SweepRow:
     learning_rate: float
     batch_size: int
     result: CvResult
-    note: str = ""
 
     @property
     def accuracy(self) -> float:
@@ -422,8 +421,7 @@ def grid_sweep(data: Dataset, folds: FoldPlan,
                epochs_grid: tuple[int, ...], lr_grid: tuple[float, ...],
                batch_grid: tuple[int, ...],
                resample_plan: ResamplePlan | None = None,
-               workers: int = 1,
-               annotate: dict[tuple[int, float, int], str] | None = None) -> list[SweepRow]:
+               workers: int = 1) -> list[SweepRow]:
     """Cross-validate every (epochs, lr, batch) combination and rank the rows.
 
     Every cell is one cross_validate job, so each (fold, cell) pair is a task
@@ -432,16 +430,14 @@ def grid_sweep(data: Dataset, folds: FoldPlan,
     build_model(seed, epochs, lr, batch) must return a fresh model seeded
     with the fold's seed, which is dropped once it has predicted. The rows
     are sorted by mean accuracy descending (stable, so grid order breaks
-    ties); the first row is the winner. `annotate` attaches a note string to specific combinations.
+    ties); the first row is the winner.
     """
     if not (epochs_grid and lr_grid and batch_grid):
         raise ValueError("grid axes must be nonempty")
-    annotate = annotate or {}
     cells = list(itertools.product(epochs_grid, lr_grid, batch_grid))
 
     jobs = [one_model(lambda seed, cell=cell: build_model(seed, *cell)) for cell in cells]
     results = cross_validate(data, folds, *jobs, resample_plan=resample_plan, workers=workers)
-    rows = [SweepRow(*cell, result, annotate.get(cell, ""))
-            for cell, result in zip(cells, results)]
+    rows = [SweepRow(*cell, result) for cell, result in zip(cells, results)]
     rows.sort(key=lambda row: -row.accuracy)
     return rows

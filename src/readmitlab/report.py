@@ -16,17 +16,18 @@ from .evaluate import ConfusionMatrix, MetricsReport
 from .features import ClassStatsTable, FeatureScoreTable
 
 
-def format_percent(fraction: float, decimals: int = 2) -> str:
-    """Render a [0,1] fraction as a percentage, half-up at `decimals` places."""
-    value = decimal.Decimal(repr(float(fraction))) * 100
-    quantum = decimal.Decimal(1).scaleb(-decimals)
-    return str(value.quantize(quantum, rounding=decimal.ROUND_HALF_UP))
+def format_percent(fraction: float) -> str:
+    """Render a [0,1] fraction as a percentage, half-up at 2 places."""
+    return _half_up(decimal.Decimal(repr(float(fraction))) * 100, "0.01")
 
 
-def format_number(value: float, decimals: int = 6) -> str:
-    quantum = decimal.Decimal(1).scaleb(-decimals)
-    return str(decimal.Decimal(repr(float(value))).quantize(
-        quantum, rounding=decimal.ROUND_HALF_UP))
+def format_number(value: float) -> str:
+    """Render a value half-up at 6 places."""
+    return _half_up(decimal.Decimal(repr(float(value))), "0.000001")
+
+
+def _half_up(value: decimal.Decimal, quantum: str) -> str:
+    return str(value.quantize(decimal.Decimal(quantum), rounding=decimal.ROUND_HALF_UP))
 
 
 def tsv_table(header: list[str], rows: list[list[str]]) -> str:

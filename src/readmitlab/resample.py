@@ -33,6 +33,10 @@ METHODS = OVERSAMPLERS + UNDERSAMPLERS
 # the pool is larger), so its memory does not grow with the number of queries
 _BLOCK_BUDGET = 1 << 20
 
+# svm_smote's linear margin: passes over the rows, and the L2 weight
+_MARGIN_EPOCHS = 20
+_MARGIN_LAMBDA = 1e-2
+
 
 @dataclass(frozen=True)
 class ResamplePlan:
@@ -174,23 +178,24 @@ def _interpolate(x_min: np.ndarray, bases: np.ndarray, nn_min: np.ndarray,
     return anchors + u[:, None] * (neighbors - anchors)
 
 
-def _fit_linear_margin(X: np.ndarray, y_signed: np.ndarray, rng: np.random.Generator,
-                       epochs: int = 20, lam: float = 1e-2) -> tuple[np.ndarray, float]:
+def _fit_linear_margin(X: np.ndarray, y_signed: np.ndarray,
+                       rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Primal subgradient descent for a linear soft-margin classifier.
 
-    Step size 1/(lam * t); returns (w, b). Only used by svm_smote to locate
-    approximate minority support vectors.
+    _MARGIN_EPOCHS passes at step size 1/(_MARGIN_LAMBDA * t); returns
+    (w, b). Only used by svm_smote to locate approximate minority support
+    vectors.
     """
     n, p = X.shape
     w = np.zeros(p)
     b = 0.0
     t = 0
-    for _ in range(epochs):
+    for _ in range(_MARGIN_EPOCHS):
         for i in rng.permutation(n):
             t += 1
-            eta = 1.0 / (lam * t)
+            eta = 1.0 / (_MARGIN_LAMBDA * t)
             margin = y_signed[i] * (X[i] @ w + b)
-            w *= 1.0 - eta * lam
+            w *= 1.0 - eta * _MARGIN_LAMBDA
             if margin < 1.0:
                 w += eta * y_signed[i] * X[i]
                 b += eta * y_signed[i]
@@ -199,7 +204,8 @@ def _fit_linear_margin(X: np.ndarray, y_signed: np.ndarray, rng: np.random.Gener
 
 def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
                           plan: ResamplePlan, rng: np.random.Generator) -> np.ndarray:
-    """Generate `need` synthetic rows for one minority class."""
+    """Generate `need` synthetic rows for one minority class; plan.method
+    is an oversampler, as oversample checks."""
     k = plan.k_neighbors
     min_idx = np.flatnonzero(y == cls)
     x_min = X[min_idx]
@@ -247,19 +253,17 @@ def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
             chunks.append(_interpolate(x_min, bases, nn_min, rng))
         return np.vstack(chunks) if chunks else np.empty((0, X.shape[1]))
 
-    if plan.method == "svm_smote":
-        y_signed = np.where(y == cls, 1.0, -1.0)
-        w, b = _fit_linear_margin(X, y_signed, rng)
-        margins = y_signed[min_idx] * (x_min @ w + b)
-        support = np.flatnonzero(margins <= 1.0 + 1e-12)
-        if support.size == 0:
-            support = np.arange(n_min)
-        bases = support[rng.integers(0, support.size, size=need)]
-        # crowded support vectors interpolate inward, safe ones extrapolate outward
-        direction = np.where(other_frac[bases] >= 0.5, 1.0, -1.0)
-        return _interpolate(x_min, bases, nn_min, rng, direction)
-
-    raise ValueError(f"not an oversampler: {plan.method!r}")
+    # svm_smote, the last oversampler
+    y_signed = np.where(y == cls, 1.0, -1.0)
+    w, b = _fit_linear_margin(X, y_signed, rng)
+    margins = y_signed[min_idx] * (x_min @ w + b)
+    support = np.flatnonzero(margins <= 1.0 + 1e-12)
+    if support.size == 0:
+        support = np.arange(n_min)
+    bases = support[rng.integers(0, support.size, size=need)]
+    # crowded support vectors interpolate inward, safe ones extrapolate outward
+    direction = np.where(other_frac[bases] >= 0.5, 1.0, -1.0)
+    return _interpolate(x_min, bases, nn_min, rng, direction)
 
 
 def oversample(data: Dataset, plan: ResamplePlan, seed: int) -> Dataset:

@@ -12,14 +12,11 @@ from .data import Dataset
 
 def synthetic_cohort(n_rows: int = 600, n_features: int = 12, seed: int = 0,
                      weights: tuple[float, float, float] = (0.50, 0.32, 0.18),
-                     separation: float = 2.0,
-                     constant_column: bool = False) -> Dataset:
+                     separation: float = 2.0) -> Dataset:
     """Three Gaussian-ish clusters with class imbalance set by `weights`.
 
     Features are clipped at zero so frequency-style scoring applies directly.
     `separation` scales how far apart the class centers sit (0 = pure noise).
-    `constant_column` appends an all-zeros feature for exercising degenerate
-    column handling.
     """
     if n_rows < 3:
         raise ValueError("need at least one row per class")
@@ -44,8 +41,5 @@ def synthetic_cohort(n_rows: int = 600, n_features: int = 12, seed: int = 0,
 
     order = rng.permutation(n_rows)
     features, label_arr = features[order], label_arr[order]
-    if constant_column:
-        features = np.column_stack([features, np.zeros(n_rows)])
-
-    names = tuple(f"f{i:02d}" for i in range(features.shape[1]))
+    names = tuple(f"f{i:02d}" for i in range(n_features))
     return Dataset(features, label_arr, names)

@@ -452,8 +452,8 @@ class GradientBoostedClassifier:
         eps = np.finfo(float).tiny
         presorted = _presort(X)  # X is the same in every round
         fitted = np.empty(n)  # a round's tree's value of each training row
+        probs = self._probabilities(scores)  # of the current scores; each round renews them
         for _ in range(self.n_rounds):
-            probs = self._probabilities(scores)
             round_trees = []
             for k in range(scores.shape[1]):
                 residual = onehot[:, first + k] - probs[:, first + k]

@@ -137,9 +137,10 @@ class TestCascadeEvaluate:
         assert report.accuracy == pytest.approx(50 / 60, abs=1e-12)
 
     def test_accept_class_must_be_in_stage1(self):
-        stage1, stage2 = reference_matrices()
-        with pytest.raises(ValueError):
-            cascade_evaluate(stage1, stage2, accept_class=7)
+        _, stage2 = reference_matrices()
+        stage1 = ConfusionMatrix(np.array([[5, 1], [2, 6]]), (0, 2))
+        with pytest.raises(ValueError, match="accept class 1 missing"):
+            cascade_evaluate(stage1, stage2)
 
     def test_stage2_classes_must_be_the_outer_pair(self):
         stage1, _ = reference_matrices()

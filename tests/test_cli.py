@@ -525,6 +525,12 @@ class TestSweep:
         tsv = (out / "report.tsv").read_text()
         assert "grid results, best first" in tsv
         assert "best combination: epochs=1" in tsv
+        header = tsv.split("# grid results, best first\n")[1].split("\n")[0]
+        assert header.split("\t") == ["best", "epochs", "learning_rate", "batch_size",
+                                      "mean_accuracy", "mean_macro_f"]
+        text_header = next(line for line in (out / "report.txt").read_text().splitlines()
+                           if line.startswith("best "))
+        assert text_header.split()[-1] == "mean_macro_f"
 
     def test_non_network_model_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
@@ -675,9 +681,9 @@ class TestModelSettingsCheckedUpFront:
 
 
 class TestInputWidthCheckedUpFront:
-    """An input too short for the network, or a k beyond the features, fails
-    before any resampling or cross-validation, with the code and message the
-    failing fold used to give."""
+    """An input too short for the network, a k beyond the features, or a
+    grid axis that is not a nonempty list fails before any resampling or
+    cross-validation."""
 
     @pytest.mark.parametrize("argv, config, code, message", [
         (["train", "--arch", "cnn2", "--select-method", "chi2", "--select-k", "3",
@@ -695,8 +701,12 @@ class TestInputWidthCheckedUpFront:
          2, "data error: vanilla: input of 3 features is too short"),
         (["select"], {"compare_ks": [3, 999], "model": {"kind": "gbm", "n_rounds": 2}},
          1, "config error: k=999 exceeds the 8 non-excluded features"),
+        (["sweep", "--resample-method", "random_over", "--paper-mode"],
+         {"grid": {"epochs": []}}, 1, "config error: invalid config field 'grid.epochs'"),
+        (["sweep", "--resample-method", "random_over", "--paper-mode"],
+         {"grid": {"epochs": 5}}, 1, "config error: invalid config field 'grid.epochs'"),
     ], ids=["train", "train-paper-mode", "sweep", "cascade-paper-mode", "select-network",
-            "select-k-beyond-the-features"])
+            "select-k-beyond-the-features", "sweep-empty-grid-axis", "sweep-grid-axis-not-a-list"])
     def test_fails_before_any_fold_work(self, tmp_path, capsys, monkeypatch, argv, config,
                                         code, message):
         from readmitlab import ensemble, evaluate
@@ -1020,6 +1030,15 @@ class TestConfigTable:
         ("report", [], {"workers": 1}, "workers"),
         ("select", [], {"workers": 2}, "workers"),
         ("select", ["--folds", "4"], None, "folds"),
+        ("select", ["--select-method", "chi2", "--paper-exclusion"], None,
+         "select.paper_exclusion"),
+        ("train", ["--model", "gbm"],
+         {"select": {"method": "anova_f", "k": 2, "paper_exclusion": True}},
+         "select.paper_exclusion"),
+        ("resample", ["--resample-method", "smote", "--nearmiss-version", "3"], None,
+         "resample.nearmiss_version"),
+        ("train", ["--model", "gbm"], {"resample": {"method": "random_under", "n_ref": 5}},
+         "resample.n_ref"),
     ])
     def test_field_a_command_does_not_use_is_named(self, tmp_path, capsys, command, flags,
                                                    config, field):

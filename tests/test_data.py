@@ -324,17 +324,6 @@ class TestSidecar:
         np.savez(sidecar, **members)
         assert_same_bytes(load_dataset(path), data)
 
-    def test_a_sidecar_for_another_label_column_is_not_used(self, tmp_path):
-        path = write_csv(tmp_path / "two.csv", "a,readmitted,other\n1.5,0,2\n2.5,1,0\n3.5,2,1\n")
-        by_readmitted = load_dataset(path)
-        by_other = load_dataset(path, label_column="other")
-        assert by_readmitted.feature_names == ("a", "other")
-        assert by_readmitted.labels.tolist() == [0, 1, 2]
-        assert by_other.feature_names == ("a", "readmitted")
-        assert by_other.features.tolist() == [[1.5, 0.0], [2.5, 1.0], [3.5, 2.0]]
-        assert by_other.labels.tolist() == [2, 0, 1]
-        assert_same_bytes(load_dataset(path), by_readmitted)
-
     @pytest.mark.parametrize("failure", ["read-only directory", "full disk"])
     def test_a_directory_that_cannot_take_the_sidecar_still_loads(self, tmp_path,
                                                                    monkeypatch, failure):

@@ -69,7 +69,7 @@ class TestConfusionMatrix:
     def test_rows_are_predictions_columns_are_actuals(self):
         actual = np.array([0, 0, 1, 2, 2, 2])
         predicted = np.array([0, 1, 1, 0, 2, 2])
-        cm = ConfusionMatrix.from_labels(actual, predicted)
+        cm = ConfusionMatrix.from_labels(actual, predicted, (0, 1, 2))
         expected = np.array([
             [1, 0, 1],   # predicted 0: one actual 0, one actual 2
             [1, 1, 0],   # predicted 1: one actual 0, one actual 1
@@ -87,8 +87,8 @@ class TestConfusionMatrix:
         rng = np.random.default_rng(0)
         actual = rng.integers(0, 3, size=50)
         predicted = rng.integers(0, 3, size=50)
-        a = ConfusionMatrix.from_labels(actual, predicted)
-        b = ConfusionMatrix.from_labels(predicted, actual)
+        a = ConfusionMatrix.from_labels(actual, predicted, (0, 1, 2))
+        b = ConfusionMatrix.from_labels(predicted, actual, (0, 1, 2))
         assert np.array_equal(a.counts, b.counts.T)
 
     def test_explicit_class_ids_keep_given_order(self):
@@ -110,7 +110,7 @@ class TestConfusionMatrix:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            ConfusionMatrix.from_labels(np.array([0, 1]), np.array([0]))
+            ConfusionMatrix.from_labels(np.array([0, 1]), np.array([0]), (0, 1))
 
     def test_invalid_matrices_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ class TestConfusionMatrix:
             ConfusionMatrix(np.zeros((2, 2), dtype=int), (0, 1, 2))
 
     def test_counts_are_read_only(self):
-        cm = ConfusionMatrix.from_labels(np.array([0, 1]), np.array([0, 1]))
+        cm = ConfusionMatrix.from_labels(np.array([0, 1]), np.array([0, 1]), (0, 1))
         with pytest.raises(ValueError):
             cm.counts[0, 0] = 99
 
@@ -529,15 +529,6 @@ class TestGridSweep:
         # the three constant rows tie; stable sort keeps grid order
         losers = [(r.epochs, r.learning_rate, r.batch_size) for r in rows[1:]]
         assert losers == [(1, 1e-3, 32), (1, 1e-2, 32), (2, 1e-2, 32)]
-
-    def test_annotation_attached_to_requested_combo(self):
-        data, folds = self.setup_data()
-        rows = grid_sweep(data, folds, lambda f, e, l, b: ConstantModel(0),
-                          epochs_grid=(1,), lr_grid=(1e-2,), batch_grid=(16, 32),
-                          annotate={(1, 1e-2, 16): "diverged in the source run"})
-        noted = {(r.epochs, r.learning_rate, r.batch_size): r.note for r in rows}
-        assert noted[(1, 1e-2, 16)] == "diverged in the source run"
-        assert noted[(1, 1e-2, 32)] == ""
 
     def test_build_model_receives_grid_coordinates(self):
         data, folds = self.setup_data()

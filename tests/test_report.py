@@ -38,8 +38,7 @@ class TestFormatPercent:
     def test_value_just_below_a_tie_stays_down(self):
         assert format_percent(0.649345) == "64.93"
 
-    def test_decimals_parameter(self):
-        assert format_percent(0.123456, 3) == "12.346"
+    def test_a_trailing_zero_decimal_is_kept(self):
         assert format_percent(0.005) == "0.50"
 
 
