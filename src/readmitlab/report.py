@@ -16,9 +16,14 @@ from .evaluate import ConfusionMatrix, MetricsReport
 from .features import ClassStatsTable, FeatureScoreTable
 
 
+# digits enough to hold any finite float64 quantized: up to 309 before the
+# point, 2 more for a percent, and 6 after it; the default context has 28
+_DIGITS = decimal.Context(prec=320, rounding=decimal.ROUND_HALF_UP)
+
+
 def format_percent(fraction: float) -> str:
     """Render a [0,1] fraction as a percentage, half-up at 2 places."""
-    return _half_up(decimal.Decimal(repr(float(fraction))) * 100, "0.01")
+    return _half_up(_DIGITS.multiply(decimal.Decimal(repr(float(fraction))), 100), "0.01")
 
 
 def format_number(value: float) -> str:
@@ -27,7 +32,7 @@ def format_number(value: float) -> str:
 
 
 def _half_up(value: decimal.Decimal, quantum: str) -> str:
-    return str(value.quantize(decimal.Decimal(quantum), rounding=decimal.ROUND_HALF_UP))
+    return str(value.quantize(decimal.Decimal(quantum), context=_DIGITS))
 
 
 def tsv_table(header: list[str], rows: list[list[str]]) -> str:

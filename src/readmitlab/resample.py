@@ -7,13 +7,17 @@ evaluate.cross_validate, or the run's): the same plan and seed always
 reproduce the same rows, and the first n output rows are the input rows
 bitwise.
 
-Every neighbour table, NearMiss's included, comes from _nearest. It
-shortlists candidates by the norm expansion |q|^2 + |p|^2 - 2 q.p, keeping
-every pool row within a provable rounding bound of each query's k-th value,
-then re-ranks the shortlist on exact sums of squared differences, ties going
-to the lower pool index. Its working memory per block is capped by
-_BLOCK_BUDGET, whatever the input size, and its results do not depend on
-that cap, on the input size or on BLAS threading.
+Every neighbour table, NearMiss's included, comes from one exact search,
+_nearest. One GEMM per block of query rows screens every pair on
+|p|^2 - 2 q.p, in float32 when the data fit float32's range and in float64
+otherwise. Every pool row within a derived rounding slack of the k-th
+smallest of the query row's column-block minima is shortlisted, and the
+shortlist is re-ranked on exact float64 sums of squared differences, ties
+going to the lower pool index. ADASYN, Borderline-SMOTE and SVM-SMOTE take a
+class's within-class and all-rows tables from one screen (_class_tables).
+_BLOCK_BUDGET caps the cells of a block, so working memory does not grow
+with the input size, and no table depends on that cap, on the input size,
+on the screen's dtype or on BLAS threading.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ METHODS = OVERSAMPLERS + UNDERSAMPLERS
 # most distances one block of _nearest holds at once (one query row's worth when
 # the pool is larger), so its memory does not grow with the number of queries
 _BLOCK_BUDGET = 1 << 20
+# blocks per neighbour sought in _nearest's shortlist bound: more blocks give
+# a bound nearer the k-th value, fewer a cheaper partition of the minima
+_BLOCKS_PER_NEIGHBOUR = 32
 
 # svm_smote's linear margin: passes over the rows, and the L2 weight
 _MARGIN_EPOCHS = 20
@@ -101,13 +108,95 @@ def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
 
     Distances are exact sums of squared differences, and equal distances order
     by lower pool index. self_indices[i] is the pool row that IS query i; it is
-    skipped. Query rows go in blocks of at most _BLOCK_BUDGET distances. Each
-    block computes the norm expansion |q|^2 + |p|^2 - 2 q.p and shortlists
-    every pool row whose value is within twice the expansion's worst-case
-    error of the row's k-th value; only the shortlist is re-ranked exactly.
+    skipped. The search runs in two stages:
+
+    - The screen. Query rows go in blocks of at most _BLOCK_BUDGET cells. One
+      GEMM per block gives each (query, pool row) pair |p|^2 - 2 q.p (its
+      negation with `farthest`), the squared distance less |q|^2, a constant
+      per query row that cannot change its ranking. It runs in float32 when
+      the data fit float32's range (see _screen), in float64 otherwise.
+    - The shortlist. A row's pool columns fall into min(n_pool,
+      _BLOCKS_PER_NEIGHBOUR * k) blocks; the k-th smallest of the blocks'
+      minima is at least the row's k-th smallest screen value. Every pool row
+      within _screen's slack of it is shortlisted, which provably holds the
+      exact top k and every row tied with its last member, and only the
+      shortlist is re-ranked on exact float64 sums.
+
+    _class_tables runs the same search for two tables from one screen.
     """
+    return _search(queries, pool, k, (len(pool),), self_indices, farthest)[0]
+
+
+def _class_tables(X: np.ndarray, members: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each member row's k nearest other members (indices into `members`) and
+    its k nearest other rows of X (indices into X), both exactly as from
+    _nearest. One screen of the members against all rows, members ordered
+    first, serves both: the first table reads its first len(members) columns."""
+    n_min = len(members)
+    order = np.concatenate([members, np.setdiff1d(np.arange(len(X)), members)])
+    pool = X[order]
+    (nn_min, _), (nn_full, _) = _search(pool[:n_min], pool, k, (n_min, len(X)),
+                                        np.arange(n_min), ids=order)
+    return nn_min, order[nn_full]
+
+
+def _screen(width: int, norms: float) -> tuple[type, float]:
+    """The screen's dtype and the slack of its shortlist, for rows of `width`
+    columns and norms = max |q|^2 + max |p|^2 (M below).
+
+    The dtype is float32 when 4 M fits its range and (w+1) u <= 1/16 for its
+    unit roundoff u, float64 otherwise. With e the dtype's smallest
+    subnormal, g = (w+1) u / (1 - (w+1) u), R = sqrt(M) and v64 the float64
+    unit roundoff, a screen value s differs from its exact value
+    T = |p|^2 - 2 q.p by at most
+
+        E = (2 g + 4 u + (w+1) v64) M + 4 (w+2) (R+1) e,
+
+    from three sources. (1) Inputs rounded to the dtype: q, -2p and the
+    float64 |p|^2 each carry a relative u, so the products carry 2u of
+    2 sum|q_j p_j| <= |q|^2 + |p|^2 <= M, and |p|^2 carries u plus its own
+    float64 error (w+1) v64 of at most M; an input that underflows adds at
+    most e/2, scaled by at most 2R + 1. (2) The GEMM sums the w products and
+    |p|^2 in any order (BLAS threads, FMA): at most g times the sum of the
+    terms' sizes, 2|q||p| + |p|^2 <= 2M, plus e/2 per underflowed product.
+    (3) Dropping |q|^2 costs no error: s is compared only with values of its
+    own query row, which all lack the same |q|^2. The constant 4u also
+    covers the second-order terms and the float64 rounding of M itself, for
+    any width below 10^7.
+
+    Let v be the k-th smallest block minimum: k columns c have s_c <= v. A
+    row r of the exact top k, or tied with its last member, has an exact sum
+    D_r no larger than the largest D_c, and each exact float64 sum is within
+    d = 2 (w+3) v64 M + w e of the real squared distance (at most 2M). So
+    s_r <= v + 2E + 2d, and the same holds for `farthest` with signs
+    swapped. Rounding S, then v + S, to the dtype lowers the bound by at
+    most u (|v| + 3S), with |v| <= 2M + E, which
+
+        S = (1 + 4u) (2E + 2d) + 3 u M
+
+    covers. In float32 at 30 features and M = 60, S is about 5e-4.
+    """
+    f32 = np.finfo(np.float32)
+    fits = 4.0 * norms <= float(f32.max) and (width + 1) * f32.eps / 2 <= 1 / 16
+    dtype = np.float32 if fits else np.float64
+    info, v64 = np.finfo(dtype), np.finfo(np.float64).eps / 2
+    u, e = float(info.eps) / 2, float(info.smallest_subnormal)
+    n_u = (width + 1) * u
+    error = ((2 * n_u / (1 - n_u) + 4 * u + (width + 1) * v64) * norms
+             + 4 * (width + 2) * (np.sqrt(norms) + 1) * e)
+    rerank = 2 * (width + 3) * v64 * norms + width * e
+    return dtype, float((1 + 4 * u) * (2 * error + 2 * rerank) + 3 * u * norms)
+
+
+def _search(queries: np.ndarray, pool: np.ndarray, k: int, heads: tuple[int, ...],
+            self_indices: np.ndarray | None = None, farthest: bool = False,
+            ids: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_nearest's tables, one per head h in `heads`: the search among the
+    first h pool rows, every table from the same screen. Equal distances
+    order by ids[column] (default: the column), and indices are pool
+    columns."""
     n_pool, width = pool.shape
-    usable = n_pool - (self_indices is not None)
+    usable = min(heads) - (self_indices is not None)
     if k > usable:
         raise ValueError(f"k={k} exceeds usable pool size {usable}")
     sign = -1.0 if farthest else 1.0
@@ -115,34 +204,57 @@ def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
     norms = (queries**2).sum(axis=1).max(initial=0.0) + pool_sq.max(initial=0.0)
     if not np.isfinite(4.0 * norms):
         raise DataError("feature values too large: squared distances overflow float64")
-    scaled_pool_t, signed_pool_sq = -2.0 * sign * pool.T, sign * pool_sq
-    # |norm expansion - exact sum| <= 4 (p + 4) eps (|q|^2 + |p|^2), so every row
-    # of the exact top k lies within twice that of the k-th expansion value
-    slack = 8 * (width + 4) * np.finfo(np.float64).eps
-    index = np.empty((len(queries), k), dtype=np.int64)
-    dist = np.empty((len(queries), k))
+    dtype, slack = _screen(width, norms)
+    # a query row [q, 1] times a column [-2p, |p|^2] is the screen value
+    screen_pool = np.empty((width + 1, n_pool), dtype=dtype)
+    screen_pool[:width] = (-2.0 * sign) * pool.T
+    screen_pool[width] = sign * pool_sq
+    tables = [(np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k)))
+              for _ in heads]
     step = max(1, _BLOCK_BUDGET // max(1, n_pool))
     chunk = max(1, _BLOCK_BUDGET // max(1, width))
     for start in range(0, len(queries), step):
         q = queries[start:start + step]
-        q_sq = (q**2).sum(axis=1)
-        approx = q @ scaled_pool_t
-        approx += sign * q_sq[:, None]
-        approx += signed_pool_sq
+        m = len(q)
+        q_screen = np.ones((m, width + 1), dtype=dtype)
+        q_screen[:, :width] = q
+        screen = q_screen @ screen_pool
+        own = None
         if self_indices is not None:
-            approx[np.arange(len(q)), self_indices[start:start + step]] = np.inf
-        bound = np.partition(approx, k - 1, axis=1)[:, k - 1] + slack * norms
-        rows, cols = np.nonzero(approx <= bound[:, None])
-        del approx
-        exact = np.empty(len(rows))
-        for lo in range(0, len(rows), chunk):
-            diff = q[rows[lo:lo + chunk]] - pool[cols[lo:lo + chunk]]
-            exact[lo:lo + chunk] = (diff**2).sum(axis=1)
-        order = np.lexsort((cols, sign * exact, rows))
-        picked = order[np.searchsorted(rows, np.arange(len(q)))[:, None] + np.arange(k)]
-        index[start:start + len(q)] = cols[picked]
-        dist[start:start + len(q)] = exact[picked]
-    return index, dist
+            own = np.arange(m), self_indices[start:start + m]
+            screen[own] = np.inf
+        for head, (index, dist) in zip(heads, tables):
+            rows, cols = _shortlist(screen[:, :head], k, slack, own)
+            exact = np.empty(len(rows))
+            for lo in range(0, len(rows), chunk):
+                diff = q[rows[lo:lo + chunk]] - pool[cols[lo:lo + chunk]]
+                exact[lo:lo + chunk] = (diff**2).sum(axis=1)
+            ties = cols if ids is None else ids[cols]
+            order = np.lexsort((ties, sign * exact, rows))
+            picked = order[np.searchsorted(rows, np.arange(m))[:, None] + np.arange(k)]
+            index[start:start + m] = cols[picked]
+            dist[start:start + m] = exact[picked]
+    return tables
+
+
+def _shortlist(screen: np.ndarray, k: int, slack: float,
+               own: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns), in row-major order, of every screen value within
+    `slack` of its row's k-th smallest block minimum; a row's own column
+    (`own`) never, even when that bound is infinite."""
+    m, n = screen.shape
+    blocks = min(n, _BLOCKS_PER_NEIGHBOUR * k)
+    width = n // blocks
+    # block b holds columns b, b + blocks, ...; the last n % blocks columns
+    # join the first blocks
+    minima = screen[:, :blocks * width].reshape(m, width, blocks).min(axis=1)
+    tail = n - blocks * width
+    np.minimum(minima[:, :tail], screen[:, blocks * width:], out=minima[:, :tail])
+    bound = np.partition(minima, k - 1, axis=1)[:, k - 1] + slack
+    keep = screen <= bound[:, None]
+    if own is not None:
+        keep[own] = False
+    return np.divmod(np.flatnonzero(keep), n)
 
 
 def knn(query, pool, k: int) -> list[int]:
@@ -218,14 +330,13 @@ def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
         raise DataError(
             f"class {cls} has {n_min} members; needs more than k_neighbors={k}"
         )
-    nn_min, _ = _nearest(x_min, x_min, k, self_indices=np.arange(n_min))
-
     if plan.method == "smote":
+        nn_min, _ = _nearest(x_min, x_min, k, self_indices=np.arange(n_min))
         bases = rng.integers(0, n_min, size=need)
         return _interpolate(x_min, bases, nn_min, rng)
 
-    # remaining methods inspect each minority point's neighborhood in the full set
-    nn_full, _ = _nearest(x_min, X, k, self_indices=min_idx)
+    # remaining methods also inspect each minority point's neighborhood in the full set
+    nn_min, nn_full = _class_tables(X, min_idx, k)
     other_count = (y[nn_full] != cls).sum(axis=1)
     other_frac = other_count / k
 

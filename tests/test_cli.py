@@ -247,6 +247,19 @@ class TestStats:
                      "--features", "ghost", "--out", str(tmp_path / "o")]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_means_of_1e30_render_in_full(self, tmp_path):
+        csv = tmp_path / "big.csv"
+        csv.write_text("f00,f01,readmitted\n1e30,0.5,0\n2e30,0.25,1\n"
+                       "3e30,0.75,2\n4e30,1.0,0\n")
+        out = tmp_path / "run"
+        assert main(["stats", "--data", str(csv), "--no-normalize", "--seed", "1",
+                     "--out", str(out)]) == 0
+        rows = [line.split("\t") for line in (out / "report.tsv").read_text().splitlines()]
+        means = {row[0]: row[1:4] for row in rows if row[0] in ("f00", "f01")}
+        assert means["f00"] == [m + ".000000" for m in ("25" + "0" * 29, "2" + "0" * 30,
+                                                        "3" + "0" * 30)]
+        assert means["f01"] == ["0.750000", "0.250000", "0.750000"]
+
 
 class TestSelect:
     def test_scores_ranks_and_topk_line(self, tmp_path):

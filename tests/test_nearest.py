@@ -1,4 +1,6 @@
-"""Property tests for `resample._nearest`, the one exact neighbour search.
+"""Property tests for `resample._nearest`, the one exact neighbour search,
+and for `resample._class_tables`, which serves two of its tables from one
+screen.
 
 The oracle is a plain loop over every (query, pool row) pair: it sums the
 squared differences of the pair with numpy, the same sum the search re-ranks
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 from readmitlab import resample
 from readmitlab.errors import DataError
-from readmitlab.resample import _nearest
+from readmitlab.resample import ResamplePlan, _class_tables, _nearest, _screen, apply_plan
+from readmitlab.synth import synthetic_cohort
 
 DEFAULT_BUDGET = resample._BLOCK_BUDGET
 
@@ -133,3 +136,126 @@ def test_squared_distances_that_overflow_are_rejected():
     pool = np.array([[1e200, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(DataError, match="overflow"), np.errstate(over="ignore"):
         _nearest(pool, pool, 1, self_indices=np.arange(3))
+
+
+def plant(rng, pool):
+    """Duplicate some rows of `pool` and make some of its columns constant."""
+    n, p = pool.shape
+    for i in rng.choice(np.arange(1, n), size=rng.integers(0, n // 4), replace=False):
+        pool[i] = pool[rng.integers(0, i)]
+    for j in rng.choice(p, size=rng.integers(0, p), replace=False):
+        pool[:, j] = pool[0, j]
+    return pool
+
+
+def rows_from(rng, n, p, kind):
+    """rows_of's kinds, drawn from a numpy generator for pools too large to
+    draw cell by cell, and "jitter": noise near float32's resolution, so that
+    the float32 screen misorders distances that differ in float64."""
+    X = rng.integers(0, 4, size=(n, p)).astype(np.float64)
+    if kind == "offset":
+        return 1e6 + X * 1e-3
+    if kind == "real":
+        return X + rng.uniform(-1.0, 1.0, size=(n, p))
+    if kind == "jitter":
+        return X + rng.uniform(-1e-6, 1e-6, size=(n, p))
+    return X
+
+
+@st.composite
+def large_searches(draw):
+    """Pools of 200-400 rows: with k <= 6 they have more columns than the
+    shortlist has blocks, so some blocks hold two columns or more and the
+    bound is a block minimum, not a row's own k-th value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(200, 400))
+    p = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["ties", "offset", "real", "jitter"]))
+    pool = plant(rng, rows_from(rng, n, p, kind))
+    k = draw(st.integers(1, 6))
+    farthest = draw(st.booleans())
+    if draw(st.booleans()):
+        chosen = np.sort(rng.choice(n, size=draw(st.integers(1, 6)), replace=False))
+        return pool[chosen], pool, k, chosen, farthest
+    queries = rows_from(rng, draw(st.integers(1, 4)), p, kind)
+    if draw(st.booleans()):
+        # a query that is also a pool row, but not skipped
+        queries[0] = pool[draw(st.integers(0, n - 1))]
+    return queries, pool, k, None, farthest
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_searches())
+def test_large_pools_match_the_plain_loop_oracle(search):
+    queries, pool, k, self_indices, farthest = search
+    assert len(pool) > resample._BLOCKS_PER_NEIGHBOUR * k
+    index, dist = _nearest(queries, pool, k, self_indices=self_indices, farthest=farthest)
+    want_index, want_dist = oracle(queries, pool, k, self_indices, farthest)
+    assert np.array_equal(index, want_index)
+    assert np.array_equal(dist, want_dist)
+
+
+@pytest.mark.parametrize("magnitude", [1e18, 1e19, 1e20, 1e21, 1e22])
+def test_rows_whose_squares_overflow_float32_match_the_oracle(magnitude):
+    rng = np.random.default_rng(int(np.log10(magnitude)))
+    pool = plant(rng, magnitude * rng.integers(0, 4, size=(40, 3)) * (1 + rng.random((40, 3))))
+    queries = magnitude * rng.random((5, 3))
+    for self_indices, q in ((None, queries), (np.arange(0, 40, 7), pool[::7])):
+        for farthest in (False, True):
+            got = _nearest(q, pool, 4, self_indices=self_indices, farthest=farthest)
+            want = oracle(q, pool, 4, self_indices, farthest)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def test_the_screen_leaves_float32_only_when_the_data_do_not_fit_it():
+    assert _screen(3, 3 * 1e36)[0] is np.float32
+    assert _screen(3, 3 * 1e38)[0] is np.float64
+    assert _screen(45, 90.0)[0] is np.float32
+    assert _screen(2_000_000, 1.0)[0] is np.float64
+
+
+def class_inputs():
+    """(X, members) as ADASYN, Borderline-SMOTE and SVM-SMOTE search them:
+    each minority class of small cohorts, one with planted ties."""
+    for n, p, seed in ((90, 4, 0), (300, 6, 1), (700, 3, 2)):
+        data = synthetic_cohort(n, p, seed=seed)
+        X = data.features.copy()
+        if seed == 1:
+            X = plant(np.random.default_rng(seed), np.round(X))
+        for cls in (1, 2):
+            yield X, np.flatnonzero(data.labels == cls)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 97])
+def test_one_screen_gives_the_two_separate_tables(budget):
+    for X, members in class_inputs():
+        with block_budget(budget):
+            nn_min, nn_full = _class_tables(X, members, 5)
+        x_min = X[members]
+        want_min, _ = _nearest(x_min, x_min, 5, self_indices=np.arange(len(members)))
+        want_full, _ = _nearest(x_min, X, 5, self_indices=members)
+        assert np.array_equal(nn_min, want_min)
+        assert np.array_equal(nn_full, want_full)
+
+
+def oracle_class_tables(X, members, k):
+    x_min = X[members]
+    return (oracle(x_min, x_min, k, np.arange(len(members)))[0],
+            oracle(x_min, X, k, members)[0])
+
+
+@pytest.mark.parametrize("plan", [
+    *(ResamplePlan(method) for method in resample.OVERSAMPLERS),
+    ResamplePlan("nearmiss", nearmiss_version=1),
+    ResamplePlan("nearmiss", nearmiss_version=2),
+], ids=lambda plan: f"{plan.method}-{plan.nearmiss_version}")
+def test_resampled_rows_equal_those_from_the_oracle(plan):
+    for n, p, seed in ((60, 3, 3), (120, 5, 4)):
+        data = synthetic_cohort(n, p, seed=seed)
+        got = apply_plan(data, plan, seed)
+        with mock.patch.object(resample, "_nearest", oracle), \
+                mock.patch.object(resample, "_class_tables", oracle_class_tables):
+            want = apply_plan(data, plan, seed)
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)

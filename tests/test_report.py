@@ -1,8 +1,11 @@
 """Report rendering: half-up percent formatting and byte-stable run files."""
 
+import decimal
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readmitlab.evaluate import ConfusionMatrix, metrics
 from readmitlab.features import (EXCLUDE_ZERO_VARIANCE, ClassStatsTable, FeatureScoreTable,
@@ -50,6 +53,27 @@ class TestFormatNumber:
 
     def test_negative_ties_round_away_from_zero(self):
         assert format_number(-0.0000005) == "-0.000001"
+
+    def test_any_finite_float_renders(self):
+        assert format_number(4e30) == "4" + "0" * 30 + ".000000"
+        assert format_number(-1.5e300) == "-15" + "0" * 299 + ".000000"
+        assert format_percent(1e300) == "1" + "0" * 302 + ".00"
+        assert len(format_number(np.finfo(np.float64).max)) == 309 + 7
+
+
+def default_context_half_up(value, scale, quantum):
+    """value * scale rendered in decimal's default 28-digit context, which
+    cannot quantize a value of about 1e22 or more to 6 places."""
+    with decimal.localcontext(decimal.Context()):
+        scaled = decimal.Decimal(repr(value)) * scale
+        return str(scaled.quantize(decimal.Decimal(quantum), rounding=decimal.ROUND_HALF_UP))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e21, 1e21), st.floats(-1e23, 1e23))
+def test_values_the_default_context_renders_keep_their_strings(value, fraction):
+    assert format_number(value) == default_context_half_up(value, 1, "0.000001")
+    assert format_percent(fraction) == default_context_half_up(fraction, 100, "0.01")
 
 
 class TestTables:
