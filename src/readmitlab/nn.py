@@ -201,21 +201,20 @@ class MaxPool1d(Layer):
 
     def backward(self, d_out):
         windows, out = self._split(self._x), self._out
-        # `first` counts the taps before each window's gradient tap: those
-        # that are numbers other than the window's maximum
-        first = np.zeros(out.shape, dtype=np.intp)
-        before = np.ones(out.shape, dtype=bool)
-        for offset in range(self.window - 1):
-            tap = windows[:, :, offset]
-            before &= (tap != out) & (tap == tap)
-            first += before
         dx = np.zeros(self._x.shape, dtype=d_out.dtype)
         dx_windows = self._split(dx)
-        # + 0.0 stores what a sum into zeros would: a -0.0 gradient lands as 0.0
-        grad = d_out + 0.0
-        for offset in range(self.window):
-            _and_bits(grad, _keep_bits(first == offset, dx.dtype),
-                      out=dx_windows[:, :, offset])
+        # the gradient no tap has taken yet; + 0.0 stores what a sum into
+        # zeros would, so a -0.0 gradient lands as 0.0
+        rest = d_out + 0.0
+        rest_bits = rest.view(f"i{rest.itemsize}")
+        for offset in range(self.window - 1):
+            # a tap equal to the maximum, or NaN, takes what is left: only the
+            # window's first such tap finds any, as taking leaves +0.0 bits
+            tap = windows[:, :, offset]
+            taken = _and_bits(rest, _keep_bits((tap == out) | (tap != tap), dx.dtype),
+                              out=dx_windows[:, :, offset])
+            np.bitwise_xor(rest_bits, taken.view(rest_bits.dtype), out=rest_bits)
+        dx_windows[:, :, -1] = rest
         return dx
 
 

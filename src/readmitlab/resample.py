@@ -285,9 +285,14 @@ def _interpolate(x_min: np.ndarray, bases: np.ndarray, nn_min: np.ndarray,
     with direction -1 extrapolates away from its neighbor instead."""
     picks = rng.integers(0, nn_min.shape[1], size=len(bases))
     u = direction * rng.random(len(bases))
+    return _steps(x_min, bases, nn_min[bases, picks], u)
+
+
+def _steps(x_min: np.ndarray, bases: np.ndarray, neighbors: np.ndarray,
+           u: np.ndarray) -> np.ndarray:
+    """x + u * (neighbor - x) for each base row x and its drawn neighbor."""
     anchors = x_min[bases]
-    neighbors = x_min[nn_min[bases, picks]]
-    return anchors + u[:, None] * (neighbors - anchors)
+    return anchors + u[:, None] * (x_min[neighbors] - anchors)
 
 
 def _fit_linear_margin(X: np.ndarray, y_signed: np.ndarray,
@@ -358,11 +363,13 @@ def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
         else:
             weights /= total
         budget = _largest_remainder(weights, need)
-        chunks = []
-        for i in np.flatnonzero(budget):
-            bases = np.full(budget[i], i, dtype=np.int64)
-            chunks.append(_interpolate(x_min, bases, nn_min, rng))
-        return np.vstack(chunks) if chunks else np.empty((0, X.shape[1]))
+        # each row draws its neighbors, then its steps, as _interpolate would
+        # row by row; the rows then step all at once
+        bases = np.repeat(np.arange(n_min), budget)
+        draws = [(rng.integers(0, k, size=count), rng.random(count))
+                 for count in budget[budget > 0]]
+        picks, u = (np.concatenate(parts) for parts in zip(*draws))
+        return _steps(x_min, bases, nn_min[bases, picks], u)
 
     # svm_smote, the last oversampler
     y_signed = np.where(y == cls, 1.0, -1.0)

@@ -1,4 +1,4 @@
-"""Decision trees grown by a presorted split search, plus boosted and bagged
+"""Decision trees grown by a histogram split search, plus boosted and bagged
 ensembles.
 
 Both tree kinds share one split search, which minimizes the summed squared
@@ -7,17 +7,23 @@ residual column. A classification tree's targets are the one-hot class
 columns, whose summed SSE is n times the Gini impurity, so the same search
 grows Gini CART (Breiman et al., 1984).
 
-The search presorts and partitions instead of sorting at every node (SLIQ;
-Mehta, Agrawal & Rissanen, EDBT 1996). A fit sorts each feature column once;
-a boosted model does so once for all its rounds, as X is the same in every
-round. Each split node holds its rows in every feature's order and scans all
-candidate features from those, and a stable partition of that order gives
-its children theirs. A forest's bootstrap duplicates are copied rows, so
-they are simply tied values.
+The search splits from per-node bin histograms (XGBoost, Chen & Guestrin,
+KDD 2016; LightGBM, Ke et al., NeurIPS 2017). A fit bins each feature column
+once; a boosted model does so once for all its rounds, as X is the same in
+every round. A column with at most MAX_BINS distinct values gets one bin per
+value, so its candidate thresholds are exactly those of an exact search.
+A longer column groups consecutive values into bins of about n / MAX_BINS
+rows, and never puts one value in two bins. Each split node counts its rows,
+and sums each target and the squared targets, per (candidate feature, bin),
+and scans the cumulative sums. When every feature is a candidate, a split
+counts only its smaller child and takes the larger one's histogram as the
+parent's minus the smaller's. A forest's bootstrap duplicates are copied
+rows, so they are simply tied values.
 
-Split search is deterministic: candidate thresholds are midpoints between
-consecutive distinct sorted feature values, the best split maximizes the SSE
-reduction, and ties resolve to the lower feature index, then the lower
+Split search is deterministic: candidate thresholds lie between consecutive
+bins that hold rows of the node, at the midpoint of the largest value of the
+lower bin and the smallest of the upper one. The best split maximizes the
+SSE reduction, and ties resolve to the lower feature index, then the lower
 threshold. A split is taken only when its reduction exceeds MIN_GAIN (1e-12)
 for either kind of tree. Regression trees take a pluggable leaf-value
 function so the boosting stage can install Newton-step leaf values.
@@ -33,9 +39,7 @@ import numpy as np
 from .errors import DataError
 
 MIN_GAIN = 1e-12  # smallest SSE reduction a split must beat
-# (feature, position) cells a split search scans per pass, so that its
-# temporaries stay in cache on large nodes
-_BLOCK = 1 << 18
+MAX_BINS = 256  # most bins a feature column is cut into
 
 
 @dataclass
@@ -66,11 +70,39 @@ def _route(node: _Node, X: np.ndarray, out: np.ndarray, rows: np.ndarray) -> Non
     _route(node.right, X, out, rows[~go_left])
 
 
-def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's rows in ascending order of its values, ties in row
-    order: (p, n) row indices S and the (p, n) sorted values V."""
-    S = np.argsort(X.T, axis=1, kind="stable")
-    return S, np.take_along_axis(X.T, S, axis=1)
+def _bin(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, lo, hi): the (n, p) uint8 bin of every cell of X, and the
+    (p, B) smallest and largest value of each bin, B the most bins of any
+    column.
+
+    Bins are consecutive runs of a column's distinct values. A column with at
+    most MAX_BINS of them gets one bin each. A longer one puts a value in bin
+    floor(r * MAX_BINS / n), r the number of rows below the value, with the
+    bins left empty dropped: about n / MAX_BINS rows a bin, and no value split.
+    """
+    n, p = X.shape
+    order = np.argsort(X.T, axis=1)
+    v = np.take_along_axis(X.T, order, axis=1)  # each column sorted
+    new = np.ones((p, n), dtype=bool)  # where a distinct value starts
+    np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
+    group = np.cumsum(new, axis=1)  # 1 + the distinct values below
+    lossy = group[:, -1] > MAX_BINS
+    below = np.maximum.accumulate(np.where(new[lossy], np.arange(n), 0), axis=1)
+    group[lossy] = below * MAX_BINS // n
+    starts = new  # where a bin starts: where the group changes
+    np.not_equal(group[:, 1:], group[:, :-1], out=starts[:, 1:])
+    bins = np.cumsum(starts, axis=1)
+    bins -= 1
+    codes = np.empty((n, p), dtype=np.uint8)
+    np.put_along_axis(codes.T, order, bins, axis=1)
+    ends = np.ones((p, n), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    lo = np.full((p, int(bins[:, -1].max(initial=0)) + 1), np.inf)
+    hi = lo.copy()
+    for edge, out in ((starts, lo), (ends, hi)):
+        j, i = np.nonzero(edge)
+        out[j, bins[j, i]] = v[j, i]
+    return codes, lo, hi
 
 
 def _sq_sum(a: np.ndarray) -> np.ndarray:
@@ -78,114 +110,117 @@ def _sq_sum(a: np.ndarray) -> np.ndarray:
     return np.einsum("m...,m...->...", a, a)
 
 
-def _reductions(Y: np.ndarray, S: np.ndarray, V: np.ndarray, sse_node: float,
-                min_leaf: int) -> np.ndarray:
-    """SSE reduction of every (feature, position) split of S's rows, -inf
-    where the split falls between equal values or leaves a side too small.
-
-    Each side's SSE is sum(Y**2) - sum_j csum_j**2 / size, summed over the
-    outputs before the subtraction, so one-hot targets keep every count an
-    exact integer. Computed in place, to keep the temporaries few.
-    """
-    n = S.shape[1]
-    k = np.arange(1, n)  # left sizes
-    csum = np.take(Y, S, axis=1)
-    csq = _sq_sum(csum)
-    np.cumsum(csq, axis=1, out=csq)
-    np.cumsum(csum, axis=2, out=csum)
-    sse_left = _sq_sum(csum[..., :-1])
-    sse_left /= k
-    np.subtract(csq[:, :-1], sse_left, out=sse_left)
-    sse_right = _sq_sum(csum[..., -1:] - csum[..., :-1])
-    sse_right /= n - k
-    np.subtract(csq[:, -1:] - csq[:, :-1], sse_right, out=sse_right)
-    sse_left += sse_right
-    reduction = np.subtract(sse_node, sse_left, out=sse_left)
-    reduction[~((V[:, 1:] > V[:, :-1]) & (k >= min_leaf) & (n - k >= min_leaf))] = -np.inf
-    return reduction
+def _histogram(codes: np.ndarray, Y: np.ndarray, rows: np.ndarray,
+               features: np.ndarray, n_bins: int) -> np.ndarray:
+    """(m + 2, features, n_bins) histogram of `rows`: per (feature, bin) the
+    row count, the sum of each of the m outputs, and the sum over the
+    outputs of their squares. Each bin adds its rows in the order of `rows`."""
+    n_features = features.size
+    if n_features == codes.shape[1]:
+        node_codes = codes[rows]
+    else:
+        node_codes = codes[rows[:, None], features]
+    cells = (node_codes + np.arange(0, n_features * n_bins, n_bins)).ravel()
+    size = n_features * n_bins
+    y_node = Y[:, rows]
+    hist = np.empty((Y.shape[0] + 2, size))
+    hist[0] = np.bincount(cells, minlength=size)
+    for j, weights in enumerate([*y_node, _sq_sum(y_node)], start=1):
+        hist[j] = np.bincount(cells, np.repeat(weights, n_features), minlength=size)
+    return hist.reshape(-1, n_features, n_bins)
 
 
-def _best_split(X: np.ndarray, Y: np.ndarray, rows: np.ndarray, S: np.ndarray,
-                V: np.ndarray, features: np.ndarray, min_leaf: int):
+def _best_split(binned: tuple, Y: np.ndarray, rows: np.ndarray, hist: np.ndarray,
+                features: np.ndarray, min_leaf: int):
     """(reduction, feature, threshold, left_rows, right_rows) or None.
 
-    Y is the (m, n_rows) target matrix, one row per output. S and V are the
-    node's rows sorted by each feature and their sorted values (see
-    _presort). Candidate features are scanned in blocks of about _BLOCK
-    (feature, position) cells; the first maximum wins, so ties go to the
-    lower feature, then the lower threshold. The child row lists keep the
-    order of `rows` within ties, as a stable sort on the winning feature.
+    Y is the (m, n_rows) target matrix, one row per output, binned is _bin(X)
+    and hist the node's _histogram over `features`. A candidate split falls
+    after an occupied bin and leaves min_leaf rows or more on each side. Each
+    side's SSE is sum(Y**2) - sum_j csum_j**2 / size, summed over the outputs
+    before the subtraction, so one-hot targets keep every count an exact
+    integer. The first maximum wins, so ties go to the lower feature, then
+    the lower threshold. The child row lists are a stable sort of `rows` on
+    the winning feature's bin.
     """
-    n = rows.size
+    codes, lo, hi = binned
+    n, m = rows.size, Y.shape[0]
     y_node = Y[:, rows]
     sse_node = float(((y_node - y_node.mean(axis=1, keepdims=True)) ** 2).sum())
-    step = max(1, _BLOCK // n)
-    best, best_gain = None, MIN_GAIN
-    for start in range(0, features.size, step):
-        block = features[start : start + step]
-        reduction = _reductions(Y, S[block], V[block], sse_node, min_leaf)
-        i, pos = divmod(int(np.argmax(reduction)), n - 1)
-        if reduction[i, pos] > best_gain:
-            best_gain = float(reduction[i, pos])
-            f = int(block[i])
-            best = (f, pos, _midpoint(float(V[f, pos]), float(V[f, pos + 1])))
-    if best is None:
+    cum = np.cumsum(hist, axis=2)
+    sizes = cum[0]
+    cells = np.flatnonzero((hist[0] > 0) & (sizes >= min_leaf) & (n - sizes >= min_leaf))
+    if cells.size == 0:
         return None
-    f, pos, thr = best
-    by_f = rows[np.argsort(X[rows, f], kind="stable")]
-    return best_gain, f, thr, by_f[: pos + 1], by_f[pos + 1 :]
+    n_bins = hist.shape[2]
+    total = np.take(cum[:, :, -1], cells // n_bins, axis=1)
+    cum = np.take(cum.reshape(m + 2, -1), cells, axis=1)
+    k = cum[0]
+    sse_left = cum[m + 1] - _sq_sum(cum[1 : m + 1]) / k
+    sse_right = ((total[m + 1] - cum[m + 1])
+                 - _sq_sum(total[1 : m + 1] - cum[1 : m + 1]) / (n - k))
+    reduction = sse_node - (sse_left + sse_right)
+    best = int(np.argmax(reduction))
+    if not reduction[best] > MIN_GAIN:
+        return None
+    i, b = divmod(int(cells[best]), n_bins)
+    f = int(features[i])
+    upper = b + 1 + int(np.flatnonzero(hist[0, i, b + 1 :])[0])  # next occupied bin
+    by_f = rows[np.argsort(codes[rows, f], kind="stable")]
+    size = int(k[best])
+    return (float(reduction[best]), f, _midpoint(float(hi[f, b]), float(lo[f, upper])),
+            by_f[:size], by_f[size:])
 
 
-def _grow(X: np.ndarray, presorted: tuple[np.ndarray, np.ndarray], Y: np.ndarray,
-          leaf_value, max_depth: float, min_leaf: int, pick_features) -> _Node:
-    """Grow depth first, left subtree first, from presorted = _presort(X).
+def _grow(X: np.ndarray, binned: tuple, Y: np.ndarray, leaf_value, max_depth: float,
+          min_leaf: int, pick_features) -> _Node:
+    """Grow depth first, left subtree first, from binned = _bin(X).
     leaf_value(rows) gives a leaf's value; pick_features() gives the features
     scanned at each split node.
 
-    A child's S and V are a stable partition of its parent's, so no node
-    sorts its candidate features. They are taken only for a child that can
-    split, and a node lets its own go once its children's are taken. Pending
-    nodes hold disjoint rows, so besides the presort the partitions alive at
-    any time hold each row at most twice, however deep the tree.
+    When every feature is a candidate, a split hands its histogram down: it
+    counts its smaller child and gives the larger one the difference, with
+    the sums of bins the larger child leaves empty set to exactly 0. A child
+    that cannot split gets none, and a pending child keeps one only when it
+    holds at least B rows (B bins a column), so it spares more counting than
+    it stores. Pending nodes hold disjoint rows, so the histograms they keep
+    hold at most (m + 2) * n * p values, however deep the tree.
     """
-    p = X.shape[1]
-    in_left = np.zeros(X.shape[0], dtype=bool)
+    codes = binned[0]
+    p, n_bins = X.shape[1], binned[1].shape[1]
 
     def can_split(rows: np.ndarray, depth: int) -> bool:
         y_node = Y[:, rows]
         return not (depth >= max_depth or rows.size < 2 * min_leaf
                     or np.all(y_node == y_node[:, :1]))
 
-    def children(node: _Node, depth: int, S: np.ndarray, V: np.ndarray,
-                 left_rows: np.ndarray, right_rows: np.ndarray) -> list[tuple]:
-        """Pending entries for node's children, right first, so that the
-        left one is grown first."""
-        in_left[left_rows] = True
-        goes_left = in_left[S].ravel()
-        in_left[left_rows] = False
-        node.left, node.right = _Node(), _Node()
-        entries = []
-        for child, rows, keep in ((node.right, right_rows, ~goes_left),
-                                  (node.left, left_rows, goes_left)):
-            sorted_rows = None
-            if can_split(rows, depth + 1):
-                sorted_rows = (np.compress(keep, S).reshape(p, -1),
-                               np.compress(keep, V).reshape(p, -1))
-            entries.append((child, rows, depth + 1, sorted_rows))
-        return entries
-
+    # pending entries: node, rows, depth, whether it can split, histogram or None
     root, rows = _Node(), np.arange(X.shape[0])
-    pending = [(root, rows, 0, presorted if can_split(rows, 0) else None)]
+    pending = [(root, rows, 0, can_split(rows, 0), None)]
     while pending:
-        node, rows, depth, sorted_rows = pending.pop()
+        node, rows, depth, splittable, hist = pending.pop()
         split = None
-        if sorted_rows is not None:
-            split = _best_split(X, Y, rows, *sorted_rows, pick_features(), min_leaf)
+        if splittable:
+            features = pick_features()
+            if hist is None:
+                hist = _histogram(codes, Y, rows, features, n_bins)
+            split = _best_split(binned, Y, rows, hist, features, min_leaf)
         if split is None:
             node.value = leaf_value(rows)
             continue
         _, node.feature, node.threshold, left_rows, right_rows = split
-        pending += children(node, depth, *sorted_rows, left_rows, right_rows)
+        node.left, node.right = _Node(), _Node()
+        children = [[child, child_rows, depth + 1, can_split(child_rows, depth + 1), None]
+                    for child, child_rows in ((node.right, right_rows), (node.left, left_rows))]
+        small, large = sorted(children, key=lambda c: c[1].size)
+        if features.size == p and large[3] and large[1].size >= n_bins:
+            small_hist = _histogram(codes, Y, small[1], features, n_bins)
+            large_hist = hist - small_hist
+            large_hist[:, large_hist[0] == 0] = 0.0  # no rounding residue in empty bins
+            large[4] = large_hist
+            if small[3] and small[1].size >= n_bins:
+                small[4] = small_hist
+        pending += children  # right first, so the left is grown first
     return root
 
 
@@ -210,10 +245,10 @@ class RegressionTree:
         self.leaf_value_fn = leaf_value_fn or (lambda t: float(t.mean()))
         self.root: _Node | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, _presorted: tuple | None = None,
+    def fit(self, X: np.ndarray, y: np.ndarray, _binned: tuple | None = None,
             _fitted: np.ndarray | None = None) -> "RegressionTree":
-        """_presorted is _presort(X), passed by a caller that fits many trees
-        on the same X. _fitted, when given, receives each training row's leaf
+        """_binned is _bin(X), passed by a caller that fits many trees on
+        the same X. _fitted, when given, receives each training row's leaf
         value: what predict(X) would return, as every row of a leaf lies on
         its side of each threshold above it."""
         X = np.asarray(X, dtype=np.float64)
@@ -221,7 +256,7 @@ class RegressionTree:
         if X.shape[0] == 0:
             raise DataError("cannot fit a tree on zero rows")
         all_features = np.arange(X.shape[1])
-        presorted = _presort(X) if _presorted is None else _presorted
+        binned = _bin(X) if _binned is None else _binned
 
         def leaf_value(rows: np.ndarray) -> float:
             value = self.leaf_value_fn(y[rows])
@@ -229,7 +264,7 @@ class RegressionTree:
                 _fitted[rows] = value
             return value
 
-        self.root = _grow(X, presorted, y[None, :], leaf_value,
+        self.root = _grow(X, binned, y[None, :], leaf_value,
                           self.max_depth, self.min_samples_leaf, lambda: all_features)
         return self
 
@@ -290,7 +325,7 @@ class ClassificationTree:
         def majority(rows: np.ndarray) -> int:
             return int(np.argmax(onehot[:, rows].sum(axis=1)))  # first max = lowest id
 
-        self.root = _grow(X, _presort(X), onehot, majority, self.max_depth,
+        self.root = _grow(X, _bin(X), onehot, majority, self.max_depth,
                           self.min_samples_leaf, pick_features)
         return self
 
@@ -450,7 +485,7 @@ class GradientBoostedClassifier:
         scores = np.tile(self.base_scores_, (n, 1))
         leaf_fn = _newton_leaf_factory(n_classes)
         eps = np.finfo(float).tiny
-        presorted = _presort(X)  # X is the same in every round
+        binned = _bin(X)  # X is the same in every round
         fitted = np.empty(n)  # a round's tree's value of each training row
         probs = self._probabilities(scores)  # of the current scores; each round renews them
         for _ in range(self.n_rounds):
@@ -458,7 +493,7 @@ class GradientBoostedClassifier:
             for k in range(scores.shape[1]):
                 residual = onehot[:, first + k] - probs[:, first + k]
                 tree = RegressionTree(self.max_depth, self.min_samples_leaf, leaf_fn)
-                tree.fit(X, residual, _presorted=presorted, _fitted=fitted)
+                tree.fit(X, residual, _binned=binned, _fitted=fitted)
                 scores[:, k] += self.learning_rate * fitted
                 round_trees.append(tree)
             self.trees_.append(round_trees)

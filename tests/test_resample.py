@@ -1,8 +1,11 @@
 """Oversamplers (SMOTE family, ADASYN, random), NearMiss undersampling, k-NN."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from readmitlab import resample
 from readmitlab.errors import DataError
 from readmitlab.resample import (
     OVERSAMPLERS,
@@ -139,6 +142,38 @@ class TestOversamplers:
                             spread=0.5)
         out = oversample(data, ResamplePlan("adasyn", k_neighbors=5), 3)
         assert out.class_counts() == {0: 40, 1: 40}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adasyn_equals_the_per_row_loop_bitwise(self, seed):
+        """ADASYN steps all rows at once from draws made row by row; it must
+        give the bytes of interpolating each row as its draws come."""
+
+        def per_row(X, y, cls, need, plan, rng):
+            k = plan.k_neighbors
+            min_idx = np.flatnonzero(y == cls)
+            x_min = X[min_idx]
+            nn_min, nn_full = resample._class_tables(X, min_idx, k)
+            weights = (y[nn_full] != cls).sum(axis=1) / k
+            total = weights.sum()
+            if total == 0.0:
+                weights = np.full(len(min_idx), 1.0 / len(min_idx))
+            else:
+                weights = weights / total
+            budget = resample._largest_remainder(weights, need)
+            return np.vstack([resample._interpolate(x_min, np.full(budget[i], i), nn_min, rng)
+                              for i in np.flatnonzero(budget)])
+
+        rng = np.random.default_rng(100 + seed)
+        spread = (0.4, 1.0, 1.5, 3.0)[seed]  # from interior classes to mixed ones
+        data = blob_dataset(rng, {0: 70, 1: 23, 2: 11},
+                            {0: [0, 0, 0], 1: [2, 0, 1], 2: [-2, 1, 0]}, spread=spread)
+        plan = ResamplePlan("adasyn", k_neighbors=3 + seed)
+        got = oversample(data, plan, seed)
+        with mock.patch.object(resample, "_synthesize_for_class", per_row):
+            want = oversample(data, plan, seed)
+        assert got.class_counts() == {0: 70, 1: 70, 2: 70}
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.labels, want.labels)
 
     def test_borderline_without_danger_points_is_an_error(self):
         rng = np.random.default_rng(8)

@@ -4,13 +4,11 @@ The oracle scores every midpoint threshold directly. Targets are integer
 multiples of 27720 = lcm(1..12), optionally scaled by 2**-35, on at most 12
 rows: every sum, square and division by a side size in the search is then
 exact in float64, so the search must agree with the oracle exactly, ties
-included. The search scans its candidate features in blocks of _BLOCK
-(feature, position) cells; a block of 1 scans one feature at a time, so a tie
-between features also crosses blocks.
+included. These tables have at most 12 distinct values a column, so each
+value gets a bin of its own.
 """
 
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,8 +22,9 @@ UNIT = 27720  # divisible by every side size up to 12 rows
 
 def best_split(X, Y, features, min_leaf):
     """The split search at a root node holding every row of X."""
-    return trees._best_split(X, Y, np.arange(X.shape[0]), *trees._presort(X),
-                             features, min_leaf)
+    binned, rows = trees._bin(X), np.arange(X.shape[0])
+    hist = trees._histogram(binned[0], Y, rows, features, binned[1].shape[1])
+    return trees._best_split(binned, Y, rows, hist, features, min_leaf)
 
 
 def sse(block: np.ndarray) -> Fraction:
@@ -76,17 +75,15 @@ def split_problems(draw):
     Y = np.array(codes, dtype=np.float64).reshape(m, n) * UNIT * scale
     features = np.array(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1))))
     min_leaf = draw(st.integers(1, 4))
-    block = draw(st.sampled_from([1, 12, trees._BLOCK]))
-    return X, Y, features, min_leaf, block
+    return X, Y, features, min_leaf
 
 
 @settings(max_examples=300, deadline=None)
 @given(split_problems())
 def test_split_search_matches_the_brute_force_oracle(problem):
-    X, Y, features, min_leaf, block = problem
+    X, Y, features, min_leaf = problem
     rows = np.arange(X.shape[0])
-    with mock.patch.object(trees, "_BLOCK", block):
-        got = best_split(X, Y, features, min_leaf)
+    got = best_split(X, Y, features, min_leaf)
     candidates = oracle(X, Y, features, min_leaf)
     best = max((c[0] for c in candidates), default=None)
     if best is None or best <= Fraction(MIN_GAIN):

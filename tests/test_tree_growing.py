@@ -1,10 +1,12 @@
-"""Trees grown by the presorted split search equal trees grown by a per-node
+"""Trees grown by the histogram split search equal trees grown by a per-node
 sort, node for node.
 
-The reference grower below is the search the presort replaced: at every node
-it sorts each candidate feature of the node's rows with a stable argsort and
-scans it. Gini trees and forests must match it bitwise, since their one-hot
-sums are exact integers. So must regression trees on dyadic targets, whose
+The reference grower below is an exact search: at every node it sorts each
+candidate feature of the node's rows with a stable argsort and scans it. The
+tables here have fewer than MAX_BINS distinct values a column, so each value
+gets a bin of its own and the two searches see the same thresholds. Gini
+trees and forests must match it bitwise, since their one-hot sums are exact
+integers. So must regression trees on dyadic targets, whose
 sums are exact too, and boosted trees on columns without tied values, where
 each feature has only one sorted order. Elsewhere a regression node may sum
 tied values in another order.
@@ -53,7 +55,7 @@ def reference_best_split(X, Y, rows, features, min_leaf):
 
 
 def reference_grow(X, presorted, Y, leaf_value, max_depth, min_leaf, pick_features):
-    """trees._grow's contract, ignoring the presort."""
+    """trees._grow's contract, ignoring the bins."""
 
     def grow(rows, depth):
         y_node = Y[:, rows]
@@ -77,14 +79,12 @@ def bits(node):
     return (node.feature, float(node.threshold).hex(), bits(node.left), bits(node.right))
 
 
-def grown_both_ways(fit, block):
-    """fit() run with the presorted search (its scan blocks of `block` cells)
-    and again with the reference grower."""
-    with mock.patch.object(trees, "_BLOCK", block):
-        presorted = fit()
+def grown_both_ways(fit):
+    """fit() run with the histogram search and again with the reference grower."""
+    binned = fit()
     with mock.patch.object(trees, "_grow", reference_grow):
         reference = fit()
-    return presorted, reference
+    return binned, reference
 
 
 @st.composite
@@ -109,13 +109,12 @@ def tables(draw, max_rows=30, tie_free=False):
     return np.array(columns, dtype=np.float64).T, n
 
 
-BLOCKS = st.sampled_from([1, 16, trees._BLOCK])
 DEPTHS = st.one_of(st.none(), st.integers(0, 5))
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables(), st.data(), BLOCKS)
-def test_gini_trees_match_the_reference_bitwise(table, data, block):
+@given(tables(), st.data())
+def test_gini_trees_match_the_reference_bitwise(table, data):
     X, n = table
     y = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     max_depth = data.draw(DEPTHS)
@@ -128,13 +127,13 @@ def test_gini_trees_match_the_reference_bitwise(table, data, block):
                                   features_per_split=features_per_split,
                                   rng=np.random.default_rng(seed)).fit(X, y)
 
-    got, want = grown_both_ways(fit, block)
+    got, want = grown_both_ways(fit)
     assert bits(got.root) == bits(want.root)
 
 
 @settings(max_examples=100, deadline=None)
-@given(tables(), st.data(), BLOCKS)
-def test_forests_match_the_reference_bitwise(table, data, block):
+@given(tables(), st.data())
+def test_forests_match_the_reference_bitwise(table, data):
     X, n = table
     y = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     params = dict(
@@ -143,13 +142,13 @@ def test_forests_match_the_reference_bitwise(table, data, block):
         features_per_split=data.draw(st.sampled_from(["all", "sqrt", 1])),
         seed=data.draw(st.integers(0, 2**16)), bootstrap=data.draw(st.booleans()))
 
-    got, want = grown_both_ways(lambda: RandomForest(**params).fit(X, y), block)
+    got, want = grown_both_ways(lambda: RandomForest(**params).fit(X, y))
     assert [bits(t.root) for t in got.trees_] == [bits(t.root) for t in want.trees_]
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables(), st.data(), BLOCKS)
-def test_regression_trees_on_dyadic_targets_match_the_reference_bitwise(table, data, block):
+@given(tables(), st.data())
+def test_regression_trees_on_dyadic_targets_match_the_reference_bitwise(table, data):
     X, n = table
     codes = data.draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n))
     y = np.array(codes, dtype=np.float64) * 2.0 ** -data.draw(st.integers(0, 40))
@@ -157,22 +156,20 @@ def test_regression_trees_on_dyadic_targets_match_the_reference_bitwise(table, d
     min_leaf = data.draw(st.integers(1, 3))
 
     got, want = grown_both_ways(
-        lambda: RegressionTree(max_depth=max_depth, min_samples_leaf=min_leaf).fit(X, y),
-        block)
+        lambda: RegressionTree(max_depth=max_depth, min_samples_leaf=min_leaf).fit(X, y))
     assert bits(got.root) == bits(want.root)
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables(max_rows=40, tie_free=True), st.data(), BLOCKS)
-def test_boosting_on_tie_free_columns_matches_the_reference_bitwise(table, data, block):
+@given(tables(max_rows=40, tie_free=True), st.data())
+def test_boosting_on_tie_free_columns_matches_the_reference_bitwise(table, data):
     X, n = table
     y = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     params = dict(n_rounds=data.draw(st.integers(1, 4)),
                   max_depth=data.draw(st.integers(1, 3)),
                   min_samples_leaf=data.draw(st.integers(1, 3)))
 
-    got, want = grown_both_ways(
-        lambda: GradientBoostedClassifier(**params).fit(X, y), block)
+    got, want = grown_both_ways(lambda: GradientBoostedClassifier(**params).fit(X, y))
     assert got.to_dict() == want.to_dict()
 
 
@@ -201,8 +198,8 @@ def test_boosting_on_the_fit_leaf_values_matches_routing_x_again(table, data):
                   min_samples_leaf=data.draw(st.integers(1, 3)))
     fit = RegressionTree.fit
 
-    def routed_fit(self, X, y, _presorted=None, _fitted=None):
-        fit(self, X, y, _presorted)
+    def routed_fit(self, X, y, _binned=None, _fitted=None):
+        fit(self, X, y, _binned)
         _fitted[...] = self.predict(X)
         return self
 
@@ -214,41 +211,112 @@ def test_boosting_on_the_fit_leaf_values_matches_routing_x_again(table, data):
 
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("n_rounds", [1, 4, 9])
-def test_a_booster_fit_presorts_x_once(n_classes, n_rounds):
+def test_a_booster_fit_bins_x_once(n_classes, n_rounds):
     rng = np.random.default_rng(n_rounds)
     X = rng.normal(size=(60, 4))
     y = np.arange(60) % n_classes
     calls = []
 
-    def counting_presort(X):
+    def counting_bin(X):
         calls.append(X.shape)
-        return presort(X)
+        return bin_(X)
 
-    presort = trees._presort
-    with mock.patch.object(trees, "_presort", counting_presort):
+    bin_ = trees._bin
+    with mock.patch.object(trees, "_bin", counting_bin):
         model = GradientBoostedClassifier(n_rounds=n_rounds, max_depth=2).fit(X, y)
     assert calls == [X.shape]
     assert sum(len(round_trees) for round_trees in model.trees_) == (
         n_rounds * (1 if n_classes == 2 else n_classes))
 
 
-def test_a_deep_tree_keeps_no_ancestor_partitions():
-    """Growing lets a node's sorted rows go once its children's are taken, so
-    a tree tens of levels deep peaks at a few copies of the presort; keeping
-    every ancestor's would hold each row once per level."""
+def traced_peak(fit):
+    """fit()'s result and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        result = fit()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_deep_tree_peaks_no_higher_than_a_stump():
+    """A pending node keeps a histogram only when it holds at least a
+    column's bins in rows, and pending nodes hold disjoint rows, so a tree
+    tens of levels deep peaks near its root's counting: 1.6 times a stump's
+    peak on this table. Keeping the histogram of every pending child would
+    grow with the depth, to 3.6 times."""
     rng = np.random.default_rng(0)
     X = rng.random((4000, 20))
-    y = rng.integers(0, 3, 4000)
-    with mock.patch.object(trees, "_BLOCK", 1024):  # keeps the scan's temporaries small
-        tracemalloc.start()
-        try:
-            tree = ClassificationTree().fit(X, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    y = rng.integers(0, 6, 4000)
+
+    def stump():
+        return ClassificationTree(max_depth=1).fit(X, y)
+
+    stump()  # the first fit's one-off allocations are not the stump's
+    _, stump_peak = traced_peak(stump)
+    tree, peak = traced_peak(lambda: ClassificationTree().fit(X, y))
 
     def depth(node):
         return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
 
     assert depth(tree.root) > 30
-    assert peak < 6 * 2 * X.nbytes  # S and V each take X's bytes
+    assert peak < 2 * stump_peak
+    assert peak < 6 * 2 * X.nbytes  # the bound the presorted search met
+
+
+def long_columns(seed: int, n: int) -> np.ndarray:
+    """Columns with more than MAX_BINS distinct values: distinct floats,
+    floats rounded to two places (ties all along), and floats with a value
+    that holds a third of the rows."""
+    rng = np.random.default_rng(seed)
+    heavy = rng.normal(size=n)
+    heavy[rng.random(n) < 1 / 3] = 0.25
+    return np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 2), heavy])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_long_columns_bin_whole_values_in_order(seed):
+    X = long_columns(seed, 600 + 300 * seed)
+    codes, lo, hi = trees._bin(X)
+    for j in range(X.shape[1]):
+        values = np.unique(X[:, j])
+        assert values.size > trees.MAX_BINS
+        column_codes = codes[:, j]
+        # every value sits in one bin, and bins follow the values' order
+        for value in values:
+            assert np.unique(column_codes[X[:, j] == value]).size == 1
+        order = np.argsort(X[:, j], kind="stable")
+        assert np.all(np.diff(column_codes[order].astype(int)) >= 0)
+        n_bins = int(column_codes.max()) + 1
+        assert n_bins <= trees.MAX_BINS
+        assert np.array_equal(np.unique(column_codes), np.arange(n_bins))
+        for b in range(n_bins):
+            in_bin = X[column_codes == b, j]
+            assert (lo[j, b], hi[j, b]) == (in_bin.min(), in_bin.max())
+        assert np.all(hi[j, : n_bins - 1] < lo[j, 1:n_bins])
+    # without ties a bin holds about n / MAX_BINS rows
+    sizes = np.bincount(codes[:, 0])
+    assert sizes.max() <= -(-X.shape[0] // trees.MAX_BINS)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_on_long_columns_the_fit_leaf_values_are_what_predict_gives(seed):
+    X = long_columns(seed, 600 + 300 * seed)
+    y = np.random.default_rng(seed + 10).normal(size=X.shape[0]) + X[:, 2]
+    for max_depth, min_leaf in ((3, 1), (8, 1), (12, 5)):
+        tree = RegressionTree(max_depth=max_depth, min_samples_leaf=min_leaf)
+        fitted = np.full(X.shape[0], np.nan)
+        tree.fit(X, y, _fitted=fitted)
+        assert fitted.tobytes() == tree.predict(X).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_on_long_columns_a_lone_all_features_forest_tree_is_a_classification_tree(seed):
+    X = long_columns(seed, 600 + 300 * seed)
+    y = (X[:, 0] + X[:, 1] > 0).astype(int) + (X[:, 2] == 0.25)
+    params = dict(max_depth=seed + 4, min_samples_leaf=seed + 1)
+    forest = RandomForest(n_trees=1, features_per_split="all", bootstrap=False,
+                          **params).fit(X, y)
+    tree = ClassificationTree(**params).fit(X, y)
+    assert bits(forest.trees_[0].root) == bits(tree.root)
+    assert np.array_equal(forest.predict(X), tree.predict(X))
