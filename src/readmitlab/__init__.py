@@ -10,9 +10,9 @@ from .ensemble import (CascadeClassifier, CascadeReport, binary_outer_study,
                        cascade_evaluate, cascade_fit, cross_validate_cascade,
                        load_cascade, save_cascade)
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import (ConfusionMatrix, CvResult, MetricsReport, SweepRow,
+from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, SweepRow,
                        cross_validate, grid_sweep, harmonic_mean, metrics)
-from .features import (ClassStatsTable, FeatureScoreTable, SCORERS,
+from .features import (ClassStatsTable, FeatureScoreTable, SCORERS, Selection,
                        anova_f_scores, chi_square_scores, pearson_scores,
                        per_class_stats, select_k_best)
 from .models import NetworkClassifier, make_builder
@@ -33,10 +33,10 @@ __all__ = [
     "ARCHITECTURES", "AdaBelief", "Adam", "CascadeClassifier", "CascadeReport",
     "ClassStatsTable", "ClassificationTree", "ConfigError", "ConfusionMatrix",
     "CvResult", "DEFAULT_CLASS_NAMES", "DataError", "Dataset",
-    "FeatureScoreTable", "FoldPlan", "GradientBoostedClassifier",
+    "FeatureScoreTable", "FoldPipeline", "FoldPlan", "GradientBoostedClassifier",
     "MetricsReport", "Network", "NetworkClassifier", "NumericError",
     "OPTIMIZERS", "RESAMPLE_METHODS", "RandomForest", "RegressionTree",
-    "ResamplePlan", "SCORERS", "ScalingSpec", "Sgd", "SweepRow", "TrainConfig",
+    "ResamplePlan", "SCORERS", "ScalingSpec", "Selection", "Sgd", "SweepRow", "TrainConfig",
     "anova_f_scores", "apply_plan", "binary_outer_study", "build_network",
     "cascade_evaluate", "cascade_fit", "chi_square_scores", "cross_validate",
     "cross_validate_cascade", "dataset_sha256", "grid_sweep", "harmonic_mean",

@@ -35,12 +35,26 @@ flags set the "network" section and --n-rounds and --max-depth the
 "booster" section; the booster's learning rate is set only by the "booster"
 section.
 
+Min-max scaling (--normalize, on by default), the select section and the
+resample section make one evaluate.FoldPipeline, fitted in that order. The
+commands that cross-validate (train, sweep, cascade, binary-study, select
+with compare_ks) fit it on each training fold alone and report each fold's
+constant and selected columns as "fold f: ..." lines. --paper-mode is the
+one switch back to the study's whole-dataset protocol: it fits the same
+pipeline once on all rows, with the run seed, and then splits the folds,
+which fit nothing. The commands without folds (ingest, stats, select
+without compare_ks, resample) and cascade --save-model always take that
+whole-dataset path. A select k outside 1..the feature count is a config
+error before any fold work; a training fold with fewer columns its scorer
+can score than k is a data error naming the fold.
+
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import itertools
 import json
@@ -49,19 +63,18 @@ import sys
 from pathlib import Path
 
 from .data import (DEFAULT_CLASS_NAMES, Dataset, dataset_sha256, load_dataset,
-                   min_max_normalize, save_dataset_csv, stratified_kfold,
-                   stratified_subsample)
+                   save_dataset_csv, stratified_kfold, stratified_subsample)
 from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import cross_validate, grid_sweep, metrics
-from .features import SCORERS, per_class_stats, select_k_best
+from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics
+from .features import SCORERS, Selection, per_class_stats, select_k_best
 from .models import MODEL_KINDS, MODELS, NetworkClassifier, make_builder
 from .nn import ARCHITECTURES
 from .optim import OPTIMIZERS
 from .report import RunReport, class_stats_section, feature_scores_section, format_percent
 from .resample import METHODS as RESAMPLE_METHODS
-from .resample import ResamplePlan, apply_plan
+from .resample import ResamplePlan
 
 PAPER_GRID = {
     "epochs": [10, 50],
@@ -152,8 +165,8 @@ _FOLDS = (
 _SELECT_FOLDS = tuple((flag, path, kwargs, None) for flag, path, kwargs, _ in _FOLDS)
 _CV = (*_FOLDS,
        _opt("--paper-mode", "paper_mode", False, action="store_true",
-            help="resample the whole dataset before fold splitting "
-                 "instead of per training fold"))
+            help="fit scaling, selection and resampling on the whole dataset "
+                 "before fold splitting instead of per training fold"))
 _RESAMPLE = (
     _opt("--resample-method", "resample.method", choices=RESAMPLE_METHODS),
     _opt("--k-neighbors", "resample.k_neighbors", type=int),
@@ -337,8 +350,9 @@ def _resample_plan(cfg: dict) -> ResamplePlan | None:
     return plan
 
 
-def _scores(cfg: dict, data: Dataset, **defaults):
-    """Resolve the select section and score every feature by its method."""
+def _selection(cfg: dict, data: Dataset, **defaults) -> Selection:
+    """Resolve the select section; a k outside 1..the feature count is a
+    config error."""
     section = _merge("select", cfg.get("select"), {**_SECTIONS["select"], **defaults})
     method, k = section["method"], section["k"]
     if method not in SCORERS:
@@ -348,22 +362,38 @@ def _scores(cfg: dict, data: Dataset, **defaults):
     if section["paper_exclusion"] and method != "pearson":
         raise ConfigError("invalid config field 'select.paper_exclusion': "
                           "only method 'pearson' reads it")
-    section = cfg["select"] = {"method": method, "k": int(k),
-                               "paper_exclusion": bool(section["paper_exclusion"])}
-    if method == "pearson":
-        return section, SCORERS[method](data, paper_exclusion=section["paper_exclusion"])
-    return section, SCORERS[method](data)
+    if not 1 <= int(k) <= data.n_features:
+        raise ConfigError(f"invalid config field 'select.k': k={k} must be at least 1 "
+                          f"and at most the {data.n_features} features")
+    selection = Selection(method, int(k), bool(section["paper_exclusion"]))
+    cfg["select"] = dataclasses.asdict(selection)
+    return selection
 
 
-def _folds(cfg: dict, data: Dataset, plan: ResamplePlan | None, report: RunReport):
-    """(data, per-fold plan, folds) for a CV command. Paper mode resamples the
-    whole dataset, with the run seed, before splitting, so the folds then
-    resample nothing."""
-    if cfg["paper_mode"] and plan is not None:
-        data = apply_plan(data, plan, cfg["seed"])
-        plan = None
-        report.add_line("paper mode: whole dataset resampled before fold splitting")
-    return data, plan, stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
+def _fit_all(cfg: dict, data: Dataset, pipeline: FoldPipeline, report: RunReport) -> Dataset:
+    """data through pipeline fitted on all of its rows with the run seed: the
+    whole-dataset protocol. The fit's notes go in the report."""
+    data, _, notes = pipeline.fit(data, cfg["seed"])
+    for note in notes:
+        report.add_line(note)
+    return data
+
+
+def _folds(cfg: dict, data: Dataset, pipeline: FoldPipeline, report: RunReport):
+    """(data, per-fold pipeline, folds) for a CV command. Paper mode fits the
+    pipeline on all rows before splitting, so the folds then fit nothing."""
+    if cfg["paper_mode"]:
+        data = _fit_all(cfg, data, pipeline, report)
+        if pipeline.resample is not None:
+            report.add_line("paper mode: whole dataset resampled before fold splitting")
+        pipeline = FoldPipeline()
+    return data, pipeline, stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
+
+
+def _add_fold_notes(report: RunReport, result, prefix: str = "") -> None:
+    for fold, notes in enumerate(result.fold_notes):
+        for note in notes:
+            report.add_line(f"{prefix}fold {fold}: {note}")
 
 
 def _load_data(cfg: dict, report: RunReport) -> Dataset:
@@ -376,12 +406,6 @@ def _load_data(cfg: dict, report: RunReport) -> Dataset:
         data = stratified_subsample(data, cfg["fraction"], cfg["seed"])
         report.add_line(f"stratified subsample: fraction {cfg['fraction']} "
                         f"-> {data.n_instances} rows")
-    if cfg["normalize"]:
-        data, scaling = min_max_normalize(data)
-        if scaling.degenerate_columns:
-            report.add_line("constant features scaled to zero: "
-                            + ", ".join(data.feature_names[i]
-                                        for i in scaling.degenerate_columns))
     return data
 
 
@@ -409,6 +433,7 @@ def _add_cv_sections(report: RunReport, result, title: str) -> None:
 
 
 def _cmd_ingest(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+    _fit_all(cfg, data, FoldPipeline(cfg["normalize"]), report)  # for its scaling note
     report.add_table("class balance", ["class", "name", "count", "share_pct"],
                      _class_counts_rows(data))
 
@@ -422,6 +447,7 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
         columns = [data.feature_names.index(name) for name in wanted]
     else:
         columns = None
+    data = _fit_all(cfg, data, FoldPipeline(cfg["normalize"]), report)
     report.add_table("per-class feature statistics",
                      *class_stats_section(per_class_stats(data, features=columns)))
 
@@ -434,11 +460,11 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
             if cfg.pop(field, None) is not None:
                 raise ConfigError(f"invalid config field '{field}': "
                                   "select reads it only with 'compare_ks'")
-    section, table = _scores(cfg, data, method="chi2", k=data.n_features)
-    method, k = section["method"], section["k"]
-    report.add_table(f"{method} scores", *feature_scores_section(table))
-    keep = select_k_best(table, k)
-    report.add_line(f"top {k} by {method}: "
+    selection = _selection(cfg, data, method="chi2", k=data.n_features)
+    table = selection.scores(_fit_all(cfg, data, FoldPipeline(cfg["normalize"]), report))
+    report.add_table(f"{selection.method} scores", *feature_scores_section(table))
+    keep = select_k_best(table, selection.k)
+    report.add_line(f"top {selection.k} by {selection.method}: "
                     + ", ".join(data.feature_names[i] for i in keep))
 
     if not compare_ks:
@@ -448,14 +474,17 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
             cfg[field] = default
     kind, params = _model(cfg, "gbm")
     folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
-    subsets = []
-    for kk in compare_ks:  # every k is checked before the first cross-validation
-        subsets.append(select_k_best(table, kk))
+    # every k is checked before the first cross-validation; no fold can score
+    # more features than all rows can
+    for kk in compare_ks:
+        select_k_best(table, kk)
         _check_width(kind, params, kk)
     comparison = []
-    for kk, columns in zip(compare_ks, subsets):
-        (result,) = cross_validate(data.select_features(columns), folds,
-                                   make_builder(kind, **params), workers=cfg["workers"])
+    for kk in compare_ks:
+        pipeline = FoldPipeline(cfg["normalize"], dataclasses.replace(selection, k=kk))
+        (result,) = cross_validate(data, folds, make_builder(kind, **params),
+                                   pipeline=pipeline, workers=cfg["workers"])
+        _add_fold_notes(report, result, f"k={kk} ")
         comparison.append([str(kk), format_percent(result.mean_metrics.accuracy),
                            format_percent(result.mean_metrics.macro_f)])
     report.add_table(f"{kind} accuracy by feature count",
@@ -468,7 +497,7 @@ def _cmd_resample(cfg: dict, data: Dataset, report: RunReport, out: Path) -> Non
         raise ConfigError("resample needs a plan: --resample-method or config 'resample'")
     report.add_table("class balance before", ["class", "name", "count", "share_pct"],
                      _class_counts_rows(data))
-    resampled = apply_plan(data, plan, cfg["seed"])
+    resampled = _fit_all(cfg, data, FoldPipeline(cfg["normalize"], resample=plan), report)
     report.add_table("class balance after", ["class", "name", "count", "share_pct"],
                      _class_counts_rows(resampled))
     cfg["write_csv"] = bool(cfg.get("write_csv"))
@@ -478,25 +507,21 @@ def _cmd_resample(cfg: dict, data: Dataset, report: RunReport, out: Path) -> Non
 
 
 def _cmd_train(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    if cfg.get("select"):
-        section, table = _scores(cfg, data)
-        keep = select_k_best(table, section["k"])
-        report.add_line(f"selected {len(keep)} features by {section['method']}: "
-                        + ", ".join(data.feature_names[i] for i in keep))
-        data = data.select_features(keep)
-    else:
+    selection = _selection(cfg, data) if cfg.get("select") else None
+    if selection is None:
         cfg["select"] = None
-    plan = _resample_plan(cfg)
+    pipeline = FoldPipeline(cfg["normalize"], selection, _resample_plan(cfg))
     kind, params = _model(cfg, "network")
-    _check_width(kind, params, data.n_features)
-    data, plan, folds = _folds(cfg, data, plan, report)
+    _check_width(kind, params, data.n_features if selection is None else selection.k)
+    data, pipeline, folds = _folds(cfg, data, pipeline, report)
     (result,) = cross_validate(data, folds, make_builder(kind, **params),
-                               resample_plan=plan, workers=cfg["workers"])
+                               pipeline=pipeline, workers=cfg["workers"])
+    _add_fold_notes(report, result)
     _add_cv_sections(report, result, f"{kind} cross-validation")
 
 
 def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    plan = _resample_plan(cfg)
+    pipeline = FoldPipeline(cfg["normalize"], resample=_resample_plan(cfg))
     kind, fixed = _model(cfg, "network", _SWEEP_MODELS)
     if kind != "network":
         raise ConfigError("sweep drives network training; model.kind must be 'network'")
@@ -514,10 +539,11 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     for cell in itertools.product(grid["epochs"], grid["learning_rate"], grid["batch_size"]):
         build(cfg["seed"], *cell)
     _check_width(kind, fixed, data.n_features)
-    data, plan, folds = _folds(cfg, data, plan, report)
+    data, pipeline, folds = _folds(cfg, data, pipeline, report)
     rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
                       tuple(grid["learning_rate"]), tuple(grid["batch_size"]),
-                      resample_plan=plan, workers=cfg["workers"])
+                      pipeline=pipeline, workers=cfg["workers"])
+    _add_fold_notes(report, rows[0].result)
     table = [["*" if i == 0 else "", str(row.epochs), repr(row.learning_rate),
               str(row.batch_size), format_percent(row.accuracy), format_percent(row.macro_f)]
              for i, row in enumerate(rows)]
@@ -531,13 +557,14 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 
 def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    plan = _resample_plan(cfg)
+    pipeline = FoldPipeline(cfg["normalize"], resample=_resample_plan(cfg))
     network = _model_section(cfg, "network", MODELS["network"])
     booster = _model_section(cfg, "booster", MODELS["gbm"])
     _check_width("network", network, data.n_features)
-    data, plan, folds = _folds(cfg, data, plan, report)
+    data, pipeline, folds = _folds(cfg, data, pipeline, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
-        data, folds, network, booster, resample_plan=plan, workers=cfg["workers"])
+        data, folds, network, booster, pipeline=pipeline, workers=cfg["workers"])
+    _add_fold_notes(report, network_result)
 
     _add_cv_sections(report, network_result, "stage 1 network")
     _add_cv_sections(report, booster_result, "stage 2 booster (outer classes)")
@@ -550,7 +577,7 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
 
     cfg["save_model"] = bool(cfg.get("save_model"))
     if cfg["save_model"]:
-        train = data if plan is None else apply_plan(data, plan, cfg["seed"])
+        train = _fit_all(cfg, data, pipeline, report)
         model = cascade_fit(train, network, booster, seed=cfg["seed"])
         save_cascade(model, out / "cascade_model")
         report.add_line("fitted cascade saved under cascade_model/")
@@ -565,7 +592,9 @@ def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) ->
     booster = _model_section(cfg, "booster", MODELS["gbm"])
     results = binary_outer_study(data, seed=cfg["seed"], k_folds=cfg["folds"],
                                  regimes=regimes, booster_config=booster,
+                                 pipeline=FoldPipeline(cfg["normalize"]),
                                  workers=cfg["workers"])
+    _add_fold_notes(report, results[regimes[0]])  # the regimes differ in resampling only
     summary = [[regime,
                 format_percent(results[regime].mean_metrics.accuracy),
                 format_percent(results[regime].mean_metrics.macro_f)]
@@ -647,7 +676,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg, out = _resolve(args, args.command)
         report = RunReport(args.command, cfg)
         # the command gets the only reference to the dataset, so a copy it
-        # narrows (train's selected features) frees the full matrix
+        # fits on all rows (paper mode's) frees the loaded matrix
         _COMMANDS[args.command][0](cfg, _load_data(cfg, report) if "dataset" in cfg
                                    else None, report, out)
         report.write(out)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import Dataset, FoldPlan, stratified_kfold
 from .errors import DataError
-from .evaluate import (ConfusionMatrix, CvResult, MetricsReport, _cv_result, cross_validate,
-                       metrics)
+from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, _cv_result,
+                       cross_validate, metrics)
 from .models import NetworkClassifier, make_builder
 from .nn import load_network_params, save_network
 from .resample import ResamplePlan
@@ -166,15 +166,14 @@ def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix,
 
 
 def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
-                           booster_config: dict,
-                           resample_plan: ResamplePlan | None = None,
+                           booster_config: dict, pipeline: FoldPipeline = FoldPipeline(),
                            workers: int = 1) -> tuple[CvResult, CvResult, CvResult]:
     """Per-fold evaluation of stage 1 alone, stage 2 alone and the full
     cascade, from one pass over identical folds.
 
     Each fold fits one cascade, seeded with the fold's seed, on its training
-    split, resampled when a plan is given, and runs its held-out rows through
-    it once. Stage 1 alone is that pass's network labels. Stage 2 alone is its
+    split as `pipeline` prepares it, and runs its held-out rows through it
+    once. Stage 1 alone is that pass's network labels. Stage 2 alone is its
     booster's labels scored on the held-out outer-class rows: the fold's
     matrix restricted to the outer classes' rows and columns, as the booster
     never predicts the accepted class. Returns (network_result,
@@ -185,11 +184,11 @@ def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
                 .predict_stages(test.features))
 
     network_result, stage2_result, cascade_result = cross_validate(
-        data, folds, fit_predict, resample_plan=resample_plan, workers=workers)
+        data, folds, fit_predict, pipeline=pipeline, workers=workers)
     outer = [stage2_result.pooled_matrix.class_ids.index(c) for c in OUTER_CLASSES]
     booster_result = _cv_result(tuple(
         ConfusionMatrix(m.counts[np.ix_(outer, outer)], OUTER_CLASSES)
-        for m in stage2_result.fold_matrices))
+        for m in stage2_result.fold_matrices), stage2_result.fold_notes)
     return network_result, cascade_result, booster_result
 
 
@@ -199,10 +198,12 @@ BINARY_REGIMES = ("nearmiss", "random_under", "full")
 def binary_outer_study(data: Dataset, *, seed: int, k_folds: int = 10,
                        regimes: tuple[str, ...] = BINARY_REGIMES,
                        booster_config: dict | None = None,
+                       pipeline: FoldPipeline = FoldPipeline(),
                        workers: int = 1) -> dict[str, CvResult]:
     """Cross-validate the outer-class binary problem under three balance
     regimes: NearMiss undersampling, random undersampling, and the full
-    (imbalanced) subset. Resampling touches training folds only."""
+    (imbalanced) subset. Each regime's folds are prepared by `pipeline` with
+    the regime's resampling plan in place of its own."""
     for regime in regimes:
         if regime not in BINARY_REGIMES:
             raise ValueError(f"unknown regime {regime!r}; expected one of {BINARY_REGIMES}")
@@ -215,7 +216,8 @@ def binary_outer_study(data: Dataset, *, seed: int, k_folds: int = 10,
     for regime in regimes:
         plan = None if regime == "full" else ResamplePlan(regime)
         (results[regime],) = cross_validate(outer_data, folds, fit_predict,
-                                            resample_plan=plan, workers=workers)
+                                            pipeline=replace(pipeline, resample=plan),
+                                            workers=workers)
     return results
 
 

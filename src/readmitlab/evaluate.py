@@ -7,14 +7,19 @@ macro precision and macro recall (not the mean of per-class F scores). Any
 0/0 ratio is defined as 0.0.
 
 cross_validate is the one fold loop: each (fold, job) task prepares its
-fold's training split, which its process keeps until it moves on to another
-fold, and scores every output the job fits on it. Fold f of folds drawn
-with seed s resamples, and seeds its models, with s + f: the one seed rule,
-applied there alone. A single model per fold (one_model), the grid sweep's
-cells (grid_sweep, one job per cell) and the cascade's stage-1 network, its
-own stage-2 booster and the cascade itself (ensemble.cross_validate_cascade,
-one job with three outputs) all run through it, so the cascade's stages are
-scored on the cascade's folds.
+fold, which its process keeps until it moves on to another fold, and scores
+every output the job fits on it. A fold is prepared by one FoldPipeline
+(scale, select, resample) fitted on its training split alone, so no
+held-out row reaches the scaling, the feature scores or the resampler; the
+held-out split gets the fitted scaling and columns and is never resampled.
+Fold f of folds drawn with seed s resamples, and seeds its models, with
+s + f: the one seed rule, applied there alone. A single model per fold
+(one_model), the grid sweep's cells (grid_sweep, one job per cell), the
+cascade's stage-1 network, its own stage-2 booster and the cascade itself
+(ensemble.cross_validate_cascade, one job with three outputs) and the binary
+study's regimes all run through it, so the cascade's stages are scored on
+the cascade's folds. The whole-dataset protocol is the same pipeline fitted
+once on all rows, then cross-validated with the empty pipeline.
 
 Its parallel work runs in forked worker processes, not threads: a network
 step is a string of microsecond NumPy calls, so fold threads would mostly
@@ -35,8 +40,9 @@ from typing import Any, Callable, Protocol, TypeVar
 
 import numpy as np
 
-from .data import Dataset, FoldPlan
+from .data import Dataset, FoldPlan, min_max_normalize
 from .errors import DataError
+from .features import Selection, select_k_best
 from .resample import ResamplePlan, apply_plan
 
 
@@ -167,10 +173,48 @@ class Model(Protocol):
 
 @dataclass(frozen=True)
 class CvResult:
+    """fold_notes[f] are the notes of fold f's FoldPipeline fit."""
+
     fold_matrices: tuple[ConfusionMatrix, ...]
     fold_metrics: tuple[MetricsReport, ...]
     mean_metrics: MetricsReport
     pooled_matrix: ConfusionMatrix
+    fold_notes: tuple[tuple[str, ...], ...]
+
+
+@dataclass(frozen=True)
+class FoldPipeline:
+    """What a training split is fitted with before any model sees it, in
+    this order: min-max scaling (scale), the k best features by a scorer
+    (select) and a resampling plan (resample). The empty pipeline changes
+    nothing."""
+
+    scale: bool = False
+    select: Selection | None = None
+    resample: ResamplePlan | None = None
+
+    def fit(self, train: Dataset, seed: int, test: Dataset | None = None
+            ) -> tuple[Dataset, Dataset | None, tuple[str, ...]]:
+        """(train through every step, resampled with `seed`; test, if given,
+        through the scaling and the columns fitted on train, never
+        resampled; the fit's report notes). A training split with fewer
+        columns its scorer can score than k raises select_k_best's
+        ValueError."""
+        notes = []  # test is None in a whole-dataset fit, so `test and` skips it
+        if self.scale:
+            train, spec = min_max_normalize(train)
+            test = test and min_max_normalize(test, spec)[0]
+            if spec.degenerate_columns:
+                notes.append("constant features scaled to zero: " + ", ".join(
+                    train.feature_names[i] for i in spec.degenerate_columns))
+        if self.select is not None:
+            columns = select_k_best(self.select.scores(train), self.select.k)
+            train, test = train.select_features(columns), test and test.select_features(columns)
+            notes.append(f"selected {len(columns)} features by {self.select.method}: "
+                         + ", ".join(train.feature_names))
+        if self.resample is not None:
+            train = apply_plan(train, self.resample, seed)
+        return train, test, tuple(notes)
 
 
 # fit_predict(seed, train, test) -> one predicted-label array per output
@@ -336,17 +380,19 @@ def _run_tasks(task: Callable[[int], T], n: int, workers: int) -> list[T]:
 
 
 def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
-                   resample_plan: ResamplePlan | None = None,
+                   pipeline: FoldPipeline = FoldPipeline(),
                    workers: int = 1) -> tuple[CvResult, ...]:
     """Score every output the jobs fit on each fold's training split.
 
-    Fold f's seed is folds.seed + f, derived here and nowhere else: the
-    fold's training split is resampled with it when a plan is given, and
-    every job fits with it, so folds stay independent but reproducible; the
-    held-out fold is never resampled. Each job is a fit_predict(seed, train,
-    test) returning one predicted-label array per output for the held-out
-    rows; the result is one CvResult per output, the jobs' outputs in job
-    order.
+    Each fold is prepared by `pipeline` fitted on its training split alone,
+    which maps its held-out split too; a ValueError of that fit, which
+    depends on the fold's rows, is a DataError naming the fold. Fold f's
+    seed is folds.seed + f, derived here and nowhere else: the pipeline
+    resamples with it and every job fits with it, so folds stay independent
+    but reproducible. Each job is a fit_predict(seed, train, test) returning
+    one predicted-label array per output for the held-out rows; the result
+    is one CvResult per output, the jobs' outputs in job order, each with
+    every fold's pipeline notes.
 
     Every (fold, job) pair is one task, run on `workers` processes (see
     _run_tasks) with BLAS on one thread: the calling process and forked
@@ -365,37 +411,41 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
         raise ValueError("cross_validate needs at least one job")
     class_ids = tuple(int(c) for c in data.classes())
 
-    held: dict[int, tuple[Dataset, Dataset]] = {}  # this process's latest split
+    held: dict[int, tuple[Dataset, Dataset, tuple[str, ...]]] = {}  # the latest fold
 
-    def prepare(fold: int, seed: int) -> tuple[Dataset, Dataset]:
+    def prepare(fold: int, seed: int) -> tuple[Dataset, Dataset, tuple[str, ...]]:
         if fold not in held:
             held.clear()  # free the old split before building the next
-            train = data.take(folds.train_indices(fold))
-            if resample_plan is not None:
-                train = apply_plan(train, resample_plan, seed)
-            held[fold] = train, data.take(folds.test_indices(fold))
+            try:
+                held[fold] = pipeline.fit(data.take(folds.train_indices(fold)), seed,
+                                          data.take(folds.test_indices(fold)))
+            except ValueError as exc:  # such as a k beyond the columns this fold can score
+                raise DataError(f"training fold {fold}: {exc}") from None
         return held[fold]
 
-    def fit(task: int) -> tuple[np.ndarray, ...]:
+    def fit(task: int) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
         fold, job = divmod(task, len(jobs))
         seed = folds.seed + fold
-        return jobs[job](seed, *prepare(fold, seed))
+        train, test, notes = prepare(fold, seed)
+        return notes, jobs[job](seed, train, test)
 
     with _one_blas_thread():
         outputs = _run_tasks(fit, folds.k * len(jobs), workers)
     per_fold = [[ConfusionMatrix.from_labels(data.labels[test], predicted, class_ids)
                  for task in range(fold * len(jobs), (fold + 1) * len(jobs))
-                 for predicted in outputs[task]]
+                 for predicted in outputs[task][1]]
                 for fold, test in enumerate(folds.folds)]
-    return tuple(_cv_result(matrices) for matrices in zip(*per_fold))
+    notes = tuple(outputs[fold * len(jobs)][0] for fold in range(folds.k))
+    return tuple(_cv_result(matrices, notes) for matrices in zip(*per_fold))
 
 
-def _cv_result(matrices: tuple[ConfusionMatrix, ...]) -> CvResult:
+def _cv_result(matrices: tuple[ConfusionMatrix, ...],
+               fold_notes: tuple[tuple[str, ...], ...]) -> CvResult:
     """Per-fold metrics, their mean, and the pooled matrix of per-fold
     confusion matrices given in fold order."""
     fold_metrics = tuple(metrics(m) for m in matrices)
     pooled = sum(matrices[1:], matrices[0])
-    return CvResult(matrices, fold_metrics, _mean_metrics(fold_metrics), pooled)
+    return CvResult(matrices, fold_metrics, _mean_metrics(fold_metrics), pooled, fold_notes)
 
 
 @dataclass(frozen=True)
@@ -419,8 +469,7 @@ class SweepRow:
 def grid_sweep(data: Dataset, folds: FoldPlan,
                build_model: Callable[[int, int, float, int], Model],
                epochs_grid: tuple[int, ...], lr_grid: tuple[float, ...],
-               batch_grid: tuple[int, ...],
-               resample_plan: ResamplePlan | None = None,
+               batch_grid: tuple[int, ...], pipeline: FoldPipeline = FoldPipeline(),
                workers: int = 1) -> list[SweepRow]:
     """Cross-validate every (epochs, lr, batch) combination and rank the rows.
 
@@ -437,7 +486,7 @@ def grid_sweep(data: Dataset, folds: FoldPlan,
     cells = list(itertools.product(epochs_grid, lr_grid, batch_grid))
 
     jobs = [one_model(lambda seed, cell=cell: build_model(seed, *cell)) for cell in cells]
-    results = cross_validate(data, folds, *jobs, resample_plan=resample_plan, workers=workers)
+    results = cross_validate(data, folds, *jobs, pipeline=pipeline, workers=workers)
     rows = [SweepRow(*cell, result) for cell, result in zip(cells, results)]
     rows.sort(key=lambda row: -row.accuracy)
     return rows

@@ -57,6 +57,17 @@ def _rank_table(method: str, data: Dataset, scores: np.ndarray, excluded: dict[i
     return FeatureScoreTable(method, data.feature_names, out_scores, dict(excluded), ranks)
 
 
+def _check_sums(what: str, names: tuple[str, ...], *sums: np.ndarray) -> None:
+    """Raise DataError naming the first feature for which a sum (each array
+    has one entry per feature along its last axis) is not finite: finite
+    values whose sums or squares overflow float64."""
+    for values in sums:
+        bad = ~np.isfinite(values).reshape(-1, len(names)).all(axis=0)
+        if bad.any():
+            raise DataError(f"{what}: a sum over feature {names[int(np.argmax(bad))]!r} "
+                            "overflows float64; scale the features (drop --no-normalize)")
+
+
 def chi_square_scores(data: Dataset) -> FeatureScoreTable:
     """Frequency-style chi-square of each nonnegative feature against the label.
 
@@ -74,12 +85,15 @@ def chi_square_scores(data: Dataset) -> FeatureScoreTable:
         )
     classes = np.unique(y)
     priors = np.array([(y == c).mean() for c in classes])
-    observed = np.stack([X[y == c].sum(axis=0) for c in classes])  # classes x features
-    totals = X.sum(axis=0)
-    expected = priors[:, None] * totals[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        observed = np.stack([X[y == c].sum(axis=0) for c in classes])  # classes x features
+        totals = X.sum(axis=0)
+        expected = priors[:, None] * totals[None, :]
+        squares = (observed - expected) ** 2
+    _check_sums("chi2", data.feature_names, observed, totals, squares)
     excluded = {int(i): EXCLUDE_ZERO_VARIANCE for i in np.flatnonzero(totals == 0.0)}
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(expected > 0.0, (observed - expected) ** 2 / expected, 0.0)
+        terms = np.where(expected > 0.0, squares / expected, 0.0)
     scores = terms.sum(axis=0)
     return _rank_table("chi2", data, scores, excluded)
 
@@ -96,17 +110,19 @@ def pearson_scores(data: Dataset, paper_exclusion: bool = False) -> FeatureScore
     y_ss = float(yc @ yc)
     if y_ss == 0.0:
         raise DataError("labels are constant; correlation is undefined")
-    col_means = X.mean(axis=0)
-    Xc = X - col_means
-    col_ss = (Xc**2).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_means = X.mean(axis=0)
+        Xc = X - col_means
+        col_ss = (Xc**2).sum(axis=0)
+        denominators = col_ss * y_ss
+    _check_sums("pearson", data.feature_names, col_ss, denominators)
     excluded: dict[int, str] = {}
     for i in np.flatnonzero(col_ss == 0.0):
         excluded[int(i)] = EXCLUDE_ZERO_VARIANCE
     if paper_exclusion:
         for i in np.flatnonzero(col_means == 0.0):
             excluded.setdefault(int(i), EXCLUDE_ZERO_MEAN)
-    safe_ss = np.where(col_ss == 0.0, 1.0, col_ss)
-    scores = np.abs(Xc.T @ yc) / np.sqrt(safe_ss * y_ss)
+    scores = np.abs(Xc.T @ yc) / np.sqrt(np.where(col_ss == 0.0, y_ss, denominators))
     return _rank_table("pearson", data, scores, excluded)
 
 
@@ -119,15 +135,17 @@ def anova_f_scores(data: Dataset) -> FeatureScoreTable:
     X, y = data.features, data.labels
     classes = np.unique(y)
     n, _ = X.shape
-    grand = X.mean(axis=0)
-    ss_between = np.zeros(X.shape[1])
-    ss_within = np.zeros(X.shape[1])
-    for c in classes:
-        block = X[y == c]
-        mean_c = block.mean(axis=0)
-        ss_between += block.shape[0] * (mean_c - grand) ** 2
-        ss_within += ((block - mean_c) ** 2).sum(axis=0)
-    total_var = ((X - grand) ** 2).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = X.mean(axis=0)
+        ss_between = np.zeros(X.shape[1])
+        ss_within = np.zeros(X.shape[1])
+        for c in classes:
+            block = X[y == c]
+            mean_c = block.mean(axis=0)
+            ss_between += block.shape[0] * (mean_c - grand) ** 2
+            ss_within += ((block - mean_c) ** 2).sum(axis=0)
+        total_var = ((X - grand) ** 2).sum(axis=0)
+    _check_sums("anova_f", data.feature_names, ss_between, ss_within, total_var)
     excluded = {int(i): EXCLUDE_ZERO_VARIANCE for i in np.flatnonzero(total_var == 0.0)}
     df_between = max(len(classes) - 1, 1)
     df_within = max(n - len(classes), 1)
@@ -143,6 +161,21 @@ SCORERS = {
     "pearson": pearson_scores,
     "anova_f": anova_f_scores,
 }
+
+
+@dataclass(frozen=True)
+class Selection:
+    """Keep the k best features by one of SCORERS' methods; paper_exclusion
+    is read by pearson alone."""
+
+    method: str
+    k: int
+    paper_exclusion: bool = False
+
+    def scores(self, data: Dataset) -> FeatureScoreTable:
+        if self.method == "pearson":
+            return SCORERS[self.method](data, paper_exclusion=self.paper_exclusion)
+        return SCORERS[self.method](data)
 
 
 def select_k_best(scores: FeatureScoreTable, k: int) -> list[int]:
@@ -170,7 +203,9 @@ def per_class_stats(data: Dataset, features=None) -> ClassStatsTable:
     variances = np.zeros_like(means)
     for j, c in enumerate(classes):
         block = data.features[data.labels == c][:, cols]
-        means[:, j] = block.mean(axis=0)
-        variances[:, j] = block.var(axis=0)  # population denominator n
+        with np.errstate(over="ignore", invalid="ignore"):
+            means[:, j] = block.mean(axis=0)
+            variances[:, j] = block.var(axis=0)  # population denominator n
     names = tuple(data.feature_names[c] for c in cols)
+    _check_sums("per-class stats", names, means.T, variances.T)
     return ClassStatsTable(names, classes, means, variances)

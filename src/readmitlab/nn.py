@@ -575,6 +575,18 @@ class TrainConfig:
         make_optimizer(self.optimizer, self.learning_rate)  # an unknown name fails here
 
 
+def _in_dtype(net: Network, features: np.ndarray) -> np.ndarray:
+    """features cast to the network's dtype; a value beyond that dtype's
+    range, which the cast would turn into inf, is a DataError."""
+    with np.errstate(over="ignore"):
+        cast = np.asarray(features, dtype=net.theta.dtype)
+    if not np.isfinite(cast).all():
+        limit = np.finfo(cast.dtype).max
+        raise DataError(f"feature values beyond the {cast.dtype} range (|x| <= {limit:.4g}) "
+                        "cannot go through the network; scale them (drop --no-normalize)")
+    return cast
+
+
 def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
                   config: TrainConfig, rng: np.random.Generator) -> list[float]:
     """Mini-batch training in the network's dtype; returns the mean training
@@ -583,7 +595,7 @@ def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
     Rows are reshuffled every epoch; a short final batch is still trained.
     A non-finite loss aborts with NumericError rather than training on.
     """
-    features = np.asarray(features, dtype=net.theta.dtype)
+    features = _in_dtype(net, features)
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
     params, grads = {"theta": net.theta}, {"theta": net.grad}
     n = features.shape[0]
@@ -614,7 +626,7 @@ PREDICT_BATCH = 512  # rows per inference forward
 def predict_logits(net: Network, features: np.ndarray) -> np.ndarray:
     """Inference logits, computed in the network's dtype, PREDICT_BATCH rows
     at a time."""
-    features = np.asarray(features, dtype=net.theta.dtype)
+    features = _in_dtype(net, features)
     pieces = [net.forward(features[s : s + PREDICT_BATCH])
               for s in range(0, features.shape[0], PREDICT_BATCH)]
     return np.vstack(pieces)

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from readmitlab.cli import main
-from readmitlab.data import (load_dataset, min_max_normalize, save_dataset_csv,
-                             stratified_kfold)
+from readmitlab.data import load_dataset, save_dataset_csv, stratified_kfold
 from readmitlab.ensemble import cascade_evaluate, cross_validate_cascade
-from readmitlab.evaluate import ConfusionMatrix, harmonic_mean, metrics
+from readmitlab.evaluate import ConfusionMatrix, FoldPipeline, harmonic_mean, metrics
 from readmitlab.optim import Adam, AdaBelief, Sgd
 from readmitlab.resample import ResamplePlan, knn, nearmiss_undersample, oversample
 from readmitlab.trees import (ClassificationTree, GradientBoostedClassifier,
@@ -302,14 +301,13 @@ def test_criterion_08_end_to_end_window(capfd):
                 "(see the README recipe) to run the end-to-end study"
             )
         data = load_dataset(path)
-        data, _ = min_max_normalize(data)
         folds = stratified_kfold(data.labels, 10, seed=0)
         network_config = dict(arch="cnn2", epochs=50, learning_rate=1e-4,
                               batch_size=64, optimizer="adam")
         booster_config = dict(n_rounds=100, learning_rate=0.1, max_depth=3)
         network_result, cascade_result, _ = cross_validate_cascade(
             data, folds, network_config, booster_config,
-            resample_plan=ResamplePlan("adasyn"),
+            pipeline=FoldPipeline(scale=True, resample=ResamplePlan("adasyn")),
             workers=os.cpu_count() or 1,
         )
         network_pct = 100.0 * network_result.pooled_matrix.accuracy

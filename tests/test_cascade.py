@@ -16,7 +16,7 @@ from readmitlab.ensemble import (
     save_cascade,
 )
 from readmitlab.errors import DataError
-from readmitlab.evaluate import ConfusionMatrix, cross_validate
+from readmitlab.evaluate import ConfusionMatrix, FoldPipeline, cross_validate
 from readmitlab.models import NetworkClassifier, make_builder
 from readmitlab.resample import ResamplePlan, apply_plan
 from readmitlab.trees import GradientBoostedClassifier
@@ -299,11 +299,11 @@ class TestCrossValidateCascade:
         monkeypatch.setattr(NetworkClassifier, "predict", counting_predict)
         net_res, _, _ = cross_validate_cascade(
             ds, folds, network_config, dict(n_rounds=2, max_depth=2),
-            resample_plan=plan, workers=workers)
+            pipeline=FoldPipeline(resample=plan), workers=workers)
         # one network pass per held-out fold serves both stage 1 and the cascade
         assert sorted(predicted.read()) == sorted(len(folds.test_indices(i)) for i in range(3))
         (alone,) = cross_validate(ds, folds, make_builder("network", **network_config),
-                                  resample_plan=plan, workers=1)
+                                  pipeline=FoldPipeline(resample=plan), workers=1)
         for got, want in zip(net_res.fold_matrices + (net_res.pooled_matrix,),
                              alone.fold_matrices + (alone.pooled_matrix,)):
             assert got.class_ids == want.class_ids
@@ -341,7 +341,7 @@ class TestCrossValidateCascade:
         booster_config = dict(n_rounds=3, max_depth=2)
         plan = ResamplePlan(method="random_over")
         _, _, boost_res = cross_validate_cascade(ds, folds, network_config, booster_config,
-                                                 resample_plan=plan)
+                                                 pipeline=FoldPipeline(resample=plan))
         for fold in range(folds.k):
             seed = folds.seed + fold
             train = apply_plan(ds.take(folds.train_indices(fold)), plan, seed)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from readmitlab.cli import _COMMANDS, _MODEL_DEFAULTS, _SECTIONS, main
 from readmitlab import cli
 from readmitlab import data as data_module
-from readmitlab.data import SIDECAR_SUFFIX, load_dataset, save_dataset_csv
+from readmitlab.data import SIDECAR_SUFFIX, load_dataset, save_dataset_csv, stratified_kfold
 from readmitlab.errors import DataError, NumericError
 from readmitlab.models import NetworkClassifier
 from readmitlab.resample import ResamplePlan
@@ -40,6 +41,20 @@ def write_csv(tmp_path, name="data.csv", counts=None, seed=0, n_features=8):
     path = tmp_path / name
     save_dataset_csv(ds, path)
     return path
+
+
+def write_fold_constant_csv(tmp_path, folds=3, seed=1):
+    """write_csv's table plus a last column, 'c', that is zero except on the
+    held-out rows of fold 0 of the folds a CLI run with this --folds and
+    --seed draws, so it is constant on training fold 0 alone."""
+    csv = write_csv(tmp_path)
+    data = load_dataset(csv)
+    test = stratified_kfold(data.labels, folds, seed).test_indices(0)
+    column = np.zeros(data.n_instances)
+    column[test] = np.arange(1, len(test) + 1)
+    save_dataset_csv(make_dataset(np.column_stack([data.features, column]), data.labels,
+                                  data.feature_names + ("c",)), csv)
+    return csv
 
 
 class TestArgumentHandling:
@@ -393,7 +408,19 @@ class TestTrain:
                      "--resample-method", "random_over",
                      "--out", str(out)]) == 0
         tsv = (out / "report.tsv").read_text()
-        assert "selected 4 features by anova_f:" in tsv
+        for fold in range(3):
+            assert f"fold {fold}: selected 4 features by anova_f:" in tsv
+
+    def test_a_fold_with_fewer_scorable_columns_than_k_is_a_data_error(self, tmp_path,
+                                                                        capsys):
+        csv = write_fold_constant_csv(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(csv), "--seed", "1", "--folds", "3",
+                     "--model", "gbm", "--n-rounds", "2", "--select-method", "chi2",
+                     "--select-k", "9", "--workers", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "data error: training fold 0: k=9 exceeds the 8 non-excluded features\n"
+        assert not out.exists()
 
     def test_paper_mode_resamples_before_splitting(self, tmp_path):
         csv = write_csv(tmp_path)
@@ -435,9 +462,11 @@ class TestTrain:
         monkeypatch.setattr(cli, "_load_data", recording_load_data)
         monkeypatch.setattr(cli, "cross_validate", checking_cross_validate)
         csv = write_csv(tmp_path)
+        # paper mode selects on all rows before the folds; per-fold selection
+        # needs every column in each fold
         assert main(["train", "--data", str(csv), "--seed", "1", "--folds", "3",
                      "--model", "gbm", "--n-rounds", "3", "--select-method", "chi2",
-                     "--select-k", "4", "--out", str(tmp_path / "o")]) == 0
+                     "--select-k", "4", "--paper-mode", "--out", str(tmp_path / "o")]) == 0
         assert alive == [False]
 
     @pytest.mark.parametrize("k", ["0", "-3"])
@@ -626,10 +655,14 @@ class TestWorkerCount:
         ("select", ["--select-method", "anova_f"],
          {"compare_ks": [6, 8], "model": {"kind": "network", "arch": "vanilla",
                                           "epochs": 1, "batch_size": 16}}),
+        ("train", ["--model", "gbm", "--n-rounds", "3", "--select-method", "chi2",
+                   "--select-k", "8", "--resample-method", "smote"], None),
     ])
     def test_reports_are_identical_at_one_and_two_workers(self, tmp_path, command, flags,
                                                           config):
-        csv = write_csv(tmp_path)
+        # column c, constant on training fold 0 alone, makes the per-fold
+        # scaling and selection lines differ from fold to fold
+        csv = write_fold_constant_csv(tmp_path)
         argv = [command, "--data", str(csv), "--seed", "1", "--folds", "3", *flags]
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -714,12 +747,16 @@ class TestInputWidthCheckedUpFront:
          2, "data error: vanilla: input of 3 features is too short"),
         (["select"], {"compare_ks": [3, 999], "model": {"kind": "gbm", "n_rounds": 2}},
          1, "config error: k=999 exceeds the 8 non-excluded features"),
+        (["train", "--model", "gbm", "--select-method", "chi2", "--select-k", "9"], {},
+         1, "config error: invalid config field 'select.k': k=9 must be at least 1 "
+            "and at most the 8 features"),
         (["sweep", "--resample-method", "random_over", "--paper-mode"],
          {"grid": {"epochs": []}}, 1, "config error: invalid config field 'grid.epochs'"),
         (["sweep", "--resample-method", "random_over", "--paper-mode"],
          {"grid": {"epochs": 5}}, 1, "config error: invalid config field 'grid.epochs'"),
     ], ids=["train", "train-paper-mode", "sweep", "cascade-paper-mode", "select-network",
-            "select-k-beyond-the-features", "sweep-empty-grid-axis", "sweep-grid-axis-not-a-list"])
+            "select-k-beyond-the-features", "train-k-beyond-the-features",
+            "sweep-empty-grid-axis", "sweep-grid-axis-not-a-list"])
     def test_fails_before_any_fold_work(self, tmp_path, capsys, monkeypatch, argv, config,
                                         code, message):
         from readmitlab import ensemble, evaluate
@@ -732,8 +769,7 @@ class TestInputWidthCheckedUpFront:
                 return fn(*args, **kwargs)
             return recording
 
-        for module in (cli, evaluate):
-            monkeypatch.setattr(module, "apply_plan", spy("apply_plan", module.apply_plan))
+        monkeypatch.setattr(evaluate, "apply_plan", spy("apply_plan", evaluate.apply_plan))
         for module in (cli, ensemble, evaluate):
             monkeypatch.setattr(module, "cross_validate",
                                 spy("cross_validate", module.cross_validate))
@@ -775,6 +811,72 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert "data error" in err
         assert f"line 6: label {label} outside {{0,1,2}}" in err
+
+
+    def test_values_beyond_float32_are_a_data_error_for_the_network(self, tmp_path, capsys):
+        data = load_dataset(write_csv(tmp_path, counts={0: 10, 1: 10, 2: 10}))
+        csv = tmp_path / "huge.csv"
+        save_dataset_csv(make_dataset(data.features * 1e300, data.labels), csv)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast to float32 warns no more
+            assert main(["train", "--data", str(csv), "--seed", "1", "--folds", "2",
+                         "--model", "network", "--arch", "vanilla", "--epochs", "1",
+                         "--no-normalize", "--workers", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: feature values beyond the float32 range")
+        assert "--no-normalize" in err and not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("stats", []),
+        ("select", ["--select-method", "chi2"]),
+        ("select", ["--select-method", "anova_f"]),
+        ("select", ["--select-method", "pearson"]),
+    ], ids=["stats", "chi2", "anova_f", "pearson"])
+    def test_sums_that_overflow_float64_are_a_data_error(self, tmp_path, capsys, command,
+                                                         flags):
+        data = load_dataset(write_csv(tmp_path))
+        csv = tmp_path / "huge.csv"
+        save_dataset_csv(make_dataset(np.abs(data.features) * 1e200, data.labels), csv)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            assert main([command, "--data", str(csv), "--seed", "1", "--no-normalize",
+                         *flags, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and "overflows float64" in line
+        assert not out.exists()
+
+
+class TestLeakage:
+    """Pure noise: 600 rows of 2 000 uniform features with uniform labels, so
+    no model can beat the majority share on held-out rows without seeing
+    their labels."""
+
+    def test_selection_sees_held_out_labels_in_paper_mode_only(self, tmp_path):
+        rng = np.random.default_rng(0)
+        features, labels = rng.random((600, 2000)), rng.integers(0, 3, size=600)
+        csv = tmp_path / "noise.csv"
+        header = ",".join([f"f{i:04d}" for i in range(2000)] + ["readmitted"])
+        np.savetxt(csv, np.column_stack([features, labels]), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        majority = 100.0 * np.bincount(labels).max() / 600  # 34.33
+        argv = ["train", "--data", str(csv), "--seed", "1", "--model", "gbm",
+                "--n-rounds", "30", "--max-depth", "2", "--select-method", "anova_f",
+                "--select-k", "10", "--folds", "5", "--workers", "1"]
+
+        def mean_accuracy(*flags):
+            out = tmp_path / "-".join(("run",) + flags)
+            assert main(argv + [*flags, "--out", str(out)]) == 0
+            rows = (out / "report.tsv").read_text().split(
+                "# gbm cross-validation: mean over folds\n")[1].splitlines()
+            assert rows[1].startswith("accuracy\t")
+            return float(rows[1].split("\t")[1])
+
+        per_fold = mean_accuracy()  # 30.83 when measured
+        whole = mean_accuracy("--paper-mode")  # 41.50
+        assert abs(per_fold - majority) < 5.0
+        assert whole - majority > 5.0
 
 
 class TestBinaryStudy:

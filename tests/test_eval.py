@@ -14,6 +14,7 @@ from readmitlab.resample import apply_plan
 from readmitlab.evaluate import (
     ConfusionMatrix,
     CvResult,
+    FoldPipeline,
     grid_sweep,
     harmonic_mean,
     metrics,
@@ -303,13 +304,88 @@ class TestCrossValidate:
 
         plan = ResamplePlan("random_over")
         (result,) = cross_validate(data, folds, one_model(lambda i: RecordingModel()),
-                                resample_plan=plan)
+                                   pipeline=FoldPipeline(resample=plan))
         # training splits were inflated to 3 x majority count
         assert all(size > 64 for size in seen_sizes)
         # but the scored folds still partition the original 80 rows
         assert result.pooled_matrix.total == data.n_instances
         col_totals = result.pooled_matrix.counts.sum(axis=0)
         assert list(col_totals) == [40, 25, 15]
+
+
+def with_row_ids(data):
+    """data with a last column holding each row's index."""
+    return make_dataset(np.column_stack([data.features, np.arange(data.n_instances)]),
+                        data.labels)
+
+
+class TestFoldPipeline:
+    def setup_data(self):
+        data = TestCrossValidate().make_data(seed=16, counts=(24, 18, 12))
+        return data, stratified_kfold(data.labels, 3, seed=17)
+
+    def test_held_out_rows_map_through_the_training_folds_scaling(self):
+        train = make_dataset([[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]], [0, 1, 2])
+        test = make_dataset([[-2.0, 5.0], [6.0, 4.0], [3.0, 5.0]], [0, 1, 2])
+        fitted, held_out, notes = FoldPipeline(scale=True).fit(train, 0, test)
+        assert np.array_equal(fitted.features, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        # rows outside the training range land outside [0, 1]; a column
+        # constant on the training rows maps to zero everywhere
+        assert np.array_equal(held_out.features, [[-0.5, 0.0], [1.5, 0.0], [0.75, 0.0]])
+        assert notes == ("constant features scaled to zero: f01",)
+
+    def test_the_scorer_sees_the_training_rows_only(self, monkeypatch):
+        from readmitlab import features
+        from readmitlab.features import Selection
+
+        data, folds = self.setup_data()
+        data = with_row_ids(data)
+        scored = []
+        anova_f = features.SCORERS["anova_f"]
+
+        def spying_anova_f(table):
+            scored.append(sorted(table.features[:, -1].astype(int)))
+            return anova_f(table)
+
+        monkeypatch.setitem(features.SCORERS, "anova_f", spying_anova_f)
+        cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+                       pipeline=FoldPipeline(select=Selection("anova_f", 2)))
+        assert scored == [sorted(folds.train_indices(f)) for f in range(folds.k)]
+
+    def test_held_out_rows_are_never_resampled(self):
+        from readmitlab.features import Selection
+        from readmitlab.resample import ResamplePlan
+
+        data, folds = self.setup_data()
+        data = with_row_ids(data)
+        seen = []
+
+        def fit_predict(seed, train, test):
+            seen.append((train.n_instances, test.labels.tolist(), test.n_instances))
+            return (np.zeros(test.n_instances, dtype=np.int64),)
+
+        pipeline = FoldPipeline(True, Selection("anova_f", 2), ResamplePlan("random_over"))
+        cross_validate(data, folds, fit_predict, pipeline=pipeline)
+        for fold, (n_train, labels, n_test) in enumerate(seen):
+            test = folds.test_indices(fold)
+            assert n_train == 3 * (24 - np.count_nonzero(data.labels[test] == 0))
+            assert (labels, n_test) == (data.labels[test].tolist(), len(test))
+
+    def test_each_fold_reports_its_own_fit(self):
+        from readmitlab.features import Selection
+
+        data, folds = self.setup_data()
+        # a last column that varies only on fold 0's held-out rows, so that it
+        # is constant on training fold 0 alone
+        column = np.zeros(data.n_instances)
+        column[folds.test_indices(0)] = np.arange(1, len(folds.test_indices(0)) + 1)
+        data = make_dataset(np.column_stack([data.features, column]), data.labels)
+        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+                                   pipeline=FoldPipeline(scale=True), workers=2)
+        assert result.fold_notes == (("constant features scaled to zero: f02",), (), ())
+        with pytest.raises(DataError, match="^training fold 0: k=3 exceeds the 2 "):
+            cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+                           pipeline=FoldPipeline(True, Selection("chi2", 3)))
 
 
 class TestWorkerProcesses:
@@ -362,8 +438,8 @@ class TestWorkerProcesses:
         monkeypatch.setattr(evaluate, "_run_tasks", counting_run_tasks)
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
         rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(0.5,),
-                          batch_grid=(8, 16), resample_plan=ResamplePlan("random_over"),
-                          workers=2)
+                          batch_grid=(8, 16),
+                          pipeline=FoldPipeline(resample=ResamplePlan("random_over")), workers=2)
         assert dispatched == [6]  # one task per (fold, cell), which prepares its fold
         assert_each_process_prepared_each_fold_once(prepared.read(), [15, 16, 17])
         assert sorted(fitted.read()) == [[15 + f, b] for f in range(3) for b in (8, 16)]
@@ -384,7 +460,7 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
-                                   resample_plan=ResamplePlan("random_over"),
+                                   pipeline=FoldPipeline(resample=ResamplePlan("random_over")),
                                    workers=workers)
         # the tasks prepare their folds and fit them in one pool
         assert contexts == ["fork"] * pools
@@ -406,7 +482,7 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
         cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
-                       resample_plan=ResamplePlan("random_over"), workers=2)
+                       pipeline=FoldPipeline(resample=ResamplePlan("random_over")), workers=2)
         assert sorted(v["seed"] for v in prepared.read()) == [15, 16, 17]
         assert {v["pid"] for v in prepared.read()} - {caller}
 
@@ -438,7 +514,7 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(evaluate, "apply_plan", spying_apply_plan)
         cross_validate(data, folds, job("a"), job("b"),
-                       resample_plan=ResamplePlan("random_over"), workers=workers)
+                       pipeline=FoldPipeline(resample=ResamplePlan("random_over")), workers=workers)
         records = seen.read()
         assert {(name, fold) for name, fold, _ in records} == {
             (name, fold) for name in ("resample", "a", "b") for fold in range(folds.k)}
@@ -459,7 +535,7 @@ class TestWorkerProcesses:
         tracemalloc.start()
         try:
             cross_validate(data, folds, one_model(lambda i: ConstantModel(0)),
-                           resample_plan=plan, workers=1)
+                           pipeline=FoldPipeline(resample=plan), workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,7 +638,7 @@ class TestGridSweep:
         cells = [(1, 1e-2, 16), (1, 1e-2, 64)]
         per_cell = {cell: cross_validate(data, folds,
                                          one_model(lambda s, c=cell: build(s, *c)),
-                                         resample_plan=plan)[0]
+                                         pipeline=FoldPipeline(resample=plan))[0]
                     for cell in cells}
         plans = ProcessLog(tmp_path / "plans")  # folds are prepared in forked workers too
 
@@ -572,10 +648,10 @@ class TestGridSweep:
 
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
         serial = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
-                            batch_grid=(16, 64), resample_plan=plan, workers=1)
+                            batch_grid=(16, 64), pipeline=FoldPipeline(resample=plan), workers=1)
         assert [seed for _, seed in plans.read()] == [23, 24, 25]
         rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
-                          batch_grid=(16, 64), resample_plan=plan, workers=2)
+                          batch_grid=(16, 64), pipeline=FoldPipeline(resample=plan), workers=2)
         assert_each_process_prepared_each_fold_once(plans.read()[3:], [23, 24, 25])
         assert len(rows) == 2
         for row in serial + rows:
