@@ -43,7 +43,7 @@ proba = clf.predict_proba(X[:3])
 for i, p in enumerate(proba):
     print(f"row {i}: p(class) = {np.round(p, 3)}, actual {y[i]}")
 
-# parameters round-trip through a single binary file: rebuild the same
+# parameters round-trip through one .npy record file: rebuild the same
 # architecture, then load the saved weights into it
 path = Path(tempfile.mkdtemp()) / "network.params"
 save_network(clf.net, path)

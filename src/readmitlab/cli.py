@@ -9,11 +9,13 @@ default. From it come the parser, the flag-to-field routing, the defaults and
 the config-field check: a command offers only the flags it reads, and any
 other config field is a config error. So is a field that the chosen method
 never reads: select.paper_exclusion set true for a scorer other than
-pearson, and resample.nearmiss_version or resample.n_ref set for a method
-other than nearmiss. Every run needs an output directory; every command but
-report also needs a seed (--seed flag, config "seed", or the READMIT_SEED
-environment variable) and an input CSV (--data or config "dataset"). A run
-writes three files: config.json (the resolved config echo), report.tsv, and
+pearson, resample.nearmiss_version or resample.n_ref set for a method other
+than nearmiss, and a network's kernel_size or dropout set to other than its
+default for an architecture that does not read it (nn.ARCHITECTURE_SETTINGS).
+Every run needs an output directory; every command but report also needs
+a seed (--seed flag, config "seed", or the READMIT_SEED environment
+variable) and an input CSV (--data or config "dataset"). A run writes three
+files: config.json (the resolved config echo), report.tsv, and
 report.txt. Reports embed the input CSV's content hash and never embed
 timestamps or the output path, so identical configs produce byte-identical
 reports.
@@ -44,7 +46,8 @@ one switch back to the study's whole-dataset protocol: it fits the same
 pipeline once on all rows, with the run seed, and then splits the folds,
 which fit nothing. The commands without folds (ingest, stats, select
 without compare_ks, resample) and cascade --save-model always take that
-whole-dataset path. A select k outside 1..the feature count is a config
+whole-dataset path; the saved cascade records the raw rows' minima and
+maxima that its scaling used. A select k outside 1..the feature count is a config
 error before any fold work; a training fold with fewer columns its scorer
 can score than k is a data error naming the fold.
 
@@ -70,7 +73,7 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics
 from .features import SCORERS, Selection, per_class_stats, select_k_best
 from .models import MODEL_KINDS, MODELS, NetworkClassifier, make_builder
-from .nn import ARCHITECTURES
+from .nn import ARCHITECTURE_SETTINGS, ARCHITECTURES
 from .optim import OPTIMIZERS
 from .report import RunReport, class_stats_section, feature_scores_section, format_percent
 from .resample import METHODS as RESAMPLE_METHODS
@@ -96,7 +99,7 @@ _MODEL_DEFAULTS = {kind: _defaults(cls, "seed", "bootstrap") for kind, cls in MO
 
 # Each config section's fields and their defaults. A select or resample
 # section must name its method, and a select section its k; the select
-# command alone defaults them (chi2, every feature).
+# command alone defaults them (chi2, every feature its scorer ranks).
 _SECTIONS = {
     "select": {"method": None, "k": None, "paper_exclusion": False},
     "resample": _defaults(ResamplePlan),
@@ -286,7 +289,10 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
 def _merge(name: str, given, defaults: dict, model=None) -> dict:
     """Config section `given` (None for absent) over `defaults`; a field that
     `defaults` lacks is a config error. A model section also builds its
-    `model` class once, so a bad setting fails before any fold work."""
+    `model` class once, so a bad setting fails before any fold work. A
+    network's kernel_size or dropout set to other than its default for an
+    architecture that does not read it is a config error; config.json echoes
+    the defaults whatever the architecture, so an echo still reruns."""
     given = dict(given or {})
     for field in sorted(given):
         if field not in defaults:
@@ -294,6 +300,12 @@ def _merge(name: str, given, defaults: dict, model=None) -> dict:
     section = {**defaults, **given}
     if model is not None:
         model(**section)
+    if model is NetworkClassifier:
+        arch = section["arch"]
+        for field in ("kernel_size", "dropout"):
+            if section[field] != defaults[field] and field not in ARCHITECTURE_SETTINGS[arch]:
+                raise ConfigError(f"invalid config field '{name}.{field}': "
+                                  f"architecture {arch!r} does not read it")
     return section
 
 
@@ -460,8 +472,12 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
             if cfg.pop(field, None) is not None:
                 raise ConfigError(f"invalid config field '{field}': "
                                   "select reads it only with 'compare_ks'")
+    k_given = "k" in (cfg.get("select") or {})
     selection = _selection(cfg, data, method="chi2", k=data.n_features)
     table = selection.scores(_fit_all(cfg, data, FoldPipeline(cfg["normalize"]), report))
+    if not k_given:  # every feature the scorer ranks; it excludes constant columns
+        selection = dataclasses.replace(selection, k=int((table.ranks > 0).sum()))
+        cfg["select"] = dataclasses.asdict(selection)
     report.add_table(f"{selection.method} scores", *feature_scores_section(table))
     keep = select_k_best(table, selection.k)
     report.add_line(f"top {selection.k} by {selection.method}: "
@@ -561,6 +577,12 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
     network = _model_section(cfg, "network", MODELS["network"])
     booster = _model_section(cfg, "booster", MODELS["gbm"])
     _check_width("network", network, data.n_features)
+    cfg["save_model"] = bool(cfg.get("save_model"))
+    # the saved cascade is fitted on all rows, in both modes scaled by their
+    # own minima and maxima: the raw rows', before paper mode maps them
+    scaling = None
+    if cfg["save_model"] and cfg["normalize"]:
+        scaling = {"minima": data.features.min(axis=0), "maxima": data.features.max(axis=0)}
     data, pipeline, folds = _folds(cfg, data, pipeline, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
         data, folds, network, booster, pipeline=pipeline, workers=cfg["workers"])
@@ -575,11 +597,10 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
                     f"vs stage-1 network alone: "
                     f"{format_percent(network_result.mean_metrics.accuracy)}")
 
-    cfg["save_model"] = bool(cfg.get("save_model"))
     if cfg["save_model"]:
         train = _fit_all(cfg, data, pipeline, report)
         model = cascade_fit(train, network, booster, seed=cfg["seed"])
-        save_cascade(model, out / "cascade_model")
+        save_cascade(model, out / "cascade_model", scaling)
         report.add_line("fitted cascade saved under cascade_model/")
 
 

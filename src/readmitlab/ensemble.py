@@ -9,12 +9,20 @@ cascade from a single pass over its held-out rows. Stage 2 is thus the
 cascade's own booster on the cascade's folds, scored on the outer-class rows.
 The standalone binary 0-vs-2 study, with its own outer-class folds and three
 sampling regimes (nearmiss, random_under, full), is also hosted here.
+
+Routing is fixed: ACCEPT_CLASS is the class whose stage-1 labels stand, and
+OUTER_CLASSES the two the booster decides between. save_cascade writes a
+fitted cascade as a directory of three files: network.params (the network's
+weights, in nn.save_network's .npy record), booster.json (the booster's
+trees) and cascade.json (the network's constructor settings, the width of
+its rows, and the min-max scaling that maps raw rows to the rows it was
+fitted on). load_cascade rebuilds both stages from them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,27 +43,24 @@ OUTER_CLASSES = (0, 2)
 class CascadeClassifier:
     """Stage-1 network plus stage-2 binary booster with fixed routing.
 
-    predict() keeps every stage-1 prediction equal to accept_class and
-    replaces all others with the stage-2 decision, so the second stage never
-    emits the accepted class and every row gets exactly one label.
+    predict() keeps every stage-1 prediction equal to ACCEPT_CLASS and
+    replaces all others with the stage-2 decision, a booster fitted on the
+    OUTER_CLASSES rows, so the second stage never emits the accepted class
+    and every row gets exactly one label.
     """
 
-    def __init__(self, network: NetworkClassifier, booster: GradientBoostedClassifier,
-                 accept_class: int = ACCEPT_CLASS,
-                 outer_classes: tuple[int, int] = OUTER_CLASSES):
+    def __init__(self, network: NetworkClassifier, booster: GradientBoostedClassifier):
         self.network = network
         self.booster = booster
-        self.accept_class = accept_class
-        self.outer_classes = tuple(outer_classes)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "CascadeClassifier":
         y = np.asarray(y)
         present = set(int(c) for c in np.unique(y))
-        needed = set(self.outer_classes) | {self.accept_class}
+        needed = set(OUTER_CLASSES) | {ACCEPT_CLASS}
         if not needed <= present:
             raise DataError(f"training labels {sorted(present)} missing some of {sorted(needed)}")
         self.network.fit(X, y)
-        outer_mask = np.isin(y, self.outer_classes)
+        outer_mask = np.isin(y, OUTER_CLASSES)
         self.booster.fit(np.asarray(X, dtype=np.float64)[outer_mask], y[outer_mask])
         return self
 
@@ -67,7 +72,7 @@ class CascadeClassifier:
         X = np.asarray(X, dtype=np.float64)
         stage1 = self.network.predict(X)
         stage2 = self.booster.predict(X)
-        return stage1, stage2, np.where(stage1 == self.accept_class, stage1, stage2)
+        return stage1, stage2, np.where(stage1 == ACCEPT_CLASS, stage1, stage2)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_stages(X)[2]
@@ -225,39 +230,50 @@ def binary_outer_study(data: Dataset, *, seed: int, k_folds: int = 10,
 # persistence: a cascade saves as a directory
 
 
-def save_cascade(model: CascadeClassifier, directory) -> None:
+def save_cascade(model: CascadeClassifier, directory, scaling: dict | None = None) -> None:
+    """Write network.params (save_network's weights), booster.json (the
+    booster's to_dict) and cascade.json: the network's settings, the width
+    of its rows (n_features) and `scaling`, the float64 "minima" and
+    "maxima" arrays of the min-max map from raw rows to the rows the cascade
+    was fitted on (None for rows used as given)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if model.network.net is None:
         raise ValueError("fit the cascade before saving it")
     save_network(model.network.net, directory / "network.params")
-    (directory / "booster.json").write_text(
-        json.dumps(model.booster.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    meta = {
-        "accept_class": model.accept_class,
-        "outer_classes": list(model.outer_classes),
-        "network": model.network.architecture_config(),
-        "train_config": asdict(model.network.train_config),
-    }
-    (directory / "cascade.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    )
+    meta = {"network": model.network.settings(), "n_features": model.network.n_features_,
+            "scaling": None if scaling is None else {k: v.tolist() for k, v in scaling.items()}}
+    for name, payload in (("booster.json", model.booster.to_dict()), ("cascade.json", meta)):
+        (directory / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_cascade(directory) -> CascadeClassifier:
-    directory = Path(directory)
+def _load_json(path: Path, parse):
+    """parse(the JSON at path); a missing file, text that is not JSON or a
+    payload that parse rejects is a DataError naming path."""
     try:
-        meta = json.loads((directory / "cascade.json").read_text())
-        booster_payload = json.loads((directory / "booster.json").read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"{directory}: not a cascade directory ({exc.filename} missing)")
-    net_cfg = dict(meta["network"])
-    n_features = int(net_cfg.pop("n_features"))
-    network = NetworkClassifier(**net_cfg, **meta.get("train_config", {}))
-    network.build(n_features)
+        return parse(json.loads(path.read_text()))
+    except FileNotFoundError:
+        raise DataError(f"{path.parent}: not a cascade directory ({path} missing)") from None
+    except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise DataError(f"{path}: not a cascade file ({type(exc).__name__}: {exc})") from None
+
+
+def _network_and_scaling(meta: dict) -> tuple[NetworkClassifier, dict | None]:
+    network = NetworkClassifier(**meta["network"]).build(meta["n_features"])
+    if meta["scaling"] is None:
+        return network, None
+    low, high = (np.asarray(meta["scaling"][key], dtype=np.float64) for key in ("minima", "maxima"))
+    if {low.shape, high.shape} != {(network.n_features_,)} or np.any(high < low):
+        raise ValueError(f"scaling is not {network.n_features_} minima and maxima, max >= min")
+    return network, {"minima": low, "maxima": high}
+
+
+def load_cascade(directory) -> tuple[CascadeClassifier, dict | None]:
+    """(the cascade save_cascade wrote to directory, its scaling or None). A
+    file that does not hold what save_cascade writes is a DataError naming
+    it."""
+    directory = Path(directory)
+    network, scaling = _load_json(directory / "cascade.json", _network_and_scaling)
+    booster = _load_json(directory / "booster.json", GradientBoostedClassifier.from_dict)
     network.net.load_params(load_network_params(directory / "network.params"))
-    booster = GradientBoostedClassifier.from_dict(booster_payload)
-    return CascadeClassifier(network, booster,
-                             accept_class=int(meta["accept_class"]),
-                             outer_classes=tuple(meta["outer_classes"]))
+    return CascadeClassifier(network, booster), scaling

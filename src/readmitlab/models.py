@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -79,11 +80,12 @@ class NetworkClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(predict_logits(self.net, np.asarray(X, dtype=np.float64)))
 
-    def architecture_config(self) -> dict:
-        """Everything needed to rebuild the same network shape."""
-        return {"arch": self.arch, "n_features": self.n_features_,
-                "kernel_size": self.kernel_size, "dropout": self.dropout,
-                "seed": self.seed}
+    def settings(self) -> dict:
+        """The constructor keywords that rebuild this network:
+        NetworkClassifier(**settings()).build(n_features) gives the same
+        shape, initialization and training."""
+        return {"arch": self.arch, **dataclasses.asdict(self.train_config),
+                "kernel_size": self.kernel_size, "dropout": self.dropout, "seed": self.seed}
 
 
 # each model kind's class; its constructor's keywords are the kind's settings

@@ -20,14 +20,16 @@ branches too: one parameter vector, theta, and one gradient vector, grad. A
 weighted layer only names its weights in PARAMS; each weight `w` is a
 reshaped view into theta and its gradient `dw` one into grad, which backward
 overwrites in place. An optimizer step on theta therefore moves every layer,
-and params()/grads() key the same views for parameter files.
+and params()/grads() key the same views. A parameter file is NumPy's own .npy
+format holding one 0-d record, one float64 field per weight key
+(save_network, load_network_params).
 
 Architectures are built by name through build_network(); see ARCHITECTURES.
 """
 
 from __future__ import annotations
 
-import struct
+import tokenize
 from dataclasses import dataclass
 
 import numpy as np
@@ -474,8 +476,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 # architectures
 
 
-ARCHITECTURES = ("vanilla", "cnn2", "cnn2_wide", "cnn2_multibranch",
-                 "rnn_simple", "rnn_deep")
+# each architecture, with the build_network settings it reads: the vanilla
+# head has no dropout layers, the multibranch stem fixes its kernel widths (3
+# and 5), and the recurrent networks have neither
+ARCHITECTURE_SETTINGS = {
+    "vanilla": ("kernel_size",), "cnn2": ("kernel_size", "dropout"),
+    "cnn2_wide": ("kernel_size", "dropout"), "cnn2_multibranch": ("dropout",),
+    "rnn_simple": (), "rnn_deep": ()}
+ARCHITECTURES = tuple(ARCHITECTURE_SETTINGS)
 
 DEFAULT_DROPOUT = 0.2
 RNN_HIDDEN = 32
@@ -513,8 +521,8 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
                   dropout: float = DEFAULT_DROPOUT, dtype=np.float64) -> Network:
     """Construct a named architecture for rows of n_features values.
 
-    kernel_size applies to vanilla (default 2) and the cnn2 family (default
-    4); dropout applies to every architecture that has dropout layers. A
+    kernel_size applies to vanilla (default 2), cnn2 and cnn2_wide (default
+    4); dropout to the cnn2 family; ARCHITECTURE_SETTINGS lists them. A
     conv architecture's stem (convolutions and pooling) is built first; its
     flattened width, found by a zero-row pass, sizes the dense head. Rows too
     short for the stem raise DataError naming the architecture. The weights
@@ -640,55 +648,40 @@ def predict_classes(net: Network, features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parameter serialization
 
-_MAGIC = b"RLNN1"
+# what reading a file that is missing or not a .npy np.load can read raises;
+# np.load's header parser lets tokenize's error through
+_UNREADABLE = (OSError, ValueError, EOFError, SyntaxError, tokenize.TokenError)
 
 
 def save_network(net: Network, path) -> None:
-    """Write all parameters as little-endian float64 with shape headers; a
-    float32 network widens to it exactly, and load_params rounds back."""
+    """Write all parameters as one 0-d NumPy record (.npy): one
+    little-endian float64 field per weight key, in sorted key order, shaped
+    like its weight. A float32 network widens to float64 exactly, and
+    load_params rounds back."""
     params = net.params()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(params)))
-        for key in sorted(params):
-            arr = params[key]
-            raw = key.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    record = np.zeros((), [(key, "<f8", params[key].shape) for key in sorted(params)])
+    for key, value in params.items():
+        record[key] = value
+    with open(path, "wb") as fh:  # a file object, so np.save adds no .npy suffix
+        np.save(fh, record, allow_pickle=False)
 
 
 def load_network_params(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise DataError(f"{path}: not a network state file (bad magic)")
-    view = memoryview(blob)[len(_MAGIC):]
-
-    def take(n: int) -> memoryview:
-        nonlocal view
-        if len(view) < n:
-            raise DataError(f"{path}: truncated network state file")
-        chunk, view = view[:n], view[n:]
-        return chunk
-
-    (count,) = struct.unpack("<I", take(4))
-    out = {}
-    for _ in range(count):
-        (key_len,) = struct.unpack("<H", take(2))
-        try:
-            key = bytes(take(key_len)).decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: parameter key is not UTF-8") from None
-        if key in out:
-            raise DataError(f"{path}: parameter {key} stored twice")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).astype(np.float64)
-        out[key] = arr
-    if len(view):
+    """The float64 weights save_network wrote, by key; anything else at path,
+    bytes after the record included, is a DataError."""
+    try:
+        with open(path, "rb") as fh:
+            record = np.load(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    except _UNREADABLE as exc:
+        raise DataError(f"{path}: not a network state file ({exc})") from None
+    if not isinstance(record, np.ndarray) or record.shape != () or record.dtype.names is None:
+        raise DataError(f"{path}: not a network state file (no 0-d record of weights)")
+    if trailing:
         raise DataError(f"{path}: trailing bytes after network state")
+    out = {}
+    for key in record.dtype.names:
+        if record.dtype[key].base != np.dtype("<f8"):
+            raise DataError(f"{path}: parameter {key} is {record.dtype[key].base}, not float64")
+        out[key] = np.array(record[key])
     return out

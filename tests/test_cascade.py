@@ -1,5 +1,7 @@
 """Two-stage cascade: routing semantics, table merging, and the binary study."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from readmitlab.data import stratified_kfold
 from readmitlab.ensemble import (
+    ACCEPT_CLASS,
     CascadeClassifier,
     binary_outer_study,
     cascade_evaluate,
@@ -208,8 +211,9 @@ class TestCascadeClassifier:
             booster_config=dict(n_rounds=4, max_depth=2),
             seed=6,
         )
-        save_cascade(model, tmp_path / "cascade")
-        clone = load_cascade(tmp_path / "cascade")
+        scaling = {"minima": padded.min(axis=0), "maxima": padded.max(axis=0)}
+        save_cascade(model, tmp_path / "cascade", scaling)
+        clone, clone_scaling = load_cascade(tmp_path / "cascade")
         # the float32 network widens to the file's float64 and back exactly
         assert model.network.net.theta.dtype == clone.network.net.theta.dtype == np.float32
         assert clone.network.net.theta.tobytes() == model.network.net.theta.tobytes()
@@ -217,12 +221,59 @@ class TestCascadeClassifier:
                 == model.network.predict_proba(padded).tobytes())
         for got, want in zip(clone.predict_stages(padded), model.predict_stages(padded)):
             assert got.tobytes() == want.tobytes()
-        assert clone.accept_class == model.accept_class
-        assert clone.outer_classes == model.outer_classes
+        assert clone.network.settings() == model.network.settings()
+        assert all(clone_scaling[key].tobytes() == scaling[key].tobytes() for key in scaling)
+        saved = json.loads((tmp_path / "cascade" / "cascade.json").read_text())
+        assert sorted(saved) == ["n_features", "network", "scaling"]
+
+    def save_small(self, directory):
+        """Save a one-epoch, one-round cascade fitted on the toy rows."""
+        data = self.toy()
+        padded = np.hstack([data.features, np.zeros((data.n_instances, 6))])
+        save_cascade(cascade_fit(make_dataset(padded, data.labels),
+                                 network_config=dict(arch="vanilla", epochs=1),
+                                 booster_config=dict(n_rounds=1), seed=7), directory)
 
     def test_load_from_non_cascade_directory_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_cascade(tmp_path)
+
+    def test_a_missing_parameter_file_is_a_data_error_naming_it(self, tmp_path):
+        self.save_small(tmp_path / "cascade")
+        path = tmp_path / "cascade" / "network.params"
+        path.unlink()
+        with pytest.raises(DataError) as err:
+            load_cascade(tmp_path / "cascade")
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("scaling", [
+        {"minima": [0.0], "maxima": [1.0]},
+        {"minima": [0.0] * 8, "maxima": [1.0] * 7 + [-1.0]},
+        {"minima": [0.0] * 8},
+    ], ids=["one-column", "max-below-min", "no-maxima"])
+    def test_a_scaling_that_does_not_fit_the_network_is_a_data_error(self, tmp_path, scaling):
+        self.save_small(tmp_path / "cascade")
+        path = tmp_path / "cascade" / "cascade.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "scaling": scaling}))
+        with pytest.raises(DataError) as err:
+            load_cascade(tmp_path / "cascade")
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("cascade.json", "{}", "KeyError: 'network'"),
+        ("cascade.json", json.dumps({"network": {"arch": "vanilla", "layers": 3},
+                                     "n_features": 8, "scaling": None}), "TypeError"),
+        ("cascade.json", "this is not JSON", "JSONDecodeError"),
+        ("booster.json", '{"trees": []}', "KeyError: 'learning_rate'"),
+    ], ids=["empty-record", "unknown-network-field", "not-json", "booster-without-fields"])
+    def test_a_bad_cascade_file_is_a_data_error_naming_it(self, tmp_path, name, text,
+                                                          message):
+        self.save_small(tmp_path / "cascade")
+        path = tmp_path / "cascade" / name
+        path.write_text(text)
+        with pytest.raises(DataError, match=message) as err:
+            load_cascade(tmp_path / "cascade")
+        assert str(path) in str(err.value)
 
 
 class RowLabels:
@@ -249,7 +300,7 @@ def test_predict_equals_the_routed_rule(draw):
     # the rule predict_stages replaced: keep the accepted class, send only the
     # other rows through the booster
     routed = np.array(stage1)
-    rerun = routed != model.accept_class
+    rerun = routed != ACCEPT_CLASS
     if rerun.any():
         routed[rerun] = model.booster.predict(X[rerun])
     got1, got2, final = model.predict_stages(X)

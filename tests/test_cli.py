@@ -17,7 +17,9 @@ import pytest
 from readmitlab.cli import _COMMANDS, _MODEL_DEFAULTS, _SECTIONS, main
 from readmitlab import cli
 from readmitlab import data as data_module
-from readmitlab.data import SIDECAR_SUFFIX, load_dataset, save_dataset_csv, stratified_kfold
+from readmitlab.data import (SIDECAR_SUFFIX, ScalingSpec, load_dataset, min_max_normalize,
+                             save_dataset_csv, stratified_kfold)
+from readmitlab.ensemble import cascade_fit, load_cascade
 from readmitlab.errors import DataError, NumericError
 from readmitlab.models import NetworkClassifier
 from readmitlab.resample import ResamplePlan
@@ -286,6 +288,18 @@ class TestSelect:
         tsv = (out / "report.tsv").read_text()
         assert "chi2 scores" in tsv
         assert "top 2 by chi2:" in tsv
+
+    @pytest.mark.parametrize("method", ["chi2", "anova_f", "pearson"])
+    def test_default_k_is_every_feature_the_scorer_ranks(self, tmp_path, method):
+        csv = write_csv(tmp_path)
+        data = load_dataset(csv)
+        constant = np.column_stack([data.features, np.full(data.n_instances, 3.0)])
+        save_dataset_csv(make_dataset(constant, data.labels, data.feature_names + ("c",)), csv)
+        out = tmp_path / "run"
+        assert main(["select", "--data", str(csv), "--seed", "1", "--select-method", method,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["select"]["k"] == 8
+        assert f"top 8 by {method}: f00, " in (out / "report.tsv").read_text()
 
     def test_unknown_method_is_a_config_error(self, tmp_path):
         csv = write_csv(tmp_path)
@@ -618,7 +632,8 @@ class TestCascade:
         csv = write_csv(tmp_path)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
-            "network": {"arch": "vanilla", "epochs": 1, "batch_size": 16, "dropout": 0.1},
+            "network": {"arch": "cnn2", "kernel_size": 2, "epochs": 1, "batch_size": 16,
+                        "dropout": 0.1},
             "booster": {"n_rounds": 4, "max_depth": 2}}))
         out = tmp_path / "run"
         assert main(["cascade", "--data", str(csv), "--seed", "1", "--folds", "2",
@@ -629,9 +644,34 @@ class TestCascade:
         assert (echo["network"]["epochs"], echo["network"]["dropout"]) == (2, 0.1)
         assert (echo["booster"]["n_rounds"], echo["booster"]["max_depth"]) == (3, 2)
         saved = json.loads((out / "cascade_model" / "cascade.json").read_text())
-        assert saved["train_config"]["epochs"] == 2
+        assert (saved["network"]["epochs"], saved["network"]["dropout"]) == (2, 0.1)
         booster = json.loads((out / "cascade_model" / "booster.json").read_text())
         assert (len(booster["trees"]), booster["max_depth"]) == (3, 2)
+
+    @pytest.mark.parametrize("mode", [[], ["--paper-mode"]], ids=["default", "paper-mode"])
+    def test_the_saved_scaling_maps_raw_rows_to_the_rows_the_cascade_was_fitted_on(
+            self, tmp_path, mode):
+        csv = write_fold_constant_csv(tmp_path)  # one column is constant on some folds
+        out = tmp_path / "run"
+        assert main(["cascade", "--data", str(csv), "--seed", "1", "--folds", "3",
+                     "--workers", "1", "--arch", "vanilla", "--epochs", "1",
+                     "--n-rounds", "2", "--save-model", *mode, "--out", str(out)]) == 0
+        saved, scaling = load_cascade(out / "cascade_model")
+        raw = load_dataset(csv)
+        rows, _ = min_max_normalize(raw, ScalingSpec(raw.feature_names, scaling["minima"],
+                                                     scaling["maxima"]))
+        assert rows.features.tobytes() == min_max_normalize(raw)[0].features.tobytes()
+        refit = cascade_fit(rows, {"arch": "vanilla", "epochs": 1}, {"n_rounds": 2}, seed=1)
+        assert refit.network.net.theta.tobytes() == saved.network.net.theta.tobytes()
+        assert saved.predict(rows.features).tobytes() == refit.predict(rows.features).tobytes()
+
+    def test_a_cascade_saved_without_scaling_records_none(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["cascade", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--folds", "2", "--arch", "vanilla", "--epochs", "1", "--n-rounds", "1",
+                     "--no-normalize", "--save-model", "--out", str(out)]) == 0
+        assert json.loads((out / "cascade_model" / "cascade.json").read_text())["scaling"] is None
+        assert load_cascade(out / "cascade_model")[1] is None
 
     def test_unknown_booster_field_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
@@ -702,6 +742,26 @@ class TestModelSettingsCheckedUpFront:
         ("train", {"model": {"arch": "vanilla", "kernel_size": 0}}, "kernel must be >= 1"),
         ("train", {"model": {"arch": "cnn2", "dropout": 1.5}},
          "dropout rate must be in [0, 1)"),
+        # a kernel_size or dropout the architecture does not read
+        ("train", {"model": {"arch": "vanilla", "dropout": 0.5}},
+         "invalid config field 'model.dropout': architecture 'vanilla' does not read it"),
+        ("train", {"model": {"arch": "rnn_simple", "kernel_size": 7}},
+         "invalid config field 'model.kernel_size': architecture 'rnn_simple' does not read it"),
+        ("train", {"model": {"arch": "rnn_deep", "dropout": 0.3}},
+         "invalid config field 'model.dropout': architecture 'rnn_deep' does not read it"),
+        ("select", {"compare_ks": [8], "model": {"kind": "network", "arch": "rnn_deep",
+                                                 "kernel_size": 3}},
+         "invalid config field 'model.kernel_size': architecture 'rnn_deep' does not read it"),
+        ("sweep", {"model": {"dropout": 0.1}},
+         "invalid config field 'model.dropout': architecture 'vanilla' does not read it"),
+        ("sweep", {"model": {"arch": "cnn2_multibranch", "kernel_size": 2}},
+         "invalid config field 'model.kernel_size': "
+         "architecture 'cnn2_multibranch' does not read it"),
+        ("cascade", {"network": {"arch": "cnn2_multibranch", "kernel_size": 9}},
+         "invalid config field 'network.kernel_size': "
+         "architecture 'cnn2_multibranch' does not read it"),
+        ("cascade", {"network": {"arch": "rnn_simple", "dropout": 0.0}},
+         "invalid config field 'network.dropout': architecture 'rnn_simple' does not read it"),
     ])
     def test_a_bad_setting_fails_before_any_fold_is_resampled(
             self, tmp_path, capsys, monkeypatch, command, config, message):
@@ -718,12 +778,27 @@ class TestModelSettingsCheckedUpFront:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = [command, "--data", str(write_csv(tmp_path)), "--seed", "1", "--folds", "3",
                 "--workers", "1", "--config", str(tmp_path / "cfg.json")]
-        if command != "binary-study":  # whose nearmiss regime resamples its folds
+        # binary-study's nearmiss regime resamples its folds; select does not resample
+        if command not in ("binary-study", "select"):
             argv += ["--resample-method", "smote"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "o").exists()
+
+    # a default, which config.json echoes for every architecture, is accepted
+    @pytest.mark.parametrize("arch, field, value", [
+        ("vanilla", "kernel_size", 3), ("cnn2", "dropout", 0.1),
+        ("cnn2_multibranch", "dropout", 0.1), ("vanilla", "dropout", 0.2),
+        ("rnn_simple", "kernel_size", None)])
+    def test_a_setting_the_architecture_reads_or_a_default_is_accepted(self, tmp_path, arch,
+                                                                      field, value):
+        config = {"model": {"kind": "network", "arch": arch, field: value, "epochs": 1}}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        csv = write_csv(tmp_path, n_features=14)
+        assert main(["train", "--data", str(csv), "--seed", "1", "--folds", "2",
+                     "--workers", "1", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 class TestInputWidthCheckedUpFront:
@@ -996,10 +1071,11 @@ SAME_BY_FLAGS_OR_CONFIG = [
      ["--model", "forest", "--n-trees", "5", "--max-depth", "3"],
      [{"model": {"kind": "forest", "n_trees": 5, "max_depth": 3}}]),
     ("train", ["--workers", "1", "--folds", "2"],
-     ["--model", "network", "--arch", "vanilla", "--epochs", "1", "--learning-rate", "1e-2",
-      "--batch-size", "16", "--optimizer", "sgd", "--dropout", "0.1"],
-     [{"model": {"kind": "network", "arch": "vanilla", "epochs": 1, "learning_rate": 1e-2,
-                 "batch_size": 16, "optimizer": "sgd", "dropout": 0.1}}]),
+     ["--model", "network", "--arch", "cnn2", "--kernel-size", "2", "--epochs", "1",
+      "--learning-rate", "1e-2", "--batch-size", "16", "--optimizer", "sgd", "--dropout", "0.1"],
+     [{"model": {"kind": "network", "arch": "cnn2", "kernel_size": 2, "epochs": 1,
+                 "learning_rate": 1e-2, "batch_size": 16, "optimizer": "sgd",
+                 "dropout": 0.1}}]),
     ("cascade", ["--workers", "1", "--folds", "2"],
      ["--arch", "vanilla", "--epochs", "1", "--batch-size", "16", "--n-rounds", "2",
       "--max-depth", "2"],

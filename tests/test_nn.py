@@ -1,7 +1,6 @@
 """Network layers, hand-derived backpropagation, training loop, serialization."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -675,8 +674,9 @@ class TestSerialization:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.params"
         path.write_bytes(b"NOPE!" + b"\x00" * 32)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as err:
             load_network_params(path)
+        assert str(path) in str(err.value)
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -685,8 +685,9 @@ class TestSerialization:
         save_network(net, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as err:
             load_network_params(path)
+        assert str(path) in str(err.value)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         rng = np.random.default_rng(24)
@@ -694,8 +695,9 @@ class TestSerialization:
         path = tmp_path / "net.params"
         save_network(net, path)
         path.write_bytes(path.read_bytes() + b"JUNK")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="trailing bytes") as err:
             load_network_params(path)
+        assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_save_load_save_is_byte_identical(self, arch, tmp_path):
@@ -714,26 +716,43 @@ class TestSerialization:
             "l10.b", "l10.w", "l4.b", "l4.w", "l7.b", "l7.w",
         ]
 
-    def test_key_that_is_not_utf8_rejected(self, tmp_path):
+    def test_file_is_one_npy_record_of_float64_fields(self, tmp_path):
+        net = Network([Dense(4, 3, np.random.default_rng(28))])
         path = tmp_path / "net.params"
-        save_network(Network([Dense(4, 3, np.random.default_rng(28))]), path)
-        blob = bytearray(path.read_bytes())
-        blob[5 + 4 + 2] = 0xFF  # first byte of the first key, after magic, count, length
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="not UTF-8") as err:
+        save_network(net, path)
+        record = np.load(path, allow_pickle=False)
+        assert record.shape == ()
+        assert record.dtype == np.dtype([("l0.b", "<f8", (3,)), ("l0.w", "<f8", (4, 3))])
+        assert record["l0.w"].tobytes() == net.params()["l0.w"].tobytes()
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda fh: np.save(fh, np.arange(5.0)), "no 0-d record"),
+        (lambda fh: np.save(fh, np.zeros(2, [("l0.b", "<f8", (3,))])), "no 0-d record"),
+        (lambda fh: np.save(fh, np.zeros((), [("l0.b", "<f4", (3,))])),
+         "l0.b is float32, not float64"),
+        (lambda fh: np.save(fh, np.zeros((), [("l0.b", ">f8", (3,))])),
+         "l0.b is >f8, not float64"),
+        (lambda fh: np.savez(fh, **{"l0.b": np.zeros(3), "l0.w": np.zeros((4, 3))}),
+         "no 0-d record"),
+        (lambda fh: np.save(fh, np.array([{"l0.b": np.zeros(3)}], dtype=object),
+                            allow_pickle=True), "Object arrays cannot be loaded"),
+    ], ids=["float64-vector", "record-vector", "float32-field", "big-endian-field",
+            "npz-archive", "pickled-object-array"])
+    def test_file_that_is_not_one_weight_record_rejected(self, tmp_path, write, message):
+        path = tmp_path / "net.params"
+        with open(path, "wb") as fh:
+            write(fh)
+        with pytest.raises(DataError, match=message) as err:
             load_network_params(path)
         assert str(path) in str(err.value)
 
-    def test_key_stored_twice_rejected(self, tmp_path):
-        first, second = tmp_path / "first.params", tmp_path / "second.params"
-        save_network(Network([Dense(4, 3, np.random.default_rng(29))]), first)
-        save_network(Network([Dense(4, 3, np.random.default_rng(30))]), second)
-        # records follow the 5-byte magic and the count; "l0.b" comes first:
-        # key length, 4-byte key, ndim, one dimension and 3 values
-        w_record = second.read_bytes()[9 + 2 + 4 + 1 + 4 + 3 * 8:]
-        path = tmp_path / "twice.params"
-        path.write_bytes(b"RLNN1" + struct.pack("<I", 3) + first.read_bytes()[9:] + w_record)
-        with pytest.raises(DataError, match="l0.w stored twice") as err:
+    def test_corrupted_header_byte_rejected(self, tmp_path):
+        path = tmp_path / "net.params"
+        save_network(Network([Dense(4, 3, np.random.default_rng(29))]), path)
+        blob = bytearray(path.read_bytes())
+        blob[10] = 0xFF  # the header dict's opening brace, after magic, version, length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as err:
             load_network_params(path)
         assert str(path) in str(err.value)
 
