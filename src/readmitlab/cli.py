@@ -7,35 +7,37 @@ gives each command its option groups; each entry names a flag (or none, for a
 config-only field), the config field it sets, and a top-level field's
 default. From it come the parser, the flag-to-field routing, the defaults and
 the config-field check: a command offers only the flags it reads, and any
-other config field is a config error. So is a field that the chosen method
-never reads: select.paper_exclusion set true for a scorer other than
-pearson, resample.nearmiss_version or resample.n_ref set for a method other
-than nearmiss, and a network's kernel_size or dropout set to other than its
-default for an architecture that does not read it (nn.ARCHITECTURE_SETTINGS).
-Every run needs an output directory; every command but report also needs
-a seed (--seed flag, config "seed", or the READMIT_SEED environment
-variable) and an input CSV (--data or config "dataset"). A run writes three
-files: config.json (the resolved config echo), report.tsv, and
-report.txt. Reports embed the input CSV's content hash and never embed
-timestamps or the output path, so identical configs produce byte-identical
-reports.
+other config field is a config error. One rule covers a setting that the
+chosen method or architecture never reads: it may hold only its default. The
+module of each settings class keeps the table of who reads what
+(nn.ARCHITECTURE_SETTINGS: a network's kernel_size and dropout;
+resample.METHOD_SETTINGS: nearmiss_version and n_ref, read by nearmiss;
+features.SCORER_SETTINGS: paper_exclusion, read by pearson), and _merge
+applies the rule to every section. Every run needs an output directory;
+every command but report also needs a seed (--seed flag, config "seed", or
+the READMIT_SEED environment variable) and an input CSV (--data or config
+"dataset"). A run writes three files: config.json (the resolved config
+echo), report.tsv, and report.txt. Reports embed the input CSV's content
+hash and never embed timestamps or the output path, so identical configs
+produce byte-identical reports.
 
 Config sections' fields and defaults are _SECTIONS (select, resample,
-network, booster, grid) and _MODEL_DEFAULTS (model, per kind). A model,
-network, booster or resample section's fields and defaults are the
-constructor keywords of its class (NetworkClassifier,
-GradientBoostedClassifier, RandomForest, ResamplePlan), read by _defaults;
-none is restated here. A model section is resolved by building its model
-once, and sweep builds each grid cell once, so a bad setting is a config
-error before any fold work. A network is also built once at each feature
-count it will see (select builds one for every k of compare_ks), so an input
-too short for its architecture is a data error before any fold work. sweep
-runs the grid (the paper's, PAPER_GRID, unless a "grid" section narrows it;
-each axis a nonempty list), so its model section has no epochs,
-learning_rate or batch_size. cascade has no model section: its network
-flags set the "network" section and --n-rounds and --max-depth the
-"booster" section; the booster's learning rate is set only by the "booster"
-section.
+network, booster, grid) and _MODEL_DEFAULTS (model, per kind). A select,
+resample, model, network or booster section's fields and defaults are the
+constructor keywords of its class (Selection, ResamplePlan,
+NetworkClassifier, GradientBoostedClassifier, RandomForest), read by
+_defaults; none is restated here. _merge resolves every section the same
+way: it builds the section's class once, so a bad setting is a config error
+naming the section before any fold work, and config.json echoes the whole
+merged section. sweep also builds each grid cell once. A network is also
+built once at each feature count it will see (select builds one for every k
+of compare_ks), so an input too short for its architecture is a data error
+before any fold work. sweep runs the grid (the paper's, PAPER_GRID, unless
+a "grid" section narrows it; each axis a nonempty list), so its model
+section has no epochs, learning_rate or batch_size. cascade has no model
+section: its network flags set the "network" section and --n-rounds and
+--max-depth the "booster" section; the booster's learning rate is set only
+by the "booster" section.
 
 Min-max scaling (--normalize, on by default), the select section and the
 resample section make one evaluate.FoldPipeline, fitted in that order. The
@@ -71,13 +73,13 @@ from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics
-from .features import SCORERS, Selection, per_class_stats, select_k_best
+from .features import SCORER_SETTINGS, SCORERS, Selection, per_class_stats, select_k_best
 from .models import MODEL_KINDS, MODELS, NetworkClassifier, make_builder
 from .nn import ARCHITECTURE_SETTINGS, ARCHITECTURES
 from .optim import OPTIMIZERS
 from .report import RunReport, class_stats_section, feature_scores_section, format_percent
+from .resample import METHOD_SETTINGS, ResamplePlan
 from .resample import METHODS as RESAMPLE_METHODS
-from .resample import ResamplePlan
 
 PAPER_GRID = {
     "epochs": [10, 50],
@@ -101,12 +103,18 @@ _MODEL_DEFAULTS = {kind: _defaults(cls, "seed", "bootstrap") for kind, cls in MO
 # section must name its method, and a select section its k; the select
 # command alone defaults them (chi2, every feature its scorer ranks).
 _SECTIONS = {
-    "select": {"method": None, "k": None, "paper_exclusion": False},
+    "select": _defaults(Selection),
     "resample": _defaults(ResamplePlan),
     "network": _MODEL_DEFAULTS["network"],
     "booster": _MODEL_DEFAULTS["gbm"],
     "grid": PAPER_GRID,
 }
+
+# each settings class's choosing field, its name in messages, and its
+# module's table of the settings that only some choices read
+_READS = {NetworkClassifier: ("arch", "architecture", ARCHITECTURE_SETTINGS),
+          ResamplePlan: ("method", "method", METHOD_SETTINGS),
+          Selection: ("method", "method", SCORER_SETTINGS)}
 
 # sweep's grid sets the epochs, learning rate and batch size of every cell, so
 # its network takes only the other fields
@@ -213,19 +221,26 @@ def build_parser() -> _Parser:
 # config resolution
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_text(path: Path, error) -> str:
+    """The UTF-8 text of the file at path; a missing file, one that cannot be
+    read and one that is not UTF-8 raise `error` naming it."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except OSError as exc:
-        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
+        raise error(f"{path}: file not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot be read as UTF-8 text ({type(exc).__name__})") from None
+
+
+def _json_object(path: Path, error) -> dict:
+    """The JSON object in the file at path; anything else raises `error`
+    naming it (see _read_text)."""
+    try:
+        payload = json.loads(_read_text(path, error))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        raise error(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
+        raise error(f"{path}: not a JSON object")
     return payload
 
 
@@ -233,7 +248,7 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
     """Merge defaults <- config file <- flags into one resolved config dict."""
     options = _options(command)
     fields = {path[0] for _, path, _, _ in options}
-    cfg = _load_config_file(args.config)
+    cfg = {} if args.config is None else _json_object(Path(args.config), ConfigError)
     for key in cfg:
         if key not in fields:
             raise ConfigError(f"invalid config field {key!r}")
@@ -286,27 +301,31 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
     return cfg, Path(out)
 
 
-def _merge(name: str, given, defaults: dict, model=None) -> dict:
-    """Config section `given` (None for absent) over `defaults`; a field that
-    `defaults` lacks is a config error. A model section also builds its
-    `model` class once, so a bad setting fails before any fold work. A
-    network's kernel_size or dropout set to other than its default for an
-    architecture that does not read it is a config error; config.json echoes
-    the defaults whatever the architecture, so an echo still reruns."""
+def _merge(name: str, given, defaults: dict, cls=None) -> tuple[dict, object]:
+    """(section, built): config section `given` (None for absent) over
+    `defaults`, and `cls` built from the section once (None without a cls),
+    so a bad setting fails before any fold work. A field that `defaults`
+    lacks and a ValueError or TypeError of the constructor are config errors
+    naming the section. So is a setting that the chosen architecture or
+    method does not read (by cls's _READS table) unless it holds its
+    default: config.json echoes the whole section, so an echo reruns."""
     given = dict(given or {})
     for field in sorted(given):
         if field not in defaults:
             raise ConfigError(f"invalid config field '{name}.{field}'")
     section = {**defaults, **given}
-    if model is not None:
-        model(**section)
-    if model is NetworkClassifier:
-        arch = section["arch"]
-        for field in ("kernel_size", "dropout"):
-            if section[field] != defaults[field] and field not in ARCHITECTURE_SETTINGS[arch]:
-                raise ConfigError(f"invalid config field '{name}.{field}': "
-                                  f"architecture {arch!r} does not read it")
-    return section
+    if cls is None:
+        return section, None
+    try:
+        built = cls(**section)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid config field '{name}': {exc}") from None
+    key, noun, table = _READS.get(cls, (None, None, {}))
+    for field in sorted(set().union(*table.values()) - set(table.get(section.get(key), ()))):
+        if section[field] != defaults[field]:
+            raise ConfigError(f"invalid config field '{name}.{field}': "
+                              f"{noun} {section[key]!r} does not read it")
+    return section, built
 
 
 def _names(value):
@@ -323,7 +342,7 @@ def _model(cfg: dict, kind: str, table: dict = _MODEL_DEFAULTS) -> tuple[str, di
     kind = section.pop("kind", kind)
     if kind not in MODELS:
         raise ConfigError(f"invalid config field 'model.kind': {kind!r}")
-    params = _merge("model", section, table[kind], MODELS[kind])
+    params = _merge("model", section, table[kind], MODELS[kind])[0]
     cfg["model"] = {"kind": kind, **params}
     return kind, params
 
@@ -337,48 +356,28 @@ def _check_width(kind: str, params: dict, n_features: int) -> None:
 
 def _model_section(cfg: dict, name: str, model) -> dict:
     """Resolve the `name` section (network or booster) of a `model`."""
-    cfg[name] = _merge(name, cfg.get(name), _SECTIONS[name], model)
+    cfg[name] = _merge(name, cfg.get(name), _SECTIONS[name], model)[0]
     return cfg[name]
 
 
 def _resample_plan(cfg: dict) -> ResamplePlan | None:
-    """The resample section's plan. Only nearmiss reads nearmiss_version and
-    n_ref, so setting either for another method is a config error."""
+    """The resample section's plan, or None without one."""
     if not cfg.get("resample"):
         cfg["resample"] = None
         return None
-    section = _merge("resample", cfg["resample"], _SECTIONS["resample"])
-    if section["method"] is None:
-        raise ConfigError("invalid config field 'resample': missing 'method'")
-    for field in ("nearmiss_version", "n_ref"):  # as given, before the defaults
-        if field in cfg["resample"] and section["method"] != "nearmiss":
-            raise ConfigError(f"invalid config field 'resample.{field}': "
-                              "only method 'nearmiss' reads it")
-    try:
-        plan = ResamplePlan(**section)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid config field 'resample': {exc}")
-    cfg["resample"] = plan.to_dict()
+    cfg["resample"], plan = _merge("resample", cfg["resample"], _SECTIONS["resample"],
+                                   ResamplePlan)
     return plan
 
 
 def _selection(cfg: dict, data: Dataset, **defaults) -> Selection:
     """Resolve the select section; a k outside 1..the feature count is a
     config error."""
-    section = _merge("select", cfg.get("select"), {**_SECTIONS["select"], **defaults})
-    method, k = section["method"], section["k"]
-    if method not in SCORERS:
-        raise ConfigError(f"invalid config field 'select.method': {method!r}")
-    if k is None:
-        raise ConfigError("invalid config field 'select': missing 'k'")
-    if section["paper_exclusion"] and method != "pearson":
-        raise ConfigError("invalid config field 'select.paper_exclusion': "
-                          "only method 'pearson' reads it")
-    if not 1 <= int(k) <= data.n_features:
-        raise ConfigError(f"invalid config field 'select.k': k={k} must be at least 1 "
-                          f"and at most the {data.n_features} features")
-    selection = Selection(method, int(k), bool(section["paper_exclusion"]))
-    cfg["select"] = dataclasses.asdict(selection)
+    cfg["select"], selection = _merge("select", cfg.get("select"),
+                                      {**_SECTIONS["select"], **defaults}, Selection)
+    if not 1 <= selection.k <= data.n_features:
+        raise ConfigError(f"invalid config field 'select.k': k={selection.k} must be at "
+                          f"least 1 and at most the {data.n_features} features")
     return selection
 
 
@@ -541,7 +540,7 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     kind, fixed = _model(cfg, "network", _SWEEP_MODELS)
     if kind != "network":
         raise ConfigError("sweep drives network training; model.kind must be 'network'")
-    grid = cfg["grid"] = _merge("grid", cfg.get("grid"), _SECTIONS["grid"])
+    grid = cfg["grid"] = _merge("grid", cfg.get("grid"), _SECTIONS["grid"])[0]
     for axis, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"invalid config field 'grid.{axis}': "
@@ -629,19 +628,9 @@ def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) ->
 def _cmd_report(cfg: dict, data: None, report: RunReport, out: Path) -> None:
     cfg["runs"] = _names(cfg["runs"])
     for run_dir in cfg["runs"]:
-        run_path = Path(run_dir)
-        config_path = run_path / "config.json"
-        text_path = run_path / "report.txt"
-        if not config_path.exists() or not text_path.exists():
-            raise DataError(f"{run_dir}: not a run directory (config.json/report.txt missing)")
-        try:
-            run_cfg = json.loads(config_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{config_path} is not valid JSON: {exc}")
-        if not isinstance(run_cfg, dict):
-            raise DataError(f"{config_path} must contain a JSON object")
+        run_cfg = _json_object(Path(run_dir) / "config.json", DataError)
         report.add_line(f"--- run {run_dir} (command: {run_cfg.get('command', '?')}) ---")
-        for line in text_path.read_text().splitlines():
+        for line in _read_text(Path(run_dir) / "report.txt", DataError).splitlines():
             report.add_line(line)
 
 

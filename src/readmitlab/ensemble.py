@@ -275,5 +275,10 @@ def load_cascade(directory) -> tuple[CascadeClassifier, dict | None]:
     directory = Path(directory)
     network, scaling = _load_json(directory / "cascade.json", _network_and_scaling)
     booster = _load_json(directory / "booster.json", GradientBoostedClassifier.from_dict)
-    network.net.load_params(load_network_params(directory / "network.params"))
+    path = directory / "network.params"
+    weights = load_network_params(path)
+    try:
+        network.net.load_params(weights)
+    except DataError as exc:  # another network's keys or shapes
+        raise DataError(f"{path}: not the weights of a {network.arch!r} network ({exc})") from None
     return CascadeClassifier(network, booster), scaling

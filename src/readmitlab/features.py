@@ -6,6 +6,7 @@ instead of a score; ranks cover the non-excluded features only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,19 +164,32 @@ SCORERS = {
 }
 
 
+# the Selection fields that only some scorers read, by scorer; every other
+# scorer reads none of them
+SCORER_SETTINGS = {"pearson": ("paper_exclusion",)}
+
+
 @dataclass(frozen=True)
 class Selection:
-    """Keep the k best features by one of SCORERS' methods; paper_exclusion
-    is read by pearson alone."""
+    """Keep the k best features by one of SCORERS' methods; SCORER_SETTINGS
+    names the fields only some scorers read."""
 
     method: str
     k: int
     paper_exclusion: bool = False
 
+    def __post_init__(self):
+        if self.method not in SCORERS:
+            raise ValueError(f"unknown feature scorer {self.method!r}")
+        if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if not isinstance(self.paper_exclusion, bool):
+            raise ValueError("paper_exclusion must be true or false, "
+                             f"got {self.paper_exclusion!r}")
+
     def scores(self, data: Dataset) -> FeatureScoreTable:
-        if self.method == "pearson":
-            return SCORERS[self.method](data, paper_exclusion=self.paper_exclusion)
-        return SCORERS[self.method](data)
+        return SCORERS[self.method](data, **{field: getattr(self, field)
+                                             for field in SCORER_SETTINGS.get(self.method, ())})
 
 
 def select_k_best(scores: FeatureScoreTable, k: int) -> list[int]:

@@ -22,11 +22,12 @@ on the screen's dtype or on BLAS threading.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import VALID_LABELS, Dataset
 from .errors import DataError
 
 OVERSAMPLERS = ("smote", "borderline_smote", "svm_smote", "adasyn", "random_over")
@@ -45,13 +46,28 @@ _MARGIN_EPOCHS = 20
 _MARGIN_LAMBDA = 1e-2
 
 
+# the plan fields that only some methods read, by method; every other method
+# reads none of them
+METHOD_SETTINGS = {"nearmiss": ("nearmiss_version", "n_ref")}
+
+
+# the class ids a target_counts key may name, as its decimal string
+_CLASS_IDS = tuple(str(c) for c in VALID_LABELS)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ResamplePlan:
     """Method, neighbor count, and target per-class counts.
 
     target_counts=None means: equalize every class up to the majority count
-    (oversamplers) or down to the minority count (nearmiss). The fields
-    after the method are keyword-only."""
+    (oversamplers) or down to the minority count (nearmiss). Otherwise it
+    maps class ids (VALID_LABELS, as integers or their decimal strings) to
+    nonnegative integer counts. The fields after the method are keyword-only;
+    METHOD_SETTINGS names the ones only some methods read."""
 
     method: str
     _: KW_ONLY
@@ -63,12 +79,17 @@ class ResamplePlan:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown resample method {self.method!r}")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        if self.nearmiss_version not in (1, 2, 3):
+        if not _integer(self.k_neighbors) or self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be an integer >= 1, got {self.k_neighbors!r}")
+        if not _integer(self.nearmiss_version) or self.nearmiss_version not in (1, 2, 3):
             raise ValueError("nearmiss_version must be 1, 2, or 3")
-        if self.n_ref < 1:
-            raise ValueError("n_ref must be >= 1")
+        if not _integer(self.n_ref) or self.n_ref < 1:
+            raise ValueError(f"n_ref must be an integer >= 1, got {self.n_ref!r}")
+        targets = self.target_counts
+        if targets is not None and not (isinstance(targets, dict) and all(
+                str(c) in _CLASS_IDS and _integer(n) and n >= 0 for c, n in targets.items())):
+            raise ValueError(f"target_counts must map class ids {list(VALID_LABELS)} to "
+                             f"nonnegative integers, got {targets!r}")
 
     def resolved_targets(self, counts: dict[int, int]) -> dict[int, int]:
         if self.target_counts is not None:
@@ -85,19 +106,6 @@ class ResamplePlan:
             if self.method in UNDERSAMPLERS and t > counts.get(c, 0):
                 raise ValueError(f"undersampler target {t} above current count for class {c}")
         return targets
-
-    def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "k_neighbors": self.k_neighbors,
-            "target_counts": None
-            if self.target_counts is None
-            else {str(c): int(n) for c, n in self.target_counts.items()},
-        }
-        if self.method == "nearmiss":
-            out["nearmiss_version"] = self.nearmiss_version
-            out["n_ref"] = self.n_ref
-        return out
 
 
 def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,

@@ -226,12 +226,13 @@ class TestCascadeClassifier:
         saved = json.loads((tmp_path / "cascade" / "cascade.json").read_text())
         assert sorted(saved) == ["n_features", "network", "scaling"]
 
-    def save_small(self, directory):
-        """Save a one-epoch, one-round cascade fitted on the toy rows."""
+    def save_small(self, directory, **network):
+        """Save a one-epoch, one-round cascade fitted on the toy rows (a
+        vanilla network unless `network` says otherwise)."""
         data = self.toy()
         padded = np.hstack([data.features, np.zeros((data.n_instances, 6))])
         save_cascade(cascade_fit(make_dataset(padded, data.labels),
-                                 network_config=dict(arch="vanilla", epochs=1),
+                                 network_config={"arch": "vanilla", "epochs": 1, **network},
                                  booster_config=dict(n_rounds=1), seed=7), directory)
 
     def test_load_from_non_cascade_directory_rejected(self, tmp_path):
@@ -245,6 +246,20 @@ class TestCascadeClassifier:
         with pytest.raises(DataError) as err:
             load_cascade(tmp_path / "cascade")
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("network, message", [
+        ({"arch": "cnn2", "kernel_size": 2}, "parameter key mismatch"),
+        ({"kernel_size": 3}, "stored shape"),
+    ], ids=["another-architecture", "another-kernel-size"])
+    def test_weights_of_another_network_are_a_data_error_naming_the_file(self, tmp_path,
+                                                                        network, message):
+        self.save_small(tmp_path / "vanilla")
+        self.save_small(tmp_path / "other", **network)
+        path = tmp_path / "vanilla" / "network.params"
+        path.write_bytes((tmp_path / "other" / "network.params").read_bytes())
+        with pytest.raises(DataError, match=message) as err:
+            load_cascade(tmp_path / "vanilla")
+        assert str(err.value).startswith(f"{path}: not the weights of a 'vanilla' network")
 
     @pytest.mark.parametrize("scaling", [
         {"minima": [0.0], "maxima": [1.0]},

@@ -1,18 +1,23 @@
 """End-to-end command-line runs against small synthetic CSV files."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from readmitlab.cli import _COMMANDS, _MODEL_DEFAULTS, _SECTIONS, main
 from readmitlab import cli
@@ -63,6 +68,23 @@ class TestArgumentHandling:
     def test_no_subcommand_is_a_config_error(self, capsys):
         assert main([]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: None, "file not found"),
+        (lambda path: path.mkdir(), "cannot be read as UTF-8 text (IsADirectoryError)"),
+        (lambda path: path.write_bytes(b'{"seed": "\xff"}'),
+         "cannot be read as UTF-8 text (UnicodeDecodeError)"),
+        (lambda path: path.write_text("{seed: 1"), "not valid JSON (Expecting property name"),
+        (lambda path: path.write_text("[1]"), "not a JSON object"),
+    ], ids=["missing", "a-directory", "not-utf8", "not-json", "not-an-object"])
+    def test_a_config_file_it_cannot_use_is_a_config_error_naming_it(self, tmp_path, capsys,
+                                                                     make, message):
+        config = tmp_path / "cfg.json"
+        make(config)
+        assert main(["ingest", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {config}: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_is_a_config_error(self, tmp_path):
         csv = write_csv(tmp_path)
@@ -369,6 +391,31 @@ class TestResample:
         assert main(["resample", "--data", str(csv), "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 1
         assert "resample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["smote", "random_under", "nearmiss"])
+    def test_nearmiss_fields_at_their_defaults_run_with_any_method(self, tmp_path, method):
+        # config.json echoes every field of the section, so the echo reruns
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"resample": {"method": method, "n_ref": 3, "nearmiss_version": 1}}))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["resample", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--config", str(tmp_path / "cfg.json"), "--out", str(first)]) == 0
+        assert json.loads((first / "config.json").read_text())["resample"] == {
+            "method": method, "k_neighbors": 5, "target_counts": None,
+            "nearmiss_version": 1, "n_ref": 3}
+        assert main(["resample", "--config", str(first / "config.json"),
+                     "--out", str(second)]) == 0
+        for name in ("config.json", "report.tsv", "report.txt"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def test_target_counts_with_class_ids_as_strings_or_integers(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"resample": {"method": "random_over", "target_counts": {"2": 20}}}))
+        out = tmp_path / "run"
+        assert main(["resample", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--write-csv", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out)]) == 0
+        assert load_dataset(out / "resampled.csv").class_counts() == {0: 18, 1: 15, 2: 20}
 
     def test_nearmiss_version_is_checked_by_the_plan(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
@@ -762,6 +809,29 @@ class TestModelSettingsCheckedUpFront:
          "architecture 'cnn2_multibranch' does not read it"),
         ("cascade", {"network": {"arch": "rnn_simple", "dropout": 0.0}},
          "invalid config field 'network.dropout': architecture 'rnn_simple' does not read it"),
+        # a constructor error names its section
+        ("train", {"model": {"kind": "forest", "n_trees": 0}},
+         "config error: invalid config field 'model': n_trees must be >= 1, got 0\n"),
+        ("cascade", {"network": {"optimizer": "bogus"}},
+         "config error: invalid config field 'network': unknown optimizer 'bogus'"),
+        ("binary-study", {"booster": {"learning_rate": 0}},
+         "config error: invalid config field 'booster': learning_rate must be positive"),
+        # a resample setting the method does not read, and a plan field that is
+        # not what the plan takes; --resample-method sets the method, smote
+        ("train", {"resample": {"n_ref": 5}},
+         "config error: invalid config field 'resample.n_ref': method 'smote' does not read it\n"),
+        ("cascade", {"resample": {"nearmiss_version": 2}},
+         "invalid config field 'resample.nearmiss_version': method 'smote' does not read it"),
+        *(("train", {"resample": {"target_counts": counts}},
+           "invalid config field 'resample': target_counts must map class ids [0, 1, 2] "
+           "to nonnegative integers") for counts in ([5], {"x": 5}, {"7": 50}, {"0": -1},
+                                                    {"1": 2.5}, {"2": True}, "5")),
+        *(("sweep", {"resample": {field: value}}, f"invalid config field 'resample': {message}")
+          for field, value, message in (
+              ("k_neighbors", 2.5, "k_neighbors must be an integer >= 1, got 2.5"),
+              ("k_neighbors", "3", "k_neighbors must be an integer >= 1, got '3'"),
+              ("nearmiss_version", True, "nearmiss_version must be 1, 2, or 3"),
+              ("n_ref", None, "n_ref must be an integer >= 1, got None"))),
     ])
     def test_a_bad_setting_fails_before_any_fold_is_resampled(
             self, tmp_path, capsys, monkeypatch, command, config, message):
@@ -1016,6 +1086,26 @@ class TestReportCommand:
         (run / "config.json").write_text(text)
         assert main(["report", "--runs", str(run), "--out", str(tmp_path / "o")]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, spoil, message", [
+        ("report.txt", lambda path: path.write_bytes(b"\xff\xfe report"),
+         "cannot be read as UTF-8 text (UnicodeDecodeError)"),
+        ("config.json", lambda path: path.write_bytes(b'{"command": "\xff"}'),
+         "cannot be read as UTF-8 text (UnicodeDecodeError)"),
+        ("config.json", lambda path: (path.unlink(), path.mkdir()),
+         "cannot be read as UTF-8 text (IsADirectoryError)"),
+        ("report.txt", lambda path: path.unlink(), "file not found"),
+    ], ids=["report-not-utf8", "config-not-utf8", "config-a-directory", "report-missing"])
+    def test_an_unreadable_run_file_is_a_data_error_naming_it(self, tmp_path, capsys, name,
+                                                               spoil, message):
+        run = tmp_path / "r"
+        assert main(["ingest", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--out", str(run)]) == 0
+        capsys.readouterr()
+        spoil(run / name)
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"data error: {run / name}: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1289,3 +1379,82 @@ class TestConfigTable:
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: readmitlab")
+
+
+# per field of the resample and select sections: its default and values in
+# range, then values out of range, a string, null and a fractional float
+RESAMPLE_GOOD = {
+    "method": ["smote", "adasyn", "borderline_smote", "svm_smote", "random_over", "nearmiss",
+               "random_under"],
+    "k_neighbors": [5, 1, 3],
+    "target_counts": [None, {"0": 24, "1": 24, "2": 24}, {"2": 9}, {"0": 5, "1": 5, "2": 5}],
+    "nearmiss_version": [1, 2, 3],
+    "n_ref": [3, 1, 6],
+}
+RESAMPLE_BAD = {
+    "method": ["mixup", None, 1.5],
+    "k_neighbors": [0, -2, "3", None, 2.5],
+    "target_counts": [{"0": -1}, [5], {"x": 5}, {"7": 50}, {"1": 2.5}, "5", 1.5],
+    "nearmiss_version": [0, 4, "2", None, 1.5],
+    "n_ref": [0, "3", None, 2.5],
+}
+SELECT_GOOD = {"method": ["chi2", "pearson", "anova_f"], "k": [1, 4, 8],
+               "paper_exclusion": [False, True]}
+SELECT_BAD = {"method": ["mutual_info", None, 1.5], "k": [0, 9, "3", None, 2.5],
+              "paper_exclusion": ["yes", None, 0.5]}
+
+
+@st.composite
+def config_sections(draw, good, bad, required):
+    """No section, or one with the `required` fields and some others, each
+    drawn from `good`; in half of them one field, or a field no section has,
+    then takes a value from `bad`."""
+    if draw(st.booleans()):
+        return None
+    section = draw(st.fixed_dictionaries(
+        {field: st.sampled_from(good[field]) for field in required},
+        optional={field: st.sampled_from(values) for field, values in good.items()
+                  if field not in required}))
+    spoiled = draw(st.one_of(st.none(), st.sampled_from(
+        [("ratio", 1), *((field, value) for field, values in bad.items() for value in values)])))
+    if spoiled is not None:
+        section[spoiled[0]] = spoiled[1]
+    return section
+
+
+class TestConfigResolverProperty:
+    # the one function-scoped fixture, no_ambient_seed, unsets READMIT_SEED,
+    # which holds for every example alike
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(resample=config_sections(RESAMPLE_GOOD, RESAMPLE_BAD, ("method",)),
+           select=config_sections(SELECT_GOOD, SELECT_BAD, ("method", "k")))
+    def test_a_run_succeeds_and_its_echo_reruns_or_fails_with_one_clean_line(
+            self, resample, select):
+        config = {key: section for key, section in (("resample", resample), ("select", select))
+                  if section is not None}
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "cfg.json").write_text(json.dumps(config))
+            argv = ["train", "--data", str(write_csv(tmp, counts={0: 24, 1: 20, 2: 16})),
+                    "--seed", "1", "--folds", "2", "--workers", "1", "--model", "gbm",
+                    "--n-rounds", "1", "--config", str(tmp / "cfg.json")]
+            first, second = tmp / "first", tmp / "second"
+            code, err = run_main(argv + ["--out", str(first)])
+            if code == 0:
+                assert run_main(["train", "--config", str(first / "config.json"),
+                                 "--out", str(second)]) == (0, "")
+                for name in ("config.json", "report.tsv", "report.txt"):
+                    assert (second / name).read_bytes() == (first / name).read_bytes()
+            else:
+                prefix = {1: "config error: ", 2: "data error: "}[code]
+                assert err.startswith(prefix) and err.count("\n") == 1, err
+                assert not first.exists()
+
+
+def run_main(argv):
+    """(exit code, stderr) of main(argv), its report on stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()

@@ -1,11 +1,14 @@
 """Univariate feature scoring (chi-square, Pearson, ANOVA F) and selection."""
 
+import re
+
 import numpy as np
 import pytest
 
 from readmitlab.errors import DataError
 from readmitlab.features import (
     SCORERS,
+    Selection,
     anova_f_scores,
     chi_square_scores,
     pearson_scores,
@@ -218,6 +221,36 @@ class TestSelectKBest:
         table = chi_square_scores(balanced_nine_instance_toy())
         with pytest.raises(ValueError, match="at least 1"):
             select_k_best(table, k)
+
+
+class TestSelection:
+    def test_paper_exclusion_reaches_pearson_alone(self):
+        # column 1 is zero-mean but varies; pearson drops it only with the flag
+        y = np.repeat([0, 1, 2], 4)
+        X = np.column_stack([y + 0.5, np.tile([-1.0, 1.0], 6)])
+        data = make_dataset(X, y)
+        table = Selection("pearson", 1, paper_exclusion=True).scores(data)
+        assert table.excluded == {1: "zero-mean"}
+        assert Selection("pearson", 1).scores(data).excluded == {}
+        # anova_f takes no such keyword; SCORER_SETTINGS keeps it from anova_f
+        table = Selection("anova_f", 1, paper_exclusion=True).scores(data)
+        assert table.scores.tobytes() == anova_f_scores(data).scores.tobytes()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"method": "mutual_info", "k": 2}, "unknown feature scorer 'mutual_info'"),
+        ({"method": None, "k": 2}, "unknown feature scorer None"),
+        ({"method": "chi2", "k": None}, "k must be an integer, got None"),
+        ({"method": "chi2", "k": 2.5}, "k must be an integer, got 2.5"),
+        ({"method": "chi2", "k": "3"}, "k must be an integer, got '3'"),
+        ({"method": "chi2", "k": True}, "k must be an integer, got True"),
+        ({"method": "pearson", "k": 2, "paper_exclusion": "yes"},
+         "paper_exclusion must be true or false, got 'yes'"),
+        ({"method": "pearson", "k": 2, "paper_exclusion": 1},
+         "paper_exclusion must be true or false, got 1"),
+    ])
+    def test_a_field_of_the_wrong_kind_is_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Selection(**fields)
 
 
 class TestPerClassStats:

@@ -1,5 +1,6 @@
 """Oversamplers (SMOTE family, ADASYN, random), NearMiss undersampling, k-NN."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -59,6 +60,32 @@ class TestResamplePlan:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             ResamplePlan("mixup")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("k_neighbors", 2.5, "k_neighbors must be an integer >= 1, got 2.5"),
+        ("k_neighbors", "5", "k_neighbors must be an integer >= 1, got '5'"),
+        ("k_neighbors", None, "k_neighbors must be an integer >= 1, got None"),
+        ("k_neighbors", 0, "k_neighbors must be an integer >= 1, got 0"),
+        ("nearmiss_version", 1.0, "nearmiss_version must be 1, 2, or 3"),
+        ("nearmiss_version", True, "nearmiss_version must be 1, 2, or 3"),
+        ("n_ref", "3", "n_ref must be an integer >= 1, got '3'"),
+        ("n_ref", 2.5, "n_ref must be an integer >= 1, got 2.5"),
+        ("n_ref", False, "n_ref must be an integer >= 1, got False")])
+    def test_a_count_that_is_not_a_valid_integer_is_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ResamplePlan("nearmiss", **{field: value})
+
+    @pytest.mark.parametrize("targets", [
+        [5], {"x": 5}, {"7": 50}, {3: 5}, {-1: 5}, {1.0: 5}, {"01": 5}, {0: -1}, {0: 2.5},
+        {0: True}, {0: "5"}, {0: None}, "5", 5])
+    def test_target_counts_that_are_not_class_counts_are_rejected(self, targets):
+        with pytest.raises(ValueError, match="target_counts must map class ids"):
+            ResamplePlan("smote", target_counts=targets)
+
+    def test_target_counts_take_class_ids_as_integers_or_strings(self):
+        counts = {0: 5, 1: 3, 2: 2}
+        plan = ResamplePlan("smote", target_counts={0: 5, "1": 4, np.int64(2): 6})
+        assert plan.resolved_targets(counts) == {0: 5, 1: 4, 2: 6}
 
 
 class TestOversamplers:

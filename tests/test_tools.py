@@ -1,0 +1,50 @@
+"""tools/code_lines.py: which lines of a Python file count as code."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(code_lines)
+
+
+@pytest.mark.parametrize("source, count", [
+    ("", 0),
+    ("x = 1\n", 1),
+    # blank lines and comments, whole-line or trailing, add nothing
+    ("\n\n# a comment\nx = 1  # trailing\n\n    \n", 1),
+    # module, class and function docstrings, one line or many, add nothing
+    ('"""Module.\n\nMore.\n"""\n\nx = 1\n', 1),
+    ('class A:\n    """One line."""\n\n    y = 2\n', 2),
+    ('def f():\n    """First.\n\n    Second.\n    """\n    return 1\n', 2),
+    ('async def f():\n    """Doc."""\n    return 1\n', 2),
+    # a statement over several lines counts once per line
+    ("x = f(\n    1,\n    2,\n)\n", 4),
+    ("if (a and\n        b):\n    pass\n", 3),
+    # a string that is not a docstring counts every line it spans
+    ('x = """one\ntwo\n\nfour"""\n', 4),
+    ('def f():\n    x = 1\n    """not a docstring:\n    it follows code"""\n', 4),
+    # a comment inside a bracketed statement adds nothing
+    ("x = [\n    # first\n    1,\n]\n", 3),
+])
+def test_code_lines(source, count):
+    assert code_lines.code_lines(source) == count
+
+
+def test_main_prints_each_file_and_the_total(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text('"""Doc."""\nx = 1\n')
+    (tmp_path / "pkg" / "b.py").write_text("y = (\n    2)\n# note\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("z = 3\n")
+    assert code_lines.main([str(tmp_path / "pkg")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["1", str(tmp_path / "pkg" / "a.py")], ["2", str(tmp_path / "pkg" / "b.py")], ["3"]]
+
+
+def test_main_without_paths_prints_usage(capsys):
+    assert code_lines.main([]) == 2
+    assert "Usage:" in capsys.readouterr().err
