@@ -11,9 +11,13 @@ other config field is a config error. One rule covers a setting that the
 chosen method or architecture never reads: it may hold only its default. The
 module of each settings class keeps the table of who reads what
 (nn.ARCHITECTURE_SETTINGS: a network's kernel_size and dropout;
-resample.METHOD_SETTINGS: nearmiss_version and n_ref, read by nearmiss;
+resample.METHOD_SETTINGS: k_neighbors, read by the four synthesizing
+oversamplers, and nearmiss_version and n_ref, read by nearmiss;
 features.SCORER_SETTINGS: paper_exclusion, read by pearson), and _merge
-applies the rule to every section. Every run needs an output directory;
+applies the rule to every section. In a config file, a section is a JSON
+object and a field that has a flag holds what the flag would give (_VALUES),
+or null where the field has no default; _resolve checks both before the
+data load. Every run needs an output directory;
 every command but report also needs a seed (--seed flag, config "seed", or
 the READMIT_SEED environment variable) and an input CSV (--data or config
 "dataset"). A run writes three files: config.json (the resolved config
@@ -71,7 +75,7 @@ from .data import (DEFAULT_CLASS_NAMES, Dataset, dataset_sha256, load_dataset,
                    save_dataset_csv, stratified_kfold, stratified_subsample)
 from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, is_integer
 from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics
 from .features import SCORER_SETTINGS, SCORERS, Selection, per_class_stats, select_k_best
 from .models import MODEL_KINDS, MODELS, NetworkClassifier, make_builder
@@ -244,14 +248,34 @@ def _json_object(path: Path, error) -> dict:
     return payload
 
 
+# what a config file's value must be for a section (dict), a switch (bool)
+# and a flag of type int or float: (its description, its test)
+_VALUES = {
+    dict: ("a JSON object", lambda value: isinstance(value, dict)),
+    bool: ("a JSON boolean", lambda value: isinstance(value, bool)),
+    int: ("an integer", is_integer),
+    float: ("a number", lambda value: is_integer(value) or isinstance(value, float)),
+}
+
+
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
-    """Merge defaults <- config file <- flags into one resolved config dict."""
+    """Merge defaults <- config file <- flags into one resolved config dict.
+    In the config file, a section is a JSON object and a flag's top-level
+    field holds what the flag would give (see _VALUES); null is allowed
+    where the field has no default, and leaves it unset."""
     options = _options(command)
     fields = {path[0] for _, path, _, _ in options}
     cfg = {} if args.config is None else _json_object(Path(args.config), ConfigError)
     for key in cfg:
         if key not in fields:
             raise ConfigError(f"invalid config field {key!r}")
+    for _, (name, *section), kwargs, default in options:
+        kind = dict if section else bool if "action" in kwargs else kwargs.get("type")
+        if name in cfg and kind in _VALUES and not (cfg[name] is None and default is None):
+            noun, valid = _VALUES[kind]
+            if not valid(cfg[name]):
+                raise ConfigError(f"invalid config field {name!r}: "
+                                  f"{json.dumps(cfg[name])} is not {noun}")
 
     for flag, path, _, _ in options:
         # argparse keeps a flag's value under its name, dashes as underscores
@@ -266,16 +290,14 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
 
     if "runs" in fields and not cfg.get("runs"):
         raise ConfigError("report needs --runs (or config field 'runs')")
-    if "seed" in fields:
-        if "seed" not in cfg:
-            env = os.environ.get("READMIT_SEED")
-            if env is None:
-                raise ConfigError("a seed is required: --seed, config 'seed', or READMIT_SEED")
-            try:
-                cfg["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"READMIT_SEED must be an integer, got {env!r}")
-        cfg["seed"] = int(cfg["seed"])
+    if "seed" in fields and cfg.get("seed") is None:
+        env = os.environ.get("READMIT_SEED")
+        if env is None:
+            raise ConfigError("a seed is required: --seed, config 'seed', or READMIT_SEED")
+        try:
+            cfg["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"READMIT_SEED must be an integer, got {env!r}")
     if "dataset" in fields and not cfg.get("dataset"):
         raise ConfigError("an input CSV is required: --data or config 'dataset'")
 
@@ -288,12 +310,8 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
         if not 0.0 < fraction <= 1.0:
             raise ConfigError(f"invalid config field 'fraction': {fraction} outside (0, 1]")
         cfg["fraction"] = fraction
-    if cfg.get("workers") is not None:
-        cfg["workers"] = int(cfg["workers"])
-        if cfg["workers"] < 1:
-            raise ConfigError(f"invalid config field 'workers': {cfg['workers']} below 1")
-    if cfg.get("folds") is not None:
-        cfg["folds"] = int(cfg["folds"])
+    if cfg.get("workers") is not None and cfg["workers"] < 1:
+        raise ConfigError(f"invalid config field 'workers': {cfg['workers']} below 1")
 
     out = cfg.pop("out")
     if not out:
@@ -420,12 +438,11 @@ def _load_data(cfg: dict, report: RunReport) -> Dataset:
     return data
 
 
-def _class_counts_rows(data: Dataset) -> list[list[str]]:
-    counts = data.class_counts()
-    total = data.n_instances
-    return [[str(c), DEFAULT_CLASS_NAMES.get(c, str(c)), str(n),
-             format_percent(n / total)]
-            for c, n in sorted(counts.items())]
+def _add_class_balance(report: RunReport, title: str, data: Dataset) -> None:
+    report.add_table(title, ["class", "name", "count", "share_pct"],
+                     [[str(c), DEFAULT_CLASS_NAMES.get(c, str(c)), str(n),
+                       format_percent(n / data.n_instances)]
+                      for c, n in sorted(data.class_counts().items())])
 
 
 def _add_cv_sections(report: RunReport, result, title: str) -> None:
@@ -445,8 +462,7 @@ def _add_cv_sections(report: RunReport, result, title: str) -> None:
 
 def _cmd_ingest(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     _fit_all(cfg, data, FoldPipeline(cfg["normalize"]), report)  # for its scaling note
-    report.add_table("class balance", ["class", "name", "count", "share_pct"],
-                     _class_counts_rows(data))
+    _add_class_balance(report, "class balance", data)
 
 
 def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
@@ -510,12 +526,9 @@ def _cmd_resample(cfg: dict, data: Dataset, report: RunReport, out: Path) -> Non
     plan = _resample_plan(cfg)
     if plan is None:
         raise ConfigError("resample needs a plan: --resample-method or config 'resample'")
-    report.add_table("class balance before", ["class", "name", "count", "share_pct"],
-                     _class_counts_rows(data))
+    _add_class_balance(report, "class balance before", data)
     resampled = _fit_all(cfg, data, FoldPipeline(cfg["normalize"], resample=plan), report)
-    report.add_table("class balance after", ["class", "name", "count", "share_pct"],
-                     _class_counts_rows(resampled))
-    cfg["write_csv"] = bool(cfg.get("write_csv"))
+    _add_class_balance(report, "class balance after", resampled)
     if cfg["write_csv"]:
         out.mkdir(parents=True, exist_ok=True)
         save_dataset_csv(resampled, out / "resampled.csv")
@@ -576,7 +589,6 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
     network = _model_section(cfg, "network", MODELS["network"])
     booster = _model_section(cfg, "booster", MODELS["gbm"])
     _check_width("network", network, data.n_features)
-    cfg["save_model"] = bool(cfg.get("save_model"))
     # the saved cascade is fitted on all rows, in both modes scaled by their
     # own minima and maxima: the raw rows', before paper mode maps them
     scaling = None
@@ -647,7 +659,7 @@ _COMMANDS = {
     )),
     "resample": (_cmd_resample, "rebalance classes and report the counts", (
         _DATA, _RESAMPLE,
-        (_opt("--write-csv", "write_csv", action="store_true",
+        (_opt("--write-csv", "write_csv", False, action="store_true",
               help="write the resampled rows as resampled.csv in the output dir"),),
     )),
     "train": (_cmd_train, "cross-validate one model configuration", (
@@ -661,7 +673,7 @@ _COMMANDS = {
     "cascade": (_cmd_cascade, "network + binary booster two-stage pipeline", (
         _DATA, _CV, _model_opts("network", _SECTIONS["network"]),
         _model_opts("booster", ("n_rounds", "max_depth")), _RESAMPLE,
-        (_opt("--save-model", "save_model", action="store_true",
+        (_opt("--save-model", "save_model", False, action="store_true",
               help="persist the cascade fitted on the full dataset"),),
     )),
     "binary-study": (_cmd_binary_study,

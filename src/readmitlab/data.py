@@ -133,7 +133,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ScalingSpec:
-    """Per-column min/max observed on a fit set; `degenerate` marks constant columns."""
+    """Per-column min/max observed on a fit set; `degenerate` marks constant
+    columns. A column whose max - min overflows float64 cannot be scaled: a
+    DataError names it."""
 
     feature_names: tuple[str, ...]
     minima: np.ndarray
@@ -142,6 +144,13 @@ class ScalingSpec:
     def __post_init__(self):
         if np.any(self.maxima < self.minima):
             raise DataError("scaling spec has max < min")
+        with np.errstate(over="ignore"):
+            overflows = np.flatnonzero(np.isinf(self.maxima - self.minima))
+        if overflows.size:
+            i = overflows[0]
+            raise DataError(f"column {self.feature_names[i]!r} cannot be min-max scaled: its "
+                            f"range {float(self.minima[i])} to {float(self.maxima[i])} "
+                            "overflows float64")
 
     @property
     def degenerate_columns(self) -> tuple[int, ...]:

@@ -96,7 +96,8 @@ def cascade_fit(train: Dataset, network_config: dict, booster_config: dict,
 class CascadeReport:
     """Combined two-stage evaluation.
 
-    accuracy = (stage-1 hits on the accepted class + stage-2 hits) / total.
+    accuracy = (stage-1 hits on the accepted class + stage-2 hits) / total,
+    where total is stage 1's.
     The combined confusion matrix keeps the stage-1 accepted row and embeds
     the stage-2 matrix in the outer rows; cells the two stages cannot account
     for stay zero, and any count inconsistency is listed in warnings rather
@@ -111,16 +112,15 @@ class CascadeReport:
     warnings: tuple[str, ...]
 
 
-def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix,
-                     total: int | None = None,
+def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix, *,
                      claimed_accuracy_pct: float | None = None) -> CascadeReport:
     """Combine the confusion matrices of the two stages: stage 1 over every
     class, stage 2 over the classes other than ACCEPT_CLASS.
 
-    total overrides the denominator when the source tables disagree about the
-    instance count (the disagreement is then reported in warnings).
-    claimed_accuracy_pct, when given, is compared against the computed value
-    and annotated if it differs.
+    The accuracy's denominator is stage 1's total. A stage-2 total other than
+    the rows stage 1 routed past ACCEPT_CLASS is reported in warnings.
+    claimed_accuracy_pct, when given (by keyword only), is compared against
+    the computed value and annotated if it differs.
     """
     if ACCEPT_CLASS not in stage1.class_ids:
         raise ValueError(f"accept class {ACCEPT_CLASS} missing from stage-1 classes")
@@ -129,20 +129,17 @@ def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix,
         raise ValueError(
             f"stage-2 classes {stage2.class_ids} must be the outer classes {outer}"
         )
-    pos1 = {c: i for i, c in enumerate(stage1.class_ids)}
-    accept = pos1[ACCEPT_CLASS]
+    accept = stage1.class_ids.index(ACCEPT_CLASS)
     accept_row = stage1.counts[accept]
 
     combined = np.zeros_like(stage1.counts)
     combined[accept] = accept_row
-    for i, ci in enumerate(stage2.class_ids):
-        for j, cj in enumerate(stage2.class_ids):
-            combined[pos1[ci], pos1[cj]] = stage2.counts[i, j]
+    at = [stage1.class_ids.index(c) for c in stage2.class_ids]
+    combined[np.ix_(at, at)] = stage2.counts
     combined_cm = ConfusionMatrix(combined, stage1.class_ids)
 
     correct = int(accept_row[accept]) + stage2.correct
-    resolved_total = stage1.total if total is None else int(total)
-    accuracy = correct / resolved_total if resolved_total else 0.0
+    accuracy = correct / stage1.total if stage1.total else 0.0
 
     warnings = []
     routed = stage1.total - int(accept_row.sum())
@@ -150,10 +147,6 @@ def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix,
         warnings.append(
             f"stage-2 total {stage2.total} differs from the {routed} rows "
             f"stage 1 routed past class {ACCEPT_CLASS}"
-        )
-    if total is not None and total != combined_cm.total:
-        warnings.append(
-            f"stated total {total} differs from the combined matrix total {combined_cm.total}"
         )
     if claimed_accuracy_pct is not None:
         computed_pct = 100.0 * accuracy
@@ -165,7 +158,7 @@ def cascade_evaluate(stage1: ConfusionMatrix, stage2: ConfusionMatrix,
 
     base = metrics(combined_cm)
     report = replace(base, accuracy=accuracy, notes=base.notes + tuple(warnings))
-    return CascadeReport(accuracy=accuracy, correct=correct, total=resolved_total,
+    return CascadeReport(accuracy=accuracy, correct=correct, total=stage1.total,
                          combined=combined_cm, report=report,
                          warnings=tuple(warnings))
 

@@ -1,8 +1,11 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the one check of a
+count setting.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
 DataError -> 2, NumericError -> 3.
 """
+
+import numbers
 
 
 class ConfigError(Exception):
@@ -15,3 +18,15 @@ class DataError(Exception):
 
 class NumericError(Exception):
     """Numeric failure during training (non-finite loss)."""
+
+
+def is_integer(value) -> bool:
+    """An integer setting's type: any integral number but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """A count setting `name` must be an integer of at least `least`; a
+    ValueError otherwise."""
+    if not is_integer(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

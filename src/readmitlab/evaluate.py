@@ -83,17 +83,15 @@ class ConfusionMatrix:
         predicted = np.asarray(predicted)
         if actual.shape != predicted.shape:
             raise ValueError("actual and predicted must have the same length")
-        ids = np.asarray(class_ids)
-        order = np.argsort(ids)
 
         def positions(labels: np.ndarray) -> np.ndarray:
-            slot = np.searchsorted(ids[order], labels)
-            bad = (slot >= len(ids)) | (ids[order][np.minimum(slot, len(ids) - 1)] != labels)
-            if bad.any():
-                raise DataError(
-                    f"label {labels[bad][0]} outside class_ids {class_ids}"
-                )
-            return order[slot]
+            """Each label's first index in class_ids."""
+            match = labels[:, None] == np.asarray(class_ids)
+            known = match.any(axis=1)
+            if not known.all():
+                raise DataError(f"label {labels[~known][0]} outside class_ids {class_ids}")
+            # argmax fails on no class ids, which leaves no label to place
+            return match.argmax(axis=1) if match.size else np.zeros(0, dtype=np.intp)
 
         k = len(class_ids)
         counts = np.zeros((k, k), dtype=np.int64)
@@ -385,9 +383,9 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
     """Score every output the jobs fit on each fold's training split.
 
     Each fold is prepared by `pipeline` fitted on its training split alone,
-    which maps its held-out split too; a ValueError of that fit, which
-    depends on the fold's rows, is a DataError naming the fold. Fold f's
-    seed is folds.seed + f, derived here and nowhere else: the pipeline
+    which maps its held-out split too; a ValueError or DataError of that
+    fit, which depends on the fold's rows, is a DataError naming the fold.
+    Fold f's seed is folds.seed + f, derived here and nowhere else: the pipeline
     resamples with it and every job fits with it, so folds stay independent
     but reproducible. Each job is a fit_predict(seed, train, test) returning
     one predicted-label array per output for the held-out rows; the result
@@ -419,7 +417,7 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
             try:
                 held[fold] = pipeline.fit(data.take(folds.train_indices(fold)), seed,
                                           data.take(folds.test_indices(fold)))
-            except ValueError as exc:  # such as a k beyond the columns this fold can score
+            except (ValueError, DataError) as exc:  # such as a k beyond the fold's columns
                 raise DataError(f"training fold {fold}: {exc}") from None
         return held[fold]
 

@@ -6,17 +6,15 @@ instead of a score; ranks cover the non-excluded features only.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError
+from .errors import DataError, is_integer
 
 EXCLUDE_ZERO_VARIANCE = "zero-variance"
 EXCLUDE_ZERO_MEAN = "zero-mean"
-EXCLUDE_NEGATIVE = "negative-input"
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ class Selection:
     def __post_init__(self):
         if self.method not in SCORERS:
             raise ValueError(f"unknown feature scorer {self.method!r}")
-        if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool):
+        if not is_integer(self.k):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if not isinstance(self.paper_exclusion, bool):
             raise ValueError("paper_exclusion must be true or false, "

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_count
 from .optim import make_optimizer
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,7 @@ class Conv1d(Layer):
 
     @staticmethod
     def check_kernel(kernel: int) -> None:
-        if kernel < 1:
-            raise ValueError("kernel must be >= 1")
+        check_count("kernel", kernel, 1)
 
     def out_length(self, length: int) -> int:
         if length < self.kernel:
@@ -502,6 +501,13 @@ def _conv_head(flat: int, rng, *, dropout: float, wide: bool) -> list[Layer]:
     return layers
 
 
+def _convs(channels: tuple[int, ...], kernel: int, rng) -> list[Layer]:
+    """A Conv1d of width `kernel` and a ReLU for each step between
+    consecutive channel counts."""
+    return [layer for c_in, c_out in zip(channels, channels[1:])
+            for layer in (Conv1d(c_in, c_out, kernel, rng), Relu())]
+
+
 def _stem_width(arch: str, n_features: int, stem: list[Layer]) -> int:
     """Width of the stem's flattened output, found by passing one zero row
     through it, so each layer's out_length stays the only length rule."""
@@ -541,24 +547,14 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
         layers += [LastStep(), Dense(RNN_HIDDEN, 3, rng)]
         return Network(layers, dtype)
 
-    if arch == "vanilla":
-        k = 2 if kernel_size is None else kernel_size
-        stem = [AsSequence(),
-                Conv1d(1, 8, k, rng), Relu(),
-                Conv1d(8, 16, k, rng), Relu(),
-                MaxPool1d(2)]
+    if arch == "cnn2_multibranch":
+        convs: list[Layer] = [Parallel([_convs((1, 8, 16), k, rng) for k in (3, 5)])]
+    elif arch == "vanilla":
+        convs = _convs((1, 8, 16), 2 if kernel_size is None else kernel_size, rng)
         dropout = 0.0  # the vanilla head has no dropout layers
-    elif arch == "cnn2_multibranch":
-        branches = [[Conv1d(1, 8, k, rng), Relu(), Conv1d(8, 16, k, rng), Relu()]
-                    for k in (3, 5)]
-        stem = [AsSequence(), Parallel(branches), MaxPool1d(2)]
     else:
-        k = 4 if kernel_size is None else kernel_size
-        stem = [AsSequence(),
-                Conv1d(1, 8, k, rng), Relu(),
-                Conv1d(8, 16, k, rng), Relu(),
-                Conv1d(16, 32, k, rng), Relu(),
-                MaxPool1d(2)]
+        convs = _convs((1, 8, 16, 32), 4 if kernel_size is None else kernel_size, rng)
+    stem = [AsSequence(), *convs, MaxPool1d(2)]
     head = _conv_head(_stem_width(arch, n_features, stem), rng, dropout=dropout,
                       wide=(arch == "cnn2_wide"))
     return Network(stem + head, dtype)
@@ -576,8 +572,8 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        check_count("epochs", self.epochs, 1)
+        check_count("batch_size", self.batch_size, 1)
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         make_optimizer(self.optimizer, self.learning_rate)  # an unknown name fails here

@@ -22,13 +22,12 @@ on the screen's dtype or on BLAS threading.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from .data import VALID_LABELS, Dataset
-from .errors import DataError
+from .errors import DataError, check_count, is_integer
 
 OVERSAMPLERS = ("smote", "borderline_smote", "svm_smote", "adasyn", "random_over")
 UNDERSAMPLERS = ("nearmiss", "random_under")
@@ -48,15 +47,13 @@ _MARGIN_LAMBDA = 1e-2
 
 # the plan fields that only some methods read, by method; every other method
 # reads none of them
-METHOD_SETTINGS = {"nearmiss": ("nearmiss_version", "n_ref")}
+METHOD_SETTINGS = {**dict.fromkeys(("smote", "borderline_smote", "svm_smote", "adasyn"),
+                                   ("k_neighbors",)),
+                   "nearmiss": ("nearmiss_version", "n_ref")}
 
 
 # the class ids a target_counts key may name, as its decimal string
 _CLASS_IDS = tuple(str(c) for c in VALID_LABELS)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,15 +76,13 @@ class ResamplePlan:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown resample method {self.method!r}")
-        if not _integer(self.k_neighbors) or self.k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be an integer >= 1, got {self.k_neighbors!r}")
-        if not _integer(self.nearmiss_version) or self.nearmiss_version not in (1, 2, 3):
+        check_count("k_neighbors", self.k_neighbors, 1)
+        if not is_integer(self.nearmiss_version) or self.nearmiss_version not in (1, 2, 3):
             raise ValueError("nearmiss_version must be 1, 2, or 3")
-        if not _integer(self.n_ref) or self.n_ref < 1:
-            raise ValueError(f"n_ref must be an integer >= 1, got {self.n_ref!r}")
+        check_count("n_ref", self.n_ref, 1)
         targets = self.target_counts
         if targets is not None and not (isinstance(targets, dict) and all(
-                str(c) in _CLASS_IDS and _integer(n) and n >= 0 for c, n in targets.items())):
+                str(c) in _CLASS_IDS and is_integer(n) and n >= 0 for c, n in targets.items())):
             raise ValueError(f"target_counts must map class ids {list(VALID_LABELS)} to "
                              f"nonnegative integers, got {targets!r}")
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_count, is_integer
 
 MIN_GAIN = 1e-12  # smallest SSE reduction a split must beat
 MAX_BINS = 256  # most bins a feature column is cut into
@@ -224,13 +224,18 @@ def _grow(X: np.ndarray, binned: tuple, Y: np.ndarray, leaf_value, max_depth: fl
     return root
 
 
-def _check_tree_limits(max_depth: int | None, min_samples_leaf: int) -> None:
-    """A depth limit below 0 or a leaf size below 1 is a ValueError; None
-    leaves the depth unlimited."""
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    if min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+def _check_tree_limits(max_depth: int | None, min_samples_leaf: int,
+                       features_per_split: int | str = "all") -> None:
+    """A depth limit other than None (unlimited) or an integer >= 0, a leaf
+    size other than an integer >= 1 and a features_per_split other than
+    "sqrt", "all" or an integer >= 1 are ValueErrors."""
+    if max_depth is not None:
+        check_count("max_depth", max_depth, 0)
+    check_count("min_samples_leaf", min_samples_leaf, 1)
+    if features_per_split not in ("sqrt", "all") and not (
+            is_integer(features_per_split) and features_per_split >= 1):
+        raise ValueError('features_per_split must be "sqrt", "all" or an integer >= 1, '
+                         f"got {features_per_split!r}")
 
 
 class RegressionTree:
@@ -286,7 +291,7 @@ class ClassificationTree:
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1,
                  features_per_split: int | str = "all",
                  rng: np.random.Generator | None = None):
-        _check_tree_limits(max_depth, min_samples_leaf)
+        _check_tree_limits(max_depth, min_samples_leaf, features_per_split)
         self.max_depth = math.inf if max_depth is None else max_depth
         self.min_samples_leaf = min_samples_leaf
         self.features_per_split = features_per_split
@@ -299,7 +304,7 @@ class ClassificationTree:
             return p
         if self.features_per_split == "sqrt":
             return max(1, math.isqrt(p))
-        m = int(self.features_per_split)
+        m = self.features_per_split
         if not 1 <= m <= p:
             raise ValueError(f"features_per_split {m} outside [1, {p}]")
         return m
@@ -346,9 +351,8 @@ class RandomForest:
     def __init__(self, n_trees: int = 100, max_depth: int | None = None,
                  min_samples_leaf: int = 1, features_per_split: int | str = "sqrt",
                  seed: int = 0, bootstrap: bool = True):
-        if n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-        _check_tree_limits(max_depth, min_samples_leaf)
+        check_count("n_trees", n_trees, 1)
+        _check_tree_limits(max_depth, min_samples_leaf, features_per_split)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -437,8 +441,7 @@ class GradientBoostedClassifier:
 
     def __init__(self, n_rounds: int = 100, learning_rate: float = 0.1,
                  max_depth: int = 3, min_samples_leaf: int = 1):
-        if n_rounds < 0:
-            raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
+        check_count("n_rounds", n_rounds, 0)
         if not learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         _check_tree_limits(max_depth, min_samples_leaf)

@@ -139,6 +139,14 @@ class TestCascadeEvaluate:
         assert report.correct == 20 + 15 + 15
         assert report.accuracy == pytest.approx(50 / 60, abs=1e-12)
 
+    def test_the_claim_is_keyword_only_and_the_total_is_stage_1s(self):
+        stage1, stage2 = reference_matrices()
+        with pytest.raises(TypeError):
+            cascade_evaluate(stage1, stage2, 64.94)
+        with pytest.raises(TypeError):
+            cascade_evaluate(stage1, stage2, total=106880)
+        assert cascade_evaluate(stage1, stage2).total == stage1.total
+
     def test_accept_class_must_be_in_stage1(self):
         _, stage2 = reference_matrices()
         stage1 = ConfusionMatrix(np.array([[5, 1], [2, 6]]), (0, 2))

@@ -28,6 +28,7 @@ from readmitlab.ensemble import cascade_fit, load_cascade
 from readmitlab.errors import DataError, NumericError
 from readmitlab.models import NetworkClassifier
 from readmitlab.resample import ResamplePlan
+from readmitlab.synth import synthetic_cohort
 from readmitlab.trees import GradientBoostedClassifier, RandomForest
 
 from helpers import ProcessLog, blob_dataset, make_dataset
@@ -578,8 +579,21 @@ class TestWorkerFailures:
         assert outcomes["1"] == outcomes["2"] == (code, f"{kind}: network with seed 1 failed\n")
         assert {v["pid"] for v in pids.read()} - {caller}
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_resampler_data_error_names_its_fold(self, tmp_path, capsys, workers):
+        csv = tmp_path / "cohort.csv"
+        save_dataset_csv(synthetic_cohort(90, 8, seed=2), csv)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"resample": {"method": "borderline_smote", "k_neighbors": 1}}))
+        assert main(["train", "--data", str(csv), "--seed", "1", "--model", "gbm",
+                     "--n-rounds", "2", "--folds", "2", "--workers", workers,
+                     "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "data error: training fold 0: borderline_smote: class 1 has no danger points; "
+            "cannot synthesize\n")
+
     @pytest.mark.parametrize("fold_0_fit_fails, code, err", [
-        (False, 2, "data error: fold 1 could not be resampled\n"),
+        (False, 2, "data error: training fold 1: fold 1 could not be resampled\n"),
         (True, 3, "numeric failure: network with seed 1 failed\n"),
     ], ids=["preparing", "fitting-an-earlier-fold"])
     def test_the_lowest_fold_fails_first_whether_preparing_or_fitting(
@@ -780,13 +794,16 @@ class TestModelSettingsCheckedUpFront:
         ("train", {"model": {"arch": "vanilla", "optimizer": "bogus"}},
          "unknown optimizer 'bogus'"),
         ("train", {"model": {"arch": "bogus"}}, "unknown architecture 'bogus'"),
-        ("train", {"model": {"kind": "gbm", "n_rounds": -1}}, "n_rounds must be >= 0, got -1"),
+        ("train", {"model": {"kind": "gbm", "n_rounds": -1}},
+         "n_rounds must be an integer >= 0, got -1"),
         ("cascade", {"network": {"arch": "bogus"}}, "unknown architecture 'bogus'"),
-        ("cascade", {"booster": {"max_depth": -1}}, "max_depth must be >= 0, got -1"),
+        ("cascade", {"booster": {"max_depth": -1}}, "max_depth must be an integer >= 0, got -1"),
         ("sweep", {"grid": {"epochs": [1], "learning_rate": [1e-2, 0.0], "batch_size": [16]}},
          "learning_rate must be positive"),
-        ("binary-study", {"booster": {"n_rounds": -1}}, "n_rounds must be >= 0, got -1"),
-        ("train", {"model": {"arch": "vanilla", "kernel_size": 0}}, "kernel must be >= 1"),
+        ("binary-study", {"booster": {"n_rounds": -1}},
+         "n_rounds must be an integer >= 0, got -1"),
+        ("train", {"model": {"arch": "vanilla", "kernel_size": 0}},
+         "kernel must be an integer >= 1, got 0"),
         ("train", {"model": {"arch": "cnn2", "dropout": 1.5}},
          "dropout rate must be in [0, 1)"),
         # a kernel_size or dropout the architecture does not read
@@ -811,7 +828,7 @@ class TestModelSettingsCheckedUpFront:
          "invalid config field 'network.dropout': architecture 'rnn_simple' does not read it"),
         # a constructor error names its section
         ("train", {"model": {"kind": "forest", "n_trees": 0}},
-         "config error: invalid config field 'model': n_trees must be >= 1, got 0\n"),
+         "config error: invalid config field 'model': n_trees must be an integer >= 1, got 0\n"),
         ("cascade", {"network": {"optimizer": "bogus"}},
          "config error: invalid config field 'network': unknown optimizer 'bogus'"),
         ("binary-study", {"booster": {"learning_rate": 0}},
@@ -832,6 +849,25 @@ class TestModelSettingsCheckedUpFront:
               ("k_neighbors", "3", "k_neighbors must be an integer >= 1, got '3'"),
               ("nearmiss_version", True, "nearmiss_version must be 1, 2, or 3"),
               ("n_ref", None, "n_ref must be an integer >= 1, got None"))),
+        # a count that is not an integer, and a features_per_split that is
+        # none of its three forms
+        ("train", {"model": {"kind": "gbm", "n_rounds": 2.5}},
+         "config error: invalid config field 'model': "
+         "n_rounds must be an integer >= 0, got 2.5\n"),
+        ("train", {"model": {"kind": "network", "arch": "vanilla", "batch_size": 8.5}},
+         "config error: invalid config field 'model': "
+         "batch_size must be an integer >= 1, got 8.5\n"),
+        ("train", {"model": {"kind": "forest", "features_per_split": "bogus"}},
+         "config error: invalid config field 'model': features_per_split must be \"sqrt\", "
+         "\"all\" or an integer >= 1, got 'bogus'\n"),
+        ("train", {"model": {"kind": "forest", "n_trees": True}},
+         "invalid config field 'model': n_trees must be an integer >= 1, got True"),
+        ("cascade", {"network": {"epochs": 1.0}},
+         "invalid config field 'network': epochs must be an integer >= 1, got 1.0"),
+        ("cascade", {"booster": {"max_depth": 2.5}},
+         "invalid config field 'booster': max_depth must be an integer >= 0, got 2.5"),
+        ("binary-study", {"booster": {"min_samples_leaf": "1"}},
+         "invalid config field 'booster': min_samples_leaf must be an integer >= 1, got '1'"),
     ])
     def test_a_bad_setting_fails_before_any_fold_is_resampled(
             self, tmp_path, capsys, monkeypatch, command, config, message):
@@ -944,6 +980,15 @@ class TestNonFiniteInput:
         assert "data error" in err
         assert f"line 6: non-finite cell '{cell}' in column 'f01'" in err
         assert not out.exists()
+
+    def test_a_column_whose_range_overflows_is_a_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "wide.csv"
+        csv.write_text("a,b,readmitted\n-1e308,1,0\n1e308,2,1\n0,3,2\n1,4,0\n")
+        assert main(["ingest", "--data", str(csv), "--seed", "1",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "data error: column 'a' cannot be min-max scaled: "
+            "its range -1e+308 to 1e+308 overflows float64\n")
 
     @pytest.mark.parametrize("label", ["inf", "1e400"])
     def test_infinite_label_is_a_data_error(self, tmp_path, capsys, label):
@@ -1151,9 +1196,8 @@ SAME_BY_FLAGS_OR_CONFIG = [
       "--k-neighbors", "2"],
      [{"select": {"method": "anova_f", "k": 4},
        "resample": {"method": "smote", "k_neighbors": 2}}]),
-    ("resample", [], ["--resample-method", "nearmiss", "--nearmiss-version", "3",
-                      "--k-neighbors", "4"],
-     [{"resample": {"method": "nearmiss", "nearmiss_version": 3, "k_neighbors": 4}}]),
+    ("resample", [], ["--resample-method", "nearmiss", "--nearmiss-version", "3"],
+     [{"resample": {"method": "nearmiss", "nearmiss_version": 3}}]),
     ("train", ["--workers", "1", "--folds", "2"],
      ["--model", "gbm", "--n-rounds", "3", "--max-depth", "2"],
      [{"model": {"kind": "gbm", "n_rounds": 3, "max_depth": 2}}]),
@@ -1320,6 +1364,13 @@ class TestConfigTable:
          "resample.nearmiss_version"),
         ("train", ["--model", "gbm"], {"resample": {"method": "random_under", "n_ref": 5}},
          "resample.n_ref"),
+        # k_neighbors, which only the four synthesizing oversamplers read
+        ("resample", [], {"resample": {"method": "random_over", "k_neighbors": 9}},
+         "resample.k_neighbors"),
+        ("resample", ["--resample-method", "nearmiss", "--k-neighbors", "4"], None,
+         "resample.k_neighbors"),
+        ("train", ["--model", "gbm"], {"resample": {"method": "random_under", "k_neighbors": 2}},
+         "resample.k_neighbors"),
     ])
     def test_field_a_command_does_not_use_is_named(self, tmp_path, capsys, command, flags,
                                                    config, field):
@@ -1420,6 +1471,91 @@ def config_sections(draw, good, bad, required):
     if spoiled is not None:
         section[spoiled[0]] = spoiled[1]
     return section
+
+
+class TestConfigValueTypes:
+    """A config file's top-level value is what its flag would give, and a
+    section is a JSON object; anything else fails before the data load."""
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("train", {"paper_mode": "false"}, "'paper_mode': \"false\" is not a JSON boolean"),
+        ("train", {"paper_mode": None}, "'paper_mode': null is not a JSON boolean"),
+        ("cascade", {"save_model": "false"}, "'save_model': \"false\" is not a JSON boolean"),
+        ("resample", {"write_csv": 1}, "'write_csv': 1 is not a JSON boolean"),
+        ("stats", {"normalize": "false"}, "'normalize': \"false\" is not a JSON boolean"),
+        ("train", {"folds": 2.7}, "'folds': 2.7 is not an integer"),
+        ("ingest", {"seed": 1.5}, "'seed': 1.5 is not an integer"),
+        ("ingest", {"seed": "1"}, "'seed': \"1\" is not an integer"),
+        ("train", {"workers": True}, "'workers': true is not an integer"),
+        ("train", {"workers": "x"}, "'workers': \"x\" is not an integer"),
+        ("select", {"folds": 2.0, "compare_ks": [2]}, "'folds': 2.0 is not an integer"),
+        ("ingest", {"fraction": "0.5"}, "'fraction': \"0.5\" is not a number"),
+        ("ingest", {"fraction": False}, "'fraction': false is not a number"),
+        ("resample", {"resample": "smote"}, "'resample': \"smote\" is not a JSON object"),
+        ("train", {"model": 5}, "'model': 5 is not a JSON object"),
+        ("train", {"select": False}, "'select': false is not a JSON object"),
+        ("sweep", {"grid": []}, "'grid': [] is not a JSON object"),
+        ("cascade", {"network": True}, "'network': true is not a JSON object"),
+        ("binary-study", {"booster": [1]}, "'booster': [1] is not a JSON object"),
+        ("select", {"model": "gbm", "compare_ks": [2]}, "'model': \"gbm\" is not a JSON object"),
+    ])
+    def test_a_value_of_the_wrong_type_fails_before_the_data_load(
+            self, tmp_path, capsys, monkeypatch, command, config, message):
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: loads.append(a))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [command, "--data", str(write_csv(tmp_path)), "--seed", "1",
+                "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+        if command == "resample":  # a flag that sets a resample field, over the config's
+            argv += ["--k-neighbors", "3", *(() if "resample" in config
+                                             else ("--resample-method", "smote"))]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: invalid config field {message}\n"
+        assert loads == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flags, config", [
+        ("train", ["--folds", "2", "--workers", "1", "--paper-mode", "--no-normalize",
+                   "--fraction", "1", "--resample-method", "smote", "--model", "gbm",
+                   "--n-rounds", "2"],
+         {"seed": 1, "folds": 2, "workers": 1, "paper_mode": True, "normalize": False,
+          "fraction": 1, "resample": {"method": "smote"},
+          "model": {"kind": "gbm", "n_rounds": 2}}),
+        ("cascade", ["--folds", "2", "--workers", "1", "--save-model", "--arch", "vanilla",
+                     "--epochs", "1", "--n-rounds", "2"],
+         {"seed": 1, "folds": 2, "workers": 1, "save_model": True, "paper_mode": False,
+          "network": {"arch": "vanilla", "epochs": 1}, "booster": {"n_rounds": 2}}),
+        ("resample", ["--resample-method", "random_over", "--write-csv", "--fraction", "0.5"],
+         {"seed": 1, "write_csv": True, "fraction": 0.5, "normalize": True,
+          "resample": {"method": "random_over"}}),
+        # null leaves a field without a default unset: the seed then comes from
+        # READMIT_SEED
+        ("ingest", [], {"seed": None, "fraction": None}),
+    ])
+    def test_values_of_the_flags_types_give_the_flags_outputs(
+            self, tmp_path, monkeypatch, command, flags, config):
+        monkeypatch.setenv("READMIT_SEED", "1")
+        csv = write_csv(tmp_path)
+        assert main([command, "--data", str(csv), "--seed", "1", *flags,
+                     "--out", str(tmp_path / "flags")]) == 0
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main([command, "--data", str(csv), "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "config")]) == 0
+        flag_files = sorted(p.relative_to(tmp_path / "flags")
+                            for p in (tmp_path / "flags").rglob("*") if p.is_file())
+        assert flag_files == sorted(p.relative_to(tmp_path / "config")
+                                    for p in (tmp_path / "config").rglob("*") if p.is_file())
+        for name in flag_files:
+            assert (tmp_path / "config" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+
+    @pytest.mark.parametrize("method", ["smote", "borderline_smote", "svm_smote", "adasyn"])
+    def test_the_synthesizing_methods_read_k_neighbors(self, tmp_path, method):
+        assert main(["resample", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--resample-method", method, "--k-neighbors", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "config.json").read_text())["resample"][
+            "k_neighbors"] == 3
 
 
 class TestConfigResolverProperty:

@@ -464,6 +464,20 @@ class TestNormalize:
         with pytest.raises(DataError):
             ScalingSpec(("a",), np.array([1.0]), np.array([0.0]))
 
+    def test_a_column_whose_range_overflows_is_named(self, recwarn):
+        data = make_dataset([[-1e308, 1.0], [1e308, 2.0]], [0, 1], names=("a", "b"))
+        with pytest.raises(DataError) as info:
+            min_max_normalize(data)
+        assert str(info.value) == ("column 'a' cannot be min-max scaled: "
+                                   "its range -1e+308 to 1e+308 overflows float64")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_the_widest_finite_range_still_scales(self):
+        big = np.finfo(np.float64).max
+        data = make_dataset([[-big / 2, 0.0], [big / 2, 1.0], [0.0, 0.5]], [0, 1, 2])
+        scaled, _ = min_max_normalize(data)
+        assert scaled.features.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]
+
 
 class TestStratifiedKfold:
     def test_90_balanced_labels_k10_gives_3_per_class_per_fold(self):

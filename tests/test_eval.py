@@ -109,6 +109,24 @@ class TestConfusionMatrix:
             ConfusionMatrix.from_labels(
                 np.array([0, 3]), np.array([0, 0]), class_ids=(0, 1, 2))
 
+    @pytest.mark.parametrize("ids", [(0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)])
+    def test_every_order_of_class_ids_gives_the_same_counts(self, ids):
+        rng = np.random.default_rng(3)
+        actual, predicted = rng.integers(0, 3, size=40), rng.integers(0, 3, size=40)
+        cm = ConfusionMatrix.from_labels(actual, predicted, ids)
+        sorted_cm = ConfusionMatrix.from_labels(actual, predicted, (0, 1, 2))
+        assert np.array_equal(cm.counts, sorted_cm.counts[np.ix_(ids, ids)])
+
+    def test_the_first_unknown_predicted_label_is_named_before_any_actual_one(self):
+        with pytest.raises(DataError, match=r"^label 7 outside class_ids \(2, 0\)$"):
+            ConfusionMatrix.from_labels(np.array([5, 0, 2]), np.array([2, 7, 9]), (2, 0))
+        with pytest.raises(DataError, match="^label 5 outside"):
+            ConfusionMatrix.from_labels(np.array([0, 5, 6]), np.array([2, 0, 2]), (2, 0))
+
+    def test_no_labels_over_no_classes_is_an_empty_matrix(self):
+        cm = ConfusionMatrix.from_labels(np.array([], int), np.array([], int), ())
+        assert cm.counts.shape == (0, 0) and cm.class_ids == ()
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             ConfusionMatrix.from_labels(np.array([0, 1]), np.array([0]), (0, 1))

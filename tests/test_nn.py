@@ -561,6 +561,25 @@ def _walk_dense(net):
     return out
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", "3"), ("batch_size", 8.5),
+        ("batch_size", None)])
+    def test_a_count_that_is_not_an_integer_fails_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {value!r}"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_a_count_below_one_fails_when_built(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got 0"):
+            TrainConfig(**{field: 0})
+
+    @pytest.mark.parametrize("kernel", [2.0, True, 0])
+    def test_a_kernel_width_must_be_an_integer_of_at_least_one(self, kernel):
+        with pytest.raises(ValueError, match="kernel must be"):
+            Conv1d.check_kernel(kernel)
+
+
 class TestTraining:
     def test_same_seed_twice_is_bitwise_identical(self):
         rng = np.random.default_rng(13)

@@ -265,6 +265,37 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=field):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GradientBoostedClassifier(n_rounds=2.5),
+         "n_rounds must be an integer >= 0, got 2.5"),
+        (lambda: GradientBoostedClassifier(n_rounds=True),
+         "n_rounds must be an integer >= 0, got True"),
+        (lambda: GradientBoostedClassifier(max_depth=3.0),
+         "max_depth must be an integer >= 0, got 3.0"),
+        (lambda: RegressionTree(min_samples_leaf="2"),
+         "min_samples_leaf must be an integer >= 1, got '2'"),
+        (lambda: RandomForest(n_trees=2.0), "n_trees must be an integer >= 1, got 2.0"),
+        (lambda: RandomForest(n_trees=False), "n_trees must be an integer >= 1, got False"),
+        (lambda: RandomForest(max_depth=True), "max_depth must be an integer >= 0, got True"),
+        (lambda: ClassificationTree(min_samples_leaf=1.5),
+         "min_samples_leaf must be an integer >= 1, got 1.5"),
+        *((lambda value=value: RandomForest(features_per_split=value),
+           f'features_per_split must be "sqrt", "all" or an integer >= 1, got {value!r}')
+          for value in ("bogus", "3", 0, 2.5, True, None)),
+        (lambda: ClassificationTree(features_per_split="log2"),
+         'features_per_split must be "sqrt", "all" or an integer >= 1, got \'log2\''),
+    ])
+    def test_a_count_of_the_wrong_type_fails_when_built(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_an_integer_features_per_split_is_checked_against_the_columns_at_fit(self):
+        X, y = np.zeros((6, 3)), np.array([0, 1, 0, 1, 0, 1])
+        RandomForest(n_trees=1, features_per_split=np.int64(3)).fit(X, y)
+        with pytest.raises(ValueError, match=r"features_per_split 4 outside \[1, 3\]"):
+            RandomForest(n_trees=1, features_per_split=4).fit(X, y)
+
     def test_zero_rounds_zero_depth_and_unlimited_depth_stay_legal(self):
         GradientBoostedClassifier(n_rounds=0, max_depth=0)
         RegressionTree(max_depth=0)
