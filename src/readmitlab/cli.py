@@ -75,7 +75,7 @@ from .data import (DEFAULT_CLASS_NAMES, Dataset, dataset_sha256, load_dataset,
                    save_dataset_csv, stratified_kfold, stratified_subsample)
 from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
-from .errors import ConfigError, DataError, NumericError, is_integer
+from .errors import ConfigError, DataError, NumericError, check_count, is_integer, is_real
 from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics
 from .features import SCORER_SETTINGS, SCORERS, Selection, per_class_stats, select_k_best
 from .models import MODEL_KINDS, MODELS, NetworkClassifier, make_builder
@@ -254,7 +254,7 @@ _VALUES = {
     dict: ("a JSON object", lambda value: isinstance(value, dict)),
     bool: ("a JSON boolean", lambda value: isinstance(value, bool)),
     int: ("an integer", is_integer),
-    float: ("a number", lambda value: is_integer(value) or isinstance(value, float)),
+    float: ("a number", is_real),
 }
 
 
@@ -480,7 +480,8 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 
 def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    compare_ks = [int(k) for k in _names(cfg.get("compare_ks")) or ()]
+    compare_ks = [int(k) if isinstance(cfg.get("compare_ks"), str) and k.isdecimal() else k
+                  for k in _names(cfg.get("compare_ks")) or ()]  # comma form: digit strings
     cfg["compare_ks"] = compare_ks or None
     if not compare_ks:
         for field in ("model", "workers", "folds"):
@@ -508,6 +509,10 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     # every k is checked before the first cross-validation; no fold can score
     # more features than all rows can
     for kk in compare_ks:
+        try:
+            check_count("compare_ks", kk, 1)
+        except ValueError as exc:
+            raise ConfigError(f"invalid config field 'compare_ks': {exc}") from None
         select_k_best(table, kk)
         _check_width(kind, params, kk)
     comparison = []

@@ -203,6 +203,8 @@ def _parse_csv(path) -> tuple[Dataset, str]:
             header = [h.strip() for h in first[1]]
             if LABEL_COLUMN not in header:
                 raise DataError(f"{path}: no column named {LABEL_COLUMN!r} in header")
+            if len(header) == 1:
+                raise DataError(f"{path}: no feature column besides {LABEL_COLUMN!r}")
             label_idx = header.index(LABEL_COLUMN)
             names = tuple(h for i, h in enumerate(header) if i != label_idx)
             if len(set(names)) != len(names):

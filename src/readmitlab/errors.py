@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the one check of a
-count setting.
+"""Exception taxonomy shared across the package, the one check of a count
+setting, and the type tests of integer and real settings.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
 DataError -> 2, NumericError -> 3.
@@ -23,6 +23,11 @@ class NumericError(Exception):
 def is_integer(value) -> bool:
     """An integer setting's type: any integral number but a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A float setting's type: any real number but a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_count(name: str, value, least: int) -> None:

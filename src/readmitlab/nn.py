@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, check_count
+from .errors import DataError, NumericError, check_count, is_real
 from .optim import make_optimizer
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ class Dropout(Layer):
 
     @staticmethod
     def check_rate(rate: float) -> None:
-        if not 0.0 <= rate < 1.0:
+        if not (is_real(rate) and 0.0 <= rate < 1.0):
             raise ValueError("dropout rate must be in [0, 1)")
 
     def forward(self, x, *, train=False, rng=None):
@@ -574,7 +574,7 @@ class TrainConfig:
     def __post_init__(self):
         check_count("epochs", self.epochs, 1)
         check_count("batch_size", self.batch_size, 1)
-        if self.learning_rate <= 0.0:
+        if not (is_real(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be positive")
         make_optimizer(self.optimizer, self.learning_rate)  # an unknown name fails here
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, check_count, is_integer
+from .errors import DataError, check_count, is_integer, is_real
 
 MIN_GAIN = 1e-12  # smallest SSE reduction a split must beat
 MAX_BINS = 256  # most bins a feature column is cut into
@@ -81,28 +81,20 @@ def _bin(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bins left empty dropped: about n / MAX_BINS rows a bin, and no value split.
     """
     n, p = X.shape
-    order = np.argsort(X.T, axis=1)
-    v = np.take_along_axis(X.T, order, axis=1)  # each column sorted
-    new = np.ones((p, n), dtype=bool)  # where a distinct value starts
-    np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
-    group = np.cumsum(new, axis=1)  # 1 + the distinct values below
-    lossy = group[:, -1] > MAX_BINS
-    below = np.maximum.accumulate(np.where(new[lossy], np.arange(n), 0), axis=1)
-    group[lossy] = below * MAX_BINS // n
-    starts = new  # where a bin starts: where the group changes
-    np.not_equal(group[:, 1:], group[:, :-1], out=starts[:, 1:])
-    bins = np.cumsum(starts, axis=1)
-    bins -= 1
     codes = np.empty((n, p), dtype=np.uint8)
-    np.put_along_axis(codes.T, order, bins, axis=1)
-    ends = np.ones((p, n), dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    lo = np.full((p, int(bins[:, -1].max(initial=0)) + 1), np.inf)
-    hi = lo.copy()
-    for edge, out in ((starts, lo), (ends, hi)):
-        j, i = np.nonzero(edge)
-        out[j, bins[j, i]] = v[j, i]
-    return codes, lo, hi
+    lo, hi = np.full((2, p, MAX_BINS), np.inf)
+    for j in range(p):
+        values, inverse = np.unique(X[:, j], return_inverse=True)
+        first = np.arange(values.size)  # each bin's first distinct value
+        if values.size > MAX_BINS:  # group by the rows below each value
+            counts = np.bincount(inverse)
+            starts = np.diff((np.cumsum(counts) - counts) * MAX_BINS // n, prepend=-1) > 0
+            first, inverse = np.flatnonzero(starts), (np.cumsum(starts) - 1)[inverse]
+        codes[:, j] = inverse
+        lo[j, : first.size] = values[first]
+        hi[j, : first.size] = values[np.append(first[1:], values.size) - 1]
+    width = int(codes.max(initial=0)) + 1
+    return codes, lo[:, :width], hi[:, :width]
 
 
 def _sq_sum(a: np.ndarray) -> np.ndarray:
@@ -225,10 +217,11 @@ def _grow(X: np.ndarray, binned: tuple, Y: np.ndarray, leaf_value, max_depth: fl
 
 
 def _check_tree_limits(max_depth: int | None, min_samples_leaf: int,
-                       features_per_split: int | str = "all") -> None:
-    """A depth limit other than None (unlimited) or an integer >= 0, a leaf
-    size other than an integer >= 1 and a features_per_split other than
-    "sqrt", "all" or an integer >= 1 are ValueErrors."""
+                       features_per_split: int | str = "all") -> float:
+    """The depth limit, math.inf for None (unlimited). A depth limit other
+    than None or an integer >= 0, a leaf size other than an integer >= 1 and
+    a features_per_split other than "sqrt", "all" or an integer >= 1 are
+    ValueErrors."""
     if max_depth is not None:
         check_count("max_depth", max_depth, 0)
     check_count("min_samples_leaf", min_samples_leaf, 1)
@@ -236,16 +229,16 @@ def _check_tree_limits(max_depth: int | None, min_samples_leaf: int,
             is_integer(features_per_split) and features_per_split >= 1):
         raise ValueError('features_per_split must be "sqrt", "all" or an integer >= 1, '
                          f"got {features_per_split!r}")
+    return math.inf if max_depth is None else max_depth
 
 
 class RegressionTree:
     """Squared-error CART. leaf_value_fn maps the targets that reach a leaf to
     the leaf's value (default: their mean)."""
 
-    def __init__(self, max_depth: int = 3, min_samples_leaf: int = 1,
+    def __init__(self, max_depth: int | None = 3, min_samples_leaf: int = 1,
                  leaf_value_fn=None):
-        _check_tree_limits(max_depth, min_samples_leaf)
-        self.max_depth = max_depth
+        self.max_depth = _check_tree_limits(max_depth, min_samples_leaf)
         self.min_samples_leaf = min_samples_leaf
         self.leaf_value_fn = leaf_value_fn or (lambda t: float(t.mean()))
         self.root: _Node | None = None
@@ -291,8 +284,7 @@ class ClassificationTree:
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1,
                  features_per_split: int | str = "all",
                  rng: np.random.Generator | None = None):
-        _check_tree_limits(max_depth, min_samples_leaf, features_per_split)
-        self.max_depth = math.inf if max_depth is None else max_depth
+        self.max_depth = _check_tree_limits(max_depth, min_samples_leaf, features_per_split)
         self.min_samples_leaf = min_samples_leaf
         self.features_per_split = features_per_split
         self.rng = rng
@@ -440,9 +432,9 @@ class GradientBoostedClassifier:
     """
 
     def __init__(self, n_rounds: int = 100, learning_rate: float = 0.1,
-                 max_depth: int = 3, min_samples_leaf: int = 1):
+                 max_depth: int | None = 3, min_samples_leaf: int = 1):
         check_count("n_rounds", n_rounds, 0)
-        if not learning_rate > 0.0:
+        if not (is_real(learning_rate) and learning_rate > 0.0):
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         _check_tree_limits(max_depth, min_samples_leaf)
         self.n_rounds = n_rounds
@@ -540,7 +532,7 @@ class GradientBoostedClassifier:
     def from_dict(cls, payload: dict) -> "GradientBoostedClassifier":
         model = cls(n_rounds=len(payload["trees"]),
                     learning_rate=float(payload["learning_rate"]),
-                    max_depth=int(payload["max_depth"]),
+                    max_depth=payload["max_depth"],
                     min_samples_leaf=int(payload["min_samples_leaf"]))
         model.classes_ = np.array(payload["classes"])
         model.base_scores_ = np.array(payload["base_scores"], dtype=np.float64)

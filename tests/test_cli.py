@@ -238,6 +238,15 @@ class TestIngest:
         for name in ("report.tsv", "report.txt"):
             assert "constant features scaled to zero: b\n" in (out / name).read_text()
 
+    def test_a_csv_with_no_feature_column_is_a_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "labels.csv"
+        csv.write_text("readmitted\n0\n1\n2\n")
+        out = tmp_path / "run"
+        assert main(["ingest", "--data", str(csv), "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {csv}: no feature column besides 'readmitted'\n")
+        assert not out.exists()
+
 
 class TestParsedTableSidecar:
     @pytest.mark.parametrize("command, flags", [
@@ -353,6 +362,22 @@ class TestSelect:
         table = tsv.split("gbm accuracy by feature count")[1].strip().splitlines()
         assert [row.split("\t")[0] for row in table[1:3]] == ["2", "5"]
 
+    @pytest.mark.parametrize("compare_ks, message", [
+        ([2.5], "got 2.5"), ([True], "got True"), ([0], "got 0"), ("a,b", "got 'a'"),
+        (["2"], "got '2'")], ids=["fraction", "boolean", "zero", "comma-form-letters",
+                                  "string-in-a-list"])
+    def test_a_compare_ks_entry_that_is_not_a_count_is_named(self, tmp_path, capsys,
+                                                             compare_ks, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"compare_ks": compare_ks,
+                                      "model": {"kind": "gbm", "n_rounds": 2}}))
+        out = tmp_path / "run"
+        assert main(["select", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--folds", "2", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("config error: invalid config field 'compare_ks': "
+                                           f"compare_ks must be an integer >= 1, {message}\n")
+        assert not out.exists()
+
     def test_compare_ks_reads_and_echoes_the_fold_fields(self, tmp_path):
         csv = write_csv(tmp_path)
         config = tmp_path / "cfg.json"
@@ -437,6 +462,17 @@ class TestTrain:
         tsv = (out / "report.tsv").read_text()
         assert "gbm cross-validation: mean over folds" in tsv
         assert "gbm cross-validation: pooled confusion" in tsv
+
+    def test_an_unlimited_gbm_depth_runs(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": {"kind": "gbm", "n_rounds": 2,
+                                                "max_depth": None}}))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--model", "gbm", "--folds", "2", "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["model"]["max_depth"] is None
+        assert "gbm cross-validation: mean over folds" in (out / "report.tsv").read_text()
 
     def test_forest_kind_runs(self, tmp_path):
         csv = write_csv(tmp_path)
@@ -734,6 +770,21 @@ class TestCascade:
         assert json.loads((out / "cascade_model" / "cascade.json").read_text())["scaling"] is None
         assert load_cascade(out / "cascade_model")[1] is None
 
+    def test_an_unlimited_booster_depth_runs_saves_and_reloads(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"network": {"arch": "vanilla", "epochs": 1},
+                                      "booster": {"max_depth": None, "n_rounds": 2}}))
+        out = tmp_path / "run"
+        csv = write_csv(tmp_path)
+        assert main(["cascade", "--data", str(csv), "--seed", "1", "--folds", "2",
+                     "--config", str(config), "--save-model", "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["booster"]["max_depth"] is None
+        saved = json.loads((out / "cascade_model" / "booster.json").read_text())
+        assert saved["max_depth"] is None
+        cascade, scaling = load_cascade(out / "cascade_model")
+        assert cascade.booster.max_depth is None
+        assert cascade.booster.to_dict() == saved
+
     def test_unknown_booster_field_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
         config = tmp_path / "cfg.json"
@@ -891,6 +942,23 @@ class TestModelSettingsCheckedUpFront:
         assert message in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["train"], {"model": {"kind": "gbm", "learning_rate": True}},
+         "invalid config field 'model': learning_rate must be positive, got True"),
+        (["sweep"], {"grid": {"epochs": [1], "learning_rate": [True], "batch_size": [16]}},
+         "learning_rate must be positive"),
+        (["train", "--arch", "cnn2"], {"model": {"dropout": False}},
+         "invalid config field 'model': dropout rate must be in [0, 1)"),
+    ], ids=["gbm-learning-rate", "sweep-grid-learning-rate", "dropout"])
+    def test_a_json_boolean_is_never_a_rate(self, tmp_path, capsys, argv, config, message):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main([*argv, "--data", str(write_csv(tmp_path)), "--seed", "1", "--folds", "2",
+                     "--workers", "1", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     # a default, which config.json echoes for every architecture, is accepted
     @pytest.mark.parametrize("arch, field, value", [

@@ -579,6 +579,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="kernel must be"):
             Conv1d.check_kernel(kernel)
 
+    @pytest.mark.parametrize("rate", [True, False, "0.1", None])
+    def test_a_learning_rate_that_is_not_a_real_number_fails_when_built(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("rate", [False, True, "0.5", None])
+    def test_a_dropout_rate_that_is_not_a_real_number_fails(self, rate):
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+            Dropout(rate)
+
 
 class TestTraining:
     def test_same_seed_twice_is_bitwise_identical(self):

@@ -1,14 +1,24 @@
-"""tools/code_lines.py: which lines of a Python file count as code."""
+"""tools/code_lines.py: which lines of a Python file count as code;
+tools/cli_outputs.py: every command runs and writes its reports."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_tool("code_lines")
+cli_outputs = load_tool("cli_outputs")
 
 
 @pytest.mark.parametrize("source, count", [
@@ -47,4 +57,27 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
 
 def test_main_without_paths_prints_usage(capsys):
     assert code_lines.main([]) == 2
+    assert "Usage:" in capsys.readouterr().err
+
+
+def test_cli_outputs_runs_every_command_and_each_writes_its_reports(tmp_path, capsys):
+    home = os.getcwd()
+    assert cli_outputs.main([str(tmp_path / "out")]) == 0
+    assert os.getcwd() == home
+    names = [name for name, _, _ in cli_outputs.runs()]
+    assert len(set(names)) == len(names)
+    assert capsys.readouterr().out == f"{len(names)} runs, 0 failed\n"
+    out = tmp_path / "out"
+    assert (out / "exit_codes.tsv").read_text() == "".join(f"{n}\t0\n" for n in names)
+    for name in names:
+        for report in ("config.json", "report.tsv", "report.txt"):
+            assert (out / name / report).is_file(), (name, report)
+    assert {"select-compare-ks", "report", "binary-study", "train-gbm", "train-forest",
+            "cascade-cnn2_multibranch", "resample-adasyn"} <= set(names)
+    assert (out / "resample-smote" / "resampled.csv").is_file()
+    assert (out / "cascade-cnn2" / "cascade_model" / "booster.json").is_file()
+
+
+def test_cli_outputs_without_one_directory_prints_usage(capsys):
+    assert cli_outputs.main([]) == 2
     assert "Usage:" in capsys.readouterr().err

@@ -299,6 +299,80 @@ def test_long_columns_bin_whole_values_in_order(seed):
     assert sizes.max() <= -(-X.shape[0] // trees.MAX_BINS)
 
 
+def reference_bin(X):
+    """_bin's docstring, one value at a time: a column's sorted distinct
+    values; bin r * MAX_BINS // n for a value with r rows below it when the
+    column has more than MAX_BINS of them, else one bin each; the empty bins
+    dropped; each bin's smallest and largest value, padded with inf."""
+    n, p = X.shape
+    codes = np.empty((n, p), dtype=np.uint8)
+    edges = []
+    for j in range(p):
+        column = X[:, j].tolist()
+        values = sorted(set(column))
+        if len(values) > trees.MAX_BINS:
+            groups = [sum(x < v for x in column) * trees.MAX_BINS // n for v in values]
+        else:
+            groups = list(range(len(values)))
+        bin_of = {g: b for b, g in enumerate(sorted(set(groups)))}
+        bins = {v: bin_of[g] for v, g in zip(values, groups)}
+        codes[:, j] = [bins[x] for x in column]
+        members = [[v for v in values if bins[v] == b] for b in range(len(bin_of))]
+        edges.append([(m[0], m[-1]) for m in members])
+    width = max((len(column_edges) for column_edges in edges), default=1)
+    lo, hi = np.full((2, p, width), np.inf)
+    for j, column_edges in enumerate(edges):
+        lo[j, : len(column_edges)], hi[j, : len(column_edges)] = np.transpose(column_edges)
+    return codes, lo, hi
+
+
+@st.composite
+def bin_tables(draw):
+    """Tables that probe _bin's rules: one row, constant columns, exactly
+    MAX_BINS and MAX_BINS + 1 distinct values, a tied value heavy enough to
+    straddle a lossy bin edge, -0.0 beside 0.0, and no columns at all."""
+    kind = draw(st.sampled_from(["one row", "constant", "distinct", "heavy ties",
+                                 "signed zeros", "no columns"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "one row":
+        return np.array([draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=4))])
+    if kind == "no columns":
+        return np.empty((draw(st.integers(1, 5)), 0))
+    n = draw(st.integers(1, 700) if kind == "constant" else st.integers(400, 700))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if kind == "constant":
+            column = np.full(n, draw(st.floats(-1e3, 1e3)))
+        elif kind == "distinct":
+            # every one of d distinct values appears, the rest are repeats
+            values = rng.normal(size=draw(st.sampled_from([trees.MAX_BINS, trees.MAX_BINS + 1])))
+            column = rng.permutation(np.concatenate(
+                [values, rng.choice(values, n - values.size)]))
+        elif kind == "heavy ties":
+            # one value on 3 or more rows, about n / MAX_BINS or more, and
+            # still more than MAX_BINS distinct values
+            column = rng.normal(size=n)
+            tied = rng.choice(n, draw(st.integers(3, n - trees.MAX_BINS - 1)), replace=False)
+            column[tied] = draw(st.sampled_from([column.min(), 0.0, column.max()]))
+        else:
+            column = np.round(rng.normal(size=n), draw(st.integers(0, 3)))
+            zero = rng.random(n) < draw(st.floats(0.05, 0.5))
+            column[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+        columns.append(column)
+    return np.column_stack(columns)
+
+
+@settings(max_examples=120, deadline=None)
+@given(bin_tables())
+def test_bin_follows_its_docstring(X):
+    codes, lo, hi = trees._bin(X)
+    want_codes, want_lo, want_hi = reference_bin(X)
+    assert codes.dtype == np.uint8
+    assert codes.tobytes() == want_codes.tobytes()
+    assert lo.shape == hi.shape == want_lo.shape
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)  # -0.0 == 0.0
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_on_long_columns_the_fit_leaf_values_are_what_predict_gives(seed):
     X = long_columns(seed, 600 + 300 * seed)

@@ -303,3 +303,47 @@ class TestParameterChecks:
         RandomForest(n_trees=1, max_depth=None)
         single = GradientBoostedClassifier(n_rounds=3).fit(np.zeros((4, 1)), np.ones(4))
         assert GradientBoostedClassifier.from_dict(single.to_dict()).n_rounds == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: GradientBoostedClassifier(learning_rate=True),
+        lambda: GradientBoostedClassifier(learning_rate=False),
+        lambda: GradientBoostedClassifier(learning_rate="0.1"),
+    ])
+    def test_a_learning_rate_that_is_not_a_real_number_fails_when_built(self, build):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            build()
+
+
+class TestUnlimitedDepth:
+    """max_depth=None grows every tree kind until no split is left."""
+
+    def table(self):
+        X = np.arange(64, dtype=np.float64)[:, None]
+        return X, (np.arange(64) % 2).astype(np.int64)
+
+    @staticmethod
+    def depth(node):
+        return 0 if node.is_leaf else 1 + max(TestUnlimitedDepth.depth(node.left),
+                                              TestUnlimitedDepth.depth(node.right))
+
+    def test_every_tree_kind_grows_without_a_limit(self):
+        X, y = self.table()
+        regression = RegressionTree(max_depth=None).fit(X, y.astype(np.float64))
+        assert np.array_equal(regression.predict(X), y)
+        assert self.depth(regression.root) > 6
+        assert np.array_equal(ClassificationTree(max_depth=None).fit(X, y).predict(X), y)
+        forest = RandomForest(n_trees=1, max_depth=None, bootstrap=False).fit(X, y)
+        assert np.array_equal(forest.predict(X), y)
+        booster = GradientBoostedClassifier(n_rounds=2, max_depth=None).fit(X, y)
+        assert booster.max_depth is None
+        assert self.depth(booster.trees_[0][0].root) > 6
+
+    def test_an_unlimited_booster_round_trips_through_json(self):
+        X, y = self.table()
+        booster = GradientBoostedClassifier(n_rounds=2, max_depth=None).fit(X, y)
+        payload = booster.to_dict()
+        assert payload["max_depth"] is None
+        clone = GradientBoostedClassifier.from_dict(payload)
+        assert clone.max_depth is None
+        assert clone.to_dict() == payload
+        assert clone.predict_proba(X).tobytes() == booster.predict_proba(X).tobytes()
