@@ -17,10 +17,12 @@ features.SCORER_SETTINGS: paper_exclusion, read by pearson), and _merge
 applies the rule to every section. In a config file, a section is a JSON
 object and a field that has a flag holds what the flag would give (_VALUES),
 or null where the field has no default; _resolve checks both before the
-data load. Every run needs an output directory;
-every command but report also needs a seed (--seed flag, config "seed", or
-the READMIT_SEED environment variable) and an input CSV (--data or config
-"dataset"). A run writes three files: config.json (the resolved config
+data load, and so the counts: seed >= 0, folds >= 2, workers >= 1
+(_COUNTS). A list-valued field (compare_ks, regimes, features, runs) is a
+list or a comma-separated string, read by _names. Every run needs an output
+directory; every command but report also needs a seed (--seed flag, config
+"seed", or the READMIT_SEED environment variable) and an input CSV (--data or
+config "dataset"). A run writes three files: config.json (the resolved config
 echo), report.tsv, and report.txt. Reports embed the input CSV's content
 hash and never embed timestamps or the output path, so identical configs
 produce byte-identical reports.
@@ -32,13 +34,14 @@ constructor keywords of its class (Selection, ResamplePlan,
 NetworkClassifier, GradientBoostedClassifier, RandomForest), read by
 _defaults; none is restated here. _merge resolves every section the same
 way: it builds the section's class once, so a bad setting is a config error
-naming the section before any fold work, and config.json echoes the whole
-merged section. sweep also builds each grid cell once. A network is also
-built once at each feature count it will see (select builds one for every k
-of compare_ks), so an input too short for its architecture is a data error
-before any fold work. sweep runs the grid (the paper's, PAPER_GRID, unless
-a "grid" section narrows it; each axis a nonempty list), so its model
-section has no epochs, learning_rate or batch_size. cascade has no model
+naming the section before any fold work, and records the whole merged
+section for config.json to echo. sweep builds a network once for each value
+of each grid axis, so a bad value is a config error naming grid.<axis>. A
+network is also built once at each feature count it will see (select builds
+one for every k of compare_ks), so an input too short for its architecture
+is a data error before any fold work. sweep runs the grid (the paper's,
+PAPER_GRID, unless a "grid" section narrows it; each axis a nonempty list),
+so its model section has no epochs, learning_rate or batch_size. cascade has no model
 section: its network flags set the "network" section and --n-rounds and
 --max-depth the "booster" section; the booster's learning rate is set only
 by the "booster" section.
@@ -65,7 +68,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import itertools
 import json
 import os
 import sys
@@ -257,40 +259,42 @@ _VALUES = {
     float: ("a number", is_real),
 }
 
+# each top-level count and its least value; the fold commands read folds and
+# workers, and every command but report a seed
+_COUNTS = {"seed": 0, "folds": 2, "workers": 1}
+
 
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
-    """Merge defaults <- config file <- flags into one resolved config dict.
-    In the config file, a section is a JSON object and a flag's top-level
-    field holds what the flag would give (see _VALUES); null is allowed
-    where the field has no default, and leaves it unset."""
+    """Merge defaults <- config file <- flags into one resolved config dict,
+    in one pass over the option table: each option checks its config value,
+    applies its flag, then sets its top-level field's default. In the config
+    file, a section is a JSON object and a flag's top-level field holds what
+    the flag would give (see _VALUES); null is allowed where the field has no
+    default, and leaves it unset. Every count of _COUNTS is checked once the
+    seed is known."""
     options = _options(command)
     fields = {path[0] for _, path, _, _ in options}
     cfg = {} if args.config is None else _json_object(Path(args.config), ConfigError)
     for key in cfg:
         if key not in fields:
             raise ConfigError(f"invalid config field {key!r}")
-    for _, (name, *section), kwargs, default in options:
-        kind = dict if section else bool if "action" in kwargs else kwargs.get("type")
+    for flag, (name, *field), kwargs, default in options:
+        kind = dict if field else bool if "action" in kwargs else kwargs.get("type")
         if name in cfg and kind in _VALUES and not (cfg[name] is None and default is None):
             noun, valid = _VALUES[kind]
             if not valid(cfg[name]):
                 raise ConfigError(f"invalid config field {name!r}: "
                                   f"{json.dumps(cfg[name])} is not {noun}")
-
-    for flag, path, _, _ in options:
         # argparse keeps a flag's value under its name, dashes as underscores
         value = getattr(args, flag[2:].replace("-", "_")) if flag else None
-        if value is None:
-            continue
-        *section, field = path
-        target = cfg
-        if section:
-            target = cfg[section[0]] = dict(cfg.get(section[0]) or {})
-        target[field] = value
+        if value is not None:
+            cfg[name] = {**(cfg.get(name) or {}), field[0]: value} if field else value
+        if not field:
+            cfg.setdefault(name, default)
 
-    if "runs" in fields and not cfg.get("runs"):
+    if "runs" in fields and not cfg["runs"]:
         raise ConfigError("report needs --runs (or config field 'runs')")
-    if "seed" in fields and cfg.get("seed") is None:
+    if "seed" in fields and cfg["seed"] is None:
         env = os.environ.get("READMIT_SEED")
         if env is None:
             raise ConfigError("a seed is required: --seed, config 'seed', or READMIT_SEED")
@@ -298,20 +302,18 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
             cfg["seed"] = int(env)
         except ValueError:
             raise ConfigError(f"READMIT_SEED must be an integer, got {env!r}")
-    if "dataset" in fields and not cfg.get("dataset"):
+    for name, least in _COUNTS.items():
+        if cfg.get(name) is not None and cfg[name] < least:
+            raise ConfigError(f"invalid config field {name!r}: {cfg[name]} below {least}")
+    if "dataset" in fields and not cfg["dataset"]:
         raise ConfigError("an input CSV is required: --data or config 'dataset'")
 
-    for _, path, _, default in options:
-        if len(path) == 1:
-            cfg.setdefault(path[0], default)
     cfg["command"] = command
     if cfg.get("fraction") is not None:
         fraction = float(cfg["fraction"])
         if not 0.0 < fraction <= 1.0:
             raise ConfigError(f"invalid config field 'fraction': {fraction} outside (0, 1]")
         cfg["fraction"] = fraction
-    if cfg.get("workers") is not None and cfg["workers"] < 1:
-        raise ConfigError(f"invalid config field 'workers': {cfg['workers']} below 1")
 
     out = cfg.pop("out")
     if not out:
@@ -319,25 +321,31 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
     return cfg, Path(out)
 
 
-def _merge(name: str, given, defaults: dict, cls=None) -> tuple[dict, object]:
-    """(section, built): config section `given` (None for absent) over
-    `defaults`, and `cls` built from the section once (None without a cls),
-    so a bad setting fails before any fold work. A field that `defaults`
-    lacks and a ValueError or TypeError of the constructor are config errors
-    naming the section. So is a setting that the chosen architecture or
-    method does not read (by cls's _READS table) unless it holds its
-    default: config.json echoes the whole section, so an echo reruns."""
-    given = dict(given or {})
+def _build(name: str, cls, settings: dict):
+    """cls built from settings; a ValueError or TypeError of its constructor
+    is a config error naming config field `name`."""
+    try:
+        return cls(**settings)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid config field '{name}': {exc}") from None
+
+
+def _merge(cfg: dict, name: str, defaults: dict, cls=None, **chosen) -> tuple[dict, object]:
+    """(section, built): config section `name` over `defaults`, recorded in
+    cfg for config.json with the `chosen` fields (a model's kind) ahead of
+    it, and `cls` built from the section once (None without a cls), so a bad
+    setting fails before any fold work. A field that `defaults` lacks and a
+    ValueError or TypeError of the constructor are config errors naming the
+    section. So is a setting that the chosen architecture or method does not
+    read (by cls's _READS table) unless it holds its default: config.json
+    echoes the whole section, so an echo reruns."""
+    given = {k: v for k, v in (cfg.get(name) or {}).items() if k not in chosen}
     for field in sorted(given):
         if field not in defaults:
             raise ConfigError(f"invalid config field '{name}.{field}'")
     section = {**defaults, **given}
-    if cls is None:
-        return section, None
-    try:
-        built = cls(**section)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid config field '{name}': {exc}") from None
+    cfg[name] = {**chosen, **section}
+    built = None if cls is None else _build(name, cls, section)
     key, noun, table = _READS.get(cls, (None, None, {}))
     for field in sorted(set().union(*table.values()) - set(table.get(section.get(key), ()))):
         if section[field] != defaults[field]:
@@ -346,23 +354,26 @@ def _merge(name: str, given, defaults: dict, cls=None) -> tuple[dict, object]:
     return section, built
 
 
-def _names(value):
-    """A comma-separated string, from a flag or a config file, as a list of
-    names; a list passes through."""
+def _names(cfg: dict, field: str) -> list | None:
+    """Config field `field` as a list, recorded in cfg: a list passes
+    through, a comma-separated string (a flag's or a config file's) is split
+    at its commas, and None (not given) stays None; anything else is a
+    config error naming the field."""
+    value = cfg.get(field)
     if isinstance(value, str):
-        return [name.strip() for name in value.split(",") if name.strip()]
+        value = [name.strip() for name in value.split(",") if name.strip()]
+    elif value is not None and not isinstance(value, list):
+        raise ConfigError(f"invalid config field {field!r}: {json.dumps(value)} is not a list")
+    cfg[field] = value
     return value
 
 
 def _model(cfg: dict, kind: str, table: dict = _MODEL_DEFAULTS) -> tuple[str, dict]:
     """The model section's kind (default `kind`) and parameters."""
-    section = dict(cfg.get("model") or {})
-    kind = section.pop("kind", kind)
+    kind = (cfg.get("model") or {}).get("kind", kind)
     if kind not in MODELS:
         raise ConfigError(f"invalid config field 'model.kind': {kind!r}")
-    params = _merge("model", section, table[kind], MODELS[kind])[0]
-    cfg["model"] = {"kind": kind, **params}
-    return kind, params
+    return kind, _merge(cfg, "model", table[kind], MODELS[kind], kind=kind)[0]
 
 
 def _check_width(kind: str, params: dict, n_features: int) -> None:
@@ -372,27 +383,18 @@ def _check_width(kind: str, params: dict, n_features: int) -> None:
         NetworkClassifier(**params).build(n_features)
 
 
-def _model_section(cfg: dict, name: str, model) -> dict:
-    """Resolve the `name` section (network or booster) of a `model`."""
-    cfg[name] = _merge(name, cfg.get(name), _SECTIONS[name], model)[0]
-    return cfg[name]
-
-
 def _resample_plan(cfg: dict) -> ResamplePlan | None:
     """The resample section's plan, or None without one."""
     if not cfg.get("resample"):
         cfg["resample"] = None
         return None
-    cfg["resample"], plan = _merge("resample", cfg["resample"], _SECTIONS["resample"],
-                                   ResamplePlan)
-    return plan
+    return _merge(cfg, "resample", _SECTIONS["resample"], ResamplePlan)[1]
 
 
 def _selection(cfg: dict, data: Dataset, **defaults) -> Selection:
     """Resolve the select section; a k outside 1..the feature count is a
     config error."""
-    cfg["select"], selection = _merge("select", cfg.get("select"),
-                                      {**_SECTIONS["select"], **defaults}, Selection)
+    selection = _merge(cfg, "select", {**_SECTIONS["select"], **defaults}, Selection)[1]
     if not 1 <= selection.k <= data.n_features:
         raise ConfigError(f"invalid config field 'select.k': k={selection.k} must be at "
                           f"least 1 and at most the {data.n_features} features")
@@ -466,7 +468,7 @@ def _cmd_ingest(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 
 def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    wanted = cfg["features"] = _names(cfg.get("features"))
+    wanted = _names(cfg, "features")
     if wanted:
         missing = [name for name in wanted if name not in data.feature_names]
         if missing:
@@ -480,8 +482,9 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 
 def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    compare_ks = [int(k) if isinstance(cfg.get("compare_ks"), str) and k.isdecimal() else k
-                  for k in _names(cfg.get("compare_ks")) or ()]  # comma form: digit strings
+    comma_form = isinstance(cfg["compare_ks"], str)  # whose digit strings are counts
+    compare_ks = [int(k) if comma_form and k.isdecimal() else k
+                  for k in _names(cfg, "compare_ks") or ()]
     cfg["compare_ks"] = compare_ks or None
     if not compare_ks:
         for field in ("model", "workers", "folds"):
@@ -558,19 +561,19 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     kind, fixed = _model(cfg, "network", _SWEEP_MODELS)
     if kind != "network":
         raise ConfigError("sweep drives network training; model.kind must be 'network'")
-    grid = cfg["grid"] = _merge("grid", cfg.get("grid"), _SECTIONS["grid"])[0]
+    grid = _merge(cfg, "grid", _SECTIONS["grid"])[0]
     for axis, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"invalid config field 'grid.{axis}': "
                               f"{json.dumps(values)} is not a nonempty list")
+        # each value builds once here, so a bad one fails before any fold work
+        for value in values:
+            _build(f"grid.{axis}", NetworkClassifier, {**fixed, axis: value})
 
     def build(seed: int, epochs: int, lr: float, batch: int) -> NetworkClassifier:
         return NetworkClassifier(seed=seed, epochs=epochs, learning_rate=lr,
                                  batch_size=batch, **fixed)
 
-    # every cell builds once here, so a bad one fails before any fold work
-    for cell in itertools.product(grid["epochs"], grid["learning_rate"], grid["batch_size"]):
-        build(cfg["seed"], *cell)
     _check_width(kind, fixed, data.n_features)
     data, pipeline, folds = _folds(cfg, data, pipeline, report)
     rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
@@ -591,8 +594,8 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     pipeline = FoldPipeline(cfg["normalize"], resample=_resample_plan(cfg))
-    network = _model_section(cfg, "network", MODELS["network"])
-    booster = _model_section(cfg, "booster", MODELS["gbm"])
+    network = _merge(cfg, "network", _SECTIONS["network"], MODELS["network"])[0]
+    booster = _merge(cfg, "booster", _SECTIONS["booster"], MODELS["gbm"])[0]
     _check_width("network", network, data.n_features)
     # the saved cascade is fitted on all rows, in both modes scaled by their
     # own minima and maxima: the raw rows', before paper mode maps them
@@ -621,12 +624,12 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
 
 
 def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    regimes = tuple(_names(cfg.get("regimes")) or BINARY_REGIMES)
+    regimes = tuple(_names(cfg, "regimes") or BINARY_REGIMES)
     for regime in regimes:
         if regime not in BINARY_REGIMES:
             raise ConfigError(f"invalid config field 'regimes': {regime!r}")
     cfg["regimes"] = list(regimes)
-    booster = _model_section(cfg, "booster", MODELS["gbm"])
+    booster = _merge(cfg, "booster", _SECTIONS["booster"], MODELS["gbm"])[0]
     results = binary_outer_study(data, seed=cfg["seed"], k_folds=cfg["folds"],
                                  regimes=regimes, booster_config=booster,
                                  pipeline=FoldPipeline(cfg["normalize"]),
@@ -643,8 +646,7 @@ def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) ->
 
 
 def _cmd_report(cfg: dict, data: None, report: RunReport, out: Path) -> None:
-    cfg["runs"] = _names(cfg["runs"])
-    for run_dir in cfg["runs"]:
+    for run_dir in _names(cfg, "runs"):
         run_cfg = _json_object(Path(run_dir) / "config.json", DataError)
         report.add_line(f"--- run {run_dir} (command: {run_cfg.get('command', '?')}) ---")
         for line in _read_text(Path(run_dir) / "report.txt", DataError).splitlines():

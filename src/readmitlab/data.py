@@ -52,7 +52,7 @@ DEFAULT_CLASS_NAMES = {0: "0 days", 1: "<30 days", 2: ">30 days"}
 
 SIDECAR_SUFFIX = ".readmitlab.npz"
 # bump when the sidecar's keys or their meaning change
-_SIDECAR_VERSION = 1
+_SIDECAR_VERSION = 2
 
 # One numeric cell as np.loadtxt's C parser reads it once surrounding
 # whitespace is stripped: Python's float grammar without digit-group
@@ -196,7 +196,7 @@ def _parse_csv(path) -> tuple[Dataset, str]:
     with open(path, "rb") as raw:
         hashed = _HashingReader(raw)
         with io.TextIOWrapper(io.BufferedReader(hashed, 1 << 20),
-                              encoding="utf-8", newline="") as fh:
+                              encoding="utf-8-sig", newline="") as fh:
             first = next(_records(path, fh), None)
             if first is None:
                 raise DataError(f"{path}: empty file")
@@ -205,11 +205,11 @@ def _parse_csv(path) -> tuple[Dataset, str]:
                 raise DataError(f"{path}: no column named {LABEL_COLUMN!r} in header")
             if len(header) == 1:
                 raise DataError(f"{path}: no feature column besides {LABEL_COLUMN!r}")
+            if len(set(header)) != len(header):
+                dupes = sorted({n for n in header if header.count(n) > 1})
+                raise DataError(f"{path}: duplicate column names: {', '.join(dupes)}")
             label_idx = header.index(LABEL_COLUMN)
             names = tuple(h for i, h in enumerate(header) if i != label_idx)
-            if len(set(names)) != len(names):
-                dupes = sorted({n for n in names if names.count(n) > 1})
-                raise DataError(f"{path}: duplicate feature names: {', '.join(dupes)}")
             try:
                 with warnings.catch_warnings():
                     # a body without rows is reported by the scan as "no data rows"
@@ -302,7 +302,7 @@ def _raise_first_bad_line(path, header: list[str], label_idx: int) -> NoReturn:
     are skipped. Cells are tested against `_NUMBER`, the grammar of the C
     parse, so the scan fails exactly the lines `np.loadtxt` rejects.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = _records(path, fh)
         next(records)  # the header, already checked
         for line_no, row in records:

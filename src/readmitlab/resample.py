@@ -203,10 +203,11 @@ def _search(queries: np.ndarray, pool: np.ndarray, k: int, heads: tuple[int, ...
     if k > usable:
         raise ValueError(f"k={k} exceeds usable pool size {usable}")
     sign = -1.0 if farthest else 1.0
-    pool_sq = (pool**2).sum(axis=1)
-    norms = (queries**2).sum(axis=1).max(initial=0.0) + pool_sq.max(initial=0.0)
-    if not np.isfinite(4.0 * norms):
-        raise DataError("feature values too large: squared distances overflow float64")
+    with np.errstate(over="ignore"):  # an overflow is this DataError, with no warning
+        pool_sq = (pool**2).sum(axis=1)
+        norms = (queries**2).sum(axis=1).max(initial=0.0) + pool_sq.max(initial=0.0)
+        if not np.isfinite(4.0 * norms):
+            raise DataError("feature values too large: squared distances overflow float64")
     dtype, slack = _screen(width, norms)
     # a query row [q, 1] times a column [-2p, |p|^2] is the screen value
     screen_pool = np.empty((width + 1, n_pool), dtype=dtype)

@@ -451,6 +451,19 @@ class TestResample:
         assert capsys.readouterr().err == ("config error: invalid config field 'resample': "
                                            "nearmiss_version must be 1, 2, or 3\n")
 
+    def test_squared_distances_that_overflow_print_one_line_and_no_warning(self, tmp_path,
+                                                                           capsys):
+        csv = tmp_path / "huge.csv"
+        csv.write_text("a,b,readmitted\n" + "".join(f"{1 + i / 16}e300,{2 - i / 16}e300,{i % 3}\n"
+                                                    for i in range(14)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["resample", "--data", str(csv), "--seed", "1", "--no-normalize",
+                         "--resample-method", "nearmiss", "--out", str(tmp_path / "o")]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ("data error: feature values too large: "
+                                           "squared distances overflow float64\n")
+
 
 class TestTrain:
     def test_boosting_cross_validation_smoke(self, tmp_path):
@@ -947,7 +960,7 @@ class TestModelSettingsCheckedUpFront:
         (["train"], {"model": {"kind": "gbm", "learning_rate": True}},
          "invalid config field 'model': learning_rate must be positive, got True"),
         (["sweep"], {"grid": {"epochs": [1], "learning_rate": [True], "batch_size": [16]}},
-         "learning_rate must be positive"),
+         "invalid config field 'grid.learning_rate': learning_rate must be positive"),
         (["train", "--arch", "cnn2"], {"model": {"dropout": False}},
          "invalid config field 'model': dropout rate must be in [0, 1)"),
     ], ids=["gbm-learning-rate", "sweep-grid-learning-rate", "dropout"])
@@ -1662,3 +1675,111 @@ def run_main(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+class TestOneRulePerKindOfValue:
+    """A count below its least value fails before the data load, a list-valued
+    field that is not a list fails naming the field, and a bad grid value
+    fails naming its axis, both before any fold work."""
+
+    @pytest.mark.parametrize("command, flags, config, env, message", [
+        ("ingest", ["--seed", "-1"], {}, None, "'seed': -1 below 0"),
+        ("ingest", ["--seed", "-1", "--fraction", "0.5"], {}, None, "'seed': -1 below 0"),
+        ("train", [], {"seed": -1}, None, "'seed': -1 below 0"),
+        ("train", [], {}, "-1", "'seed': -1 below 0"),
+        ("train", ["--seed", "1", "--folds", "1"], {}, None, "'folds': 1 below 2"),
+        ("train", ["--seed", "1", "--folds", "1", "--paper-mode", "--resample-method",
+                   "random_over"], {}, None, "'folds': 1 below 2"),
+        ("cascade", ["--seed", "1"], {"folds": 0}, None, "'folds': 0 below 2"),
+        ("binary-study", ["--seed", "1", "--folds", "-3"], {}, None, "'folds': -3 below 2"),
+        ("select", ["--seed", "1"], {"compare_ks": [2], "folds": 1}, None,
+         "'folds': 1 below 2"),
+        ("sweep", ["--seed", "1"], {"workers": 0}, None, "'workers': 0 below 1"),
+    ], ids=["ingest-seed-flag", "ingest-seed-with-fraction", "train-seed-config",
+            "train-seed-environment", "train-folds", "train-folds-paper-mode",
+            "cascade-folds-config", "binary-study-folds", "select-folds", "sweep-workers"])
+    def test_a_count_below_its_least_fails_before_the_data_load(
+            self, tmp_path, capsys, monkeypatch, command, flags, config, env, message):
+        if env is not None:
+            monkeypatch.setenv("READMIT_SEED", env)
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: loads.append(a))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main([command, "--data", str(write_csv(tmp_path)), *flags,
+                     "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: invalid config field {message}\n"
+        assert loads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("select", {"compare_ks": 5, "model": {"kind": "gbm", "n_rounds": 2}},
+         "'compare_ks': 5 is not a list"),
+        ("binary-study", {"regimes": 5}, "'regimes': 5 is not a list"),
+        ("binary-study", {"regimes": {"full": 1}}, "'regimes': {\"full\": 1} is not a list"),
+        ("stats", {"features": 5}, "'features': 5 is not a list"),
+        ("report", {"runs": 5}, "'runs': 5 is not a list"),
+        ("sweep", {"grid": {"learning_rate": [1e-3, 0.0]}},
+         "'grid.learning_rate': learning_rate must be positive"),
+        ("sweep", {"grid": {"epochs": [1, 0], "learning_rate": [1e-3], "batch_size": [16]}},
+         "'grid.epochs': epochs must be an integer >= 1, got 0"),
+        ("sweep", {"grid": {"epochs": [1], "learning_rate": [1e-3], "batch_size": [1.5]}},
+         "'grid.batch_size': batch_size must be an integer >= 1, got 1.5"),
+    ], ids=["compare-ks", "regimes", "regimes-object", "features", "runs",
+            "grid-learning-rate", "grid-epochs", "grid-batch-size"])
+    def test_a_bad_list_or_grid_value_is_named_before_any_fold_work(
+            self, tmp_path, capsys, monkeypatch, command, config, message):
+        from readmitlab import ensemble, evaluate
+
+        calls = []
+        for module in (cli, ensemble, evaluate):
+            monkeypatch.setattr(module, "stratified_kfold",
+                                lambda *a, **k: calls.append(a), raising=False)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+        if command != "report":
+            argv += ["--data", str(write_csv(tmp_path)), "--seed", "1"]
+        if command not in ("report", "stats"):
+            argv += ["--folds", "2", "--workers", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: invalid config field {message}\n"
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, config", [
+        ("binary-study", ["--regimes", "full,random_under"],
+         {"regimes": ["full", "random_under"]}),
+        ("stats", ["--features", "f01,f00"], {"features": ["f01", "f00"]}),
+    ])
+    def test_the_comma_form_and_the_list_give_the_same_run(self, tmp_path, command, flag,
+                                                            config):
+        argv = [command, "--data", str(write_csv(tmp_path)), "--seed", "1"]
+        if command == "binary-study":
+            argv += ["--folds", "2", "--workers", "1"]
+        assert main([*argv, *flag, "--out", str(tmp_path / "flag")]) == 0
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main([*argv, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "config")]) == 0
+        for name in ("config.json", "report.tsv", "report.txt"):
+            assert (tmp_path / "config" / name).read_bytes() == \
+                (tmp_path / "flag" / name).read_bytes()
+
+    def test_the_paper_grid_builds_one_network_per_axis_value(self, tmp_path, monkeypatch):
+        built = []
+        build = cli._build
+        monkeypatch.setattr(cli, "_build",
+                            lambda name, *a: built.append(name) or build(name, *a))
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(cli, "grid_sweep", stop)
+        with pytest.raises(Stop):
+            main(["sweep", "--data", str(write_csv(tmp_path)), "--seed", "1", "--folds", "2",
+                  "--workers", "1", "--out", str(tmp_path / "o")])
+        assert [name for name in built if name.startswith("grid.")] == (
+            ["grid.epochs"] * 2 + ["grid.learning_rate"] * 4 + ["grid.batch_size"] * 3)

@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import json
 import math
 import os
 import tempfile
@@ -213,6 +214,26 @@ class TestLoadDataset:
         load_error(write_csv(tmp_path / "empty.csv", ""))
         load_error(write_csv(tmp_path / "header.csv", "a,readmitted\n"))
 
+    @pytest.mark.parametrize("text", ["a,readmitted\n1,0\n2,1\n", "readmitted,a\n0,1\n1,2\n"],
+                             ids=["feature-first", "label-first"])
+    def test_a_byte_order_mark_is_not_part_of_a_name(self, tmp_path, text):
+        data = load_dataset(write_csv(tmp_path / "bom.csv", "\ufeff" + text))
+        assert data.feature_names == ("a",)
+        assert data.labels.tolist() == [0, 1]
+        assert data.features[:, 0].tolist() == [1.0, 2.0]
+
+    def test_a_bad_line_after_a_byte_order_mark_is_named(self, tmp_path):
+        path = write_csv(tmp_path / "bom.csv", "\ufeffa,readmitted\n1,0\nnan,1\n")
+        assert "line 3: non-finite cell 'nan' in column 'a'" in load_error(path)
+
+    @pytest.mark.parametrize("header, dupes", [
+        ("readmitted,readmitted", "readmitted"), ("a,b,a,readmitted", "a"),
+        ("b,readmitted,b,readmitted", "b, readmitted")])
+    def test_a_header_that_names_a_column_twice_is_named(self, tmp_path, header, dupes):
+        path = write_csv(tmp_path / "dup.csv", header + "\n" + ",".join(
+            "0" for _ in header.split(",")) + "\n")
+        assert load_error(path) == f"{path}: duplicate column names: {dupes}"
+
     def test_sha256_matches_file_bytes(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", "a,readmitted\n1,0\n")
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -338,6 +359,19 @@ class TestSidecar:
                               else (np, "savez")), fail)
         assert_same_bytes(load_dataset(path), data)
         assert os.listdir(tmp_path) == ["cohort.csv"]  # no sidecar, no temporary file
+
+    def test_a_version_1_sidecar_is_parsed_again(self, tmp_path):
+        path = write_csv(tmp_path / "bom.csv", "\ufeffa,readmitted\n1,0\n2,1\n")
+        load_dataset(path)
+        sidecar = sidecar_of(path)
+        with np.load(sidecar) as stored:
+            members = dict(stored)
+        # what version 1 stored for these bytes: the byte-order mark in the name
+        members.update(version=np.int64(1), feature_names=np.str_('["\\ufeffa"]'))
+        np.savez(sidecar, **members)
+        assert load_dataset(path).feature_names == ("a",)
+        with np.load(sidecar) as stored:
+            assert json.loads(stored["feature_names"].item()) == ["a"]
 
     def test_the_sidecar_takes_the_csv_permission_bits(self, tmp_path):
         path, _ = self.cohort(tmp_path)

@@ -65,17 +65,30 @@ def test_cli_outputs_runs_every_command_and_each_writes_its_reports(tmp_path, ca
     assert cli_outputs.main([str(tmp_path / "out")]) == 0
     assert os.getcwd() == home
     names = [name for name, _, _ in cli_outputs.runs()]
-    assert len(set(names)) == len(names)
-    assert capsys.readouterr().out == f"{len(names)} runs, 0 failed\n"
+    failures = {name: code for name, _, _, code in cli_outputs.failures()}
+    assert len(set(names) | set(failures)) == len(names) + len(failures)
+    assert capsys.readouterr().out == (f"{len(names) + len(failures)} runs, "
+                                       "0 with an unexpected exit code\n")
     out = tmp_path / "out"
-    assert (out / "exit_codes.tsv").read_text() == "".join(f"{n}\t0\n" for n in names)
+    assert (out / "exit_codes.tsv").read_text() == "".join(
+        [f"{n}\t0\n" for n in names] + [f"{n}\t{c}\n" for n, c in failures.items()])
     for name in names:
         for report in ("config.json", "report.tsv", "report.txt"):
             assert (out / name / report).is_file(), (name, report)
+        assert (out / f"{name}.stderr").read_text() == ""
     assert {"select-compare-ks", "report", "binary-study", "train-gbm", "train-forest",
-            "cascade-cnn2_multibranch", "resample-adasyn"} <= set(names)
+            "cascade-cnn2_multibranch", "resample-adasyn", "stats-bom"} <= set(names)
     assert (out / "resample-smote" / "resampled.csv").is_file()
     assert (out / "cascade-cnn2" / "cascade_model" / "booster.json").is_file()
+    assert (out / "stats-bom" / "report.tsv").read_text().splitlines()[3].startswith("f00\t")
+    # each failure writes no reports and one error line, warnings included
+    for name, code in failures.items():
+        assert not (out / name).exists(), name
+        err = (out / f"{name}.stderr").read_text()
+        assert err.startswith({1: "config error: ", 2: "data error: "}[code]), (name, err)
+        assert err.count("\n") == 1, (name, err)
+    assert (out / "fail-workers-zero.stderr").read_text() == (
+        "config error: invalid config field 'workers': 0 below 1\n")
 
 
 def test_cli_outputs_without_one_directory_prints_usage(capsys):

@@ -1,18 +1,21 @@
-"""Run every readmitlab command on one seeded synthetic CSV and keep what each
-run writes, so that two versions of the package can be compared byte for
-byte with `diff -r`.
+"""Run every readmitlab command on one seeded synthetic CSV, and a table of
+runs that must fail, and keep what each run writes, so that two versions of
+the package can be compared byte for byte with `diff -r`.
 
 Usage: PYTHONPATH=src python tools/cli_outputs.py OUT
 
 OUT must not exist. The tool writes OUT/cohort.csv (300 rows, 14 features,
-synthetic_cohort seed 4, the bench's class weights) and runs each command
-in this process, from inside OUT with relative paths, so that no output
-names OUT itself. Run NAME writes its reports to OUT/NAME/ (its config
-file, if any, is OUT/NAME.json), its stdout and stderr to OUT/NAME.stdout
-and OUT/NAME.stderr; OUT/exit_codes.tsv lists each run's exit code. The
-runs use 2 folds, 1 worker, 1 epoch and few boosting rounds. NearMiss
-version 3 is left out: with its defaults it fails on equalised targets.
-Exits 1 when any run exits nonzero.
+synthetic_cohort seed 4, the bench's class weights) and the small CSVs of
+CSVS, and runs each command in this process, from inside OUT with relative
+paths, so that no output names OUT itself. Run NAME writes its reports to
+OUT/NAME/ (its config file, if any, is OUT/NAME.json), its stdout and
+stderr, every warning included, to OUT/NAME.stdout and OUT/NAME.stderr;
+OUT/exit_codes.tsv lists each run's exit code. The runs use 2 folds, 1
+worker, 1 epoch and few boosting rounds. NearMiss version 3 is left out:
+with its defaults it fails on equalised targets. The runs of runs() must
+exit 0 and those of failures() with their expected codes, so a diff of two
+trees shows which error messages moved. Exits 1 when any run exits with
+another code.
 
 To compare a change with its parent, run the tool once with each version's
 src on PYTHONPATH, into two directories, and diff them:
@@ -26,6 +29,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from readmitlab.cli import main as cli_main
@@ -35,12 +39,25 @@ from readmitlab.nn import ARCHITECTURES
 from readmitlab.resample import METHODS
 from readmitlab.synth import synthetic_cohort
 
-DATA = ["--data", "cohort.csv", "--seed", "1"]
-CV = [*DATA, "--folds", "2", "--workers", "1"]
+COHORT = ["--data", "cohort.csv"]
+DATA = [*COHORT, "--seed", "1"]
+FOLDS = ["--folds", "2", "--workers", "1"]
+CV = [*DATA, *FOLDS]
 NETWORK = {"epochs": 1, "batch_size": 32, "learning_rate": 1e-3}
 # the bench cohort's class weights: 267 outer-class rows, so the booster a
 # saved cascade fits on all of them bins 6 of its 14 columns in groups of values
 WEIGHTS = (0.54, 0.11, 0.35)
+BOM = "\ufeff"  # as Excel's "CSV UTF-8" writes it
+# small CSVs by name: a header that names the label twice, a table whose
+# squared distances overflow float64, and a label-first header after a
+# byte-order mark
+CSVS = {
+    "label-twice.csv": "readmitted,readmitted\n" + "".join(f"{i % 3},{i}\n" for i in range(9)),
+    "huge.csv": "a,b,readmitted\n" + "".join(f"{1 + i / 16}e300,{2 - i / 16}e300,{i % 3}\n"
+                                            for i in range(14)),
+    "bom-label-first.csv": BOM + "readmitted,a,b\n" + "".join(f"{i % 3},{i},{i * i % 7}\n"
+                                                             for i in range(9)),
+}
 
 
 def runs() -> list[tuple[str, list[str], dict | None]]:
@@ -67,7 +84,42 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
               for arch in ("vanilla", "cnn2", "cnn2_wide", "cnn2_multibranch")]
     table.append(("report", ["report", "--runs", "ingest", "train-gbm", "cascade-vanilla"],
                   None))
+    # a byte-order mark is not part of the first column's name
+    table.append(("stats-bom", ["stats", "--data", "bom.csv", "--seed", "1"], None))
+    table.append(("ingest-bom-label-first", ["ingest", "--data", "bom-label-first.csv",
+                                             "--seed", "1"], None))
     return table
+
+
+def failures() -> list[tuple[str, list[str], dict | None, int]]:
+    """(name, argv without --out, config or None, expected exit code) of every
+    run that must fail."""
+    gbm = ["--model", "gbm", "--n-rounds", "2"]
+    return [
+        ("fail-seed-negative", ["ingest", *COHORT, "--seed", "-1"], None, 1),
+        ("fail-seed-negative-fraction", ["ingest", *COHORT, "--seed", "-1",
+                                         "--fraction", "0.5"], None, 1),
+        ("fail-seed-negative-train", ["train", *COHORT, "--seed", "-1", *FOLDS, *gbm],
+         None, 1),
+        ("fail-folds-one", ["train", *DATA, "--folds", "1", "--workers", "1", *gbm], None, 1),
+        ("fail-folds-one-paper-mode", ["train", *DATA, "--folds", "1", "--workers", "1", *gbm,
+                                       "--paper-mode", "--resample-method", "random_over"],
+         None, 1),
+        ("fail-compare-ks-not-a-list", ["select", *CV],
+         {"compare_ks": 5, "model": {"kind": "gbm", "n_rounds": 2}}, 1),
+        ("fail-regimes-not-a-list", ["binary-study", *CV], {"regimes": 5}, 1),
+        ("fail-features-not-a-list", ["stats", *DATA], {"features": 5}, 1),
+        ("fail-runs-not-a-list", ["report"], {"runs": 5}, 1),
+        ("fail-grid-learning-rate", ["sweep", *CV], {"grid": {"learning_rate": [0.0]}}, 1),
+        ("fail-label-twice", ["ingest", "--data", "label-twice.csv", "--seed", "1"], None, 2),
+        ("fail-nearmiss-overflow", ["resample", "--data", "huge.csv", "--seed", "1",
+                                    "--resample-method", "nearmiss", "--no-normalize"], None, 2),
+        # messages that stay as they were
+        ("fail-workers-zero", ["train", *DATA, "--workers", "0", *gbm], None, 1),
+        ("fail-unknown-field", ["ingest", *DATA], {"bogus": 1}, 1),
+        ("fail-select-k-beyond", ["train", *CV, *gbm, "--select-method", "chi2",
+                                  "--select-k", "99"], None, 1),
+    ]
 
 
 def run_all(out: Path) -> dict[str, int]:
@@ -77,13 +129,18 @@ def run_all(out: Path) -> dict[str, int]:
     os.chdir(out)
     try:
         save_dataset_csv(synthetic_cohort(300, 14, seed=4, weights=WEIGHTS), "cohort.csv")
+        Path("bom.csv").write_text(BOM + Path("cohort.csv").read_text())
+        for name, text in CSVS.items():
+            Path(name).write_text(text)
         codes = {}
-        for name, argv, config in runs():
+        for name, argv, config, _ in [(*run, 0) for run in runs()] + failures():
             if config is not None:
                 Path(f"{name}.json").write_text(json.dumps(config))
                 argv = [*argv, "--config", f"{name}.json"]
             with open(f"{name}.stdout", "w") as stdout, open(f"{name}.stderr", "w") as stderr:
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("always")
                     codes[name] = cli_main([*argv, "--out", name])
         Path("exit_codes.tsv").write_text("".join(f"{n}\t{c}\n" for n, c in codes.items()))
         return codes
@@ -96,9 +153,11 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     codes = run_all(Path(argv[0]))
-    failed = [name for name, code in codes.items() if code != 0]
-    print(f"{len(codes)} runs, {len(failed)} failed" + "".join(f"\n  {n}" for n in failed))
-    return 1 if failed else 0
+    expected = {name: code for name, _, _, code in failures()}
+    wrong = [name for name, code in codes.items() if code != expected.get(name, 0)]
+    print(f"{len(codes)} runs, {len(wrong)} with an unexpected exit code"
+          + "".join(f"\n  {n}" for n in wrong))
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
