@@ -354,16 +354,21 @@ def _merge(cfg: dict, name: str, defaults: dict, cls=None, **chosen) -> tuple[di
     return section, built
 
 
-def _names(cfg: dict, field: str) -> list | None:
+def _names(cfg: dict, field: str, strings: bool = True) -> list | None:
     """Config field `field` as a list, recorded in cfg: a list passes
     through, a comma-separated string (a flag's or a config file's) is split
-    at its commas, and None (not given) stays None; anything else is a
-    config error naming the field."""
+    at its commas, and None (not given) stays None; anything else, or with
+    `strings` an entry that is not a string, is a config error naming the
+    field."""
     value = cfg.get(field)
     if isinstance(value, str):
         value = [name.strip() for name in value.split(",") if name.strip()]
     elif value is not None and not isinstance(value, list):
         raise ConfigError(f"invalid config field {field!r}: {json.dumps(value)} is not a list")
+    wrong = [entry for entry in value or () if strings and not isinstance(entry, str)]
+    if wrong:
+        raise ConfigError(f"invalid config field {field!r}: {json.dumps(wrong[0])} "
+                          "is not a string")
     cfg[field] = value
     return value
 
@@ -391,13 +396,18 @@ def _resample_plan(cfg: dict) -> ResamplePlan | None:
     return _merge(cfg, "resample", _SECTIONS["resample"], ResamplePlan)[1]
 
 
+def _check_k(field: str, k: int, n_features: int) -> None:
+    """A k outside 1..n_features is a config error naming `field`."""
+    if not 1 <= k <= n_features:
+        raise ConfigError(f"invalid config field {field!r}: k={k} must be at "
+                          f"least 1 and at most the {n_features} features")
+
+
 def _selection(cfg: dict, data: Dataset, **defaults) -> Selection:
     """Resolve the select section; a k outside 1..the feature count is a
     config error."""
     selection = _merge(cfg, "select", {**_SECTIONS["select"], **defaults}, Selection)[1]
-    if not 1 <= selection.k <= data.n_features:
-        raise ConfigError(f"invalid config field 'select.k': k={selection.k} must be at "
-                          f"least 1 and at most the {data.n_features} features")
+    _check_k("select.k", selection.k, data.n_features)
     return selection
 
 
@@ -484,7 +494,7 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     comma_form = isinstance(cfg["compare_ks"], str)  # whose digit strings are counts
     compare_ks = [int(k) if comma_form and k.isdecimal() else k
-                  for k in _names(cfg, "compare_ks") or ()]
+                  for k in _names(cfg, "compare_ks", strings=False) or ()]
     cfg["compare_ks"] = compare_ks or None
     if not compare_ks:
         for field in ("model", "workers", "folds"):
@@ -494,8 +504,11 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     k_given = "k" in (cfg.get("select") or {})
     selection = _selection(cfg, data, method="chi2", k=data.n_features)
     table = selection.scores(_fit_all(cfg, data, FoldPipeline(cfg["normalize"]), report))
-    if not k_given:  # every feature the scorer ranks; it excludes constant columns
-        selection = dataclasses.replace(selection, k=int((table.ranks > 0).sum()))
+    ranked = int((table.ranks > 0).sum())  # the scorer excludes constant columns
+    if ranked == 0:
+        raise DataError(f"{selection.method} ranks none of the {data.n_features} features")
+    if not k_given:  # every feature the scorer ranks
+        selection = dataclasses.replace(selection, k=ranked)
         cfg["select"] = dataclasses.asdict(selection)
     report.add_table(f"{selection.method} scores", *feature_scores_section(table))
     keep = select_k_best(table, selection.k)
@@ -516,6 +529,7 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
             check_count("compare_ks", kk, 1)
         except ValueError as exc:
             raise ConfigError(f"invalid config field 'compare_ks': {exc}") from None
+        _check_k("compare_ks", kk, data.n_features)
         select_k_best(table, kk)
         _check_width(kind, params, kk)
     comparison = []

@@ -197,7 +197,7 @@ class FoldPipeline:
         through the scaling and the columns fitted on train, never
         resampled; the fit's report notes). A training split with fewer
         columns its scorer can score than k raises select_k_best's
-        ValueError."""
+        DataError."""
         notes = []  # test is None in a whole-dataset fit, so `test and` skips it
         if self.scale:
             train, spec = min_max_normalize(train)
@@ -383,8 +383,8 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
     """Score every output the jobs fit on each fold's training split.
 
     Each fold is prepared by `pipeline` fitted on its training split alone,
-    which maps its held-out split too; a ValueError or DataError of that
-    fit, which depends on the fold's rows, is a DataError naming the fold.
+    which maps its held-out split too; a DataError of that fit, a fault of
+    the fold's rows, is raised again naming the fold.
     Fold f's seed is folds.seed + f, derived here and nowhere else: the pipeline
     resamples with it and every job fits with it, so folds stay independent
     but reproducible. Each job is a fit_predict(seed, train, test) returning
@@ -417,7 +417,7 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
             try:
                 held[fold] = pipeline.fit(data.take(folds.train_indices(fold)), seed,
                                           data.take(folds.test_indices(fold)))
-            except (ValueError, DataError) as exc:  # such as a k beyond the fold's columns
+            except DataError as exc:  # such as a k beyond the fold's columns
                 raise DataError(f"training fold {fold}: {exc}") from None
         return held[fold]
 

@@ -192,14 +192,14 @@ class Selection:
 
 def select_k_best(scores: FeatureScoreTable, k: int) -> list[int]:
     """Indices of the k highest-scoring features, in original column order:
-    those ranked 1..k (an excluded feature's rank is 0)."""
+    those ranked 1..k (an excluded feature's rank is 0). A k below 1 is a
+    ValueError; a k beyond the ranked features is a DataError, as the rows
+    decide which columns a scorer can rank."""
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     available = np.count_nonzero(scores.ranks)
     if k > available:
-        raise ValueError(
-            f"k={k} exceeds the {available} non-excluded features"
-        )
+        raise DataError(f"k={k} exceeds the {available} non-excluded features")
     return np.flatnonzero((scores.ranks > 0) & (scores.ranks <= k)).tolist()
 
 

@@ -100,25 +100,21 @@ class RunReport:
         header, rows = confusion_rows(cm)
         self.add_table(title, header, rows)
 
-    def render_tsv(self) -> str:
-        parts = [f"# command\t{self.command}\n"]
+    def _render(self, head: str, title_form: str, table, notes_head: str) -> str:
+        """The head line, each section's title_form.format(title) and
+        table(header, rows), then notes_head and the notes, if any."""
+        parts = [head]
         for title, header, rows in self._sections:
-            parts.append(f"# {title}\n")
-            parts.append(tsv_table(header, rows))
+            parts += [title_form.format(title), table(header, rows)]
         if self._lines:
-            parts.append("# notes\n")
-            parts.append("".join(line + "\n" for line in self._lines))
+            parts += [notes_head, *(line + "\n" for line in self._lines)]
         return "".join(parts)
 
+    def render_tsv(self) -> str:
+        return self._render(f"# command\t{self.command}\n", "# {}\n", tsv_table, "# notes\n")
+
     def render_text(self) -> str:
-        parts = [f"command: {self.command}\n"]
-        for title, header, rows in self._sections:
-            parts.append(f"\n== {title} ==\n")
-            parts.append(aligned_table(header, rows))
-        if self._lines:
-            parts.append("\n")
-            parts.append("".join(line + "\n" for line in self._lines))
-        return "".join(parts)
+        return self._render(f"command: {self.command}\n", "\n== {} ==\n", aligned_table, "\n")
 
     def write(self, out_dir) -> Path:
         out = Path(out_dir)

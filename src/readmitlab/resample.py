@@ -87,6 +87,9 @@ class ResamplePlan:
                              f"nonnegative integers, got {targets!r}")
 
     def resolved_targets(self, counts: dict[int, int]) -> dict[int, int]:
+        """The target count of each class, given its current count; an
+        oversampler's target below the count, or an undersampler's above
+        it, is a DataError."""
         if self.target_counts is not None:
             targets = {int(c): int(self.target_counts[c]) for c in self.target_counts}
         elif self.method in OVERSAMPLERS:
@@ -97,9 +100,9 @@ class ResamplePlan:
             targets = {c: low for c in counts}
         for c, t in targets.items():
             if self.method in OVERSAMPLERS and t < counts.get(c, 0):
-                raise ValueError(f"oversampler target {t} below current count for class {c}")
+                raise DataError(f"oversampler target {t} below current count for class {c}")
             if self.method in UNDERSAMPLERS and t > counts.get(c, 0):
-                raise ValueError(f"undersampler target {t} above current count for class {c}")
+                raise DataError(f"undersampler target {t} above current count for class {c}")
         return targets
 
 

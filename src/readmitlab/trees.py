@@ -232,16 +232,47 @@ def _check_tree_limits(max_depth: int | None, min_samples_leaf: int,
     return math.inf if max_depth is None else max_depth
 
 
-class RegressionTree:
+class _CART:
+    """The scaffolding both tree kinds share: the checked limits, the
+    zero-row check, the growing and the routing of rows to leaf values."""
+
+    def __init__(self, max_depth: int | None, min_samples_leaf: int,
+                 features_per_split: int | str = "all"):
+        self.max_depth = _check_tree_limits(max_depth, min_samples_leaf, features_per_split)
+        self.min_samples_leaf = min_samples_leaf
+        self.root: _Node | None = None
+
+    def _pick_features(self, p: int):
+        """_grow's pick_features for rows of p features: all of them."""
+        every = np.arange(p)
+        return lambda: every
+
+    def _fit(self, X: np.ndarray, Y: np.ndarray, leaf_value, binned: tuple | None = None):
+        """Grow root on the (m, n) target matrix Y; leaf_value(rows) gives a
+        leaf's value, and binned is _bin(X) when the caller has it."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[0] == 0:
+            raise DataError("cannot fit a tree on zero rows")
+        pick_features = self._pick_features(X.shape[1])  # checked before the binning
+        self.root = _grow(X, _bin(X) if binned is None else binned, Y, leaf_value,
+                          self.max_depth, self.min_samples_leaf, pick_features)
+        return self
+
+    def _leaf_values(self, X: np.ndarray, dtype) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty(X.shape[0], dtype=dtype)
+        _route(self.root, X, out, np.arange(X.shape[0]))
+        return out
+
+
+class RegressionTree(_CART):
     """Squared-error CART. leaf_value_fn maps the targets that reach a leaf to
     the leaf's value (default: their mean)."""
 
     def __init__(self, max_depth: int | None = 3, min_samples_leaf: int = 1,
                  leaf_value_fn=None):
-        self.max_depth = _check_tree_limits(max_depth, min_samples_leaf)
-        self.min_samples_leaf = min_samples_leaf
+        super().__init__(max_depth, min_samples_leaf)
         self.leaf_value_fn = leaf_value_fn or (lambda t: float(t.mean()))
-        self.root: _Node | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, _binned: tuple | None = None,
             _fitted: np.ndarray | None = None) -> "RegressionTree":
@@ -249,12 +280,7 @@ class RegressionTree:
         the same X. _fitted, when given, receives each training row's leaf
         value: what predict(X) would return, as every row of a leaf lies on
         its side of each threshold above it."""
-        X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if X.shape[0] == 0:
-            raise DataError("cannot fit a tree on zero rows")
-        all_features = np.arange(X.shape[1])
-        binned = _bin(X) if _binned is None else _binned
 
         def leaf_value(rows: np.ndarray) -> float:
             value = self.leaf_value_fn(y[rows])
@@ -262,18 +288,13 @@ class RegressionTree:
                 _fitted[rows] = value
             return value
 
-        self.root = _grow(X, binned, y[None, :], leaf_value,
-                          self.max_depth, self.min_samples_leaf, lambda: all_features)
-        return self
+        return self._fit(X, y[None, :], leaf_value, _binned)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0])
-        _route(self.root, X, out, np.arange(X.shape[0]))
-        return out
+        return self._leaf_values(X, np.float64)
 
 
-class ClassificationTree:
+class ClassificationTree(_CART):
     """Gini-impurity CART; leaves hold the majority class (ties: lower id).
 
     features_per_split limits the features scanned at each node: an int, the
@@ -284,53 +305,34 @@ class ClassificationTree:
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1,
                  features_per_split: int | str = "all",
                  rng: np.random.Generator | None = None):
-        self.max_depth = _check_tree_limits(max_depth, min_samples_leaf, features_per_split)
-        self.min_samples_leaf = min_samples_leaf
+        super().__init__(max_depth, min_samples_leaf, features_per_split)
         self.features_per_split = features_per_split
         self.rng = rng
-        self.root: _Node | None = None
         self.classes_: np.ndarray | None = None
 
-    def _n_candidates(self, p: int) -> int:
-        if self.features_per_split == "all":
-            return p
-        if self.features_per_split == "sqrt":
-            return max(1, math.isqrt(p))
+    def _pick_features(self, p: int):
         m = self.features_per_split
-        if not 1 <= m <= p:
+        if m in ("all", "sqrt"):
+            m = p if m == "all" else max(1, math.isqrt(p))
+        elif not 1 <= m <= p:
             raise ValueError(f"features_per_split {m} outside [1, {p}]")
-        return m
+        if m == p:
+            return super()._pick_features(p)
+        if self.rng is None:
+            raise ValueError("features_per_split < n_features requires an rng")
+        return lambda: np.sort(self.rng.choice(p, size=m, replace=False))
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ClassificationTree":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if X.shape[0] == 0:
-            raise DataError("cannot fit a tree on zero rows")
-        self.classes_ = np.unique(y)
-        codes = np.searchsorted(self.classes_, y)
+        self.classes_, codes = np.unique(np.asarray(y), return_inverse=True)
         onehot = (np.arange(len(self.classes_))[:, None] == codes).astype(np.float64)
-        p = X.shape[1]
-        m = self._n_candidates(p)
-        if m < p and self.rng is None:
-            raise ValueError("features_per_split < n_features requires an rng")
-
-        def pick_features() -> np.ndarray:
-            if m == p:
-                return np.arange(p)
-            return np.sort(self.rng.choice(p, size=m, replace=False))
 
         def majority(rows: np.ndarray) -> int:
             return int(np.argmax(onehot[:, rows].sum(axis=1)))  # first max = lowest id
 
-        self.root = _grow(X, _bin(X), onehot, majority, self.max_depth,
-                          self.min_samples_leaf, pick_features)
-        return self
+        return self._fit(X, onehot, majority)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        _route(self.root, X, out, np.arange(X.shape[0]))
-        return self.classes_[out]
+        return self.classes_[self._leaf_values(X, np.int64)]
 
 
 class RandomForest:
@@ -366,11 +368,8 @@ class RandomForest:
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf,
                 features_per_split=self.features_per_split, rng=rng,
             )
-            if self.bootstrap:
-                rows = rng.integers(0, n, size=n)
-                tree.fit(X[rows], y[rows])
-            else:
-                tree.fit(X, y)
+            rows = rng.integers(0, n, size=n) if self.bootstrap else slice(None)
+            tree.fit(X[rows], y[rows])
             self.trees_.append(tree)
         return self
 
@@ -458,7 +457,7 @@ class GradientBoostedClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedClassifier":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
-        self.classes_ = np.unique(y)
+        self.classes_, codes = np.unique(y, return_inverse=True)
         n_classes = len(self.classes_)
         if n_classes == 0:
             raise DataError("cannot fit boosting on zero rows")
@@ -468,7 +467,6 @@ class GradientBoostedClassifier:
             # Degenerate but legal: every prediction is the lone class.
             self.base_scores_ = np.zeros(1)
             return self
-        codes = np.searchsorted(self.classes_, y)
         n = X.shape[0]
         onehot = np.eye(n_classes)[codes]
         priors = onehot.mean(axis=0)

@@ -1008,7 +1008,8 @@ class TestInputWidthCheckedUpFront:
         (["select"], {"compare_ks": [8, 3], "model": {"kind": "network", "arch": "vanilla"}},
          2, "data error: vanilla: input of 3 features is too short"),
         (["select"], {"compare_ks": [3, 999], "model": {"kind": "gbm", "n_rounds": 2}},
-         1, "config error: k=999 exceeds the 8 non-excluded features"),
+         1, "config error: invalid config field 'compare_ks': k=999 must be at least 1 "
+            "and at most the 8 features"),
         (["train", "--model", "gbm", "--select-method", "chi2", "--select-k", "9"], {},
          1, "config error: invalid config field 'select.k': k=9 must be at least 1 "
             "and at most the 8 features"),
@@ -1043,6 +1044,73 @@ class TestInputWidthCheckedUpFront:
         assert capsys.readouterr().err.startswith(message)
         assert calls == []
         assert not out.exists()
+
+
+GBM_CV = ["--model", "gbm", "--n-rounds", "1", "--folds", "2", "--workers", "1"]
+CHI2_K2 = ["--select-method", "chi2", "--select-k", "2"]
+
+
+def smote_target(count: int) -> dict:
+    return {"resample": {"method": "smote", "target_counts": {"0": count}}}
+
+
+class TestFaultsOfTheRows:
+    """A fault of the rows is a data error (exit 2) whether a training fold
+    or the whole table meets it, as in paper mode, select and resample; a
+    bad config list entry is a config error (exit 1) naming its field. Each
+    run writes one error line. "one" is a 30-row table whose column a is
+    constant, so chi2 ranks one column; "none" has no other column."""
+
+    TABLES = {
+        "one": "a,b,readmitted\n" + "".join(f"1,{i * 7 % 11},{i % 3}\n" for i in range(30)),
+        "none": "a,readmitted\n" + "".join(f"1,{i % 3}\n" for i in range(9)),
+    }
+
+    def run(self, tmp_path, argv, config, table):
+        (tmp_path / "rows.csv").write_text(self.TABLES[table])
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        return main([argv[0], *(["--data", str(tmp_path / "rows.csv"), "--seed", "1"]
+                                if argv[0] != "report" else []),
+                     *argv[1:], "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o")])
+
+    # a train run whose last field is True exits alike with --paper-mode
+    # toggled: its fault is in every training fold and in the whole table
+    @pytest.mark.parametrize("argv, config, table, code, message, twin", [
+        (["train", *GBM_CV, *CHI2_K2], {}, "one",
+         2, "data error: training fold 0: k=2 exceeds the 1 non-excluded features", True),
+        (["train", *GBM_CV, *CHI2_K2, "--paper-mode"], {}, "one",
+         2, "data error: k=2 exceeds the 1 non-excluded features", True),
+        (["select", "--select-k", "2"], {}, "one",
+         2, "data error: k=2 exceeds the 1 non-excluded features", False),
+        (["resample"], smote_target(5), "one",
+         2, "data error: oversampler target 5 below current count for class 0", False),
+        # no twin: each training fold holds 5 rows of class 0, so a target of 5 fits
+        (["train", *GBM_CV, "--paper-mode"], smote_target(5), "one",
+         2, "data error: oversampler target 5 below current count for class 0", False),
+        (["train", *GBM_CV], smote_target(4), "one",
+         2, "data error: training fold 0: oversampler target 4 below current count for "
+            "class 0", True),
+        (["select"], {}, "none", 2, "data error: chi2 ranks none of the 1 features", False),
+        (["select"], {"compare_ks": [1, 999], "model": {"kind": "gbm", "n_rounds": 1}}, "one",
+         1, "config error: invalid config field 'compare_ks': k=999 must be at least 1 "
+            "and at most the 2 features", False),
+        (["report"], {"runs": [1]}, "one",
+         1, "config error: invalid config field 'runs': 1 is not a string", False),
+        (["stats"], {"features": [1]}, "one",
+         1, "config error: invalid config field 'features': 1 is not a string", False),
+    ], ids=["train-k", "train-k-paper-mode", "select-k", "resample-target",
+            "train-target-paper-mode", "train-target", "select-none-ranked",
+            "compare-ks-beyond-the-features", "runs-entry", "features-entry"])
+    def test_fails_with_one_line(self, tmp_path, capsys, argv, config, table, code, message,
+                                 twin):
+        assert self.run(tmp_path, argv, config, table) == code
+        assert capsys.readouterr().err == message + "\n"
+        if twin:
+            toggled = ([a for a in argv if a != "--paper-mode"] if "--paper-mode" in argv
+                       else [*argv, "--paper-mode"])
+            assert self.run(tmp_path, toggled, config, table) == code
+            assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestNonFiniteInput:

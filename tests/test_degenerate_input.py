@@ -28,7 +28,8 @@ GBM = {"kind": "gbm", "n_rounds": 2}
 def command_runs(arch: str, method: str) -> list[tuple[str, dict, tuple[str, ...]]]:
     """(command, config, worker counts) of every command but report, with 1
     epoch, 2 rounds, 2 trees and 2 folds. A run with worker counts runs at
-    each of them; one without runs once, and has no folds."""
+    each of them; one without runs once, and has no folds. Paper mode's
+    train selects and resamples the whole table before it splits it."""
     network = {"arch": arch, "epochs": 1}
     both = ("1", "2")
     return [
@@ -39,6 +40,8 @@ def command_runs(arch: str, method: str) -> list[tuple[str, dict, tuple[str, ...
         ("train", {"model": {"kind": "network", **network}}, ("1",)),
         ("train", {"model": {"kind": "forest", "n_trees": 2}}, ("1",)),
         ("train", {"model": GBM}, both),
+        ("train", {"model": GBM, "paper_mode": True, "resample": {"method": method},
+                   "select": {"method": "chi2", "k": 1}}, ("1",)),
         ("sweep", {"model": {"arch": arch},
                    "grid": {"epochs": [1], "learning_rate": [1e-3], "batch_size": [16]}}, both),
         ("cascade", {"network": network, "booster": {"n_rounds": 2}}, both),

@@ -213,7 +213,7 @@ class TestSelectKBest:
     def test_k_beyond_available_rejected(self):
         data = make_dataset([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]], [0, 1, 2])
         table = chi_square_scores(data)  # column 0 excluded (zero sum)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             select_k_best(table, 2)
 
     @pytest.mark.parametrize("k", [0, -1, -3])

@@ -50,10 +50,10 @@ class TestResamplePlan:
         assert down == {0: 10, 1: 10, 2: 10}
 
     def test_explicit_targets_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             ResamplePlan("smote",
                          target_counts={0: 5}).resolved_targets({0: 10, 1: 3})
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             ResamplePlan("nearmiss",
                          target_counts={0: 20}).resolved_targets({0: 10, 1: 3})
 

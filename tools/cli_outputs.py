@@ -49,14 +49,18 @@ NETWORK = {"epochs": 1, "batch_size": 32, "learning_rate": 1e-3}
 WEIGHTS = (0.54, 0.11, 0.35)
 BOM = "\ufeff"  # as Excel's "CSV UTF-8" writes it
 # small CSVs by name: a header that names the label twice, a table whose
-# squared distances overflow float64, and a label-first header after a
-# byte-order mark
+# squared distances overflow float64, a label-first header after a
+# byte-order mark, a constant column a beside a column b that chi2 ranks,
+# and a constant column alone
 CSVS = {
     "label-twice.csv": "readmitted,readmitted\n" + "".join(f"{i % 3},{i}\n" for i in range(9)),
     "huge.csv": "a,b,readmitted\n" + "".join(f"{1 + i / 16}e300,{2 - i / 16}e300,{i % 3}\n"
                                             for i in range(14)),
     "bom-label-first.csv": BOM + "readmitted,a,b\n" + "".join(f"{i % 3},{i},{i * i % 7}\n"
                                                              for i in range(9)),
+    "constant-a.csv": "a,b,readmitted\n" + "".join(f"1,{i * 7 % 11},{i % 3}\n"
+                                                   for i in range(30)),
+    "constant-only.csv": "a,readmitted\n" + "".join(f"1,{i % 3}\n" for i in range(9)),
 }
 
 
@@ -95,6 +99,8 @@ def failures() -> list[tuple[str, list[str], dict | None, int]]:
     """(name, argv without --out, config or None, expected exit code) of every
     run that must fail."""
     gbm = ["--model", "gbm", "--n-rounds", "2"]
+    constant_a = ["--data", "constant-a.csv", "--seed", "1"]
+    target_5 = {"resample": {"method": "smote", "target_counts": {"0": 5}}}  # class 0: 10 rows
     return [
         ("fail-seed-negative", ["ingest", *COHORT, "--seed", "-1"], None, 1),
         ("fail-seed-negative-fraction", ["ingest", *COHORT, "--seed", "-1",
@@ -114,6 +120,20 @@ def failures() -> list[tuple[str, list[str], dict | None, int]]:
         ("fail-label-twice", ["ingest", "--data", "label-twice.csv", "--seed", "1"], None, 2),
         ("fail-nearmiss-overflow", ["resample", "--data", "huge.csv", "--seed", "1",
                                     "--resample-method", "nearmiss", "--no-normalize"], None, 2),
+        # faults of the rows met by a whole-table fit, and bad list entries
+        ("fail-select-k-beyond-ranked-paper-mode", ["train", *constant_a, *FOLDS, *gbm,
+                                                    "--select-method", "chi2", "--select-k",
+                                                    "2", "--paper-mode"], None, 2),
+        ("fail-select-k-beyond-ranked", ["select", *constant_a, "--select-k", "2"], None, 2),
+        ("fail-target-below-count", ["resample", *constant_a], target_5, 2),
+        ("fail-target-below-count-paper-mode", ["train", *constant_a, *FOLDS, *gbm,
+                                                "--paper-mode"], target_5, 2),
+        ("fail-select-none-ranked", ["select", "--data", "constant-only.csv", "--seed", "1"],
+         None, 2),
+        ("fail-compare-ks-beyond", ["select", *CV],
+         {"compare_ks": [3, 999], "model": {"kind": "gbm", "n_rounds": 2}}, 1),
+        ("fail-runs-entry", ["report"], {"runs": [1]}, 1),
+        ("fail-features-entry", ["stats", *DATA], {"features": [1]}, 1),
         # messages that stay as they were
         ("fail-workers-zero", ["train", *DATA, "--workers", "0", *gbm], None, 1),
         ("fail-unknown-field", ["ingest", *DATA], {"bogus": 1}, 1),
