@@ -20,9 +20,10 @@ or null where the field has no default; _resolve checks both before the
 data load, and so the counts: seed >= 0, folds >= 2, workers >= 1
 (_COUNTS). A list-valued field (compare_ks, regimes, features, runs) is a
 list or a comma-separated string, read by _names. Every run needs an output
-directory; every command but report also needs a seed (--seed flag, config
-"seed", or the READMIT_SEED environment variable) and an input CSV (--data or
-config "dataset"). A run writes three files: config.json (the resolved config
+directory that neither is nor lies under an existing file (a config error
+before the data load); every command but report also needs a seed (--seed
+flag, config "seed", or the READMIT_SEED environment variable) and an input
+CSV (--data or config "dataset"). A run writes three files: config.json (the resolved config
 echo), report.tsv, and report.txt. Reports embed the input CSV's content
 hash and never embed timestamps or the output path, so identical configs
 produce byte-identical reports.
@@ -50,7 +51,8 @@ Min-max scaling (--normalize, on by default), the select section and the
 resample section make one evaluate.FoldPipeline, fitted in that order. The
 commands that cross-validate (train, sweep, cascade, binary-study, select
 with compare_ks) fit it on each training fold alone and report each fold's
-constant and selected columns as "fold f: ..." lines. --paper-mode is the
+constant and selected columns and resampled class counts as "fold f: ..."
+lines (binary-study's prefixed with each regime's name). --paper-mode is the
 one switch back to the study's whole-dataset protocol: it fits the same
 pipeline once on all rows, with the run seed, and then splits the folds,
 which fit nothing. The commands without folds (ingest, stats, select
@@ -315,10 +317,14 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
             raise ConfigError(f"invalid config field 'fraction': {fraction} outside (0, 1]")
         cfg["fraction"] = fraction
 
-    out = cfg.pop("out")
-    if not out:
+    if not cfg["out"]:
         raise ConfigError("an output directory is required: --out or config 'out'")
-    return cfg, Path(out)
+    out = Path(cfg.pop("out"))
+    # out, or a directory it would be made under, already taken by a file
+    for path in (out, *out.parents):
+        if os.path.lexists(path) and not path.is_dir():
+            raise ConfigError(f"invalid config field 'out': {path} is not a directory")
+    return cfg, out
 
 
 def _build(name: str, cls, settings: dict):
@@ -648,7 +654,8 @@ def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) ->
                                  regimes=regimes, booster_config=booster,
                                  pipeline=FoldPipeline(cfg["normalize"]),
                                  workers=cfg["workers"])
-    _add_fold_notes(report, results[regimes[0]])  # the regimes differ in resampling only
+    for regime in regimes:
+        _add_fold_notes(report, results[regime], f"{regime} ")
     summary = [[regime,
                 format_percent(results[regime].mean_metrics.accuracy),
                 format_percent(results[regime].mean_metrics.macro_f)]

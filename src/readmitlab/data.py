@@ -34,14 +34,12 @@ import re
 import stat
 import tempfile
 import warnings
-import zipfile
-import zlib
 from dataclasses import dataclass
 from typing import Iterator, NoReturn
 
 import numpy as np
 
-from .errors import DataError
+from .errors import UNREADABLE, DataError
 
 VALID_LABELS = (0, 1, 2)
 
@@ -247,10 +245,6 @@ class _HashingReader(io.RawIOBase):
         return n
 
 
-# what np.load raises on a sidecar that is truncated, garbage or not an npz
-_UNREADABLE = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error)
-
-
 def _read_sidecar(sidecar: str, sha256: str) -> Dataset | None:
     """The Dataset a sidecar holds for this digest and LABEL_COLUMN, or None."""
     try:
@@ -261,7 +255,7 @@ def _read_sidecar(sidecar: str, sha256: str) -> Dataset | None:
                 return None
             features, labels = stored["features"], stored["labels"]
         names = json.loads(names) if isinstance(names, str) else None
-    except _UNREADABLE:
+    except UNREADABLE:
         return None
     if (features.dtype != np.float64 or labels.dtype != np.int64
             or not isinstance(names, list) or not all(isinstance(n, str) for n in names)):
@@ -398,6 +392,14 @@ def min_max_normalize(data: Dataset, spec: ScalingSpec | None = None) -> tuple[D
     return Dataset(scaled, data.labels, data.feature_names), spec
 
 
+def _class_shuffles(labels: np.ndarray, seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(class, its row indices permuted) for each class in increasing order,
+    every permutation drawn from one generator seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    for cls in np.unique(labels):
+        yield int(cls), rng.permutation(np.flatnonzero(labels == cls))
+
+
 def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     """Shuffle indices within each class by seed, then deal round-robin into k folds.
 
@@ -407,18 +409,14 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     labels = np.asarray(labels, dtype=np.int64)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    rng = np.random.default_rng(seed)
     fold_of = np.empty(labels.size, dtype=np.int64)
     offset = 0
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
+    for cls, members in _class_shuffles(labels, seed):
         if members.size < k:
-            raise DataError(
-                f"class {int(cls)} has {members.size} members, fewer than k={k}"
-            )
+            raise DataError(f"class {cls} has {members.size} members, fewer than k={k}")
         # the j-th shuffled member goes to fold (offset + j) % k; rotating the
         # dealing start per class keeps overall fold sizes within 1
-        fold_of[rng.permutation(members)] = (offset + np.arange(members.size)) % k
+        fold_of[members] = (offset + np.arange(members.size)) % k
         offset = (offset + members.size) % k
     folds = tuple(np.flatnonzero(fold_of == f) for f in range(k))
     for f in folds:
@@ -432,11 +430,6 @@ def stratified_subsample(data: Dataset, fraction: float, seed: int) -> Dataset:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
         return data
-    rng = np.random.default_rng(seed)
-    keep: list[np.ndarray] = []
-    for cls in np.unique(data.labels):
-        members = np.flatnonzero(data.labels == cls)
-        n_keep = max(1, int(round(fraction * members.size)))
-        keep.append(rng.permutation(members)[:n_keep])
-    idx = np.sort(np.concatenate(keep))
-    return data.take(idx)
+    keep = [members[:max(1, int(round(fraction * members.size)))]
+            for _, members in _class_shuffles(data.labels, seed)]
+    return data.take(np.sort(np.concatenate(keep)))

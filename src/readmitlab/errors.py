@@ -1,11 +1,15 @@
-"""Exception taxonomy shared across the package, the one check of a count
-setting, and the type tests of integer and real settings.
+"""Exception taxonomy shared across the package, what np.load raises on a
+file it cannot read, the one check of a count setting, and the type tests of
+integer and real settings.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
 DataError -> 2, NumericError -> 3.
 """
 
 import numbers
+import tokenize
+import zipfile
+import zlib
 
 
 class ConfigError(Exception):
@@ -17,7 +21,13 @@ class DataError(Exception):
 
 
 class NumericError(Exception):
-    """Numeric failure during training (non-finite loss)."""
+    """Numeric failure during training (a non-finite loss or boosting score)."""
+
+
+# what np.load raises on a file that is missing, truncated, garbage or not the
+# .npy or .npz it should be; its .npy header parser lets tokenize's errors through
+UNREADABLE = (OSError, ValueError, KeyError, EOFError, SyntaxError, tokenize.TokenError,
+              zipfile.BadZipFile, zlib.error)
 
 
 def is_integer(value) -> bool:

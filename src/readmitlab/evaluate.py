@@ -195,9 +195,9 @@ class FoldPipeline:
             ) -> tuple[Dataset, Dataset | None, tuple[str, ...]]:
         """(train through every step, resampled with `seed`; test, if given,
         through the scaling and the columns fitted on train, never
-        resampled; the fit's report notes). A training split with fewer
-        columns its scorer can score than k raises select_k_best's
-        DataError."""
+        resampled; the fit's report notes, the resampled class counts
+        among them). A training split with fewer columns its scorer can
+        score than k raises select_k_best's DataError."""
         notes = []  # test is None in a whole-dataset fit, so `test and` skips it
         if self.scale:
             train, spec = min_max_normalize(train)
@@ -212,6 +212,8 @@ class FoldPipeline:
                          + ", ".join(train.feature_names))
         if self.resample is not None:
             train = apply_plan(train, self.resample, seed)
+            notes.append(f"resampled by {self.resample.method}: " + ", ".join(
+                f"class {c}: {n}" for c, n in sorted(train.class_counts().items())))
         return train, test, tuple(notes)
 
 

@@ -29,12 +29,11 @@ Architectures are built by name through build_network(); see ARCHITECTURES.
 
 from __future__ import annotations
 
-import tokenize
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, check_count, is_real
+from .errors import UNREADABLE, DataError, NumericError, check_count, is_real
 from .optim import make_optimizer
 
 # ---------------------------------------------------------------------------
@@ -644,11 +643,6 @@ def predict_classes(net: Network, features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parameter serialization
 
-# what reading a file that is missing or not a .npy np.load can read raises;
-# np.load's header parser lets tokenize's error through
-_UNREADABLE = (OSError, ValueError, EOFError, SyntaxError, tokenize.TokenError)
-
-
 def save_network(net: Network, path) -> None:
     """Write all parameters as one 0-d NumPy record (.npy): one
     little-endian float64 field per weight key, in sorted key order, shaped
@@ -669,7 +663,7 @@ def load_network_params(path) -> dict[str, np.ndarray]:
         with open(path, "rb") as fh:
             record = np.load(fh, allow_pickle=False)
             trailing = fh.read(1)
-    except _UNREADABLE as exc:
+    except UNREADABLE as exc:
         raise DataError(f"{path}: not a network state file ({exc})") from None
     if not isinstance(record, np.ndarray) or record.shape != () or record.dtype.names is None:
         raise DataError(f"{path}: not a network state file (no 0-d record of weights)")

@@ -288,18 +288,13 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 def _interpolate(x_min: np.ndarray, bases: np.ndarray, nn_min: np.ndarray,
                  rng: np.random.Generator, direction: np.ndarray | float = 1.0) -> np.ndarray:
-    """SMOTE step: x + direction * u * (neighbor - x) with u ~ U[0, 1]; a row
+    """SMOTE step: x + direction * u * (neighbor - x) for each base row x,
+    with its neighbor drawn from its row of nn_min and u ~ U[0, 1); a row
     with direction -1 extrapolates away from its neighbor instead."""
     picks = rng.integers(0, nn_min.shape[1], size=len(bases))
     u = direction * rng.random(len(bases))
-    return _steps(x_min, bases, nn_min[bases, picks], u)
-
-
-def _steps(x_min: np.ndarray, bases: np.ndarray, neighbors: np.ndarray,
-           u: np.ndarray) -> np.ndarray:
-    """x + u * (neighbor - x) for each base row x and its drawn neighbor."""
     anchors = x_min[bases]
-    return anchors + u[:, None] * (x_min[neighbors] - anchors)
+    return anchors + u[:, None] * (x_min[nn_min[bases, picks]] - anchors)
 
 
 def _fit_linear_margin(X: np.ndarray, y_signed: np.ndarray,
@@ -342,52 +337,37 @@ def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
         raise DataError(
             f"class {cls} has {n_min} members; needs more than k_neighbors={k}"
         )
+    direction = 1.0
     if plan.method == "smote":
         nn_min, _ = _nearest(x_min, x_min, k, self_indices=np.arange(n_min))
         bases = rng.integers(0, n_min, size=need)
-        return _interpolate(x_min, bases, nn_min, rng)
-
-    # remaining methods also inspect each minority point's neighborhood in the full set
-    nn_min, nn_full = _class_tables(X, min_idx, k)
-    other_count = (y[nn_full] != cls).sum(axis=1)
-    other_frac = other_count / k
-
-    if plan.method == "borderline_smote":
-        danger = np.flatnonzero((2 * other_count >= k) & (other_count < k))
-        if danger.size == 0:
-            raise DataError(
-                f"borderline_smote: class {cls} has no danger points; cannot synthesize"
-            )
-        bases = danger[rng.integers(0, danger.size, size=need)]
-        return _interpolate(x_min, bases, nn_min, rng)
-
-    if plan.method == "adasyn":
-        weights = other_frac.copy()
-        total = weights.sum()
-        if total == 0.0:
-            # fully interior minority class: fall back to uniform allocation
-            weights = np.full(n_min, 1.0 / n_min)
-        else:
-            weights /= total
-        budget = _largest_remainder(weights, need)
-        # each row draws its neighbors, then its steps, as _interpolate would
-        # row by row; the rows then step all at once
-        bases = np.repeat(np.arange(n_min), budget)
-        draws = [(rng.integers(0, k, size=count), rng.random(count))
-                 for count in budget[budget > 0]]
-        picks, u = (np.concatenate(parts) for parts in zip(*draws))
-        return _steps(x_min, bases, nn_min[bases, picks], u)
-
-    # svm_smote, the last oversampler
-    y_signed = np.where(y == cls, 1.0, -1.0)
-    w, b = _fit_linear_margin(X, y_signed, rng)
-    margins = y_signed[min_idx] * (x_min @ w + b)
-    support = np.flatnonzero(margins <= 1.0 + 1e-12)
-    if support.size == 0:
-        support = np.arange(n_min)
-    bases = support[rng.integers(0, support.size, size=need)]
-    # crowded support vectors interpolate inward, safe ones extrapolate outward
-    direction = np.where(other_frac[bases] >= 0.5, 1.0, -1.0)
+    else:
+        # the other methods also inspect each minority row's neighbourhood in the full set
+        nn_min, nn_full = _class_tables(X, min_idx, k)
+        other_count = (y[nn_full] != cls).sum(axis=1)
+        other_frac = other_count / k
+        if plan.method == "borderline_smote":
+            danger = np.flatnonzero((2 * other_count >= k) & (other_count < k))
+            if danger.size == 0:
+                raise DataError(
+                    f"borderline_smote: class {cls} has no danger points; cannot synthesize"
+                )
+            bases = danger[rng.integers(0, danger.size, size=need)]
+        elif plan.method == "adasyn":
+            total = other_frac.sum()
+            # a fully interior minority class falls back to a uniform allocation
+            weights = other_frac / total if total else np.full(n_min, 1.0 / n_min)
+            bases = np.repeat(np.arange(n_min), _largest_remainder(weights, need))
+        else:  # svm_smote, the last oversampler
+            y_signed = np.where(y == cls, 1.0, -1.0)
+            w, b = _fit_linear_margin(X, y_signed, rng)
+            margins = y_signed[min_idx] * (x_min @ w + b)
+            support = np.flatnonzero(margins <= 1.0 + 1e-12)
+            if support.size == 0:
+                support = np.arange(n_min)
+            bases = support[rng.integers(0, support.size, size=need)]
+            # crowded support vectors interpolate inward, safe ones extrapolate outward
+            direction = np.where(other_frac[bases] >= 0.5, 1.0, -1.0)
     return _interpolate(x_min, bases, nn_min, rng, direction)
 
 
@@ -424,9 +404,11 @@ def nearmiss_undersample(data: Dataset, majority_class: int, target_count: int,
 
     Version 1 (default) keeps the instances with the smallest average distance
     to their n_ref closest reference-class instances; version 2 uses the n_ref
-    farthest; version 3 pre-selects each reference point's n_ref nearest
+    farthest; version 3 pre-selects each reference point's m nearest
     majority instances, then keeps those with the largest average distance.
-    The reference class defaults to the smallest other class.
+    m is n_ref, or more where their union would fall short of target_count:
+    the least m whose union holds it. The reference class defaults to the
+    smallest other class.
     """
     maj_idx = _members(data, majority_class, target_count)
     counts = data.class_counts()
@@ -443,15 +425,19 @@ def nearmiss_undersample(data: Dataset, majority_class: int, target_count: int,
     X_ref = data.features[ref_idx]
     candidates = np.arange(maj_idx.size)
     if version == 3:
-        # each reference point's nearest majority rows
-        near, _ = _nearest(X_ref, X_maj, min(n_use, maj_idx.size))
-        candidates = np.unique(near)
-        if candidates.size < target_count:
-            raise DataError(
-                f"nearmiss-3 candidate set of {candidates.size} is smaller than target "
-                f"{target_count}; raise resample.n_ref (now {n_ref}) or set "
-                "resample.target_counts"
-            )
+        # each reference row's `width` nearest majority rows, width doubling
+        # until their union holds the target (all of them do at maj_idx.size)
+        width = least = min(n_use, maj_idx.size)
+        while True:
+            near, _ = _nearest(X_ref, X_maj, width)
+            # the column-major first sighting of each row is the width it joins at
+            candidates, first = np.unique(near.T, return_index=True)
+            if candidates.size >= target_count:
+                break
+            width = min(2 * width, maj_idx.size)
+        joins = first // len(near) + 1
+        width = max(least, np.sort(joins)[:target_count].max(initial=0))
+        candidates = candidates[joins <= width]
     _, picked = _nearest(X_maj[candidates], X_ref, n_use, farthest=version == 2)
     scores = np.sort(np.sqrt(picked), axis=1).mean(axis=1)
     order = candidates[np.argsort(-scores if version == 3 else scores, kind="stable")]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, check_count, is_integer, is_real
+from .errors import DataError, NumericError, check_count, is_integer, is_real
 
 MIN_GAIN = 1e-12  # smallest SSE reduction a split must beat
 MAX_BINS = 256  # most bins a feature column is cut into
@@ -428,6 +428,8 @@ class GradientBoostedClassifier:
     regression tree per score column to the residual (one-hot label minus
     probability) and adds learning_rate times its Newton-valued predictions.
     train_deviance_ records the mean training deviance after every round.
+    A round that leaves any training score non-finite aborts the fit with
+    NumericError, as a non-finite network loss does.
     """
 
     def __init__(self, n_rounds: int = 100, learning_rate: float = 0.1,
@@ -448,7 +450,8 @@ class GradientBoostedClassifier:
     def _probabilities(self, scores: np.ndarray) -> np.ndarray:
         """Class probabilities from the score columns."""
         if len(self.classes_) == 2:
-            p = 1.0 / (1.0 + np.exp(-scores[:, 0]))
+            with np.errstate(over="ignore"):  # exp(-s) = inf gives p = 0, its limit
+                p = 1.0 / (1.0 + np.exp(-scores[:, 0]))
             return np.column_stack([1.0 - p, p])
         shifted = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shifted)
@@ -481,14 +484,18 @@ class GradientBoostedClassifier:
         binned = _bin(X)  # X is the same in every round
         fitted = np.empty(n)  # a round's tree's value of each training row
         probs = self._probabilities(scores)  # of the current scores; each round renews them
-        for _ in range(self.n_rounds):
+        for r in range(self.n_rounds):
             round_trees = []
             for k in range(scores.shape[1]):
                 residual = onehot[:, first + k] - probs[:, first + k]
                 tree = RegressionTree(self.max_depth, self.min_samples_leaf, leaf_fn)
                 tree.fit(X, residual, _binned=binned, _fitted=fitted)
-                scores[:, k] += self.learning_rate * fitted
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    scores[:, k] += self.learning_rate * fitted
                 round_trees.append(tree)
+            if not np.isfinite(scores).all():
+                raise NumericError(f"non-finite boosting scores at round {r + 1}; "
+                                   "reduce the learning rate")
             self.trees_.append(round_trees)
             probs = self._probabilities(scores)
             self.train_deviance_.append(

@@ -255,10 +255,14 @@ def nearmiss_oracle(maj_rows, ref_rows, keep, version, n_ref):
             scores.append(block.mean())
         order = sorted(range(len(maj_rows)), key=lambda i: (scores[i], i))
         return sorted(order[:keep])
-    candidates = set()
-    for j in range(len(ref_rows)):
-        ranked = sorted(range(len(maj_rows)), key=lambda i: (dists[i, j], i))
-        candidates.update(ranked[:n_use])
+    # each reference row's m nearest majority rows, for the least m from n_use
+    # up whose union holds `keep`
+    rankings = [sorted(range(len(maj_rows)), key=lambda i: (dists[i, j], i))
+                for j in range(len(ref_rows))]
+    m = min(n_use, len(maj_rows))
+    while len({i for ranked in rankings for i in ranked[:m]}) < keep:
+        m += 1
+    candidates = {i for ranked in rankings for i in ranked[:m]}
     avg_close = {i: np.sort(dists[i])[:n_use].mean() for i in candidates}
     order = sorted(candidates, key=lambda i: (-avg_close[i], i))
     return sorted(order[:keep])

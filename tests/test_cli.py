@@ -65,6 +65,19 @@ def write_fold_constant_csv(tmp_path, folds=3, seed=1):
     return csv
 
 
+def test_ingest_rewrites_a_sidecar_whose_npy_header_does_not_tokenize(tmp_path):
+    csv = tmp_path / "small.csv"
+    csv.write_text("a,readmitted\n1,0\n2,1\n3,2\n")
+    sidecar = Path(str(csv) + SIDECAR_SUFFIX)
+    header = b"{((((".ljust(53) + b"\n"
+    corrupt = b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+    sidecar.write_bytes(corrupt)
+    assert run_main(["ingest", "--data", str(csv), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == (0, "")
+    assert sidecar.read_bytes() != corrupt
+    assert load_dataset(csv).class_counts() == {0: 1, 1: 1, 2: 1}
+
+
 class TestArgumentHandling:
     def test_no_subcommand_is_a_config_error(self, capsys):
         assert main([]) == 1
@@ -434,6 +447,21 @@ class TestResample:
         for name in ("config.json", "report.tsv", "report.txt"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
 
+    def test_nearmiss_version_3_runs_with_its_defaults(self, tmp_path):
+        # class 2 sits apart, so each of its rows' 3 nearest class-0 rows are
+        # the same few: the first stage widens until it holds the target
+        rng = np.random.default_rng(0)
+        csv = tmp_path / "apart.csv"
+        save_dataset_csv(blob_dataset(rng, {0: 18, 1: 15, 2: 12},
+                                      {0: [0, 0], 1: [2.5, 0], 2: [9, 9]}, spread=0.8), csv)
+        out = tmp_path / "run"
+        assert main(["resample", "--data", str(csv), "--seed", "1", "--resample-method",
+                     "nearmiss", "--nearmiss-version", "3", "--write-csv",
+                     "--out", str(out)]) == 0
+        assert load_dataset(out / "resampled.csv").class_counts() == {0: 12, 1: 12, 2: 12}
+        assert "resampled by nearmiss: class 0: 12, class 1: 12, class 2: 12\n" in (
+            out / "report.txt").read_text()
+
     def test_target_counts_with_class_ids_as_strings_or_integers(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps(
             {"resample": {"method": "random_over", "target_counts": {"2": 20}}}))
@@ -597,6 +625,48 @@ class TestTrain:
                          "--batch-size", "16", "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, config", [
+        (["binary-study"], {"booster": {"learning_rate": 1e308}}),
+        (["train", "--model", "gbm"], {"model": {"kind": "gbm", "learning_rate": 1e308}}),
+    ], ids=["binary-study", "train"])
+    def test_a_diverging_booster_is_a_numeric_failure_with_one_line(self, tmp_path, capsys,
+                                                                   argv, config):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--data", str(write_csv(tmp_path)), "--seed", "1",
+                         "--folds", "2", "--workers", "1", "--config",
+                         str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ("numeric failure: non-finite boosting scores at "
+                                           "round 1; reduce the learning rate\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_large_finite_booster_rate_runs_without_warnings(self, tmp_path, capsys):
+        # scores of +-1e3 overflow exp in the sigmoid, whose limit is exact
+        (tmp_path / "cfg.json").write_text(json.dumps({"booster": {"n_rounds": 5,
+                                                                   "learning_rate": 1e3}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["binary-study", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                         "--folds", "2", "--workers", "1", "--config",
+                         str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+
+    def test_each_fold_reports_its_resampled_class_counts(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--folds", "3", "--workers", "1", "--model", "gbm", "--n-rounds", "2",
+                     "--resample-method", "random_under", "--out", str(out)]) == 0
+        notes = [line for line in (out / "report.txt").read_text().splitlines()
+                 if "resampled by" in line]
+        # 2/3 of each class (18, 15, 12) trains, all cut to the smallest class's 8
+        assert notes == [f"fold {f}: resampled by random_under: class 0: 8, class 1: 8, "
+                         "class 2: 8" for f in range(3)]
 
 
 class TestWorkerFailures:
@@ -1231,10 +1301,39 @@ class TestBinaryStudy:
         assert "random_under: pooled confusion" in tsv
         assert "nearmiss: pooled confusion" not in tsv
 
+    def test_each_regime_reports_its_own_fold_notes(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["binary-study", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--folds", "2", "--workers", "1", "--regimes", "nearmiss,full",
+                     "--out", str(out)]) == 0
+        notes = [line for line in (out / "report.txt").read_text().splitlines()
+                 if " fold " in line]
+        # the outer classes' 18 and 12 rows train 9 and 6 a fold
+        assert notes == [f"nearmiss fold {f}: resampled by nearmiss: class 0: 6, class 2: 6"
+                         for f in range(2)]
+
     def test_unknown_regime_is_a_config_error(self, tmp_path):
         csv = write_csv(tmp_path)
         assert main(["binary-study", "--data", str(csv), "--seed", "1",
                      "--regimes", "oversample", "--out", str(tmp_path / "o")]) == 1
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command, out, extra", [
+        ("ingest", "afile", []),
+        ("resample", "afile/sub", ["--resample-method", "smote", "--write-csv"]),
+    ])
+    def test_an_out_that_is_or_lies_under_a_file_fails_before_the_data_load(
+            self, tmp_path, capsys, monkeypatch, command, out, extra):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n")
+        # a missing CSV would be a data error: the out check comes first
+        assert main([command, "--data", "missing.csv", "--seed", "1", *extra,
+                     "--out", out]) == 1
+        assert capsys.readouterr().err == ("config error: invalid config field 'out': "
+                                           "afile is not a directory\n")
+        assert Path("afile").read_text() == "kept\n"
+        assert sorted(os.listdir()) == ["afile"]
 
 
 class TestReportCommand:

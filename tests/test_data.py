@@ -316,6 +316,17 @@ class TestSidecar:
         forbid_parsing(monkeypatch)  # the damaged sidecar was replaced
         assert_same_bytes(load_dataset(path), data)
 
+    def test_a_sidecar_whose_npy_header_does_not_tokenize_is_parsed_again(
+            self, tmp_path, monkeypatch):
+        # np.load's header parser lets tokenize's error through on "{(((("
+        path, data = self.cohort(tmp_path)
+        header = b"{((((".ljust(53) + b"\n"
+        sidecar_of(path).write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                                     + header)
+        assert_same_bytes(load_dataset(path), data)
+        forbid_parsing(monkeypatch)  # the damaged sidecar was replaced
+        assert_same_bytes(load_dataset(path), data)
+
     @pytest.mark.parametrize("field, value", [
         ("version", np.int64(0)),
         ("sha256", np.str_("0" * 64)),
@@ -615,6 +626,26 @@ class TestStratifiedSubsample:
         b = stratified_subsample(data, 0.4, seed=7)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=3),
+           fraction=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1),
+           shuffle=st.integers(0, 99))
+    def test_matches_the_per_class_loop(self, counts, fraction, seed, shuffle):
+        labels = np.repeat(np.arange(len(counts)), counts)
+        labels = np.random.default_rng(shuffle).permutation(labels)
+        if labels.size == 0:
+            return
+        data = make_dataset(np.arange(labels.size, dtype=np.float64)[:, None], labels)
+        rng = np.random.default_rng(seed)
+        keep = []
+        for cls in np.unique(labels):
+            members = np.flatnonzero(labels == cls)
+            keep.append(rng.permutation(members)[:max(1, int(round(fraction * members.size)))])
+        want = data if fraction == 1.0 else data.take(np.sort(np.concatenate(keep)))
+        got = stratified_subsample(data, fraction, seed)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_fraction_one_returns_same_dataset(self):
         data = make_dataset([[1.0], [2.0]], [0, 1])

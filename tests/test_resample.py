@@ -1,12 +1,10 @@
 """Oversamplers (SMOTE family, ADASYN, random), NearMiss undersampling, k-NN."""
 
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from readmitlab import resample
 from readmitlab.errors import DataError
 from readmitlab.resample import (
     OVERSAMPLERS,
@@ -171,36 +169,45 @@ class TestOversamplers:
         assert out.class_counts() == {0: 40, 1: 40}
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_adasyn_equals_the_per_row_loop_bitwise(self, seed):
-        """ADASYN steps all rows at once from draws made row by row; it must
-        give the bytes of interpolating each row as its draws come."""
-
-        def per_row(X, y, cls, need, plan, rng):
-            k = plan.k_neighbors
-            min_idx = np.flatnonzero(y == cls)
-            x_min = X[min_idx]
-            nn_min, nn_full = resample._class_tables(X, min_idx, k)
-            weights = (y[nn_full] != cls).sum(axis=1) / k
-            total = weights.sum()
-            if total == 0.0:
-                weights = np.full(len(min_idx), 1.0 / len(min_idx))
-            else:
-                weights = weights / total
-            budget = resample._largest_remainder(weights, need)
-            return np.vstack([resample._interpolate(x_min, np.full(budget[i], i), nn_min, rng)
-                              for i in np.flatnonzero(budget)])
-
+    def test_adasyn_gives_each_row_its_budget_on_its_neighbor_segments(self, seed):
+        """Each minority row gets its share of the class's synthetic rows in
+        proportion to the other-class rows among its k nearest (uniform when
+        there are none), rounded by largest remainder, and each of its
+        synthetic rows steps from it a fraction in [0, 1) of the way to one
+        of its k nearest minority neighbours."""
         rng = np.random.default_rng(100 + seed)
         spread = (0.4, 1.0, 1.5, 3.0)[seed]  # from interior classes to mixed ones
         data = blob_dataset(rng, {0: 70, 1: 23, 2: 11},
                             {0: [0, 0, 0], 1: [2, 0, 1], 2: [-2, 1, 0]}, spread=spread)
-        plan = ResamplePlan("adasyn", k_neighbors=3 + seed)
-        got = oversample(data, plan, seed)
-        with mock.patch.object(resample, "_synthesize_for_class", per_row):
-            want = oversample(data, plan, seed)
-        assert got.class_counts() == {0: 70, 1: 70, 2: 70}
-        assert got.features.tobytes() == want.features.tobytes()
-        assert np.array_equal(got.labels, want.labels)
+        k = 3 + seed
+        out = oversample(data, ResamplePlan("adasyn", k_neighbors=k), seed)
+        assert out.class_counts() == {0: 70, 1: 70, 2: 70}
+        X, y = data.features, data.labels
+        synthetic = out.features[data.n_instances:]
+        for cls in (1, 2):
+            members = np.flatnonzero(y == cls)
+            need = 70 - members.size
+            others = np.array([sum(y[j] != cls for j in brute_force_knn(X[i], X, k + 1)
+                                   if j != i) for i in members], dtype=np.float64)
+            if others.sum():
+                quotas = others / others.sum() * need
+            else:
+                quotas = np.full(members.size, 1.0 / members.size) * need
+            budget = np.floor(quotas).astype(int)
+            for i in sorted(range(members.size),
+                            key=lambda i: -(quotas[i] - budget[i]))[:need - budget.sum()]:
+                budget[i] += 1
+            rows, synthetic = synthetic[:need], synthetic[need:]
+            x_min = X[members]
+            neighbors = minority_neighbor_sets(x_min, k)
+            for base, row in zip(np.repeat(np.arange(members.size), budget), rows,
+                                 strict=True):
+                steps = [((row - x_min[base]) @ (x_min[j] - x_min[base])
+                          / np.sum((x_min[j] - x_min[base]) ** 2), j)
+                         for j in neighbors[base]]
+                assert any(-1e-12 <= u < 1.0 and np.allclose(
+                    row, x_min[base] + u * (x_min[j] - x_min[base]), rtol=0, atol=1e-9)
+                    for u, j in steps), (cls, base)
 
     def test_borderline_without_danger_points_is_an_error(self):
         rng = np.random.default_rng(8)
@@ -250,25 +257,29 @@ class TestNearMiss:
                 maj_rows = data.features[data.labels == 0]
                 ref_rows = data.features[data.labels == 1]
                 keep = int(rng.integers(4, 12))
-                try:
-                    out = nearmiss_undersample(data, 0, keep, version=version)
-                except DataError:
-                    # version 3's candidate pool can undershoot the target
-                    expected = nearmiss_oracle(maj_rows, ref_rows, keep, 3, 3)
-                    assert len(set(expected)) >= len(expected)
-                    continue
+                out = nearmiss_undersample(data, 0, keep, version=version)
                 kept_rows = out.features[out.labels == 0]
                 expected = nearmiss_oracle(maj_rows, ref_rows, keep, version, 3)
                 assert np.array_equal(kept_rows, maj_rows[expected]), (version, trial)
 
-    def test_version_3_short_candidate_set_names_the_fields_to_set(self):
-        # one reference point with n_ref 1 nominates a single majority row
+    def test_version_3_matches_the_widening_oracle_on_short_candidate_sets(self):
+        rng = np.random.default_rng(16)
+        for trial in range(8):
+            data = blob_dataset(rng, {0: 40, 1: 6}, {0: [0, 0], 1: [6, 6]}, spread=1.0)
+            maj_rows = data.features[data.labels == 0]
+            ref_rows = data.features[data.labels == 1]
+            keep = int(rng.integers(19, 40))  # beyond the 6 * 3 rows n_ref nominates
+            n_ref = int(rng.integers(1, 4))
+            out = nearmiss_undersample(data, 0, keep, version=3, n_ref=n_ref)
+            expected = nearmiss_oracle(maj_rows, ref_rows, keep, 3, n_ref)
+            assert np.array_equal(out.features[out.labels == 0], maj_rows[expected]), trial
+
+    def test_version_3_widens_a_short_candidate_set_to_the_target(self):
+        # one reference point with n_ref 1 nominates a single majority row; the
+        # first stage widens to its 3 nearest, which leaves out the row at 10
         data = make_dataset([[0.0], [1.0], [2.0], [10.0], [0.4]], [0, 0, 0, 0, 1])
-        with pytest.raises(DataError) as err:
-            nearmiss_undersample(data, 0, 3, version=3, n_ref=1)
-        assert str(err.value) == (
-            "nearmiss-3 candidate set of 1 is smaller than target 3; raise "
-            "resample.n_ref (now 1) or set resample.target_counts")
+        out = nearmiss_undersample(data, 0, 3, version=3, n_ref=1)
+        assert sorted(out.features[out.labels == 0][:, 0].tolist()) == [0.0, 1.0, 2.0]
 
     def test_non_majority_rows_untouched(self):
         rng = np.random.default_rng(13)
@@ -288,12 +299,15 @@ class TestNearMiss:
         kept = sorted(out.features[out.labels == 0][:, 0].tolist())
         assert kept == [0.0, 1.0]
 
-    def test_version_3_candidate_shortage_is_an_error(self):
-        # a single reference point yields at most n_ref candidates
+    def test_version_3_widens_to_the_least_width_that_holds_the_target(self):
+        # a single reference point nominates one row (n_ref is capped at the
+        # reference class's size); the search doubles to its 8 nearest, and
+        # the first stage keeps the 7 nearest, so rows 7 to 9 are never
+        # candidates and the farthest candidates are kept
         data = make_dataset([[float(i)] for i in range(10)] + [[0.5]],
                             [0] * 10 + [1])
-        with pytest.raises(DataError):
-            nearmiss_undersample(data, 0, target_count=8, version=3, n_ref=3)
+        out = nearmiss_undersample(data, 0, target_count=7, version=3, n_ref=3)
+        assert out.features[out.labels == 0][:, 0].tolist() == [float(i) for i in range(7)]
 
     def test_target_above_class_size_rejected(self):
         data = make_dataset([[0.0], [1.0], [2.0]], [0, 0, 1])

@@ -85,7 +85,8 @@ def test_cli_outputs_runs_every_command_and_each_writes_its_reports(tmp_path, ca
     for name, code in failures.items():
         assert not (out / name).exists(), name
         err = (out / f"{name}.stderr").read_text()
-        assert err.startswith({1: "config error: ", 2: "data error: "}[code]), (name, err)
+        assert err.startswith({1: "config error: ", 2: "data error: ",
+                               3: "numeric failure: "}[code]), (name, err)
         assert err.count("\n") == 1, (name, err)
     assert (out / "fail-workers-zero.stderr").read_text() == (
         "config error: invalid config field 'workers': 0 below 1\n")

@@ -8,14 +8,14 @@ OUT must not exist. The tool writes OUT/cohort.csv (300 rows, 14 features,
 synthetic_cohort seed 4, the bench's class weights) and the small CSVs of
 CSVS, and runs each command in this process, from inside OUT with relative
 paths, so that no output names OUT itself. Run NAME writes its reports to
-OUT/NAME/ (its config file, if any, is OUT/NAME.json), its stdout and
-stderr, every warning included, to OUT/NAME.stdout and OUT/NAME.stderr;
-OUT/exit_codes.tsv lists each run's exit code. The runs use 2 folds, 1
-worker, 1 epoch and few boosting rounds. NearMiss version 3 is left out:
-with its defaults it fails on equalised targets. The runs of runs() must
-exit 0 and those of failures() with their expected codes, so a diff of two
-trees shows which error messages moved. Exits 1 when any run exits with
-another code.
+OUT/NAME/, unless its argv gives its own --out (its config file, if any, is
+OUT/NAME.json), and its stdout and stderr, every warning included, to
+OUT/NAME.stdout and OUT/NAME.stderr; OUT/exit_codes.tsv lists each run's
+exit code. The runs use 2 folds, 1 worker, 1 epoch and few boosting
+rounds. One small CSV starts with a sidecar whose .npy header does not
+parse, which its ingest run replaces. The runs of runs() must exit 0 and
+those of failures() with their expected codes, so a diff of two trees shows
+which error messages moved. Exits 1 when any run exits with another code.
 
 To compare a change with its parent, run the tool once with each version's
 src on PYTHONPATH, into two directories, and diff them:
@@ -51,7 +51,7 @@ BOM = "\ufeff"  # as Excel's "CSV UTF-8" writes it
 # small CSVs by name: a header that names the label twice, a table whose
 # squared distances overflow float64, a label-first header after a
 # byte-order mark, a constant column a beside a column b that chi2 ranks,
-# and a constant column alone
+# a constant column alone, and a table whose sidecar is CORRUPT_SIDECAR
 CSVS = {
     "label-twice.csv": "readmitted,readmitted\n" + "".join(f"{i % 3},{i}\n" for i in range(9)),
     "huge.csv": "a,b,readmitted\n" + "".join(f"{1 + i / 16}e300,{2 - i / 16}e300,{i % 3}\n"
@@ -61,7 +61,11 @@ CSVS = {
     "constant-a.csv": "a,b,readmitted\n" + "".join(f"1,{i * 7 % 11},{i % 3}\n"
                                                    for i in range(30)),
     "constant-only.csv": "a,readmitted\n" + "".join(f"1,{i % 3}\n" for i in range(9)),
+    "corrupt-sidecar.csv": "a,readmitted\n1,0\n2,1\n3,2\n",
 }
+# a .npy header that np.load's parser fails on with tokenize's error
+_HEADER = b"{((((".ljust(53) + b"\n"
+CORRUPT_SIDECAR = b"\x93NUMPY\x01\x00" + len(_HEADER).to_bytes(2, "little") + _HEADER
 
 
 def runs() -> list[tuple[str, list[str], dict | None]]:
@@ -73,8 +77,9 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
                   {"compare_ks": [10, 4], "model": {"kind": "gbm", "n_rounds": 3}}))
     table += [(f"resample-{method}", ["resample", *DATA, "--resample-method", method,
                                       "--write-csv"], None) for method in METHODS]
-    table.append(("resample-nearmiss2", ["resample", *DATA, "--resample-method", "nearmiss",
-                                         "--nearmiss-version", "2", "--write-csv"], None))
+    table += [(f"resample-nearmiss{version}", ["resample", *DATA, "--resample-method",
+                                               "nearmiss", "--nearmiss-version", version,
+                                               "--write-csv"], None) for version in "23"]
     table += [(f"train-{arch}", ["train", *CV, "--model", "network", "--arch", arch],
                {"model": NETWORK}) for arch in ARCHITECTURES]
     table.append(("train-gbm", ["train", *CV, "--model", "gbm", "--n-rounds", "3"], None))
@@ -92,12 +97,14 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
     table.append(("stats-bom", ["stats", "--data", "bom.csv", "--seed", "1"], None))
     table.append(("ingest-bom-label-first", ["ingest", "--data", "bom-label-first.csv",
                                              "--seed", "1"], None))
+    table.append(("ingest-corrupt-sidecar", ["ingest", "--data", "corrupt-sidecar.csv",
+                                             "--seed", "1"], None))
     return table
 
 
 def failures() -> list[tuple[str, list[str], dict | None, int]]:
-    """(name, argv without --out, config or None, expected exit code) of every
-    run that must fail."""
+    """(name, argv, config or None, expected exit code) of every run that
+    must fail; only an argv that tests --out itself gives one."""
     gbm = ["--model", "gbm", "--n-rounds", "2"]
     constant_a = ["--data", "constant-a.csv", "--seed", "1"]
     target_5 = {"resample": {"method": "smote", "target_counts": {"0": 5}}}  # class 0: 10 rows
@@ -139,6 +146,10 @@ def failures() -> list[tuple[str, list[str], dict | None, int]]:
         ("fail-unknown-field", ["ingest", *DATA], {"bogus": 1}, 1),
         ("fail-select-k-beyond", ["train", *CV, *gbm, "--select-method", "chi2",
                                   "--select-k", "99"], None, 1),
+        # an --out that is a file, and a booster whose scores overflow
+        ("fail-out-is-a-file", ["ingest", *DATA, "--out", "cohort.csv"], None, 1),
+        ("fail-booster-diverges", ["binary-study", *CV],
+         {"booster": {"n_rounds": 2, "learning_rate": 1e308}}, 3),
     ]
 
 
@@ -152,6 +163,7 @@ def run_all(out: Path) -> dict[str, int]:
         Path("bom.csv").write_text(BOM + Path("cohort.csv").read_text())
         for name, text in CSVS.items():
             Path(name).write_text(text)
+        Path("corrupt-sidecar.csv.readmitlab.npz").write_bytes(CORRUPT_SIDECAR)
         codes = {}
         for name, argv, config, _ in [(*run, 0) for run in runs()] + failures():
             if config is not None:
@@ -161,7 +173,8 @@ def run_all(out: Path) -> dict[str, int]:
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                         warnings.catch_warnings():
                     warnings.simplefilter("always")
-                    codes[name] = cli_main([*argv, "--out", name])
+                    # a run's own --out, after this one, wins
+                    codes[name] = cli_main([argv[0], "--out", name, *argv[1:]])
         Path("exit_codes.tsv").write_text("".join(f"{n}\t{c}\n" for n, c in codes.items()))
         return codes
     finally:
