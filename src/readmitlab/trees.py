@@ -13,20 +13,26 @@ once; a boosted model does so once for all its rounds, as X is the same in
 every round. A column with at most MAX_BINS distinct values gets one bin per
 value, so its candidate thresholds are exactly those of an exact search.
 A longer column groups consecutive values into bins of about n / MAX_BINS
-rows, and never puts one value in two bins. Each split node counts its rows,
-and sums each target and the squared targets, per (candidate feature, bin),
-and scans the cumulative sums. When every feature is a candidate, a split
-counts only its smaller child and takes the larger one's histogram as the
-parent's minus the smaller's. A forest's bootstrap duplicates are copied
-rows, so they are simply tied values.
+rows, and never puts one value in two bins. Each split node counts its rows
+and sums each target per (candidate feature, bin), and scores each threshold
+from the cumulative counts and sums alone: a side's SSE is its sum of
+squared targets less its squared target sums over its row count, and the
+sums of squared targets cancel from the SSE reduction. When every feature
+is a candidate, a split counts only its smaller child and takes the larger
+one's histogram as the parent's minus the smaller's. A forest's bootstrap
+duplicates are copied rows, so they are simply tied values.
 
 Split search is deterministic: candidate thresholds lie between consecutive
 bins that hold rows of the node, at the midpoint of the largest value of the
 lower bin and the smallest of the upper one. The best split maximizes the
-SSE reduction, and ties resolve to the lower feature index, then the lower
-threshold. A split is taken only when its reduction exceeds MIN_GAIN (1e-12)
-for either kind of tree. Regression trees take a pluggable leaf-value
-function so the boosting stage can install Newton-step leaf values.
+SSE reduction as computed in float64, and ties resolve to the lower feature
+index, then the lower threshold. Ties are ties of the computed reductions:
+splits whose exact reductions are equal can round apart, as features whose
+bins sum the same rows in another order do, and then the larger computed
+one wins, whatever its feature index. A split is taken only when its
+reduction exceeds MIN_GAIN (1e-12) for either kind of tree. Regression trees
+take a pluggable leaf-value function so the boosting stage can install
+Newton-step leaf values.
 """
 
 from __future__ import annotations
@@ -104,9 +110,9 @@ def _sq_sum(a: np.ndarray) -> np.ndarray:
 
 def _histogram(codes: np.ndarray, Y: np.ndarray, rows: np.ndarray,
                features: np.ndarray, n_bins: int) -> np.ndarray:
-    """(m + 2, features, n_bins) histogram of `rows`: per (feature, bin) the
-    row count, the sum of each of the m outputs, and the sum over the
-    outputs of their squares. Each bin adds its rows in the order of `rows`."""
+    """(m + 1, features, n_bins) histogram of `rows`: per (feature, bin) the
+    row count and the sum of each of the m outputs. Each bin adds its rows in
+    the order of `rows`."""
     n_features = features.size
     if n_features == codes.shape[1]:
         node_codes = codes[rows]
@@ -114,44 +120,47 @@ def _histogram(codes: np.ndarray, Y: np.ndarray, rows: np.ndarray,
         node_codes = codes[rows[:, None], features]
     cells = (node_codes + np.arange(0, n_features * n_bins, n_bins)).ravel()
     size = n_features * n_bins
-    y_node = Y[:, rows]
-    hist = np.empty((Y.shape[0] + 2, size))
+    hist = np.empty((Y.shape[0] + 1, size))
     hist[0] = np.bincount(cells, minlength=size)
-    for j, weights in enumerate([*y_node, _sq_sum(y_node)], start=1):
+    for j, weights in enumerate(Y[:, rows], start=1):
         hist[j] = np.bincount(cells, np.repeat(weights, n_features), minlength=size)
     return hist.reshape(-1, n_features, n_bins)
 
 
-def _best_split(binned: tuple, Y: np.ndarray, rows: np.ndarray, hist: np.ndarray,
+def _best_split(binned: tuple, rows: np.ndarray, hist: np.ndarray,
                 features: np.ndarray, min_leaf: int):
     """(reduction, feature, threshold, left_rows, right_rows) or None.
 
-    Y is the (m, n_rows) target matrix, one row per output, binned is _bin(X)
-    and hist the node's _histogram over `features`. A candidate split falls
-    after an occupied bin and leaves min_leaf rows or more on each side. Each
-    side's SSE is sum(Y**2) - sum_j csum_j**2 / size, summed over the outputs
-    before the subtraction, so one-hot targets keep every count an exact
-    integer. The first maximum wins, so ties go to the lower feature, then
+    binned is _bin(X) and hist the node's _histogram over `features`, of m
+    outputs. A candidate split falls after an occupied bin and leaves
+    min_leaf rows or more on each side. A side of k rows whose outputs sum
+    to S_1..S_m has SSE sum(y**2) - sum_j S_j**2 / k, so the split of the
+    node's n rows reduces the SSE by
+        sum_j L_j**2 / k + sum_j (T_j - L_j)**2 / (n - k) - sum_j T_j**2 / n,
+    L the left side's cumulative sums and T the feature's own cumulative-sum
+    end. Summing over the outputs before the division keeps one-hot targets'
+    numerators exact integers. On a histogram counted from the node's rows,
+    the computed reduction is within (6n + 2m + 12) * u * sum(y**2) of the
+    exact one, u = 2**-53 and sum(y**2) over the node's rows and outputs:
+    L and T - L are prefix and suffix sums of one cumulative sum, and each
+    term is at most sum(y**2), by Cauchy-Schwarz. A handed-down histogram
+    adds the rounding of its parent's and sibling's sums. The first maximum
+    of the computed reductions wins, so ties go to the lower feature, then
     the lower threshold. The child row lists are a stable sort of `rows` on
     the winning feature's bin.
     """
     codes, lo, hi = binned
-    n, m = rows.size, Y.shape[0]
-    y_node = Y[:, rows]
-    sse_node = float(((y_node - y_node.mean(axis=1, keepdims=True)) ** 2).sum())
+    n = rows.size
     cum = np.cumsum(hist, axis=2)
     sizes = cum[0]
     cells = np.flatnonzero((hist[0] > 0) & (sizes >= min_leaf) & (n - sizes >= min_leaf))
     if cells.size == 0:
         return None
     n_bins = hist.shape[2]
-    total = np.take(cum[:, :, -1], cells // n_bins, axis=1)
-    cum = np.take(cum.reshape(m + 2, -1), cells, axis=1)
-    k = cum[0]
-    sse_left = cum[m + 1] - _sq_sum(cum[1 : m + 1]) / k
-    sse_right = ((total[m + 1] - cum[m + 1])
-                 - _sq_sum(total[1 : m + 1] - cum[1 : m + 1]) / (n - k))
-    reduction = sse_node - (sse_left + sse_right)
+    total = np.take(cum[1:, :, -1], cells // n_bins, axis=1)
+    at_cells = np.take(cum.reshape(hist.shape[0], -1), cells, axis=1)
+    k, left = at_cells[0], at_cells[1:]
+    reduction = _sq_sum(left) / k + _sq_sum(total - left) / (n - k) - _sq_sum(total) / n
     best = int(np.argmax(reduction))
     if not reduction[best] > MIN_GAIN:
         return None
@@ -176,7 +185,7 @@ def _grow(X: np.ndarray, binned: tuple, Y: np.ndarray, leaf_value, max_depth: fl
     that cannot split gets none, and a pending child keeps one only when it
     holds at least B rows (B bins a column), so it spares more counting than
     it stores. Pending nodes hold disjoint rows, so the histograms they keep
-    hold at most (m + 2) * n * p values, however deep the tree.
+    hold at most (m + 1) * n * p values, however deep the tree.
     """
     codes = binned[0]
     p, n_bins = X.shape[1], binned[1].shape[1]
@@ -196,7 +205,7 @@ def _grow(X: np.ndarray, binned: tuple, Y: np.ndarray, leaf_value, max_depth: fl
             features = pick_features()
             if hist is None:
                 hist = _histogram(codes, Y, rows, features, n_bins)
-            split = _best_split(binned, Y, rows, hist, features, min_leaf)
+            split = _best_split(binned, rows, hist, features, min_leaf)
         if split is None:
             node.value = leaf_value(rows)
             continue

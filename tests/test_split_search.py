@@ -1,11 +1,13 @@
 """Property tests for the one CART split search shared by both tree kinds.
 
-The oracle scores every midpoint threshold directly. Targets are integer
-multiples of 27720 = lcm(1..12), optionally scaled by 2**-35, on at most 12
-rows: every sum, square and division by a side size in the search is then
-exact in float64, so the search must agree with the oracle exactly, ties
-included. These tables have at most 12 distinct values a column, so each
-value gets a bin of its own.
+The oracle scores every midpoint threshold directly, in exact arithmetic.
+Most targets are integer multiples of 27720 = lcm(1..12), optionally scaled
+by 2**-35, on at most 12 rows: every sum, square and division by a side size
+in the search is then exact in float64, so the search must agree with the
+oracle exactly, ties included. Targets that float64 does not hold exactly
+must keep the rounding bound of _best_split's docstring instead. These
+tables have at most 4 distinct values a column, so each value gets a bin of
+its own.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ def best_split(X, Y, features, min_leaf):
     """The split search at a root node holding every row of X."""
     binned, rows = trees._bin(X), np.arange(X.shape[0])
     hist = trees._histogram(binned[0], Y, rows, features, binned[1].shape[1])
-    return trees._best_split(binned, Y, rows, hist, features, min_leaf)
+    return trees._best_split(binned, rows, hist, features, min_leaf)
 
 
 def sse(block: np.ndarray) -> Fraction:
@@ -54,8 +56,12 @@ def oracle(X, Y, features, min_leaf):
 
 
 @st.composite
-def split_problems(draw):
-    n = draw(st.integers(2, 12))
+def split_problems(draw, exact=True):
+    """(X, Y, features, min_leaf). exact draws the targets the module
+    docstring describes; otherwise up to 30 rows of targets that float64
+    does not hold exactly, often on a large offset, so the sums round and
+    the gain cancels."""
+    n = draw(st.integers(2, 12 if exact else 30))
     p = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3))
     # few distinct values, so ties, duplicate rows and constant columns are common
@@ -70,9 +76,16 @@ def split_problems(draw):
         elif copy == "monotone":
             X[:, j] = X[:, j - 1] ** 3 + 0.5
     codes = draw(st.lists(st.integers(-2, 2), min_size=m * n, max_size=m * n))
-    # at 2**-35 the smallest nonzero gains straddle MIN_GAIN
-    scale = draw(st.sampled_from([1.0, 2.0**-35]))
-    Y = np.array(codes, dtype=np.float64).reshape(m, n) * UNIT * scale
+    codes = np.array(codes, dtype=np.float64).reshape(m, n)
+    if exact:
+        # at 2**-35 the smallest nonzero gains straddle MIN_GAIN
+        Y = codes * UNIT * draw(st.sampled_from([1.0, 2.0**-35]))
+    elif draw(st.booleans()):
+        Y = draw(st.sampled_from([0.0, 0.7, 1e3 / 3, -1e6 / 7])) + codes * draw(
+            st.sampled_from([0.1, 1 / 3, 1e-5 / 3]))
+    else:
+        Y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=m * n,
+                                   max_size=m * n))).reshape(m, n)
     features = np.array(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1))))
     min_leaf = draw(st.integers(1, 4))
     return X, Y, features, min_leaf
@@ -99,6 +112,28 @@ def test_split_search_matches_the_brute_force_oracle(problem):
     assert np.array_equal(np.sort(got_left), rows[left])
     assert np.array_equal(np.sort(got_right), rows[~left])
     assert min(got_left.size, got_right.size) >= min_leaf
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_problems(exact=False))
+def test_on_inexact_targets_the_search_keeps_its_stated_bound(problem):
+    """_best_split's docstring bounds the rounding of a computed reduction
+    by (6n + 2m + 12) * 2**-53 * sum(y**2): the chosen split's reduction is
+    within it of its exact value, hence within twice it of the exact best,
+    and an exact best above MIN_GAIN plus twice the bound is found."""
+    X, Y, features, min_leaf = problem
+    m, n = Y.shape
+    got = best_split(X, Y, features, min_leaf)
+    candidates = oracle(X, Y, features, min_leaf)
+    squares = sum((Fraction(float(v)) ** 2 for v in Y.ravel()), Fraction(0))
+    bound = (6 * n + 2 * m + 12) * squares / 2**53
+    best = max((c[0] for c in candidates), default=None)
+    if got is None:
+        assert best is None or best <= Fraction(MIN_GAIN) + 2 * bound
+        return
+    exact = next(c[0] for c in candidates if (c[1], c[2]) == got[1:3])
+    assert abs(Fraction(got[0]) - exact) <= bound
+    assert exact >= best - 2 * bound
 
 
 def test_a_gain_at_the_floor_is_not_split():
