@@ -57,10 +57,11 @@ one switch back to the study's whole-dataset protocol: it fits the same
 pipeline once on all rows, with the run seed, and then splits the folds,
 which fit nothing. The commands without folds (ingest, stats, select
 without compare_ks, resample) and cascade --save-model always take that
-whole-dataset path; the saved cascade records the raw rows' minima and
-maxima that its scaling used. A select k outside 1..the feature count is a config
-error before any fold work; a training fold with fewer columns its scorer
-can score than k is a data error naming the fold.
+whole-dataset path; the saved cascade records the ScalingSpec its scaling
+fitted on the raw rows, taken before any fold work. A select k outside
+1..the feature count is a config error before any fold work; a training
+fold with fewer columns its scorer can score than k is a data error naming
+the fold.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 """
@@ -75,7 +76,7 @@ import os
 import sys
 from pathlib import Path
 
-from .data import (DEFAULT_CLASS_NAMES, Dataset, dataset_sha256, load_dataset,
+from .data import (DEFAULT_CLASS_NAMES, Dataset, ScalingSpec, dataset_sha256, load_dataset,
                    save_dataset_csv, stratified_kfold, stratified_subsample)
 from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
@@ -619,9 +620,7 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
     _check_width("network", network, data.n_features)
     # the saved cascade is fitted on all rows, in both modes scaled by their
     # own minima and maxima: the raw rows', before paper mode maps them
-    scaling = None
-    if cfg["save_model"] and cfg["normalize"]:
-        scaling = {"minima": data.features.min(axis=0), "maxima": data.features.max(axis=0)}
+    scaling = ScalingSpec.fit(data) if cfg["save_model"] and cfg["normalize"] else None
     data, pipeline, folds = _folds(cfg, data, pipeline, report)
     network_result, cascade_result, booster_result = cross_validate_cascade(
         data, folds, network, booster, pipeline=pipeline, workers=cfg["workers"])

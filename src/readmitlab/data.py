@@ -131,9 +131,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ScalingSpec:
-    """Per-column min/max observed on a fit set; `degenerate` marks constant
-    columns. A column whose max - min overflows float64 cannot be scaled: a
-    DataError names it."""
+    """Per-column min/max observed on a fit set; `degenerate_columns` lists
+    the constant ones. A max below its min is a DataError, and so is a column
+    whose max - min overflows float64, which the error names."""
 
     feature_names: tuple[str, ...]
     minima: np.ndarray
@@ -149,6 +149,11 @@ class ScalingSpec:
             raise DataError(f"column {self.feature_names[i]!r} cannot be min-max scaled: its "
                             f"range {float(self.minima[i])} to {float(self.maxima[i])} "
                             "overflows float64")
+
+    @classmethod
+    def fit(cls, data: Dataset) -> "ScalingSpec":
+        """The minima and maxima of data's columns."""
+        return cls(data.feature_names, data.features.min(axis=0), data.features.max(axis=0))
 
     @property
     def degenerate_columns(self) -> tuple[int, ...]:
@@ -177,15 +182,18 @@ def load_dataset(path, *, sha256: str | None = None) -> Dataset:
     taken it; it picks the sidecar that may stand in for the parse. Without
     a sidecar for it, the body is parsed in one C pass by `np.loadtxt`. Only
     when that parse or a check on its table fails is the file scanned line by
-    line, so that the error names the first offending file line.
+    line, so that the error names the first offending file line. Bytes
+    parsed that are not the ones a given `sha256` was taken from (the file
+    was rewritten in between) still key the sidecar, and then raise a
+    DataError, as the caller's digest does not name them.
     """
-    if sha256 is None:
-        sha256 = dataset_sha256(path)
     sidecar = os.fspath(path) + SIDECAR_SUFFIX
-    data = _read_sidecar(sidecar, sha256)
+    data = _read_sidecar(sidecar, dataset_sha256(path) if sha256 is None else sha256)
     if data is None:
         data, parsed_sha256 = _parse_csv(path)
         _write_sidecar(sidecar, path, data, parsed_sha256)
+        if sha256 not in (None, parsed_sha256):
+            raise DataError(f"{path} changed while it was read")
     return data
 
 
@@ -378,11 +386,7 @@ def min_max_normalize(data: Dataset, spec: ScalingSpec | None = None) -> tuple[D
     map to all zeros and are flagged on the spec.
     """
     if spec is None:
-        spec = ScalingSpec(
-            data.feature_names,
-            data.features.min(axis=0),
-            data.features.max(axis=0),
-        )
+        spec = ScalingSpec.fit(data)
     elif spec.feature_names != data.feature_names:
         raise DataError("scaling spec fitted on different feature names")
     span = spec.maxima - spec.minima

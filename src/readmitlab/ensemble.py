@@ -15,8 +15,8 @@ OUTER_CLASSES the two the booster decides between. save_cascade writes a
 fitted cascade as a directory of three files: network.params (the network's
 weights, in nn.save_network's .npy record), booster.json (the booster's
 trees) and cascade.json (the network's constructor settings, the width of
-its rows, and the min-max scaling that maps raw rows to the rows it was
-fitted on). load_cascade rebuilds both stages from them.
+its rows, and the data.ScalingSpec that maps raw rows to the rows it was
+fitted on). load_cascade rebuilds both stages and that spec from them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, FoldPlan, stratified_kfold
+from .data import Dataset, FoldPlan, ScalingSpec, stratified_kfold
 from .errors import DataError
 from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, _cv_result,
                        cross_validate, metrics)
@@ -223,11 +223,11 @@ def binary_outer_study(data: Dataset, *, seed: int, k_folds: int = 10,
 # persistence: a cascade saves as a directory
 
 
-def save_cascade(model: CascadeClassifier, directory, scaling: dict | None = None) -> None:
+def save_cascade(model: CascadeClassifier, directory, scaling: ScalingSpec | None = None) -> None:
     """Write network.params (save_network's weights), booster.json (the
     booster's to_dict) and cascade.json: the network's settings, the width
-    of its rows (n_features) and `scaling`, the float64 "minima" and
-    "maxima" arrays of the min-max map from raw rows to the rows the cascade
+    of its rows (n_features) and `scaling`, the "feature_names", "minima"
+    and "maxima" of the min-max map from raw rows to the rows the cascade
     was fitted on (None for rows used as given)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -235,33 +235,37 @@ def save_cascade(model: CascadeClassifier, directory, scaling: dict | None = Non
         raise ValueError("fit the cascade before saving it")
     save_network(model.network.net, directory / "network.params")
     meta = {"network": model.network.settings(), "n_features": model.network.n_features_,
-            "scaling": None if scaling is None else {k: v.tolist() for k, v in scaling.items()}}
+            "scaling": None if scaling is None else vars(scaling)}
     for name, payload in (("booster.json", model.booster.to_dict()), ("cascade.json", meta)):
-        (directory / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # a ScalingSpec's fields by name, its arrays as lists
+        text = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        (directory / name).write_text(text + "\n")
 
 
 def _load_json(path: Path, parse):
     """parse(the JSON at path); a missing file, text that is not JSON or a
-    payload that parse rejects is a DataError naming path."""
+    payload that parse rejects (a ScalingSpec's DataError included) is a
+    DataError naming path."""
     try:
         return parse(json.loads(path.read_text()))
     except FileNotFoundError:
         raise DataError(f"{path.parent}: not a cascade directory ({path} missing)") from None
-    except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, DataError) as exc:  # JSONDecodeError: ValueError
         raise DataError(f"{path}: not a cascade file ({type(exc).__name__}: {exc})") from None
 
 
-def _network_and_scaling(meta: dict) -> tuple[NetworkClassifier, dict | None]:
+def _network_and_scaling(meta: dict) -> tuple[NetworkClassifier, ScalingSpec | None]:
     network = NetworkClassifier(**meta["network"]).build(meta["n_features"])
     if meta["scaling"] is None:
         return network, None
+    names = meta["scaling"]["feature_names"]
     low, high = (np.asarray(meta["scaling"][key], dtype=np.float64) for key in ("minima", "maxima"))
-    if {low.shape, high.shape} != {(network.n_features_,)} or np.any(high < low):
-        raise ValueError(f"scaling is not {network.n_features_} minima and maxima, max >= min")
-    return network, {"minima": low, "maxima": high}
+    if {low.shape, high.shape, np.shape(names)} != {(network.n_features_,)}:
+        raise ValueError(f"scaling is not {network.n_features_} feature names, minima and maxima")
+    return network, ScalingSpec(tuple(names), low, high)
 
 
-def load_cascade(directory) -> tuple[CascadeClassifier, dict | None]:
+def load_cascade(directory) -> tuple[CascadeClassifier, ScalingSpec | None]:
     """(the cascade save_cascade wrote to directory, its scaling or None). A
     file that does not hold what save_cascade writes is a DataError naming
     it."""

@@ -447,6 +447,8 @@ class Parallel(Layer):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise class probabilities of score columns, each row shifted by its
+    maximum so that exp cannot overflow."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -628,11 +630,11 @@ PREDICT_BATCH = 512  # rows per inference forward
 
 def predict_logits(net: Network, features: np.ndarray) -> np.ndarray:
     """Inference logits, computed in the network's dtype, PREDICT_BATCH rows
-    at a time."""
+    at a time; zero rows give zero rows of the three class logits."""
     features = _in_dtype(net, features)
     pieces = [net.forward(features[s : s + PREDICT_BATCH])
               for s in range(0, features.shape[0], PREDICT_BATCH)]
-    return np.vstack(pieces)
+    return np.vstack(pieces) if pieces else np.zeros((0, 3), net.theta.dtype)
 
 
 def predict_classes(net: Network, features: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, check_count, is_integer, is_real
+from .nn import softmax
 
 MIN_GAIN = 1e-12  # smallest SSE reduction a split must beat
 MAX_BINS = 256  # most bins a feature column is cut into
@@ -462,9 +463,7 @@ class GradientBoostedClassifier:
             with np.errstate(over="ignore"):  # exp(-s) = inf gives p = 0, its limit
                 p = 1.0 / (1.0 + np.exp(-scores[:, 0]))
             return np.column_stack([1.0 - p, p])
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(scores)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedClassifier":
         X = np.asarray(X, dtype=np.float64)

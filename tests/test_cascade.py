@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from readmitlab.data import stratified_kfold
+from readmitlab.data import ScalingSpec, stratified_kfold
 from readmitlab.ensemble import (
     ACCEPT_CLASS,
     CascadeClassifier,
@@ -21,6 +21,7 @@ from readmitlab.ensemble import (
 from readmitlab.errors import DataError
 from readmitlab.evaluate import ConfusionMatrix, FoldPipeline, cross_validate
 from readmitlab.models import NetworkClassifier, make_builder
+from readmitlab.nn import ARCHITECTURES
 from readmitlab.resample import ResamplePlan, apply_plan
 from readmitlab.trees import GradientBoostedClassifier
 
@@ -219,7 +220,7 @@ class TestCascadeClassifier:
             booster_config=dict(n_rounds=4, max_depth=2),
             seed=6,
         )
-        scaling = {"minima": padded.min(axis=0), "maxima": padded.max(axis=0)}
+        scaling = ScalingSpec.fit(make_dataset(padded, data.labels))
         save_cascade(model, tmp_path / "cascade", scaling)
         clone, clone_scaling = load_cascade(tmp_path / "cascade")
         # the float32 network widens to the file's float64 and back exactly
@@ -230,9 +231,25 @@ class TestCascadeClassifier:
         for got, want in zip(clone.predict_stages(padded), model.predict_stages(padded)):
             assert got.tobytes() == want.tobytes()
         assert clone.network.settings() == model.network.settings()
-        assert all(clone_scaling[key].tobytes() == scaling[key].tobytes() for key in scaling)
+        assert clone_scaling.feature_names == scaling.feature_names
+        assert clone_scaling.minima.tobytes() == scaling.minima.tobytes()
+        assert clone_scaling.maxima.tobytes() == scaling.maxima.tobytes()
         saved = json.loads((tmp_path / "cascade" / "cascade.json").read_text())
         assert sorted(saved) == ["n_features", "network", "scaling"]
+
+    def test_zero_rows_give_zero_labels_and_probabilities(self):
+        for arch in ARCHITECTURES:  # 16 columns: wide enough for every stem
+            network = NetworkClassifier(arch, seed=1).build(16)
+            assert network.predict(np.zeros((0, 16))).shape == (0,), arch
+            probs = network.predict_proba(np.zeros((0, 16)))
+            assert (probs.shape, probs.dtype) == ((0, 3), network.net.theta.dtype), arch
+        none = np.zeros((0, 8))
+        data = self.toy()
+        padded = np.hstack([data.features, np.zeros((data.n_instances, 6))])
+        model = cascade_fit(make_dataset(padded, data.labels), {"arch": "vanilla", "epochs": 1},
+                            {"n_rounds": 1}, seed=7)
+        assert [labels.shape for labels in model.predict_stages(none)] == [(0,)] * 3
+        assert model.predict(none).shape == (0,)
 
     def save_small(self, directory, **network):
         """Save a one-epoch, one-round cascade fitted on the toy rows (a
@@ -270,10 +287,14 @@ class TestCascadeClassifier:
         assert str(err.value).startswith(f"{path}: not the weights of a 'vanilla' network")
 
     @pytest.mark.parametrize("scaling", [
-        {"minima": [0.0], "maxima": [1.0]},
-        {"minima": [0.0] * 8, "maxima": [1.0] * 7 + [-1.0]},
-        {"minima": [0.0] * 8},
-    ], ids=["one-column", "max-below-min", "no-maxima"])
+        {"feature_names": ["a"], "minima": [0.0], "maxima": [1.0]},
+        {"feature_names": list("abcdefgh"), "minima": [0.0] * 8, "maxima": [1.0] * 7 + [-1.0]},
+        {"feature_names": list("abcdefgh"), "minima": [0.0] * 8},
+        {"minima": [0.0] * 8, "maxima": [1.0] * 8},
+        {"feature_names": list("abcdefg"), "minima": [0.0] * 8, "maxima": [1.0] * 8},
+        {"feature_names": list("abcdefgh"), "minima": [-1e308] * 8, "maxima": [1e308] * 8},
+    ], ids=["one-column", "max-below-min", "no-maxima", "no-feature-names",
+            "seven-feature-names", "range-overflows"])
     def test_a_scaling_that_does_not_fit_the_network_is_a_data_error(self, tmp_path, scaling):
         self.save_small(tmp_path / "cascade")
         path = tmp_path / "cascade" / "cascade.json"

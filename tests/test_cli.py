@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from readmitlab.cli import _COMMANDS, _MODEL_DEFAULTS, _SECTIONS, main
 from readmitlab import cli
 from readmitlab import data as data_module
-from readmitlab.data import (SIDECAR_SUFFIX, ScalingSpec, load_dataset, min_max_normalize,
-                             save_dataset_csv, stratified_kfold)
+from readmitlab.data import (SIDECAR_SUFFIX, load_dataset, min_max_normalize, save_dataset_csv,
+                             stratified_kfold)
 from readmitlab.ensemble import cascade_fit, load_cascade
 from readmitlab.errors import DataError, NumericError
 from readmitlab.models import NetworkClassifier
@@ -291,6 +291,21 @@ class TestParsedTableSidecar:
         for name in ("report.tsv", "report.txt"):
             assert (tmp_path / "cold" / name).read_bytes() == \
                 (tmp_path / "warm" / name).read_bytes()
+
+    def test_a_csv_rewritten_after_it_was_hashed_is_a_data_error(self, tmp_path, monkeypatch):
+        csv = write_csv(tmp_path)
+        sha256 = data_module.dataset_sha256
+
+        def hash_then_rewrite(path):
+            digest = sha256(path)
+            write_csv(tmp_path, seed=1)  # other bytes than the ones the report names
+            return digest
+
+        monkeypatch.setattr(cli, "dataset_sha256", hash_then_rewrite)
+        out = tmp_path / "o"
+        assert run_main(["ingest", "--data", str(csv), "--seed", "1", "--out", str(out)]) == (
+            2, f"data error: {csv} changed while it was read\n")
+        assert not out.exists()
 
 
 class TestStats:
@@ -838,12 +853,36 @@ class TestCascade:
                      "--n-rounds", "2", "--save-model", *mode, "--out", str(out)]) == 0
         saved, scaling = load_cascade(out / "cascade_model")
         raw = load_dataset(csv)
-        rows, _ = min_max_normalize(raw, ScalingSpec(raw.feature_names, scaling["minima"],
-                                                     scaling["maxima"]))
+        rows, _ = min_max_normalize(raw, scaling)
         assert rows.features.tobytes() == min_max_normalize(raw)[0].features.tobytes()
         refit = cascade_fit(rows, {"arch": "vanilla", "epochs": 1}, {"n_rounds": 2}, seed=1)
         assert refit.network.net.theta.tobytes() == saved.network.net.theta.tobytes()
         assert saved.predict(rows.features).tobytes() == refit.predict(rows.features).tobytes()
+
+    def test_the_saved_scaling_refuses_a_table_with_other_column_names(self, tmp_path):
+        csv = write_csv(tmp_path)
+        out = tmp_path / "run"
+        assert main(["cascade", "--data", str(csv), "--seed", "1", "--folds", "2",
+                     "--arch", "vanilla", "--epochs", "1", "--n-rounds", "1",
+                     "--save-model", "--out", str(out)]) == 0
+        scaling = load_cascade(out / "cascade_model")[1]
+        raw = load_dataset(csv)
+        assert scaling.feature_names == raw.feature_names
+        renamed = make_dataset(raw.features, raw.labels,
+                               tuple(f"x{i}" for i in range(raw.n_features)))
+        with pytest.raises(DataError, match="scaling spec fitted on different feature names"):
+            min_max_normalize(renamed, scaling)
+
+    def test_a_column_range_that_overflows_fails_the_saved_model_before_any_fold(
+            self, tmp_path):
+        csv = tmp_path / "huge.csv"
+        csv.write_text("a,b,c,d,e,f,g,h,readmitted\n" + "".join(
+            f"{(-1) ** i * 1e308},{i},{i},{i},{i},{i},{i},{i},{i % 3}\n" for i in range(12)))
+        assert run_main(["cascade", "--data", str(csv), "--seed", "1", "--folds", "2",
+                         "--arch", "vanilla", "--epochs", "1", "--n-rounds", "1",
+                         "--save-model", "--out", str(tmp_path / "run")]) == (
+            2, "data error: column 'a' cannot be min-max scaled: its range -1e+308 to "
+               "1e+308 overflows float64\n")
 
     def test_a_cascade_saved_without_scaling_records_none(self, tmp_path):
         out = tmp_path / "run"

@@ -289,11 +289,17 @@ class TestSidecar:
         assert_same_bytes(load_dataset(path), rewritten)
 
     def test_a_csv_changed_after_it_was_hashed_keys_the_sidecar_by_the_bytes_parsed(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         path, first = self.cohort(tmp_path, seed=0)
         stale_digest = dataset_sha256(path)
         _, second = self.cohort(tmp_path, seed=1)
-        assert_same_bytes(load_dataset(path, sha256=stale_digest), second)
+        # the caller's digest does not name the bytes parsed
+        with pytest.raises(DataError) as err:
+            load_dataset(path, sha256=stale_digest)
+        assert str(err.value) == f"{path} changed while it was read"
+        with monkeypatch.context() as patch:
+            forbid_parsing(patch)
+            assert_same_bytes(load_dataset(path), second)
         self.cohort(tmp_path, seed=0)  # the bytes stale_digest was taken from
         assert_same_bytes(load_dataset(path), first)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from readmitlab.nn import softmax
 from readmitlab.trees import (
     ClassificationTree,
     GradientBoostedClassifier,
@@ -194,6 +195,18 @@ class TestGradientBoosting:
         model = GradientBoostedClassifier(n_rounds=10).fit(data.features, data.labels)
         probs = model.predict_proba(data.features)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_k_class_probabilities_are_the_networks_softmax_of_the_scores(self):
+        rng = np.random.default_rng(12)
+        data = blob_dataset(rng, {0: 15, 1: 15, 2: 15},
+                            {0: [0, 0], 1: [3, 3], 2: [-3, 3]})
+        model = GradientBoostedClassifier(n_rounds=10).fit(data.features, data.labels)
+        scores = model.decision_scores(data.features)
+        probs = model.predict_proba(data.features)
+        assert probs.tobytes() == softmax(scores).tobytes()
+        # the shift by the row maximum, the exp and the row normalization, as written out
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        assert probs.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
     def test_binary_labels_0_and_2_round_trip(self):
         rng = np.random.default_rng(13)

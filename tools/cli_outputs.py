@@ -51,7 +51,8 @@ BOM = "\ufeff"  # as Excel's "CSV UTF-8" writes it
 # small CSVs by name: a header that names the label twice, a table whose
 # squared distances overflow float64, a label-first header after a
 # byte-order mark, a constant column a beside a column b that chi2 ranks,
-# a constant column alone, and a table whose sidecar is CORRUPT_SIDECAR
+# a constant column alone, a table whose sidecar is CORRUPT_SIDECAR, and
+# eight columns whose first spans -1e308 to 1e308, a range float64 cannot hold
 CSVS = {
     "label-twice.csv": "readmitted,readmitted\n" + "".join(f"{i % 3},{i}\n" for i in range(9)),
     "huge.csv": "a,b,readmitted\n" + "".join(f"{1 + i / 16}e300,{2 - i / 16}e300,{i % 3}\n"
@@ -62,6 +63,9 @@ CSVS = {
                                                    for i in range(30)),
     "constant-only.csv": "a,readmitted\n" + "".join(f"1,{i % 3}\n" for i in range(9)),
     "corrupt-sidecar.csv": "a,readmitted\n1,0\n2,1\n3,2\n",
+    "range-overflows.csv": "a,b,c,d,e,f,g,h,readmitted\n" + "".join(
+        f"{(-1) ** i}e308,{i},{i * 2},{i * 3},{i % 4},{i % 5},{i % 6},{i % 7},{i % 3}\n"
+        for i in range(12)),
 }
 # a .npy header that np.load's parser fails on with tokenize's error
 _HEADER = b"{((((".ljust(53) + b"\n"
@@ -82,6 +86,9 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
                                                "--write-csv"], None) for version in "23"]
     table += [(f"train-{arch}", ["train", *CV, "--model", "network", "--arch", arch],
                {"model": NETWORK}) for arch in ARCHITECTURES]
+    table += [(f"train-{optimizer}", ["train", *CV, "--model", "network", "--arch", "vanilla",
+                                      "--optimizer", optimizer], {"model": NETWORK})
+              for optimizer in ("sgd", "adabelief")]
     table.append(("train-gbm", ["train", *CV, "--model", "gbm", "--n-rounds", "3"], None))
     table.append(("train-forest", ["train", *CV, "--model", "forest", "--n-trees", "3"], None))
     table.append(("sweep", ["sweep", *CV, "--resample-method", "random_over"],
@@ -150,6 +157,10 @@ def failures() -> list[tuple[str, list[str], dict | None, int]]:
         ("fail-out-is-a-file", ["ingest", *DATA, "--out", "cohort.csv"], None, 1),
         ("fail-booster-diverges", ["binary-study", *CV],
          {"booster": {"n_rounds": 2, "learning_rate": 1e308}}, 3),
+        # a saved cascade's scaling of a column whose range overflows float64
+        ("fail-cascade-save-model-range-overflows",
+         ["cascade", "--data", "range-overflows.csv", "--seed", "1", *FOLDS, "--arch", "vanilla",
+          "--n-rounds", "1", "--save-model"], {"network": NETWORK}, 2),
     ]
 
 
