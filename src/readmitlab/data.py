@@ -132,14 +132,20 @@ class Dataset:
 @dataclass(frozen=True)
 class ScalingSpec:
     """Per-column min/max observed on a fit set; `degenerate_columns` lists
-    the constant ones. A max below its min is a DataError, and so is a column
-    whose max - min overflows float64, which the error names."""
+    the constant ones. A bound that is not finite (a loaded spec's NaN), a
+    max below its min and a column whose max - min overflows float64 are
+    DataErrors; the first and the last name the column."""
 
     feature_names: tuple[str, ...]
     minima: np.ndarray
     maxima: np.ndarray
 
     def __post_init__(self):
+        unbounded = np.flatnonzero(~(np.isfinite(self.minima) & np.isfinite(self.maxima)))
+        if unbounded.size:
+            i = unbounded[0]
+            raise DataError(f"column {self.feature_names[i]!r} has a non-finite scaling bound: "
+                            f"min {float(self.minima[i])}, max {float(self.maxima[i])}")
         if np.any(self.maxima < self.minima):
             raise DataError("scaling spec has max < min")
         with np.errstate(over="ignore"):

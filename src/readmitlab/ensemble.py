@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, FoldPlan, ScalingSpec, stratified_kfold
-from .errors import DataError
+from .errors import DataError, check_count
 from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, _cv_result,
                        cross_validate, metrics)
 from .models import NetworkClassifier, make_builder
@@ -255,14 +255,18 @@ def _load_json(path: Path, parse):
 
 
 def _network_and_scaling(meta: dict) -> tuple[NetworkClassifier, ScalingSpec | None]:
-    network = NetworkClassifier(**meta["network"]).build(meta["n_features"])
-    if meta["scaling"] is None:
-        return network, None
-    names = meta["scaling"]["feature_names"]
-    low, high = (np.asarray(meta["scaling"][key], dtype=np.float64) for key in ("minima", "maxima"))
-    if {low.shape, high.shape, np.shape(names)} != {(network.n_features_,)}:
-        raise ValueError(f"scaling is not {network.n_features_} feature names, minima and maxima")
-    return network, ScalingSpec(tuple(names), low, high)
+    """cascade.json's network and scaling. The width, n_features, is checked
+    against the scaling's lengths before the network is built for it."""
+    network = NetworkClassifier(**meta["network"])
+    width, scaling = meta["n_features"], meta["scaling"]
+    check_count("n_features", width, 1)
+    if scaling is not None:
+        names = scaling["feature_names"]
+        low, high = (np.asarray(scaling[key], dtype=np.float64) for key in ("minima", "maxima"))
+        if {low.shape, high.shape, np.shape(names)} != {(width,)}:
+            raise ValueError(f"scaling is not {width} feature names, minima and maxima")
+        scaling = ScalingSpec(tuple(names), low, high)
+    return network.build(width), scaling
 
 
 def load_cascade(directory) -> tuple[CascadeClassifier, ScalingSpec | None]:

@@ -106,9 +106,15 @@ class Conv1d(Layer):
         check_count("kernel", kernel, 1)
 
     def out_length(self, length: int) -> int:
-        if length < self.kernel:
-            raise DataError(f"input length {length} shorter than kernel {self.kernel}")
-        return length - self.kernel + 1
+        return self.valid_length(length, self.kernel)
+
+    @staticmethod
+    def valid_length(length: int, kernel: int) -> int:
+        """The output length of a width-`kernel` convolution over `length`
+        positions; an input shorter than the kernel is a DataError."""
+        if length < kernel:
+            raise DataError(f"input length {length} shorter than kernel {kernel}")
+        return length - kernel + 1
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
         """im2col of x: row (i, l) holds window l of row i, channel by channel.
@@ -502,20 +508,15 @@ def _conv_head(flat: int, rng, *, dropout: float, wide: bool) -> list[Layer]:
     return layers
 
 
-def _convs(channels: tuple[int, ...], kernel: int, rng) -> list[Layer]:
+def _convs(channels: tuple[int, ...], kernel: int, rng, length: int) -> list[Layer]:
     """A Conv1d of width `kernel` and a ReLU for each step between
-    consecutive channel counts."""
+    consecutive channel counts. The first one's length rule is applied to
+    its input `length` before any weight is drawn, so a kernel wider than the
+    input draws nothing."""
+    Conv1d.check_kernel(kernel)
+    Conv1d.valid_length(length, kernel)
     return [layer for c_in, c_out in zip(channels, channels[1:])
             for layer in (Conv1d(c_in, c_out, kernel, rng), Relu())]
-
-
-def _stem_width(arch: str, n_features: int, stem: list[Layer]) -> int:
-    """Width of the stem's flattened output, found by passing one zero row
-    through it, so each layer's out_length stays the only length rule."""
-    try:
-        return _forward(stem, np.zeros((1, n_features)), False, None).size
-    except DataError as exc:
-        raise DataError(f"{arch}: input of {n_features} features is too short: {exc}") from None
 
 
 def check_architecture(arch: str) -> None:
@@ -548,16 +549,23 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
         layers += [LastStep(), Dense(RNN_HIDDEN, 3, rng)]
         return Network(layers, dtype)
 
-    if arch == "cnn2_multibranch":
-        convs: list[Layer] = [Parallel([_convs((1, 8, 16), k, rng) for k in (3, 5)])]
-    elif arch == "vanilla":
-        convs = _convs((1, 8, 16), 2 if kernel_size is None else kernel_size, rng)
-        dropout = 0.0  # the vanilla head has no dropout layers
-    else:
-        convs = _convs((1, 8, 16, 32), 4 if kernel_size is None else kernel_size, rng)
-    stem = [AsSequence(), *convs, MaxPool1d(2)]
-    head = _conv_head(_stem_width(arch, n_features, stem), rng, dropout=dropout,
-                      wide=(arch == "cnn2_wide"))
+    kernel = (2 if arch == "vanilla" else 4) if kernel_size is None else kernel_size
+    try:
+        if arch == "cnn2_multibranch":
+            convs: list[Layer] = [Parallel([_convs((1, 8, 16), k, rng, n_features)
+                                            for k in (3, 5)])]
+        elif arch == "vanilla":
+            convs = _convs((1, 8, 16), kernel, rng, n_features)
+            dropout = 0.0  # the vanilla head has no dropout layers
+        else:
+            convs = _convs((1, 8, 16, 32), kernel, rng, n_features)
+        stem = [AsSequence(), *convs, MaxPool1d(2)]
+        # the head's width, from one zero row through the stem, so each
+        # layer's out_length stays the only length rule
+        width = _forward(stem, np.zeros((1, n_features)), False, None).size
+    except DataError as exc:
+        raise DataError(f"{arch}: input of {n_features} features is too short: {exc}") from None
+    head = _conv_head(width, rng, dropout=dropout, wide=(arch == "cnn2_wide"))
     return Network(stem + head, dtype)
 
 

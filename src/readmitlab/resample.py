@@ -40,8 +40,8 @@ _BLOCK_BUDGET = 1 << 20
 # a bound nearer the k-th value, fewer a cheaper partition of the minima
 _BLOCKS_PER_NEIGHBOUR = 32
 
-# svm_smote's linear margin: passes over the rows, and the L2 weight
-_MARGIN_EPOCHS = 20
+# svm_smote's linear margin: full-batch descent steps, and the L2 weight
+_MARGIN_STEPS = 200
 _MARGIN_LAMBDA = 1e-2
 
 
@@ -297,27 +297,24 @@ def _interpolate(x_min: np.ndarray, bases: np.ndarray, nn_min: np.ndarray,
     return anchors + u[:, None] * (x_min[nn_min[bases, picks]] - anchors)
 
 
-def _fit_linear_margin(X: np.ndarray, y_signed: np.ndarray,
-                       rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Primal subgradient descent for a linear soft-margin classifier.
-
-    _MARGIN_EPOCHS passes at step size 1/(_MARGIN_LAMBDA * t); returns
-    (w, b). Only used by svm_smote to locate approximate minority support
-    vectors.
+def _fit_linear_margin(X: np.ndarray, y_signed: np.ndarray) -> tuple[np.ndarray, float]:
+    """Full-batch primal subgradient descent (Pegasos: Shalev-Shwartz, Singer
+    & Srebro, ICML 2007) for a linear soft-margin classifier: L2 weight
+    _MARGIN_LAMBDA on w, an unregularised bias b, step size
+    1/(_MARGIN_LAMBDA * t) for _MARGIN_STEPS steps; returns (w, b). Each step
+    takes every row's margin at once and adds the mean of y * x over the rows
+    whose margin is below 1. Only used by svm_smote to locate approximate
+    minority support vectors; it draws no random numbers.
     """
     n, p = X.shape
     w = np.zeros(p)
     b = 0.0
-    t = 0
-    for _ in range(_MARGIN_EPOCHS):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (_MARGIN_LAMBDA * t)
-            margin = y_signed[i] * (X[i] @ w + b)
-            w *= 1.0 - eta * _MARGIN_LAMBDA
-            if margin < 1.0:
-                w += eta * y_signed[i] * X[i]
-                b += eta * y_signed[i]
+    for t in range(1, _MARGIN_STEPS + 1):
+        eta = 1.0 / (_MARGIN_LAMBDA * t)
+        pull = np.where(y_signed * (X @ w + b) < 1.0, y_signed, 0.0)
+        w *= 1.0 - eta * _MARGIN_LAMBDA
+        w += (eta / n) * (pull @ X)
+        b += (eta / n) * pull.sum()
     return w, b
 
 
@@ -360,7 +357,7 @@ def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,
             bases = np.repeat(np.arange(n_min), _largest_remainder(weights, need))
         else:  # svm_smote, the last oversampler
             y_signed = np.where(y == cls, 1.0, -1.0)
-            w, b = _fit_linear_margin(X, y_signed, rng)
+            w, b = _fit_linear_margin(X, y_signed)
             margins = y_signed[min_idx] * (x_min @ w + b)
             support = np.flatnonzero(margins <= 1.0 + 1e-12)
             if support.size == 0:

@@ -293,8 +293,10 @@ class TestCascadeClassifier:
         {"minima": [0.0] * 8, "maxima": [1.0] * 8},
         {"feature_names": list("abcdefg"), "minima": [0.0] * 8, "maxima": [1.0] * 8},
         {"feature_names": list("abcdefgh"), "minima": [-1e308] * 8, "maxima": [1e308] * 8},
+        {"feature_names": list("abcdefgh"), "minima": [float("nan")] + [0.0] * 7,
+         "maxima": [1.0] * 8},
     ], ids=["one-column", "max-below-min", "no-maxima", "no-feature-names",
-            "seven-feature-names", "range-overflows"])
+            "seven-feature-names", "range-overflows", "nan-minimum"])
     def test_a_scaling_that_does_not_fit_the_network_is_a_data_error(self, tmp_path, scaling):
         self.save_small(tmp_path / "cascade")
         path = tmp_path / "cascade" / "cascade.json"
@@ -302,6 +304,18 @@ class TestCascadeClassifier:
         with pytest.raises(DataError) as err:
             load_cascade(tmp_path / "cascade")
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("n_features", [10**12, 0, 8.0, "8"])
+    def test_a_width_that_does_not_fit_the_scaling_fails_before_the_network_is_built(
+            self, tmp_path, n_features):
+        self.save_small(tmp_path / "cascade")
+        path = tmp_path / "cascade" / "cascade.json"
+        scaling = {"feature_names": list("abcdefgh"), "minima": [0.0] * 8, "maxima": [1.0] * 8}
+        path.write_text(json.dumps({**json.loads(path.read_text()), "n_features": n_features,
+                                    "scaling": scaling}))
+        with pytest.raises(DataError, match="ValueError: ") as err:
+            load_cascade(tmp_path / "cascade")
+        assert str(err.value).startswith(f"{path}: not a cascade file")
 
     @pytest.mark.parametrize("name, text, message", [
         ("cascade.json", "{}", "KeyError: 'network'"),

@@ -1109,6 +1109,10 @@ class TestInputWidthCheckedUpFront:
         (["train", "--arch", "cnn2", "--select-method", "chi2", "--select-k", "3",
           "--resample-method", "random_over", "--paper-mode"], {},
          2, "data error: cnn2: input of 3 features is too short"),
+        # a kernel this wide would need tebibytes of weights: none is drawn
+        (["train", "--arch", "cnn2", "--kernel-size", "1000000000000"], {},
+         2, "data error: cnn2: input of 8 features is too short: "
+            "input length 8 shorter than kernel 1000000000000\n"),
         (["sweep", "--arch", "cnn2", "--resample-method", "smote"],
          {"grid": {"epochs": [1], "learning_rate": [1e-3], "batch_size": [16]}},
          2, "data error: cnn2: input of 8 features is too short"),
@@ -1126,7 +1130,8 @@ class TestInputWidthCheckedUpFront:
          {"grid": {"epochs": []}}, 1, "config error: invalid config field 'grid.epochs'"),
         (["sweep", "--resample-method", "random_over", "--paper-mode"],
          {"grid": {"epochs": 5}}, 1, "config error: invalid config field 'grid.epochs'"),
-    ], ids=["train", "train-paper-mode", "sweep", "cascade-paper-mode", "select-network",
+    ], ids=["train", "train-paper-mode", "train-kernel-wider-than-input", "sweep",
+            "cascade-paper-mode", "select-network",
             "select-k-beyond-the-features", "train-k-beyond-the-features",
             "sweep-empty-grid-axis", "sweep-grid-axis-not-a-list"])
     def test_fails_before_any_fold_work(self, tmp_path, capsys, monkeypatch, argv, config,

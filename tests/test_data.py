@@ -515,6 +515,12 @@ class TestNormalize:
         with pytest.raises(DataError):
             ScalingSpec(("a",), np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("minima, maxima", [
+        ([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]), ([0.0, -np.inf], [1.0, 1.0])])
+    def test_a_bound_that_is_not_finite_is_named(self, minima, maxima):
+        with pytest.raises(DataError, match="^column 'b' has a non-finite scaling bound"):
+            ScalingSpec(("a", "b"), np.array(minima), np.array(maxima))
+
     def test_a_column_whose_range_overflows_is_named(self, recwarn):
         data = make_dataset([[-1e308, 1.0], [1e308, 2.0]], [0, 1], names=("a", "b"))
         with pytest.raises(DataError) as info:

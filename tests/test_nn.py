@@ -546,6 +546,15 @@ class TestBuildNetwork:
             build_network(arch, shortest - 1, rng=np.random.default_rng(0),
                           kernel_size=kernel)
 
+    @pytest.mark.parametrize("arch", ["vanilla", "cnn2", "cnn2_wide"])
+    def test_a_kernel_wider_than_the_input_fails_before_any_weight_is_drawn(self, arch):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(DataError, match=f"^{arch}: input of 6 features is too short: "
+                                            "input length 6 shorter than kernel 10{12}$"):
+            build_network(arch, 6, rng=rng, kernel_size=10**12)
+        assert rng.bit_generator.state == before
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             build_network("mystery", 16, rng=np.random.default_rng(7))

@@ -1,5 +1,6 @@
 """Oversamplers (SMOTE family, ADASYN, random), NearMiss undersampling, k-NN."""
 
+import inspect
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from readmitlab.resample import (
     OVERSAMPLERS,
     UNDERSAMPLERS,
     ResamplePlan,
+    _fit_linear_margin,
     apply_plan,
     knn,
     nearmiss_undersample,
@@ -142,6 +144,22 @@ class TestOversamplers:
         for row in synth:
             assert min_segment_residual(row, x_min, neighbor_sets,
                                         mirrored=True) <= 1e-9
+
+    def test_the_svm_margin_draws_nothing_and_repeats_bitwise(self):
+        data = blob_dataset(np.random.default_rng(5), {0: 40, 1: 15},
+                            {0: [0, 0, 0], 1: [1, 1, 1]}, spread=1.0)
+        y_signed = np.where(data.labels == 1, 1.0, -1.0)
+        assert "rng" not in inspect.signature(_fit_linear_margin).parameters
+        (w1, b1), (w2, b2) = (_fit_linear_margin(data.features, y_signed) for _ in range(2))
+        assert w1.tobytes() == w2.tobytes() and b1 == b2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_svm_margin_separates_distant_blobs(self, seed):
+        data = blob_dataset(np.random.default_rng(seed), {0: 60, 1: 20},
+                            {0: [0, 0], 1: [8, 8]}, spread=0.5)
+        y_signed = np.where(data.labels == 1, 1.0, -1.0)
+        w, b = _fit_linear_margin(data.features, y_signed)
+        assert np.all(y_signed * (data.features @ w + b) > 0.0)
 
     def test_adasyn_allocates_only_to_boundary_points(self):
         # cluster A sits inside majority territory, cluster B is far away and

@@ -161,6 +161,9 @@ def failures() -> list[tuple[str, list[str], dict | None, int]]:
         ("fail-cascade-save-model-range-overflows",
          ["cascade", "--data", "range-overflows.csv", "--seed", "1", *FOLDS, "--arch", "vanilla",
           "--n-rounds", "1", "--save-model"], {"network": NETWORK}, 2),
+        # a kernel wider than the 14 features, too wide for its weights to be drawn
+        ("fail-kernel-wider-than-input", ["train", *CV, "--model", "network", "--arch", "cnn2",
+                                          "--kernel-size", "1000000000000"], None, 2),
     ]
 
 
