@@ -406,7 +406,8 @@ def _class_shuffles(labels: np.ndarray, seed: int) -> Iterator[tuple[int, np.nda
     """(class, its row indices permuted) for each class in increasing order,
     every permutation drawn from one generator seeded with `seed`."""
     rng = np.random.default_rng(seed)
-    for cls in np.unique(labels):
+    # a return flag keeps np.unique from importing numpy.ma
+    for cls in np.unique(labels, return_counts=True)[0]:
         yield int(cls), rng.permutation(np.flatnonzero(labels == cls))
 
 

@@ -55,7 +55,8 @@ class CascadeClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "CascadeClassifier":
         y = np.asarray(y)
-        present = set(int(c) for c in np.unique(y))
+        # a return flag keeps np.unique from importing numpy.ma
+        present = set(int(c) for c in np.unique(y, return_counts=True)[0])
         needed = set(OUTER_CLASSES) | {ACCEPT_CLASS}
         if not needed <= present:
             raise DataError(f"training labels {sorted(present)} missing some of {sorted(needed)}")

@@ -82,7 +82,7 @@ def chi_square_scores(data: Dataset) -> FeatureScoreTable:
         raise DataError(
             f"chi-square needs nonnegative values; feature {name!r} has negatives"
         )
-    classes = np.unique(y)
+    classes = data.classes()
     priors = np.array([(y == c).mean() for c in classes])
     with np.errstate(over="ignore", invalid="ignore"):
         observed = np.stack([X[y == c].sum(axis=0) for c in classes])  # classes x features
@@ -132,7 +132,7 @@ def anova_f_scores(data: Dataset) -> FeatureScoreTable:
     distinct class means scores +inf and therefore ranks first.
     """
     X, y = data.features, data.labels
-    classes = np.unique(y)
+    classes = data.classes()
     n, _ = X.shape
     with np.errstate(over="ignore", invalid="ignore"):
         grand = X.mean(axis=0)
@@ -210,7 +210,7 @@ def per_class_stats(data: Dataset, features=None) -> ClassStatsTable:
     if features is None:
         features = list(range(data.n_features))
     cols = list(features)
-    classes = tuple(int(c) for c in np.unique(data.labels))
+    classes = tuple(data.classes())
     means = np.zeros((len(cols), len(classes)))
     variances = np.zeros_like(means)
     for j, c in enumerate(classes):

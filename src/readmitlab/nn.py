@@ -4,16 +4,16 @@ Everything is numpy, batch-first, in one float dtype per network: that of
 its parameter vector, float64 unless build_network is asked for another.
 Every layer computes in its input's dtype, so a float32 network stays
 float32 from its input to its gradient, and float64 is the reference path of
-the gradient checks. Layers cache what their backward pass needs during
-forward; backward() must follow a forward() on the same batch. Every sequence
-layer takes and returns (batch, length, channels): an input row of n
-features enters as (batch, n, 1). Conv1d is a valid, stride-1
-cross-correlation computed as one matmul of its im2col columns, which a
-training forward keeps for backward. MaxPool1d takes non-overlapping windows
-by reshaping the length axis. Flatten emits channel-major rows, so the first
-Dense layer's weights keep one row order.
-Dropout is inverted, active only when forward() is called with train=True and
-an rng to draw masks from.
+the gradient checks. forward(x, rng) is a training forward when given an rng
+and a prediction without one. Layers cache what their backward pass needs
+during forward; backward() must follow a forward() on the same batch. Every
+sequence layer takes and returns (batch, length, channels): an input row of
+n features enters as (batch, n, 1). Conv1d is a valid, stride-1
+cross-correlation computed as one matmul of its im2col columns, which every
+forward keeps for backward. MaxPool1d takes non-overlapping windows by
+reshaping the length axis. Flatten emits channel-major rows, so the first
+Dense layer's weights keep one row order. Dropout is inverted and draws its
+masks from the rng of a training forward.
 
 A Network owns the weights of every layer it holds, those inside Parallel
 branches too: one parameter vector, theta, and one gradient vector, grad. A
@@ -55,8 +55,7 @@ class Layer:
 
     PARAMS: tuple[str, ...] = ()
 
-    def forward(self, x: np.ndarray, *, train: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
@@ -71,7 +70,7 @@ class Dense(Layer):
         self.b = np.zeros(n_out)
         self._x = None
 
-    def forward(self, x, *, train=False, rng=None):
+    def forward(self, x, rng=None):
         self._x = x
         out = x @ self.w
         out += self.b
@@ -118,17 +117,14 @@ class Conv1d(Layer):
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
         """im2col of x: row (i, l) holds window l of row i, channel by channel.
-        A training forward keeps it for backward, which would otherwise build
-        it again; an inference forward keeps no copy, which is kernel times
-        the size of its input."""
+        Every forward keeps it for backward until the next forward."""
         n_out = self.out_length(x.shape[1])
         windows = [x[:, offset : offset + n_out] for offset in range(self.kernel)]
         return np.stack(windows, axis=3).reshape(-1, x.shape[2] * self.kernel)
 
-    def forward(self, x, *, train=False, rng=None):
-        cols = self._columns(x)
-        self._x, self._cols = x, (cols if train else None)
-        out = cols @ self.w.reshape(self.c_out, -1).T
+    def forward(self, x, rng=None):
+        self._x, self._cols = x, self._columns(x)
+        out = self._cols @ self.w.reshape(self.c_out, -1).T
         out += self.b
         return out.reshape(x.shape[0], -1, self.c_out)
 
@@ -138,8 +134,7 @@ class Conv1d(Layer):
         # adds the rows in order, as d_rows.sum(axis=0) does for two or more
         # channels, without its per-row overhead on the batch * n_out rows
         np.einsum("ij->j", d_rows, out=self.db)
-        cols = self._columns(self._x) if self._cols is None else self._cols
-        np.matmul(d_rows.T, cols, out=self.dw.reshape(self.c_out, -1))
+        np.matmul(d_rows.T, self._cols, out=self.dw.reshape(self.c_out, -1))
         d_cols = (d_rows @ self.w.reshape(self.c_out, -1)).reshape(batch, n_out, -1, self.kernel)
         dx = np.zeros(self._x.shape, dtype=d_cols.dtype)
         # offsets run last to first, so every input position sums its
@@ -168,7 +163,7 @@ class Relu(Layer):
     def __init__(self):
         self._keep = None
 
-    def forward(self, x, *, train=False, rng=None):
+    def forward(self, x, rng=None):
         self._keep = _keep_bits(x > 0, x.dtype)
         return _and_bits(x, self._keep, np.empty(x.shape, dtype=x.dtype))
 
@@ -197,7 +192,7 @@ class MaxPool1d(Layer):
         n_out = self.out_length(x.shape[1])
         return x[:, : n_out * self.window].reshape(x.shape[0], n_out, self.window, -1)
 
-    def forward(self, x, *, train=False, rng=None):
+    def forward(self, x, rng=None):
         windows = self._split(x)
         out = windows[:, :, 0]
         for offset in range(1, self.window):
@@ -230,7 +225,7 @@ class Flatten(Layer):
     def __init__(self):
         self._shape = None
 
-    def forward(self, x, *, train=False, rng=None):
+    def forward(self, x, rng=None):
         self._shape = x.shape
         return x.transpose(0, 2, 1).reshape(x.shape[0], -1)
 
@@ -243,7 +238,7 @@ class AsSequence(Layer):
     """(batch, features) -> (batch, features, 1): one channel, one feature per
     position, the input of every conv and recurrent stem."""
 
-    def forward(self, x, *, train=False, rng=None):
+    def forward(self, x, rng=None):
         return x[:, :, None]
 
     def backward(self, d_out):
@@ -254,7 +249,7 @@ AsChannels = AsSequence  # a public name that bench/spans.py traces
 
 
 class Dropout(Layer):
-    """Inverted dropout; identity outside training."""
+    """Inverted dropout; the identity in a forward without an rng."""
 
     def __init__(self, rate: float):
         self.check_rate(rate)
@@ -266,12 +261,10 @@ class Dropout(Layer):
         if not (is_real(rate) and 0.0 <= rate < 1.0):
             raise ValueError("dropout rate must be in [0, 1)")
 
-    def forward(self, x, *, train=False, rng=None):
-        if not train or self.rate == 0.0:
+    def forward(self, x, rng=None):
+        if rng is None or self.rate == 0.0:
             self._scale_mask = None
             return x
-        if rng is None:
-            raise ValueError("training forward through Dropout needs an rng")
         keep = rng.random(x.shape) >= self.rate
         self._scale_mask = np.divide(keep, 1.0 - self.rate, dtype=x.dtype)
         return x * self._scale_mask
@@ -298,7 +291,7 @@ class RecurrentTanh(Layer):
         self._x = None
         self._h = None
 
-    def forward(self, x, *, train=False, rng=None):
+    def forward(self, x, rng=None):
         batch, steps, _ = x.shape
         h = np.zeros((batch, steps, self.b.size), dtype=x.dtype)
         prev = np.zeros((batch, self.b.size), dtype=x.dtype)
@@ -332,7 +325,7 @@ class LastStep(Layer):
     def __init__(self):
         self._shape = None
 
-    def forward(self, x, *, train=False, rng=None):
+    def forward(self, x, rng=None):
         self._shape = x.shape
         return x[:, -1]
 
@@ -342,9 +335,9 @@ class LastStep(Layer):
         return dx
 
 
-def _forward(layers: list[Layer], x, train, rng):
+def _forward(layers: list[Layer], x, rng=None):
     for layer in layers:
-        x = layer.forward(x, train=train, rng=rng)
+        x = layer.forward(x, rng)
     return x
 
 
@@ -387,8 +380,8 @@ class Network:
             setattr(layer, name, self.theta[start:end].reshape(value.shape))
             setattr(layer, "d" + name, self.grad[start:end].reshape(value.shape))
 
-    def forward(self, x, *, train=False, rng=None):
-        return _forward(self.layers, x, train, rng)
+    def forward(self, x, rng=None):
+        return _forward(self.layers, x, rng)
 
     def backward(self, d_out):
         return _backward(self.layers, d_out)
@@ -429,8 +422,8 @@ class Parallel(Layer):
         self.branches = [list(branch) for branch in branches]
         self._shapes = None
 
-    def forward(self, x, *, train=False, rng=None):
-        outs = [_forward(branch, x, train, rng) for branch in self.branches]
+    def forward(self, x, rng=None):
+        outs = [_forward(branch, x, rng) for branch in self.branches]
         self._shapes = [o.shape for o in outs]
         keep = min(shape[1] for shape in self._shapes)
         return np.concatenate([o[:, :keep] for o in outs], axis=2)
@@ -562,7 +555,7 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
         stem = [AsSequence(), *convs, MaxPool1d(2)]
         # the head's width, from one zero row through the stem, so each
         # layer's out_length stays the only length rule
-        width = _forward(stem, np.zeros((1, n_features)), False, None).size
+        width = _forward(stem, np.zeros((1, n_features))).size
     except DataError as exc:
         raise DataError(f"{arch}: input of {n_features} features is too short: {exc}") from None
     head = _conv_head(width, rng, dropout=dropout, wide=(arch == "cnn2_wide"))
@@ -618,7 +611,7 @@ def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
         total, seen = 0.0, 0
         for start in range(0, n, config.batch_size):
             take = order[start : start + config.batch_size]
-            logits = net.forward(features[take], train=True, rng=rng)
+            logits = net.forward(features[take], rng)
             loss, d_logits = softmax_cross_entropy(logits, labels[take])
             if not np.isfinite(loss):
                 raise NumericError(

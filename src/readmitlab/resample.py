@@ -139,7 +139,7 @@ def _class_tables(X: np.ndarray, members: np.ndarray, k: int) -> tuple[np.ndarra
     _nearest. One screen of the members against all rows, members ordered
     first, serves both: the first table reads its first len(members) columns."""
     n_min = len(members)
-    order = np.concatenate([members, np.setdiff1d(np.arange(len(X)), members)])
+    order = np.concatenate([members, np.delete(np.arange(len(X)), members)])
     pool = X[order]
     (nn_min, _), (nn_full, _) = _search(pool[:n_min], pool, k, (n_min, len(X)),
                                         np.arange(n_min), ids=order)
@@ -300,22 +300,24 @@ def _interpolate(x_min: np.ndarray, bases: np.ndarray, nn_min: np.ndarray,
 def _fit_linear_margin(X: np.ndarray, y_signed: np.ndarray) -> tuple[np.ndarray, float]:
     """Full-batch primal subgradient descent (Pegasos: Shalev-Shwartz, Singer
     & Srebro, ICML 2007) for a linear soft-margin classifier: L2 weight
-    _MARGIN_LAMBDA on w, an unregularised bias b, step size
-    1/(_MARGIN_LAMBDA * t) for _MARGIN_STEPS steps; returns (w, b). Each step
-    takes every row's margin at once and adds the mean of y * x over the rows
-    whose margin is below 1. Only used by svm_smote to locate approximate
-    minority support vectors; it draws no random numbers.
+    _MARGIN_LAMBDA on (w, b), step size 1/(_MARGIN_LAMBDA * t) for
+    _MARGIN_STEPS steps, each followed by Pegasos' projection of (w, b) onto
+    the ball of radius 1/sqrt(_MARGIN_LAMBDA); returns (w, b). The bias is
+    the weight of a constant column, so it shrinks and steps with w. Each
+    step takes every row's margin at once and adds the mean of y * x over
+    the rows whose margin is below 1. Only used by svm_smote to locate
+    approximate minority support vectors; it draws no random numbers.
     """
-    n, p = X.shape
-    w = np.zeros(p)
-    b = 0.0
+    X = np.hstack([X, np.ones((len(X), 1))])
+    w = np.zeros(X.shape[1])
+    radius = 1.0 / np.sqrt(_MARGIN_LAMBDA)
     for t in range(1, _MARGIN_STEPS + 1):
         eta = 1.0 / (_MARGIN_LAMBDA * t)
-        pull = np.where(y_signed * (X @ w + b) < 1.0, y_signed, 0.0)
+        pull = np.where(y_signed * (X @ w) < 1.0, y_signed, 0.0)
         w *= 1.0 - eta * _MARGIN_LAMBDA
-        w += (eta / n) * (pull @ X)
-        b += (eta / n) * pull.sum()
-    return w, b
+        w += (eta / len(X)) * (pull @ X)
+        w *= radius / max(np.linalg.norm(w), radius)
+    return w[:-1], w[-1]
 
 
 def _synthesize_for_class(X: np.ndarray, y: np.ndarray, cls: int, need: int,

@@ -369,7 +369,8 @@ class RandomForest:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
-        self.classes_ = np.unique(y)
+        # a return flag keeps np.unique from importing numpy.ma
+        self.classes_ = np.unique(y, return_counts=True)[0]
         rng = np.random.default_rng(self.seed)
         n = X.shape[0]
         self.trees_ = []

@@ -63,8 +63,7 @@ class ProcessLog:
 
 
 def _loss(net, x, labels, rng_factory):
-    train = rng_factory is not None
-    logits = net.forward(x, train=train, rng=rng_factory() if train else None)
+    logits = net.forward(x, None if rng_factory is None else rng_factory())
     loss, _ = softmax_cross_entropy(logits, labels)
     return loss
 
@@ -79,8 +78,7 @@ def fd_max_rel_err(net, x, labels, *, h=1e-5, rng_factory=None, sample=None, see
     masks; without it the check runs in inference mode.
     """
     pick = np.random.default_rng(seed)
-    train = rng_factory is not None
-    logits = net.forward(x, train=train, rng=rng_factory() if train else None)
+    logits = net.forward(x, None if rng_factory is None else rng_factory())
     _, d_logits = softmax_cross_entropy(logits, labels)
     net.backward(d_logits)
     analytic = {key: g.copy() for key, g in net.grads().items()}

@@ -962,6 +962,30 @@ class TestWorkerCount:
         assert json.loads((out / "config.json").read_text())["workers"] == 1
 
 
+def test_no_run_imports_numpy_ma(tmp_path):
+    # np.unique without a return flag, and np.setdiff1d, import numpy.ma,
+    # about 15 ms of every process
+    csv = str(write_csv(tmp_path))
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {"grid": {"epochs": [1], "learning_rate": [1e-2], "batch_size": [16]}}))
+    common = ["--data", csv, "--seed", "1", "--folds", "2", "--workers", "1"]
+    runs = [["ingest", "--data", csv, "--seed", "1"],
+            ["train", *common, "--model", "network", "--arch", "vanilla", "--epochs", "1",
+             "--select-method", "chi2", "--select-k", "5", "--resample-method", "adasyn"],
+            ["cascade", *common, "--arch", "vanilla", "--epochs", "1", "--n-rounds", "2"],
+            ["sweep", *common, "--arch", "vanilla", "--config", str(tmp_path / "sweep.json")]]
+    script = ("import json, sys\n"
+              "from readmitlab.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    argvs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], False]
+
+
 class TestModelSettingsCheckedUpFront:
     @pytest.mark.parametrize("command, config, message", [
         ("train", {"model": {"arch": "vanilla", "optimizer": "bogus"}},

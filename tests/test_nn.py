@@ -439,14 +439,10 @@ class TestDropout:
         x = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(layer.forward(x), x)
 
-    def test_train_without_rng_rejected(self):
-        with pytest.raises(ValueError):
-            Dropout(0.5).forward(np.ones((1, 2)), train=True)
-
     def test_inverted_scaling(self):
         layer = Dropout(0.25)
         x = np.ones((4, 50))
-        out = layer.forward(x, train=True, rng=np.random.default_rng(9))
+        out = layer.forward(x, np.random.default_rng(9))
         kept = out[out != 0.0]
         assert np.allclose(kept, 1.0 / 0.75, atol=1e-12)
         assert 0.0 < (out == 0.0).mean() < 1.0
@@ -814,7 +810,7 @@ class TestFloat32:
         net = build_network(arch, 16, rng=rng, dtype=np.float32)
         h = rng.normal(size=(6, 16)).astype(np.float32)
         for layer in net.layers:
-            h = layer.forward(h, train=True, rng=rng)
+            h = layer.forward(h, rng)
             assert h.dtype == np.float32, f"{type(layer).__name__} forward"
         _, d = softmax_cross_entropy(h, rng.integers(0, 3, size=6))
         assert d.dtype == np.float32
@@ -903,12 +899,15 @@ class TestConvColumns:
         assert train() == kept
 
     @pytest.mark.parametrize("arch", ["vanilla", "cnn2", "cnn2_multibranch"])
-    def test_only_a_training_forward_keeps_columns(self, arch):
+    def test_every_forward_keeps_its_batch_columns(self, arch):
         rng = np.random.default_rng(41)
         net = build_network(arch, 16, rng=rng, dtype=np.float32)
         convs = [layer for layer in _layers(net.layers) if isinstance(layer, Conv1d)]
+        assert convs
         x = rng.normal(size=(8, 16))
-        net.forward(x.astype(np.float32), train=True, rng=rng)
-        assert convs and all(conv._cols is not None for conv in convs)
-        predict_logits(net, x)
-        assert all(conv._cols is None for conv in convs)
+        for rows, forward in ((5, lambda: net.forward(x[:5].astype(np.float32), rng)),
+                              (8, lambda: predict_logits(net, x))):
+            forward()
+            for conv in convs:
+                assert conv._x.shape[0] == rows
+                assert np.array_equal(conv._cols, conv._columns(conv._x))

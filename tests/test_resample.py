@@ -154,9 +154,10 @@ class TestOversamplers:
         assert w1.tobytes() == w2.tobytes() and b1 == b2
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_the_svm_margin_separates_distant_blobs(self, seed):
+    @pytest.mark.parametrize("minority_center", [[8, 8], [8, 0]])
+    def test_the_svm_margin_separates_distant_blobs(self, seed, minority_center):
         data = blob_dataset(np.random.default_rng(seed), {0: 60, 1: 20},
-                            {0: [0, 0], 1: [8, 8]}, spread=0.5)
+                            {0: [0, 0], 1: minority_center}, spread=0.5)
         y_signed = np.where(data.labels == 1, 1.0, -1.0)
         w, b = _fit_linear_margin(data.features, y_signed)
         assert np.all(y_signed * (data.features @ w + b) > 0.0)

@@ -1,8 +1,11 @@
 """tools/code_lines.py: which lines of a Python file count as code;
-tools/cli_outputs.py: every command runs and writes its reports."""
+tools/cli_outputs.py: every command runs and writes its reports;
+tools/step_time.py: it times every bench shape."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,17 @@ def test_cli_outputs_runs_every_command_and_each_writes_its_reports(tmp_path, ca
 def test_cli_outputs_without_one_directory_prints_usage(capsys):
     assert cli_outputs.main([]) == 2
     assert "Usage:" in capsys.readouterr().err
+
+
+def test_step_time_prints_one_time_per_bench_shape():
+    # a process of its own, so that its one-thread BLAS setting precedes numpy's import
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "step_time.py"),
+                           "--steps", "2", "--reps", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [row[:3] for row in rows] == [
+        ["cnn2", "30 features", "batch 64"], ["cnn2", "45 features", "batch 64"],
+        ["vanilla", "45 features", "batch 16"], ["vanilla", "45 features", "batch 64"]]
+    assert all(row[3].endswith(" ms") and float(row[3][:-3]) > 0.0 for row in rows)
