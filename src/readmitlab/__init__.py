@@ -17,8 +17,8 @@ from .features import (ClassStatsTable, FeatureScoreTable, SCORERS, Selection,
                        per_class_stats, select_k_best)
 from .models import NetworkClassifier, make_builder
 from .nn import (ARCHITECTURES, Network, TrainConfig, build_network,
-                 load_network_params, predict_classes, save_network,
-                 softmax, softmax_cross_entropy, train_network)
+                 load_network_params, save_network, softmax,
+                 softmax_cross_entropy, train_network)
 from .optim import OPTIMIZERS, AdaBelief, Adam, Sgd, make_optimizer
 from .resample import (METHODS as RESAMPLE_METHODS, ResamplePlan, apply_plan,
                        knn, nearmiss_undersample, oversample,
@@ -43,8 +43,7 @@ __all__ = [
     "knn", "load_cascade", "load_dataset", "load_network_params",
     "make_builder", "make_optimizer", "metrics", "min_max_normalize",
     "nearmiss_undersample", "oversample", "pearson_scores", "per_class_stats",
-    "predict_classes", "random_undersample", "save_cascade", "save_dataset_csv",
-    "save_network", "select_k_best", "softmax", "softmax_cross_entropy",
-    "stratified_kfold", "stratified_subsample", "synthetic_cohort",
-    "train_network",
+    "random_undersample", "save_cascade", "save_dataset_csv", "save_network",
+    "select_k_best", "softmax", "softmax_cross_entropy", "stratified_kfold",
+    "stratified_subsample", "synthetic_cohort", "train_network",
 ]

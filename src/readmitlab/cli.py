@@ -127,7 +127,7 @@ _READS = {NetworkClassifier: ("arch", "architecture", ARCHITECTURE_SETTINGS),
 
 # sweep's grid sets the epochs, learning rate and batch size of every cell, so
 # its network takes only the other fields
-_SWEEP_MODELS = {**_MODEL_DEFAULTS, "network": {
+_SWEEP_MODELS = {"network": {
     **{k: v for k, v in _MODEL_DEFAULTS["network"].items() if k not in PAPER_GRID},
     "arch": "vanilla"}}
 
@@ -381,10 +381,12 @@ def _names(cfg: dict, field: str, strings: bool = True) -> list | None:
 
 
 def _model(cfg: dict, kind: str, table: dict = _MODEL_DEFAULTS) -> tuple[str, dict]:
-    """The model section's kind (default `kind`) and parameters."""
+    """The model section's kind (default `kind`), one of table's, and its
+    parameters."""
     kind = (cfg.get("model") or {}).get("kind", kind)
-    if kind not in MODELS:
-        raise ConfigError(f"invalid config field 'model.kind': {kind!r}")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"invalid config field 'model.kind': {kind!r}; "
+                          f"expected one of {tuple(table)}")
     return kind, _merge(cfg, "model", table[kind], MODELS[kind], kind=kind)[0]
 
 
@@ -580,8 +582,6 @@ def _cmd_train(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     pipeline = FoldPipeline(cfg["normalize"], resample=_resample_plan(cfg))
     kind, fixed = _model(cfg, "network", _SWEEP_MODELS)
-    if kind != "network":
-        raise ConfigError("sweep drives network training; model.kind must be 'network'")
     grid = _merge(cfg, "grid", _SECTIONS["grid"])[0]
     for axis, values in grid.items():
         if not isinstance(values, list) or not values:

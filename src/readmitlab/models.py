@@ -9,8 +9,7 @@ import numpy as np
 
 from .evaluate import FitPredict, one_model
 from .nn import (DEFAULT_DROPOUT, Conv1d, Dropout, TrainConfig, build_network,
-                 check_architecture, predict_classes, predict_logits, softmax,
-                 train_network)
+                 check_architecture, predict_logits, softmax, train_network)
 from .trees import GradientBoostedClassifier, RandomForest
 
 # the dtype NetworkClassifier builds, trains and predicts in; nn's float64
@@ -75,7 +74,8 @@ class NetworkClassifier:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_classes(self.net, np.asarray(X, dtype=np.float64))
+        """Argmax class per row; logit ties resolve to the lower class id."""
+        return predict_logits(self.net, np.asarray(X, dtype=np.float64)).argmax(axis=1)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(predict_logits(self.net, np.asarray(X, dtype=np.float64)))

@@ -626,7 +626,10 @@ def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
     return history
 
 
-PREDICT_BATCH = 512  # rows per inference forward
+# Rows per inference forward, and part of the byte contract rather than a
+# speed knob: the float32 logits of cnn2, cnn2_wide and cnn2_multibranch
+# change with the chunk size, and so do the labels and reports drawn from them.
+PREDICT_BATCH = 512
 
 
 def predict_logits(net: Network, features: np.ndarray) -> np.ndarray:
@@ -636,11 +639,6 @@ def predict_logits(net: Network, features: np.ndarray) -> np.ndarray:
     pieces = [net.forward(features[s : s + PREDICT_BATCH])
               for s in range(0, features.shape[0], PREDICT_BATCH)]
     return np.vstack(pieces) if pieces else np.zeros((0, 3), net.theta.dtype)
-
-
-def predict_classes(net: Network, features: np.ndarray) -> np.ndarray:
-    """Argmax class per row; logit ties resolve to the lower class id."""
-    return predict_logits(net, features).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

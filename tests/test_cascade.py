@@ -251,6 +251,15 @@ class TestCascadeClassifier:
         assert [labels.shape for labels in model.predict_stages(none)] == [(0,)] * 3
         assert model.predict(none).shape == (0,)
 
+    def test_tied_logits_give_class_0(self):
+        rows = np.random.default_rng(3).normal(size=(20, 16))
+        for arch in ARCHITECTURES:
+            network = NetworkClassifier(arch, seed=1).build(16)
+            head = network.net.layers[-1]  # every architecture ends in its Dense head
+            head.w[...] = 0
+            head.b[...] = 0
+            assert np.array_equal(network.predict(rows), np.zeros(20, dtype=np.int64)), arch
+
     def save_small(self, directory, **network):
         """Save a one-epoch, one-round cascade fitted on the toy rows (a
         vanilla network unless `network` says otherwise)."""

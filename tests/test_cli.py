@@ -545,6 +545,16 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == 1
         assert "n_trees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["svm", ["gbm"]])
+    def test_a_kind_outside_the_models_is_a_config_error(self, tmp_path, capsys, kind):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": {"kind": kind}}))
+        assert main(["train", "--data", str(write_csv(tmp_path)), "--seed", "1",
+                     "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: invalid config field 'model.kind': {kind!r}; "
+            "expected one of ('network', 'gbm', 'forest')\n")
+
     def test_network_kind_runs(self, tmp_path):
         csv = write_csv(tmp_path)
         out = tmp_path / "run"
@@ -789,7 +799,8 @@ class TestSweep:
         config.write_text(json.dumps({"model": {"kind": "gbm"}}))
         assert main(["sweep", "--data", str(csv), "--seed", "1",
                      "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-        assert "model.kind must be 'network'" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: invalid config field 'model.kind': "
+                                           "'gbm'; expected one of ('network',)\n")
 
     def test_unknown_grid_axis_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)

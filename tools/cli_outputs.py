@@ -11,11 +11,12 @@ paths, so that no output names OUT itself. Run NAME writes its reports to
 OUT/NAME/, unless its argv gives its own --out (its config file, if any, is
 OUT/NAME.json), and its stdout and stderr, every warning included, to
 OUT/NAME.stdout and OUT/NAME.stderr; OUT/exit_codes.tsv lists each run's
-exit code. The runs use 2 folds, 1 worker, 1 epoch and few boosting
-rounds. One small CSV starts with a sidecar whose .npy header does not
-parse, which its ingest run replaces. The runs of runs() must exit 0 and
-those of failures() with their expected codes, so a diff of two trees shows
-which error messages moved. Exits 1 when any run exits with another code.
+exit code. The runs use 2 folds, 1 worker (sweep-workers-2 uses two), 1
+epoch and few boosting rounds. One small CSV starts with a sidecar whose
+.npy header does not parse, which its ingest run replaces. The runs of
+runs() must exit 0 and those of failures() with their expected codes, so a
+diff of two trees shows which error messages moved. Exits 1 when any run
+exits with another code.
 
 To compare a change with its parent, run the tool once with each version's
 src on PYTHONPATH, into two directories, and diff them:
@@ -93,6 +94,11 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
     table.append(("train-forest", ["train", *CV, "--model", "forest", "--n-trees", "3"], None))
     table.append(("sweep", ["sweep", *CV, "--resample-method", "random_over"],
                   {"grid": {"epochs": [1], "learning_rate": [1e-3], "batch_size": [32]}}))
+    # two grid cells a fold, so both processes of the forked sweep prepare the same fold
+    table += [(f"sweep-workers-{workers}", ["sweep", *DATA, "--folds", "2", "--workers",
+                                             workers, "--resample-method", "random_over"],
+               {"grid": {"epochs": [1], "learning_rate": [1e-3], "batch_size": [16, 32]}})
+              for workers in "12"]
     table.append(("binary-study", ["binary-study", *DATA, "--folds", "2", "--workers", "1"],
                   {"booster": {"n_rounds": 3}}))
     table += [(f"cascade-{arch}", ["cascade", *CV, "--arch", arch, "--n-rounds", "3",
