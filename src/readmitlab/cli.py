@@ -18,13 +18,17 @@ applies the rule to every section. In a config file, a section is a JSON
 object and a field that has a flag holds what the flag would give (_VALUES),
 or null where the field has no default; _resolve checks both before the
 data load, and so the counts: seed >= 0, folds >= 2, workers >= 1
-(_COUNTS). A list-valued field (compare_ks, regimes, features, runs) is a
-list or a comma-separated string, read by _names. Every run needs an output
-directory that neither is nor lies under an existing file (a config error
-before the data load); every command but report also needs a seed (--seed
-flag, config "seed", or the READMIT_SEED environment variable) and an input
-CSV (--data or config "dataset"). A run writes three files: config.json (the resolved config
-echo), report.tsv, and report.txt. Reports embed the input CSV's content
+(_COUNTS). A setting that names a choice (architecture, optimizer, resample
+method, scorer, model kind, regime) is checked by errors.check_choice alone,
+where its class or function is built or called, so a flag and a config file
+fail alike. A list-valued field (compare_ks, regimes, features, runs) is a
+list or a comma-separated string with no entry given twice, read by _names.
+Every run needs an output directory that neither is nor lies under an
+existing file (a config error before the data load); every command but
+report also needs a seed (--seed flag, config "seed", or the READMIT_SEED
+environment variable) and an input CSV (--data or config "dataset"). A run
+writes three files: config.json (the resolved config echo), report.tsv, and
+report.txt. Reports embed the input CSV's content
 hash and never embed timestamps or the output path, so identical configs
 produce byte-identical reports.
 
@@ -41,11 +45,12 @@ of each grid axis, so a bad value is a config error naming grid.<axis>. A
 network is also built once at each feature count it will see (select builds
 one for every k of compare_ks), so an input too short for its architecture
 is a data error before any fold work. sweep runs the grid (the paper's,
-PAPER_GRID, unless a "grid" section narrows it; each axis a nonempty list),
-so its model section has no epochs, learning_rate or batch_size. cascade has no model
-section: its network flags set the "network" section and --n-rounds and
---max-depth the "booster" section; the booster's learning rate is set only
-by the "booster" section.
+PAPER_GRID, unless a "grid" section narrows it; each axis a nonempty list
+with no value given twice), so its model section has no epochs,
+learning_rate or batch_size. cascade has no model section: its network
+flags set the "network" section and --n-rounds and --max-depth the
+"booster" section; the booster's learning rate is set only by the "booster"
+section.
 
 Min-max scaling (--normalize, on by default), the select section and the
 resample section make one evaluate.FoldPipeline, fitted in that order. The
@@ -80,15 +85,14 @@ from .data import (DEFAULT_CLASS_NAMES, Dataset, ScalingSpec, dataset_sha256, lo
                    save_dataset_csv, stratified_kfold, stratified_subsample)
 from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
-from .errors import ConfigError, DataError, NumericError, check_count, is_integer, is_real
+from .errors import (ConfigError, DataError, NumericError, check_choice, check_count,
+                     is_integer, is_real)
 from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics
-from .features import SCORER_SETTINGS, SCORERS, Selection, per_class_stats, select_k_best
-from .models import MODEL_KINDS, MODELS, NetworkClassifier, make_builder
-from .nn import ARCHITECTURE_SETTINGS, ARCHITECTURES
-from .optim import OPTIMIZERS
+from .features import SCORER_SETTINGS, Selection, per_class_stats, select_k_best
+from .models import MODELS, NetworkClassifier, make_builder
+from .nn import ARCHITECTURE_SETTINGS
 from .report import RunReport, class_stats_section, feature_scores_section, format_percent
 from .resample import METHOD_SETTINGS, ResamplePlan
-from .resample import METHODS as RESAMPLE_METHODS
 
 PAPER_GRID = {
     "epochs": [10, 50],
@@ -143,11 +147,11 @@ def _opt(flag: str | None, path: str, default=None, **kwargs) -> tuple:
 # argparse keywords of the model flags, by field; each flag is its field's
 # name with dashes
 _MODEL_FLAGS = {
-    "arch": {"choices": ARCHITECTURES, "help": "network architecture"},
+    "arch": {"help": "network architecture"},
     "epochs": {"type": int},
     "learning_rate": {"type": float},
     "batch_size": {"type": int},
-    "optimizer": {"choices": tuple(OPTIMIZERS)},
+    "optimizer": {},
     "kernel_size": {"type": int, "help": "cnn2-family filter width"},
     "dropout": {"type": float},
     "n_rounds": {"type": int, "help": "boosting rounds"},
@@ -188,12 +192,12 @@ _CV = (*_FOLDS,
             help="fit scaling, selection and resampling on the whole dataset "
                  "before fold splitting instead of per training fold"))
 _RESAMPLE = (
-    _opt("--resample-method", "resample.method", choices=RESAMPLE_METHODS),
+    _opt("--resample-method", "resample.method"),
     _opt("--k-neighbors", "resample.k_neighbors", type=int),
     _opt("--nearmiss-version", "resample.nearmiss_version", type=int),
 )
 _SELECT = (
-    _opt("--select-method", "select.method", choices=sorted(SCORERS)),
+    _opt("--select-method", "select.method"),
     _opt("--select-k", "select.k", type=int),
     _opt("--paper-exclusion", "select.paper_exclusion", action="store_true",
          help="also exclude zero-mean features from pearson scoring"),
@@ -328,11 +332,12 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
     return cfg, out
 
 
-def _build(name: str, cls, settings: dict):
-    """cls built from settings; a ValueError or TypeError of its constructor
-    is a config error naming config field `name`."""
+def _checked(name: str, fn, /, *args, **kwargs):
+    """fn(*args, **kwargs): a setting's check, or the constructor of the class
+    it configures. A ValueError or TypeError it raises is a config error
+    naming config field `name`."""
     try:
-        return cls(**settings)
+        return fn(*args, **kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config field '{name}': {exc}") from None
 
@@ -352,7 +357,7 @@ def _merge(cfg: dict, name: str, defaults: dict, cls=None, **chosen) -> tuple[di
             raise ConfigError(f"invalid config field '{name}.{field}'")
     section = {**defaults, **given}
     cfg[name] = {**chosen, **section}
-    built = None if cls is None else _build(name, cls, section)
+    built = None if cls is None else _checked(name, cls, **section)
     key, noun, table = _READS.get(cls, (None, None, {}))
     for field in sorted(set().union(*table.values()) - set(table.get(section.get(key), ()))):
         if section[field] != defaults[field]:
@@ -361,21 +366,33 @@ def _merge(cfg: dict, name: str, defaults: dict, cls=None, **chosen) -> tuple[di
     return section, built
 
 
-def _names(cfg: dict, field: str, strings: bool = True) -> list | None:
+def _once(field: str, entries: list) -> None:
+    """An entry of list field `field` given twice, as JSON writes it (so 1,
+    1.0 and true differ), is a config error naming it."""
+    texts = [json.dumps(entry) for entry in entries]
+    for i, text in enumerate(texts):
+        if text in texts[:i]:
+            raise ConfigError(f"invalid config field {field!r}: {text} is given twice")
+
+
+def _names(cfg: dict, field: str, counts: bool = False) -> list | None:
     """Config field `field` as a list, recorded in cfg: a list passes
     through, a comma-separated string (a flag's or a config file's) is split
-    at its commas, and None (not given) stays None; anything else, or with
-    `strings` an entry that is not a string, is a config error naming the
-    field."""
+    at its commas (its decimal entries read as integers where the field holds
+    `counts`), and None (not given) stays None. Anything else, an entry given
+    twice, and an entry that is not a string (unless `counts`) are config
+    errors naming the field."""
     value = cfg.get(field)
     if isinstance(value, str):
         value = [name.strip() for name in value.split(",") if name.strip()]
+        value = [int(k) if counts and k.isdecimal() else k for k in value]
     elif value is not None and not isinstance(value, list):
         raise ConfigError(f"invalid config field {field!r}: {json.dumps(value)} is not a list")
-    wrong = [entry for entry in value or () if strings and not isinstance(entry, str)]
+    wrong = [entry for entry in value or () if not counts and not isinstance(entry, str)]
     if wrong:
         raise ConfigError(f"invalid config field {field!r}: {json.dumps(wrong[0])} "
                           "is not a string")
+    _once(field, value or [])
     cfg[field] = value
     return value
 
@@ -384,9 +401,7 @@ def _model(cfg: dict, kind: str, table: dict = _MODEL_DEFAULTS) -> tuple[str, di
     """The model section's kind (default `kind`), one of table's, and its
     parameters."""
     kind = (cfg.get("model") or {}).get("kind", kind)
-    if not isinstance(kind, str) or kind not in table:
-        raise ConfigError(f"invalid config field 'model.kind': {kind!r}; "
-                          f"expected one of {tuple(table)}")
+    _checked("model.kind", check_choice, "model kind", kind, table)
     return kind, _merge(cfg, "model", table[kind], MODELS[kind], kind=kind)[0]
 
 
@@ -501,10 +516,7 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
 
 def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    comma_form = isinstance(cfg["compare_ks"], str)  # whose digit strings are counts
-    compare_ks = [int(k) if comma_form and k.isdecimal() else k
-                  for k in _names(cfg, "compare_ks", strings=False) or ()]
-    cfg["compare_ks"] = compare_ks or None
+    compare_ks = cfg["compare_ks"] = _names(cfg, "compare_ks", counts=True) or None
     if not compare_ks:
         for field in ("model", "workers", "folds"):
             if cfg.pop(field, None) is not None:
@@ -534,10 +546,7 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     # every k is checked before the first cross-validation; no fold can score
     # more features than all rows can
     for kk in compare_ks:
-        try:
-            check_count("compare_ks", kk, 1)
-        except ValueError as exc:
-            raise ConfigError(f"invalid config field 'compare_ks': {exc}") from None
+        _checked("compare_ks", check_count, "compare_ks", kk, 1)
         _check_k("compare_ks", kk, data.n_features)
         select_k_best(table, kk)
         _check_width(kind, params, kk)
@@ -587,9 +596,10 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"invalid config field 'grid.{axis}': "
                               f"{json.dumps(values)} is not a nonempty list")
+        _once(f"grid.{axis}", values)
         # each value builds once here, so a bad one fails before any fold work
         for value in values:
-            _build(f"grid.{axis}", NetworkClassifier, {**fixed, axis: value})
+            _checked(f"grid.{axis}", NetworkClassifier, **{**fixed, axis: value})
 
     def build(seed: int, epochs: int, lr: float, batch: int) -> NetworkClassifier:
         return NetworkClassifier(seed=seed, epochs=epochs, learning_rate=lr,
@@ -644,9 +654,6 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
 
 def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     regimes = tuple(_names(cfg, "regimes") or BINARY_REGIMES)
-    for regime in regimes:
-        if regime not in BINARY_REGIMES:
-            raise ConfigError(f"invalid config field 'regimes': {regime!r}")
     cfg["regimes"] = list(regimes)
     booster = _merge(cfg, "booster", _SECTIONS["booster"], MODELS["gbm"])[0]
     results = binary_outer_study(data, seed=cfg["seed"], k_folds=cfg["folds"],
@@ -690,7 +697,7 @@ _COMMANDS = {
               help="write the resampled rows as resampled.csv in the output dir"),),
     )),
     "train": (_cmd_train, "cross-validate one model configuration", (
-        _DATA, _CV, (_opt("--model", "model.kind", choices=MODEL_KINDS, help="model kind"),),
+        _DATA, _CV, (_opt("--model", "model.kind", help="model kind"),),
         _model_opts("model", _MODEL_FLAGS), _RESAMPLE, _SELECT,
     )),
     "sweep": (_cmd_sweep, "grid-search epochs x learning rate x batch size", (

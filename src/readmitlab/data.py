@@ -236,9 +236,11 @@ def _parse_csv(path) -> tuple[Dataset, str]:
     labels = table[:, label_idx].astype(np.int64)
     features = np.delete(table, label_idx, axis=1)
     del table
-    if _first_non_finite(features) is not None:
+    try:
+        data = Dataset(features, labels, names)
+    except DataError:  # a non-finite cell, the one fault the checks above leave
         _raise_first_bad_line(path, header, label_idx)
-    return Dataset(features, labels, names), hashed.sha256.hexdigest()
+    return data, hashed.sha256.hexdigest()
 
 
 class _HashingReader(io.RawIOBase):

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, FoldPlan, ScalingSpec, stratified_kfold
-from .errors import DataError, check_count
+from .errors import DataError, check_choice, check_count
 from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, _cv_result,
                        cross_validate, metrics)
 from .models import NetworkClassifier, make_builder
@@ -204,8 +204,7 @@ def binary_outer_study(data: Dataset, *, seed: int, k_folds: int = 10,
     (imbalanced) subset. Each regime's folds are prepared by `pipeline` with
     the regime's resampling plan in place of its own."""
     for regime in regimes:
-        if regime not in BINARY_REGIMES:
-            raise ValueError(f"unknown regime {regime!r}; expected one of {BINARY_REGIMES}")
+        check_choice("regime", regime, BINARY_REGIMES)
     outer_data = data.take(np.flatnonzero(np.isin(data.labels, OUTER_CLASSES)))
     if len(outer_data.class_counts()) < 2:
         raise DataError("binary study needs both outer classes present")

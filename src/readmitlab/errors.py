@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package, what np.load raises on a
-file it cannot read, the one check of a count setting, and the type tests of
-integer and real settings.
+file it cannot read, the one check of a count setting, the one check of a
+setting that names a choice, and the type tests of integer and real
+settings.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
 DataError -> 2, NumericError -> 3.
@@ -45,3 +46,11 @@ def check_count(name: str, value, least: int) -> None:
     ValueError otherwise."""
     if not is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_choice(noun: str, value, choices) -> None:
+    """A setting that names one of `choices` must be a str among them; a
+    ValueError naming the `noun`, the value and the choices otherwise. The
+    value is never hashed, so a list fails here like any other non-name."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"unknown {noun} {value!r}; expected one of {tuple(choices)}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, is_integer
+from .errors import DataError, check_choice, is_integer
 
 EXCLUDE_ZERO_VARIANCE = "zero-variance"
 EXCLUDE_ZERO_MEAN = "zero-mean"
@@ -177,8 +177,7 @@ class Selection:
     paper_exclusion: bool = False
 
     def __post_init__(self):
-        if self.method not in SCORERS:
-            raise ValueError(f"unknown feature scorer {self.method!r}")
+        check_choice("feature scorer", self.method, SCORERS)
         if not is_integer(self.k):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if not isinstance(self.paper_exclusion, bool):

@@ -7,9 +7,10 @@ import inspect
 
 import numpy as np
 
+from .errors import check_choice
 from .evaluate import FitPredict, one_model
-from .nn import (DEFAULT_DROPOUT, Conv1d, Dropout, TrainConfig, build_network,
-                 check_architecture, predict_logits, softmax, train_network)
+from .nn import (ARCHITECTURES, DEFAULT_DROPOUT, Conv1d, Dropout, TrainConfig, build_network,
+                 predict_logits, softmax, train_network)
 from .trees import GradientBoostedClassifier, RandomForest
 
 # the dtype NetworkClassifier builds, trains and predicts in; nn's float64
@@ -35,7 +36,7 @@ class NetworkClassifier:
                  batch_size: int = TrainConfig.batch_size,
                  optimizer: str = TrainConfig.optimizer, kernel_size: int | None = None,
                  dropout: float = DEFAULT_DROPOUT, seed: int = 0):
-        check_architecture(arch)
+        check_choice("architecture", arch, ARCHITECTURES)
         if kernel_size is not None:
             Conv1d.check_kernel(kernel_size)
         Dropout.check_rate(dropout)
@@ -91,15 +92,13 @@ class NetworkClassifier:
 # each model kind's class; its constructor's keywords are the kind's settings
 MODELS = {"network": NetworkClassifier, "gbm": GradientBoostedClassifier,
           "forest": RandomForest}
-MODEL_KINDS = tuple(MODELS)
 
 
 def make_builder(kind: str, **settings) -> FitPredict:
     """Return the fit_predict of cross_validate for one model kind: a fresh
     model per fold, given the fold's seed when its class's constructor takes
     a seed."""
-    if kind not in MODELS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    check_choice("model kind", kind, MODELS)
     cls = MODELS[kind]
     if "seed" in inspect.signature(cls).parameters:
         return one_model(lambda seed: cls(seed=seed, **settings))

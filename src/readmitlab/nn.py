@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UNREADABLE, DataError, NumericError, check_count, is_real
-from .optim import make_optimizer
+from .errors import UNREADABLE, DataError, NumericError, check_choice, check_count, is_real
+from .optim import OPTIMIZERS, make_optimizer
 
 # ---------------------------------------------------------------------------
 # initialization
@@ -512,11 +512,6 @@ def _convs(channels: tuple[int, ...], kernel: int, rng, length: int) -> list[Lay
             for layer in (Conv1d(c_in, c_out, kernel, rng), Relu())]
 
 
-def check_architecture(arch: str) -> None:
-    if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
-
-
 def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
                   kernel_size: int | None = None,
                   dropout: float = DEFAULT_DROPOUT, dtype=np.float64) -> Network:
@@ -530,7 +525,7 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
     are drawn in float64 and rounded to `dtype`, the network's dtype, so
     every dtype draws the same numbers from rng.
     """
-    check_architecture(arch)
+    check_choice("architecture", arch, ARCHITECTURES)
 
     if arch in ("rnn_simple", "rnn_deep"):
         depth = 1 if arch == "rnn_simple" else 4
@@ -578,7 +573,7 @@ class TrainConfig:
         check_count("batch_size", self.batch_size, 1)
         if not (is_real(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be positive")
-        make_optimizer(self.optimizer, self.learning_rate)  # an unknown name fails here
+        check_choice("optimizer", self.optimizer, OPTIMIZERS)
 
 
 def _in_dtype(net: Network, features: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_choice
+
 _PARAMS = dict[str, np.ndarray]
 
 
@@ -95,6 +97,5 @@ OPTIMIZERS = {"sgd": Sgd, "adam": Adam, "adabelief": AdaBelief}
 
 
 def make_optimizer(name: str, learning_rate: float):
-    if name not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {name!r}; expected one of {sorted(OPTIMIZERS)}")
+    check_choice("optimizer", name, OPTIMIZERS)
     return OPTIMIZERS[name](learning_rate)

@@ -27,7 +27,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .data import VALID_LABELS, Dataset
-from .errors import DataError, check_count, is_integer
+from .errors import DataError, check_choice, check_count, is_integer
 
 OVERSAMPLERS = ("smote", "borderline_smote", "svm_smote", "adasyn", "random_over")
 UNDERSAMPLERS = ("nearmiss", "random_under")
@@ -74,8 +74,7 @@ class ResamplePlan:
     n_ref: int = 3
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown resample method {self.method!r}")
+        check_choice("resample method", self.method, METHODS)
         check_count("k_neighbors", self.k_neighbors, 1)
         if not is_integer(self.nearmiss_version) or self.nearmiss_version not in (1, 2, 3):
             raise ValueError("nearmiss_version must be 1, 2, or 3")

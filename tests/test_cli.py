@@ -552,7 +552,7 @@ class TestTrain:
         assert main(["train", "--data", str(write_csv(tmp_path)), "--seed", "1",
                      "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
-            f"config error: invalid config field 'model.kind': {kind!r}; "
+            f"config error: invalid config field 'model.kind': unknown model kind {kind!r}; "
             "expected one of ('network', 'gbm', 'forest')\n")
 
     def test_network_kind_runs(self, tmp_path):
@@ -800,7 +800,8 @@ class TestSweep:
         assert main(["sweep", "--data", str(csv), "--seed", "1",
                      "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == ("config error: invalid config field 'model.kind': "
-                                           "'gbm'; expected one of ('network',)\n")
+                                           "unknown model kind 'gbm'; "
+                                           "expected one of ('network',)\n")
 
     def test_unknown_grid_axis_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
@@ -1000,7 +1001,7 @@ def test_no_run_imports_numpy_ma(tmp_path):
 class TestModelSettingsCheckedUpFront:
     @pytest.mark.parametrize("command, config, message", [
         ("train", {"model": {"arch": "vanilla", "optimizer": "bogus"}},
-         "unknown optimizer 'bogus'"),
+         "unknown optimizer 'bogus'; expected one of ('sgd', 'adam', 'adabelief')"),
         ("train", {"model": {"arch": "bogus"}}, "unknown architecture 'bogus'"),
         ("train", {"model": {"kind": "gbm", "n_rounds": -1}},
          "n_rounds must be an integer >= 0, got -1"),
@@ -1038,7 +1039,8 @@ class TestModelSettingsCheckedUpFront:
         ("train", {"model": {"kind": "forest", "n_trees": 0}},
          "config error: invalid config field 'model': n_trees must be an integer >= 1, got 0\n"),
         ("cascade", {"network": {"optimizer": "bogus"}},
-         "config error: invalid config field 'network': unknown optimizer 'bogus'"),
+         "config error: invalid config field 'network': unknown optimizer 'bogus'; "
+         "expected one of ('sgd', 'adam', 'adabelief')\n"),
         ("binary-study", {"booster": {"learning_rate": 0}},
          "config error: invalid config field 'booster': learning_rate must be positive"),
         # a resample setting the method does not read, and a plan field that is
@@ -1391,10 +1393,13 @@ class TestBinaryStudy:
         assert notes == [f"nearmiss fold {f}: resampled by nearmiss: class 0: 6, class 2: 6"
                          for f in range(2)]
 
-    def test_unknown_regime_is_a_config_error(self, tmp_path):
+    def test_unknown_regime_is_a_config_error(self, tmp_path, capsys):
         csv = write_csv(tmp_path)
         assert main(["binary-study", "--data", str(csv), "--seed", "1",
                      "--regimes", "oversample", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown regime 'oversample'; "
+            "expected one of ('nearmiss', 'random_under', 'full')\n")
 
 
 class TestOutputDirectory:
@@ -1925,8 +1930,9 @@ def run_main(argv):
 
 class TestOneRulePerKindOfValue:
     """A count below its least value fails before the data load, a list-valued
-    field that is not a list fails naming the field, and a bad grid value
-    fails naming its axis, both before any fold work."""
+    field that is not a list or gives an entry twice fails naming the field,
+    and a bad grid value fails naming its axis, both before any fold work. A
+    name outside its choices fails alike from a flag and from a config file."""
 
     @pytest.mark.parametrize("command, flags, config, env, message", [
         ("ingest", ["--seed", "-1"], {}, None, "'seed': -1 below 0"),
@@ -1971,8 +1977,19 @@ class TestOneRulePerKindOfValue:
          "'grid.epochs': epochs must be an integer >= 1, got 0"),
         ("sweep", {"grid": {"epochs": [1], "learning_rate": [1e-3], "batch_size": [1.5]}},
          "'grid.batch_size': batch_size must be an integer >= 1, got 1.5"),
+        # an entry given twice would run the same study, row or cell twice
+        ("select", {"compare_ks": [3, 4, 3], "model": {"kind": "gbm", "n_rounds": 2}},
+         "'compare_ks': 3 is given twice"),
+        ("select", {"compare_ks": "3,03", "model": {"kind": "gbm", "n_rounds": 2}},
+         "'compare_ks': 3 is given twice"),
+        ("binary-study", {"regimes": ["full", "full"]}, "'regimes': \"full\" is given twice"),
+        ("stats", {"features": "f00,f01,f00"}, "'features': \"f00\" is given twice"),
+        ("report", {"runs": ["a", "a"]}, "'runs': \"a\" is given twice"),
+        ("sweep", {"grid": {"batch_size": [16, 32, 16]}}, "'grid.batch_size': 16 is given twice"),
     ], ids=["compare-ks", "regimes", "regimes-object", "features", "runs",
-            "grid-learning-rate", "grid-epochs", "grid-batch-size"])
+            "grid-learning-rate", "grid-epochs", "grid-batch-size", "compare-ks-twice",
+            "compare-ks-comma-form-twice", "regimes-twice", "features-twice", "runs-twice",
+            "grid-twice"])
     def test_a_bad_list_or_grid_value_is_named_before_any_fold_work(
             self, tmp_path, capsys, monkeypatch, command, config, message):
         from readmitlab import ensemble, evaluate
@@ -2011,11 +2028,42 @@ class TestOneRulePerKindOfValue:
             assert (tmp_path / "config" / name).read_bytes() == \
                 (tmp_path / "flag" / name).read_bytes()
 
+    @pytest.mark.parametrize("command, flag, config, message", [
+        ("train", ["--arch", "bogus"], {"model": {"arch": "bogus"}},
+         "invalid config field 'model': unknown architecture 'bogus'; expected one of "
+         "('vanilla', 'cnn2', 'cnn2_wide', 'cnn2_multibranch', 'rnn_simple', 'rnn_deep')"),
+        ("train", ["--optimizer", "bogus"], {"model": {"optimizer": "bogus"}},
+         "invalid config field 'model': unknown optimizer 'bogus'; "
+         "expected one of ('sgd', 'adam', 'adabelief')"),
+        ("train", ["--model", "bogus"], {"model": {"kind": "bogus"}},
+         "invalid config field 'model.kind': unknown model kind 'bogus'; "
+         "expected one of ('network', 'gbm', 'forest')"),
+        ("resample", ["--resample-method", "bogus"], {"resample": {"method": "bogus"}},
+         "invalid config field 'resample': unknown resample method 'bogus'; expected one of "
+         "('smote', 'borderline_smote', 'svm_smote', 'adasyn', 'random_over', 'nearmiss', "
+         "'random_under')"),
+        ("select", ["--select-method", "bogus"], {"select": {"method": "bogus"}},
+         "invalid config field 'select': unknown feature scorer 'bogus'; "
+         "expected one of ('chi2', 'pearson', 'anova_f')"),
+        ("binary-study", ["--regimes", "bogus"], {"regimes": ["bogus"]},
+         "unknown regime 'bogus'; expected one of ('nearmiss', 'random_under', 'full')"),
+    ], ids=["arch", "optimizer", "model-kind", "resample-method", "select-method", "regimes"])
+    def test_an_unknown_name_fails_alike_from_a_flag_and_a_config_file(
+            self, tmp_path, capsys, command, flag, config, message):
+        argv = [command, "--data", str(write_csv(tmp_path)), "--seed", "1",
+                "--out", str(tmp_path / "o")]
+        assert main([*argv, *flag]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main([*argv, "--config", str(tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_the_paper_grid_builds_one_network_per_axis_value(self, tmp_path, monkeypatch):
         built = []
-        build = cli._build
-        monkeypatch.setattr(cli, "_build",
-                            lambda name, *a: built.append(name) or build(name, *a))
+        checked = cli._checked
+        monkeypatch.setattr(cli, "_checked",
+                            lambda name, *a, **k: built.append(name) or checked(name, *a, **k))
 
         class Stop(Exception):
             pass

@@ -237,8 +237,10 @@ class TestSelection:
         assert table.scores.tobytes() == anova_f_scores(data).scores.tobytes()
 
     @pytest.mark.parametrize("fields, message", [
-        ({"method": "mutual_info", "k": 2}, "unknown feature scorer 'mutual_info'"),
-        ({"method": None, "k": 2}, "unknown feature scorer None"),
+        ({"method": "mutual_info", "k": 2}, "unknown feature scorer 'mutual_info'; "
+                                             "expected one of ('chi2', 'pearson', 'anova_f')"),
+        ({"method": None, "k": 2}, "unknown feature scorer None; "
+                                   "expected one of ('chi2', 'pearson', 'anova_f')"),
         ({"method": "chi2", "k": None}, "k must be an integer, got None"),
         ({"method": "chi2", "k": 2.5}, "k must be an integer, got 2.5"),
         ({"method": "chi2", "k": "3"}, "k must be an integer, got '3'"),

@@ -97,6 +97,18 @@ def test_cli_outputs_runs_every_command_and_each_writes_its_reports(tmp_path, ca
         assert err.count("\n") == 1, (name, err)
     assert (out / "fail-workers-zero.stderr").read_text() == (
         "config error: invalid config field 'workers': 0 below 1\n")
+    # a name outside its choices, from a flag or a config file, names the choices
+    assert (out / "fail-optimizer-not-a-name.stderr").read_text() == (
+        "config error: invalid config field 'model': unknown optimizer ['adam']; "
+        "expected one of ('sgd', 'adam', 'adabelief')\n")
+    assert (out / "fail-select-method-not-a-name.stderr").read_text() == (
+        "config error: invalid config field 'select': unknown feature scorer ['chi2']; "
+        "expected one of ('chi2', 'pearson', 'anova_f')\n")
+    assert (out / "fail-arch-flag-unknown.stderr").read_text().startswith(
+        "config error: invalid config field 'model': unknown architecture 'bogus'; "
+        "expected one of ('vanilla', ")
+    assert (out / "fail-regimes-twice.stderr").read_text() == (
+        "config error: invalid config field 'regimes': \"full\" is given twice\n")
 
 
 def test_cli_outputs_without_one_directory_prints_usage(capsys):

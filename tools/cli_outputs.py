@@ -154,6 +154,13 @@ def failures() -> list[tuple[str, list[str], dict | None, int]]:
          {"compare_ks": [3, 999], "model": {"kind": "gbm", "n_rounds": 2}}, 1),
         ("fail-runs-entry", ["report"], {"runs": [1]}, 1),
         ("fail-features-entry", ["stats", *DATA], {"features": [1]}, 1),
+        # a name that is not a string, a name outside its choices, and an entry given twice
+        ("fail-optimizer-not-a-name", ["train", *CV],
+         {"model": {"kind": "network", "optimizer": ["adam"]}}, 1),
+        ("fail-select-method-not-a-name", ["train", *CV],
+         {"select": {"method": ["chi2"], "k": 3}}, 1),
+        ("fail-arch-flag-unknown", ["train", *CV, "--arch", "bogus"], None, 1),
+        ("fail-regimes-twice", ["binary-study", *CV, "--regimes", "full,full"], None, 1),
         # messages that stay as they were
         ("fail-workers-zero", ["train", *DATA, "--workers", "0", *gbm], None, 1),
         ("fail-unknown-field", ["ingest", *DATA], {"bogus": 1}, 1),
