@@ -3,6 +3,8 @@ univariate feature selection, class rebalancing, small networks and tree
 ensembles trained from scratch, cross-validated evaluation, and a two-stage
 cascade — all deterministic under a seed."""
 
+from types import ModuleType as _ModuleType
+
 from .data import (DEFAULT_CLASS_NAMES, Dataset, FoldPlan, ScalingSpec,
                    dataset_sha256, load_dataset, min_max_normalize,
                    save_dataset_csv, stratified_kfold, stratified_subsample)
@@ -29,21 +31,6 @@ from .trees import (ClassificationTree, GradientBoostedClassifier,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARCHITECTURES", "AdaBelief", "Adam", "CascadeClassifier", "CascadeReport",
-    "ClassStatsTable", "ClassificationTree", "ConfigError", "ConfusionMatrix",
-    "CvResult", "DEFAULT_CLASS_NAMES", "DataError", "Dataset",
-    "FeatureScoreTable", "FoldPipeline", "FoldPlan", "GradientBoostedClassifier",
-    "MetricsReport", "Network", "NetworkClassifier", "NumericError",
-    "OPTIMIZERS", "RESAMPLE_METHODS", "RandomForest", "RegressionTree",
-    "ResamplePlan", "SCORERS", "ScalingSpec", "Selection", "Sgd", "SweepRow", "TrainConfig",
-    "anova_f_scores", "apply_plan", "binary_outer_study", "build_network",
-    "cascade_evaluate", "cascade_fit", "chi_square_scores", "cross_validate",
-    "cross_validate_cascade", "dataset_sha256", "grid_sweep", "harmonic_mean",
-    "knn", "load_cascade", "load_dataset", "load_network_params",
-    "make_builder", "make_optimizer", "metrics", "min_max_normalize",
-    "nearmiss_undersample", "oversample", "pearson_scores", "per_class_stats",
-    "random_undersample", "save_cascade", "save_dataset_csv", "save_network",
-    "select_k_best", "softmax", "softmax_cross_entropy", "stratified_kfold",
-    "stratified_subsample", "synthetic_cohort", "train_network",
-]
+# every public name imported above; the submodules are not names of the package's API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -16,13 +16,18 @@ oversamplers, and nearmiss_version and n_ref, read by nearmiss;
 features.SCORER_SETTINGS: paper_exclusion, read by pearson), and _merge
 applies the rule to every section. In a config file, a section is a JSON
 object and a field that has a flag holds what the flag would give (_VALUES),
-or null where the field has no default; _resolve checks both before the
-data load, and so the counts: seed >= 0, folds >= 2, workers >= 1
-(_COUNTS). A setting that names a choice (architecture, optimizer, resample
-method, scorer, model kind, regime) is checked by errors.check_choice alone,
-where its class or function is built or called, so a flag and a config file
-fail alike. A list-valued field (compare_ks, regimes, features, runs) is a
-list or a comma-separated string with no entry given twice, read by _names.
+or null where the field has no default; _resolve checks both, and so the
+counts: seed >= 0, folds >= 2, workers >= 1 (_COUNTS). Each command then
+resolves every section and list it reads, and only then loads the CSV, so a
+bad setting fails before the CSV is hashed or read; only the checks that
+need the rows wait for them (a select k against the feature count, a
+network's input width, the saved cascade's scaling, select's default k). A
+setting that names a choice (architecture, optimizer, resample method,
+scorer, model kind, regime) is checked by errors.check_choice alone, when
+its class is built (a regime's by _cmd_binary_study), so a flag and a config
+file fail alike. A list-valued field (compare_ks, regimes, features, runs)
+is a list or a comma-separated string with no entry given twice, read by
+_names.
 Every run needs an output directory that neither is nor lies under an
 existing file (a config error before the data load); every command but
 report also needs a seed (--seed flag, config "seed", or the READMIT_SEED
@@ -86,7 +91,7 @@ from .data import (DEFAULT_CLASS_NAMES, Dataset, ScalingSpec, dataset_sha256, lo
 from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
 from .errors import (ConfigError, DataError, NumericError, check_choice, check_count,
-                     is_integer, is_real)
+                     is_integer, is_real, json_object, read_text)
 from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics
 from .features import SCORER_SETTINGS, Selection, per_class_stats, select_k_best
 from .models import MODELS, NetworkClassifier, make_builder
@@ -234,29 +239,6 @@ def build_parser() -> _Parser:
 # config resolution
 
 
-def _read_text(path: Path, error) -> str:
-    """The UTF-8 text of the file at path; a missing file, one that cannot be
-    read and one that is not UTF-8 raise `error` naming it."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise error(f"{path}: file not found") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"{path}: cannot be read as UTF-8 text ({type(exc).__name__})") from None
-
-
-def _json_object(path: Path, error) -> dict:
-    """The JSON object in the file at path; anything else raises `error`
-    naming it (see _read_text)."""
-    try:
-        payload = json.loads(_read_text(path, error))
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise error(f"{path}: not a JSON object")
-    return payload
-
-
 # what a config file's value must be for a section (dict), a switch (bool)
 # and a flag of type int or float: (its description, its test)
 _VALUES = {
@@ -281,7 +263,7 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, Path]:
     seed is known."""
     options = _options(command)
     fields = {path[0] for _, path, _, _ in options}
-    cfg = {} if args.config is None else _json_object(Path(args.config), ConfigError)
+    cfg = {} if args.config is None else json_object(Path(args.config), ConfigError)
     for key in cfg:
         if key not in fields:
             raise ConfigError(f"invalid config field {key!r}")
@@ -427,14 +409,6 @@ def _check_k(field: str, k: int, n_features: int) -> None:
                           f"least 1 and at most the {n_features} features")
 
 
-def _selection(cfg: dict, data: Dataset, **defaults) -> Selection:
-    """Resolve the select section; a k outside 1..the feature count is a
-    config error."""
-    selection = _merge(cfg, "select", {**_SECTIONS["select"], **defaults}, Selection)[1]
-    _check_k("select.k", selection.k, data.n_features)
-    return selection
-
-
 def _fit_all(cfg: dict, data: Dataset, pipeline: FoldPipeline, report: RunReport) -> Dataset:
     """data through pipeline fitted on all of its rows with the run seed: the
     whole-dataset protocol. The fit's notes go in the report."""
@@ -462,6 +436,10 @@ def _add_fold_notes(report: RunReport, result, prefix: str = "") -> None:
 
 
 def _load_data(cfg: dict, report: RunReport) -> Dataset:
+    """The input CSV's rows (subsampled by fraction), its hash and shape noted
+    in the report. A command calls it once its settings are resolved, and
+    keeps the only reference, so a copy it fits on all rows (paper mode's)
+    frees the loaded matrix."""
     path = cfg["dataset"]
     digest = dataset_sha256(path)
     data = load_dataset(path, sha256=digest)
@@ -493,16 +471,19 @@ def _add_cv_sections(report: RunReport, result, title: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each fills the report that main() writes
+# subcommands: each resolves its settings, then loads the CSV (but report,
+# which reads none), and fills the report that main() writes
 
 
-def _cmd_ingest(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+def _cmd_ingest(cfg: dict, report: RunReport, out: Path) -> None:
+    data = _load_data(cfg, report)
     _fit_all(cfg, data, FoldPipeline(cfg["normalize"]), report)  # for its scaling note
     _add_class_balance(report, "class balance", data)
 
 
-def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+def _cmd_stats(cfg: dict, report: RunReport, out: Path) -> None:
     wanted = _names(cfg, "features")
+    data = _load_data(cfg, report)
     if wanted:
         missing = [name for name in wanted if name not in data.feature_names]
         if missing:
@@ -515,7 +496,7 @@ def _cmd_stats(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
                      *class_stats_section(per_class_stats(data, features=columns)))
 
 
-def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+def _cmd_select(cfg: dict, report: RunReport, out: Path) -> None:
     compare_ks = cfg["compare_ks"] = _names(cfg, "compare_ks", counts=True) or None
     if not compare_ks:
         for field in ("model", "workers", "folds"):
@@ -523,7 +504,18 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
                 raise ConfigError(f"invalid config field '{field}': "
                                   "select reads it only with 'compare_ks'")
     k_given = "k" in (cfg.get("select") or {})
-    selection = _selection(cfg, data, method="chi2", k=data.n_features)
+    # the default k, every feature the scorer ranks, waits for the rows; 1 stands in
+    selection = _merge(cfg, "select", {**_SECTIONS["select"], "method": "chi2", "k": 1},
+                       Selection)[1]
+    if compare_ks:
+        for _, (field,), _, default in _FOLDS:
+            if cfg[field] is None:
+                cfg[field] = default
+        kind, params = _model(cfg, "gbm")
+        for kk in compare_ks:
+            _checked("compare_ks", check_count, "compare_ks", kk, 1)
+    data = _load_data(cfg, report)
+    _check_k("select.k", selection.k, data.n_features)
     table = selection.scores(_fit_all(cfg, data, FoldPipeline(cfg["normalize"]), report))
     ranked = int((table.ranks > 0).sum())  # the scorer excludes constant columns
     if ranked == 0:
@@ -538,15 +530,10 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
 
     if not compare_ks:
         return
-    for _, (field,), _, default in _FOLDS:
-        if cfg[field] is None:
-            cfg[field] = default
-    kind, params = _model(cfg, "gbm")
     folds = stratified_kfold(data.labels, cfg["folds"], cfg["seed"])
     # every k is checked before the first cross-validation; no fold can score
     # more features than all rows can
     for kk in compare_ks:
-        _checked("compare_ks", check_count, "compare_ks", kk, 1)
         _check_k("compare_ks", kk, data.n_features)
         select_k_best(table, kk)
         _check_width(kind, params, kk)
@@ -562,10 +549,11 @@ def _cmd_select(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
                      ["k", "mean_accuracy", "mean_macro_f"], comparison)
 
 
-def _cmd_resample(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+def _cmd_resample(cfg: dict, report: RunReport, out: Path) -> None:
     plan = _resample_plan(cfg)
     if plan is None:
         raise ConfigError("resample needs a plan: --resample-method or config 'resample'")
+    data = _load_data(cfg, report)
     _add_class_balance(report, "class balance before", data)
     resampled = _fit_all(cfg, data, FoldPipeline(cfg["normalize"], resample=plan), report)
     _add_class_balance(report, "class balance after", resampled)
@@ -574,12 +562,16 @@ def _cmd_resample(cfg: dict, data: Dataset, report: RunReport, out: Path) -> Non
         save_dataset_csv(resampled, out / "resampled.csv")
 
 
-def _cmd_train(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
-    selection = _selection(cfg, data) if cfg.get("select") else None
+def _cmd_train(cfg: dict, report: RunReport, out: Path) -> None:
+    selection = (_merge(cfg, "select", _SECTIONS["select"], Selection)[1]
+                 if cfg.get("select") else None)
     if selection is None:
         cfg["select"] = None
     pipeline = FoldPipeline(cfg["normalize"], selection, _resample_plan(cfg))
     kind, params = _model(cfg, "network")
+    data = _load_data(cfg, report)
+    if selection is not None:
+        _check_k("select.k", selection.k, data.n_features)
     _check_width(kind, params, data.n_features if selection is None else selection.k)
     data, pipeline, folds = _folds(cfg, data, pipeline, report)
     (result,) = cross_validate(data, folds, make_builder(kind, **params),
@@ -588,7 +580,7 @@ def _cmd_train(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
     _add_cv_sections(report, result, f"{kind} cross-validation")
 
 
-def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+def _cmd_sweep(cfg: dict, report: RunReport, out: Path) -> None:
     pipeline = FoldPipeline(cfg["normalize"], resample=_resample_plan(cfg))
     kind, fixed = _model(cfg, "network", _SWEEP_MODELS)
     grid = _merge(cfg, "grid", _SECTIONS["grid"])[0]
@@ -605,6 +597,7 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
         return NetworkClassifier(seed=seed, epochs=epochs, learning_rate=lr,
                                  batch_size=batch, **fixed)
 
+    data = _load_data(cfg, report)
     _check_width(kind, fixed, data.n_features)
     data, pipeline, folds = _folds(cfg, data, pipeline, report)
     rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
@@ -623,10 +616,11 @@ def _cmd_sweep(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
                     f"mean accuracy {format_percent(best.accuracy)}")
 
 
-def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+def _cmd_cascade(cfg: dict, report: RunReport, out: Path) -> None:
     pipeline = FoldPipeline(cfg["normalize"], resample=_resample_plan(cfg))
     network = _merge(cfg, "network", _SECTIONS["network"], MODELS["network"])[0]
     booster = _merge(cfg, "booster", _SECTIONS["booster"], MODELS["gbm"])[0]
+    data = _load_data(cfg, report)
     _check_width("network", network, data.n_features)
     # the saved cascade is fitted on all rows, in both modes scaled by their
     # own minima and maxima: the raw rows', before paper mode maps them
@@ -652,10 +646,13 @@ def _cmd_cascade(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None
         report.add_line("fitted cascade saved under cascade_model/")
 
 
-def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) -> None:
+def _cmd_binary_study(cfg: dict, report: RunReport, out: Path) -> None:
     regimes = tuple(_names(cfg, "regimes") or BINARY_REGIMES)
+    for regime in regimes:
+        _checked("regimes", check_choice, "regime", regime, BINARY_REGIMES)
     cfg["regimes"] = list(regimes)
     booster = _merge(cfg, "booster", _SECTIONS["booster"], MODELS["gbm"])[0]
+    data = _load_data(cfg, report)
     results = binary_outer_study(data, seed=cfg["seed"], k_folds=cfg["folds"],
                                  regimes=regimes, booster_config=booster,
                                  pipeline=FoldPipeline(cfg["normalize"]),
@@ -672,11 +669,11 @@ def _cmd_binary_study(cfg: dict, data: Dataset, report: RunReport, out: Path) ->
         report.add_confusion(f"{regime}: pooled confusion", results[regime].pooled_matrix)
 
 
-def _cmd_report(cfg: dict, data: None, report: RunReport, out: Path) -> None:
+def _cmd_report(cfg: dict, report: RunReport, out: Path) -> None:
     for run_dir in _names(cfg, "runs"):
-        run_cfg = _json_object(Path(run_dir) / "config.json", DataError)
+        run_cfg = json_object(Path(run_dir) / "config.json", DataError)
         report.add_line(f"--- run {run_dir} (command: {run_cfg.get('command', '?')}) ---")
-        for line in _read_text(Path(run_dir) / "report.txt", DataError).splitlines():
+        for line in read_text(Path(run_dir) / "report.txt", DataError).splitlines():
             report.add_line(line)
 
 
@@ -731,10 +728,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("a subcommand is required; see --help")
         cfg, out = _resolve(args, args.command)
         report = RunReport(args.command, cfg)
-        # the command gets the only reference to the dataset, so a copy it
-        # fits on all rows (paper mode's) frees the loaded matrix
-        _COMMANDS[args.command][0](cfg, _load_data(cfg, report) if "dataset" in cfg
-                                   else None, report, out)
+        _COMMANDS[args.command][0](cfg, report, out)
         report.write(out)
         print(report.render_text())
         return 0

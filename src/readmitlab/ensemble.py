@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, FoldPlan, ScalingSpec, stratified_kfold
-from .errors import DataError, check_choice, check_count
+from .errors import DataError, check_choice, check_count, json_object
 from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, _cv_result,
                        cross_validate, metrics)
 from .models import NetworkClassifier, make_builder
@@ -243,14 +243,13 @@ def save_cascade(model: CascadeClassifier, directory, scaling: ScalingSpec | Non
 
 
 def _load_json(path: Path, parse):
-    """parse(the JSON at path); a missing file, text that is not JSON or a
-    payload that parse rejects (a ScalingSpec's DataError included) is a
-    DataError naming path."""
+    """parse(the JSON object at path); a file that errors.json_object cannot
+    read as one and a payload that parse rejects (a ScalingSpec's DataError
+    included) are DataErrors naming path."""
+    payload = json_object(path, DataError)
     try:
-        return parse(json.loads(path.read_text()))
-    except FileNotFoundError:
-        raise DataError(f"{path.parent}: not a cascade directory ({path} missing)") from None
-    except (KeyError, TypeError, ValueError, DataError) as exc:  # JSONDecodeError: ValueError
+        return parse(payload)
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"{path}: not a cascade file ({type(exc).__name__}: {exc})") from None
 
 

@@ -273,6 +273,23 @@ class TestCascadeClassifier:
         with pytest.raises(DataError):
             load_cascade(tmp_path)
 
+    @pytest.mark.parametrize("name, make, message", [
+        ("cascade.json", lambda path: path.unlink(), "file not found"),
+        ("cascade.json", lambda path: path.unlink() or path.mkdir(),
+         "cannot be read as UTF-8 text (IsADirectoryError)"),
+        ("booster.json", lambda path: path.write_bytes(b"\xff{}"),
+         "cannot be read as UTF-8 text (UnicodeDecodeError)"),
+        ("booster.json", lambda path: path.write_text("[]"), "not a JSON object"),
+    ], ids=["missing", "a-directory", "not-utf-8", "not-an-object"])
+    def test_a_json_file_it_cannot_read_is_a_data_error_naming_it(self, tmp_path, name, make,
+                                                                  message):
+        self.save_small(tmp_path / "cascade")
+        path = tmp_path / "cascade" / name
+        make(path)
+        with pytest.raises(DataError) as err:
+            load_cascade(tmp_path / "cascade")
+        assert str(err.value) == f"{path}: {message}"
+
     def test_a_missing_parameter_file_is_a_data_error_naming_it(self, tmp_path):
         self.save_small(tmp_path / "cascade")
         path = tmp_path / "cascade" / "network.params"
@@ -330,7 +347,7 @@ class TestCascadeClassifier:
         ("cascade.json", "{}", "KeyError: 'network'"),
         ("cascade.json", json.dumps({"network": {"arch": "vanilla", "layers": 3},
                                      "n_features": 8, "scaling": None}), "TypeError"),
-        ("cascade.json", "this is not JSON", "JSONDecodeError"),
+        ("cascade.json", "this is not JSON", "not valid JSON"),
         ("booster.json", '{"trees": []}', "KeyError: 'learning_rate'"),
     ], ids=["empty-record", "unknown-network-field", "not-json", "booster-without-fields"])
     def test_a_bad_cascade_file_is_a_data_error_naming_it(self, tmp_path, name, text,

@@ -1398,7 +1398,7 @@ class TestBinaryStudy:
         assert main(["binary-study", "--data", str(csv), "--seed", "1",
                      "--regimes", "oversample", "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
-            "config error: unknown regime 'oversample'; "
+            "config error: invalid config field 'regimes': unknown regime 'oversample'; "
             "expected one of ('nearmiss', 'random_under', 'full')\n")
 
 
@@ -2046,7 +2046,8 @@ class TestOneRulePerKindOfValue:
          "invalid config field 'select': unknown feature scorer 'bogus'; "
          "expected one of ('chi2', 'pearson', 'anova_f')"),
         ("binary-study", ["--regimes", "bogus"], {"regimes": ["bogus"]},
-         "unknown regime 'bogus'; expected one of ('nearmiss', 'random_under', 'full')"),
+         "invalid config field 'regimes': unknown regime 'bogus'; "
+         "expected one of ('nearmiss', 'random_under', 'full')"),
     ], ids=["arch", "optimizer", "model-kind", "resample-method", "select-method", "regimes"])
     def test_an_unknown_name_fails_alike_from_a_flag_and_a_config_file(
             self, tmp_path, capsys, command, flag, config, message):
@@ -2077,3 +2078,40 @@ class TestOneRulePerKindOfValue:
                   "--workers", "1", "--out", str(tmp_path / "o")])
         assert [name for name in built if name.startswith("grid.")] == (
             ["grid.epochs"] * 2 + ["grid.learning_rate"] * 4 + ["grid.batch_size"] * 3)
+
+
+class TestSettingsBeforeData:
+    """Every command resolves the settings it reads before it loads the CSV,
+    so a bad one, from a flag or a config file, fails before the CSV is
+    hashed or read."""
+
+    @pytest.mark.parametrize("command, flags, config, message", [
+        ("select", ["--select-method", "bogus"], {},
+         "'select': unknown feature scorer 'bogus'; "
+         "expected one of ('chi2', 'pearson', 'anova_f')"),
+        ("select", [], {"compare_ks": [2], "model": {"kind": "gbm", "learning_rate": 0}},
+         "'model': learning_rate must be positive, got 0"),
+        ("resample", [], {"resample": {"method": "smote", "k_neighbors": 0}},
+         "'resample': k_neighbors must be an integer >= 1, got 0"),
+        ("train", ["--arch", "bogus"], {},
+         "'model': unknown architecture 'bogus'; expected one of "
+         "('vanilla', 'cnn2', 'cnn2_wide', 'cnn2_multibranch', 'rnn_simple', 'rnn_deep')"),
+        ("sweep", [], {"grid": {"learning_rate": [0.0]}},
+         "'grid.learning_rate': learning_rate must be positive"),
+        ("cascade", ["--dropout", "2"], {}, "'network': dropout rate must be in [0, 1)"),
+        ("binary-study", ["--regimes", "bogus"], {},
+         "'regimes': unknown regime 'bogus'; "
+         "expected one of ('nearmiss', 'random_under', 'full')"),
+    ], ids=["select", "select-compare-ks-model", "resample", "train", "sweep", "cascade",
+            "binary-study"])
+    def test_a_bad_setting_fails_before_the_data_load(
+            self, tmp_path, capsys, monkeypatch, command, flags, config, message):
+        loads = []
+        monkeypatch.setattr(cli, "_load_data", lambda *a: loads.append(a))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main([command, "--data", str(write_csv(tmp_path)), "--seed", "1", *flags,
+                     "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: invalid config field {message}\n"
+        assert loads == []
+        assert not out.exists()

@@ -109,6 +109,14 @@ def test_cli_outputs_runs_every_command_and_each_writes_its_reports(tmp_path, ca
         "expected one of ('vanilla', ")
     assert (out / "fail-regimes-twice.stderr").read_text() == (
         "config error: invalid config field 'regimes': \"full\" is given twice\n")
+    # a setting is checked before the CSV is read, and a regime names its field
+    assert (out / "fail-arch-unknown-csv-missing.stderr").read_text() == (
+        "config error: invalid config field 'model': unknown architecture 'bogus'; "
+        "expected one of ('vanilla', 'cnn2', 'cnn2_wide', 'cnn2_multibranch', "
+        "'rnn_simple', 'rnn_deep')\n")
+    assert (out / "fail-regimes-unknown.stderr").read_text() == (
+        "config error: invalid config field 'regimes': unknown regime 'bogus'; "
+        "expected one of ('nearmiss', 'random_under', 'full')\n")
 
 
 def test_cli_outputs_without_one_directory_prints_usage(capsys):

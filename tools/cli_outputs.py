@@ -161,6 +161,10 @@ def failures() -> list[tuple[str, list[str], dict | None, int]]:
          {"select": {"method": ["chi2"], "k": 3}}, 1),
         ("fail-arch-flag-unknown", ["train", *CV, "--arch", "bogus"], None, 1),
         ("fail-regimes-twice", ["binary-study", *CV, "--regimes", "full,full"], None, 1),
+        # a setting fails before the CSV is read, so a missing CSV does not hide it
+        ("fail-arch-unknown-csv-missing", ["train", "--data", "missing.csv", "--seed", "1",
+                                           *FOLDS, "--arch", "bogus"], None, 1),
+        ("fail-regimes-unknown", ["binary-study", *CV, "--regimes", "bogus"], None, 1),
         # messages that stay as they were
         ("fail-workers-zero", ["train", *DATA, "--workers", "0", *gbm], None, 1),
         ("fail-unknown-field", ["ingest", *DATA], {"bogus": 1}, 1),
