@@ -9,6 +9,8 @@ signature on a three-class balanced problem.
 Run:  python demos/07_grid_sweep.py
 """
 
+import functools
+
 import numpy as np
 
 from readmitlab.data import Dataset, stratified_kfold
@@ -26,24 +28,19 @@ X = np.hstack([np.vstack(rows), rng.normal(scale=0.1, size=(120, 10))])
 data = Dataset(X, np.array(labels), tuple(f"f{i}" for i in range(12)))
 folds = stratified_kfold(data.labels, k=3, seed=0)
 
-
-def build(seed, epochs, lr, batch):
-    return NetworkClassifier("vanilla", epochs=epochs, learning_rate=lr,
-                             batch_size=batch, optimizer="adam", seed=seed)
-
-
-sweep = grid_sweep(data, folds, build,
-                   epochs_grid=(10, 30), lr_grid=(1e-3, 1e-1),
-                   batch_grid=(16,))
+# each cell's settings, and the fold's seed, complete the network's keywords
+sweep = grid_sweep(data, folds, functools.partial(NetworkClassifier, "vanilla"),
+                   {"epochs": (10, 30), "learning_rate": (1e-3, 1e-1), "batch_size": (16,)})
 
 header = ["rank", "epochs", "lr", "batch", "accuracy", "macro F"]
 table = []
 for rank, row in enumerate(sweep, start=1):
-    table.append([str(rank), str(row.epochs), f"{row.learning_rate:g}",
-                  str(row.batch_size), format_percent(row.accuracy),
+    cell = row.settings
+    table.append([str(rank), str(cell["epochs"]), f"{cell['learning_rate']:g}",
+                  str(cell["batch_size"]), format_percent(row.accuracy),
                   format_percent(row.macro_f)])
 print(aligned_table(header, table))
 
-best = sweep[0]
-print(f"winner: epochs={best.epochs} lr={best.learning_rate:g} "
-      f"batch={best.batch_size} at {format_percent(best.accuracy)}%")
+best = sweep[0].settings
+print(f"winner: epochs={best['epochs']} lr={best['learning_rate']:g} "
+      f"batch={best['batch_size']} at {format_percent(sweep[0].accuracy)}%")

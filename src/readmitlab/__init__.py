@@ -18,9 +18,8 @@ from .features import (ClassStatsTable, FeatureScoreTable, SCORERS, Selection,
                        anova_f_scores, chi_square_scores, pearson_scores,
                        per_class_stats, select_k_best)
 from .models import NetworkClassifier, make_builder
-from .nn import (ARCHITECTURES, Network, TrainConfig, build_network,
-                 load_network_params, save_network, softmax,
-                 softmax_cross_entropy, train_network)
+from .nn import (ARCHITECTURES, Network, build_network, load_network_params,
+                 save_network, softmax, softmax_cross_entropy, train_network)
 from .optim import OPTIMIZERS, AdaBelief, Adam, Sgd, make_optimizer
 from .resample import (METHODS as RESAMPLE_METHODS, ResamplePlan, apply_plan,
                        knn, nearmiss_undersample, oversample,

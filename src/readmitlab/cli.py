@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -389,9 +390,13 @@ def _model(cfg: dict, kind: str, table: dict = _MODEL_DEFAULTS) -> tuple[str, di
 
 def _check_width(kind: str, params: dict, n_features: int) -> None:
     """Build a network model for rows of n_features values, so an input too
-    short for its architecture is a data error before any fold work."""
+    short for its architecture is a data error before any fold work; and
+    check a forest's features_per_split against them, a config error naming
+    the model section."""
     if kind == "network":
         NetworkClassifier(**params).build(n_features)
+    elif kind == "forest":
+        _checked("model", MODELS[kind](**params).check_width, n_features)
 
 
 def _resample_plan(cfg: dict) -> ResamplePlan | None:
@@ -593,27 +598,22 @@ def _cmd_sweep(cfg: dict, report: RunReport, out: Path) -> None:
         for value in values:
             _checked(f"grid.{axis}", NetworkClassifier, **{**fixed, axis: value})
 
-    def build(seed: int, epochs: int, lr: float, batch: int) -> NetworkClassifier:
-        return NetworkClassifier(seed=seed, epochs=epochs, learning_rate=lr,
-                                 batch_size=batch, **fixed)
-
     data = _load_data(cfg, report)
     _check_width(kind, fixed, data.n_features)
     data, pipeline, folds = _folds(cfg, data, pipeline, report)
-    rows = grid_sweep(data, folds, build, tuple(grid["epochs"]),
-                      tuple(grid["learning_rate"]), tuple(grid["batch_size"]),
+    rows = grid_sweep(data, folds, functools.partial(NetworkClassifier, **fixed), grid,
                       pipeline=pipeline, workers=cfg["workers"])
     _add_fold_notes(report, rows[0].result)
-    table = [["*" if i == 0 else "", str(row.epochs), repr(row.learning_rate),
-              str(row.batch_size), format_percent(row.accuracy), format_percent(row.macro_f)]
+    # repr writes each int as str does, and each float exactly
+    table = [["*" if i == 0 else "", *map(repr, row.settings.values()),
+              format_percent(row.accuracy), format_percent(row.macro_f)]
              for i, row in enumerate(rows)]
     report.add_table("grid results, best first",
-                     ["best", "epochs", "learning_rate", "batch_size",
-                      "mean_accuracy", "mean_macro_f"], table)
+                     ["best", *grid, "mean_accuracy", "mean_macro_f"], table)
     best = rows[0]
-    report.add_line(f"best combination: epochs={best.epochs} "
-                    f"learning_rate={best.learning_rate!r} batch_size={best.batch_size} "
-                    f"mean accuracy {format_percent(best.accuracy)}")
+    report.add_line("best combination: "
+                    + " ".join(f"{name}={value!r}" for name, value in best.settings.items())
+                    + f" mean accuracy {format_percent(best.accuracy)}")
 
 
 def _cmd_cascade(cfg: dict, report: RunReport, out: Path) -> None:

@@ -450,11 +450,9 @@ def _cv_result(matrices: tuple[ConfusionMatrix, ...],
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid combination with its cross-validated mean metrics."""
+    """One grid cell, its settings by name, with its cross-validated metrics."""
 
-    epochs: int
-    learning_rate: float
-    batch_size: int
+    settings: dict[str, Any]
     result: CvResult
 
     @property
@@ -466,27 +464,28 @@ class SweepRow:
         return self.result.mean_metrics.macro_f
 
 
-def grid_sweep(data: Dataset, folds: FoldPlan,
-               build_model: Callable[[int, int, float, int], Model],
-               epochs_grid: tuple[int, ...], lr_grid: tuple[float, ...],
-               batch_grid: tuple[int, ...], pipeline: FoldPipeline = FoldPipeline(),
+def grid_sweep(data: Dataset, folds: FoldPlan, build_model: Callable[..., Model],
+               grid: dict[str, Any], pipeline: FoldPipeline = FoldPipeline(),
                workers: int = 1) -> list[SweepRow]:
-    """Cross-validate every (epochs, lr, batch) combination and rank the rows.
+    """Cross-validate every cell of grid, a mapping from setting name to the
+    values it takes, and rank the rows.
 
-    Every cell is one cross_validate job, so each (fold, cell) pair is a task
-    of its own for the workers, and a process prepares each fold at most once
-    for all the cells it runs.
-    build_model(seed, epochs, lr, batch) must return a fresh model seeded
-    with the fold's seed, which is dropped once it has predicted. The rows
-    are sorted by mean accuracy descending (stable, so grid order breaks
-    ties); the first row is the winner.
+    The cells are the product of the values in grid order, the last name
+    varying fastest, each a mapping from name to value. Every cell is one
+    cross_validate job, so each (fold, cell) pair is a task of its own for
+    the workers, and a process prepares each fold at most once for all the
+    cells it runs. build_model(seed=..., **cell) must return a fresh model
+    seeded with the fold's seed, which is dropped once it has predicted. The
+    rows are sorted by mean accuracy descending (stable, so grid order
+    breaks ties); the first row is the winner. An empty grid or axis is a
+    ValueError.
     """
-    if not (epochs_grid and lr_grid and batch_grid):
-        raise ValueError("grid axes must be nonempty")
-    cells = list(itertools.product(epochs_grid, lr_grid, batch_grid))
+    if not grid or not all(grid.values()):
+        raise ValueError("a grid needs at least one axis, and every axis a value")
+    cells = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
 
-    jobs = [one_model(lambda seed, cell=cell: build_model(seed, *cell)) for cell in cells]
+    jobs = [one_model(lambda seed, cell=cell: build_model(seed=seed, **cell)) for cell in cells]
     results = cross_validate(data, folds, *jobs, pipeline=pipeline, workers=workers)
-    rows = [SweepRow(*cell, result) for cell, result in zip(cells, results)]
+    rows = [SweepRow(cell, result) for cell, result in zip(cells, results)]
     rows.sort(key=lambda row: -row.accuracy)
     return rows

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 
 import numpy as np
 
-from .errors import check_choice
+from .errors import check_choice, check_count, is_real
 from .evaluate import FitPredict, one_model
-from .nn import (ARCHITECTURES, DEFAULT_DROPOUT, Conv1d, Dropout, TrainConfig, build_network,
+from .nn import (ARCHITECTURES, DEFAULT_DROPOUT, Conv1d, Dropout, build_network,
                  predict_logits, softmax, train_network)
+from .optim import OPTIMIZERS
 from .trees import GradientBoostedClassifier, RandomForest
 
 # the dtype NetworkClassifier builds, trains and predicts in; nn's float64
@@ -25,24 +25,31 @@ class NetworkClassifier:
     width of every architecture. The seed fixes both initialization and the
     shuffling/dropout stream, so fit() is fully reproducible. The network
     computes in NETWORK_DTYPE; a parameter file holds float64, which a
-    float32 network widens to exactly on save and rounds from on load. An
-    unknown architecture or optimizer, a kernel_size below 1 or a dropout
-    rate outside [0, 1) fails here, before any training, with its layer's
-    check.
+    float32 network widens to exactly on save and rounds from on load.
+
+    It holds and checks every setting of the network, each as an attribute of
+    its own name: an unknown architecture or optimizer, a kernel_size below
+    1, a dropout rate outside [0, 1), epochs or batch_size below 1 and a
+    learning_rate that is not positive fail here, before any training.
     """
 
-    def __init__(self, arch: str = "cnn2", *, epochs: int = TrainConfig.epochs,
-                 learning_rate: float = TrainConfig.learning_rate,
-                 batch_size: int = TrainConfig.batch_size,
-                 optimizer: str = TrainConfig.optimizer, kernel_size: int | None = None,
+    def __init__(self, arch: str = "cnn2", *, epochs: int = 10, learning_rate: float = 1e-4,
+                 batch_size: int = 64, optimizer: str = "adam", kernel_size: int | None = None,
                  dropout: float = DEFAULT_DROPOUT, seed: int = 0):
         check_choice("architecture", arch, ARCHITECTURES)
         if kernel_size is not None:
             Conv1d.check_kernel(kernel_size)
         Dropout.check_rate(dropout)
+        check_count("epochs", epochs, 1)
+        check_count("batch_size", batch_size, 1)
+        if not (is_real(learning_rate) and learning_rate > 0.0):
+            raise ValueError("learning_rate must be positive")
+        check_choice("optimizer", optimizer, OPTIMIZERS)
         self.arch = arch
-        self.train_config = TrainConfig(epochs=epochs, learning_rate=learning_rate,
-                                        batch_size=batch_size, optimizer=optimizer)
+        self.epochs = epochs
+        self.learning_rate = learning_rate
+        self.batch_size = batch_size
+        self.optimizer = optimizer
         self.kernel_size = kernel_size
         self.dropout = dropout
         self.seed = seed
@@ -71,7 +78,9 @@ class NetworkClassifier:
         if y.min() < 0 or y.max() > 2:
             raise ValueError("network heads are three-way; labels must be 0, 1, or 2")
         rng = self._build(X.shape[1])
-        self.history_ = train_network(self.net, X, y, self.train_config, rng)
+        self.history_ = train_network(self.net, X, y, rng, epochs=self.epochs,
+                                      learning_rate=self.learning_rate,
+                                      batch_size=self.batch_size, optimizer=self.optimizer)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -85,8 +94,7 @@ class NetworkClassifier:
         """The constructor keywords that rebuild this network:
         NetworkClassifier(**settings()).build(n_features) gives the same
         shape, initialization and training."""
-        return {"arch": self.arch, **dataclasses.asdict(self.train_config),
-                "kernel_size": self.kernel_size, "dropout": self.dropout, "seed": self.seed}
+        return {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
 
 
 # each model kind's class; its constructor's keywords are the kind's settings

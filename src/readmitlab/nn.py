@@ -29,12 +29,10 @@ Architectures are built by name through build_network(); see ARCHITECTURES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UNREADABLE, DataError, NumericError, check_choice, check_count, is_real
-from .optim import OPTIMIZERS, make_optimizer
+from .optim import make_optimizer
 
 # ---------------------------------------------------------------------------
 # initialization
@@ -561,21 +559,6 @@ def build_network(arch: str, n_features: int, *, rng: np.random.Generator,
 # training
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 10
-    learning_rate: float = 1e-4
-    batch_size: int = 64
-    optimizer: str = "adam"
-
-    def __post_init__(self):
-        check_count("epochs", self.epochs, 1)
-        check_count("batch_size", self.batch_size, 1)
-        if not (is_real(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be positive")
-        check_choice("optimizer", self.optimizer, OPTIMIZERS)
-
-
 def _in_dtype(net: Network, features: np.ndarray) -> np.ndarray:
     """features cast to the network's dtype; a value beyond that dtype's
     range, which the cast would turn into inf, is a DataError."""
@@ -589,23 +572,26 @@ def _in_dtype(net: Network, features: np.ndarray) -> np.ndarray:
 
 
 def train_network(net: Network, features: np.ndarray, labels: np.ndarray,
-                  config: TrainConfig, rng: np.random.Generator) -> list[float]:
+                  rng: np.random.Generator, *, epochs: int, learning_rate: float,
+                  batch_size: int, optimizer: str) -> list[float]:
     """Mini-batch training in the network's dtype; returns the mean training
     loss per epoch.
 
-    Rows are reshuffled every epoch; a short final batch is still trained.
-    A non-finite loss aborts with NumericError rather than training on.
+    The settings are taken as given: models.NetworkClassifier checks them,
+    and make_optimizer checks the optimizer's name. Rows are reshuffled every
+    epoch; a short final batch is still trained. A non-finite loss aborts
+    with NumericError rather than training on.
     """
     features = _in_dtype(net, features)
-    optimizer = make_optimizer(config.optimizer, config.learning_rate)
+    optimizer = make_optimizer(optimizer, learning_rate)
     params, grads = {"theta": net.theta}, {"theta": net.grad}
     n = features.shape[0]
     history = []
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            take = order[start : start + config.batch_size]
+        for start in range(0, n, batch_size):
+            take = order[start : start + batch_size]
             logits = net.forward(features[take], rng)
             loss, d_logits = softmax_cross_entropy(logits, labels[take])
             if not np.isfinite(loss):

@@ -366,6 +366,13 @@ class RandomForest:
         self.trees_: list[ClassificationTree] = []
         self.classes_: np.ndarray | None = None
 
+    def check_width(self, n_features: int) -> None:
+        """A features_per_split beyond rows of n_features values is a
+        ValueError, by the rule each tree applies when it is fitted; nothing
+        is drawn from the tree's generator."""
+        ClassificationTree(features_per_split=self.features_per_split,
+                           rng=np.random.default_rng(self.seed))._pick_features(n_features)
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)

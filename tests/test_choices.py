@@ -9,7 +9,7 @@ import pytest
 from readmitlab.ensemble import binary_outer_study
 from readmitlab.features import Selection
 from readmitlab.models import NetworkClassifier, make_builder
-from readmitlab.nn import TrainConfig, build_network
+from readmitlab.nn import build_network
 from readmitlab.optim import make_optimizer
 from readmitlab.resample import ResamplePlan
 
@@ -26,7 +26,8 @@ TAKERS = {
     "architecture-build-network": (
         "architecture", ARCHITECTURES,
         lambda name: build_network(name, 8, rng=np.random.default_rng(0))),
-    "optimizer-train-config": ("optimizer", OPTIMIZERS, lambda name: TrainConfig(optimizer=name)),
+    "optimizer-network-classifier": (
+        "optimizer", OPTIMIZERS, lambda name: NetworkClassifier(optimizer=name)),
     "optimizer-make-optimizer": ("optimizer", OPTIMIZERS, lambda name: make_optimizer(name, 0.1)),
     "resample-method": (
         "resample method", ("smote", "borderline_smote", "svm_smote", "adasyn", "random_over",

@@ -1167,10 +1167,26 @@ class TestInputWidthCheckedUpFront:
          {"grid": {"epochs": []}}, 1, "config error: invalid config field 'grid.epochs'"),
         (["sweep", "--resample-method", "random_over", "--paper-mode"],
          {"grid": {"epochs": 5}}, 1, "config error: invalid config field 'grid.epochs'"),
+        # a forest's features_per_split beyond the width, by its trees' own rule
+        (["train", "--model", "forest", "--resample-method", "random_over"],
+         {"model": {"kind": "forest", "n_trees": 2, "features_per_split": 50}},
+         1, "config error: invalid config field 'model': features_per_split 50 outside "
+            "[1, 8]\n"),
+        (["train", "--model", "forest", "--select-method", "chi2", "--select-k", "3",
+          "--resample-method", "random_over", "--paper-mode"],
+         {"model": {"kind": "forest", "n_trees": 2, "features_per_split": 5}},
+         1, "config error: invalid config field 'model': features_per_split 5 outside "
+            "[1, 3]\n"),
+        (["select"], {"compare_ks": [8, 3], "model": {"kind": "forest", "n_trees": 2,
+                                                      "features_per_split": 5}},
+         1, "config error: invalid config field 'model': features_per_split 5 outside "
+            "[1, 3]\n"),
     ], ids=["train", "train-paper-mode", "train-kernel-wider-than-input", "sweep",
             "cascade-paper-mode", "select-network",
             "select-k-beyond-the-features", "train-k-beyond-the-features",
-            "sweep-empty-grid-axis", "sweep-grid-axis-not-a-list"])
+            "sweep-empty-grid-axis", "sweep-grid-axis-not-a-list",
+            "train-forest-features-beyond-width", "train-forest-features-beyond-k-paper-mode",
+            "select-forest-features-beyond-k"])
     def test_fails_before_any_fold_work(self, tmp_path, capsys, monkeypatch, argv, config,
                                         code, message):
         from readmitlab import ensemble, evaluate

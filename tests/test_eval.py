@@ -1,6 +1,7 @@
 """Confusion-matrix layout, macro metrics, and cross-validation plumbing."""
 
 import concurrent.futures
+import functools
 import os
 import tracemalloc
 import warnings
@@ -449,14 +450,13 @@ class TestWorkerProcesses:
 
         fitted = ProcessLog(tmp_path / "fitted")
 
-        def build(seed, epochs, lr, batch):
-            fitted.append([seed, batch])
+        def build(seed, batch_size):
+            fitted.append([seed, batch_size])
             return NearestCentroid()
 
         monkeypatch.setattr(evaluate, "_run_tasks", counting_run_tasks)
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
-        rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(0.5,),
-                          batch_grid=(8, 16),
+        rows = grid_sweep(data, folds, build, {"batch_size": (8, 16)},
                           pipeline=FoldPipeline(resample=ResamplePlan("random_over")), workers=2)
         assert dispatched == [6]  # one task per (fold, cell), which prepares its fold
         assert_each_process_prepared_each_fold_once(prepared.read(), [15, 16, 17])
@@ -608,33 +608,48 @@ class TestGridSweep:
 
     def test_rows_sorted_by_accuracy_with_stable_ties(self):
         data, folds = self.setup_data()
-        winner = (2, 1e-3, 32)
+        winner = {"epochs": 2, "learning_rate": 1e-3, "batch_size": 32}
 
-        def build(fold, epochs, lr, batch):
-            if (epochs, lr, batch) == winner:
-                return NearestCentroid()
-            return ConstantModel(0)
+        def build(seed, **cell):
+            return NearestCentroid() if cell == winner else ConstantModel(0)
 
-        rows = grid_sweep(data, folds, build,
-                          epochs_grid=(1, 2), lr_grid=(1e-3, 1e-2),
-                          batch_grid=(32,))
-        assert (rows[0].epochs, rows[0].learning_rate, rows[0].batch_size) == winner
+        rows = grid_sweep(data, folds, build, {"epochs": (1, 2), "learning_rate": (1e-3, 1e-2),
+                                               "batch_size": (32,)})
+        assert rows[0].settings == winner
         assert rows[0].accuracy > rows[1].accuracy
         # the three constant rows tie; stable sort keeps grid order
-        losers = [(r.epochs, r.learning_rate, r.batch_size) for r in rows[1:]]
+        losers = [tuple(r.settings.values()) for r in rows[1:]]
         assert losers == [(1, 1e-3, 32), (1, 1e-2, 32), (2, 1e-2, 32)]
 
     def test_build_model_receives_grid_coordinates(self):
         data, folds = self.setup_data()
         calls = []
 
-        def build(seed, epochs, lr, batch):
-            calls.append((seed, epochs, lr, batch))
+        def build(seed, epochs, learning_rate, batch_size):
+            calls.append((seed, epochs, learning_rate, batch_size))
             return ConstantModel(0)
 
-        grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(0.5,),
-                   batch_grid=(8,))
+        grid_sweep(data, folds, build, {"epochs": (1,), "learning_rate": (0.5,),
+                                        "batch_size": (8,)})
         assert calls == [(21, 1, 0.5, 8), (22, 1, 0.5, 8), (23, 1, 0.5, 8)]
+
+    def test_the_grid_names_the_settings_of_any_model(self):
+        data, folds = self.setup_data()
+        calls = []
+
+        def build(*, seed, k, w):
+            calls.append((seed, k, w))
+            return NearestCentroid() if k == 3 else ConstantModel(0)
+
+        rows = grid_sweep(data, folds, build, {"k": (1, 3, 5), "w": (0.5, 2.0)})
+        # every cell in product order, each built once per fold with the fold's seed
+        cells = [(k, w) for k in (1, 3, 5) for w in (0.5, 2.0)]
+        assert sorted(calls) == sorted((21 + f, *cell) for f in range(3) for cell in cells)
+        # the k=3 cells win; ties keep grid order
+        assert [row.settings for row in rows] == [
+            {"k": 3, "w": 0.5}, {"k": 3, "w": 2.0}, {"k": 1, "w": 0.5}, {"k": 1, "w": 2.0},
+            {"k": 5, "w": 0.5}, {"k": 5, "w": 2.0}]
+        assert rows[0].accuracy > rows[2].accuracy == rows[5].accuracy
 
     def test_each_fold_is_prepared_once_for_every_cell(self, monkeypatch, tmp_path):
         from readmitlab import evaluate
@@ -649,15 +664,14 @@ class TestGridSweep:
         folds = stratified_kfold(data.labels, 3, seed=23)
         plan = ResamplePlan("smote")
 
-        def build(seed, epochs, lr, batch):
-            return NetworkClassifier("vanilla", epochs=epochs, learning_rate=lr,
-                                     batch_size=batch, seed=seed)
-
-        cells = [(1, 1e-2, 16), (1, 1e-2, 64)]
-        per_cell = {cell: cross_validate(data, folds,
-                                         one_model(lambda s, c=cell: build(s, *c)),
-                                         pipeline=FoldPipeline(resample=plan))[0]
-                    for cell in cells}
+        build = functools.partial(NetworkClassifier, "vanilla")
+        grid = {"epochs": (1,), "learning_rate": (1e-2,), "batch_size": (16, 64)}
+        per_cell = {batch: cross_validate(data, folds,
+                                          one_model(lambda s, b=batch: build(
+                                              seed=s, epochs=1, learning_rate=1e-2,
+                                              batch_size=b)),
+                                          pipeline=FoldPipeline(resample=plan))[0]
+                    for batch in grid["batch_size"]}
         plans = ProcessLog(tmp_path / "plans")  # folds are prepared in forked workers too
 
         def counting_apply_plan(train, plan, seed):
@@ -665,23 +679,23 @@ class TestGridSweep:
             return apply_plan(train, plan, seed)
 
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
-        serial = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
-                            batch_grid=(16, 64), pipeline=FoldPipeline(resample=plan), workers=1)
+        serial = grid_sweep(data, folds, build, grid, pipeline=FoldPipeline(resample=plan),
+                            workers=1)
         assert [seed for _, seed in plans.read()] == [23, 24, 25]
-        rows = grid_sweep(data, folds, build, epochs_grid=(1,), lr_grid=(1e-2,),
-                          batch_grid=(16, 64), pipeline=FoldPipeline(resample=plan), workers=2)
+        rows = grid_sweep(data, folds, build, grid, pipeline=FoldPipeline(resample=plan),
+                          workers=2)
         assert_each_process_prepared_each_fold_once(plans.read()[3:], [23, 24, 25])
         assert len(rows) == 2
         for row in serial + rows:
-            want = per_cell[(row.epochs, row.learning_rate, row.batch_size)]
+            want = per_cell[row.settings["batch_size"]]
             for got_m, want_m in zip(row.result.fold_matrices, want.fold_matrices):
                 assert np.array_equal(got_m.counts, want_m.counts)
             for got, want_r in zip(row.result.fold_metrics + (row.result.mean_metrics,),
                                    want.fold_metrics + (want.mean_metrics,)):
                 assert got == want_r
 
-    def test_empty_grid_rejected(self):
+    @pytest.mark.parametrize("grid", [{}, {"epochs": (), "learning_rate": (1e-3,)}])
+    def test_an_empty_grid_or_axis_is_rejected(self, grid):
         data, folds = self.setup_data()
-        with pytest.raises(ValueError):
-            grid_sweep(data, folds, lambda f, e, l, b: ConstantModel(0),
-                       epochs_grid=(), lr_grid=(1e-3,), batch_grid=(8,))
+        with pytest.raises(ValueError, match="a grid needs at least one axis"):
+            grid_sweep(data, folds, lambda seed, **cell: ConstantModel(0), grid)

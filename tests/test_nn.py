@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readmitlab.errors import DataError, NumericError
+from readmitlab.models import NetworkClassifier
 from readmitlab.optim import Adam
 from readmitlab.nn import (
     ARCHITECTURES,
@@ -22,7 +23,6 @@ from readmitlab.nn import (
     Parallel,
     RecurrentTanh,
     Relu,
-    TrainConfig,
     build_network,
     load_network_params,
     predict_logits,
@@ -565,18 +565,18 @@ def _walk_dense(net):
     return out
 
 
-class TestTrainConfig:
+class TestNetworkSettings:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 2.5), ("epochs", True), ("epochs", "3"), ("batch_size", 8.5),
         ("batch_size", None)])
     def test_a_count_that_is_not_an_integer_fails_when_built(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {value!r}"):
-            TrainConfig(**{field: value})
+            NetworkClassifier(**{field: value})
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size"])
     def test_a_count_below_one_fails_when_built(self, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got 0"):
-            TrainConfig(**{field: 0})
+            NetworkClassifier(**{field: 0})
 
     @pytest.mark.parametrize("kernel", [2.0, True, 0])
     def test_a_kernel_width_must_be_an_integer_of_at_least_one(self, kernel):
@@ -586,12 +586,24 @@ class TestTrainConfig:
     @pytest.mark.parametrize("rate", [True, False, "0.1", None])
     def test_a_learning_rate_that_is_not_a_real_number_fails_when_built(self, rate):
         with pytest.raises(ValueError, match="learning_rate must be positive"):
-            TrainConfig(learning_rate=rate)
+            NetworkClassifier(learning_rate=rate)
 
     @pytest.mark.parametrize("rate", [False, True, "0.5", None])
     def test_a_dropout_rate_that_is_not_a_real_number_fails(self, rate):
         with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
             Dropout(rate)
+
+    def test_of_two_bad_settings_the_architecture_is_reported(self):
+        with pytest.raises(ValueError, match="unknown architecture 'bogus'"):
+            NetworkClassifier("bogus", epochs=0)
+
+    def test_each_setting_is_kept_under_its_own_name(self):
+        net = NetworkClassifier("vanilla", epochs=3, learning_rate=0.5, batch_size=8,
+                                optimizer="sgd", dropout=0.25, seed=4)
+        assert net.settings() == {"arch": "vanilla", "epochs": 3, "learning_rate": 0.5,
+                                  "batch_size": 8, "optimizer": "sgd", "kernel_size": None,
+                                  "dropout": 0.25, "seed": 4}
+        assert all(getattr(net, name) == value for name, value in net.settings().items())
 
 
 class TestTraining:
@@ -599,12 +611,12 @@ class TestTraining:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(40, 16))
         y = rng.integers(0, 3, size=40)
-        config = TrainConfig(epochs=3, learning_rate=1e-3, batch_size=16)
+        config = {"epochs": 3, "learning_rate": 1e-3, "batch_size": 16, "optimizer": "adam"}
 
         def run():
             build_rng = np.random.default_rng(21)
             net = build_network("cnn2", 16, rng=build_rng)
-            history = train_network(net, X, y, config, build_rng)
+            history = train_network(net, X, y, build_rng, **config)
             return history, {k: v.copy() for k, v in net.params().items()}
 
         hist_a, params_a = run()
@@ -622,8 +634,8 @@ class TestTraining:
         X = np.hstack([X2, np.zeros((60, 6))])
         build_rng = np.random.default_rng(15)
         net = build_network("vanilla", 8, rng=build_rng)
-        config = TrainConfig(epochs=200, learning_rate=1e-3, batch_size=64)
-        train_network(net, X, y, config, build_rng)
+        train_network(net, X, y, build_rng, epochs=200, learning_rate=1e-3, batch_size=64,
+                      optimizer="adam")
         assert np.array_equal(predict_logits(net, X).argmax(axis=1), y)
 
     def test_history_length_and_partial_batch(self):
@@ -632,8 +644,8 @@ class TestTraining:
         y = rng.integers(0, 3, size=10)
         net = build_network("vanilla", 8, rng=np.random.default_rng(17))
         before = {k: v.copy() for k, v in net.params().items()}
-        config = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=64)
-        history = train_network(net, X, y, config, np.random.default_rng(18))
+        history = train_network(net, X, y, np.random.default_rng(18), epochs=2,
+                                learning_rate=1e-3, batch_size=64, optimizer="adam")
         assert len(history) == 2
         # 10 < batch_size, so only the "partial" batch exists; it must train
         assert any(not np.array_equal(before[k], v) for k, v in net.params().items())
@@ -645,18 +657,17 @@ class TestTraining:
         X = rng.normal(size=(30, 8)) * 10
         y = np.array([0, 1, 2] * 10)
         net = build_network("vanilla", 8, rng=np.random.default_rng(19))
-        config = TrainConfig(epochs=20, learning_rate=1e10, batch_size=10,
-                             optimizer="sgd")
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
-            train_network(net, X, y, config, np.random.default_rng(20))
+            train_network(net, X, y, np.random.default_rng(20), epochs=20, learning_rate=1e10,
+                          batch_size=10, optimizer="sgd")
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
+            NetworkClassifier(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
+            NetworkClassifier(batch_size=0)
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+            NetworkClassifier(learning_rate=0.0)
 
 
 class TestParameterVector:
@@ -828,8 +839,8 @@ class TestFloat32:
         rng = np.random.default_rng(32)
         X, y = rng.normal(size=(20, 16)), rng.integers(0, 3, size=20)
         net = build_network(arch, 16, rng=rng, dtype=np.float32)
-        history = train_network(net, X, y, TrainConfig(epochs=2, learning_rate=1e-2,
-                                                       batch_size=8), rng)
+        history = train_network(net, X, y, rng, epochs=2, learning_rate=1e-2, batch_size=8,
+                                optimizer="adam")
         assert np.isfinite(history).all()
         assert net.theta.dtype == np.float32
         assert predict_logits(net, X).dtype == np.float32
@@ -885,12 +896,12 @@ class TestConvColumns:
     def test_kept_columns_train_to_the_bytes_of_rebuilt_ones(self, arch, monkeypatch):
         rng = np.random.default_rng(39)
         X, y = rng.normal(size=(150, 30)), rng.integers(0, 3, size=150)
-        config = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=64)
+        config = {"epochs": 2, "learning_rate": 1e-2, "batch_size": 64, "optimizer": "adam"}
 
         def train():
             build_rng = np.random.default_rng(40)
             net = build_network(arch, 30, rng=build_rng)
-            history = train_network(net, X, y, config, build_rng)
+            history = train_network(net, X, y, build_rng, **config)
             return net.theta.tobytes(), history
 
         kept = train()

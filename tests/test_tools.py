@@ -117,6 +117,9 @@ def test_cli_outputs_runs_every_command_and_each_writes_its_reports(tmp_path, ca
     assert (out / "fail-regimes-unknown.stderr").read_text() == (
         "config error: invalid config field 'regimes': unknown regime 'bogus'; "
         "expected one of ('nearmiss', 'random_under', 'full')\n")
+    # a forest's features_per_split beyond the width names its section
+    assert (out / "fail-forest-features-beyond-width.stderr").read_text() == (
+        "config error: invalid config field 'model': features_per_split 50 outside [1, 14]\n")
 
 
 def test_cli_outputs_without_one_directory_prints_usage(capsys):

@@ -12,11 +12,11 @@ OUT/NAME/, unless its argv gives its own --out (its config file, if any, is
 OUT/NAME.json), and its stdout and stderr, every warning included, to
 OUT/NAME.stdout and OUT/NAME.stderr; OUT/exit_codes.tsv lists each run's
 exit code. The runs use 2 folds, 1 worker (sweep-workers-2 uses two), 1
-epoch and few boosting rounds. One small CSV starts with a sidecar whose
-.npy header does not parse, which its ingest run replaces. The runs of
-runs() must exit 0 and those of failures() with their expected codes, so a
-diff of two trees shows which error messages moved. Exits 1 when any run
-exits with another code.
+epoch (sweep-grid-axes also 2) and few boosting rounds. One small CSV
+starts with a sidecar whose .npy header does not parse, which its ingest
+run replaces. The runs of runs() must exit 0 and those of failures() with
+their expected codes, so a diff of two trees shows which error messages
+moved. Exits 1 when any run exits with another code.
 
 To compare a change with its parent, run the tool once with each version's
 src on PYTHONPATH, into two directories, and diff them:
@@ -99,6 +99,10 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
                                              workers, "--resample-method", "random_over"],
                {"grid": {"epochs": [1], "learning_rate": [1e-3], "batch_size": [16, 32]}})
               for workers in "12"]
+    # a config may give the grid's names in any order; the report keeps the default's
+    table.append(("sweep-grid-axes", ["sweep", *CV],
+                  {"grid": {"batch_size": [16, 32], "learning_rate": [1e-3, 1e-2, 1],
+                            "epochs": [1, 2]}}))
     table.append(("binary-study", ["binary-study", *DATA, "--folds", "2", "--workers", "1"],
                   {"booster": {"n_rounds": 3}}))
     table += [(f"cascade-{arch}", ["cascade", *CV, "--arch", arch, "--n-rounds", "3",
@@ -181,6 +185,10 @@ def failures() -> list[tuple[str, list[str], dict | None, int]]:
         # a kernel wider than the 14 features, too wide for its weights to be drawn
         ("fail-kernel-wider-than-input", ["train", *CV, "--model", "network", "--arch", "cnn2",
                                           "--kernel-size", "1000000000000"], None, 2),
+        # a forest that would scan more features per split than a row holds
+        ("fail-forest-features-beyond-width", ["train", *CV, "--model", "forest",
+                                               "--resample-method", "random_over"],
+         {"model": {"kind": "forest", "n_trees": 2, "features_per_split": 50}}, 1),
     ]
 
 

@@ -21,7 +21,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from readmitlab.nn import TrainConfig, build_network, train_network
+from readmitlab.nn import build_network, train_network
 
 # (architecture, features per row, batch size): the networks of the bench's
 # train-cnn-adasyn and cascade-cnn-gbm, and both batch sizes of sweep-smote
@@ -35,12 +35,12 @@ def step_time(arch: str, n_features: int, batch: int, steps: int, reps: int) -> 
     net = build_network(arch, n_features, rng=rng, dtype=np.float32)
     X = rng.random((steps * batch, n_features))
     y = rng.integers(0, 3, size=steps * batch)
-    config = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=batch)
-    train_network(net, X, y, config, rng)
+    settings = {"epochs": 1, "learning_rate": 1e-2, "batch_size": batch, "optimizer": "adam"}
+    train_network(net, X, y, rng, **settings)
     best = float("inf")
     for _ in range(reps):
         start = time.process_time()
-        train_network(net, X, y, config, rng)
+        train_network(net, X, y, rng, **settings)
         best = min(best, (time.process_time() - start) / steps)
     return best
 
