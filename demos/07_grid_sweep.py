@@ -34,13 +34,12 @@ sweep = grid_sweep(data, folds, functools.partial(NetworkClassifier, "vanilla"),
 
 header = ["rank", "epochs", "lr", "batch", "accuracy", "macro F"]
 table = []
-for rank, row in enumerate(sweep, start=1):
-    cell = row.settings
+for rank, (cell, result) in enumerate(sweep, start=1):
     table.append([str(rank), str(cell["epochs"]), f"{cell['learning_rate']:g}",
-                  str(cell["batch_size"]), format_percent(row.accuracy),
-                  format_percent(row.macro_f)])
+                  str(cell["batch_size"]), format_percent(result.mean_metrics.accuracy),
+                  format_percent(result.mean_metrics.macro_f)])
 print(aligned_table(header, table))
 
-best = sweep[0].settings
+best, best_result = sweep[0]
 print(f"winner: epochs={best['epochs']} lr={best['learning_rate']:g} "
-      f"batch={best['batch_size']} at {format_percent(sweep[0].accuracy)}%")
+      f"batch={best['batch_size']} at {format_percent(best_result.mean_metrics.accuracy)}%")

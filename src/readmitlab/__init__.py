@@ -12,12 +12,12 @@ from .ensemble import (CascadeClassifier, CascadeReport, binary_outer_study,
                        cascade_evaluate, cascade_fit, cross_validate_cascade,
                        load_cascade, save_cascade)
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, SweepRow,
-                       cross_validate, grid_sweep, harmonic_mean, metrics)
+from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, cross_validate,
+                       grid_sweep, harmonic_mean, metrics, one_model)
 from .features import (ClassStatsTable, FeatureScoreTable, SCORERS, Selection,
                        anova_f_scores, chi_square_scores, pearson_scores,
                        per_class_stats, select_k_best)
-from .models import NetworkClassifier, make_builder
+from .models import NetworkClassifier
 from .nn import (ARCHITECTURES, Network, build_network, load_network_params,
                  save_network, softmax, softmax_cross_entropy, train_network)
 from .optim import OPTIMIZERS, AdaBelief, Adam, Sgd, make_optimizer

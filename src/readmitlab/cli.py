@@ -93,9 +93,9 @@ from .ensemble import (BINARY_REGIMES, binary_outer_study, cascade_fit,
                        cross_validate_cascade, save_cascade)
 from .errors import (ConfigError, DataError, NumericError, check_choice, check_count,
                      is_integer, is_real, json_object, read_text)
-from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics
+from .evaluate import FoldPipeline, cross_validate, grid_sweep, metrics, one_model
 from .features import SCORER_SETTINGS, Selection, per_class_stats, select_k_best
-from .models import MODELS, NetworkClassifier, make_builder
+from .models import MODELS, NetworkClassifier
 from .nn import ARCHITECTURE_SETTINGS
 from .report import RunReport, class_stats_section, feature_scores_section, format_percent
 from .resample import METHOD_SETTINGS, ResamplePlan
@@ -545,7 +545,7 @@ def _cmd_select(cfg: dict, report: RunReport, out: Path) -> None:
     comparison = []
     for kk in compare_ks:
         pipeline = FoldPipeline(cfg["normalize"], dataclasses.replace(selection, k=kk))
-        (result,) = cross_validate(data, folds, make_builder(kind, **params),
+        (result,) = cross_validate(data, folds, one_model(MODELS[kind], **params),
                                    pipeline=pipeline, workers=cfg["workers"])
         _add_fold_notes(report, result, f"k={kk} ")
         comparison.append([str(kk), format_percent(result.mean_metrics.accuracy),
@@ -579,7 +579,7 @@ def _cmd_train(cfg: dict, report: RunReport, out: Path) -> None:
         _check_k("select.k", selection.k, data.n_features)
     _check_width(kind, params, data.n_features if selection is None else selection.k)
     data, pipeline, folds = _folds(cfg, data, pipeline, report)
-    (result,) = cross_validate(data, folds, make_builder(kind, **params),
+    (result,) = cross_validate(data, folds, one_model(MODELS[kind], **params),
                                pipeline=pipeline, workers=cfg["workers"])
     _add_fold_notes(report, result)
     _add_cv_sections(report, result, f"{kind} cross-validation")
@@ -601,19 +601,20 @@ def _cmd_sweep(cfg: dict, report: RunReport, out: Path) -> None:
     data = _load_data(cfg, report)
     _check_width(kind, fixed, data.n_features)
     data, pipeline, folds = _folds(cfg, data, pipeline, report)
-    rows = grid_sweep(data, folds, functools.partial(NetworkClassifier, **fixed), grid,
-                      pipeline=pipeline, workers=cfg["workers"])
-    _add_fold_notes(report, rows[0].result)
+    ranked = grid_sweep(data, folds, functools.partial(NetworkClassifier, **fixed), grid,
+                        pipeline=pipeline, workers=cfg["workers"])
+    _add_fold_notes(report, ranked[0][1])
     # repr writes each int as str does, and each float exactly
-    table = [["*" if i == 0 else "", *map(repr, row.settings.values()),
-              format_percent(row.accuracy), format_percent(row.macro_f)]
-             for i, row in enumerate(rows)]
+    table = [["*" if i == 0 else "", *map(repr, cell.values()),
+              format_percent(result.mean_metrics.accuracy),
+              format_percent(result.mean_metrics.macro_f)]
+             for i, (cell, result) in enumerate(ranked)]
     report.add_table("grid results, best first",
                      ["best", *grid, "mean_accuracy", "mean_macro_f"], table)
-    best = rows[0]
+    best, best_result = ranked[0]
     report.add_line("best combination: "
-                    + " ".join(f"{name}={value!r}" for name, value in best.settings.items())
-                    + f" mean accuracy {format_percent(best.accuracy)}")
+                    + " ".join(f"{name}={value!r}" for name, value in best.items())
+                    + f" mean accuracy {format_percent(best_result.mean_metrics.accuracy)}")
 
 
 def _cmd_cascade(cfg: dict, report: RunReport, out: Path) -> None:

@@ -29,9 +29,9 @@ import numpy as np
 
 from .data import Dataset, FoldPlan, ScalingSpec, stratified_kfold
 from .errors import DataError, check_choice, check_count, json_object
-from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, _cv_result,
-                       cross_validate, metrics)
-from .models import NetworkClassifier, make_builder
+from .evaluate import (ConfusionMatrix, CvResult, FoldPipeline, MetricsReport, cross_validate,
+                       metrics, one_model)
+from .models import NetworkClassifier
 from .nn import load_network_params, save_network
 from .resample import ResamplePlan
 from .trees import GradientBoostedClassifier
@@ -185,7 +185,7 @@ def cross_validate_cascade(data: Dataset, folds: FoldPlan, network_config: dict,
     network_result, stage2_result, cascade_result = cross_validate(
         data, folds, fit_predict, pipeline=pipeline, workers=workers)
     outer = [stage2_result.pooled_matrix.class_ids.index(c) for c in OUTER_CLASSES]
-    booster_result = _cv_result(tuple(
+    booster_result = CvResult(tuple(
         ConfusionMatrix(m.counts[np.ix_(outer, outer)], OUTER_CLASSES)
         for m in stage2_result.fold_matrices), stage2_result.fold_notes)
     return network_result, cascade_result, booster_result
@@ -209,7 +209,7 @@ def binary_outer_study(data: Dataset, *, seed: int, k_folds: int = 10,
     if len(outer_data.class_counts()) < 2:
         raise DataError("binary study needs both outer classes present")
     folds = stratified_kfold(outer_data.labels, k_folds, seed)
-    fit_predict = make_builder("gbm", **(booster_config or {}))
+    fit_predict = one_model(GradientBoostedClassifier, **(booster_config or {}))
     results = {}
     for regime in regimes:
         plan = None if regime == "full" else ResamplePlan(regime)

@@ -33,6 +33,7 @@ import concurrent.futures
 import contextlib
 import ctypes
 import functools
+import inspect
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,13 +172,41 @@ class Model(Protocol):
 
 @dataclass(frozen=True)
 class CvResult:
-    """fold_notes[f] are the notes of fold f's FoldPipeline fit."""
+    """What a cross-validation's folds produced: fold f's confusion matrix
+    and the notes of its FoldPipeline fit, in fold order. Every summary is
+    derived from them on first read."""
 
     fold_matrices: tuple[ConfusionMatrix, ...]
-    fold_metrics: tuple[MetricsReport, ...]
-    mean_metrics: MetricsReport
-    pooled_matrix: ConfusionMatrix
     fold_notes: tuple[tuple[str, ...], ...]
+
+    @functools.cached_property
+    def fold_metrics(self) -> tuple[MetricsReport, ...]:
+        return tuple(metrics(m) for m in self.fold_matrices)
+
+    @functools.cached_property
+    def mean_metrics(self) -> MetricsReport:
+        """The field-by-field mean of fold_metrics; the folds' notes once
+        each, in order of first appearance."""
+        reports = self.fold_metrics
+        classes = reports[0].class_ids
+        notes = tuple(dict.fromkeys(n for r in reports for n in r.notes))
+        return MetricsReport(
+            class_ids=classes,
+            accuracy=float(np.mean([r.accuracy for r in reports])),
+            macro_precision=float(np.mean([r.macro_precision for r in reports])),
+            macro_recall=float(np.mean([r.macro_recall for r in reports])),
+            macro_f=float(np.mean([r.macro_f for r in reports])),
+            per_class_recall={c: float(np.mean([r.per_class_recall[c] for r in reports]))
+                              for c in classes},
+            per_class_precision={c: float(np.mean([r.per_class_precision[c] for r in reports]))
+                                 for c in classes},
+            notes=notes,
+        )
+
+    @functools.cached_property
+    def pooled_matrix(self) -> ConfusionMatrix:
+        """The sum of the fold matrices."""
+        return sum(self.fold_matrices[1:], self.fold_matrices[0])
 
 
 @dataclass(frozen=True)
@@ -219,23 +248,6 @@ class FoldPipeline:
 
 # fit_predict(seed, train, test) -> one predicted-label array per output
 FitPredict = Callable[[int, Dataset, Dataset], tuple[np.ndarray, ...]]
-
-
-def _mean_metrics(reports: tuple[MetricsReport, ...]) -> MetricsReport:
-    classes = reports[0].class_ids
-    notes = tuple(dict.fromkeys(n for r in reports for n in r.notes))
-    return MetricsReport(
-        class_ids=classes,
-        accuracy=float(np.mean([r.accuracy for r in reports])),
-        macro_precision=float(np.mean([r.macro_precision for r in reports])),
-        macro_recall=float(np.mean([r.macro_recall for r in reports])),
-        macro_f=float(np.mean([r.macro_f for r in reports])),
-        per_class_recall={c: float(np.mean([r.per_class_recall[c] for r in reports]))
-                          for c in classes},
-        per_class_precision={c: float(np.mean([r.per_class_precision[c] for r in reports]))
-                             for c in classes},
-        notes=notes,
-    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -291,11 +303,17 @@ def _one_blas_thread():
         set_(before)
 
 
-def one_model(build_model: Callable[[int], Model]) -> FitPredict:
-    """The fit_predict of one model per fold: build_model(seed), fitted on the
-    training split, predicts the held-out rows."""
+def one_model(build_model: Callable[..., Model], **settings) -> FitPredict:
+    """The fit_predict of one model per fold: a fresh
+    build_model(**settings, seed=<the fold's seed>), or build_model(**settings)
+    when build_model takes no seed, fitted on the training split, predicts
+    the held-out rows. A class, a functools.partial and a function are
+    seeded alike."""
+    seeded = "seed" in inspect.signature(build_model).parameters
+
     def fit_predict(seed: int, train: Dataset, test: Dataset) -> tuple[np.ndarray]:
-        return (build_model(seed).fit(train.features, train.labels).predict(test.features),)
+        model = build_model(**settings, seed=seed) if seeded else build_model(**settings)
+        return (model.fit(train.features, train.labels).predict(test.features),)
 
     return fit_predict
 
@@ -436,56 +454,26 @@ def cross_validate(data: Dataset, folds: FoldPlan, *jobs: FitPredict,
                  for predicted in outputs[task][1]]
                 for fold, test in enumerate(folds.folds)]
     notes = tuple(outputs[fold * len(jobs)][0] for fold in range(folds.k))
-    return tuple(_cv_result(matrices, notes) for matrices in zip(*per_fold))
-
-
-def _cv_result(matrices: tuple[ConfusionMatrix, ...],
-               fold_notes: tuple[tuple[str, ...], ...]) -> CvResult:
-    """Per-fold metrics, their mean, and the pooled matrix of per-fold
-    confusion matrices given in fold order."""
-    fold_metrics = tuple(metrics(m) for m in matrices)
-    pooled = sum(matrices[1:], matrices[0])
-    return CvResult(matrices, fold_metrics, _mean_metrics(fold_metrics), pooled, fold_notes)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid cell, its settings by name, with its cross-validated metrics."""
-
-    settings: dict[str, Any]
-    result: CvResult
-
-    @property
-    def accuracy(self) -> float:
-        return self.result.mean_metrics.accuracy
-
-    @property
-    def macro_f(self) -> float:
-        return self.result.mean_metrics.macro_f
+    return tuple(CvResult(matrices, notes) for matrices in zip(*per_fold))
 
 
 def grid_sweep(data: Dataset, folds: FoldPlan, build_model: Callable[..., Model],
                grid: dict[str, Any], pipeline: FoldPipeline = FoldPipeline(),
-               workers: int = 1) -> list[SweepRow]:
+               workers: int = 1) -> list[tuple[dict[str, Any], CvResult]]:
     """Cross-validate every cell of grid, a mapping from setting name to the
-    values it takes, and rank the rows.
+    values it takes, and rank the (cell, result) pairs.
 
     The cells are the product of the values in grid order, the last name
     varying fastest, each a mapping from name to value. Every cell is one
-    cross_validate job, so each (fold, cell) pair is a task of its own for
-    the workers, and a process prepares each fold at most once for all the
-    cells it runs. build_model(seed=..., **cell) must return a fresh model
-    seeded with the fold's seed, which is dropped once it has predicted. The
-    rows are sorted by mean accuracy descending (stable, so grid order
-    breaks ties); the first row is the winner. An empty grid or axis is a
-    ValueError.
+    cross_validate job, one_model(build_model, **cell), so each (fold, cell)
+    pair is a task of its own for the workers, and a process prepares each
+    fold at most once for all the cells it runs. The pairs are sorted by mean
+    accuracy descending (stable, so grid order breaks ties); the first is the
+    winner. An empty grid or axis is a ValueError.
     """
     if not grid or not all(grid.values()):
         raise ValueError("a grid needs at least one axis, and every axis a value")
     cells = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
-
-    jobs = [one_model(lambda seed, cell=cell: build_model(seed=seed, **cell)) for cell in cells]
-    results = cross_validate(data, folds, *jobs, pipeline=pipeline, workers=workers)
-    rows = [SweepRow(cell, result) for cell, result in zip(cells, results)]
-    rows.sort(key=lambda row: -row.accuracy)
-    return rows
+    results = cross_validate(data, folds, *(one_model(build_model, **cell) for cell in cells),
+                             pipeline=pipeline, workers=workers)
+    return sorted(zip(cells, results), key=lambda pair: -pair[1].mean_metrics.accuracy)

@@ -1,4 +1,5 @@
-"""Uniform fit/predict adapters so the CV harness can drive any model kind."""
+"""The network classifier every command trains, and the CLI's table of model
+kinds."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ import inspect
 import numpy as np
 
 from .errors import check_choice, check_count, is_real
-from .evaluate import FitPredict, one_model
 from .nn import (ARCHITECTURES, DEFAULT_DROPOUT, Conv1d, Dropout, build_network,
                  predict_logits, softmax, train_network)
 from .optim import OPTIMIZERS
@@ -97,17 +97,8 @@ class NetworkClassifier:
         return {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
 
 
-# each model kind's class; its constructor's keywords are the kind's settings
+# the CLI's model kinds by name: each kind's class, whose constructor's
+# keywords are the kind's settings
 MODELS = {"network": NetworkClassifier, "gbm": GradientBoostedClassifier,
           "forest": RandomForest}
 
-
-def make_builder(kind: str, **settings) -> FitPredict:
-    """Return the fit_predict of cross_validate for one model kind: a fresh
-    model per fold, given the fold's seed when its class's constructor takes
-    a seed."""
-    check_choice("model kind", kind, MODELS)
-    cls = MODELS[kind]
-    if "seed" in inspect.signature(cls).parameters:
-        return one_model(lambda seed: cls(seed=seed, **settings))
-    return one_model(lambda seed: cls(**settings))

@@ -19,8 +19,8 @@ from readmitlab.ensemble import (
     save_cascade,
 )
 from readmitlab.errors import DataError
-from readmitlab.evaluate import ConfusionMatrix, FoldPipeline, cross_validate
-from readmitlab.models import NetworkClassifier, make_builder
+from readmitlab.evaluate import ConfusionMatrix, FoldPipeline, cross_validate, one_model
+from readmitlab.models import NetworkClassifier
 from readmitlab.nn import ARCHITECTURES
 from readmitlab.resample import ResamplePlan, apply_plan
 from readmitlab.trees import GradientBoostedClassifier
@@ -437,7 +437,7 @@ class TestCrossValidateCascade:
             pipeline=FoldPipeline(resample=plan), workers=workers)
         # one network pass per held-out fold serves both stage 1 and the cascade
         assert sorted(predicted.read()) == sorted(len(folds.test_indices(i)) for i in range(3))
-        (alone,) = cross_validate(ds, folds, make_builder("network", **network_config),
+        (alone,) = cross_validate(ds, folds, one_model(NetworkClassifier, **network_config),
                                   pipeline=FoldPipeline(resample=plan), workers=1)
         for got, want in zip(net_res.fold_matrices + (net_res.pooled_matrix,),
                              alone.fold_matrices + (alone.pooled_matrix,)):

@@ -1,14 +1,15 @@
-"""errors.check_choice: every setting that names a choice (architecture,
-optimizer, resample method, feature scorer, model kind, regime) rejects an
+"""errors.check_choice: every setting of the library that names a choice
+(architecture, optimizer, resample method, feature scorer, regime) rejects an
 unknown name, a list and a non-string with one message, through each
-function or class that takes it."""
+function or class that takes it. A model kind is named only in the CLI's
+model section, whose message tests/test_cli.py checks."""
 
 import numpy as np
 import pytest
 
 from readmitlab.ensemble import binary_outer_study
 from readmitlab.features import Selection
-from readmitlab.models import NetworkClassifier, make_builder
+from readmitlab.models import NetworkClassifier
 from readmitlab.nn import build_network
 from readmitlab.optim import make_optimizer
 from readmitlab.resample import ResamplePlan
@@ -34,7 +35,6 @@ TAKERS = {
                             "nearmiss", "random_under"), ResamplePlan),
     "feature-scorer": (
         "feature scorer", ("chi2", "pearson", "anova_f"), lambda name: Selection(name, 1)),
-    "model-kind": ("model kind", ("network", "gbm", "forest"), make_builder),
     "regime": ("regime", ("nearmiss", "random_under", "full"),
                lambda name: binary_outer_study(DATA, seed=0, k_folds=2, regimes=(name,))),
 }

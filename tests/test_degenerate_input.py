@@ -4,6 +4,11 @@ constant columns, a class of one or two rows and finite values near 1e300.
 Each run either succeeds, writing the same report.tsv and report.txt at one
 worker and at two, or exits 1 or 2 with one config error or data error line,
 no traceback and no warning.
+
+Every resampler on degenerate rows (ties, duplicate rows, a constant column)
+reruns bitwise and reaches its targets: an oversampler keeps the original
+rows and an interpolating one stays inside each class's box, and an
+undersampler keeps only original rows.
 """
 
 import contextlib
@@ -13,12 +18,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from readmitlab.cli import main
 from readmitlab.data import save_dataset_csv
-from readmitlab.resample import METHODS
+from readmitlab.errors import DataError
+from readmitlab.resample import METHODS, OVERSAMPLERS, ResamplePlan, apply_plan
 
 from helpers import make_dataset
 
@@ -118,3 +125,55 @@ def test_every_command_succeeds_alike_at_any_worker_count_or_fails_with_one_line
                     out = tmp / f"{normalize}{i}-{workers}"
                     outcomes.append((run([*argv, *folds, "--out", str(out)]), reports(out)))
                 assert outcomes[1:] in ([], outcomes[:1]), argv
+
+
+# values whose differences are exact, so an interpolated value between two of
+# them cannot round past either
+LEVELS = [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, 7.5]
+
+
+@st.composite
+def degenerate_classes(draw) -> tuple[np.ndarray, np.ndarray, int]:
+    """(rows, labels, k): each of the three classes has k + 1 to 9 rows, every
+    column draws from one to three levels (ties and duplicate rows), and an
+    optional column is constant."""
+    k = draw(st.integers(1, 4))
+    labels = np.array([c for c in range(3) for _ in range(draw(st.integers(k + 1, 9)))])
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3, unique=True))
+        columns.append([draw(st.sampled_from(pool)) for _ in labels])
+    if draw(st.booleans()):
+        columns.append([draw(st.sampled_from(LEVELS))] * len(labels))
+    return np.array(columns).T, labels, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=degenerate_classes(), method=st.sampled_from(METHODS), seed=st.integers(0, 3))
+def test_every_resampler_on_degenerate_rows_reruns_bitwise_and_reaches_its_targets(
+        table, method, seed):
+    rows, labels, k = table
+    data = make_dataset(rows, labels)
+    plan = ResamplePlan(method, k_neighbors=k)
+    try:
+        out = apply_plan(data, plan, seed)
+    except DataError as exc:
+        assert method == "borderline_smote" and "has no danger points" in str(exc), exc
+        return
+    again = apply_plan(data, plan, seed)
+    assert out.features.tobytes() == again.features.tobytes()
+    assert np.array_equal(out.labels, again.labels)
+    assert out.class_counts() == plan.resolved_targets(data.class_counts())
+
+    if method in OVERSAMPLERS:
+        n = data.n_instances
+        assert out.features[:n].tobytes() == data.features.tobytes()
+        assert np.array_equal(out.labels[:n], data.labels)
+        if method != "svm_smote":  # which may extrapolate away from a neighbour
+            for c in range(3):
+                own, made = data.features[data.labels == c], out.features[out.labels == c]
+                assert (made >= own.min(axis=0)).all() and (made <= own.max(axis=0)).all()
+    else:
+        original = {(*row, label) for row, label in zip(rows.tolist(), labels.tolist())}
+        assert {(*row, label) for row, label in
+                zip(out.features.tolist(), out.labels.tolist())} <= original

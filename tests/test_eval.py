@@ -1,16 +1,22 @@
 """Confusion-matrix layout, macro metrics, and cross-validation plumbing."""
 
 import concurrent.futures
+import dataclasses
 import functools
+import inspect
 import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readmitlab.data import stratified_kfold
 from readmitlab.errors import DataError
+from readmitlab.models import NetworkClassifier
+from readmitlab.trees import GradientBoostedClassifier, RandomForest
 from readmitlab.resample import apply_plan
 from readmitlab.evaluate import (
     ConfusionMatrix,
@@ -218,7 +224,7 @@ class TestCrossValidate:
     def test_fold_matrices_partition_the_dataset(self):
         data = self.make_data()
         folds = stratified_kfold(data.labels, 5, seed=1)
-        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()))
+        (result,) = cross_validate(data, folds, one_model(NearestCentroid))
         assert isinstance(result, CvResult)
         assert len(result.fold_matrices) == 5
         assert sum(m.total for m in result.fold_matrices) == data.n_instances
@@ -227,7 +233,7 @@ class TestCrossValidate:
     def test_pooled_matrix_is_sum_of_folds(self):
         data = self.make_data(seed=2)
         folds = stratified_kfold(data.labels, 3, seed=3)
-        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()))
+        (result,) = cross_validate(data, folds, one_model(NearestCentroid))
         acc = np.zeros_like(result.pooled_matrix.counts)
         for m in result.fold_matrices:
             acc = acc + m.counts
@@ -236,7 +242,7 @@ class TestCrossValidate:
     def test_mean_metrics_average_fold_metrics(self):
         data = self.make_data(seed=4)
         folds = stratified_kfold(data.labels, 4, seed=5)
-        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()))
+        (result,) = cross_validate(data, folds, one_model(NearestCentroid))
         mean_acc = np.mean([r.accuracy for r in result.fold_metrics])
         assert result.mean_metrics.accuracy == pytest.approx(mean_acc, abs=1e-15)
         mean_f = np.mean([r.macro_f for r in result.fold_metrics])
@@ -247,14 +253,14 @@ class TestCrossValidate:
         # accuracy and the unweighted mean coincide
         data = self.make_data(seed=6)
         folds = stratified_kfold(data.labels, 5, seed=7)
-        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()))
+        (result,) = cross_validate(data, folds, one_model(NearestCentroid))
         assert result.mean_metrics.accuracy == pytest.approx(
             result.pooled_matrix.accuracy, abs=1e-12)
 
     def test_constant_predictor_scores_a_third_on_balanced_data(self):
         data = self.make_data(seed=8)
         folds = stratified_kfold(data.labels, 5, seed=9)
-        (result,) = cross_validate(data, folds, one_model(lambda i: ConstantModel(0)))
+        (result,) = cross_validate(data, folds, one_model(ConstantModel))
         assert result.mean_metrics.accuracy == pytest.approx(1 / 3, abs=1e-12)
         assert result.mean_metrics.per_class_recall[0] == pytest.approx(1.0)
         assert result.mean_metrics.per_class_recall[1] == 0.0
@@ -262,7 +268,7 @@ class TestCrossValidate:
     def test_worker_count_never_changes_the_outcome(self):
         data = self.make_data(seed=10, counts=(25, 20, 15))
         folds = stratified_kfold(data.labels, 5, seed=11)
-        build = one_model(lambda i: NearestCentroid())
+        build = one_model(NearestCentroid)
         (serial,) = cross_validate(data, folds, build, workers=1)
         (threaded,) = cross_validate(data, folds, build, workers=4)
         assert np.array_equal(serial.pooled_matrix.counts,
@@ -303,8 +309,8 @@ class TestCrossValidate:
                 seen.append(get_threads())
                 return super().fit(X, y)
 
-        cross_validate(data, folds, one_model(lambda i: RecordingModel()), workers=1)
-        cross_validate(data, folds, one_model(lambda i: RecordingModel()), workers=2)
+        cross_validate(data, folds, one_model(RecordingModel), workers=1)
+        cross_validate(data, folds, one_model(RecordingModel), workers=2)
         # folds run on one BLAS thread at every worker count, one worker included
         assert seen.read() == [1] * 8
         assert get_threads() == before
@@ -322,7 +328,7 @@ class TestCrossValidate:
                 return super().fit(X, y)
 
         plan = ResamplePlan("random_over")
-        (result,) = cross_validate(data, folds, one_model(lambda i: RecordingModel()),
+        (result,) = cross_validate(data, folds, one_model(RecordingModel),
                                    pipeline=FoldPipeline(resample=plan))
         # training splits were inflated to 3 x majority count
         assert all(size > 64 for size in seen_sizes)
@@ -367,7 +373,7 @@ class TestFoldPipeline:
             return anova_f(table)
 
         monkeypatch.setitem(features.SCORERS, "anova_f", spying_anova_f)
-        cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+        cross_validate(data, folds, one_model(NearestCentroid),
                        pipeline=FoldPipeline(select=Selection("anova_f", 2)))
         assert scored == [sorted(folds.train_indices(f)) for f in range(folds.k)]
 
@@ -399,11 +405,11 @@ class TestFoldPipeline:
         column = np.zeros(data.n_instances)
         column[folds.test_indices(0)] = np.arange(1, len(folds.test_indices(0)) + 1)
         data = make_dataset(np.column_stack([data.features, column]), data.labels)
-        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+        (result,) = cross_validate(data, folds, one_model(NearestCentroid),
                                    pipeline=FoldPipeline(scale=True), workers=2)
         assert result.fold_notes == (("constant features scaled to zero: f02",), (), ())
         with pytest.raises(DataError, match="^training fold 0: k=3 exceeds the 2 "):
-            cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+            cross_validate(data, folds, one_model(NearestCentroid),
                            pipeline=FoldPipeline(True, Selection("chi2", 3)))
 
 
@@ -424,7 +430,7 @@ class TestWorkerProcesses:
                     pids.wait_for_other_process()  # leave a fold for a worker
                 return super().fit(X, y)
 
-        (result,) = cross_validate(data, folds, one_model(lambda i: RecordingModel()),
+        (result,) = cross_validate(data, folds, one_model(RecordingModel),
                                    workers=2)
         assert len(pids.read()) == folds.k
         assert {v["pid"] for v in pids.read()} - {caller}
@@ -477,7 +483,7 @@ class TestWorkerProcesses:
                 super().__init__(*args, mp_context=mp_context, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        (result,) = cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+        (result,) = cross_validate(data, folds, one_model(NearestCentroid),
                                    pipeline=FoldPipeline(resample=ResamplePlan("random_over")),
                                    workers=workers)
         # the tasks prepare their folds and fit them in one pool
@@ -499,7 +505,7 @@ class TestWorkerProcesses:
             return apply_plan(train, plan, seed)
 
         monkeypatch.setattr(evaluate, "apply_plan", counting_apply_plan)
-        cross_validate(data, folds, one_model(lambda i: NearestCentroid()),
+        cross_validate(data, folds, one_model(NearestCentroid),
                        pipeline=FoldPipeline(resample=ResamplePlan("random_over")), workers=2)
         assert sorted(v["seed"] for v in prepared.read()) == [15, 16, 17]
         assert {v["pid"] for v in prepared.read()} - {caller}
@@ -552,7 +558,7 @@ class TestWorkerProcesses:
         del split
         tracemalloc.start()
         try:
-            cross_validate(data, folds, one_model(lambda i: ConstantModel(0)),
+            cross_validate(data, folds, one_model(ConstantModel),
                            pipeline=FoldPipeline(resample=plan), workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -577,27 +583,105 @@ class TestWorkerProcesses:
         assert sorted(ran.read()) == list(range(300))
 
 
-class TestMakeBuilder:
-    @pytest.mark.parametrize("kind, params, seeds", [
-        ("network", {"arch": "vanilla", "epochs": 1}, [7, 8, 9]),
-        ("forest", {"n_trees": 2}, [7, 8, 9]),
-        ("gbm", {"n_rounds": 1}, [None, None, None]),
+class TestOneModel:
+    @staticmethod
+    def built_models(monkeypatch, cls, build_model, **params):
+        """The cls models that one_model(build_model, **params) fits on folds
+        seeded 7, 8 and 9, in that order."""
+        data = make_dataset(np.arange(12.0).reshape(6, 2), [0, 1, 2, 0, 1, 2])
+        built = []
+        monkeypatch.setattr(cls, "fit", lambda model, X, y: built.append(model) or model)
+        monkeypatch.setattr(cls, "predict", lambda model, X: np.zeros(len(X), dtype=np.int64))
+        fit_predict = one_model(build_model, **params)
+        for seed in (7, 8, 9):
+            fit_predict(seed, data, data)
+        return built
+
+    @pytest.mark.parametrize("cls, params, seeds", [
+        (NetworkClassifier, {"arch": "vanilla", "epochs": 1}, [7, 8, 9]),
+        (RandomForest, {"n_trees": 2}, [7, 8, 9]),
+        (GradientBoostedClassifier, {"n_rounds": 1}, [None, None, None]),
     ])
     def test_a_model_is_given_the_fold_seed_when_its_constructor_takes_one(
-            self, monkeypatch, kind, params, seeds):
-        from readmitlab import models
-
-        monkeypatch.setattr(models, "one_model", lambda build_model: build_model)
-        built = [models.make_builder(kind, **params)(seed) for seed in (7, 8, 9)]
-        assert all(type(model) is models.MODELS[kind] for model in built)
+            self, monkeypatch, cls, params, seeds):
+        built = self.built_models(monkeypatch, cls, cls, **params)
+        assert len(built) == 3 and len(set(map(id, built))) == 3  # a fresh model per fold
         assert [getattr(model, "seed", None) for model in built] == seeds
+        for name, value in params.items():
+            assert all(getattr(model, name) == value for model in built)
 
-    def test_an_unknown_kind_is_rejected(self):
-        from readmitlab.models import make_builder
+    def test_a_partial_is_seeded_like_its_class(self, monkeypatch):
+        built = self.built_models(monkeypatch, NetworkClassifier,
+                                  functools.partial(NetworkClassifier, "vanilla"), epochs=2)
+        assert [(model.arch, model.epochs, model.seed) for model in built] == [
+            ("vanilla", 2, 7), ("vanilla", 2, 8), ("vanilla", 2, 9)]
 
-        with pytest.raises(ValueError, match=r"unknown model kind 'svm'; expected one of "
-                                             r"\('network', 'gbm', 'forest'\)"):
-            make_builder("svm")
+    def test_a_function_without_a_seed_gets_only_its_settings(self):
+        data, folds = TestGridSweep().setup_data()
+        calls = []
+
+        def build(label):
+            calls.append(label)
+            return ConstantModel(label)
+
+        (result,) = cross_validate(data, folds, one_model(build, label=2))
+        assert calls == [2, 2, 2]
+        assert result.mean_metrics.per_class_recall[2] == 1.0
+
+
+@st.composite
+def fold_matrices(draw) -> tuple[ConfusionMatrix, ...]:
+    """One to five 3 x 3 count matrices over classes (0, 1, 2), each with a
+    count somewhere; some have an empty row (a class never predicted) or an
+    empty column (a class with no actual rows)."""
+    matrices = []
+    for _ in range(draw(st.integers(1, 5))):
+        counts = np.array(draw(st.lists(st.integers(0, 6), min_size=9, max_size=9))).reshape(3, 3)
+        row, column = draw(st.sampled_from([None, 0, 1, 2])), draw(st.sampled_from([None, 0, 1, 2]))
+        if row is not None:
+            counts[row] = 0
+        if column is not None:
+            counts[:, column] = 0
+        if not counts.any():
+            counts[draw(st.integers(0, 2)), draw(st.integers(0, 2))] = 1
+        matrices.append(ConfusionMatrix(counts, (0, 1, 2)))
+    return tuple(matrices)
+
+
+class TestCvResult:
+    def test_its_fields_are_what_the_folds_produced(self):
+        assert [f.name for f in dataclasses.fields(CvResult)] == ["fold_matrices", "fold_notes"]
+
+    @given(fold_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_its_summaries_are_derived_from_the_fold_matrices(self, matrices):
+        notes = tuple((f"fold {f}",) for f in range(len(matrices)))
+        result = CvResult(matrices, notes)
+
+        assert result.pooled_matrix.class_ids == (0, 1, 2)
+        assert np.array_equal(result.pooled_matrix.counts, sum(m.counts for m in matrices))
+
+        reports = [metrics(m) for m in matrices]
+        assert result.fold_metrics == tuple(reports)
+        mean = result.mean_metrics
+        assert mean.class_ids == (0, 1, 2)
+        for field in ("accuracy", "macro_precision", "macro_recall", "macro_f"):
+            assert getattr(mean, field) == float(np.mean([getattr(r, field) for r in reports]))
+        for field in ("per_class_recall", "per_class_precision"):
+            assert getattr(mean, field) == {
+                c: float(np.mean([getattr(r, field)[c] for r in reports])) for c in (0, 1, 2)}
+        assert mean.notes == tuple(dict.fromkeys(n for r in reports for n in r.notes))
+
+        # one whose summaries were read equals one built afresh from the same
+        # matrices: its two fields alone are its value
+        assert CvResult(matrices, notes) == result
+
+    def test_the_mean_gives_each_fold_note_once_in_order(self):
+        counts = np.array([[3, 0, 1], [0, 0, 0], [2, 0, 4]])  # class 1: no row, no column
+        result = CvResult((ConfusionMatrix(counts, (0, 1, 2)),) * 2, ((), ()))
+        assert result.mean_metrics.notes == (
+            "class 1: no actual instances; recall 0 by convention",
+            "class 1: never predicted; precision 0 by convention")
 
 
 class TestGridSweep:
@@ -613,12 +697,13 @@ class TestGridSweep:
         def build(seed, **cell):
             return NearestCentroid() if cell == winner else ConstantModel(0)
 
-        rows = grid_sweep(data, folds, build, {"epochs": (1, 2), "learning_rate": (1e-3, 1e-2),
-                                               "batch_size": (32,)})
-        assert rows[0].settings == winner
-        assert rows[0].accuracy > rows[1].accuracy
+        ranked = grid_sweep(data, folds, build, {"epochs": (1, 2), "learning_rate": (1e-3, 1e-2),
+                                                 "batch_size": (32,)})
+        (best, best_result), (_, second) = ranked[:2]
+        assert best == winner
+        assert best_result.mean_metrics.accuracy > second.mean_metrics.accuracy
         # the three constant rows tie; stable sort keeps grid order
-        losers = [tuple(r.settings.values()) for r in rows[1:]]
+        losers = [tuple(cell.values()) for cell, _ in ranked[1:]]
         assert losers == [(1, 1e-3, 32), (1, 1e-2, 32), (2, 1e-2, 32)]
 
     def test_build_model_receives_grid_coordinates(self):
@@ -641,15 +726,16 @@ class TestGridSweep:
             calls.append((seed, k, w))
             return NearestCentroid() if k == 3 else ConstantModel(0)
 
-        rows = grid_sweep(data, folds, build, {"k": (1, 3, 5), "w": (0.5, 2.0)})
+        ranked = grid_sweep(data, folds, build, {"k": (1, 3, 5), "w": (0.5, 2.0)})
         # every cell in product order, each built once per fold with the fold's seed
         cells = [(k, w) for k in (1, 3, 5) for w in (0.5, 2.0)]
         assert sorted(calls) == sorted((21 + f, *cell) for f in range(3) for cell in cells)
         # the k=3 cells win; ties keep grid order
-        assert [row.settings for row in rows] == [
+        assert [cell for cell, _ in ranked] == [
             {"k": 3, "w": 0.5}, {"k": 3, "w": 2.0}, {"k": 1, "w": 0.5}, {"k": 1, "w": 2.0},
             {"k": 5, "w": 0.5}, {"k": 5, "w": 2.0}]
-        assert rows[0].accuracy > rows[2].accuracy == rows[5].accuracy
+        accuracy = [result.mean_metrics.accuracy for _, result in ranked]
+        assert accuracy[0] > accuracy[2] == accuracy[5]
 
     def test_each_fold_is_prepared_once_for_every_cell(self, monkeypatch, tmp_path):
         from readmitlab import evaluate
@@ -667,9 +753,8 @@ class TestGridSweep:
         build = functools.partial(NetworkClassifier, "vanilla")
         grid = {"epochs": (1,), "learning_rate": (1e-2,), "batch_size": (16, 64)}
         per_cell = {batch: cross_validate(data, folds,
-                                          one_model(lambda s, b=batch: build(
-                                              seed=s, epochs=1, learning_rate=1e-2,
-                                              batch_size=b)),
+                                          one_model(build, epochs=1, learning_rate=1e-2,
+                                                    batch_size=batch),
                                           pipeline=FoldPipeline(resample=plan))[0]
                     for batch in grid["batch_size"]}
         plans = ProcessLog(tmp_path / "plans")  # folds are prepared in forked workers too
@@ -682,15 +767,15 @@ class TestGridSweep:
         serial = grid_sweep(data, folds, build, grid, pipeline=FoldPipeline(resample=plan),
                             workers=1)
         assert [seed for _, seed in plans.read()] == [23, 24, 25]
-        rows = grid_sweep(data, folds, build, grid, pipeline=FoldPipeline(resample=plan),
-                          workers=2)
+        ranked = grid_sweep(data, folds, build, grid, pipeline=FoldPipeline(resample=plan),
+                            workers=2)
         assert_each_process_prepared_each_fold_once(plans.read()[3:], [23, 24, 25])
-        assert len(rows) == 2
-        for row in serial + rows:
-            want = per_cell[row.settings["batch_size"]]
-            for got_m, want_m in zip(row.result.fold_matrices, want.fold_matrices):
+        assert len(ranked) == 2
+        for cell, result in serial + ranked:
+            want = per_cell[cell["batch_size"]]
+            for got_m, want_m in zip(result.fold_matrices, want.fold_matrices):
                 assert np.array_equal(got_m.counts, want_m.counts)
-            for got, want_r in zip(row.result.fold_metrics + (row.result.mean_metrics,),
+            for got, want_r in zip(result.fold_metrics + (result.mean_metrics,),
                                    want.fold_metrics + (want.mean_metrics,)):
                 assert got == want_r
 

@@ -84,10 +84,13 @@ def test_cli_outputs_runs_every_command_and_each_writes_its_reports(tmp_path, ca
     assert (out / "resample-smote" / "resampled.csv").is_file()
     assert (out / "cascade-cnn2" / "cascade_model" / "booster.json").is_file()
     assert (out / "stats-bom" / "report.tsv").read_text().splitlines()[3].startswith("f00\t")
-    # a sweep forked over two processes reports what one process reports
-    for report in ("report.tsv", "report.txt"):
-        assert ((out / "sweep-workers-1" / report).read_bytes()
-                == (out / "sweep-workers-2" / report).read_bytes()), report
+    # a study forked over two processes reports what one process reports
+    for one, two in (("sweep-workers-1", "sweep-workers-2"),
+                     ("select-compare-ks", "select-compare-ks-workers-2"),
+                     ("binary-study", "binary-study-workers-2")):
+        for report in ("report.tsv", "report.txt"):
+            assert (out / one / report).read_bytes() == (out / two / report).read_bytes(), (
+                two, report)
     # each failure writes no reports and one error line, warnings included
     for name, code in failures.items():
         assert not (out / name).exists(), name

@@ -11,7 +11,7 @@ paths, so that no output names OUT itself. Run NAME writes its reports to
 OUT/NAME/, unless its argv gives its own --out (its config file, if any, is
 OUT/NAME.json), and its stdout and stderr, every warning included, to
 OUT/NAME.stdout and OUT/NAME.stderr; OUT/exit_codes.tsv lists each run's
-exit code. The runs use 2 folds, 1 worker (sweep-workers-2 uses two), 1
+exit code. The runs use 2 folds, 1 worker (each NAME-workers-2 uses two), 1
 epoch (sweep-grid-axes also 2) and few boosting rounds. One small CSV
 starts with a sidecar whose .npy header does not parse, which its ingest
 run replaces. The runs of runs() must exit 0 and those of failures() with
@@ -78,8 +78,11 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
     table = [("ingest", ["ingest", *DATA], None), ("stats", ["stats", *DATA], None)]
     table += [(f"select-{method}", ["select", *DATA, "--select-method", method], None)
               for method in sorted(SCORERS)]
-    table.append(("select-compare-ks", ["select", *CV],
-                  {"compare_ks": [10, 4], "model": {"kind": "gbm", "n_rounds": 3}}))
+    # each study run NAME-workers-2 is NAME forked over two processes
+    two = [*DATA, "--folds", "2", "--workers", "2"]
+    compare_ks = {"compare_ks": [10, 4], "model": {"kind": "gbm", "n_rounds": 3}}
+    table.append(("select-compare-ks", ["select", *CV], compare_ks))
+    table.append(("select-compare-ks-workers-2", ["select", *two], compare_ks))
     table += [(f"resample-{method}", ["resample", *DATA, "--resample-method", method,
                                       "--write-csv"], None) for method in METHODS]
     table += [(f"resample-nearmiss{version}", ["resample", *DATA, "--resample-method",
@@ -103,8 +106,8 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
     table.append(("sweep-grid-axes", ["sweep", *CV],
                   {"grid": {"batch_size": [16, 32], "learning_rate": [1e-3, 1e-2, 1],
                             "epochs": [1, 2]}}))
-    table.append(("binary-study", ["binary-study", *DATA, "--folds", "2", "--workers", "1"],
-                  {"booster": {"n_rounds": 3}}))
+    table.append(("binary-study", ["binary-study", *CV], {"booster": {"n_rounds": 3}}))
+    table.append(("binary-study-workers-2", ["binary-study", *two], {"booster": {"n_rounds": 3}}))
     table += [(f"cascade-{arch}", ["cascade", *CV, "--arch", arch, "--n-rounds", "3",
                                    "--save-model"], {"network": NETWORK})
               for arch in ("vanilla", "cnn2", "cnn2_wide", "cnn2_multibranch")]
