@@ -1,8 +1,8 @@
 """Balance an imbalanced cohort with every resampler in the library.
 
 Oversamplers synthesize new minority rows until every class matches the
-majority count; undersamplers discard majority rows until every class matches
-the minority. Originals are never modified — oversamplers append, the
+majority count; undersamplers discard majority rows down to the plan's target
+count. Originals are never modified — oversamplers append, the
 undersamplers select. A plan holds the method and its settings; the seed is
 passed with the rows, so one plan serves every fold of a cross-validation.
 
@@ -12,9 +12,7 @@ Run:  python demos/03_resampling.py
 import numpy as np
 
 from readmitlab.data import Dataset
-from readmitlab.resample import (OVERSAMPLERS, ResamplePlan,
-                                 nearmiss_undersample, oversample,
-                                 random_undersample)
+from readmitlab.resample import OVERSAMPLERS, ResamplePlan, apply_plan, oversample
 
 rng = np.random.default_rng(2)
 
@@ -50,13 +48,14 @@ print(f"\nadasyn adaptivity: {len(synth)} synthetics, "
 
 print("\nnearmiss undersampling (keep the 30 majority rows ranked by "
       "distance to the reference class):")
+# an undersampler runs from its plan: target_counts reduces class 0 alone, and
+# its reference class is the smallest, class 1
 for version in (1, 2, 3):
-    out = nearmiss_undersample(data, majority_class=0, target_count=30,
-                               version=version)
+    plan = ResamplePlan("nearmiss", target_counts={0: 30}, nearmiss_version=version)
+    out = apply_plan(data, plan, 5)
     kept = out.features[out.labels == 0]
     print(f"  version {version}: counts {out.class_counts()}, "
           f"kept majority mean x = {kept[:, 0].mean():+.3f}")
 
-out = random_undersample(data, class_id=0, target_count=30,
-                         rng=np.random.default_rng(9))
+out = apply_plan(data, ResamplePlan("random_under", target_counts={0: 30}), 9)
 print("  random   : counts", out.class_counts())

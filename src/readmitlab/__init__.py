@@ -22,8 +22,7 @@ from .nn import (ARCHITECTURES, Network, build_network, load_network_params,
                  save_network, softmax, softmax_cross_entropy, train_network)
 from .optim import OPTIMIZERS, AdaBelief, Adam, Sgd, make_optimizer
 from .resample import (METHODS as RESAMPLE_METHODS, ResamplePlan, apply_plan,
-                       knn, nearmiss_undersample, oversample,
-                       random_undersample)
+                       knn, oversample)
 from .synth import synthetic_cohort
 from .trees import (ClassificationTree, GradientBoostedClassifier,
                     RandomForest, RegressionTree)

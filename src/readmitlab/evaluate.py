@@ -119,6 +119,10 @@ class ConfusionMatrix:
         i = self.class_ids.index(class_id)
         return _ratio(self.counts[i, i], self.counts[i, :].sum())
 
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ConfusionMatrix) and self.class_ids == other.class_ids
+                and np.array_equal(self.counts, other.counts))
+
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if self.class_ids != other.class_ids:
             raise ValueError("cannot add confusion matrices over different classes")

@@ -1,11 +1,12 @@
 """Class-balance correction over one shared exact nearest-neighbour search.
 
-Oversamplers: smote, borderline_smote, svm_smote, adasyn, random_over.
-Undersampler: nearmiss (versions 1-3). All methods are pure given (data,
-plan, seed), the seed passed apart from the plan (a fold's, from
-evaluate.cross_validate, or the run's): the same plan and seed always
-reproduce the same rows, and the first n output rows are the input rows
-bitwise.
+Oversamplers: smote, borderline_smote, svm_smote, adasyn, random_over;
+their first n output rows are the input rows bitwise. Undersamplers:
+nearmiss (versions 1-3) and random_under, which run only through apply_plan
+and keep a subset of the input rows in their order. All methods are pure
+given (data, plan, seed), the seed passed apart from the plan (a fold's,
+from evaluate.cross_validate, or the run's): the same plan and seed always
+reproduce the same rows.
 
 Every neighbour table, NearMiss's included, comes from one exact search,
 _nearest. One GEMM per block of query rows screens every pair on
@@ -61,7 +62,7 @@ class ResamplePlan:
     """Method, neighbor count, and target per-class counts.
 
     target_counts=None means: equalize every class up to the majority count
-    (oversamplers) or down to the minority count (nearmiss). Otherwise it
+    (oversamplers) or down to the minority count (undersamplers). Otherwise it
     maps class ids (VALID_LABELS, as integers or their decimal strings) to
     nonnegative integer counts. The fields after the method are keyword-only;
     METHOD_SETTINGS names the ones only some methods read."""
@@ -87,8 +88,8 @@ class ResamplePlan:
 
     def resolved_targets(self, counts: dict[int, int]) -> dict[int, int]:
         """The target count of each class, given its current count; an
-        oversampler's target below the count, or an undersampler's above
-        it, is a DataError."""
+        oversampler's target below the count or above 0 for a class with no
+        rows, or an undersampler's above the count, is a DataError."""
         if self.target_counts is not None:
             targets = {int(c): int(self.target_counts[c]) for c in self.target_counts}
         elif self.method in OVERSAMPLERS:
@@ -100,6 +101,8 @@ class ResamplePlan:
         for c, t in targets.items():
             if self.method in OVERSAMPLERS and t < counts.get(c, 0):
                 raise DataError(f"oversampler target {t} below current count for class {c}")
+            if self.method in OVERSAMPLERS and t and c not in counts:
+                raise DataError(f"oversampler target {t} for class {c}, which has no rows")
             if self.method in UNDERSAMPLERS and t > counts.get(c, 0):
                 raise DataError(f"undersampler target {t} above current count for class {c}")
         return targets
@@ -393,98 +396,82 @@ def oversample(data: Dataset, plan: ResamplePlan, seed: int) -> Dataset:
     return Dataset(new_X, new_y, data.feature_names)
 
 
-def nearmiss_undersample(data: Dataset, majority_class: int, target_count: int,
-                         version: int = ResamplePlan.nearmiss_version,
-                         n_ref: int = ResamplePlan.n_ref,
-                         reference_class: int | None = None) -> Dataset:
-    """Keep the target_count majority instances selected by the NearMiss rule;
-    all non-majority rows pass through unchanged.
+def _nearmiss_keep(X_maj: np.ndarray, X_ref: np.ndarray, target: int,
+                   plan: ResamplePlan) -> np.ndarray:
+    """Indices into X_maj of the `target` rows that NearMiss keeps against
+    the reference rows X_ref.
 
-    Version 1 (default) keeps the instances with the smallest average distance
-    to their n_ref closest reference-class instances; version 2 uses the n_ref
-    farthest; version 3 pre-selects each reference point's m nearest
-    majority instances, then keeps those with the largest average distance.
-    m is n_ref, or more where their union would fall short of target_count:
-    the least m whose union holds it. The reference class defaults to the
-    smallest other class.
+    Version 1 keeps the rows with the smallest average distance to their
+    n_ref closest reference rows; version 2 uses the n_ref farthest; version
+    3 pre-selects each reference row's m nearest rows of X_maj, then keeps
+    those with the largest average distance. n_ref is capped at len(X_ref),
+    and m is n_ref, or more where their union would fall short of the
+    target: the least m whose union holds it.
     """
-    maj_idx = _members(data, majority_class, target_count)
-    counts = data.class_counts()
-    if reference_class is None:
-        others = {c: n for c, n in counts.items() if c != majority_class}
-        if not others:
-            raise DataError("nearmiss needs at least two classes")
-        reference_class = min(sorted(others), key=lambda c: (others[c], c))
-    ref_idx = np.flatnonzero(data.labels == reference_class)
-    if ref_idx.size == 0:
-        raise DataError(f"reference class {reference_class} not present")
-    n_use = min(n_ref, ref_idx.size)
-    X_maj = data.features[maj_idx]
-    X_ref = data.features[ref_idx]
-    candidates = np.arange(maj_idx.size)
-    if version == 3:
+    n_use = min(plan.n_ref, len(X_ref))
+    candidates = np.arange(len(X_maj))
+    if plan.nearmiss_version == 3:
         # each reference row's `width` nearest majority rows, width doubling
-        # until their union holds the target (all of them do at maj_idx.size)
-        width = least = min(n_use, maj_idx.size)
+        # until their union holds the target (all of them do at len(X_maj))
+        width = least = min(n_use, len(X_maj))
         while True:
             near, _ = _nearest(X_ref, X_maj, width)
             # the column-major first sighting of each row is the width it joins at
             candidates, first = np.unique(near.T, return_index=True)
-            if candidates.size >= target_count:
+            if candidates.size >= target:
                 break
-            width = min(2 * width, maj_idx.size)
+            width = min(2 * width, len(X_maj))
         joins = first // len(near) + 1
-        width = max(least, np.sort(joins)[:target_count].max(initial=0))
+        width = max(least, np.sort(joins)[:target].max(initial=0))
         candidates = candidates[joins <= width]
-    _, picked = _nearest(X_maj[candidates], X_ref, n_use, farthest=version == 2)
+    _, picked = _nearest(X_maj[candidates], X_ref, n_use, farthest=plan.nearmiss_version == 2)
     scores = np.sort(np.sqrt(picked), axis=1).mean(axis=1)
-    order = candidates[np.argsort(-scores if version == 3 else scores, kind="stable")]
-    return _keep(data, majority_class, maj_idx[order[:target_count]])
-
-
-def random_undersample(data: Dataset, class_id: int, target_count: int,
-                       rng: np.random.Generator) -> Dataset:
-    """Keep a uniform random subset of one class, original row order preserved."""
-    cls_idx = _members(data, class_id, target_count)
-    return _keep(data, class_id, rng.choice(cls_idx, size=target_count, replace=False))
-
-
-def _members(data: Dataset, cls: int, target_count: int) -> np.ndarray:
-    """Row indices of class `cls`, which must have at least target_count rows."""
-    counts = data.class_counts()
-    if cls not in counts:
-        raise DataError(f"class {cls} not present")
-    if target_count > counts[cls]:
-        raise DataError(f"target_count {target_count} exceeds class {cls} size {counts[cls]}")
-    return np.flatnonzero(data.labels == cls)
-
-
-def _keep(data: Dataset, cls: int, kept: np.ndarray) -> Dataset:
-    """`data` without the rows of class `cls` outside `kept`, in row order."""
-    keep_mask = data.labels != cls
-    keep_mask[kept] = True
-    return data.take(np.flatnonzero(keep_mask))
+    order = np.argsort(-scores if plan.nearmiss_version == 3 else scores, kind="stable")
+    return candidates[order[:target]]
 
 
 def apply_plan(data: Dataset, plan: ResamplePlan, seed: int) -> Dataset:
-    """Dispatch a plan, seeded with `seed`: oversamplers add rows,
-    undersamplers remove them class by class."""
+    """The plan run on `data`, seeded with `seed`: an oversampler's rows as
+    from oversample, an undersampler's a subset of the input rows in their
+    order.
+
+    An undersampler visits the classes in increasing id. Each class above
+    its resolved target keeps that many of its rows: random_under a uniform
+    random subset, nearmiss the rows _nearmiss_keep picks against a
+    reference class. Call the class with the fewest input rows (ties to the
+    lower id) the smallest. Every other class's reference is the smallest
+    class's rows kept so far, and "reference class {c} not present" when
+    none is left. The smallest class's reference is the other class with
+    the fewest rows kept so far (ties to the lower id; a class with no row
+    left is none), and "nearmiss needs at least two classes" when there is
+    none. "Kept so far" counts the lower ids as already reduced.
+    """
     if plan.method in OVERSAMPLERS:
         return oversample(data, plan, seed)
     counts = data.class_counts()
     targets = plan.resolved_targets(counts)
     smallest = min(sorted(counts), key=lambda c: (counts[c], c))
     rng = np.random.default_rng(seed)
-    out = data
+    X, y = data.features, data.labels
+    keep = np.ones(len(y), dtype=bool)
     for cls in sorted(counts):
-        if targets.get(cls, counts[cls]) >= counts[cls]:
+        target = targets.get(cls, counts[cls])
+        if target >= counts[cls]:
             continue
+        members = np.flatnonzero(y == cls)
+        keep[members] = False
         if plan.method == "random_under":
-            out = random_undersample(out, cls, targets[cls], rng)
-        else:
-            out = nearmiss_undersample(
-                out, cls, targets[cls],
-                version=plan.nearmiss_version, n_ref=plan.n_ref,
-                reference_class=smallest if smallest != cls else None,
-            )
-    return out
+            keep[rng.choice(members, size=target, replace=False)] = True
+            continue
+        ref = smallest
+        if cls == smallest:
+            # the other classes' kept rows, as cls's own are out of `keep` now
+            ids, sizes = np.unique(y[keep], return_counts=True)
+            if not ids.size:
+                raise DataError("nearmiss needs at least two classes")
+            ref = int(ids[np.argmin(sizes)])  # the first of equal sizes has the lower id
+        X_ref = X[keep & (y == ref)]
+        if not len(X_ref):
+            raise DataError(f"reference class {ref} not present")
+        keep[members[_nearmiss_keep(X[members], X_ref, target, plan)]] = True
+    return data.take(np.flatnonzero(keep))

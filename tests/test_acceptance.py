@@ -19,7 +19,7 @@ from readmitlab.data import load_dataset, save_dataset_csv, stratified_kfold
 from readmitlab.ensemble import cascade_evaluate, cross_validate_cascade
 from readmitlab.evaluate import ConfusionMatrix, FoldPipeline, harmonic_mean, metrics
 from readmitlab.optim import Adam, AdaBelief, Sgd
-from readmitlab.resample import ResamplePlan, knn, nearmiss_undersample, oversample
+from readmitlab.resample import ResamplePlan, apply_plan, knn, oversample
 from readmitlab.trees import (ClassificationTree, GradientBoostedClassifier,
                               RandomForest)
 
@@ -219,8 +219,9 @@ def test_criterion_05_resampler_properties(capfd):
                 rng = np.random.default_rng(50 + 10 * version + trial)
                 data = blob_dataset(rng, {0: 40, 1: 15},
                                     {0: [0, 0], 1: [2, 1]}, spread=1.5)
-                out = nearmiss_undersample(data, majority_class=0,
-                                           target_count=10, version=version)
+                plan = ResamplePlan("nearmiss", target_counts={0: 10},
+                                    nearmiss_version=version)
+                out = apply_plan(data, plan, 0)
                 maj_rows = data.features[data.labels == 0]
                 ref_rows = data.features[data.labels == 1]
                 expected = nearmiss_oracle(maj_rows, ref_rows, 10, version, 3)

@@ -159,6 +159,15 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             a + ConfusionMatrix(np.zeros((2, 2), dtype=int), (0, 2))
 
+    def test_matrices_with_equal_counts_and_classes_are_equal(self):
+        a = ConfusionMatrix(np.eye(3, dtype=int), (0, 1, 2))
+        b = ConfusionMatrix(np.eye(3, dtype=int), (0, 1, 2))
+        assert a == b and a is not b
+        assert CvResult((a,), ((),)) == CvResult((b,), ((),))
+        assert a != ConfusionMatrix(np.eye(3, dtype=int), (0, 2, 1))
+        assert a != ConfusionMatrix(2 * np.eye(3, dtype=int), (0, 1, 2))
+        assert a != ConfusionMatrix(np.eye(2, dtype=int), (0, 1))
+
 
 class TestMetrics:
     def hand_matrix(self):
@@ -672,9 +681,10 @@ class TestCvResult:
                 c: float(np.mean([getattr(r, field)[c] for r in reports])) for c in (0, 1, 2)}
         assert mean.notes == tuple(dict.fromkeys(n for r in reports for n in r.notes))
 
-        # one whose summaries were read equals one built afresh from the same
-        # matrices: its two fields alone are its value
-        assert CvResult(matrices, notes) == result
+        # one whose summaries were read equals one built afresh from copies of
+        # its matrices: its two fields' values alone are its value
+        copies = tuple(ConfusionMatrix(m.counts.copy(), m.class_ids) for m in matrices)
+        assert CvResult(copies, notes) == result
 
     def test_the_mean_gives_each_fold_note_once_in_order(self):
         counts = np.array([[3, 0, 1], [0, 0, 0], [2, 0, 4]])  # class 1: no row, no column

@@ -14,9 +14,7 @@ from readmitlab.resample import (
     _fit_linear_margin,
     apply_plan,
     knn,
-    nearmiss_undersample,
     oversample,
-    random_undersample,
 )
 
 from helpers import (blob_dataset, brute_force_knn, make_dataset,
@@ -263,7 +261,7 @@ class TestNearMiss:
     def test_one_dimensional_example(self):
         # majority {0, 1, 10} against reference {2}, keep 2 -> {0, 1}
         data = make_dataset([[0.0], [1.0], [10.0], [2.0]], [0, 0, 0, 1])
-        out = nearmiss_undersample(data, majority_class=0, target_count=2)
+        out = apply_plan(data, ResamplePlan("nearmiss", target_counts={0: 2}), 0)
         kept = sorted(out.features[out.labels == 0][:, 0].tolist())
         assert kept == [0.0, 1.0]
 
@@ -276,7 +274,8 @@ class TestNearMiss:
                 maj_rows = data.features[data.labels == 0]
                 ref_rows = data.features[data.labels == 1]
                 keep = int(rng.integers(4, 12))
-                out = nearmiss_undersample(data, 0, keep, version=version)
+                plan = ResamplePlan("nearmiss", target_counts={0: keep}, nearmiss_version=version)
+                out = apply_plan(data, plan, 0)
                 kept_rows = out.features[out.labels == 0]
                 expected = nearmiss_oracle(maj_rows, ref_rows, keep, version, 3)
                 assert np.array_equal(kept_rows, maj_rows[expected]), (version, trial)
@@ -289,7 +288,9 @@ class TestNearMiss:
             ref_rows = data.features[data.labels == 1]
             keep = int(rng.integers(19, 40))  # beyond the 6 * 3 rows n_ref nominates
             n_ref = int(rng.integers(1, 4))
-            out = nearmiss_undersample(data, 0, keep, version=3, n_ref=n_ref)
+            plan = ResamplePlan("nearmiss", target_counts={0: keep}, nearmiss_version=3,
+                                n_ref=n_ref)
+            out = apply_plan(data, plan, 0)
             expected = nearmiss_oracle(maj_rows, ref_rows, keep, 3, n_ref)
             assert np.array_equal(out.features[out.labels == 0], maj_rows[expected]), trial
 
@@ -297,14 +298,16 @@ class TestNearMiss:
         # one reference point with n_ref 1 nominates a single majority row; the
         # first stage widens to its 3 nearest, which leaves out the row at 10
         data = make_dataset([[0.0], [1.0], [2.0], [10.0], [0.4]], [0, 0, 0, 0, 1])
-        out = nearmiss_undersample(data, 0, 3, version=3, n_ref=1)
+        plan = ResamplePlan("nearmiss", target_counts={0: 3}, nearmiss_version=3, n_ref=1)
+        out = apply_plan(data, plan, 0)
         assert sorted(out.features[out.labels == 0][:, 0].tolist()) == [0.0, 1.0, 2.0]
 
     def test_non_majority_rows_untouched(self):
         rng = np.random.default_rng(13)
         data = blob_dataset(rng, {0: 30, 1: 10, 2: 8},
                             {0: [0, 0], 1: [3, 3], 2: [-3, 3]})
-        out = nearmiss_undersample(data, 0, 5, reference_class=2)
+        # class 2 is the smallest, so it is class 0's reference
+        out = apply_plan(data, ResamplePlan("nearmiss", target_counts={0: 5}), 0)
         assert np.array_equal(out.features[out.labels == 1],
                               data.features[data.labels == 1])
         assert np.array_equal(out.features[out.labels == 2],
@@ -314,7 +317,7 @@ class TestNearMiss:
         data = make_dataset([[0.0], [1.0], [10.0], [2.0], [7.0], [8.0]],
                             [0, 0, 0, 1, 2, 2])
         # smallest other class is 1 (one member at 2.0): keep {0, 1}
-        out = nearmiss_undersample(data, 0, 2)
+        out = apply_plan(data, ResamplePlan("nearmiss", target_counts={0: 2}), 0)
         kept = sorted(out.features[out.labels == 0][:, 0].tolist())
         assert kept == [0.0, 1.0]
 
@@ -325,20 +328,21 @@ class TestNearMiss:
         # candidates and the farthest candidates are kept
         data = make_dataset([[float(i)] for i in range(10)] + [[0.5]],
                             [0] * 10 + [1])
-        out = nearmiss_undersample(data, 0, target_count=7, version=3, n_ref=3)
+        plan = ResamplePlan("nearmiss", target_counts={0: 7}, nearmiss_version=3, n_ref=3)
+        out = apply_plan(data, plan, 0)
         assert out.features[out.labels == 0][:, 0].tolist() == [float(i) for i in range(7)]
 
     def test_target_above_class_size_rejected(self):
         data = make_dataset([[0.0], [1.0], [2.0]], [0, 0, 1])
         with pytest.raises(DataError):
-            nearmiss_undersample(data, 0, 5)
+            apply_plan(data, ResamplePlan("nearmiss", target_counts={0: 5}), 0)
 
 
 class TestRandomUnder:
     def test_kept_rows_are_a_subset_in_original_order(self):
         rng = np.random.default_rng(14)
         data = blob_dataset(rng, {0: 40, 1: 10}, {0: [0, 0], 1: [4, 4]})
-        out = random_undersample(data, 0, 15, np.random.default_rng(0))
+        out = apply_plan(data, ResamplePlan("random_under", target_counts={0: 15}), 0)
         assert out.class_counts() == {0: 15, 1: 10}
         pool = {tuple(row) for row in data.features[data.labels == 0]}
         assert all(tuple(row) in pool for row in out.features[out.labels == 0])
@@ -346,6 +350,54 @@ class TestRandomUnder:
         kept_all = [tuple(r) for r in out.features]
         positions = [[tuple(r) for r in data.features].index(row) for row in kept_all]
         assert positions == sorted(positions)
+
+
+class TestNearMissReference:
+    """Which class's rows NearMiss ranks a class against, in apply_plan.
+    Each case lists (label, value) rows of one feature, in row order."""
+
+    @staticmethod
+    def run(rows, targets=None, n_ref=3):
+        data = make_dataset([[v] for _, v in rows], [c for c, _ in rows])
+        plan = ResamplePlan("nearmiss", target_counts=targets, n_ref=n_ref)
+        out = apply_plan(data, plan, 0)
+        return list(zip(out.labels.tolist(), out.features[:, 0].tolist()))
+
+    def test_a_reduced_class_that_ties_the_smallest_does_not_replace_it(self):
+        # class 0 is cut to 2 rows first, tying class 2; class 1's reference
+        # is still class 2 ({10, 11}), not class 0's kept rows ({3, 4}),
+        # against which it would keep {5, 6}
+        rows = [(0, 0.0), (1, 5.0), (0, 1.0), (2, 10.0), (1, 6.0), (0, 2.0),
+                (1, 7.0), (0, 3.0), (2, 11.0), (1, 8.0), (0, 4.0)]
+        assert self.run(rows) == [(2, 10.0), (1, 7.0), (0, 3.0), (2, 11.0), (1, 8.0),
+                                  (0, 4.0)]
+
+    def test_targets_that_reduce_the_smallest_class(self):
+        # class 0 (smallest) goes first, against the smaller other class, 2,
+        # and keeps 30; classes 1 and 2 then rank against that one kept row,
+        # so class 1 keeps {25, 26}, where all three rows of class 0 would
+        # give {-3, 26}
+        rows = [(0, 0.0), (1, -3.0), (2, 33.0), (0, 30.0), (1, 25.0), (2, 34.0),
+                (1, 26.0), (0, 40.0), (1, 60.0), (2, 80.0), (1, 70.0), (2, 90.0)]
+        got = self.run(rows, {0: 1, 1: 2, 2: 3}, n_ref=1)
+        assert got == [(2, 33.0), (0, 30.0), (1, 25.0), (2, 34.0), (1, 26.0), (2, 80.0)]
+
+    def test_a_class_cut_to_no_rows_is_no_reference(self):
+        # class 0 is cut to nothing, so the smallest class, 2, ranks against
+        # class 1's kept rows {20, 50, 51} and keeps 60
+        rows = [(0, 0.0), (1, 20.0), (2, 10.0), (0, 1.0), (1, 21.0), (2, 40.0),
+                (0, 2.0), (1, 22.0), (2, 60.0), (0, 3.0), (1, 50.0), (1, 51.0)]
+        got = self.run(rows, {0: 0, 1: 3, 2: 1}, n_ref=1)
+        assert got == [(1, 20.0), (2, 60.0), (1, 50.0), (1, 51.0)]
+
+    def test_no_reference_left_is_a_data_error(self):
+        rows = [(0, 0.0), (0, 1.0), (0, 2.0), (0, 3.0), (1, 20.0), (1, 21.0),
+                (1, 22.0), (1, 50.0), (1, 51.0), (2, 10.0), (2, 40.0), (2, 60.0)]
+        with pytest.raises(DataError, match="^nearmiss needs at least two classes$"):
+            self.run(rows, {0: 0, 1: 0, 2: 1})
+        # class 0 is now the smallest: cut to nothing, it leaves class 1 none
+        with pytest.raises(DataError, match="^reference class 0 not present$"):
+            self.run(rows[1:], {0: 0, 1: 2})
 
 
 class TestApplyPlan:
@@ -367,3 +419,14 @@ class TestApplyPlan:
                             {0: [0, 0], 1: [4, 4], 2: [-4, 4]})
         out = apply_plan(data, ResamplePlan("smote", target_counts={2: 30}), 2)
         assert out.class_counts() == {0: 50, 1: 30, 2: 30}
+
+    @pytest.mark.parametrize("method", ["smote", "random_over", "adasyn"])
+    def test_an_oversampler_target_for_a_class_with_no_rows_is_a_data_error(self, method):
+        rng = np.random.default_rng(17)
+        data = blob_dataset(rng, {0: 12, 2: 6}, {0: [0, 0], 2: [1, 1]}, spread=1.5)
+        plan = ResamplePlan(method, target_counts={1: 10, 2: 12})
+        with pytest.raises(DataError, match="^oversampler target 10 for class 1, which has "
+                                            "no rows$"):
+            apply_plan(data, plan, 0)
+        out = apply_plan(data, ResamplePlan(method, target_counts={1: 0, 2: 12}), 0)
+        assert out.class_counts() == {0: 12, 2: 12}

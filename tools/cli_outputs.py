@@ -37,7 +37,7 @@ from readmitlab.cli import main as cli_main
 from readmitlab.data import save_dataset_csv
 from readmitlab.features import SCORERS
 from readmitlab.nn import ARCHITECTURES
-from readmitlab.resample import METHODS
+from readmitlab.resample import METHODS, UNDERSAMPLERS
 from readmitlab.synth import synthetic_cohort
 
 COHORT = ["--data", "cohort.csv"]
@@ -88,6 +88,11 @@ def runs() -> list[tuple[str, list[str], dict | None]]:
     table += [(f"resample-nearmiss{version}", ["resample", *DATA, "--resample-method",
                                                "nearmiss", "--nearmiss-version", version,
                                                "--write-csv"], None) for version in "23"]
+    # targets that cut the smallest class, 1, after class 0: NearMiss ranks it
+    # against the other class with the fewest rows kept, class 0
+    table += [(f"resample-{method}-targets", ["resample", *DATA, "--write-csv"],
+               {"resample": {"method": method, "target_counts": {"0": 20, "1": 10, "2": 20}}})
+              for method in UNDERSAMPLERS]
     table += [(f"train-{arch}", ["train", *CV, "--model", "network", "--arch", arch],
                {"model": NETWORK}) for arch in ARCHITECTURES]
     table += [(f"train-{optimizer}", ["train", *CV, "--model", "network", "--arch", "vanilla",
